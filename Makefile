@@ -31,16 +31,17 @@ BENCH_JSON ?= BENCH_10.json
 BENCH_BASELINE ?= BENCH_9.json
 GATE ?= 25
 
-.PHONY: ci fmt vet build test race smoke bench bench-all bench-compare bench-smoke bench-verify fuzz-smoke cover lint lint-fix-list tidy-check contracts contracts-verify experiments
+.PHONY: ci fmt vet build test race smoke bench bench-all bench-compare bench-smoke bench-e2e-smoke bench-verify fuzz-smoke cover lint lint-fix-list tidy-check contracts contracts-verify experiments
 
 # ci is tier-1 plus race checking, a public-API smoke pass, coverage
 # floors, a fuzz-smoke pass over the data-plane parity targets, a
 # bench-smoke pass, the repolint static-analysis suite, the module tidy
-# check, the benchmark-trajectory staleness gate, and the cross-generation
-# benchmark regression gate in one command: if an example, CLI, benchmark,
+# check, the benchmark-trajectory staleness gate, the cross-generation
+# benchmark regression gate, and a compile-and-smoke pass over the frozen
+# Job→Result benchmark in one command: if an example, CLI, benchmark,
 # fuzz target, coverage floor, contract analyzer, or recorded perf win
 # stops holding, ci fails.
-ci: fmt vet lint tidy-check build race smoke cover fuzz-smoke bench-smoke bench-verify bench-compare contracts-verify
+ci: fmt vet lint tidy-check build race smoke cover fuzz-smoke bench-smoke bench-e2e-smoke bench-verify bench-compare contracts-verify
 
 fmt:
 	@out="$$(gofmt -l . | grep -v '^third_party/')"; \
@@ -109,12 +110,13 @@ cover:
 		echo "cover: $$pkg $$pct% (floor $$floor%)"; \
 	done
 
-# fuzz-smoke runs each native fuzz target for FUZZTIME: the exchange and
-# the sample sort must stay value-identical to their retained serial
-# references on randomized inputs, widths, and pool states.
+# fuzz-smoke runs each native fuzz target for FUZZTIME: the exchange, the
+# sample sort and the local join kernel must stay value-identical to their
+# retained references on randomized inputs, widths, and pool states.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzExchangeParity$$' -fuzztime $(FUZZTIME) ./internal/mpc
 	$(GO) test -run '^$$' -fuzz '^FuzzSampleSortParity$$' -fuzztime $(FUZZTIME) ./internal/primitives
+	$(GO) test -run '^$$' -fuzz '^FuzzLocalJoinParity$$' -fuzztime $(FUZZTIME) ./internal/core
 
 # contracts regenerates CONTRACTS.md from the engine registry and the
 # round-cost classifier (repolint -contracts runs standalone: under go
@@ -172,6 +174,13 @@ bench-all:
 # benchmark surface from rotting without paying for counted runs.
 bench-smoke:
 	$(GO) test -run '^$$' -bench '$(BENCH)' -benchtime 1x . ./internal/mpc ./internal/primitives
+
+# bench-e2e-smoke vets and smoke-tests bench/, the Job→Result benchmark.
+# It is a module of its own, so none of the targets above compile it: an
+# internal/ signature change that breaks the frozen benchmark fails here
+# instead of in the pipeline that runs BENCHMARK.json.
+bench-e2e-smoke:
+	cd bench && $(GO) vet . && $(GO) test ./...
 
 experiments:
 	$(GO) run ./cmd/experiments

@@ -46,7 +46,7 @@ func AcyclicJoin(c *mpc.Cluster, in *Instance, seed uint64, em mpc.Emitter) *mpc
 		return mpc.NewDist(c, outSchema)
 	}
 	res := acyclicRec(c, in.Q.Edges, dists, in.Ring, out, seed, 0)
-	res = ProjectLocal(res, outSchema)
+	res = res.Project(outSchema)
 	EmitDist(res, outSchema, em)
 	return res
 }
@@ -237,7 +237,7 @@ func acyclicRec(c *mpc.Cluster, edges []hypergraph.AttrSet, dists []*mpc.Dist,
 		if r.Size() == 0 {
 			continue
 		}
-		final = mpc.Concat(final, ProjectLocal(r, unionSchema))
+		final = mpc.Concat(final, r.Project(unionSchema))
 	}
 	return final
 }
@@ -293,9 +293,10 @@ func splitE0ByProduct(r0 *mpc.Dist, si [][]relation.Attr, lightC []*mpc.Dist, ta
 	prodPos := len(cur.Schema) - 1
 	for i, lc := range lightC {
 		deg := primitives.CountByKey(lc, si[i], seed^uint64(0x60+i))
+		t := make(relation.Tuple, len(cur.Schema)) // Lookup copies each result before the next call
 		cur = primitives.Lookup(cur, si[i], deg, si[i], cur.Schema,
 			func(it mpc.Item, r primitives.LookupResult) (mpc.Item, bool) {
-				t := it.T.Clone()
+				copy(t, it.T)
 				if !r.Found {
 					t[prodPos] = 0
 				} else if v := t[prodPos] * relation.Value(r.DAnnot); v > tauClamp {
@@ -307,8 +308,8 @@ func splitE0ByProduct(r0 *mpc.Dist, si [][]relation.Attr, lightC []*mpc.Dist, ta
 			})
 	}
 	isHeavy := func(it mpc.Item) bool { return int64(it.T[prodPos]) >= tau }
-	heavy = ProjectLocal(cur.FilterLocal(isHeavy), r0.Schema)
-	light = ProjectLocal(cur.FilterLocal(func(it mpc.Item) bool { return !isHeavy(it) }), r0.Schema)
+	heavy = cur.FilterLocal(isHeavy).Project(r0.Schema)
+	light = cur.FilterLocal(func(it mpc.Item) bool { return !isHeavy(it) }).Project(r0.Schema)
 	return heavy, light
 }
 
@@ -321,18 +322,22 @@ func addConstColumn(d *mpc.Dist, attr relation.Attr) *mpc.Dist {
 	return addColumn(d, attr, 0)
 }
 
-// addColumn appends attr with the given constant value to every tuple.
+// addColumn appends attr with the given constant value to every tuple,
+// writing each widened row in place into an exactly-sized part.
 func addColumn(d *mpc.Dist, attr relation.Attr, val relation.Value) *mpc.Dist {
 	if d.Schema.Has(attr) {
 		panic(fmt.Sprintf("core: duplicate column %d", attr))
 	}
-	schema := append(append(relation.Schema{}, d.Schema...), attr)
-	return d.MapLocal(schema, func(_ int, it mpc.Item) []mpc.Item {
-		t := make(relation.Tuple, len(it.T)+1)
-		copy(t, it.T)
-		t[len(it.T)] = val
-		return []mpc.Item{{T: t, A: it.A}}
-	})
+	out := mpc.NewDist(d.C, append(append(relation.Schema{}, d.Schema...), attr))
+	for s := range d.Parts {
+		part := &d.Parts[s]
+		out.Parts[s].Reserve(len(out.Schema), part.Len())
+		for i := 0; i < part.Len(); i++ {
+			t := out.Parts[s].AppendRow(part.Annot(i))
+			t[copy(t, part.Tuple(i))] = val
+		}
+	}
+	return out
 }
 
 // withUnitAnnot copies d with all annotations set to ring.One.

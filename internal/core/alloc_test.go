@@ -1,0 +1,57 @@
+package core
+
+import (
+	"testing"
+
+	"repro/internal/mpc"
+	"repro/internal/relation"
+	"repro/internal/runtime"
+)
+
+// TestLocalJoinEmitAllocCeiling is the allocation-regression guard for the
+// output path: a per-server local join followed by emission into a counting
+// and a materializing sink allocates per part — the result buffers, the
+// stage bindings, the sink's partitions — and NEVER per row. The old path
+// cost four allocations per result row (tuple, key strings, projected
+// tuple, buffer doublings); here an 8× larger join must fit under the same
+// fixed per-part budget.
+func TestLocalJoinEmitAllocCeiling(t *testing.T) {
+	const p, perPart = 8, 30 // allocations allowed per part, whatever the row count
+	prev := runtime.SetParallelism(1)
+	defer runtime.SetParallelism(prev)
+
+	schemaA, schemaB := relation.NewSchema(1, 2), relation.NewSchema(2, 3)
+	out := schemaA.Union(schemaB)
+	stages := []joinStage{
+		{src: []int{0, 1}, dst: []int{0, 1}},
+		{keyPos: []int{0}, keyOut: []int{1}, src: []int{1}, dst: []int{2}},
+	}
+	for _, rows := range []int{500, 4000} {
+		c := mpc.NewCluster(p)
+		a, b := mpc.NewDist(c, schemaA), mpc.NewDist(c, schemaB)
+		rng := mpc.NewRng(uint64(rows))
+		for s := 0; s < p; s++ {
+			a.Parts[s] = *fuzzPart(rng, rows, 2, rows/4, false)
+			b.Parts[s] = *fuzzPart(rng, rows, 2, rows/4, true)
+		}
+		results := 0
+		run := func() {
+			res := mpc.NewDist(c, out)
+			for s := 0; s < p; s++ {
+				indexJoin(&res.Parts[s], len(out), stagesAt(stages, []*mpc.Dist{a, b}, s), nil, relation.CountRing)
+			}
+			count, table := mpc.NewCountEmitter(relation.CountRing), mpc.NewShardedEmitter(out, p)
+			EmitDist(res, out, mpc.MultiEmitter{count, table})
+			results = int(count.N)
+		}
+		run() // warm the index pool
+		got := testing.AllocsPerRun(10, run)
+		if results < 2*rows*p {
+			t.Fatalf("rows=%d: join produced only %d results — the test no longer exercises the output path", rows, results)
+		}
+		if got > perPart*p {
+			t.Fatalf("rows=%d (%d results): local join + emit allocates %.0f per run, ceiling %d — per-row allocations are back",
+				rows, results, got, perPart*p)
+		}
+	}
+}

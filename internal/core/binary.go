@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/mpc"
@@ -60,8 +61,9 @@ func BinaryJoin(a, b *mpc.Dist, ring relation.Semiring, seed uint64, em mpc.Emit
 	if l0 < 1 {
 		l0 = 1
 	}
-	dir := buildGrid(jd, shared, l0, out, c.P)
-	chargeDirectory(c, len(dir))
+	dir := buildGrid(jd, len(shared), l0, out, c.P)
+	defer dir.idx.Release()
+	chargeDirectory(c, len(dir.grids))
 
 	// Attach (da, db) to every tuple (multi-search); tuples whose key is
 	// missing from the directory side cannot join and are dropped here.
@@ -74,27 +76,29 @@ func BinaryJoin(a, b *mpc.Dist, ring relation.Semiring, seed uint64, em mpc.Emit
 		return da > l0 || db > l0 || da*db > (out+int64(c.P)-1)/int64(c.P)
 	}
 
+	// Destinations are hashed straight off the flat rows (HashTupleAt is
+	// bit-identical to hashing the encoded key or tuple) and appended to
+	// the exchange's per-task scratch: routing allocates nothing per row.
 	routeSide := func(d *mpc.Dist, keyPos []int, isA bool, salt uint64) *mpc.Dist {
-		return d.ReplicateBy(func(it mpc.Item) []int {
+		whole := identityPos(len(d.Schema))
+		return d.ReplicateAppend(func(it mpc.Item, dst []int) []int {
 			n := len(it.T)
 			da, db := int64(it.T[n-2]), int64(it.T[n-1])
-			k := relation.KeyAt(it.T, keyPos)
 			if !heavy(da, db) {
-				return []int{int(mpc.Hash64(k, seed^0x10) % uint64(c.P))}
+				return append(dst, int(mpc.HashTupleAt(it.T, keyPos, seed^0x10)%uint64(c.P)))
 			}
-			g := dir[k]
+			g := dir.grids[dir.idx.First(it.T, keyPos)]
+			h := mpc.HashTupleAt(it.T, whole, salt)
 			if isA {
-				row := int(mpc.Hash64(relation.EncodeTuple(it.T), salt) % uint64(g.rows))
-				dst := make([]int, g.cols)
+				row := int(h % uint64(g.rows))
 				for col := 0; col < g.cols; col++ {
-					dst[col] = (g.base + row*g.cols + col) % c.P
+					dst = append(dst, (g.base+row*g.cols+col)%c.P)
 				}
 				return dst
 			}
-			col := int(mpc.Hash64(relation.EncodeTuple(it.T), salt) % uint64(g.cols))
-			dst := make([]int, g.rows)
+			col := int(h % uint64(g.cols))
 			for row := 0; row < g.rows; row++ {
-				dst[row] = (g.base + row*g.cols + col) % c.P
+				dst = append(dst, (g.base+row*g.cols+col)%c.P)
 			}
 			return dst
 		})
@@ -102,61 +106,36 @@ func BinaryJoin(a, b *mpc.Dist, ring relation.Semiring, seed uint64, em mpc.Emit
 	ra := routeSide(ax, aPosKey, true, seed^0x20)
 	rb := routeSide(bx, bPosKey, false, seed^0x21)
 
-	// Local hash join per server; results are born where they are
-	// produced. Servers join in parallel — each writes only its own part —
-	// and emission runs afterwards in server order, so the emitter sees the
-	// exact serial sequence.
+	// Local join per server (indexJoin, probing a's rows against b's);
+	// results are born where they are produced. Servers join in parallel —
+	// each writes only its own part — and emission runs afterwards in
+	// server order, so the emitter sees the exact serial sequence.
 	res := mpc.NewDist(c, outSchema)
-	bExtra := b.Schema.Minus(a.Schema)
-	bExtraPosIn := rb.Positions(bExtra)
-	aCore := len(a.Schema)
-	runtime.Fork(len(ra.Parts), func(s int) {
-		pa, pb := &ra.Parts[s], &rb.Parts[s]
-		if pa.Len() == 0 || pb.Len() == 0 {
-			return
-		}
-		idx := make(map[string][]mpc.Item)
-		for i := 0; i < pb.Len(); i++ {
-			it := pb.Item(i)
-			k := relation.KeyAt(it.T, bPosKey)
-			idx[k] = append(idx[k], it)
-		}
-		var part mpc.Columns
-		for i := 0; i < pa.Len(); i++ {
-			ai := pa.Item(i)
-			k := relation.KeyAt(ai.T, aPosKey)
-			for _, bi := range idx[k] {
-				t := make(relation.Tuple, 0, len(outSchema))
-				t = append(t, ai.T[:aCore]...)
-				for _, p := range bExtraPosIn {
-					t = append(t, bi.T[p])
-				}
-				part.Append(t, ring.Mul(ai.A, bi.A))
-			}
-		}
-		res.Parts[s] = part
+	aCore := identityPos(len(a.Schema))
+	bExtra := []relation.Attr(b.Schema.Minus(a.Schema))
+	stages := []joinStage{
+		{src: aCore, dst: aCore},
+		{keyPos: bPosKey, keyOut: aPosKey, src: rb.Positions(bExtra), dst: outSchema.Positions(bExtra)},
+	}
+	inputs := []*mpc.Dist{ra, rb}
+	runtime.Fork(c.P, func(s int) {
+		indexJoin(&res.Parts[s], len(outSchema), stagesAt(stages, inputs, s), nil, ring)
 	})
-	emitParts(res, em)
+	EmitDist(res, outSchema, em)
 	return res
-}
-
-// emitParts reports every item of res to em in server order — the serial
-// emission sequence — after a parallel per-server production phase.
-func emitParts(res *mpc.Dist, em mpc.Emitter) {
-	if em == nil {
-		return
-	}
-	for s := range res.Parts {
-		part := &res.Parts[s]
-		for i := 0; i < part.Len(); i++ {
-			em.Emit(s, part.Tuple(i), part.Annot(i))
-		}
-	}
 }
 
 // gridInfo describes the server grid of one heavy key.
 type gridInfo struct {
 	base, rows, cols int
+}
+
+// gridDir is the heavy-key directory: one row of keys per heavy key, found
+// by value through idx; grids[r] is the grid of the key in row r.
+type gridDir struct {
+	keys  mpc.Columns
+	idx   mpc.RowIndex
+	grids []gridInfo
 }
 
 // joinDegrees co-locates the two degree tables by key and merges them into
@@ -173,55 +152,50 @@ func joinDegrees(dA, dB *mpc.Dist, shared relation.Schema, salt uint64) *mpc.Dis
 	posB := sb.Positions(keyAttrs)
 	for s := range sa.Parts {
 		pa, pb := &sa.Parts[s], &sb.Parts[s]
-		bdeg := make(map[string]int64)
-		for i := 0; i < pb.Len(); i++ {
-			bdeg[relation.KeyAt(pb.Tuple(i), posB)] = pb.Annot(i)
+		if pa.Len() == 0 || pb.Len() == 0 {
+			continue
 		}
+		bdeg := mpc.IndexRows(pb, posB)
+		out.Parts[s].Reserve(len(schema), pa.Len())
 		for i := 0; i < pa.Len(); i++ {
 			tup := pa.Tuple(i)
-			k := relation.KeyAt(tup, posA)
-			db, ok := bdeg[k]
-			if !ok {
+			j := bdeg.First(tup, posA)
+			if j < 0 {
 				continue
 			}
-			t := make(relation.Tuple, 0, len(schema))
-			for _, p := range posA {
-				t = append(t, tup[p])
+			t := out.Parts[s].AppendRow(1)
+			for k, p := range posA {
+				t[k] = tup[p]
 			}
-			t = append(t, relation.Value(pa.Annot(i)), relation.Value(db))
-			out.Parts[s].Append(t, 1)
+			t[len(posA)], t[len(posA)+1] = relation.Value(pa.Annot(i)), relation.Value(pb.Annot(j))
 		}
+		bdeg.Release()
 	}
 	return out
 }
 
 // buildGrid assigns a server grid to every heavy key, deterministically by
-// key order. Σ grid sizes = O(p) by the degree thresholds.
-func buildGrid(jd *mpc.Dist, shared relation.Schema, l0, out int64, p int) map[string]gridInfo {
-	keyPos := jd.Positions([]relation.Attr(shared))
-	type entry struct {
-		key    string
-		da, db int64
-	}
-	var heavies []entry
+// key order. Σ grid sizes = O(p) by the degree thresholds. jd's rows are
+// the kw key columns followed by (da, db).
+func buildGrid(jd *mpc.Dist, kw int, l0, out int64, p int) *gridDir {
+	var heavies []relation.Tuple
 	perServer := (out + int64(p) - 1) / int64(p)
 	for s := range jd.Parts {
 		part := &jd.Parts[s]
 		for i := 0; i < part.Len(); i++ {
 			t := part.Tuple(i)
-			n := len(t)
-			da, db := int64(t[n-2]), int64(t[n-1])
-			if da > l0 || db > l0 || da*db > perServer {
-				heavies = append(heavies, entry{relation.KeyAt(t, keyPos), da, db})
+			if da, db := int64(t[kw]), int64(t[kw+1]); da > l0 || db > l0 || da*db > perServer {
+				heavies = append(heavies, t)
 			}
 		}
 	}
-	sort.Slice(heavies, func(i, j int) bool { return heavies[i].key < heavies[j].key })
-	dir := make(map[string]gridInfo, len(heavies))
+	sort.Slice(heavies, func(i, j int) bool { return slices.Compare(heavies[i][:kw], heavies[j][:kw]) < 0 })
+	dir := &gridDir{grids: make([]gridInfo, len(heavies))}
+	dir.keys.Reserve(kw, len(heavies))
 	base := 0
-	for _, h := range heavies {
-		rows := int((h.da + l0 - 1) / l0)
-		cols := int((h.db + l0 - 1) / l0)
+	for i, h := range heavies {
+		rows := int((int64(h[kw]) + l0 - 1) / l0)
+		cols := int((int64(h[kw+1]) + l0 - 1) / l0)
 		if rows < 1 {
 			rows = 1
 		}
@@ -232,9 +206,11 @@ func buildGrid(jd *mpc.Dist, shared relation.Schema, l0, out int64, p int) map[s
 		// would meet on two servers and be reported twice.
 		dims := []int{rows, cols}
 		size := clampDims(dims, p)
-		dir[h.key] = gridInfo{base: base % p, rows: dims[0], cols: dims[1]}
+		copy(dir.keys.AppendRow(1), h[:kw])
+		dir.grids[i] = gridInfo{base: base % p, rows: dims[0], cols: dims[1]}
 		base += size
 	}
+	dir.idx = mpc.IndexRows(&dir.keys, identityPos(kw))
 	return dir
 }
 
@@ -255,19 +231,21 @@ func chargeDirectory(c *mpc.Cluster, n int) {
 }
 
 // attachDegrees extends every tuple of d with the (da, db) of its key via
-// the sorted lookup; tuples without a directory entry are dropped.
+// the sorted lookup; tuples without a directory entry are dropped. Lookup
+// copies each returned item before it asks for the next, so one scratch
+// tuple serves every row.
 func attachDegrees(d *mpc.Dist, shared relation.Schema, jd *mpc.Dist) *mpc.Dist {
 	keyAttrs := []relation.Attr(shared)
 	outSchema := append(append(relation.Schema{}, d.Schema...), synthDA, synthDB)
 	jdN := len(jd.Schema)
+	t := make(relation.Tuple, len(outSchema))
 	return primitives.Lookup(d, keyAttrs, jd, keyAttrs, outSchema,
 		func(it mpc.Item, r primitives.LookupResult) (mpc.Item, bool) {
 			if !r.Found {
 				return mpc.Item{}, false
 			}
-			t := make(relation.Tuple, 0, len(it.T)+2)
-			t = append(t, it.T...)
-			t = append(t, r.DTuple[jdN-2], r.DTuple[jdN-1])
+			n := copy(t, it.T)
+			t[n], t[n+1] = r.DTuple[jdN-2], r.DTuple[jdN-1]
 			return mpc.Item{T: t, A: it.A}, true
 		})
 }
@@ -275,22 +253,11 @@ func attachDegrees(d *mpc.Dist, shared relation.Schema, jd *mpc.Dist) *mpc.Dist 
 // StripSynthetic removes synthetic attributes from a schema/dist, keeping
 // query attributes only. Used by algorithms that pass extended tuples on.
 func StripSynthetic(d *mpc.Dist) *mpc.Dist {
-	var keep []relation.Attr
+	var keep relation.Schema
 	for _, a := range d.Schema {
 		if a >= 0 {
 			keep = append(keep, a)
 		}
 	}
-	if len(keep) == len(d.Schema) {
-		return d
-	}
-	pos := d.Positions(keep)
-	schema := relation.NewSchema(keep...)
-	return d.MapLocal(schema, func(_ int, it mpc.Item) []mpc.Item {
-		t := make(relation.Tuple, len(pos))
-		for i, p := range pos {
-			t[i] = it.T[p]
-		}
-		return []mpc.Item{{T: t, A: it.A}}
-	})
+	return d.Project(keep)
 }

@@ -72,7 +72,7 @@ func Line3WithTau(c *mpc.Cluster, in *Instance, tauOverride int64, seed uint64, 
 	t12 := BinaryJoin(r1L, r2L, in.Ring, seed^0x402, nil)
 	q2 := BinaryJoin(t12, r3, in.Ring, seed^0x403, nil)
 
-	res := mpc.Concat(ProjectLocal(q1, outSchema), ProjectLocal(q2, outSchema))
+	res := mpc.Concat(q1.Project(outSchema), q2.Project(outSchema))
 	EmitDist(res, outSchema, em)
 	return res
 }
@@ -122,19 +122,4 @@ func splitByDegree(d *mpc.Dist, keyAttrs []relation.Attr, deg *mpc.Dist, tau int
 			return it, !r.Found || r.DAnnot <= tau
 		})
 	return heavy, light
-}
-
-// ProjectLocal projects d onto schema without communication.
-func ProjectLocal(d *mpc.Dist, schema relation.Schema) *mpc.Dist {
-	if d.Schema.Equal(schema) {
-		return d
-	}
-	pos := d.Positions([]relation.Attr(schema))
-	return d.MapLocal(schema, func(_ int, it mpc.Item) []mpc.Item {
-		t := make(relation.Tuple, len(pos))
-		for i, p := range pos {
-			t[i] = it.T[p]
-		}
-		return []mpc.Item{{T: t, A: it.A}}
-	})
 }

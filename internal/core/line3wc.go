@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/mpc"
 	"repro/internal/relation"
+	"repro/internal/runtime"
 )
 
 // Line3WorstCase is the worst-case optimal one-round algorithm for the
@@ -34,81 +35,48 @@ func Line3WorstCase(c *mpc.Cluster, in *Instance, seed uint64, em mpc.Emitter) *
 	if s < 1 {
 		s = 1
 	}
-	srv := func(ib, ic int) int { return ib*s + ic }
-	hb := func(v relation.Value) int {
-		return int(mpc.Hash64(relation.EncodeValues(v), seed^0x1) % uint64(s))
-	}
-	hc := func(v relation.Value) int {
-		return int(mpc.Hash64(relation.EncodeValues(v), seed^0x2) % uint64(s))
-	}
-
-	p1b := r1.Schema.Pos(b)
-	p2b, p2c := r2.Schema.Pos(b), r2.Schema.Pos(cAttr)
-	p3c := r3.Schema.Pos(cAttr)
+	p1b := r1.Positions([]relation.Attr{b})
+	p2b, p2c := r2.Positions([]relation.Attr{b}), r2.Positions([]relation.Attr{cAttr})
+	p3c := r3.Positions([]relation.Attr{cAttr})
+	// Grid coordinates are hashes of the one join column, read off the flat
+	// row (bit-identical to hashing its encoded value).
+	hb := func(t relation.Tuple, pos []int) int { return int(mpc.HashTupleAt(t, pos, seed^0x1) % uint64(s)) }
+	hc := func(t relation.Tuple, pos []int) int { return int(mpc.HashTupleAt(t, pos, seed^0x2) % uint64(s)) }
 
 	// R1 → row h(b), all columns; R3 → column h(c), all rows; R2 → one cell.
-	g1 := r1.ReplicateBy(func(it mpc.Item) []int {
-		row := hb(it.T[p1b])
-		out := make([]int, s)
+	g1 := r1.ReplicateAppend(func(it mpc.Item, dst []int) []int {
+		row := hb(it.T, p1b)
 		for j := 0; j < s; j++ {
-			out[j] = srv(row, j)
+			dst = append(dst, row*s+j)
 		}
-		return out
+		return dst
 	})
-	g2 := r2.ShuffleBy(func(it mpc.Item) int {
-		return srv(hb(it.T[p2b]), hc(it.T[p2c]))
-	})
-	g3 := r3.ReplicateBy(func(it mpc.Item) []int {
-		col := hc(it.T[p3c])
-		out := make([]int, s)
+	g2 := r2.ShuffleBy(func(it mpc.Item) int { return hb(it.T, p2b)*s + hc(it.T, p2c) })
+	g3 := r3.ReplicateAppend(func(it mpc.Item, dst []int) []int {
+		col := hc(it.T, p3c)
 		for i := 0; i < s; i++ {
-			out[i] = srv(i, col)
+			dst = append(dst, i*s+col)
 		}
-		return out
+		return dst
 	})
 
+	// Per-server joins (indexJoin) run in parallel — server sv writes only
+	// res.Parts[sv] — and emission runs afterwards in server order: each
+	// R2(B,C) row probes R1 by B, then R3 by C.
 	outSchema := in.OutputSchema()
 	res := mpc.NewDist(c, outSchema)
-	aAttrs := r1.Schema.Minus(relation.NewSchema(b))
-	dAttrs := r3.Schema.Minus(relation.NewSchema(cAttr))
-	aPos := g1.Positions([]relation.Attr(aAttrs))
-	dPos := g3.Positions([]relation.Attr(dAttrs))
-	aDst := outSchema.Positions([]relation.Attr(aAttrs))
-	dDst := outSchema.Positions([]relation.Attr(dAttrs))
-	bDst, cDst := outSchema.Pos(b), outSchema.Pos(cAttr)
-
-	for sv := 0; sv < c.P; sv++ {
-		byB := map[relation.Value][]mpc.Item{}
-		for i, p := 0, &g1.Parts[sv]; i < p.Len(); i++ {
-			it := p.Item(i)
-			byB[it.T[p1b]] = append(byB[it.T[p1b]], it)
-		}
-		byC := map[relation.Value][]mpc.Item{}
-		for i, p := 0, &g3.Parts[sv]; i < p.Len(); i++ {
-			it := p.Item(i)
-			byC[it.T[p3c]] = append(byC[it.T[p3c]], it)
-		}
-		for mi, p2 := 0, &g2.Parts[sv]; mi < p2.Len(); mi++ {
-			mid := p2.Item(mi)
-			bv, cv := mid.T[p2b], mid.T[p2c]
-			for _, left := range byB[bv] {
-				for _, right := range byC[cv] {
-					t := make(relation.Tuple, len(outSchema))
-					t[bDst], t[cDst] = bv, cv
-					for i, p := range aPos {
-						t[aDst[i]] = left.T[p]
-					}
-					for i, p := range dPos {
-						t[dDst[i]] = right.T[p]
-					}
-					annot := in.Ring.Mul(left.A, in.Ring.Mul(mid.A, right.A))
-					res.Parts[sv].Append(t, annot)
-					if em != nil {
-						em.Emit(sv, t, annot)
-					}
-				}
-			}
-		}
+	aAttrs := []relation.Attr(r1.Schema.Minus(relation.NewSchema(b)))
+	dAttrs := []relation.Attr(r3.Schema.Minus(relation.NewSchema(cAttr)))
+	bOut, cOut := outSchema.Positions([]relation.Attr{b}), outSchema.Positions([]relation.Attr{cAttr})
+	stages := []joinStage{
+		{src: []int{p2b[0], p2c[0]}, dst: []int{bOut[0], cOut[0]}},
+		{keyPos: p1b, keyOut: bOut, src: g1.Positions(aAttrs), dst: outSchema.Positions(aAttrs)},
+		{keyPos: p3c, keyOut: cOut, src: g3.Positions(dAttrs), dst: outSchema.Positions(dAttrs)},
 	}
+	inputs := []*mpc.Dist{g2, g1, g3}
+	runtime.Fork(c.P, func(sv int) {
+		indexJoin(&res.Parts[sv], len(outSchema), stagesAt(stages, inputs, sv), nil, in.Ring)
+	})
+	EmitDist(res, outSchema, em)
 	return res
 }

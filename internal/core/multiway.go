@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/mpc"
@@ -52,163 +54,124 @@ func MultiwayKeyedJoin(key relation.Schema, dists []*mpc.Dist, ring relation.Sem
 		degs[i] = primitives.CountByKey(d, keyAttrs, seed^uint64(0x600+i)).
 			ShuffleByAttrs(keyAttrs, seed^0x700)
 	}
-	stats := collectKeyStats(degs, keyAttrs, m)
+	stats := collectKeyStats(degs)
 
 	inSize := 0
 	for _, d := range dists {
 		inSize += d.Size()
 	}
 	l0 := chooseLoad(stats, inSize, c.P)
-	dir := buildCube(stats, l0, c.P)
-	chargeDirectory(c, len(dir))
+	cubes, gridded := buildCube(stats, l0, c.P)
+	chargeDirectory(c, gridded)
+
+	// The joinable keys as one flat, value-indexed part: row r is stats[r]'s
+	// key, so a routed tuple finds its cube without building a key string.
+	var keys mpc.Columns
+	keys.Reserve(len(key), len(stats))
+	for _, st := range stats {
+		copy(keys.AppendRow(1), st.key)
+	}
+	keyIdx := mpc.IndexRows(&keys, identityPos(len(key)))
+	defer keyIdx.Release()
 
 	// Route every relation: light keys by hash, heavy keys into their cube.
 	routed := make([]*mpc.Dist, m)
 	for i, d := range dists {
 		idx := i
 		pos := d.Positions(keyAttrs)
-		// Tuples of keys absent from any relation cannot join: drop them
-		// via a semi-join against the co-located degree directory.
-		filtered := keepJoinableKeys(d, keyAttrs, stats, pos)
-		routed[i] = filtered.ReplicateBy(func(it mpc.Item) []int {
-			k := relation.KeyAt(it.T, pos)
-			cube, heavy := dir[k]
-			if !heavy {
-				return []int{int(mpc.Hash64(k, seed^0x800) % uint64(c.P))}
+		whole := identityPos(len(d.Schema))
+		// Tuples of keys absent from any relation cannot join. The
+		// directory exchange is already charged by the degree shuffles and
+		// the filter is local knowledge per routed tuple in the real
+		// algorithm (attached during the degree multi-search), so they are
+		// dropped locally here.
+		joinable := d.FilterLocal(func(it mpc.Item) bool { return keyIdx.First(it.T, pos) >= 0 })
+		routed[i] = joinable.ReplicateAppend(func(it mpc.Item, dst []int) []int {
+			cube := &cubes[keyIdx.First(it.T, pos)]
+			if cube.size == 0 {
+				return append(dst, int(mpc.HashTupleAt(it.T, pos, seed^0x800)%uint64(c.P)))
 			}
-			coord := int(mpc.Hash64(relation.EncodeTuple(it.T), seed^uint64(0x900+idx)) % uint64(cube.dims[idx]))
-			return cube.serversFor(idx, coord, c.P)
+			coord := int(mpc.HashTupleAt(it.T, whole, seed^uint64(0x900+idx)) % uint64(cube.dims[idx]))
+			return cube.appendServers(dst, idx, coord, c.P)
 		})
 	}
 
-	// Local per-key cross products.
+	// Local per-key cross products (indexJoin): relation 0's rows, visited
+	// in key order, probe the other relations by key. Servers run in
+	// parallel — server s writes only res.Parts[s] — and emission runs
+	// afterwards in server order, the exact serial sequence.
 	res := mpc.NewDist(c, outSchema)
-	extraPos := make([][]int, m) // positions of relation i's non-key attrs in its own schema
-	extraDst := make([][]int, m) // where they land in the output tuple
-	keyPosOut := outSchema.Positions(keyAttrs)
-	keyPosIn := make([][]int, m)
-	for i, d := range routed {
-		extras := d.Schema.Minus(key)
-		extraPos[i] = d.Positions([]relation.Attr(extras))
-		extraDst[i] = outSchema.Positions([]relation.Attr(extras))
-		keyPosIn[i] = d.Positions(keyAttrs)
+	keyOut := outSchema.Positions(keyAttrs)
+	keyIn := routed[0].Positions(keyAttrs)
+	all0 := identityPos(len(routed[0].Schema))
+	stages := make([]joinStage, m)
+	stages[0] = joinStage{src: all0, dst: all0}
+	for i, d := range routed[1:] {
+		extras := []relation.Attr(d.Schema.Minus(key))
+		stages[i+1] = joinStage{keyPos: d.Positions(keyAttrs), keyOut: keyOut,
+			src: d.Positions(extras), dst: outSchema.Positions(extras)}
 	}
-	// Per-server cross products run in parallel — server s writes only
-	// res.Parts[s] — and emission runs afterwards in server order, the
-	// exact serial sequence.
 	runtime.Fork(c.P, func(s int) {
-		groups := make(map[string][][]mpc.Item)
-		for i, d := range routed {
-			part := &d.Parts[s]
-			for j := 0; j < part.Len(); j++ {
-				it := part.Item(j)
-				k := relation.KeyAt(it.T, keyPosIn[i])
-				g, ok := groups[k]
-				if !ok {
-					g = make([][]mpc.Item, m)
+		// With an empty key (HyperCube) source order is key order already.
+		var order []int32
+		if probe := &routed[0].Parts[s]; len(keyIn) > 0 {
+			order = make([]int32, probe.Len())
+			for i := range order {
+				order[i] = int32(i)
+			}
+			slices.SortStableFunc(order, func(a, b int32) int {
+				ta, tb := probe.Tuple(int(a)), probe.Tuple(int(b))
+				for _, p := range keyIn {
+					if d := cmp.Compare(ta[p], tb[p]); d != 0 {
+						return d
+					}
 				}
-				g[i] = append(g[i], it)
-				groups[k] = g
-			}
+				return 0
+			})
 		}
-		var keys []string
-		for k := range groups {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			g := groups[k]
-			complete := true
-			for i := 0; i < m; i++ {
-				if len(g[i]) == 0 {
-					complete = false
-					break
-				}
-			}
-			if !complete {
-				continue
-			}
-			keyVals := relation.DecodeKey(k)
-			emitCross(res, s, g, keyVals, keyPosOut, extraPos, extraDst, len(outSchema), ring)
-		}
+		indexJoin(&res.Parts[s], len(outSchema), stagesAt(stages, routed, s), order, ring)
 	})
-	emitParts(res, em)
+	EmitDist(res, outSchema, em)
 	return res
-}
-
-// emitCross enumerates the cross product of the m groups into res.Parts[s].
-func emitCross(res *mpc.Dist, s int, g [][]mpc.Item, keyVals []relation.Value,
-	keyPosOut []int, extraPos, extraDst [][]int, width int, ring relation.Semiring) {
-	m := len(g)
-	choice := make([]int, m)
-	for {
-		t := make(relation.Tuple, width)
-		for i, p := range keyPosOut {
-			t[p] = keyVals[i]
-		}
-		annot := ring.One
-		for i := 0; i < m; i++ {
-			it := g[i][choice[i]]
-			for j, p := range extraPos[i] {
-				t[extraDst[i][j]] = it.T[p]
-			}
-			annot = ring.Mul(annot, it.A)
-		}
-		res.Parts[s].Append(t, annot)
-		// Advance the mixed-radix counter.
-		i := m - 1
-		for ; i >= 0; i-- {
-			choice[i]++
-			if choice[i] < len(g[i]) {
-				break
-			}
-			choice[i] = 0
-		}
-		if i < 0 {
-			return
-		}
-	}
 }
 
 // keyStat aggregates the per-relation degrees of one key value.
 type keyStat struct {
-	key  string
+	key  relation.Tuple
 	degs []int64
 }
 
-// collectKeyStats merges co-located degree tables into per-key vectors,
-// keeping only keys present in every relation.
-func collectKeyStats(degs []*mpc.Dist, keyAttrs []relation.Attr, m int) []keyStat {
-	byKey := map[string]*keyStat{}
-	for i, d := range degs {
-		pos := d.Positions(keyAttrs)
-		for s := range d.Parts {
-			part := &d.Parts[s]
-			for j := 0; j < part.Len(); j++ {
-				k := relation.KeyAt(part.Tuple(j), pos)
-				st, ok := byKey[k]
-				if !ok {
-					st = &keyStat{key: k, degs: make([]int64, m)}
-					byKey[k] = st
-				}
-				st.degs[i] = part.Annot(j)
-			}
-		}
-	}
+// collectKeyStats merges the degree tables — whose rows are the keys, and
+// which are co-located by key — into per-key vectors, keeping only keys
+// present in every relation, in key order.
+func collectKeyStats(degs []*mpc.Dist) []keyStat {
+	m := len(degs)
+	whole := identityPos(len(degs[0].Schema))
 	var out []keyStat
-	for _, st := range byKey {
-		full := true
-		for _, d := range st.degs {
-			if d == 0 {
-				full = false
-				break
-			}
+	for s := range degs[0].Parts {
+		idx := make([]mpc.RowIndex, m)
+		for i := 1; i < m; i++ {
+			idx[i] = mpc.IndexRows(&degs[i].Parts[s], whole)
 		}
-		if full {
-			out = append(out, *st)
+		first := &degs[0].Parts[s]
+	keys:
+		for j := 0; j < first.Len(); j++ {
+			st := keyStat{key: first.Tuple(j), degs: make([]int64, m)}
+			st.degs[0] = first.Annot(j)
+			for i := 1; i < m; i++ {
+				r := idx[i].First(st.key, whole)
+				if r < 0 {
+					continue keys
+				}
+				st.degs[i] = degs[i].Parts[s].Annot(r)
+			}
+			out = append(out, st)
+		}
+		for i := 1; i < m; i++ {
+			idx[i].Release()
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
+	sort.Slice(out, func(i, j int) bool { return slices.Compare(out[i].key, out[j].key) < 0 })
 	return out
 }
 
@@ -267,26 +230,17 @@ type cubeInfo struct {
 	size    int
 }
 
-// serversFor lists the servers covering coordinate coord of dimension idx
-// (the tuple is replicated across all other dimensions).
-func (ci cubeInfo) serversFor(idx, coord, p int) []int {
-	out := make([]int, 0, ci.size/ci.dims[idx])
-	var walk func(dim, acc int)
-	walk = func(dim, acc int) {
-		if dim == len(ci.dims) {
-			out = append(out, (ci.base+acc)%p)
-			return
-		}
-		if dim == idx {
-			walk(dim+1, acc+coord*ci.strides[dim])
-			return
-		}
-		for v := 0; v < ci.dims[dim]; v++ {
-			walk(dim+1, acc+v*ci.strides[dim])
+// appendServers appends the servers covering coordinate coord of dimension
+// idx (the tuple is replicated across all other dimensions), in increasing
+// cell order.
+func (ci *cubeInfo) appendServers(dst []int, idx, coord, p int) []int {
+	step := ci.strides[idx]
+	for hi := 0; hi < ci.size; hi += step * ci.dims[idx] {
+		for lo := 0; lo < step; lo++ {
+			dst = append(dst, (ci.base+hi+coord*step+lo)%p)
 		}
 	}
-	walk(0, 0)
-	return out
+	return dst
 }
 
 // clampDims shrinks the largest dimensions until the cube has at most p
@@ -314,23 +268,25 @@ func clampDims(dims []int, p int) int {
 	return size
 }
 
-// buildCube assigns hypercubes to the keys that need more than one cell.
-func buildCube(stats []keyStat, l0 int64, p int) map[string]cubeInfo {
-	dir := map[string]cubeInfo{}
+// buildCube assigns hypercubes to the keys that need more than one cell:
+// cubes[i] is stats[i]'s cube, left zero (size 0) for light keys, and
+// gridded counts the cubes assigned.
+func buildCube(stats []keyStat, l0 int64, p int) (cubes []cubeInfo, gridded int) {
+	cubes = make([]cubeInfo, len(stats))
 	base := 0
-	for _, st := range stats {
+	for k, st := range stats {
 		dims := make([]int, len(st.degs))
-		gridded := false
+		multi := false
 		for i, d := range st.degs {
 			dims[i] = int((d + l0 - 1) / l0)
 			if dims[i] < 1 {
 				dims[i] = 1
 			}
 			if dims[i] > 1 {
-				gridded = true
+				multi = true
 			}
 		}
-		if !gridded {
+		if !multi {
 			continue
 		}
 		size := clampDims(dims, p)
@@ -340,24 +296,9 @@ func buildCube(stats []keyStat, l0 int64, p int) map[string]cubeInfo {
 			strides[i] = s
 			s *= dims[i]
 		}
-		dir[st.key] = cubeInfo{base: base % p, dims: dims, strides: strides, size: size}
+		cubes[k] = cubeInfo{base: base % p, dims: dims, strides: strides, size: size}
 		base += size
+		gridded++
 	}
-	return dir
-}
-
-// keepJoinableKeys semi-joins d against the set of keys present in every
-// relation (one sorted-lookup round).
-func keepJoinableKeys(d *mpc.Dist, keyAttrs []relation.Attr, stats []keyStat, pos []int) *mpc.Dist {
-	joinable := make(map[string]bool, len(stats))
-	for _, st := range stats {
-		joinable[st.key] = true
-	}
-	// The directory exchange is already charged by the caller's degree
-	// shuffles; the filter itself is local knowledge per routed tuple in
-	// the real algorithm (attached during the degree multi-search), so we
-	// filter locally here.
-	return d.FilterLocal(func(it mpc.Item) bool {
-		return joinable[relation.KeyAt(it.T, pos)]
-	})
+	return cubes, gridded
 }

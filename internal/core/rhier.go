@@ -71,7 +71,7 @@ func RHier(c *mpc.Cluster, in *Instance, seed uint64, em mpc.Emitter) *mpc.Dist 
 		l = 1
 	}
 	res := hierRec(c, rels, nil, l, in.Ring, exactSizer)
-	res = ProjectLocal(res, outSchema)
+	res = res.Project(outSchema)
 	EmitDist(res, outSchema, em)
 	return res
 }
@@ -108,7 +108,7 @@ func BinHC(c *mpc.Cluster, in *Instance, seed uint64, removeDangling bool, em mp
 		}
 	}
 	res := hierRec(c, rels, nil, lo, in.Ring, degreeSizer)
-	res = ProjectLocal(res, outSchema)
+	res = res.Project(outSchema)
 	EmitDist(res, outSchema, em)
 	return res
 }
@@ -295,60 +295,37 @@ func hierCase2(sub *mpc.Cluster, active []*relation.Relation, fixed hypergraph.A
 	if total < classes {
 		classes = total
 	}
-	pos := make([][]int, k) // destination positions per slice column, cell-invariant
+	// Keyless stages, one per slice: indexJoin then enumerates exactly the
+	// cell's cross product, last slice fastest.
+	width := len(out.Schema)
+	stages := make([]joinStage, k)
 	for i, sl := range slices {
-		pos[i] = out.Schema.Positions([]relation.Attr(sl.Schema))
+		stages[i] = joinStage{src: identityPos(len(sl.Schema)), dst: out.Schema.Positions([]relation.Attr(sl.Schema))}
 	}
 	runtime.Fork(classes, func(r int) {
-		coord := make([]int, k)
-		for cell := r; cell < total; cell += sub.P {
-			c := cell
+		cell := append([]joinStage(nil), stages...)
+		// bind points cell at grid cell id's slices and returns the size of
+		// their cross product.
+		bind := func(id int) int {
+			n := 1
 			for i := k - 1; i >= 0; i-- {
-				coord[i] = c % dims[i]
-				c /= dims[i]
+				cell[i].part = &slices[i].Parts[id%dims[i]]
+				n *= cell[i].part.Len()
+				id /= dims[i]
 			}
-			crossEmit(out, r, slices, pos, coord, ring)
+			return n
+		}
+		rows := 0
+		for id := r; id < total; id += sub.P {
+			rows += bind(id)
+		}
+		out.Parts[r].Reserve(width, rows)
+		for id := r; id < total; id += sub.P {
+			bind(id)
+			indexJoin(&out.Parts[r], width, cell, nil, ring)
 		}
 	})
 	return out
-}
-
-// crossEmit appends the cross product of slices[i].Parts[coord[i]] to
-// out.Parts[srv], merging columns by attribute; pos[i] maps slice i's
-// columns to out.Schema positions (hoisted — it does not depend on coord).
-func crossEmit(out *mpc.Dist, srv int, slices []*mpc.Dist, pos [][]int, coord []int, ring relation.Semiring) {
-	k := len(slices)
-	choice := make([]int, k)
-	parts := make([]*mpc.Columns, k)
-	for i := range slices {
-		parts[i] = &slices[i].Parts[coord[i]]
-		if parts[i].Len() == 0 {
-			return
-		}
-	}
-	for {
-		t := make(relation.Tuple, len(out.Schema))
-		annot := ring.One
-		for i := range slices {
-			tup := parts[i].Tuple(choice[i])
-			for j, p := range pos[i] {
-				t[p] = tup[j]
-			}
-			annot = ring.Mul(annot, parts[i].Annot(choice[i]))
-		}
-		out.Parts[srv].Append(t, annot)
-		i := k - 1
-		for ; i >= 0; i-- {
-			choice[i]++
-			if choice[i] < parts[i].Len() {
-				break
-			}
-			choice[i] = 0
-		}
-		if i < 0 {
-			return
-		}
-	}
 }
 
 // serversFor is p_a = max_S ⌈size(S)/L^{|S|}⌉ over non-empty subsets of the

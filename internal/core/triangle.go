@@ -30,110 +30,67 @@ func Triangle(c *mpc.Cluster, in *Instance, seed uint64, em mpc.Emitter) *mpc.Di
 	if s < 1 {
 		s = 1
 	}
-	hash := func(attr relation.Attr, v relation.Value) int {
-		return int(mpc.Hash64(relation.EncodeValues(v), seed^uint64(attr)) % uint64(s))
-	}
-	srv := func(ia, ib, ic int) int { return ia*s*s + ib*s + ic }
+	// Cube coordinates per attribute, in (a, b, c) order: a tuple's bucket
+	// on a dimension is the hash of that one column, read off the flat row.
+	attrs := [3]relation.Attr{a, b, cc}
+	stride := [3]int{s * s, s, 1}
 
-	route := func(d *mpc.Dist, missing relation.Attr) *mpc.Dist {
-		return d.ReplicateBy(func(it mpc.Item) []int {
-			var ia, ib, ic = -1, -1, -1
-			for i, at := range d.Schema {
-				switch at {
-				case a:
-					ia = hash(a, it.T[i])
-				case b:
-					ib = hash(b, it.T[i])
-				case cc:
-					ic = hash(cc, it.T[i])
+	// route replicates d along the dimension of the one attribute it misses.
+	route := func(d *mpc.Dist) *mpc.Dist {
+		var col [3][]int // col[k] = the column holding attrs[k]; nil for the missing one
+		missing := 0
+		for k, at := range attrs {
+			if p := d.Schema.Pos(at); p >= 0 {
+				col[k] = []int{p}
+			} else {
+				missing = k
+			}
+		}
+		return d.ReplicateAppend(func(it mpc.Item, dst []int) []int {
+			base := 0
+			for k, at := range attrs {
+				if col[k] != nil {
+					base += stride[k] * int(mpc.HashTupleAt(it.T, col[k], seed^uint64(at))%uint64(s))
 				}
 			}
-			out := make([]int, 0, s)
 			for r := 0; r < s; r++ {
-				switch missing {
-				case a:
-					out = append(out, srv(r, ib, ic))
-				case b:
-					out = append(out, srv(ia, r, ic))
-				default:
-					out = append(out, srv(ia, ib, r))
-				}
+				dst = append(dst, base+r*stride[missing])
 			}
-			return out
+			return dst
 		})
 	}
-
-	// Edge i misses exactly one of the three attributes.
-	miss := func(i int) relation.Attr {
-		for _, at := range []relation.Attr{a, b, cc} {
-			if !in.Q.Edges[i].Has(at) {
-				return at
-			}
-		}
-		panic("core: triangle edge covers all attributes")
-	}
-	r0 := route(dists[0], miss(0))
-	r1 := route(dists[1], miss(1))
-	r2 := route(dists[2], miss(2))
-
-	outSchema := in.OutputSchema()
-	res := mpc.NewDist(c, outSchema)
-	posOf := func(d *mpc.Dist, at relation.Attr) int { return d.Schema.Pos(at) }
 	// Identify which routed dist plays which role by schema.
 	var dBC, dAC, dAB *mpc.Dist
-	for _, d := range []*mpc.Dist{r0, r1, r2} {
-		switch {
-		case d.Schema.Has(b) && d.Schema.Has(cc):
-			dBC = d
-		case d.Schema.Has(a) && d.Schema.Has(cc):
-			dAC = d
+	for _, d := range dists {
+		switch r := route(d); {
+		case !d.Schema.Has(a):
+			dBC = r
+		case !d.Schema.Has(b):
+			dAC = r
 		default:
-			dAB = d
+			dAB = r
 		}
 	}
+
+	// Per-server probes (indexJoin) run in parallel — server sv writes only
+	// res.Parts[sv] — and emission runs afterwards in server order. Each
+	// R1(B,C) row probes R3(A,B) by B, and each such pair probes R2(A,C) by
+	// (A,C): every matching R2 row yields a result, so duplicate rows keep
+	// their multiplicity (bag semantics, as in core.Naive).
+	outSchema := in.OutputSchema()
+	res := mpc.NewDist(c, outSchema)
 	outA, outB, outC := outSchema.Pos(a), outSchema.Pos(b), outSchema.Pos(cc)
-	// Per-server probes run in parallel — server sv writes only
-	// res.Parts[sv] — and emission runs afterwards in server order.
+	stages := []joinStage{
+		{src: dBC.Positions([]relation.Attr{b, cc}), dst: []int{outB, outC}},
+		{keyPos: dAB.Positions([]relation.Attr{b}), keyOut: []int{outB},
+			src: dAB.Positions([]relation.Attr{a}), dst: []int{outA}},
+		{keyPos: dAC.Positions([]relation.Attr{a, cc}), keyOut: []int{outA, outC}},
+	}
+	inputs := []*mpc.Dist{dBC, dAB, dAC}
 	runtime.Fork(c.P, func(sv int) {
-		// Index R2(A,C) by C and R3(A,B) by B.
-		byC := map[relation.Value][]mpc.Item{}
-		for i, p := 0, &dAC.Parts[sv]; i < p.Len(); i++ {
-			it := p.Item(i)
-			byC[it.T[posOf(dAC, cc)]] = append(byC[it.T[posOf(dAC, cc)]], it)
-		}
-		byB := map[relation.Value][]mpc.Item{}
-		for i, p := 0, &dAB.Parts[sv]; i < p.Len(); i++ {
-			it := p.Item(i)
-			byB[it.T[posOf(dAB, b)]] = append(byB[it.T[posOf(dAB, b)]], it)
-		}
-		pB, pC := posOf(dBC, b), posOf(dBC, cc)
-		pA2 := posOf(dAC, a)
-		pA3 := posOf(dAB, a)
-		for bi, pbc := 0, &dBC.Parts[sv]; bi < pbc.Len(); bi++ {
-			bc := pbc.Item(bi)
-			bv, cv := bc.T[pB], bc.T[pC]
-			acs := byC[cv]
-			abs := byB[bv]
-			if len(acs) == 0 || len(abs) == 0 {
-				continue
-			}
-			// Intersect on A, smaller side indexed.
-			aSet := map[relation.Value]int64{}
-			for _, ac := range acs {
-				aSet[ac.T[pA2]] = ac.A
-			}
-			for _, ab := range abs {
-				av := ab.T[pA3]
-				if acAnnot, ok := aSet[av]; ok {
-					t := make(relation.Tuple, len(outSchema))
-					t[outA], t[outB], t[outC] = av, bv, cv
-					annot := in.Ring.Mul(bc.A, in.Ring.Mul(acAnnot, ab.A))
-					res.Parts[sv].Append(t, annot)
-				}
-			}
-		}
+		indexJoin(&res.Parts[sv], len(outSchema), stagesAt(stages, inputs, sv), nil, in.Ring)
 	})
-	emitParts(res, em)
+	EmitDist(res, outSchema, em)
 	return res
 }
 

@@ -36,6 +36,35 @@ func TestTriangleAnnotated(t *testing.T) {
 	relEqual(t, em.Rel, Naive(in))
 }
 
+// TestTriangleBagSemantics: duplicate rows keep their multiplicity and
+// their own annotations, as in core.Naive. The first instance is the
+// minimal one — two identical R2 rows must yield two results (annotation
+// sum 2·1 + 3·1), where one map entry per A-value used to yield one — the
+// rest are random instances drawn with duplicates and distinct annotations.
+func TestTriangleBagSemantics(t *testing.T) {
+	r1 := relation.New("R1", relation.NewSchema(2, 3))
+	r2 := relation.New("R2", relation.NewSchema(1, 3))
+	r3 := relation.New("R3", relation.NewSchema(1, 2))
+	r1.Add(10, 20)
+	r2.AddAnnotated(2, 5, 20)
+	r2.AddAnnotated(3, 5, 20)
+	r3.Add(5, 10)
+	in := NewInstance(hypergraph.Triangle(), r1, r2, r3)
+	count := mpc.NewCountEmitter(in.Ring)
+	Triangle(mpc.NewCluster(8), in, 1, count)
+	if count.N != 2 || count.AnnotSum != 5 {
+		t.Fatalf("duplicate R2 rows: OUT %d annotation sum %d, want 2 and 5", count.N, count.AnnotSum)
+	}
+
+	rng := rand.New(rand.NewSource(63))
+	for trial := 0; trial < 10; trial++ {
+		in := randBagInstance(rng, hypergraph.Triangle(), 40, 4)
+		em := mpc.NewCollectEmitter(in.OutputSchema())
+		Triangle(mpc.NewCluster(1+rng.Intn(27)), in, uint64(trial), em)
+		relEqual(t, em.Rel, Naive(in))
+	}
+}
+
 func TestTriangleWorstCaseLoad(t *testing.T) {
 	// Dense random instance: load should track IN/p^{2/3}, not IN.
 	n, p := 600, 27

@@ -113,7 +113,9 @@ func Yannakakis(c *mpc.Cluster, in *Instance, order []int, seed uint64, em mpc.E
 const emitSerialBelow = 1 << 12
 
 // EmitDist projects d locally onto schema and reports every tuple to em
-// (free, as emit() is in the model). em may be nil.
+// (free, as emit() is in the model). em may be nil. Parts are handed over
+// whole (mpc.EmitColumns): sinks with the column capability count or
+// block-copy them, the rest see each row through one reused scratch tuple.
 //
 // When every sink in em is shard-safe — counting emitters, which fork
 // per-server counters merged in server order, and per-partition sinks
@@ -125,17 +127,9 @@ func EmitDist(d *mpc.Dist, schema relation.Schema, em mpc.Emitter) {
 	if em == nil {
 		return
 	}
-	pos := d.Positions([]relation.Attr(schema))
-	emitPart := func(s int, sink mpc.Emitter) {
-		part := &d.Parts[s]
-		for i := 0; i < part.Len(); i++ {
-			src := part.Tuple(i)
-			t := make(relation.Tuple, len(pos))
-			for j, p := range pos {
-				t[j] = src[p]
-			}
-			sink.Emit(s, t, part.Annot(i))
-		}
+	var pos []int // nil: the rows already have the emitted layout
+	if !d.Schema.Equal(schema) {
+		pos = d.Positions([]relation.Attr(schema))
 	}
 	if direct, forkers, ok := shardableSinks(em, len(d.Parts)); ok && d.Size() >= emitSerialBelow {
 		locals := make([][]mpc.Emitter, len(d.Parts))
@@ -147,7 +141,7 @@ func EmitDist(d *mpc.Dist, schema relation.Schema, em mpc.Emitter) {
 				ls[i] = f.ForkWorker()
 				sink = append(sink, ls[i])
 			}
-			emitPart(s, sink)
+			sink.EmitColumns(s, &d.Parts[s], pos)
 			locals[s] = ls
 		})
 		for i, f := range forkers {
@@ -160,7 +154,7 @@ func EmitDist(d *mpc.Dist, schema relation.Schema, em mpc.Emitter) {
 		return
 	}
 	for s := range d.Parts {
-		emitPart(s, em)
+		mpc.EmitColumns(em, s, &d.Parts[s], pos)
 	}
 }
 

@@ -27,6 +27,25 @@ func randInstance(rng *rand.Rand, q *hypergraph.Hypergraph, size int, dom int) *
 	return NewInstance(q, rels...)
 }
 
+// randBagInstance is randInstance without the dedup: over a small domain
+// most rows repeat, and every row draws its own annotation from 1…3, so
+// only bag semantics with per-row annotations reproduces the oracle.
+func randBagInstance(rng *rand.Rand, q *hypergraph.Hypergraph, size int, dom int) *Instance {
+	rels := make([]*relation.Relation, len(q.Edges))
+	for i, e := range q.Edges {
+		r := relation.New("R", e.Schema())
+		for j := 0; j < size; j++ {
+			t := make([]relation.Value, len(e))
+			for k := range t {
+				t[k] = relation.Value(rng.Intn(dom))
+			}
+			r.AddAnnotated(int64(1+rng.Intn(3)), t...)
+		}
+		rels[i] = r
+	}
+	return NewInstance(q, rels...)
+}
+
 func TestNaiveBasics(t *testing.T) {
 	r1 := relation.New("R1", relation.NewSchema(1, 2))
 	r2 := relation.New("R2", relation.NewSchema(2, 3))

@@ -13,11 +13,13 @@ import (
 	"repro/internal/runtime"
 )
 
-// renderCatalogRuns executes every catalog query through Auto dispatch at
-// the given data-plane width, materializing the emitted result through the
-// engine's ShardedEmitter, and renders every observable of the Result —
-// counts, load, rounds, comm and exchange statistics, and the materialized
-// table itself — into one string.
+// renderCatalogRuns executes every catalog query at the given data-plane
+// width — through Auto dispatch, and then through every other full-join
+// algorithm that applies, so the one-round grid algorithms dispatch never
+// picks (line3wc, binhc, hypercube) are pinned too — materializing the
+// emitted result through the engine's ShardedEmitter, and renders every
+// observable of the Result — counts, load, rounds, comm and exchange
+// statistics, and the materialized table itself — into one string.
 func renderCatalogRuns(t *testing.T, width int) string {
 	t.Helper()
 	prev := runtime.SetParallelism(width)
@@ -25,20 +27,27 @@ func renderCatalogRuns(t *testing.T, width int) string {
 
 	var b strings.Builder
 	for i, e := range hypergraph.Catalog() {
-		rng := mpc.NewChildRng(2019, i)
-		in := gen.ForQuery(rng, e.Q, 256, 12)
-		a, err := engine.Auto(e.Q)
+		in := gen.ForQuery(mpc.NewChildRng(2019, i), e.Q, 256, 12)
+		auto, err := engine.Auto(e.Q)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name, err)
 		}
-		res, err := engine.Run(a, engine.Job{In: in, P: 16, Seed: 2019, Materialize: true})
-		if err != nil {
-			t.Fatalf("%s: %v", e.Name, err)
+		algos := []engine.Algorithm{auto}
+		for _, a := range engine.All() {
+			if a != auto && engine.IsFullJoin(a) && a.Applies(e.Q) && a.Name() != "naive" {
+				algos = append(algos, a)
+			}
 		}
-		fmt.Fprintf(&b, "%s %s OUT=%d annot=%d L=%d rounds=%d comm=%d exch=%+v\n",
-			e.Name, res.Algorithm, res.OUT, res.Annot, res.Load, res.Rounds,
-			res.TotalComm, res.Exchange)
-		fmt.Fprintf(&b, "  table(%d): %v %v\n", res.Table.Size(), res.Table.Tuples, res.Table.Annots)
+		for _, a := range algos {
+			res, err := engine.Run(a, engine.Job{In: in, P: 16, Seed: 2019, Materialize: true})
+			if err != nil {
+				t.Fatalf("%s: %v", e.Name, err)
+			}
+			fmt.Fprintf(&b, "%s %s OUT=%d annot=%d L=%d rounds=%d comm=%d exch=%+v\n",
+				e.Name, res.Algorithm, res.OUT, res.Annot, res.Load, res.Rounds,
+				res.TotalComm, res.Exchange)
+			fmt.Fprintf(&b, "  table(%d): %v %v\n", res.Table.Size(), res.Table.Tuples, res.Table.Annots)
+		}
 	}
 	return b.String()
 }

@@ -17,7 +17,7 @@ import (
 //
 // Rule 1 — exported primitives charge on every return path. An exported
 // function in a scoped package that performs any communication (a routed
-// exchange — ShuffleByKey, ReplicateBy, GatherTo, MoveTo, … — a sorted
+// exchange — ShuffleByKey, ReplicateAppend, GatherTo, MoveTo, … — a sorted
 // chop, or an explicit Charge) must perform one on EVERY path from entry
 // to return. A return reachable without any communicating call means some
 // input reaches the caller uncharged. The one blessed exception is the
@@ -51,7 +51,7 @@ var commFuncs = map[string]bool{
 	// routed exchanges on mpc.Dist
 	"route": true, "routeTasks": true,
 	"ShuffleByKey": true, "ShuffleByAttrs": true, "ShuffleBy": true,
-	"ReplicateBy": true, "Broadcast": true, "GatherTo": true, "MoveTo": true,
+	"ReplicateBy": true, "ReplicateAppend": true, "Broadcast": true, "GatherTo": true, "MoveTo": true,
 	// sort-and-chop plus the explicit charges
 	"sortAndChop": true, "chopBounds": true, "chop": true, "serialSortAndChopRef": true,
 	"Charge": true, "ChargeRound": true, "ChargeInput": true,

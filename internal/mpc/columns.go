@@ -1,6 +1,7 @@
 package mpc
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/relation"
@@ -67,9 +68,15 @@ func (c *Columns) Annot(i int) int64 {
 func (c *Columns) Item(i int) Item { return Item{T: c.Tuple(i), A: c.Annot(i)} }
 
 // materializeAnnots backfills the annotation column with 1s so that a
-// non-identity annotation can be stored.
+// non-identity annotation can be stored. The column gets room for as many
+// rows as the value buffer holds, so a Reserve made while the column was
+// still lazy covers it too.
 func (c *Columns) materializeAnnots() {
-	c.annots = make([]int64, c.rows, max(c.rows, 8))
+	rowCap := c.rows
+	if c.width > 0 {
+		rowCap = cap(c.values) / c.width
+	}
+	c.annots = make([]int64, c.rows, max(rowCap, 8))
 	for i := range c.annots {
 		c.annots[i] = 1
 	}
@@ -105,6 +112,87 @@ func (c *Columns) Append(t relation.Tuple, a int64) {
 // AppendItem adds one row from an Item.
 func (c *Columns) AppendItem(it Item) { c.Append(it.T, it.A) }
 
+// Reserve makes room for n more rows of the given width with one exact
+// allocation per column (no doubling): producers that can count their
+// output first — the local join kernel, the bulk sinks, Concat, Project —
+// reserve once and then fill rows in place with AppendRow. An empty part
+// adopts the width; a non-empty one must already have it.
+func (c *Columns) Reserve(width, n int) {
+	c.adoptWidth(width)
+	if need := (c.rows + n) * width; need > cap(c.values) {
+		c.values = append(make([]relation.Value, 0, need), c.values...)
+	}
+	if c.annots != nil && c.rows+n > cap(c.annots) {
+		c.annots = append(make([]int64, 0, c.rows+n), c.annots...)
+	}
+}
+
+// AppendRow adds one row and returns its window in the flat buffer for the
+// caller to fill: the row is written once, where it will live, with no
+// tuple object in between. The part must have its width (Reserve, or an
+// earlier row); without reserved room the buffer grows like Append's.
+//
+//lint:alloc-ceiling
+func (c *Columns) AppendRow(a int64) relation.Tuple {
+	if a != 1 && c.annots == nil {
+		c.materializeAnnots()
+	}
+	lo := len(c.values)
+	c.values = slices.Grow(c.values, c.width)[:lo+c.width]
+	c.rows++
+	if c.annots != nil {
+		c.annots = append(c.annots, a)
+	}
+	return relation.Tuple(c.values[lo : lo+c.width : lo+c.width])
+}
+
+// AppendProjected bulk-appends every row of src projected onto the columns
+// pos (nil keeps every column): one exact reservation, then one gather per
+// row, the annotation column moved as a block and kept lazy when src's is.
+//
+//lint:alloc-ceiling
+func (c *Columns) AppendProjected(src *Columns, pos []int) {
+	if src.rows == 0 {
+		return
+	}
+	if pos == nil {
+		c.Reserve(src.width, src.rows)
+		c.AppendColumns(src)
+		return
+	}
+	w := len(pos)
+	c.Reserve(w, src.rows)
+	if src.annots != nil && c.annots == nil {
+		c.materializeAnnots()
+	}
+	lo := len(c.values)
+	c.values = c.values[:lo+src.rows*w]
+	dst := c.values[lo:]
+	for i, sw := 0, src.width; i < src.rows; i++ {
+		row := src.values[i*sw : i*sw+sw]
+		for j, p := range pos {
+			dst[i*w+j] = row[p]
+		}
+	}
+	c.rows += src.rows
+	c.appendAnnots(src)
+}
+
+// appendAnnots extends a materialized annotation column with src's
+// annotations (1s when src's column is lazy); a lazy column stays lazy.
+func (c *Columns) appendAnnots(src *Columns) {
+	if c.annots == nil {
+		return
+	}
+	if src.annots != nil {
+		c.annots = append(c.annots, src.annots[:src.rows]...)
+		return
+	}
+	for i := 0; i < src.rows; i++ {
+		c.annots = append(c.annots, 1)
+	}
+}
+
 // AppendColumns bulk-appends every row of src, one copy per column.
 func (c *Columns) AppendColumns(src *Columns) {
 	if src.rows == 0 {
@@ -116,16 +204,7 @@ func (c *Columns) AppendColumns(src *Columns) {
 	}
 	c.values = append(c.values, src.values[:src.rows*src.width]...)
 	c.rows += src.rows
-	if c.annots == nil {
-		return
-	}
-	if src.annots != nil {
-		c.annots = append(c.annots, src.annots[:src.rows]...)
-		return
-	}
-	for i := 0; i < src.rows; i++ {
-		c.annots = append(c.annots, 1)
-	}
+	c.appendAnnots(src)
 }
 
 // resize sets the width and row count, allocating exactly once per column;

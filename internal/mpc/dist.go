@@ -169,13 +169,25 @@ func (d *Dist) ShuffleBy(f func(it Item) int) *Dist {
 	return d.route(d.Schema, router{one: func(_ int, it Item) int { return f(it) }})
 }
 
-// ReplicateBy routes each item to every server chosen by f (used by
-// HyperCube-style plans where a tuple is copied along grid dimensions).
+// ReplicateAppend routes each item to every server f appends to dst (used
+// by HyperCube-style plans where a tuple is copied along grid dimensions).
+// dst is the exchange's per-task scratch, empty on entry: f appends the
+// item's destinations and returns the extended list, so routing allocates
+// per task, not per row. f must be safe for concurrent calls.
 //
 //lint:load linear trust the replication function is caller-supplied; nothing bounds how many items reach one server
 //lint:rounds const
+func (d *Dist) ReplicateAppend(f func(it Item, dst []int) []int) *Dist {
+	return d.route(d.Schema, router{many: func(_ int, it Item, dst []int) []int { return f(it, dst) }})
+}
+
+// ReplicateBy is ReplicateAppend for routing functions that return a list
+// of their own (one slice per row unless f reuses one).
+//
+//lint:load linear
+//lint:rounds const
 func (d *Dist) ReplicateBy(f func(it Item) []int) *Dist {
-	return d.route(d.Schema, router{many: func(_ int, it Item) []int { return f(it) }})
+	return d.ReplicateAppend(func(it Item, dst []int) []int { return append(dst, f(it)...) })
 }
 
 // Broadcast copies every item to all servers: one round, load = Size() per
@@ -188,7 +200,7 @@ func (d *Dist) Broadcast() *Dist {
 	for i := range all {
 		all[i] = i
 	}
-	return d.route(d.Schema, router{many: func(_ int, _ Item) []int { return all }})
+	return d.route(d.Schema, router{many: func(_ int, _ Item, dst []int) []int { return append(dst, all...) }})
 }
 
 // GatherTo ships everything to a single server.
@@ -221,6 +233,24 @@ func (d *Dist) MapLocal(schema relation.Schema, f func(s int, it Item) []Item) *
 	return out
 }
 
+// Project keeps the columns of schema, in schema's order; local, free,
+// columnar: every part is gathered into one exactly-sized buffer, one task
+// per part, with no item or tuple per row. Projecting onto the collection's
+// own schema returns it unchanged.
+//
+//lint:alloc-ceiling
+func (d *Dist) Project(schema relation.Schema) *Dist {
+	if d.Schema.Equal(schema) {
+		return d
+	}
+	pos := d.Positions(schema)
+	out := &Dist{C: d.C, Schema: schema, Parts: make([]Columns, d.C.P)}
+	runtime.Fork(len(d.Parts), func(s int) {
+		out.Parts[s].AppendProjected(&d.Parts[s], pos)
+	})
+	return out
+}
+
 // FilterLocal keeps items satisfying pred; local, free. pred must be safe
 // for concurrent calls — parts are filtered in parallel, one task per part.
 func (d *Dist) FilterLocal(pred func(it Item) bool) *Dist {
@@ -238,8 +268,9 @@ func (d *Dist) FilterLocal(pred func(it Item) bool) *Dist {
 	return out
 }
 
-// Concat unions several collections sharing a schema; local, free. Parts
-// merge with one copy per column.
+// Concat unions several collections sharing a schema; local, free. Every
+// output part is sized once for all its sources, then filled with one copy
+// per column per source.
 func Concat(ds ...*Dist) *Dist {
 	if len(ds) == 0 {
 		panic("mpc: Concat of nothing")
@@ -249,7 +280,16 @@ func Concat(ds ...*Dist) *Dist {
 		if !d.Schema.Equal(out.Schema) {
 			panic("mpc: Concat schema mismatch")
 		}
-		for s := range d.Parts {
+	}
+	for s := range out.Parts {
+		n, w := 0, 0
+		for _, d := range ds {
+			if part := &d.Parts[s]; part.Len() > 0 {
+				n, w = n+part.Len(), part.Width()
+			}
+		}
+		out.Parts[s].Reserve(w, n)
+		for _, d := range ds {
 			out.Parts[s].AppendColumns(&d.Parts[s])
 		}
 	}

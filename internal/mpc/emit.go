@@ -8,8 +8,50 @@ import (
 
 // Emitter receives join results. Emission is the model's zero-cost emit():
 // it charges no load. The schema of emitted tuples is fixed per join.
+//
+// t is borrowed for the duration of the call: producers emit from reused
+// scratch tuples and from windows into flat part buffers, so a sink that
+// keeps a result must copy it (CollectEmitter clones, ShardedEmitter copies
+// into its own buffer) and must not write to it.
 type Emitter interface {
 	Emit(server int, t relation.Tuple, annot int64)
+}
+
+// A ColumnSink is an emitter that takes a whole part at once. EmitColumns
+// must leave the sink exactly as the per-row calls
+//
+//	Emit(server, cols.Tuple(i) projected onto pos, cols.Annot(i))   i = 0 … Len()−1
+//
+// would (pos nil keeps every column), without a tuple per row: counting
+// sinks fold the annotation column, materializing sinks reserve once and
+// copy. cols is borrowed like Emit's t.
+type ColumnSink interface {
+	Emitter
+	EmitColumns(server int, cols *Columns, pos []int)
+}
+
+// EmitColumns reports every row of cols, projected onto pos, to em: in
+// bulk when em is a ColumnSink, otherwise row by row through one reused
+// scratch tuple (the Emitter contract lets sinks only borrow it).
+func EmitColumns(em Emitter, server int, cols *Columns, pos []int) {
+	if cs, ok := em.(ColumnSink); ok {
+		cs.EmitColumns(server, cols, pos)
+		return
+	}
+	if pos == nil {
+		for i := 0; i < cols.Len(); i++ {
+			em.Emit(server, cols.Tuple(i), cols.Annot(i))
+		}
+		return
+	}
+	t := make(relation.Tuple, len(pos))
+	for i := 0; i < cols.Len(); i++ {
+		src := cols.Tuple(i)
+		for j, p := range pos {
+			t[j] = src[p]
+		}
+		em.Emit(server, t, cols.Annot(i))
+	}
 }
 
 // A PartitionedSink is an emitter that is lock-free under the exchange's
@@ -53,6 +95,16 @@ func NewCountEmitter(ring relation.Semiring) *CountEmitter {
 func (e *CountEmitter) Emit(_ int, _ relation.Tuple, annot int64) {
 	e.N++
 	e.AnnotSum = e.ring.Add(e.AnnotSum, annot)
+}
+
+// EmitColumns implements ColumnSink: the annotations fold in row order.
+//
+//lint:alloc-ceiling
+func (e *CountEmitter) EmitColumns(_ int, cols *Columns, _ []int) {
+	e.N += int64(cols.Len())
+	for i := 0; i < cols.Len(); i++ {
+		e.AnnotSum = e.ring.Add(e.AnnotSum, cols.Annot(i))
+	}
 }
 
 // Merge folds the counts of per-worker counters into e. The parallel
@@ -119,6 +171,15 @@ func (e *PerServerCounter) Emit(server int, _ relation.Tuple, _ int64) {
 	}
 }
 
+// EmitColumns implements ColumnSink.
+//
+//lint:alloc-ceiling
+func (e *PerServerCounter) EmitColumns(server int, cols *Columns, _ []int) {
+	if server >= 0 && server < len(e.Counts) {
+		e.Counts[server] += int64(cols.Len())
+	}
+}
+
 // Partitioned implements PartitionedSink: Emit only touches
 // Counts[server], so one producer per server is race-free.
 func (e *PerServerCounter) Partitioned(parts int) bool { return len(e.Counts) >= parts }
@@ -165,6 +226,17 @@ func (e *ShardedEmitter) Emit(server int, t relation.Tuple, annot int64) {
 		panic("mpc: ShardedEmitter partition out of range")
 	}
 	e.parts[server].Append(t, annot)
+}
+
+// EmitColumns implements ColumnSink: one exact reservation in the
+// partition's buffer, then a block copy (projected when pos is set).
+//
+//lint:alloc-ceiling
+func (e *ShardedEmitter) EmitColumns(server int, cols *Columns, pos []int) {
+	if server < 0 || server >= len(e.parts) {
+		panic("mpc: ShardedEmitter partition out of range")
+	}
+	e.parts[server].AppendProjected(cols, pos)
 }
 
 // Partitions reports the number of buffers.
@@ -227,5 +299,16 @@ type MultiEmitter []Emitter
 func (m MultiEmitter) Emit(server int, t relation.Tuple, annot int64) {
 	for _, e := range m {
 		e.Emit(server, t, annot)
+	}
+}
+
+// EmitColumns implements ColumnSink: each sink takes the part in bulk if
+// it can, row by row otherwise. Every sink still sees the rows in order;
+// only the interleaving across sinks changes.
+//
+//lint:alloc-ceiling
+func (m MultiEmitter) EmitColumns(server int, cols *Columns, pos []int) {
+	for _, e := range m {
+		EmitColumns(e, server, cols, pos)
 	}
 }

@@ -60,10 +60,11 @@ const exchangeSerialBelow = 1 << 12
 // hash shuffles carry the key positions and salt (hashPos non-nil, the
 // flat fast path); other single-destination operations (gathers,
 // arithmetic placements) use one, which never allocates a per-item slice;
-// replicating operations use many.
+// replicating operations use many, which appends the item's destinations
+// to a per-task scratch list the counting pass reuses for every row.
 type router struct {
 	one      func(s int, it Item) int
-	many     func(s int, it Item) []int
+	many     func(s int, it Item, dst []int) []int
 	hashPos  []int // non-nil ⇒ destination is HashTupleAt(row, hashPos, hashSalt) % P
 	hashSalt uint64
 }
@@ -210,9 +211,10 @@ func newExchangePlan(d *Dist, rt router, tasks int) *exchangePlan {
 				}
 			})
 		} else {
+			var ts []int // the task's destination scratch, reused across rows
 			sp.each(d.Parts, func(s int, cols *Columns, lo, hi int) {
 				for i := lo; i < hi; i++ {
-					ts := rt.many(s, cols.Item(i))
+					ts = rt.many(s, cols.Item(i), ts[:0])
 					for _, t := range ts {
 						if t < 0 || t >= p {
 							panic(fmt.Sprintf("mpc: route to invalid server %d", t))

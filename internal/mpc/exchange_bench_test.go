@@ -60,8 +60,11 @@ func BenchmarkRoute(b *testing.B) {
 
 // BenchmarkExchange drives the two routing shapes through the public API
 // the algorithms use: ShuffleByKey takes the exchange's single-destination
-// path (no per-item key string, no per-item fan-out slice), ReplicateBy
-// the replicating path. Destinations are identical to BenchmarkRoute's.
+// path (no per-item key string, no per-item fan-out slice), ReplicateAppend
+// the replicating path (destinations appended to the exchange's per-task
+// scratch, so allocs/op is O(tasks), not O(rows) as it was through
+// ReplicateBy's slice per row). Destinations are identical to
+// BenchmarkRoute's.
 func BenchmarkExchange(b *testing.B) {
 	for _, n := range []int{1 << 14, 1 << 17} {
 		d := benchExchangeDist(b, n)
@@ -71,14 +74,14 @@ func BenchmarkExchange(b *testing.B) {
 				d.ShuffleByKey([]int{0}, 7)
 			}
 		})
-		replicate2 := func(it Item) []int {
+		replicate2 := func(it Item, dst []int) []int {
 			v := int(it.T[1])
-			return []int{v % benchP, (v*7 + 1) % benchP}
+			return append(dst, v%benchP, (v*7+1)%benchP)
 		}
 		b.Run(fmt.Sprintf("replicate2/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				d.ReplicateBy(replicate2)
+				d.ReplicateAppend(replicate2)
 			}
 		})
 	}

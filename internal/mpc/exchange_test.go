@@ -33,6 +33,12 @@ func serialRouteRef(d *Dist, schema relation.Schema, dest func(s int, it Item) [
 	return out
 }
 
+// manyRouter adapts a list-returning destination function to the exchange's
+// append-style router.
+func manyRouter(dest func(s int, it Item) []int) router {
+	return router{many: func(s int, it Item, dst []int) []int { return append(dst, dest(s, it)...) }}
+}
+
 // partsEqual compares two distributed collections row-by-row (tuple values
 // and annotation values; the lazy annotation column makes representations
 // non-unique, so DeepEqual would be too strict).
@@ -141,7 +147,7 @@ func TestExchangeParityWithSerialRoute(t *testing.T) {
 			for _, width := range []int{1, 2, 3, 8} {
 				prev := runtime.SetParallelism(width)
 				c := NewCluster(p)
-				got := exchangeTestDist(c, n, 11).route(relation.NewSchema(1, 2), router{many: dest})
+				got := exchangeTestDist(c, n, 11).route(relation.NewSchema(1, 2), manyRouter(dest))
 				gotTable := roundTable(c)
 				runtime.SetParallelism(prev)
 
@@ -170,7 +176,7 @@ func TestExchangePlanBatchCounts(t *testing.T) {
 	for name, dest := range destFns(p) {
 		t.Run(name, func(t *testing.T) {
 			for _, tasks := range []int{1, 3, p, 2 * p} {
-				plan := newExchangePlan(d, router{many: dest}, tasks)
+				plan := newExchangePlan(d, manyRouter(dest), tasks)
 				if len(plan.spans) > tasks {
 					t.Fatalf("tasks=%d: got %d spans", tasks, len(plan.spans))
 				}
@@ -241,7 +247,7 @@ func TestExchangeSkewedSourceStillFansOut(t *testing.T) {
 	refGathered := exchangeTestDist(ref, n, 31).GatherTo(5)
 	refOut := serialRouteRef(refGathered, refGathered.Schema, dest)
 
-	plan := newExchangePlan(refGathered, router{many: dest}, 4)
+	plan := newExchangePlan(refGathered, manyRouter(dest), 4)
 	if len(plan.spans) != 4 {
 		t.Fatalf("skewed source planned %d spans, want 4", len(plan.spans))
 	}
@@ -249,7 +255,7 @@ func TestExchangeSkewedSourceStillFansOut(t *testing.T) {
 	for _, width := range []int{1, 4} {
 		prev := runtime.SetParallelism(width)
 		c := NewCluster(p)
-		got := exchangeTestDist(c, n, 31).GatherTo(5).route(refGathered.Schema, router{many: dest})
+		got := exchangeTestDist(c, n, 31).GatherTo(5).route(refGathered.Schema, manyRouter(dest))
 		runtime.SetParallelism(prev)
 		if !partsEqual(refOut, got) {
 			t.Fatalf("width %d: parts differ", width)

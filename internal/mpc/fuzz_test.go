@@ -78,7 +78,7 @@ func FuzzExchangeParity(f *testing.F) {
 		refTable := roundTable(ref.C)
 
 		got := build()
-		gotOut := got.routeTasks(got.Schema, router{many: dest}, nTasks)
+		gotOut := got.routeTasks(got.Schema, manyRouter(dest), nTasks)
 		gotTable := roundTable(got.C)
 
 		if !partsEqual(refOut, gotOut) {

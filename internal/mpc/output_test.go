@@ -1,0 +1,300 @@
+package mpc
+
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/relation"
+	"repro/internal/runtime"
+)
+
+// Tests for the output path: the in-place row writer, the columnar
+// projection, the value-keyed row index, the bulk emit capability and the
+// append-style router.
+
+// randomColumns builds n rows of the given width with values in [0, dom);
+// annotated draws non-identity annotations (materializing the column).
+func randomColumns(rng *Rng, n, width, dom int, annotated bool) Columns {
+	var c Columns
+	row := make(relation.Tuple, width)
+	for i := 0; i < n; i++ {
+		for j := range row {
+			row[j] = relation.Value(rng.Intn(dom))
+		}
+		a := int64(1)
+		if annotated {
+			a = int64(2 + rng.Intn(5))
+		}
+		c.Append(row, a)
+	}
+	return c
+}
+
+// TestReserveAppendRowMatchesAppend: rows written in place after one exact
+// reservation equal rows appended one tuple at a time, the reservation is
+// exact for both columns, and the lazy annotation column stays lazy until a
+// non-identity annotation arrives.
+func TestReserveAppendRowMatchesAppend(t *testing.T) {
+	rng := NewRng(3)
+	for _, annotated := range []bool{false, true} {
+		src := randomColumns(rng, 100, 3, 50, annotated)
+		var got Columns
+		got.Reserve(3, src.Len())
+		values := &got.values[:1][0]
+		for i := 0; i < src.Len(); i++ {
+			copy(got.AppendRow(src.Annot(i)), src.Tuple(i))
+		}
+		if !got.Equal(&src) {
+			t.Fatalf("annotated=%v: in-place rows differ from appended rows", annotated)
+		}
+		if &got.values[0] != values || cap(got.values) != 300 {
+			t.Fatalf("annotated=%v: value buffer reallocated or over-reserved (cap %d)", annotated, cap(got.values))
+		}
+		if got.hasAnnots() != annotated {
+			t.Fatalf("annotated=%v: annotation column materialized = %v", annotated, got.hasAnnots())
+		}
+		if annotated && cap(got.annots) != 100 {
+			t.Fatalf("annotation column not covered by the reservation: cap %d", cap(got.annots))
+		}
+	}
+
+	// Without a reservation AppendRow grows like Append; width-0 rows count.
+	var grow, scalar Columns
+	grow.Reserve(2, 0)
+	for i := 0; i < 50; i++ {
+		w := grow.AppendRow(int64(i))
+		w[0], w[1] = relation.Value(i), relation.Value(-i)
+	}
+	if grow.Len() != 50 || grow.Tuple(49)[1] != -49 || grow.Annot(0) != 0 || grow.Annot(1) != 1 {
+		t.Fatal("unreserved AppendRow lost rows")
+	}
+	scalar.Reserve(0, 2)
+	scalar.AppendRow(1)
+	scalar.AppendRow(7)
+	if scalar.Len() != 2 || scalar.Annot(1) != 7 {
+		t.Fatal("width-0 rows must still count and carry annotations")
+	}
+}
+
+// TestProjectMatchesMapLocal: the columnar projection equals the per-item
+// MapLocal projection it replaces, keeps unannotated parts lazy, and is the
+// identity on the collection's own schema.
+func TestProjectMatchesMapLocal(t *testing.T) {
+	c := NewCluster(4)
+	schema := relation.NewSchema(1, 2, 3)
+	target := relation.NewSchema(3, 1)
+	pos := schema.Positions(target)
+	for _, annotated := range []bool{false, true} {
+		d := NewDist(c, schema)
+		rng := NewRng(9)
+		for s := range d.Parts {
+			d.Parts[s] = randomColumns(rng, 10*s, 3, 20, annotated) // part 0 stays empty
+		}
+		want := d.MapLocal(target, func(_ int, it Item) []Item {
+			return []Item{{T: relation.Tuple{it.T[pos[0]], it.T[pos[1]]}, A: it.A}}
+		})
+		got := d.Project(target)
+		if !got.Schema.Equal(target) || !partsEqual(got, want) {
+			t.Fatalf("annotated=%v: Project differs from the MapLocal projection", annotated)
+		}
+		if got.hasAnnots() != annotated {
+			t.Fatalf("annotated=%v: projected annotation column materialized = %v", annotated, got.hasAnnots())
+		}
+		if d.Project(schema) != d {
+			t.Fatal("projecting onto the own schema must return the collection itself")
+		}
+	}
+}
+
+// TestConcatReservesOnce: Concat keeps the row order (source-major within
+// each part) and sizes every part exactly.
+func TestConcatReservesOnce(t *testing.T) {
+	c := NewCluster(3)
+	schema := relation.NewSchema(1, 2)
+	rng := NewRng(5)
+	a, b := NewDist(c, schema), NewDist(c, schema)
+	for s := range a.Parts {
+		a.Parts[s] = randomColumns(rng, 5+s, 2, 9, false)
+		b.Parts[s] = randomColumns(rng, 7, 2, 9, s == 1)
+	}
+	got := Concat(a, b)
+	for s := range got.Parts {
+		var want Columns
+		want.AppendColumns(&a.Parts[s])
+		want.AppendColumns(&b.Parts[s])
+		if !got.Parts[s].Equal(&want) {
+			t.Fatalf("part %d: Concat changed rows or their order", s)
+		}
+		if cap(got.Parts[s].values) != got.Parts[s].Len()*2 {
+			t.Fatalf("part %d: capacity %d for %d rows", s, cap(got.Parts[s].values), got.Parts[s].Len())
+		}
+	}
+}
+
+// TestRowIndexGroupsInInsertionOrder checks the index against a map of row
+// lists: every key's chain lists exactly its rows, in insertion order;
+// absent keys miss; the empty key chains every row.
+func TestRowIndexGroupsInInsertionOrder(t *testing.T) {
+	rng := NewRng(21)
+	for _, n := range []int{0, 1, 7, 500} {
+		cols := randomColumns(rng, n, 3, 6, false) // small domain: many duplicates
+		pos := []int{2, 0}
+		want := map[[2]relation.Value][]int{}
+		for i := 0; i < n; i++ {
+			k := [2]relation.Value{cols.Tuple(i)[2], cols.Tuple(i)[0]}
+			want[k] = append(want[k], i)
+		}
+		ix := IndexRows(&cols, pos)
+		for a := relation.Value(0); a < 7; a++ {
+			for b := relation.Value(0); b < 7; b++ {
+				var got []int
+				// The probe tuple holds the key at other positions than the
+				// indexed rows do.
+				for r := ix.First(relation.Tuple{a, 99, b}, []int{0, 2}); r >= 0; r = ix.Next(r) {
+					got = append(got, r)
+				}
+				if !reflect.DeepEqual(got, want[[2]relation.Value{a, b}]) {
+					t.Fatalf("n=%d key (%d,%d): chain %v, want %v", n, a, b, got, want[[2]relation.Value{a, b}])
+				}
+			}
+		}
+		ix.Release()
+
+		all := IndexRows(&cols, nil)
+		i := 0
+		for r := all.First(nil, nil); r >= 0; r = all.Next(r) {
+			if r != i {
+				t.Fatalf("n=%d: keyless chain visits row %d at step %d", n, r, i)
+			}
+			i++
+		}
+		if i != n {
+			t.Fatalf("n=%d: keyless chain has %d rows", n, i)
+		}
+		all.Release()
+	}
+}
+
+// emitSinks builds one of every sink in emit.go over the given schema.
+func emitSinks(schema relation.Schema, p int) (*CountEmitter, *CollectEmitter, *PerServerCounter, *ShardedEmitter) {
+	return NewCountEmitter(relation.CountRing), NewCollectEmitter(schema), NewPerServerCounter(p), NewShardedEmitter(schema, p)
+}
+
+// TestEmitterBorrowsTuple is the Emitter contract: t is only borrowed. The
+// same rows are emitted three ways — each from a fresh tuple, all from one
+// reused scratch tuple that is overwritten after every call, and in bulk
+// through EmitColumns — into every sink, alone, under MultiEmitter and
+// under Synchronized, and every sink must end in the same state.
+func TestEmitterBorrowsTuple(t *testing.T) {
+	const p = 4
+	schema := relation.NewSchema(7, 5)
+	pos := []int{2, 0} // emitted layout: columns 2 and 0 of the source rows
+	rng := NewRng(17)
+	parts := make([]Columns, p)
+	for s := range parts {
+		parts[s] = randomColumns(rng, 20+s, 3, 30, s%2 == 1)
+	}
+
+	type feed func(em Emitter)
+	fresh := func(em Emitter) {
+		for s := range parts {
+			for i := 0; i < parts[s].Len(); i++ {
+				row := parts[s].Tuple(i)
+				em.Emit(s, relation.Tuple{row[2], row[0]}, parts[s].Annot(i))
+			}
+		}
+	}
+	scratch := func(em Emitter) {
+		tup := make(relation.Tuple, 2)
+		for s := range parts {
+			for i := 0; i < parts[s].Len(); i++ {
+				row := parts[s].Tuple(i)
+				tup[0], tup[1] = row[2], row[0]
+				em.Emit(s, tup, parts[s].Annot(i))
+				tup[0], tup[1] = -1, -1 // a retained alias would now be corrupt
+			}
+		}
+	}
+	bulk := func(em Emitter) {
+		for s := range parts {
+			EmitColumns(em, s, &parts[s], pos)
+		}
+	}
+
+	type state struct {
+		N, Sum           int64
+		Collect, Sharded *relation.Relation
+		PerServer        []int64
+	}
+	wrappers := map[string]func(sinks ...Emitter) []Emitter{
+		"alone":        func(sinks ...Emitter) []Emitter { return sinks },
+		"multi":        func(sinks ...Emitter) []Emitter { return []Emitter{MultiEmitter(sinks)} },
+		"synchronized": func(sinks ...Emitter) []Emitter { return []Emitter{Synchronized(MultiEmitter(sinks))} },
+	}
+	run := func(f feed, wrap func(sinks ...Emitter) []Emitter) state {
+		count, collect, per, sharded := emitSinks(schema, p)
+		for _, em := range wrap(count, collect, per, sharded) {
+			f(em)
+		}
+		return state{count.N, count.AnnotSum, collect.Rel, sharded.Rel(), per.Counts}
+	}
+	for name, wrap := range wrappers {
+		want := run(fresh, wrap)
+		if want.N == 0 || want.Collect.Size() != int(want.N) {
+			t.Fatalf("%s: reference run emitted nothing", name)
+		}
+		for mode, f := range map[string]feed{"scratch": scratch, "bulk": bulk} {
+			got := run(f, wrap)
+			if got.N != want.N || got.Sum != want.Sum || !reflect.DeepEqual(got.PerServer, want.PerServer) {
+				t.Fatalf("%s/%s: counters differ from per-row fresh tuples", name, mode)
+			}
+			for _, pair := range [][2]*relation.Relation{{got.Collect, want.Collect}, {got.Sharded, want.Sharded}, {got.Sharded, want.Collect}} {
+				if !reflect.DeepEqual(pair[0].Tuples, pair[1].Tuples) || !reflect.DeepEqual(pair[0].Annots, pair[1].Annots) {
+					t.Fatalf("%s/%s: materialized rows differ from per-row fresh tuples", name, mode)
+				}
+			}
+		}
+	}
+
+	// Identity layout (pos nil) takes the block-copy path.
+	_, collect, _, sharded := emitSinks(relation.NewSchema(1, 2, 3), p)
+	for s := range parts {
+		EmitColumns(MultiEmitter{collect, sharded}, s, &parts[s], nil)
+	}
+	if got := sharded.Rel(); !reflect.DeepEqual(got.Tuples, collect.Rel.Tuples) || !reflect.DeepEqual(got.Annots, collect.Rel.Annots) {
+		t.Fatal("identity bulk emit differs between the block-copy sink and the per-row sink")
+	}
+}
+
+// TestReplicateAppendMatchesReplicateBy: the append-style router delivers
+// exactly what the list-returning adapter delivers, at every width, and its
+// counting pass allocates per task, not per row.
+func TestReplicateAppendMatchesReplicateBy(t *testing.T) {
+	const p, n = 16, 20000
+	byList := func(it Item) []int {
+		v := int(it.T[1])
+		return []int{v % p, (v*7 + 1) % p}
+	}
+	byAppend := func(it Item, dst []int) []int {
+		v := int(it.T[1])
+		return append(dst, v%p, (v*7+1)%p)
+	}
+	for _, width := range []int{1, 2, 8} {
+		prev := runtime.SetParallelism(width)
+		ref, got := NewCluster(p), NewCluster(p)
+		want := exchangeTestDist(ref, n, 11).ReplicateBy(byList)
+		have := exchangeTestDist(got, n, 11).ReplicateAppend(byAppend)
+		runtime.SetParallelism(prev)
+		if !partsEqual(want, have) || !reflect.DeepEqual(roundTable(ref), roundTable(got)) {
+			t.Fatalf("width %d: ReplicateAppend differs from ReplicateBy", width)
+		}
+	}
+
+	prev := runtime.SetParallelism(1)
+	defer runtime.SetParallelism(prev)
+	d := exchangeTestDist(NewCluster(p), n, 11)
+	d.ReplicateAppend(byAppend) // warm the scratch pool
+	if got := testing.AllocsPerRun(10, func() { d.ReplicateAppend(byAppend) }); got > 120 {
+		t.Fatalf("ReplicateAppend allocates %.0f per run for %d rows — per-row allocations are back", got, n)
+	}
+}

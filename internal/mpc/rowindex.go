@@ -1,0 +1,80 @@
+package mpc
+
+import "repro/internal/relation"
+
+// RowIndex is a value-keyed hash index over the rows of one Columns: rows
+// are grouped by their projection onto a fixed list of key columns and
+// addressed by row number, so a local join walks flat buffers and int32
+// chains — no key string, no per-row Item, no per-key slice. The table is
+// open-addressed (linear probing over a power-of-two slot array, at most
+// half full); keys are hashed straight off the flat buffer (HashTupleAt)
+// and compared word-wise. Rows with equal keys are chained through next in
+// insertion order, so iterating a group visits its rows exactly as the
+// map-of-slices joins this replaces did.
+//
+// Both arrays come from the exchange's int32 pool; Release returns them. A
+// built index is read-only and safe for concurrent lookups.
+type RowIndex struct {
+	cols  *Columns
+	pos   []int
+	slots []int32 // slot → first row of its group + 1; 0 = empty
+	next  []int32 // row → next row with the same key, −1 at the end of the chain
+}
+
+// IndexRows builds the index of cols keyed by the columns pos. An empty
+// pos puts every row in one group (the keyless cross product).
+//
+//lint:alloc-ceiling
+func IndexRows(cols *Columns, pos []int) RowIndex {
+	n := cols.Len()
+	size := 2
+	for size < 2*n {
+		size <<= 1
+	}
+	ix := RowIndex{cols: cols, pos: pos, slots: getInt32Zero(size), next: getInt32Cap(n)[:n]}
+	// Rows are inserted last to first, each becoming the head of its
+	// group, so every chain ends up in ascending (insertion) order.
+	for i := n - 1; i >= 0; i-- {
+		slot := ix.find(cols.Tuple(i), pos)
+		ix.next[i] = ix.slots[slot] - 1
+		ix.slots[slot] = int32(i) + 1
+	}
+	return ix
+}
+
+// find returns the slot holding the group whose key equals t's projection
+// onto pos, or the empty slot where that group would go.
+func (ix *RowIndex) find(t relation.Tuple, pos []int) int {
+	mask := len(ix.slots) - 1
+	slot := int(HashTupleAt(t, pos, 0)) & mask
+	for ; ix.slots[slot] != 0; slot = (slot + 1) & mask {
+		head := ix.cols.Tuple(int(ix.slots[slot]) - 1)
+		equal := true
+		for k, p := range ix.pos {
+			if head[p] != t[pos[k]] {
+				equal = false
+				break
+			}
+		}
+		if equal {
+			break
+		}
+	}
+	return slot
+}
+
+// First returns the first row whose key equals t's projection onto pos
+// (aligned with the index's key columns), or −1 when there is none.
+func (ix *RowIndex) First(t relation.Tuple, pos []int) int {
+	return int(ix.slots[ix.find(t, pos)]) - 1
+}
+
+// Next returns the row after i in its group's insertion order, or −1.
+func (ix *RowIndex) Next(i int) int { return int(ix.next[i]) }
+
+// Release recycles the index's arrays; the index must not be used after.
+func (ix *RowIndex) Release() {
+	putInt32(ix.slots)
+	putInt32(ix.next)
+	ix.slots, ix.next = nil, nil
+}

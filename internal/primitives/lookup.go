@@ -18,7 +18,9 @@ type LookupResult struct {
 // the paper's algorithms: for every item of x, find the unique d item with
 // an equal key (exact match; d must have at most one item per key, as
 // produced by SumByKey/DistinctByKey) and rewrite the x item via combine.
-// combine returns the replacement item and whether to keep it.
+// combine returns the replacement item and whether to keep it; it is called
+// on one goroutine, and a kept item is copied into the output before the
+// next call, so combine may return the same scratch tuple every time.
 //
 // The implementation is sort-based and therefore skew-proof: x and d are
 // sorted together by key (d entries first), cut into p equal chunks, and
