@@ -10,11 +10,14 @@ GO ?= go
 BENCH ?= BenchmarkExchange|BenchmarkRoute|BenchmarkFromRelation|BenchmarkSampleSort|BenchmarkSerialSortRef|BenchmarkLookup|BenchmarkMicro_SemiJoin|BenchmarkEngine_AutoCost
 COUNT ?= 6
 
-# Coverage floors for the data-plane packages (percent of statements).
-# The columnar store and the record pool are proof-heavy code: if their
-# tests rot, ci fails before the guarantees do.
+# Coverage floors (percent of statements). The columnar store and the
+# record pool are proof-heavy code: if their tests rot, ci fails before the
+# guarantees do. internal/lint's one cost-class machine serves both the
+# round and the load contract, so an untested branch in it is a hole in
+# both.
 COVER_FLOOR_MPC ?= 85
 COVER_FLOOR_PRIMITIVES ?= 90
+COVER_FLOOR_LINT ?= 85
 
 # fuzz-smoke budget per target.
 FUZZTIME ?= 10s
@@ -31,7 +34,7 @@ BENCH_JSON ?= BENCH_10.json
 BENCH_BASELINE ?= BENCH_9.json
 GATE ?= 25
 
-.PHONY: ci fmt vet build test race smoke bench bench-all bench-compare bench-smoke bench-e2e-smoke bench-verify fuzz-smoke cover lint lint-fix-list tidy-check contracts contracts-verify experiments
+.PHONY: FORCE ci fmt vet build test race smoke bench bench-all bench-compare bench-smoke bench-e2e-smoke bench-verify fuzz-smoke cover lint lint-fix-list tidy-check contracts contracts-verify experiments
 
 # ci is tier-1 plus race checking, a public-API smoke pass, coverage
 # floors, a fuzz-smoke pass over the data-plane parity targets, a
@@ -55,16 +58,21 @@ vet:
 # lint runs the repository's contract analyzers (internal/lint) over every
 # package through the standard vet driver. See DESIGN.md "Static analysis"
 # for the contracts and the //lint:ignore escape hatch.
-lint:
+lint: bin/repolint
+	$(GO) vet -vettool=$(CURDIR)/bin/repolint ./...
+
+# bin/repolint is built once per make run, whichever of lint, contracts
+# and contracts-verify ask for it; FORCE leaves staleness to the go build
+# cache.
+bin/repolint: FORCE
 	@mkdir -p bin
 	$(GO) build -o bin/repolint ./cmd/repolint
-	$(GO) vet -vettool=$(CURDIR)/bin/repolint ./...
+
+FORCE:
 
 # lint-fix-list prints the violations as bare file:line:col lines for
 # editor jumping (quickfix lists, vim -q, jump-to-error).
-lint-fix-list:
-	@mkdir -p bin
-	@$(GO) build -o bin/repolint ./cmd/repolint
+lint-fix-list: bin/repolint
 	@$(GO) vet -vettool=$(CURDIR)/bin/repolint ./... 2>&1 | grep -E '^[^ ]+\.go:[0-9]+' | cut -d: -f1-3 || true
 
 # tidy-check fails when go.mod/go.sum need `go mod tidy`.
@@ -94,11 +102,11 @@ smoke: build
 	$(GO) run ./cmd/classify -q "1,2;2,3;3,4" > /dev/null
 	@echo "smoke: all examples and CLIs ran"
 
-# cover writes one profile per data-plane package (a single test run each)
+# cover writes one profile per floored package (a single test run each)
 # and enforces the per-package statement-coverage floors from the profile
 # totals.
 cover:
-	@for spec in "repro/internal/mpc mpc $(COVER_FLOOR_MPC)" "repro/internal/primitives primitives $(COVER_FLOOR_PRIMITIVES)"; do \
+	@for spec in "repro/internal/mpc mpc $(COVER_FLOOR_MPC)" "repro/internal/primitives primitives $(COVER_FLOOR_PRIMITIVES)" "repro/internal/lint lint $(COVER_FLOOR_LINT)"; do \
 		set -- $$spec; pkg=$$1; name=$$2; floor=$$3; \
 		$(GO) test -coverprofile=cover-$$name.out $$pkg > /dev/null || exit 1; \
 		pct=$$($(GO) tool cover -func=cover-$$name.out | awk '/^total:/ { sub(/%/, "", $$3); print $$3 }'); \
@@ -121,17 +129,13 @@ fuzz-smoke:
 # contracts regenerates CONTRACTS.md from the engine registry and the
 # round-cost classifier (repolint -contracts runs standalone: under go
 # vet, result caching would skip the write).
-contracts:
-	@mkdir -p bin
-	$(GO) build -o bin/repolint ./cmd/repolint
+contracts: bin/repolint
 	bin/repolint -contracts -o CONTRACTS.md
 
 # contracts-verify fails when CONTRACTS.md drifted from the registry or
 # the classifier: an algorithm, declaration, or charge path changed
 # without `make contracts`.
-contracts-verify:
-	@mkdir -p bin
-	@$(GO) build -o bin/repolint ./cmd/repolint
+contracts-verify: bin/repolint
 	@bin/repolint -contracts -o bin/CONTRACTS.md.new
 	@if ! diff -u CONTRACTS.md bin/CONTRACTS.md.new; then \
 		echo "contracts-verify: CONTRACTS.md is stale; run make contracts"; exit 1; \

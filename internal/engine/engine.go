@@ -160,12 +160,30 @@ func (job Job) instance() *core.Instance {
 	return &cp
 }
 
+// ErrAborted wraps every panic raised below Run — an invariant one of the
+// algorithms, primitives or the simulator refuses to continue past (a
+// duplicate directory key, an oversized charge, a schema mismatch) — so a
+// bad Job costs its caller an error naming the job, not the process.
+var ErrAborted = errors.New("job aborted")
+
 // Run executes a on a fresh cluster sized per job and measures it. The
 // returned Result is valid even when err wraps ErrVerify — the run
-// completed, only the check failed.
-func Run(a Algorithm, job Job) (Result, error) {
+// completed, only the check failed. A panic below Run (runtime.Fork
+// re-raises its workers' on this goroutine, stack attached) comes back as
+// an error wrapping ErrAborted.
+func Run(a Algorithm, job Job) (res Result, err error) {
 	if job.In == nil {
 		return Result{}, fmt.Errorf("engine: job has no instance")
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			res = Result{Algorithm: a.Name()}
+			err = fmt.Errorf("engine: %s: %w (P=%d Seed=%d query %v): %v",
+				a.Name(), ErrAborted, job.P, job.Seed, job.In.Q, r)
+		}
+	}()
+	if job.P < 0 {
+		panic("engine: negative cluster size")
 	}
 	if !a.Applies(job.In.Q) {
 		return Result{}, fmt.Errorf("engine: %s does not apply to %v (class %s)",
@@ -198,7 +216,7 @@ func Run(a Algorithm, job Job) (Result, error) {
 		return Result{Algorithm: a.Name()}, fmt.Errorf("engine: %s: %w", a.Name(), err)
 	}
 	predicted, predictedBy := PredictLoad(a, job.In, outEstimate(job), job.P)
-	res := Result{
+	res = Result{
 		Algorithm:   a.Name(),
 		OUT:         counter.N,
 		Annot:       counter.AnnotSum,

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -9,6 +10,8 @@ import (
 	"repro/internal/gen"
 	"repro/internal/hypergraph"
 	"repro/internal/mpc"
+	"repro/internal/relation"
+	"repro/internal/runtime"
 )
 
 // wantRoute is the class-optimal routing the Figure 1 hierarchy prescribes;
@@ -243,5 +246,49 @@ func TestRegistry(t *testing.T) {
 	}
 	if _, err := engine.RunNamed("no-such-algorithm", engine.Job{}); err == nil {
 		t.Error("RunNamed on unknown name must fail")
+	}
+}
+
+// TestRunContainsPanics asserts the job boundary: an instance an algorithm
+// refuses — duplicate rows in a relation whose edge is contained in
+// another, which Lookup's directory and foldInto reject loudly — comes back
+// as an ErrAborted error naming the job, at data-plane widths 1 and 2 (a
+// panic on a runtime.Fork worker is re-raised on the job's goroutine), and
+// the goroutine goes on to run a good job that verifies against the oracle.
+func TestRunContainsPanics(t *testing.T) {
+	q := hypergraph.New(hypergraph.NewAttrSet(1), hypergraph.NewAttrSet(1, 2), hypergraph.NewAttrSet(2))
+	r1 := relation.New("R1", relation.NewSchema(1))
+	r2 := relation.New("R2", relation.NewSchema(1, 2))
+	r3 := relation.New("R3", relation.NewSchema(2))
+	for i := 0; i < 50; i++ {
+		r1.Add(relation.Value(i % 5))
+		r2.Add(relation.Value(i%5), relation.Value(i%7))
+		r3.Add(relation.Value(i % 7))
+	}
+	bad := core.NewInstance(q, r1, r2, r3)
+	good := gen.ForQuery(mpc.NewRng(5), hypergraph.Line2(), 32, 4)
+
+	for _, width := range []int{1, 2} {
+		prev := runtime.SetParallelism(width)
+		for _, name := range []string{"acyclic", "rhier", "binhc"} {
+			res, err := engine.RunNamed(name, engine.Job{In: bad, P: 8, Seed: 7})
+			if !errors.Is(err, engine.ErrAborted) {
+				t.Fatalf("width %d, %s: err = %v, want ErrAborted", width, name, err)
+			}
+			if msg := err.Error(); !strings.Contains(msg, name) || !strings.Contains(msg, "P=8") || !strings.Contains(msg, "Seed=7") {
+				t.Errorf("width %d, %s: error does not name the job: %v", width, name, err)
+			}
+			if res.Algorithm != name || res.OUT != 0 {
+				t.Errorf("width %d, %s: aborted run returned %+v", width, name, res)
+			}
+		}
+		if res, err := engine.RunNamed("yannakakis", engine.Job{In: good, P: 8, CheckOracle: true}); err != nil || !res.Verified {
+			t.Errorf("width %d: good job after aborted ones: verified=%v err=%v", width, res.Verified, err)
+		}
+		runtime.SetParallelism(prev)
+	}
+
+	if _, err := engine.RunNamed("yannakakis", engine.Job{In: good, P: -1}); !errors.Is(err, engine.ErrAborted) {
+		t.Errorf("P=-1: err = %v, want ErrAborted", err)
 	}
 }

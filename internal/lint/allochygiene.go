@@ -47,12 +47,7 @@ func runAllocHygiene(pass *analysis.Pass) (interface{}, error) {
 	if !inScope(scope, pass.Pkg.Path()) {
 		return nil, nil
 	}
-	ignores := buildIgnoreIndex(pass, pass.Analyzer.Name)
-	report := func(pos token.Pos, format string, args ...interface{}) {
-		if !ignores.suppressed(pass.Fset, pass.Analyzer.Name, pos) {
-			pass.Reportf(pos, format, args...)
-		}
-	}
+	ignores, report := passReporter(pass)
 
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {

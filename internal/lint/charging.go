@@ -53,7 +53,7 @@ var commFuncs = map[string]bool{
 	"ShuffleByKey": true, "ShuffleByAttrs": true, "ShuffleBy": true,
 	"ReplicateBy": true, "ReplicateAppend": true, "Broadcast": true, "GatherTo": true, "MoveTo": true,
 	// sort-and-chop plus the explicit charges
-	"sortAndChop": true, "chopBounds": true, "chop": true, "serialSortAndChopRef": true,
+	"sortAndChop": true, "chopBounds": true,
 	"Charge": true, "ChargeRound": true, "ChargeInput": true,
 	"chargeCoordinatorExchange": true,
 }
@@ -69,12 +69,7 @@ func runCharging(pass *analysis.Pass) (interface{}, error) {
 	if !inScope(scope, pass.Pkg.Path()) {
 		return nil, nil
 	}
-	ignores := buildIgnoreIndex(pass, pass.Analyzer.Name)
-	report := func(pos token.Pos, format string, args ...interface{}) {
-		if !ignores.suppressed(pass.Fset, pass.Analyzer.Name, pos) {
-			pass.Reportf(pos, format, args...)
-		}
-	}
+	ignores, report := passReporter(pass)
 
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	cfgs := pass.ResultOf[ctrlflow.Analyzer].(*ctrlflow.CFGs)

@@ -21,14 +21,13 @@ import (
 const enginePkgPath = "repro/internal/engine"
 
 // contractsModel is the whole-program classification state shared by
-// WriteContracts and StaticClasses: the typechecked engine package, the
-// round and load classifiers over a whole-program function index, and the
+// WriteContracts and StaticClasses: the typechecked engine package, one
+// classifier per axis over a whole-program function index, and the
 // extracted adapter registrations.
 type contractsModel struct {
-	engine   *modulePkg
-	cl       *classifier
-	lcl      *loadClassifier
-	adapters []adapterLit
+	engine       *modulePkg
+	rounds, load *classifier
+	adapters     []adapterLit
 }
 
 // loadContractsModel typechecks the engine package and every repro/...
@@ -47,8 +46,11 @@ func loadContractsModel(root string) (*contractsModel, error) {
 
 	// Whole-program function index over every module package the engine
 	// transitively pulled in.
-	funcs := map[*types.Func]*modulePkg{}
-	fds := map[*types.Func]*ast.FuncDecl{}
+	type body struct {
+		fd   *ast.FuncDecl
+		info *types.Info
+	}
+	bodies := map[*types.Func]body{}
 	for _, mp := range ld.pkgs {
 		if mp.err != nil || mp.info == nil {
 			continue
@@ -60,45 +62,43 @@ func loadContractsModel(root string) (*contractsModel, error) {
 					continue
 				}
 				if fn, ok := mp.info.Defs[fd.Name].(*types.Func); ok {
-					funcs[fn] = mp
-					fds[fn] = fd
+					bodies[fn] = body{fd, mp.info}
 				}
 			}
 		}
 	}
-
-	lookup := func(fn *types.Func) (*ast.FuncDecl, *types.Info) {
-		if mp, ok := funcs[fn]; ok {
-			return fds[fn], mp.info
-		}
-		return nil, nil
-	}
-	cl := &classifier{
-		lookup:       lookup,
-		collectSites: true,
-		memo:         map[*types.Func]RoundClass{},
-		sites:        map[*types.Func][]string{},
-		siteFns:      map[string]*types.Func{},
-		stack:        map[*types.Func]*classFrame{},
-	}
-	lcl := &loadClassifier{
-		lookup: lookup,
-		memo:   map[*types.Func]LoadClass{},
-		stack:  map[*types.Func]*loadFrame{},
+	whole := func(ax *axis) *classifier {
+		return newClassifier(ax, func(fn *types.Func) (*ast.FuncDecl, *types.Info) {
+			return bodies[fn].fd, bodies[fn].info
+		}, nil, nil, false)
 	}
 
 	adapters := parseAdapters(engine.info, engine.files)
 	if len(adapters) == 0 {
 		return nil, fmt.Errorf("no Register(&adapter{...}) calls found in %s", enginePkgPath)
 	}
-	return &contractsModel{engine: engine, cl: cl, lcl: lcl, adapters: adapters}, nil
+	m := &contractsModel{engine: engine, rounds: whole(roundsAxis), load: whole(loadAxis), adapters: adapters}
+	m.rounds.sites = newSiteIndex()
+	return m, nil
+}
+
+// classify returns the static class names of a's run body on both axes
+// (unknown when there is no run value to resolve) and the declared charge
+// sites the body reaches, direct plus transitive.
+func (m *contractsModel) classify(a adapterLit) (rounds, load string, sites []string) {
+	r, l := roundsUnknown, loadUnknown
+	if a.run != nil {
+		r, sites, _ = m.rounds.runClass(m.engine.info, a.run)
+		l, _, _ = m.load.runClass(m.engine.info, a.run)
+	}
+	return roundsAxis.names[r], loadAxis.names[l], sites
 }
 
 // AdapterClasses is the static classification of one registered algorithm's
-// run body, both axes.
+// run body, both axes, by class name.
 type AdapterClasses struct {
-	Rounds RoundClass
-	Load   LoadClass
+	Rounds string
+	Load   string
 }
 
 // StaticClasses computes, whole-program from source, the static round and
@@ -113,12 +113,8 @@ func StaticClasses(root string) (map[string]AdapterClasses, error) {
 	}
 	out := map[string]AdapterClasses{}
 	for _, a := range m.adapters {
-		c := AdapterClasses{Rounds: RoundsUnknown, Load: LoadUnknown}
-		if a.run != nil {
-			c.Rounds, _ = contractRun(m.cl, m.engine.info, a.run)
-			c.Load, _ = loadRunClass(&LoadCosts{cl: m.lcl, info: m.engine.info}, m.engine.info, a.run)
-		}
-		out[a.name] = c
+		rounds, load, _ := m.classify(a)
+		out[a.fields["name"].val] = AdapterClasses{Rounds: rounds, Load: load}
 	}
 	return out, nil
 }
@@ -139,8 +135,6 @@ func WriteContracts(w io.Writer, root string) error {
 	if err != nil {
 		return err
 	}
-	cl, lcl, engine := m.cl, m.lcl, m.engine
-	lc := &LoadCosts{cl: lcl, info: engine.info}
 
 	fmt.Fprintf(w, "# Round/communication contracts\n\n")
 	fmt.Fprintf(w, "Generated by `repolint -contracts` (`make contracts`); verified against\n")
@@ -167,19 +161,14 @@ func WriteContracts(w io.Writer, root string) error {
 	}
 	var rows []row
 	for _, a := range m.adapters {
-		rounds := RoundsUnknown
-		load := LoadUnknown
-		var sites []string
-		if a.run != nil {
-			rounds, sites = contractRun(cl, engine.info, a.run)
-			load, _ = loadRunClass(lc, engine.info, a.run)
-		}
-		predicted, ok := stats.PredictorFormula(a.name)
+		name, declLoad := a.fields["name"].val, a.fields["load"].val
+		rounds, load, sites := m.classify(a)
+		predicted, ok := stats.PredictorFormula(name)
 		if !ok {
-			predicted = stats.PredictClass(a.load, 0, 0, 1).Formula + " (fallback)"
+			predicted = stats.PredictClass(declLoad, 0, 0, 1).Formula + " (fallback)"
 		}
-		fmt.Fprintf(w, "| %s | %s | %s | %s | %s | %s | %s |\n", a.name, a.rounds, rounds, a.load, load, a.bound, predicted)
-		rows = append(rows, row{name: a.name, sites: sites})
+		fmt.Fprintf(w, "| %s | %s | %s | %s | %s | %s | %s |\n", name, a.fields["rounds"].val, rounds, declLoad, load, a.fields["bound"].val, predicted)
+		rows = append(rows, row{name: name, sites: sites})
 	}
 
 	fmt.Fprintf(w, "\n## Charge sites\n")
@@ -190,35 +179,11 @@ func WriteContracts(w io.Writer, root string) error {
 			continue
 		}
 		for _, s := range r.sites {
-			if fn := cl.siteFns[s]; fn != nil {
-				fmt.Fprintf(w, "- %s (rounds %s, load %s)\n", s, cl.classifyFuncRef(fn), lcl.classifyFuncRef(fn))
-			} else {
-				fmt.Fprintf(w, "- %s\n", s)
-			}
+			fn := m.rounds.sites.fns[s]
+			fmt.Fprintf(w, "- %s (rounds %s, load %s)\n", s, roundsAxis.names[m.rounds.classifyFuncRef(fn)], loadAxis.names[m.load.classifyFuncRef(fn)])
 		}
 	}
 	return nil
-}
-
-// contractRun classifies an adapter's run expression and collects the
-// declared charge sites its body reaches (direct plus transitive).
-func contractRun(cl *classifier, info *types.Info, run ast.Expr) (RoundClass, []string) {
-	switch v := ast.Unparen(run).(type) {
-	case *ast.FuncLit:
-		ss := &siteSet{seen: map[string]bool{}}
-		fs := newFuncScope(info, v.Body, ss)
-		class := cl.nodeClass(fs, v.Body)
-		return class, ss.sorted()
-	case *ast.Ident:
-		if fn, ok := info.Uses[v].(*types.Func); ok {
-			return cl.classifyFuncRef(fn), cl.SitesOf(fn)
-		}
-	case *ast.SelectorExpr:
-		if fn, ok := info.Uses[v.Sel].(*types.Func); ok {
-			return cl.classifyFuncRef(fn), cl.SitesOf(fn)
-		}
-	}
-	return RoundsUnknown, nil
 }
 
 // modulePkg is one typechecked package of the module under analysis.

@@ -153,6 +153,17 @@ func buildIgnoreIndex(pass *analysis.Pass, self string) *ignoreIndex {
 	return idx
 }
 
+// passReporter returns pass.Reportf filtered through the package's
+// //lint:ignore directives for the running analyzer.
+func passReporter(pass *analysis.Pass) (*ignoreIndex, func(pos token.Pos, format string, args ...interface{})) {
+	ignores := buildIgnoreIndex(pass, pass.Analyzer.Name)
+	return ignores, func(pos token.Pos, format string, args ...interface{}) {
+		if !ignores.suppressed(pass.Fset, pass.Analyzer.Name, pos) {
+			pass.Reportf(pos, format, args...)
+		}
+	}
+}
+
 // suppressed reports whether a diagnostic of the named analyzer at pos is
 // covered by a lint:ignore directive, marking the directive as used.
 func (idx *ignoreIndex) suppressed(fset *token.FileSet, name string, pos token.Pos) bool {

@@ -1,9 +1,15 @@
 package lint
 
 import (
+	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -66,7 +72,7 @@ func TestSuiteComplete(t *testing.T) {
 
 // TestRepolintSmoke builds cmd/repolint and runs it through the real
 // `go vet -vettool` protocol over a clean in-scope package: the driver
-// must load all five analyzers and exit 0.
+// must load all nine analyzers and exit 0.
 func TestRepolintSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary and runs go vet")
@@ -86,5 +92,112 @@ func TestRepolintSmoke(t *testing.T) {
 	vet.Env = append(os.Environ(), "GOFLAGS=-mod=mod")
 	if out, err := vet.CombinedOutput(); err != nil {
 		t.Fatalf("go vet -vettool on a clean package: %v\n%s", err, out)
+	}
+}
+
+// TestContractsMatchCheckedIn makes CONTRACTS.md drift a tier-1 failure:
+// the whole-program classifiers must compute, for all registered adapters,
+// exactly the classes and charge sites the checked-in table records (the
+// same comparison `make contracts-verify` runs through the binary).
+func TestContractsMatchCheckedIn(t *testing.T) {
+	if testing.Short() {
+		t.Skip("typechecks the module and the standard library from source")
+	}
+	root := filepath.Join("..", "..")
+	want, err := os.ReadFile(filepath.Join(root, "CONTRACTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := WriteContracts(&got, root); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("CONTRACTS.md is stale (run `make contracts`); generated:\n%s", got.Bytes())
+	}
+
+	// StaticClasses is the same model keyed by name, as cmd/classify reads it.
+	classes, err := StaticClasses(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]AdapterClasses{
+		"yannakakis": {Rounds: "const", Load: "perP"},
+		"naive":      {Rounds: "zero", Load: "zero"},
+	} {
+		if classes[name] != c {
+			t.Errorf("StaticClasses[%s] = %+v, want %+v", name, classes[name], c)
+		}
+	}
+}
+
+// TestStringLitUnquotes pins that adapter fields are read as Go reads them:
+// an escaped √ is a √, so the bound-prose rule and CONTRACTS.md see the
+// string the program sees.
+func TestStringLitUnquotes(t *testing.T) {
+	for lit, want := range map[string]string{
+		`"plain"`:      "plain",
+		"`raw\\n`":     `raw\n`,
+		`"√"`:          "√",
+		`"IN/\u221ap"`: "IN/√p",
+		`"a\"b"`:       `a"b`,
+	} {
+		if got := stringLit(&ast.BasicLit{Kind: token.STRING, Value: lit}); got != want {
+			t.Errorf("stringLit(%s) = %q, want %q", lit, got, want)
+		}
+	}
+	if got := stringLit(&ast.BasicLit{Kind: token.INT, Value: "1"}); got != "" {
+		t.Errorf("stringLit(1) = %q, want empty", got)
+	}
+}
+
+// TestRunClassResolvesNamedRuns covers the run-value forms no registration
+// in the tree uses today: a named function resolves through its class (and
+// its collected charge sites), and a value that is no function is
+// unresolved and unknown on either axis.
+func TestRunClassResolvesNamedRuns(t *testing.T) {
+	const src = `package p
+
+//lint:rounds const trust the base charge
+//lint:load perP trust the base charge
+func charge() {}
+
+func algo() { charge() }
+
+var named, notFunc = algo, 1
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "p.go", src, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
+	if _, err := (&types.Config{}).Check("p", fset, []*ast.File{f}, info); err != nil {
+		t.Fatal(err)
+	}
+	decls := map[*types.Func]*ast.FuncDecl{}
+	var runs []ast.Expr
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			decls[info.Defs[d.Name].(*types.Func)] = d
+		case *ast.GenDecl:
+			runs = d.Specs[0].(*ast.ValueSpec).Values
+		}
+	}
+	lookup := func(fn *types.Func) (*ast.FuncDecl, *types.Info) { return decls[fn], info }
+
+	rounds := newClassifier(roundsAxis, lookup, nil, nil, false)
+	rounds.sites = newSiteIndex()
+	class, sites, ok := rounds.runClass(info, runs[0])
+	if class != roundsConst || !ok || !reflect.DeepEqual(sites, []string{"p.charge"}) {
+		t.Errorf("rounds runClass(algo) = %v, %v, %v; want const, [p.charge], true", class, sites, ok)
+	}
+	load := newClassifier(loadAxis, lookup, nil, nil, false)
+	if class, sites, ok := load.runClass(info, runs[0]); class != loadPerP || !ok || sites != nil {
+		t.Errorf("load runClass(algo) = %v, %v, %v; want perP, nil, true", class, sites, ok)
+	}
+	if class, _, ok := load.runClass(info, runs[1]); class != loadUnknown || ok {
+		t.Errorf("load runClass(1) = %v, %v; want unknown, false", class, ok)
 	}
 }

@@ -5,458 +5,109 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"reflect"
 	"strings"
-
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
 )
 
-// LoadClass is the static load lattice: the per-round, per-server charge
-// magnitude a function can reach, as a function of the input size IN and
-// the server count p.
+// The load axis: the per-round, per-server charge magnitude a function can
+// reach, as a function of the input size IN and the server count p.
 //
-//	Zero    charges nothing
-//	Const   O(1) or O(p) per server — independent of IN (coordinator
+//	zero    charges nothing
+//	const   O(1) or O(p) per server — independent of IN (coordinator
 //	        summaries, directory entries)
-//	PerP    O(IN/p) — the paper's linear-load bucket (Theorem 2 rounds)
-//	Frac    O(IN/p^c) for some 0 < c < 1 — the √p and p^(2/3) bounds of
+//	perP    O(IN/p) — the paper's linear-load bucket (Theorem 2 rounds)
+//	frac    O(IN/p^c) for some 0 < c < 1 — the √p and p^(2/3) bounds of
 //	        Sections 4 and 7
-//	Linear  O(IN) — a charge proportional to the input reaches one server
-//	Unknown could not be classified
+//	linear  O(IN) — a charge proportional to the input reaches one server
+//	unknown could not be classified
 //
-// The order is the lattice order: sequencing, branching, and loops all
-// compose by max — the load of one round is the largest single charge, and
-// more rounds never raise the per-round maximum (rounds are reporoundcost's
-// axis, not this one).
-type LoadClass int
-
+// Loops compose by max like everything else — the load of one round is the
+// largest single charge, and more rounds never raise the per-round maximum
+// (rounds are the other axis) — so this axis has no loop hook.
 const (
-	LoadZero LoadClass = iota
-	LoadConst
-	LoadPerP
-	LoadFrac
-	LoadLinear
-	LoadUnknown
+	loadZero costClass = iota
+	loadConst
+	loadPerP
+	loadFrac
+	loadLinear
+	loadUnknown
 )
 
-func (c LoadClass) String() string {
-	switch c {
-	case LoadZero:
-		return "zero"
-	case LoadConst:
-		return "const"
-	case LoadPerP:
-		return "perP"
-	case LoadFrac:
-		return "frac"
-	case LoadLinear:
-		return "linear"
-	}
-	return "unknown"
+var loadNames = []string{"zero", "const", "perP", "frac", "linear", "unknown"}
+
+var loadAxis = &axis{
+	name:  "load",
+	noun:  "load",
+	names: loadNames,
+	// perP, frac and linear are the three buckets a registered algorithm can
+	// honestly claim; zero/const algorithms don't exist in the catalog.
+	adapterMin: loadPerP,
+	figure1:    "load bound",
+	unknownAs:  "load",
+	reaches:    "load class",
+	newFact:    func() costFact { return new(LoadCostFact) },
+	// The physical exchange routes through Shard.Receive, invisible to this
+	// classifier, so declarations are the contract and the computed class
+	// is only the drift detector.
+	declWins:  true,
+	intrinsic: chargeIntrinsic,
+	// A bound written in terms of /p, √p, or p^(c) must not be paired with
+	// a weaker declaration than the strongest marker it contains.
+	boundClaim: func(bound string, declared costClass) string {
+		if marker := boundMarkerClass(bound); marker > declared {
+			return fmt.Sprintf("load class %s in prose, stronger than its declared load %q", loadNames[marker], loadNames[declared])
+		}
+		return ""
+	},
 }
 
-// ParseLoadClass parses a declared class ("zero", "const", "perP", "frac",
-// "linear"). Unknown is not declarable: a declaration exists to rule it out.
-func ParseLoadClass(s string) (LoadClass, bool) {
-	switch s {
-	case "zero":
-		return LoadZero, true
-	case "const":
-		return LoadConst, true
-	case "perP":
-		return LoadPerP, true
-	case "frac":
-		return LoadFrac, true
-	case "linear":
-		return LoadLinear, true
-	}
-	return LoadUnknown, false
-}
-
-// LoadCostFact is the per-function summary exported for cross-package
-// composition: the function charges at most Class load per round. Trusted
-// facts come from `//lint:load <class> trust <reason>` declarations and are
-// asserted, not computed — they carry the balance arguments (combiner caps,
+// LoadCostFact is the load axis's exported per-function summary. Its
+// trusted declarations carry the balance arguments (combiner caps,
 // skew-free hashing, sub-problem size guarantees) the syntactic classifier
 // cannot see.
-type LoadCostFact struct {
-	Class   LoadClass
-	Trusted bool
-}
+type LoadCostFact costSummary
 
-func (*LoadCostFact) AFact() {}
+func (*LoadCostFact) AFact()                  {}
+func (f *LoadCostFact) summary() *costSummary { return (*costSummary)(f) }
+func (f *LoadCostFact) String() string        { return loadAxis.factString(f.summary()) }
 
-func (f *LoadCostFact) String() string {
-	if f.Trusted {
-		return fmt.Sprintf("load(%s, trusted)", f.Class)
+// LoadCostAnalyzer is the load axis's per-function analyzer (see
+// newCostAnalyzer): the class comes from the arithmetic shape of the n
+// argument at every cluster charge site. The charge intrinsics are the
+// Cluster methods themselves — Charge(s, n) classifies n, ChargeInput(total)
+// classifies total divided by p, and ChargeRound(loads) classifies the loads
+// slice's element assignments — so the analysis is grounded in the
+// simulator's own accounting, recognized syntactically (method name on a
+// cluster-typed receiver) so it composes across packages without needing
+// facts for the intrinsics. Division by a p-expression steps linear down to
+// perP; division by Isqrt(p)/Iroot(p, k) steps it to frac; sums, products,
+// and remainders take the max/divisor; len of a data container is linear,
+// of a structural container const.
+var LoadCostAnalyzer = newCostAnalyzer(loadAxis, "repoloadcost",
+	"per-function static load classification of cluster charge arguments, checked against //lint:load declarations and exported as facts")
+
+// RepoLoadAnalyzer closes the load half of the registry loop (see
+// newRegistryAnalyzer): `load: "perP|frac|linear"` on every registration,
+// respected by the run body's static class and by the bound prose.
+var RepoLoadAnalyzer = newRegistryAnalyzer(loadAxis, LoadCostAnalyzer, "repoload",
+	"registered algorithms must declare a load class that their run body's static classification and bound prose respect")
+
+// boundMarkerClass extracts the strongest load-class claim a Figure 1 bound
+// string makes in prose: "sequential" claims linear, a √ or p^(…) term
+// claims frac, a /p term claims perP, and anything else claims nothing
+// (zero, the bottom — no constraint). The declared class must be at least
+// the marker: a bound may be stated conservatively in /p terms while the
+// declaration carries the honest frac class (RHier's IN/p + L_instance),
+// but a bound advertising √p with a perP tag is drift.
+func boundMarkerClass(bound string) costClass {
+	switch {
+	case strings.Contains(bound, "sequential"):
+		return loadLinear
+	case strings.Contains(bound, "√"), strings.Contains(bound, "p^("):
+		return loadFrac
+	case strings.Contains(bound, "/p"):
+		return loadPerP
 	}
-	return fmt.Sprintf("load(%s)", f.Class)
-}
-
-// LoadCosts is LoadCostAnalyzer's result: a handle that lets dependent
-// analyzers (repoload) classify functions and function literals of the
-// analyzed package. Nil-safe: a scope-skipped package yields an empty
-// handle whose queries return Unknown.
-type LoadCosts struct {
-	cl   *loadClassifier
-	info *types.Info
-}
-
-// FuncClass returns the load class of a function (same package: computed;
-// imported: from its exported fact; neither: Zero).
-func (r *LoadCosts) FuncClass(fn *types.Func) LoadClass {
-	if r == nil || r.cl == nil {
-		return LoadUnknown
-	}
-	return r.cl.classifyFuncRef(fn)
-}
-
-// FuncLitClass classifies a function literal's body in place.
-func (r *LoadCosts) FuncLitClass(lit *ast.FuncLit) LoadClass {
-	if r == nil || r.cl == nil {
-		return LoadUnknown
-	}
-	fs := newFuncScope(r.info, lit.Body, nil)
-	return r.cl.nodeClass(fs, lit.Body)
-}
-
-// LoadCostAnalyzer computes, per function, a load-class summary from the
-// arithmetic shape of the n argument at every cluster charge site, composes
-// it with the exported facts of its callees, checks it against the
-// function's machine-readable declaration, and exports it as a fact:
-//
-//	//lint:load <zero|const|perP|frac|linear>
-//	//lint:load <class> trust <reason>
-//
-// The charge intrinsics are the Cluster methods themselves — Charge(s, n)
-// classifies n, ChargeInput(total) classifies total divided by p, and
-// ChargeRound(loads) classifies the loads slice's element assignments — so
-// the analysis is grounded in the simulator's own accounting, recognized
-// syntactically (method name on a cluster-typed receiver) so it composes
-// across packages without needing facts for the intrinsics. Division by a
-// p-expression steps linear down to perP; division by Isqrt(p)/Iroot(p, k)
-// steps it to frac; sums, products, and remainders take the max/divisor;
-// len of a data container is linear, of a structural container const.
-// Calls without facts count as Zero and loops do not escalate (each charge
-// opens its own round; the per-round max is what the paper bounds) — the
-// harness's observed-load test backstops both assumptions at runtime.
-//
-// Unlike reporoundcost, a valid declaration always wins over the computed
-// class: the physical exchange routes through Shard.Receive, invisible to
-// this classifier, so declarations are the contract and the computed class
-// is the drift detector (computed > declared is reported at the declaring
-// function). Within declscope, an exported function whose computed class
-// exceeds zero must carry a declaration, and a recursive function must
-// declare its class (assume/guarantee).
-var LoadCostAnalyzer = &analysis.Analyzer{
-	Name:       "repoloadcost",
-	Doc:        "per-function static load classification of cluster charge arguments, checked against //lint:load declarations and exported as facts",
-	Run:        runLoadCost,
-	Requires:   []*analysis.Analyzer{inspect.Analyzer},
-	FactTypes:  []analysis.Fact{(*LoadCostFact)(nil)},
-	ResultType: reflect.TypeOf((*LoadCosts)(nil)),
-}
-
-func init() {
-	LoadCostAnalyzer.Flags.String("scope", dataPlaneScope,
-		"comma-separated package paths to classify (\"all\" for every package)")
-	LoadCostAnalyzer.Flags.String("declscope", "repro/internal/mpc,repro/internal/primitives,repro/internal/core",
-		"packages whose exported charging functions must carry //lint:load declarations")
-}
-
-func runLoadCost(pass *analysis.Pass) (interface{}, error) {
-	scope := pass.Analyzer.Flags.Lookup("scope").Value.String()
-	if !inScope(scope, pass.Pkg.Path()) {
-		return (*LoadCosts)(nil), nil
-	}
-	declscope := pass.Analyzer.Flags.Lookup("declscope").Value.String()
-	requireDecls := inScope(declscope, pass.Pkg.Path())
-
-	ignores := buildIgnoreIndex(pass, pass.Analyzer.Name)
-	report := func(pos token.Pos, format string, args ...interface{}) {
-		if !ignores.suppressed(pass.Fset, pass.Analyzer.Name, pos) {
-			pass.Reportf(pos, format, args...)
-		}
-	}
-
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-
-	// Index this package's function declarations (test files excluded: the
-	// contracts cover shipped code, and _test.go files never export facts).
-	decls := map[*types.Func]*ast.FuncDecl{}
-	var order []*types.Func
-	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
-		fd := n.(*ast.FuncDecl)
-		if fd.Body == nil || isTestFile(pass.Fset, fd.Pos()) {
-			return
-		}
-		if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-			decls[fn] = fd
-			order = append(order, fn)
-		}
-	})
-
-	cl := &loadClassifier{
-		lookup: func(fn *types.Func) (*ast.FuncDecl, *types.Info) {
-			if fd, ok := decls[fn]; ok {
-				return fd, pass.TypesInfo
-			}
-			return nil, nil
-		},
-		imported: func(fn *types.Func) (LoadClass, bool) {
-			var fact LoadCostFact
-			if pass.ImportObjectFact(fn, &fact) {
-				return fact.Class, true
-			}
-			return LoadZero, false
-		},
-		report:       report,
-		requireDecls: requireDecls,
-		memo:         map[*types.Func]LoadClass{},
-		stack:        map[*types.Func]*loadFrame{},
-	}
-
-	for _, fn := range order {
-		class := cl.classifyFuncRef(fn)
-		if class > LoadZero && fn.Exported() {
-			trusted := false
-			if d := parseLoadDecl(decls[fn], nil); d != nil {
-				trusted = d.trust
-			}
-			pass.ExportObjectFact(fn, &LoadCostFact{Class: class, Trusted: trusted})
-		}
-	}
-	ignores.reportUnused(pass)
-	return &LoadCosts{cl: cl, info: pass.TypesInfo}, nil
-}
-
-// loadDecl is a parsed //lint:load declaration.
-type loadDecl struct {
-	class LoadClass
-	trust bool
-	pos   token.Pos
-}
-
-// parseLoadDecl extracts the //lint:load declaration from a function's doc
-// comment (the raw list: Doc.Text() strips directives). Malformed
-// declarations are reported through report (when non-nil) and ignored.
-func parseLoadDecl(fd *ast.FuncDecl, report func(pos token.Pos, format string, args ...interface{})) *loadDecl {
-	if fd == nil || fd.Doc == nil {
-		return nil
-	}
-	bad := func(pos token.Pos, format string, args ...interface{}) *loadDecl {
-		if report != nil {
-			report(pos, format, args...)
-		}
-		// A malformed directive is still a directive: returning the Unknown
-		// sentinel keeps the missing-declaration check from double-firing.
-		return &loadDecl{class: LoadUnknown, pos: pos}
-	}
-	for _, c := range fd.Doc.List {
-		rest, ok := strings.CutPrefix(c.Text, "//lint:load")
-		if !ok {
-			continue
-		}
-		// A nested // starts a comment within the directive (the fixture
-		// harness rides want expectations there).
-		if i := strings.Index(rest, "//"); i >= 0 {
-			rest = rest[:i]
-		}
-		fields := strings.Fields(rest)
-		if len(fields) == 0 {
-			return bad(c.Pos(), "lint:load declaration on %s needs a class (zero, const, perP, frac, or linear)", fd.Name.Name)
-		}
-		class, ok := ParseLoadClass(fields[0])
-		if !ok {
-			return bad(c.Pos(), "lint:load declaration on %s has unknown class %q (want zero, const, perP, frac, or linear)", fd.Name.Name, fields[0])
-		}
-		trust := false
-		if len(fields) > 1 {
-			if fields[1] != "trust" {
-				return bad(c.Pos(), "lint:load declaration on %s has trailing %q (only `trust <reason>` may follow the class)", fd.Name.Name, fields[1])
-			}
-			if len(fields) < 3 {
-				return bad(c.Pos(), "lint:load trust declaration on %s needs a reason", fd.Name.Name)
-			}
-			trust = true
-		}
-		return &loadDecl{class: class, trust: trust, pos: c.Pos()}
-	}
-	return nil
-}
-
-// loadClassifier resolves functions to load classes. Driver-agnostic like
-// classifier: the analyzer wires lookup to the current package and imported
-// to the facts store; the contracts generator wires lookup to a
-// whole-program index and leaves imported nil.
-type loadClassifier struct {
-	lookup       func(fn *types.Func) (*ast.FuncDecl, *types.Info)
-	imported     func(fn *types.Func) (LoadClass, bool)
-	report       func(pos token.Pos, format string, args ...interface{})
-	requireDecls bool
-
-	memo  map[*types.Func]LoadClass
-	stack map[*types.Func]*loadFrame
-}
-
-type loadFrame struct {
-	decl     *loadDecl
-	recursed bool // re-entered with no declaration to assume
-}
-
-func (c *loadClassifier) reportf(pos token.Pos, format string, args ...interface{}) {
-	if c.report != nil {
-		c.report(pos, format, args...)
-	}
-}
-
-// classifyFuncRef resolves fn to its load class: memoized, with declaration
-// checking for functions whose bodies are in view and assume/guarantee
-// handling for recursion. A valid declaration always wins over the computed
-// class (the declaration is the contract; drift — computed > declared — is
-// reported here once, at the function, not at every transitive caller).
-func (c *loadClassifier) classifyFuncRef(fn *types.Func) LoadClass {
-	if class, ok := c.memo[fn]; ok {
-		return class
-	}
-	if frame, ok := c.stack[fn]; ok {
-		if frame.decl != nil {
-			return frame.decl.class
-		}
-		frame.recursed = true
-		return LoadUnknown
-	}
-	fd, info := c.lookup(fn)
-	if fd == nil {
-		class := LoadZero
-		if c.imported != nil {
-			if imp, ok := c.imported(fn); ok {
-				class = imp
-			}
-		}
-		c.memo[fn] = class
-		return class
-	}
-
-	decl := parseLoadDecl(fd, c.report)
-	frame := &loadFrame{decl: decl}
-	c.stack[fn] = frame
-
-	var class LoadClass
-	if decl != nil && decl.trust {
-		class = decl.class
-	} else {
-		fs := newFuncScope(info, fd.Body, nil)
-		class = c.nodeClass(fs, fd.Body)
-		if frame.recursed {
-			c.reportf(fd.Name.Pos(), "%s is recursive and needs a //lint:load declaration to classify (assume/guarantee)", fn.Name())
-			class = LoadUnknown
-		}
-		switch {
-		case decl != nil:
-			if decl.class != LoadUnknown {
-				if class > decl.class {
-					c.reportf(fd.Name.Pos(), "%s computes load class %s, which exceeds its declared //lint:load %s", fn.Name(), class, decl.class)
-				}
-				class = decl.class // the declaration is the contract; the computed class only detects drift
-			}
-		case c.requireDecls && class == LoadUnknown && !frame.recursed:
-			c.reportf(fd.Name.Pos(), "%s cannot be classified (a recursive closure charges load) and needs a //lint:load declaration to anchor it", fn.Name())
-		case c.requireDecls && fn.Exported() && class > LoadZero && class != LoadUnknown:
-			c.reportf(fd.Name.Pos(), "exported %s charges load (class %s) but has no //lint:load declaration", fn.Name(), class)
-		}
-	}
-
-	delete(c.stack, fn)
-	c.memo[fn] = class
-	return class
-}
-
-// nodeClass computes the load class of a statement/expression subtree: max
-// over every reachable charge. Loops do not escalate — each charge opens
-// its own round, and the per-round maximum is the quantity the paper
-// bounds. Closure bodies are handled at their call sites; spawned closures
-// (go, defer, runtime.Fork arguments) are skipped: forked charges land on
-// child clusters and return through the Merge* facts.
-func (c *loadClassifier) nodeClass(fs *funcScope, n ast.Node) LoadClass {
-	if n == nil {
-		return LoadZero
-	}
-	class := LoadZero
-	ast.Inspect(n, func(m ast.Node) bool {
-		switch v := m.(type) {
-		case *ast.FuncLit:
-			return false // classified where invoked; skipped where spawned
-		case *ast.GoStmt:
-			class = max(class, c.spawnClass(fs, v.Call))
-			return false
-		case *ast.DeferStmt:
-			class = max(class, c.spawnClass(fs, v.Call))
-			return false
-		case *ast.CallExpr:
-			class = max(class, c.callClass(fs, v))
-			return true // args may hold nested calls
-		}
-		return true
-	})
-	return class
-}
-
-// spawnClass handles go/defer: a spawned closure's charges land on a child
-// cluster or outside this round structure, so a FuncLit operand is skipped;
-// a named callee is charged normally.
-func (c *loadClassifier) spawnClass(fs *funcScope, call *ast.CallExpr) LoadClass {
-	class := LoadZero
-	for _, arg := range call.Args {
-		class = max(class, c.nodeClass(fs, arg))
-	}
-	if _, ok := ast.Unparen(call.Fun).(*ast.FuncLit); !ok {
-		class = max(class, c.callClass(fs, call))
-	}
-	return class
-}
-
-// callClass classifies one call: the cluster charge intrinsics by the
-// arithmetic shape of their arguments, inlined closures, resolved functions
-// (local bodies or imported facts), or Zero for dynamic callees.
-func (c *loadClassifier) callClass(fs *funcScope, call *ast.CallExpr) LoadClass {
-	if class, ok := c.chargeIntrinsic(fs, call); ok {
-		return class
-	}
-	fun := ast.Unparen(call.Fun)
-	if lit, ok := fun.(*ast.FuncLit); ok {
-		return c.inlineLit(fs, lit)
-	}
-	if fn := calleeFunc(fs.info, call); fn != nil {
-		return c.classifyFuncRef(fn)
-	}
-	if id, ok := fun.(*ast.Ident); ok {
-		if lit := fs.bindings[fs.info.Uses[id]]; lit != nil {
-			return c.inlineLit(fs, lit)
-		}
-	}
-	return LoadZero
-}
-
-// inlineLit classifies a closure body in the enclosing scope, with the same
-// assume-Zero fixpoint for self-recursive closures as the round classifier.
-func (c *loadClassifier) inlineLit(fs *funcScope, lit *ast.FuncLit) LoadClass {
-	if fs.active[lit] {
-		fs.recursed[lit] = true
-		return LoadZero
-	}
-	fs.active[lit] = true
-	class := c.nodeClass(fs, lit.Body)
-	delete(fs.active, lit)
-	if fs.recursed[lit] {
-		delete(fs.recursed, lit)
-		if class != LoadZero {
-			return LoadUnknown
-		}
-	}
-	return class
+	return loadZero
 }
 
 // chargeIntrinsic recognizes the cluster charging methods and classifies
@@ -464,30 +115,30 @@ func (c *loadClassifier) inlineLit(fs *funcScope, lit *ast.FuncLit) LoadClass {
 // receiver whose type is named "cluster" (case-insensitively) — so the
 // intrinsics compose across packages without facts and the offline fixtures
 // can stub the cluster type.
-func (c *loadClassifier) chargeIntrinsic(fs *funcScope, call *ast.CallExpr) (LoadClass, bool) {
+func chargeIntrinsic(fs *funcScope, call *ast.CallExpr) (costClass, bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
-		return LoadZero, false
+		return loadZero, false
 	}
 	name := sel.Sel.Name
 	if name != "Charge" && name != "ChargeRound" && name != "ChargeInput" {
-		return LoadZero, false
+		return loadZero, false
 	}
 	if !isClusterExpr(fs.info, sel.X) {
-		return LoadZero, false
+		return loadZero, false
 	}
 	switch {
 	case name == "Charge" && len(call.Args) == 2:
 		// Charge(s, n): the load is n's arithmetic shape.
-		return c.loadExprClass(fs, call.Args[1], map[types.Object]bool{}), true
+		return loadExprClass(fs, call.Args[1], map[types.Object]bool{}), true
 	case name == "ChargeInput" && len(call.Args) == 1:
 		// ChargeInput(total): round-robin placement, ⌈total/p⌉ per server.
-		return pDiv(c.loadExprClass(fs, call.Args[0], map[types.Object]bool{})), true
+		return pDiv(loadExprClass(fs, call.Args[0], map[types.Object]bool{})), true
 	case name == "ChargeRound" && len(call.Args) == 1:
 		// ChargeRound(loads): the max element ever assigned into the slice.
-		return c.sliceClass(fs, call.Args[0]), true
+		return sliceClass(fs, call.Args[0]), true
 	}
-	return LoadZero, false
+	return loadZero, false
 }
 
 // isClusterExpr reports whether e's type (after pointer indirection) is a
@@ -518,33 +169,33 @@ func isClusterExpr(info *types.Info, e ast.Expr) bool {
 //	len/cap of a structural container       → const; of a data container → linear
 //	single-assignment locals                → traced through their RHS
 //	anything else (params, calls, fields)   → linear
-func (c *loadClassifier) loadExprClass(fs *funcScope, e ast.Expr, visited map[types.Object]bool) LoadClass {
+func loadExprClass(fs *funcScope, e ast.Expr, visited map[types.Object]bool) costClass {
 	e = ast.Unparen(e)
 	if tv, ok := fs.info.Types[e]; ok && tv.Value != nil {
-		return LoadConst
+		return loadConst
 	}
 	switch v := e.(type) {
 	case *ast.BasicLit:
-		return LoadConst
+		return loadConst
 	case *ast.SelectorExpr:
 		if v.Sel.Name == "P" {
-			return LoadConst // the server count is structure, not data
+			return loadConst // the server count is structure, not data
 		}
-		return LoadLinear
+		return loadLinear
 	case *ast.Ident:
 		obj := fs.info.Uses[v]
 		if obj == nil || visited[obj] {
-			return LoadLinear
+			return loadLinear
 		}
 		visited[obj] = true
 		if rhss := fs.assigns[obj]; len(rhss) == 1 && rhss[0] != nil {
-			return c.loadExprClass(fs, rhss[0], visited)
+			return loadExprClass(fs, rhss[0], visited)
 		}
-		return LoadLinear
+		return loadLinear
 	case *ast.BinaryExpr:
 		switch v.Op {
 		case token.QUO:
-			num := c.loadExprClass(fs, v.X, visited)
+			num := loadExprClass(fs, v.X, visited)
 			switch divisorKind(fs, v.Y) {
 			case divP:
 				return pDiv(num)
@@ -553,38 +204,38 @@ func (c *loadClassifier) loadExprClass(fs *funcScope, e ast.Expr, visited map[ty
 			}
 			return num // integer division never increases the numerator
 		case token.REM:
-			return c.loadExprClass(fs, v.Y, visited)
+			return loadExprClass(fs, v.Y, visited)
 		default:
-			return max(c.loadExprClass(fs, v.X, visited), c.loadExprClass(fs, v.Y, visited))
+			return max(loadExprClass(fs, v.X, visited), loadExprClass(fs, v.Y, visited))
 		}
 	case *ast.UnaryExpr:
-		return c.loadExprClass(fs, v.X, visited)
+		return loadExprClass(fs, v.X, visited)
 	case *ast.CallExpr:
 		if isBuiltin(fs.info, v, "len") || isBuiltin(fs.info, v, "cap") {
 			if len(v.Args) == 1 {
 				if t := fs.info.TypeOf(v.Args[0]); t != nil {
 					if lenBound(t) == boundConst {
-						return LoadConst
+						return loadConst
 					}
-					return LoadLinear
+					return loadLinear
 				}
 			}
 		}
 		if conv := conversionArg(fs.info, v); conv != nil {
-			return c.loadExprClass(fs, conv, visited)
+			return loadExprClass(fs, conv, visited)
 		}
-		return LoadLinear
+		return loadLinear
 	}
-	return LoadLinear
+	return loadLinear
 }
 
 // pDiv steps a load class down by a division by p: an input-proportional
 // magnitude becomes IN/p; already-sublinear magnitudes stay at perP (a
 // sound upper bound — IN/p^c / p ≤ IN/p); structural magnitudes stay put.
-func pDiv(class LoadClass) LoadClass {
+func pDiv(class costClass) costClass {
 	switch class {
-	case LoadLinear, LoadFrac, LoadPerP:
-		return LoadPerP
+	case loadLinear, loadFrac, loadPerP:
+		return loadPerP
 	}
 	return class
 }
@@ -592,10 +243,10 @@ func pDiv(class LoadClass) LoadClass {
 // rootDiv steps a load class down by a division by a fractional power of p
 // (Isqrt(p), Iroot(p, k)): linear becomes frac; perP stays perP (already
 // smaller); structural magnitudes stay put.
-func rootDiv(class LoadClass) LoadClass {
+func rootDiv(class costClass) costClass {
 	switch class {
-	case LoadLinear, LoadFrac:
-		return LoadFrac
+	case loadLinear, loadFrac:
+		return loadFrac
 	}
 	return class
 }
@@ -707,38 +358,38 @@ func conversionArg(info *types.Info, call *ast.CallExpr) ast.Expr {
 // classifies linear; loads[s]++ is const), on top of the slice's base class
 // (born from make or a composite literal → its elements; anything else — a
 // parameter, a function result — is input-proportional).
-func (c *loadClassifier) sliceClass(fs *funcScope, e ast.Expr) LoadClass {
+func sliceClass(fs *funcScope, e ast.Expr) costClass {
 	e = ast.Unparen(e)
 	id, ok := e.(*ast.Ident)
 	if !ok {
-		return LoadLinear
+		return loadLinear
 	}
 	obj := fs.info.Uses[id]
 	if obj == nil {
-		return LoadLinear
+		return loadLinear
 	}
-	class := LoadLinear
+	class := loadLinear
 	if rhss := fs.assigns[obj]; len(rhss) == 1 && rhss[0] != nil {
 		switch rhs := ast.Unparen(rhss[0]).(type) {
 		case *ast.CallExpr:
 			if isBuiltin(fs.info, rhs, "make") {
-				class = LoadZero
+				class = loadZero
 			}
 		case *ast.CompositeLit:
-			class = LoadZero
+			class = loadZero
 			for _, elt := range rhs.Elts {
 				if kv, ok := elt.(*ast.KeyValueExpr); ok {
 					elt = kv.Value
 				}
-				class = max(class, c.loadExprClass(fs, elt, map[types.Object]bool{}))
+				class = max(class, loadExprClass(fs, elt, map[types.Object]bool{}))
 			}
 		}
 	}
 	for _, rhs := range fs.elemAssigns[obj] {
 		if rhs == nil {
-			return LoadLinear // accumulation or untraceable element write
+			return loadLinear // accumulation or untraceable element write
 		}
-		class = max(class, c.loadExprClass(fs, rhs, map[types.Object]bool{}))
+		class = max(class, loadExprClass(fs, rhs, map[types.Object]bool{}))
 	}
 	return class
 }

@@ -1,389 +1,133 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"reflect"
 	"sort"
 	"strings"
-
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
 )
 
-// RoundClass is the static round-cost lattice: how many communication
-// rounds a function charges, as a function of the input size IN.
+// The rounds axis: how many communication rounds a function charges, as a
+// function of the input size IN.
 //
-//	Zero    charges nothing
-//	Const   O(1) rounds — a fixed number, set by the query's structure
-//	Log     O(log IN) rounds
-//	Loop    rounds scale with the data (charge inside a data-bound loop)
-//	Unknown could not be classified
-//
-// The order is the lattice order: sequencing and branching compose by max,
-// so a function's class is the worst class of anything it can reach.
-type RoundClass int
-
+//	zero    charges nothing
+//	const   O(1) rounds — a fixed number, set by the query's structure
+//	log     O(log IN) rounds
+//	loop    rounds scale with the data (charge inside a data-bound loop)
+//	unknown could not be classified
 const (
-	RoundsZero RoundClass = iota
-	RoundsConst
-	RoundsLog
-	RoundsLoop
-	RoundsUnknown
+	roundsZero costClass = iota
+	roundsConst
+	roundsLog
+	roundsLoop
+	roundsUnknown
 )
 
-func (c RoundClass) String() string {
-	switch c {
-	case RoundsZero:
-		return "zero"
-	case RoundsConst:
-		return "const"
-	case RoundsLog:
-		return "log"
-	case RoundsLoop:
-		return "loop"
-	}
-	return "unknown"
-}
-
-// ParseRoundClass parses a declared class ("zero", "const", "log", "loop").
-// Unknown is not declarable: a declaration exists to rule it out.
-func ParseRoundClass(s string) (RoundClass, bool) {
-	switch s {
-	case "zero":
-		return RoundsZero, true
-	case "const":
-		return RoundsConst, true
-	case "log":
-		return RoundsLog, true
-	case "loop":
-		return RoundsLoop, true
-	}
-	return RoundsUnknown, false
-}
-
-// RoundCostFact is the per-function summary exported for cross-package
-// composition: the function charges at most Class rounds. Trusted facts
-// come from `//lint:rounds <class> trust <reason>` declarations and are
-// asserted, not computed — the grounding axioms of the analysis (e.g. the
-// simulator's own newRound) and the assume/guarantee seeds for recursion.
-type RoundCostFact struct {
-	Class   RoundClass
-	Trusted bool
-}
-
-func (*RoundCostFact) AFact() {}
-
-func (f *RoundCostFact) String() string {
-	if f.Trusted {
-		return fmt.Sprintf("rounds(%s, trusted)", f.Class)
-	}
-	return fmt.Sprintf("rounds(%s)", f.Class)
-}
-
-// RoundCosts is RoundCostAnalyzer's result: a handle that lets dependent
-// analyzers (repobound) classify functions and function literals of the
-// analyzed package. Nil-safe: a scope-skipped package yields an empty
-// handle whose queries return Unknown.
-type RoundCosts struct {
-	cl   *classifier
-	info *types.Info
-}
-
-// FuncClass returns the round class of a function (same package: computed;
-// imported: from its exported fact; neither: Zero).
-func (r *RoundCosts) FuncClass(fn *types.Func) RoundClass {
-	if r == nil || r.cl == nil {
-		return RoundsUnknown
-	}
-	return r.cl.classifyFuncRef(fn)
-}
-
-// FuncLitClass classifies a function literal's body in place.
-func (r *RoundCosts) FuncLitClass(lit *ast.FuncLit) RoundClass {
-	if r == nil || r.cl == nil {
-		return RoundsUnknown
-	}
-	fs := newFuncScope(r.info, lit.Body, nil)
-	return r.cl.nodeClass(fs, lit.Body)
-}
-
-// RoundCostAnalyzer computes, per function, a round-cost summary from its
-// body plus the exported facts of its callees, checks it against the
-// function's machine-readable declaration, and exports it as a fact:
-//
-//	//lint:rounds <zero|const|log|loop>
-//	//lint:rounds <class> trust <reason>
-//
-// The analysis is grounded entirely in trusted declarations (the
-// simulator's newRound is the base charge); everything else composes:
-// sequencing and branching take the max, a loop escalates its body's class
-// by its bound (constant or structural bound keeps it, a log-shrinking
-// bound lifts Const to Log, a data-dependent bound lifts anything charging
-// to Loop). Calls into functions without facts — std lib, out-of-scope
-// packages, dynamic calls through interfaces or function values — count as
-// Zero; the harness's observed-rounds test backstops that assumption at
-// runtime. Closures handed to runtime.Fork, go, or defer are skipped
-// (forked work charges child clusters); immediately-invoked and
-// locally-bound closures are inlined.
-//
-// Within declscope, an exported function that charges (class > zero) must
-// carry a declaration, a computed class must not exceed its declaration,
-// and a recursive function must declare its class (assume/guarantee). On a
-// violation the declared class is exported, so drift is reported once, at
-// the function, not at every transitive caller.
-var RoundCostAnalyzer = &analysis.Analyzer{
-	Name:       "reporoundcost",
-	Doc:        "per-function static round-cost classification, checked against //lint:rounds declarations and exported as facts",
-	Run:        runRoundCost,
-	Requires:   []*analysis.Analyzer{inspect.Analyzer},
-	FactTypes:  []analysis.Fact{(*RoundCostFact)(nil)},
-	ResultType: reflect.TypeOf((*RoundCosts)(nil)),
-}
-
-func init() {
-	RoundCostAnalyzer.Flags.String("scope", dataPlaneScope,
-		"comma-separated package paths to classify (\"all\" for every package)")
-	RoundCostAnalyzer.Flags.String("declscope", "repro/internal/mpc,repro/internal/primitives,repro/internal/core",
-		"packages whose exported charging functions must carry //lint:rounds declarations")
-}
-
-func runRoundCost(pass *analysis.Pass) (interface{}, error) {
-	scope := pass.Analyzer.Flags.Lookup("scope").Value.String()
-	if !inScope(scope, pass.Pkg.Path()) {
-		return (*RoundCosts)(nil), nil
-	}
-	declscope := pass.Analyzer.Flags.Lookup("declscope").Value.String()
-	requireDecls := inScope(declscope, pass.Pkg.Path())
-
-	ignores := buildIgnoreIndex(pass, pass.Analyzer.Name)
-	report := func(pos token.Pos, format string, args ...interface{}) {
-		if !ignores.suppressed(pass.Fset, pass.Analyzer.Name, pos) {
-			pass.Reportf(pos, format, args...)
+var roundsAxis = &axis{
+	name:      "rounds",
+	noun:      "round",
+	names:     []string{"zero", "const", "log", "loop", "unknown"},
+	figure1:   "round behavior",
+	unknownAs: "round cost",
+	reaches:   "class",
+	newFact:   func() costFact { return new(RoundCostFact) },
+	loopClass: roundsLoopClass,
+	// The paper's Figure 1 bounds are load bounds; round behavior belongs
+	// in the checked rounds field, not in prose.
+	boundClaim: func(bound string, _ costClass) string {
+		if strings.Contains(strings.ToLower(bound), "round") {
+			return "round behavior in prose; the bound field is the load bound — declare rounds in the checked rounds field"
 		}
-	}
-
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-
-	// Index this package's function declarations (test files excluded: the
-	// contracts cover shipped code, and _test.go files never export facts).
-	decls := map[*types.Func]*ast.FuncDecl{}
-	var order []*types.Func
-	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
-		fd := n.(*ast.FuncDecl)
-		if fd.Body == nil || isTestFile(pass.Fset, fd.Pos()) {
-			return
-		}
-		if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-			decls[fn] = fd
-			order = append(order, fn)
-		}
-	})
-
-	cl := &classifier{
-		lookup: func(fn *types.Func) (*ast.FuncDecl, *types.Info) {
-			if fd, ok := decls[fn]; ok {
-				return fd, pass.TypesInfo
-			}
-			return nil, nil
-		},
-		imported: func(fn *types.Func) (RoundClass, bool) {
-			var fact RoundCostFact
-			if pass.ImportObjectFact(fn, &fact) {
-				return fact.Class, true
-			}
-			return RoundsZero, false
-		},
-		report:       report,
-		requireDecls: requireDecls,
-		memo:         map[*types.Func]RoundClass{},
-		stack:        map[*types.Func]*classFrame{},
-	}
-
-	for _, fn := range order {
-		class := cl.classifyFuncRef(fn)
-		if class > RoundsZero && fn.Exported() {
-			trusted := false
-			if d := parseRoundDecl(decls[fn], nil); d != nil {
-				trusted = d.trust
-			}
-			pass.ExportObjectFact(fn, &RoundCostFact{Class: class, Trusted: trusted})
-		}
-	}
-	ignores.reportUnused(pass)
-	return &RoundCosts{cl: cl, info: pass.TypesInfo}, nil
+		return ""
+	},
 }
 
-// roundDecl is a parsed //lint:rounds declaration.
-type roundDecl struct {
-	class RoundClass
-	trust bool
-	pos   token.Pos
+// RoundCostFact is the rounds axis's exported per-function summary.
+type RoundCostFact costSummary
+
+func (*RoundCostFact) AFact()                  {}
+func (f *RoundCostFact) summary() *costSummary { return (*costSummary)(f) }
+func (f *RoundCostFact) String() string        { return roundsAxis.factString(f.summary()) }
+
+// RoundCostAnalyzer is the rounds axis's per-function analyzer (see
+// newCostAnalyzer). The analysis is grounded entirely in trusted
+// declarations (the simulator's newRound is the base charge); everything
+// else composes: a loop escalates its body's class by its bound (constant
+// or structural bound keeps it, a log-shrinking bound lifts const to log, a
+// data-dependent bound lifts anything charging to loop), and on a violation
+// the export is min(computed, declared).
+var RoundCostAnalyzer = newCostAnalyzer(roundsAxis, "reporoundcost",
+	"per-function static round-cost classification, checked against //lint:rounds declarations and exported as facts")
+
+// RepoBoundAnalyzer closes the loop between what an algorithm declares and
+// what its code can reach (see newRegistryAnalyzer): `rounds:
+// "zero|const|log|loop"` on every registration, respected by the run body's
+// static class, and no round-count claims smuggled into the bound prose.
+var RepoBoundAnalyzer = newRegistryAnalyzer(roundsAxis, RoundCostAnalyzer, "repobound",
+	"registered algorithms must declare a round class that their run body's static classification respects")
+
+// siteIndex collects, per function, the declared charging primitives its
+// body can reach (direct plus transitive) — the charge-site lists of
+// CONTRACTS.md. Only the contracts generator's rounds classifier carries
+// one; every method is a no-op on nil.
+type siteIndex struct {
+	byFunc map[*types.Func][]string
+	fns    map[string]*types.Func // site name → function, for cross-classifier rendering
 }
 
-// parseRoundDecl extracts the //lint:rounds declaration from a function's
-// doc comment (the raw list: Doc.Text() strips directives). Malformed
-// declarations are reported through report (when non-nil) and ignored.
-func parseRoundDecl(fd *ast.FuncDecl, report func(pos token.Pos, format string, args ...interface{})) *roundDecl {
-	if fd == nil || fd.Doc == nil {
-		return nil
-	}
-	bad := func(pos token.Pos, format string, args ...interface{}) *roundDecl {
-		if report != nil {
-			report(pos, format, args...)
-		}
-		// A malformed directive is still a directive: returning the Unknown
-		// sentinel keeps the missing-declaration check from double-firing.
-		return &roundDecl{class: RoundsUnknown, pos: pos}
-	}
-	for _, c := range fd.Doc.List {
-		rest, ok := strings.CutPrefix(c.Text, "//lint:rounds")
-		if !ok {
-			continue
-		}
-		// A nested // starts a comment within the directive (the fixture
-		// harness rides want expectations there).
-		if i := strings.Index(rest, "//"); i >= 0 {
-			rest = rest[:i]
-		}
-		fields := strings.Fields(rest)
-		if len(fields) == 0 {
-			return bad(c.Pos(), "lint:rounds declaration on %s needs a class (zero, const, log, or loop)", fd.Name.Name)
-		}
-		class, ok := ParseRoundClass(fields[0])
-		if !ok {
-			return bad(c.Pos(), "lint:rounds declaration on %s has unknown class %q (want zero, const, log, or loop)", fd.Name.Name, fields[0])
-		}
-		trust := false
-		if len(fields) > 1 {
-			if fields[1] != "trust" {
-				return bad(c.Pos(), "lint:rounds declaration on %s has trailing %q (only `trust <reason>` may follow the class)", fd.Name.Name, fields[1])
-			}
-			if len(fields) < 3 {
-				return bad(c.Pos(), "lint:rounds trust declaration on %s needs a reason", fd.Name.Name)
-			}
-			trust = true
-		}
-		return &roundDecl{class: class, trust: trust, pos: c.Pos()}
-	}
-	return nil
+func newSiteIndex() *siteIndex {
+	return &siteIndex{byFunc: map[*types.Func][]string{}, fns: map[string]*types.Func{}}
 }
 
-// classifier resolves functions to round classes. It is driver-agnostic:
-// the analyzer wires lookup to the current package and imported to the
-// facts store; the contracts generator wires lookup to a whole-program
-// index and leaves imported nil.
-type classifier struct {
-	lookup       func(fn *types.Func) (*ast.FuncDecl, *types.Info)
-	imported     func(fn *types.Func) (RoundClass, bool)
-	report       func(pos token.Pos, format string, args ...interface{})
-	requireDecls bool
-	collectSites bool
-
-	memo    map[*types.Func]RoundClass
-	sites   map[*types.Func][]string // declared charge primitives reachable, per function
-	siteFns map[string]*types.Func   // site name → function, for cross-classifier rendering
-	stack   map[*types.Func]*classFrame
-}
-
-type classFrame struct {
-	decl     *roundDecl
-	recursed bool // re-entered with no declaration to assume
-}
-
-func (c *classifier) reportf(pos token.Pos, format string, args ...interface{}) {
-	if c.report != nil {
-		c.report(pos, format, args...)
-	}
-}
-
-// classifyFuncRef resolves fn to its round class: memoized, with
-// declaration checking for functions whose bodies are in view and
-// assume/guarantee handling for recursion (a cycle resolves to the
-// in-progress function's declared class; an undeclared cycle is reported
-// and resolves to Unknown).
-func (c *classifier) classifyFuncRef(fn *types.Func) RoundClass {
-	if class, ok := c.memo[fn]; ok {
-		return class
-	}
-	if frame, ok := c.stack[fn]; ok {
-		if frame.decl != nil {
-			return frame.decl.class
-		}
-		frame.recursed = true
-		return RoundsUnknown
-	}
-	fd, info := c.lookup(fn)
-	if fd == nil {
-		class := RoundsZero
-		if c.imported != nil {
-			if imp, ok := c.imported(fn); ok {
-				class = imp
-			}
-		}
-		c.memo[fn] = class
-		return class
-	}
-
-	decl := parseRoundDecl(fd, c.report)
-	frame := &classFrame{decl: decl}
-	c.stack[fn] = frame
-
-	var sites *siteSet
-	if c.collectSites {
-		sites = &siteSet{seen: map[string]bool{}}
-	}
-
-	var class RoundClass
-	if decl != nil && decl.trust {
-		class = decl.class
-	} else {
-		fs := newFuncScope(info, fd.Body, sites)
-		class = c.nodeClass(fs, fd.Body)
-		if frame.recursed {
-			c.reportf(fd.Name.Pos(), "%s is recursive and needs a //lint:rounds declaration to classify (assume/guarantee)", fn.Name())
-			class = RoundsUnknown
-		}
-		switch {
-		case decl != nil:
-			if class > decl.class {
-				c.reportf(fd.Name.Pos(), "%s computes round class %s, which exceeds its declared //lint:rounds %s", fn.Name(), class, decl.class)
-				class = decl.class // localize: callers see the declaration, drift is reported here once
-			}
-		case c.requireDecls && class == RoundsUnknown && !frame.recursed:
-			c.reportf(fd.Name.Pos(), "%s cannot be classified (a recursive closure charges rounds) and needs a //lint:rounds declaration to anchor it", fn.Name())
-		case c.requireDecls && fn.Exported() && class > RoundsZero && class != RoundsUnknown:
-			c.reportf(fd.Name.Pos(), "exported %s charges rounds (class %s) but has no //lint:rounds declaration", fn.Name(), class)
-		}
-	}
-
-	delete(c.stack, fn)
-	c.memo[fn] = class
-	if sites != nil {
-		c.sites[fn] = sites.sorted()
-	}
-	return class
-}
-
-// SitesOf returns the sorted declared charge primitives reachable from fn
-// (contracts mode only; the analyzer does not collect sites).
-func (c *classifier) SitesOf(fn *types.Func) []string {
-	return c.sites[fn]
-}
-
-// siteSet accumulates the declared charging primitives a body can reach.
+// siteSet accumulates the sites of one body under classification.
 type siteSet struct {
 	seen map[string]bool
 }
 
-func (s *siteSet) add(name string) {
-	s.seen[name] = true
+func (x *siteIndex) open() *siteSet {
+	if x == nil {
+		return nil
+	}
+	return &siteSet{seen: map[string]bool{}}
+}
+
+func (x *siteIndex) close(fn *types.Func, s *siteSet) {
+	if x != nil {
+		x.byFunc[fn] = s.sorted()
+	}
+}
+
+func (x *siteIndex) of(fn *types.Func) []string {
+	if x == nil {
+		return nil
+	}
+	return x.byFunc[fn]
+}
+
+// reach records a charging call to fn from the body accumulating into s: fn
+// itself when it carries a declaration on c's axis, plus everything fn
+// reaches.
+func (x *siteIndex) reach(c *classifier, s *siteSet, fn *types.Func) {
+	fd, _ := c.lookup(fn)
+	if fd == nil {
+		return
+	}
+	if c.ax.parseDecl(fd, nil) != nil {
+		// Rendered for CONTRACTS.md's charge-site lists.
+		name := strings.ReplaceAll(fn.FullName(), "repro/internal/", "")
+		s.seen[name] = true
+		x.fns[name] = fn
+	}
+	for _, name := range x.byFunc[fn] {
+		s.seen[name] = true
+	}
 }
 
 func (s *siteSet) sorted() []string {
+	if s == nil {
+		return nil
+	}
 	out := make([]string, 0, len(s.seen))
 	for name := range s.seen {
 		out = append(out, name)
@@ -392,227 +136,19 @@ func (s *siteSet) sorted() []string {
 	return out
 }
 
-// siteName renders a function for CONTRACTS.md charge-site lists.
-func siteName(fn *types.Func) string {
-	return strings.ReplaceAll(fn.FullName(), "repro/internal/", "")
-}
-
-// funcScope is the per-body context for classification: single-assignment
-// dataflow for loop-bound tracing, element-assignment tracking for
-// ChargeRound slices, and closure-binding resolution.
-type funcScope struct {
-	info        *types.Info
-	assigns     map[types.Object][]ast.Expr // ident → recorded RHS (nil = untraceable)
-	elemAssigns map[types.Object][]ast.Expr // slice ident → element RHS (nil = accumulation)
-	bindings    map[types.Object]*ast.FuncLit
-	sites       *siteSet
-	active      map[*ast.FuncLit]bool // inlining in progress (self-recursive closure guard)
-	recursed    map[*ast.FuncLit]bool // closures whose inlining hit their own back-edge
-}
-
-func newFuncScope(info *types.Info, body *ast.BlockStmt, sites *siteSet) *funcScope {
-	fs := &funcScope{
-		info:        info,
-		assigns:     map[types.Object][]ast.Expr{},
-		elemAssigns: map[types.Object][]ast.Expr{},
-		bindings:    map[types.Object]*ast.FuncLit{},
-		sites:       sites,
-		active:      map[*ast.FuncLit]bool{},
-		recursed:    map[*ast.FuncLit]bool{},
+// roundsLoopClass is the rounds axis's loop hook: the repeated part of a
+// for/range statement is escalated by the loop's trip-count bound.
+func roundsLoopClass(c *classifier, fs *funcScope, loop ast.Stmt) costClass {
+	switch v := loop.(type) {
+	case *ast.ForStmt:
+		class := c.nodeClass(fs, v.Init)
+		inner := max(c.nodeClass(fs, v.Cond), c.nodeClass(fs, v.Post), c.nodeClass(fs, v.Body))
+		return max(class, loopApply(forBound(fs, v), inner))
+	case *ast.RangeStmt:
+		class := c.nodeClass(fs, v.X)
+		return max(class, loopApply(rangeBound(fs, v), c.nodeClass(fs, v.Body)))
 	}
-	record := func(id *ast.Ident, rhs ast.Expr) {
-		if id.Name == "_" {
-			return
-		}
-		obj := info.Defs[id]
-		if obj == nil {
-			obj = info.Uses[id]
-		}
-		if obj != nil {
-			fs.assigns[obj] = append(fs.assigns[obj], rhs)
-		}
-	}
-	recordElem := func(e ast.Expr, rhs ast.Expr) {
-		ix, ok := e.(*ast.IndexExpr)
-		if !ok {
-			return
-		}
-		id, ok := ix.X.(*ast.Ident)
-		if !ok {
-			return
-		}
-		if obj := info.Uses[id]; obj != nil {
-			fs.elemAssigns[obj] = append(fs.elemAssigns[obj], rhs)
-		}
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.AssignStmt:
-			for i, lhs := range v.Lhs {
-				id, ok := lhs.(*ast.Ident)
-				if !ok {
-					if v.Tok == token.ASSIGN && len(v.Rhs) == len(v.Lhs) {
-						recordElem(lhs, v.Rhs[i])
-					} else {
-						recordElem(lhs, nil) // compound assign (+=): accumulation
-					}
-					continue
-				}
-				if len(v.Rhs) == len(v.Lhs) {
-					record(id, v.Rhs[i])
-				} else {
-					record(id, nil) // multi-value: untraceable
-				}
-			}
-		case *ast.IncDecStmt:
-			if id, ok := v.X.(*ast.Ident); ok {
-				record(id, nil)
-			} else {
-				// loads[s]++ steps the element by one: a const contribution.
-				recordElem(v.X, &ast.BasicLit{Kind: token.INT, Value: "1"})
-			}
-		case *ast.RangeStmt:
-			if id, ok := v.Key.(*ast.Ident); ok {
-				record(id, nil)
-			}
-			if id, ok := v.Value.(*ast.Ident); ok {
-				record(id, nil)
-			}
-		case *ast.GenDecl:
-			for _, spec := range v.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				for i, id := range vs.Names {
-					if i < len(vs.Values) {
-						record(id, vs.Values[i])
-					}
-				}
-			}
-		}
-		return true
-	})
-	for obj, rhss := range fs.assigns {
-		if len(rhss) == 1 && rhss[0] != nil {
-			if lit, ok := ast.Unparen(rhss[0]).(*ast.FuncLit); ok {
-				fs.bindings[obj] = lit
-			}
-		}
-	}
-	return fs
-}
-
-// nodeClass computes the round class of a statement/expression subtree:
-// max over everything reachable, with loops escalated by their bound and
-// closure bodies handled at their call sites.
-func (c *classifier) nodeClass(fs *funcScope, n ast.Node) RoundClass {
-	if n == nil {
-		return RoundsZero
-	}
-	class := RoundsZero
-	ast.Inspect(n, func(m ast.Node) bool {
-		switch v := m.(type) {
-		case *ast.ForStmt:
-			class = max(class, c.nodeClass(fs, v.Init))
-			inner := max(c.nodeClass(fs, v.Cond), c.nodeClass(fs, v.Post), c.nodeClass(fs, v.Body))
-			class = max(class, loopApply(c.forBound(fs, v), inner))
-			return false
-		case *ast.RangeStmt:
-			class = max(class, c.nodeClass(fs, v.X))
-			inner := c.nodeClass(fs, v.Body)
-			class = max(class, loopApply(c.rangeBound(fs, v), inner))
-			return false
-		case *ast.FuncLit:
-			return false // classified where invoked; skipped where spawned
-		case *ast.GoStmt:
-			class = max(class, c.spawnClass(fs, v.Call))
-			return false
-		case *ast.DeferStmt:
-			class = max(class, c.spawnClass(fs, v.Call))
-			return false
-		case *ast.CallExpr:
-			class = max(class, c.callClass(fs, v))
-			return true // args may hold nested calls
-		}
-		return true
-	})
-	return class
-}
-
-// spawnClass handles go/defer: a spawned closure's charges land on a child
-// cluster (runtime.Fork's contract) or outside this round structure, so a
-// FuncLit operand is skipped; a named callee is charged normally (a
-// deferred charge still runs in this function's dynamic extent).
-func (c *classifier) spawnClass(fs *funcScope, call *ast.CallExpr) RoundClass {
-	class := RoundsZero
-	for _, arg := range call.Args {
-		class = max(class, c.nodeClass(fs, arg))
-	}
-	if _, ok := ast.Unparen(call.Fun).(*ast.FuncLit); !ok {
-		class = max(class, c.callClass(fs, call))
-	}
-	return class
-}
-
-// callClass classifies one call: inlined closures, resolved functions
-// (local bodies or imported facts), or Zero for dynamic callees.
-func (c *classifier) callClass(fs *funcScope, call *ast.CallExpr) RoundClass {
-	fun := ast.Unparen(call.Fun)
-	if lit, ok := fun.(*ast.FuncLit); ok {
-		return c.inlineLit(fs, lit)
-	}
-	if fn := calleeFunc(fs.info, call); fn != nil {
-		class := c.classifyFuncRef(fn)
-		if fs.sites != nil && class > RoundsZero {
-			if fd, _ := c.lookup(fn); fd != nil {
-				if parseRoundDecl(fd, nil) != nil {
-					name := siteName(fn)
-					fs.sites.add(name)
-					if c.siteFns != nil {
-						c.siteFns[name] = fn
-					}
-				}
-				for _, s := range c.sites[fn] {
-					fs.sites.add(s)
-				}
-			}
-		}
-		return class
-	}
-	// A call through a function-typed variable: resolvable only when the
-	// variable is bound exactly once, to a literal (the routeSide/semi
-	// idiom). Anything else — interface methods, func params — is Zero:
-	// the observed-rounds harness test backstops this hole.
-	if id, ok := fun.(*ast.Ident); ok {
-		if lit := fs.bindings[fs.info.Uses[id]]; lit != nil {
-			return c.inlineLit(fs, lit)
-		}
-	}
-	return RoundsZero
-}
-
-// inlineLit classifies a closure body in the enclosing scope. A
-// self-recursive closure (the `var walk func(...); walk = func(...)` tree
-// walker idiom) is resolved by assume/guarantee at Zero: the back-edge is
-// assumed to charge nothing, and if the computed body class confirms the
-// guess the fixpoint is sound. A recursive closure that does charge has no
-// declaration to anchor its fixpoint and classifies Unknown.
-func (c *classifier) inlineLit(fs *funcScope, lit *ast.FuncLit) RoundClass {
-	if fs.active[lit] {
-		fs.recursed[lit] = true
-		return RoundsZero
-	}
-	fs.active[lit] = true
-	class := c.nodeClass(fs, lit.Body)
-	delete(fs.active, lit)
-	if fs.recursed[lit] {
-		delete(fs.recursed, lit)
-		if class != RoundsZero {
-			return RoundsUnknown
-		}
-	}
-	return class
+	return roundsZero
 }
 
 // loopBound classifies a loop's trip count.
@@ -626,26 +162,26 @@ const (
 
 // loopApply escalates a loop body's class by the loop's bound. A body that
 // charges nothing stays Zero whatever the trip count.
-func loopApply(bound loopBound, inner RoundClass) RoundClass {
-	if inner == RoundsZero || inner == RoundsUnknown {
+func loopApply(bound loopBound, inner costClass) costClass {
+	if inner == roundsZero || inner == roundsUnknown {
 		return inner
 	}
 	switch bound {
 	case boundConst:
 		return inner
 	case boundLog:
-		if inner == RoundsConst {
-			return RoundsLog
+		if inner == roundsConst {
+			return roundsLog
 		}
-		return RoundsLoop
+		return roundsLoop
 	}
-	return RoundsLoop // data-dependent trip count
+	return roundsLoop // data-dependent trip count
 }
 
 // forBound classifies a for statement's trip count: a halving search is
 // Log, a bound traced to a constant or structural length is Const, and
 // anything else is Data.
-func (c *classifier) forBound(fs *funcScope, v *ast.ForStmt) loopBound {
+func forBound(fs *funcScope, v *ast.ForStmt) loopBound {
 	if halvingLoop(v) {
 		return boundLog
 	}
@@ -677,9 +213,9 @@ func (c *classifier) forBound(fs *funcScope, v *ast.ForStmt) loopBound {
 	}
 	switch {
 	case isPostVar(be.X):
-		return c.exprBound(fs, be.Y, map[types.Object]bool{})
+		return exprBound(fs, be.Y, map[types.Object]bool{})
 	case isPostVar(be.Y):
-		return c.exprBound(fs, be.X, map[types.Object]bool{})
+		return exprBound(fs, be.X, map[types.Object]bool{})
 	}
 	return boundData
 }
@@ -727,20 +263,20 @@ func halvingLoop(v *ast.ForStmt) bool {
 // type: containers of data values (tuples, values, items, bytes) are Data,
 // containers of structural values (indexes, distributions, stats) are
 // Const, maps/chans/strings are Data, and range-over-int traces the bound.
-func (c *classifier) rangeBound(fs *funcScope, v *ast.RangeStmt) loopBound {
+func rangeBound(fs *funcScope, v *ast.RangeStmt) loopBound {
 	t := fs.info.TypeOf(v.X)
 	if t == nil {
 		return boundData
 	}
 	if b, ok := t.Underlying().(*types.Basic); ok && b.Info()&types.IsInteger != 0 {
-		return c.exprBound(fs, v.X, map[types.Object]bool{})
+		return exprBound(fs, v.X, map[types.Object]bool{})
 	}
 	return lenBound(t)
 }
 
 // exprBound classifies an integer bound expression, tracing
 // single-assignment identifiers (visited guards assignment cycles).
-func (c *classifier) exprBound(fs *funcScope, e ast.Expr, visited map[types.Object]bool) loopBound {
+func exprBound(fs *funcScope, e ast.Expr, visited map[types.Object]bool) loopBound {
 	e = ast.Unparen(e)
 	if tv, ok := fs.info.Types[e]; ok && tv.Value != nil {
 		return boundConst // compile-time constant
@@ -755,13 +291,13 @@ func (c *classifier) exprBound(fs *funcScope, e ast.Expr, visited map[types.Obje
 		}
 		visited[obj] = true
 		if rhss := fs.assigns[obj]; len(rhss) == 1 && rhss[0] != nil {
-			return c.exprBound(fs, rhss[0], visited)
+			return exprBound(fs, rhss[0], visited)
 		}
 		return boundData
 	case *ast.BinaryExpr:
-		return max(c.exprBound(fs, v.X, visited), c.exprBound(fs, v.Y, visited))
+		return max(exprBound(fs, v.X, visited), exprBound(fs, v.Y, visited))
 	case *ast.UnaryExpr:
-		return c.exprBound(fs, v.X, visited)
+		return exprBound(fs, v.X, visited)
 	case *ast.CallExpr:
 		if isBuiltin(fs.info, v, "len") || isBuiltin(fs.info, v, "cap") {
 			if len(v.Args) == 1 {

@@ -87,22 +87,6 @@ func (rc *recCols) appendSelfKeyed(t relation.Tuple, tag uint8, a int64) {
 	rc.annots = append(rc.annots, a)
 }
 
-// append adds one record from an encoded key string — the bridge the
-// serial reference path and the tests use to stage records from the
-// array-of-structs rec view. The key decodes to exactly the value window
-// appendKeyed would have written (the encoding is order- and
-// value-preserving).
-func (rc *recCols) append(key string, tag uint8, t relation.Tuple, a int64) {
-	if len(key)%8 != 0 {
-		panic("primitives: malformed record key")
-	}
-	rc.adoptKeyWidth(len(key) / 8)
-	rc.keys = relation.AppendDecodedKey(rc.keys, key)
-	rc.tags = append(rc.tags, tag)
-	rc.tuples = append(rc.tuples, t)
-	rc.annots = append(rc.annots, a)
-}
-
 // item assembles row i for callbacks that take items.
 func (rc *recCols) item(i int) mpc.Item { return mpc.Item{T: rc.tuples[i], A: rc.annots[i]} }
 
@@ -138,7 +122,7 @@ func (rc *recCols) keyEq(i, j int) bool {
 }
 
 // less is THE record order of every skew-sensitive primitive — by key,
-// ties broken by tag (recLess on columns). The serial reference and the
+// ties broken by tag. The tests' serial reference (recLess) and the
 // parallel sample sort must agree on it exactly.
 func (rc *recCols) less(i, j int32) bool {
 	kw := rc.kw

@@ -39,9 +39,10 @@ import (
 // preserves global input order (segments are contiguous in input order and
 // the write windows are prefix sums in segment order), so stable-sorting
 // each range and concatenating yields exactly the unique stable sort by
-// (key, tag) — the same permutation serialSortAndChopRef produces — for
-// every width and every splitter choice. runtime.SetParallelism(1) and
-// small inputs take the serial rank sort, which is byte-identical anyway.
+// (key, tag) — the same permutation the tests' serialSortAndChopRef
+// produces — for every width and every splitter choice.
+// runtime.SetParallelism(1) and small inputs take the serial rank sort,
+// which is byte-identical anyway.
 
 // sampleSortSerialBelow is the record count under which the sort runs as a
 // single sequential rank sort: splitter sampling and two extra passes cost

@@ -18,34 +18,15 @@ package primitives
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/mpc"
 )
 
-// rec is the array-of-structs record view, retained for the serial
-// reference path and the tests: a key, a tie-break tag (d-side records
-// sort before x-side records of the same key), and the carried item.
-type rec struct {
-	key string
-	tag uint8
-	it  mpc.Item
-}
-
-// recLess is the record order of every skew-sensitive primitive: by key,
-// ties broken by tag. recCols.less is the columnar form; the serial
-// reference and the parallel sample sort must agree on it exactly.
-func recLess(a, b rec) bool {
-	if a.key != b.key {
-		return a.key < b.key
-	}
-	return a.tag < b.tag
-}
-
 // chopBounds distributes n globally sorted records into p equal chunks —
 // index windows, no copying — charging each server its chunk size in one
 // round. Chunk s is rows [bounds[s], bounds[s+1]). Shared by the parallel
-// sample sort and the serial reference, so both paths charge identically.
+// sample sort and the tests' serial reference, so both paths charge
+// identically.
 //
 //lint:load perP trust ceil-division chunking puts at most ceil(n/p) records on each server
 //lint:rounds const
@@ -78,28 +59,6 @@ func chopBounds(c *mpc.Cluster, n int) []int {
 	bounds[p] = n
 	c.ChargeRound(loads)
 	return bounds
-}
-
-// chop is chopBounds over a []rec slice, returning chunk windows. Used by
-// the serial reference and the tests.
-func chop(c *mpc.Cluster, recs []rec) [][]rec {
-	bounds := chopBounds(c, len(recs))
-	chunks := make([][]rec, c.P)
-	for s := 0; s < c.P; s++ {
-		if bounds[s] < bounds[s+1] {
-			chunks[s] = recs[bounds[s]:bounds[s+1]]
-		}
-	}
-	return chunks
-}
-
-// serialSortAndChopRef is the pre-parallel coordinator sort, kept verbatim
-// as the parity, fuzz and benchmark reference: sortAndChop must produce
-// value-identical chunks and identical charges at every data-plane width
-// and with the record pool on or off.
-func serialSortAndChopRef(c *mpc.Cluster, recs []rec) [][]rec {
-	sort.SliceStable(recs, func(i, j int) bool { return recLess(recs[i], recs[j]) })
-	return chop(c, recs)
 }
 
 // chargeCoordinatorExchange charges the standard boundary-information

@@ -41,21 +41,6 @@ func AppendKeyAt(dst []byte, t Tuple, pos []int) []byte {
 	return dst
 }
 
-// AppendDecodedKey appends the values encoded in k to dst and returns the
-// extended slice — the flat-buffer counterpart of DecodeKey, used to stage
-// encoded keys into fixed-width value windows without a per-key slice.
-// It panics on malformed input: keys only ever come from the encoders
-// above.
-func AppendDecodedKey(dst []Value, k string) []Value {
-	if len(k)%8 != 0 {
-		panic("relation: malformed key")
-	}
-	for i := 0; i+8 <= len(k); i += 8 {
-		dst = append(dst, Value(binary.BigEndian.Uint64([]byte(k[i:i+8]))^(1<<63)))
-	}
-	return dst
-}
-
 // DecodeKey decodes a key back into values. It panics on malformed input:
 // keys only ever come from the encoders above.
 func DecodeKey(k string) []Value {
