@@ -119,12 +119,14 @@ cover:
 	done
 
 # fuzz-smoke runs each native fuzz target for FUZZTIME: the exchange, the
-# sample sort and the local join kernel must stay value-identical to their
-# retained references on randomized inputs, widths, and pool states.
+# sample sort, the local join kernel and the word-keyed aggregation side
+# must stay value-identical to their retained references on randomized
+# inputs, widths, and pool states.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzExchangeParity$$' -fuzztime $(FUZZTIME) ./internal/mpc
 	$(GO) test -run '^$$' -fuzz '^FuzzSampleSortParity$$' -fuzztime $(FUZZTIME) ./internal/primitives
 	$(GO) test -run '^$$' -fuzz '^FuzzLocalJoinParity$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzSumByKeyParity$$' -fuzztime $(FUZZTIME) ./internal/primitives
 
 # contracts regenerates CONTRACTS.md from the engine registry and the
 # round-cost classifier (repolint -contracts runs standalone: under go

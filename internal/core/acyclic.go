@@ -340,11 +340,9 @@ func addColumn(d *mpc.Dist, attr relation.Attr, val relation.Value) *mpc.Dist {
 	return out
 }
 
-// withUnitAnnot copies d with all annotations set to ring.One.
+// withUnitAnnot returns d's view with all annotations set to ring.One.
 func withUnitAnnot(d *mpc.Dist, ring relation.Semiring) *mpc.Dist {
-	return d.MapLocal(d.Schema, func(_ int, it mpc.Item) []mpc.Item {
-		return []mpc.Item{{T: it.T, A: ring.One}}
-	})
+	return d.MapAnnots(func(int64) int64 { return ring.One })
 }
 
 func containsInt(xs []int, x int) bool {

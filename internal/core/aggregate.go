@@ -160,9 +160,7 @@ func CountOutput(c *mpc.Cluster, in *Instance, seed uint64) int64 {
 func CountOutputDists(q *hypergraph.Hypergraph, dists []*mpc.Dist, seed uint64) int64 {
 	ones := make([]*mpc.Dist, len(dists))
 	for i, d := range dists {
-		ones[i] = d.MapLocal(d.Schema, func(_ int, it mpc.Item) []mpc.Item {
-			return []mpc.Item{{T: it.T, A: 1}}
-		})
+		ones[i] = d.MapAnnots(nil)
 	}
 	res := linearAggroDists(q, ones, nil, relation.CountRing, seed)
 	return res.Scalar
@@ -192,9 +190,7 @@ func Aggregate(c *mpc.Cluster, in *Instance, y hypergraph.AttrSet, seed uint64, 
 	// multiplies into the first frontier.
 	fq := hypergraph.FromSchemas(frontierSchemas(res.Frontiers)...)
 	scale := res.Scalar
-	first := res.Frontiers[0].MapLocal(res.Frontiers[0].Schema, func(_ int, it mpc.Item) []mpc.Item {
-		return []mpc.Item{{T: it.T, A: in.Ring.Mul(it.A, scale)}}
-	})
+	first := res.Frontiers[0].MapAnnots(func(a int64) int64 { return in.Ring.Mul(a, scale) })
 	frontiers := append([]*mpc.Dist{first}, res.Frontiers[1:]...)
 
 	if fq.IsRHierarchical() {

@@ -55,3 +55,33 @@ func TestLocalJoinEmitAllocCeiling(t *testing.T) {
 		}
 	}
 }
+
+// TestFoldIntoAllocCeiling: folding a relation into its host indexes the
+// folded side once — a flat copy plus the pooled index arrays — and sizes
+// the result once; nothing is allocated per host row or per key. The
+// string-keyed version built one key string per row of either side; here
+// an 8× larger input must fit the same fixed budget.
+func TestFoldIntoAllocCeiling(t *testing.T) {
+	const ceiling = 16 // allocations per call, whatever the row count
+	for _, rows := range []int{500, 4000} {
+		rng := mpc.NewRng(uint64(rows))
+		host := relation.New("host", relation.NewSchema(1, 2))
+		for i := 0; i < rows; i++ {
+			host.AddAnnotated(int64(1+rng.Intn(3)), relation.Value(rng.Intn(rows/2)), relation.Value(i))
+		}
+		small := relation.New("small", relation.NewSchema(1))
+		for k := 0; k < rows/4; k++ { // half of the host's keys: the rest miss
+			small.AddAnnotated(int64(1+rng.Intn(3)), relation.Value(2*k))
+		}
+		kept := 0
+		run := func() { kept = foldInto(host, small, []relation.Attr{1}, relation.CountRing).Size() }
+		run() // warm the index pool
+		got := testing.AllocsPerRun(10, run)
+		if kept == 0 || kept == rows {
+			t.Fatalf("rows=%d: fold kept %d of %d rows — the test no longer exercises hits and misses", rows, kept, rows)
+		}
+		if got > ceiling {
+			t.Fatalf("rows=%d: foldInto allocates %.0f per call, ceiling %d — per-row allocations are back", rows, got, ceiling)
+		}
+	}
+}

@@ -27,14 +27,25 @@ const (
 // OUT/p. Each heavy key gets its own ⌈da/L0⌉ × ⌈db/L0⌉ server grid
 // (fragment-replicate), which bounds its per-server input by 2·L0 and
 // output by ~OUT/p; light keys are hashed. The result stays distributed on
-// the servers that produced it; em (optional) observes every result tuple.
+// the servers that produced it, its rows laid out as a's columns followed
+// by b's new ones; em (optional) observes every result tuple.
+//
+//lint:load frac
+//lint:rounds const
+func BinaryJoin(a, b *mpc.Dist, ring relation.Semiring, seed uint64, em mpc.Emitter) *mpc.Dist {
+	return binaryJoin(a, b, a.Schema.Union(b.Schema), ring, seed, em)
+}
+
+// binaryJoin is BinaryJoin with the result rows laid out as outSchema, any
+// order of the two schemas' union: the local join writes each row where it
+// will live, so a caller that knows the final layout (Yannakakis' last
+// step) gets parts a materializing sink can adopt as they are.
 //
 //lint:load frac trust Theorem 5: degree-threshold grids cap each server at IN/p + sqrt(IN*OUT/p)
 //lint:rounds const
-func BinaryJoin(a, b *mpc.Dist, ring relation.Semiring, seed uint64, em mpc.Emitter) *mpc.Dist {
+func binaryJoin(a, b *mpc.Dist, outSchema relation.Schema, ring relation.Semiring, seed uint64, em mpc.Emitter) *mpc.Dist {
 	c := a.C
 	shared := a.Schema.Intersect(b.Schema)
-	outSchema := a.Schema.Union(b.Schema)
 
 	// Per-key degrees on both sides, co-located by key.
 	dA := primitives.CountByKey(a, shared, seed^0x1)
@@ -111,11 +122,10 @@ func BinaryJoin(a, b *mpc.Dist, ring relation.Semiring, seed uint64, em mpc.Emit
 	// each writes only its own part — and emission runs afterwards in
 	// server order, so the emitter sees the exact serial sequence.
 	res := mpc.NewDist(c, outSchema)
-	aCore := identityPos(len(a.Schema))
 	bExtra := []relation.Attr(b.Schema.Minus(a.Schema))
 	stages := []joinStage{
-		{src: aCore, dst: aCore},
-		{keyPos: bPosKey, keyOut: aPosKey, src: rb.Positions(bExtra), dst: outSchema.Positions(bExtra)},
+		{src: identityPos(len(a.Schema)), dst: outSchema.Positions(a.Schema)},
+		{keyPos: bPosKey, keyOut: outSchema.Positions(shared), src: rb.Positions(bExtra), dst: outSchema.Positions(bExtra)},
 	}
 	inputs := []*mpc.Dist{ra, rb}
 	runtime.Fork(c.P, func(s int) {

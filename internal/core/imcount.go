@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/hypergraph"
+	"repro/internal/mpc"
 	"repro/internal/primitives"
 	"repro/internal/relation"
 )
@@ -23,13 +24,14 @@ func InMemoryJoinCount(rels []*relation.Relation) int64 {
 	if !ok {
 		panic("core: InMemoryJoinCount on cyclic subset")
 	}
-	// counts[u] maps a tuple of relation u to the number of join extensions
-	// in u's subtree.
-	counts := make([]map[string]int64, len(rels))
+	// counts[u][i] is the number of join extensions of relation u's row i in
+	// u's subtree. Counts go by row number, not by the tuple's value: equal
+	// rows of a bag are separate rows, each with its own count.
+	counts := make([][]int64, len(rels))
 	for u := range rels {
-		counts[u] = make(map[string]int64, rels[u].Size())
-		for _, t := range rels[u].Tuples {
-			counts[u][relation.EncodeTuple(t)] = 1
+		counts[u] = make([]int64, rels[u].Size())
+		for i := range counts[u] {
+			counts[u][i] = 1
 		}
 	}
 	for _, u := range tree.RemovalOrder {
@@ -38,20 +40,31 @@ func InMemoryJoinCount(rels []*relation.Relation) int64 {
 			break
 		}
 		shared := rels[u].Schema.Intersect(rels[p].Schema)
-		uPos := rels[u].Schema.Positions(shared)
 		pPos := rels[p].Schema.Positions(shared)
-		agg := make(map[string]int64)
-		for _, t := range rels[u].Tuples {
-			agg[relation.KeyAt(t, uPos)] += counts[u][relation.EncodeTuple(t)]
+		// Sum u's counts per shared key into the row that opens the key's
+		// group; a row of p multiplies in the sum of its key, 0 on a miss.
+		idx := mpc.IndexRows(flatRows(rels[u]), rels[u].Schema.Positions(shared))
+		for i, n := range counts[u] {
+			if !idx.Opens(i) {
+				continue
+			}
+			for r := idx.Next(i); r >= 0; r = idx.Next(r) {
+				n += counts[u][r]
+			}
+			counts[u][i] = n
 		}
-		for _, t := range rels[p].Tuples {
-			k := relation.EncodeTuple(t)
-			counts[p][k] *= agg[relation.KeyAt(t, pPos)]
+		for i, t := range rels[p].Tuples {
+			if j := idx.First(t, pPos); j >= 0 {
+				counts[p][i] *= counts[u][j]
+			} else {
+				counts[p][i] = 0
+			}
 		}
+		idx.Release()
 	}
 	var total int64
-	for _, t := range rels[tree.Root].Tuples {
-		total += counts[tree.Root][relation.EncodeTuple(t)]
+	for _, n := range counts[tree.Root] {
+		total += n
 	}
 	return total
 }

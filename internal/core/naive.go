@@ -59,6 +59,7 @@ func naiveJoin(a, b *relation.Relation, ring relation.Semiring) *relation.Relati
 
 	idx := make(map[string][]int, b.Size())
 	for i, t := range b.Tuples {
+		//lint:ignore repoallochygiene sequential reference
 		k := relation.KeyAt(t, bPos)
 		idx[k] = append(idx[k], i)
 	}
@@ -82,6 +83,7 @@ func naiveJoin(a, b *relation.Relation, ring relation.Semiring) *relation.Relati
 		var po probeOut
 		for i := lo; i < hi; i++ {
 			t := a.Tuples[i]
+			//lint:ignore repoallochygiene sequential reference
 			k := relation.KeyAt(t, aPos)
 			for _, j := range idx[k] {
 				bt := b.Tuples[j]
@@ -137,11 +139,13 @@ func naiveSemiJoin(a, b *relation.Relation, shared relation.Schema) *relation.Re
 	bPos := b.Schema.Positions(shared)
 	keys := make(map[string]bool, b.Size())
 	for _, t := range b.Tuples {
+		//lint:ignore repoallochygiene sequential reference
 		keys[relation.KeyAt(t, bPos)] = true
 	}
 	out := relation.New(a.Name, a.Schema)
 	out.Annots = []int64{}
 	for i, t := range a.Tuples {
+		//lint:ignore repoallochygiene sequential reference
 		if keys[relation.KeyAt(t, aPos)] {
 			out.Tuples = append(out.Tuples, t)
 			out.Annots = append(out.Annots, a.Annot(i))

@@ -188,11 +188,7 @@ func hierCase1(sub *mpc.Cluster, active []*relation.Relation, fixed hypergraph.A
 				curLightSize = 0
 			}
 			curLightSize += ina
-			srv := lightServer(curLight)
-			res := localJoin(g, ring)
-			for i, t := range res.Tuples {
-				out.Parts[srv].Append(t, res.Annot(i))
-			}
+			localJoin(&out.Parts[lightServer(curLight)], out.Schema, g, ring)
 			continue
 		}
 		heavies = append(heavies, g)

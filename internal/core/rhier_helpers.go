@@ -157,29 +157,42 @@ func reduceFold(rels []*relation.Relation, fixed hypergraph.AttrSet, ring relati
 	}
 }
 
+// flatRows copies r's rows into one flat part (one allocation per column),
+// so that mpc.IndexRows can address them by value and callers can keep what
+// they know about a tuple by row number instead of by its encoding.
+//
+//lint:alloc-ceiling
+func flatRows(r *relation.Relation) *mpc.Columns {
+	cols := new(mpc.Columns)
+	cols.Reserve(len(r.Schema), len(r.Tuples))
+	for i, t := range r.Tuples {
+		copy(cols.AppendRow(r.Annot(i)), t)
+	}
+	return cols
+}
+
 // foldInto computes host ⋈ small where small's remaining attributes are
 // keyAttrs ⊆ host's schema: host tuples keep their schema, annotations
 // multiply, misses drop.
+//
+//lint:alloc-ceiling
 func foldInto(host, small *relation.Relation, keyAttrs []relation.Attr, ring relation.Semiring) *relation.Relation {
-	sPos := small.Schema.Positions(keyAttrs)
 	hPos := host.Schema.Positions(keyAttrs)
-	idx := make(map[string]int64, small.Size())
-	for i, t := range small.Tuples {
-		k := relation.KeyAt(t, sPos)
-		if _, dup := idx[k]; dup {
-			panic("core: foldInto with duplicate keys in folded relation")
-		}
-		idx[k] = small.Annot(i)
+	idx := mpc.IndexRows(flatRows(small), small.Schema.Positions(keyAttrs))
+	defer idx.Release()
+	if idx.Groups() != small.Size() {
+		panic("core: foldInto with duplicate keys in folded relation")
 	}
 	out := relation.New(host.Name, host.Schema)
-	out.Annots = []int64{}
+	out.Tuples = make([]relation.Tuple, 0, host.Size())
+	out.Annots = make([]int64, 0, host.Size())
 	for i, t := range host.Tuples {
-		a, ok := idx[relation.KeyAt(t, hPos)]
-		if !ok {
+		j := idx.First(t, hPos)
+		if j < 0 {
 			continue
 		}
 		out.Tuples = append(out.Tuples, t)
-		out.Annots = append(out.Annots, ring.Mul(host.Annot(i), a))
+		out.Annots = append(out.Annots, ring.Mul(host.Annot(i), small.Annot(j)))
 	}
 	return out
 }
@@ -222,25 +235,22 @@ func groupByValue(rels []*relation.Relation, x relation.Attr) map[relation.Value
 	return groups
 }
 
-// localJoin joins small in-memory relations on one server.
-func localJoin(rels []*relation.Relation, ring relation.Semiring) *relation.Relation {
-	if len(rels) == 0 {
-		out := relation.New("empty", relation.Schema{})
-		out.Tuples = []relation.Tuple{{}}
-		out.Annots = []int64{ring.One}
-		return out
+// localJoin joins small in-memory relations on one server, left to right,
+// appending the result rows to out in schema's layout (schema is the union
+// of the relations' schemas, in any order): relation 0 probes, every later
+// relation is a stage of the shared kernel keyed on the attributes the
+// earlier ones bound.
+func localJoin(out *mpc.Columns, schema relation.Schema, rels []*relation.Relation, ring relation.Semiring) {
+	stages := make([]joinStage, len(rels))
+	var bound relation.Schema
+	for k, r := range rels {
+		key, extra := r.Schema.Intersect(bound), r.Schema.Minus(bound)
+		stages[k] = joinStage{part: flatRows(r),
+			keyPos: r.Schema.Positions(key), keyOut: schema.Positions(key),
+			src: r.Schema.Positions(extra), dst: schema.Positions(extra)}
+		bound = bound.Union(r.Schema)
 	}
-	acc := rels[0].Clone()
-	if acc.Annots == nil {
-		acc.Annots = make([]int64, acc.Size())
-		for i := range acc.Annots {
-			acc.Annots[i] = ring.One
-		}
-	}
-	for _, r := range rels[1:] {
-		acc = naiveJoin(acc, r, ring)
-	}
-	return acc
+	indexJoin(out, len(schema), stages, nil, ring)
 }
 
 // componentsByRoot partitions the active relations by the attribute-forest

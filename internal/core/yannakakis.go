@@ -100,9 +100,16 @@ func Yannakakis(c *mpc.Cluster, in *Instance, order []int, seed uint64, em mpc.E
 	}
 	dists := LoadInstance(c, in)
 	dists = FullReduce(in, dists)
+	// The last join writes its rows in the output schema's order, so the
+	// emission below needs no projection and a materializing sink adopts
+	// the join's parts instead of copying them.
 	acc := dists[order[0]]
 	for i := 1; i < len(order); i++ {
-		acc = BinaryJoin(acc, dists[order[i]], in.Ring, seed+uint64(7*i), nil)
+		layout := acc.Schema.Union(dists[order[i]].Schema)
+		if i == len(order)-1 {
+			layout = in.OutputSchema()
+		}
+		acc = binaryJoin(acc, dists[order[i]], layout, in.Ring, seed+uint64(7*i), nil)
 	}
 	EmitDist(acc, in.OutputSchema(), em)
 	return acc

@@ -60,7 +60,8 @@ type Job struct {
 	Emitter mpc.Emitter
 	// Materialize asks Run to collect the emitted results into
 	// Result.Table through a lock-free mpc.ShardedEmitter (per-server
-	// buffers, deterministic server-major merge order).
+	// buffers — adopted from the algorithm's own parts where those have
+	// the output layout — and a deterministic server-major merge order).
 	Materialize bool
 	// Tau overrides the line-3 heavy/light degree threshold (≤ 0 keeps the
 	// paper's balanced τ = √(OUT/IN)).
@@ -139,9 +140,14 @@ type Result struct {
 	// Verified is true when a requested OUT check ran and passed.
 	Verified bool
 	// Dist is the distributed result, when the algorithm materializes one.
+	// Read-only: Table may be a view of the same buffers.
 	Dist *mpc.Dist
-	// Table is the emitted result materialized by Job.Materialize
-	// (nil otherwise).
+	// Table is the emitted result materialized by Job.Materialize (nil
+	// otherwise), partition-major in emission order. Read-only: where the
+	// algorithm's parts already had the output layout the table adopted
+	// them, so its tuples are windows into Dist's buffers — the output is
+	// alive once. Annots is nil when every annotation is 1; read it
+	// through Annot(i).
 	Table *relation.Relation
 }
 

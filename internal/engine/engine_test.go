@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"errors"
+	stdruntime "runtime"
 	"strings"
 	"testing"
 
@@ -290,5 +291,63 @@ func TestRunContainsPanics(t *testing.T) {
 
 	if _, err := engine.RunNamed("yannakakis", engine.Job{In: good, P: -1}); !errors.Is(err, engine.ErrAborted) {
 		t.Errorf("P=-1: err = %v, want ErrAborted", err)
+	}
+}
+
+// TestMaterializedResultHoldsOneCopy pins the adopted-parts property: a
+// materializing job ends with its output alive once. The last join writes
+// its rows in the output schema's order, the table's ShardedEmitter adopts
+// those parts instead of copying them, so Result.Table and Result.Dist
+// share storage, the all-ones annotation column is never materialized, and
+// what a caller holding the Result keeps alive is the rows (8·w bytes each)
+// plus Table's tuple headers (24 bytes each) — not two more copies.
+func TestMaterializedResultHoldsOneCopy(t *testing.T) {
+	in, err := gen.Build("random", mpc.NewRng(2019), 8192, 131072)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := engine.RunNamed("yannakakis", engine.Job{In: in, P: 16, Seed: 2019, Materialize: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.OUT < 64<<10 || int64(res.Table.Size()) != res.OUT {
+		t.Fatalf("OUT = %d, table holds %d rows: want one table of at least 64 k rows", res.OUT, res.Table.Size())
+	}
+	if res.Table.Annots != nil {
+		t.Errorf("Table.Annots is materialized (%d entries) under the plain ring; nil already means all ones", len(res.Table.Annots))
+	}
+	for s := range res.Dist.Parts {
+		if part := &res.Dist.Parts[s]; part.Len() > 0 {
+			if &res.Table.Tuples[0][0] != &part.Tuple(0)[0] {
+				t.Errorf("Table's first row is a copy: it does not alias row 0 of Dist.Parts[%d]", s)
+			}
+			break
+		}
+	}
+
+	// Heap held by res: the reading with res alive minus the reading after
+	// dropping it. Two collections before the first reading empty the
+	// data plane's sync.Pools (primary, then victim), so nothing but res
+	// goes away in between.
+	heap := func() uint64 {
+		var m stdruntime.MemStats
+		stdruntime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	out, width := res.OUT, len(res.Table.Schema)
+	stdruntime.GC()
+	stdruntime.GC()
+	with := heap()
+	stdruntime.KeepAlive(res)
+	res = engine.Result{}
+	stdruntime.GC()
+	without := heap()
+	held, limit := int64(with)-int64(without), out*int64(8*width+24)*5/4
+	if held > limit {
+		t.Errorf("the Result holds %d bytes for %d rows of width %d: more than 1.25 × (8·w + 24) per row = %d — the output is alive more than once",
+			held, out, width, limit)
+	}
+	if held < out*int64(8*width) {
+		t.Errorf("the Result holds only %d bytes for %d rows of width %d: the reading does not see the table", held, out, width)
 	}
 }

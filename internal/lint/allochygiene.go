@@ -28,9 +28,16 @@ import (
 // The runtime test and the analyzer fence the same invariant from both
 // sides: AllocsPerRun catches a regression on the inputs it runs, the
 // marker catches it on every input shape at compile time.
+//
+// Marked or not, no function of a data-plane package may build a key
+// string: a call to relation.KeyAt, EncodeTuple or EncodeValues allocates
+// one string per row it is asked about, and every use such a key had —
+// grouping, deduplicating, indexing — is served by value through
+// mpc.RowIndex over the flat buffers. The sequential oracle, which shares
+// no code with the kernels it checks, suppresses the finding in place.
 var AllocHygieneAnalyzer = &analysis.Analyzer{
 	Name:     "repoallochygiene",
-	Doc:      "functions marked lint:alloc-ceiling must not allocate inside loops",
+	Doc:      "functions marked lint:alloc-ceiling must not allocate inside loops, and data-plane code must not build key strings",
 	Run:      runAllocHygiene,
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 }
@@ -67,8 +74,35 @@ func runAllocHygiene(pass *analysis.Pass) (interface{}, error) {
 		}
 		checkAllocsInLoops(pass, report, fd)
 	})
+	ins.Preorder([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node) {
+		call := n.(*ast.CallExpr)
+		if fn := calleeFunc(pass.TypesInfo, call); isKeyEncoder(fn) && !isTestFile(pass.Fset, call.Pos()) {
+			report(call.Pos(), "%s builds a key string per call in a data-plane package: address rows by value through mpc.RowIndex", fn.Name())
+		}
+	})
 	ignores.reportUnused(pass)
 	return nil, nil
+}
+
+// isKeyEncoder reports whether fn is one of the relation package's key
+// encoders. Matching is by name and shape — KeyAt, EncodeTuple or
+// EncodeValues returning a single string — not import identity, so
+// fixtures can declare their own.
+func isKeyEncoder(fn *types.Func) bool {
+	if fn == nil {
+		return false
+	}
+	switch fn.Name() {
+	case "KeyAt", "EncodeTuple", "EncodeValues":
+	default:
+		return false
+	}
+	res := fn.Type().(*types.Signature).Results()
+	if res.Len() != 1 {
+		return false
+	}
+	b, ok := res.At(0).Type().(*types.Basic)
+	return ok && b.Kind() == types.String
 }
 
 // checkAllocsInLoops walks the marked function, tracking loop depth, and

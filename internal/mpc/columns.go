@@ -116,14 +116,21 @@ func (c *Columns) AppendItem(it Item) { c.Append(it.T, it.A) }
 // allocation per column (no doubling): producers that can count their
 // output first — the local join kernel, the bulk sinks, Concat, Project —
 // reserve once and then fill rows in place with AppendRow. An empty part
-// adopts the width; a non-empty one must already have it.
+// adopts the width; a non-empty one must already have it, and when it has
+// to grow it at least doubles, like Append: a part filled by many small
+// reservations (one local join per light group) is copied O(log) times,
+// not once per reservation.
 func (c *Columns) Reserve(width, n int) {
 	c.adoptWidth(width)
-	if need := (c.rows + n) * width; need > cap(c.values) {
+	rows := c.rows + n
+	if c.rows > 0 {
+		rows = max(rows, 2*c.rows)
+	}
+	if need := rows * width; (c.rows+n)*width > cap(c.values) {
 		c.values = append(make([]relation.Value, 0, need), c.values...)
 	}
 	if c.annots != nil && c.rows+n > cap(c.annots) {
-		c.annots = append(make([]int64, 0, c.rows+n), c.annots...)
+		c.annots = append(make([]int64, 0, rows), c.annots...)
 	}
 }
 
@@ -292,6 +299,20 @@ func (c *Columns) Equal(o *Columns) bool {
 
 // hasAnnots reports whether the annotation column is materialized.
 func (c *Columns) hasAnnots() bool { return c.annots != nil }
+
+// view returns a second header over c's buffers, capacity-clamped to c's
+// rows. Parts are written only while they are built, so the two may be
+// read side by side for good, and neither can show the other a new row: an
+// append through the view reallocates, an append to c lands past the
+// view's capacity.
+func (c *Columns) view() Columns {
+	n := c.rows * c.width
+	v := Columns{width: c.width, rows: c.rows, values: c.values[:n:n]}
+	if c.annots != nil {
+		v.annots = c.annots[:c.rows:c.rows]
+	}
+	return v
+}
 
 // The exchange's per-task scratch — flat destination lists, fan-outs,
 // batch counts, write cursors — is recycled through a pool: the buffers

@@ -233,6 +233,34 @@ func (d *Dist) MapLocal(schema relation.Schema, f func(s int, it Item) []Item) *
 	return out
 }
 
+// MapAnnots returns d with row i annotated f(Annot(i)), or 1 when f is nil;
+// local, free. The result is a view: every part shares d's value buffer
+// (parts are written only while they are built) and only the annotation
+// column is new — and like every annotation column it stays absent while
+// the annotations are 1, so the all-ones view allocates nothing per part.
+func (d *Dist) MapAnnots(f func(a int64) int64) *Dist {
+	out := &Dist{C: d.C, Schema: d.Schema, Parts: make([]Columns, len(d.Parts))}
+	for s := range d.Parts {
+		src := &d.Parts[s]
+		v := src.view()
+		v.annots = nil
+		for i := 0; f != nil && i < src.rows; i++ {
+			a := f(src.Annot(i))
+			if a != 1 && v.annots == nil {
+				v.annots = make([]int64, src.rows)
+				for j := 0; j < i; j++ {
+					v.annots[j] = 1
+				}
+			}
+			if v.annots != nil {
+				v.annots[i] = a
+			}
+		}
+		out.Parts[s] = v
+	}
+	return out
+}
+
 // Project keeps the columns of schema, in schema's order; local, free,
 // columnar: every part is gathered into one exactly-sized buffer, one task
 // per part, with no item or tuple per row. Projecting onto the collection's

@@ -24,7 +24,11 @@ type Emitter interface {
 //
 // would (pos nil keeps every column), without a tuple per row: counting
 // sinks fold the annotation column, materializing sinks reserve once and
-// copy. cols is borrowed like Emit's t.
+// copy. Unlike Emit's t, cols is not merely borrowed: its buffers are never
+// written again after the call — parts are written only while they are
+// built, and a producer emits a part once it is complete — so a
+// materializing sink may keep a view of them instead of a copy, and must
+// not write through it.
 type ColumnSink interface {
 	Emitter
 	EmitColumns(server int, cols *Columns, pos []int)
@@ -228,13 +232,22 @@ func (e *ShardedEmitter) Emit(server int, t relation.Tuple, annot int64) {
 	e.parts[server].Append(t, annot)
 }
 
-// EmitColumns implements ColumnSink: one exact reservation in the
-// partition's buffer, then a block copy (projected when pos is set).
+// EmitColumns implements ColumnSink. A part that arrives in the emitted
+// layout (pos nil) at an empty partition is adopted: the partition becomes
+// a capacity-clamped view of cols' buffers, so the producer's part and the
+// collected table are one copy of the rows, and a later emission into the
+// partition reallocates on append instead of writing into the producer's
+// buffer. Everything else is one exact reservation and a block copy
+// (projected when pos is set).
 //
 //lint:alloc-ceiling
 func (e *ShardedEmitter) EmitColumns(server int, cols *Columns, pos []int) {
 	if server < 0 || server >= len(e.parts) {
 		panic("mpc: ShardedEmitter partition out of range")
+	}
+	if part := &e.parts[server]; pos == nil && part.rows == 0 {
+		*part = cols.view()
+		return
 	}
 	e.parts[server].AppendProjected(cols, pos)
 }
@@ -255,17 +268,27 @@ func (e *ShardedEmitter) N() int64 {
 }
 
 // Rel merges the buffers into one relation, partition-major; the returned
-// tuples are windows into the partitions' flat value buffers.
+// tuples are windows into the partitions' flat value buffers — which, for
+// adopted parts, are the producer's: the relation is read-only. Annots
+// stays nil (every annotation 1, as Relation.Annot reads it) unless some
+// partition materialized an annotation column.
 func (e *ShardedEmitter) Rel() *relation.Relation {
 	r := relation.New("out", e.schema)
 	n := e.N()
 	r.Tuples = make([]relation.Tuple, 0, n)
-	r.Annots = make([]int64, 0, n)
+	for s := range e.parts {
+		if e.parts[s].hasAnnots() {
+			r.Annots = make([]int64, 0, n)
+			break
+		}
+	}
 	for s := range e.parts {
 		p := &e.parts[s]
 		for i := 0; i < p.Len(); i++ {
 			r.Tuples = append(r.Tuples, p.Tuple(i))
-			r.Annots = append(r.Annots, p.Annot(i))
+			if r.Annots != nil {
+				r.Annots = append(r.Annots, p.Annot(i))
+			}
 		}
 	}
 	return r

@@ -74,6 +74,28 @@ func TestReserveAppendRowMatchesAppend(t *testing.T) {
 	if scalar.Len() != 2 || scalar.Annot(1) != 7 {
 		t.Fatal("width-0 rows must still count and carry annotations")
 	}
+
+	// A part filled by many small reservations — one local join per light
+	// group of an r-hierarchical join — must grow geometrically: exact
+	// growth copied the whole part once per reservation (quadratic; 90 s
+	// instead of 0.2 s on a 300 k-row tall-flat output at p = 1).
+	var steps Columns
+	moves, base := 0, (*relation.Value)(nil)
+	for g := 0; g < 4096; g++ {
+		steps.Reserve(2, 3)
+		for i := 0; i < 3; i++ {
+			steps.AppendRow(int64(g))[0] = relation.Value(g)
+		}
+		if p := &steps.values[0]; p != base {
+			moves, base = moves+1, p
+		}
+	}
+	if steps.Len() != 3*4096 || steps.Tuple(3 * 4095)[0] != 4095 || steps.Annot(3*4095) != 4095 {
+		t.Fatal("stepwise reservations lost rows")
+	}
+	if moves > 16 {
+		t.Fatalf("4096 small reservations moved the buffer %d times: growth is not geometric", moves)
+	}
 }
 
 // TestProjectMatchesMapLocal: the columnar projection equals the per-item
@@ -296,5 +318,85 @@ func TestReplicateAppendMatchesReplicateBy(t *testing.T) {
 	d.ReplicateAppend(byAppend) // warm the scratch pool
 	if got := testing.AllocsPerRun(10, func() { d.ReplicateAppend(byAppend) }); got > 120 {
 		t.Fatalf("ReplicateAppend allocates %.0f per run for %d rows — per-row allocations are back", got, n)
+	}
+}
+
+// TestShardedEmitterAdoptThenAppend: a part emitted in the emitted layout
+// into an empty partition is adopted — the partition reads the producer's
+// buffer — and from then on neither side can show the other a row: a later
+// Emit into the partition reallocates instead of writing into the
+// producer's spare capacity, and a row the producer appends afterwards
+// stays out of the table. The relation is value for value the one the
+// copying path collects, with Annots left nil exactly when no partition
+// materialized an annotation column. MapAnnots is the same view with the
+// annotation column replaced.
+func TestShardedEmitterAdoptThenAppend(t *testing.T) {
+	schema := relation.NewSchema(1, 2, 3)
+	for _, annotated := range []bool{false, true} {
+		rng := NewRng(5)
+		// Reserved for twice the rows: spare capacity an unclamped view
+		// would let the sink's next append write into.
+		var part Columns
+		part.Reserve(3, 80)
+		src := randomColumns(rng, 40, 3, 9, annotated)
+		part.AppendColumns(&src)
+		extra, late := relation.Tuple{-1, -2, -3}, relation.Tuple{-7, -8, -9}
+
+		adopt, copied := NewShardedEmitter(schema, 2), NewShardedEmitter(schema, 2)
+		adopt.EmitColumns(1, &part, nil)
+		if &adopt.parts[1].values[0] != &part.values[0] {
+			t.Fatalf("annotated=%v: the part was copied, not adopted", annotated)
+		}
+		adopt.Emit(1, extra, 4)
+		part.Append(late, 6) // the producer's own next row lands where extra would have
+		for i := 0; i < src.Len(); i++ {
+			copied.Emit(1, src.Tuple(i), src.Annot(i))
+		}
+		copied.Emit(1, extra, 4)
+
+		if part.Len() != 41 || !reflect.DeepEqual(part.Tuple(40), late) || part.Annot(40) != 6 {
+			t.Fatalf("annotated=%v: the sink's Emit overwrote the producer's row 40: %v/%d", annotated, part.Tuple(40), part.Annot(40))
+		}
+		for i := 0; i < 40; i++ {
+			if !reflect.DeepEqual(part.Tuple(i), src.Tuple(i)) || part.Annot(i) != src.Annot(i) {
+				t.Fatalf("annotated=%v: producer row %d changed after adoption", annotated, i)
+			}
+		}
+		got, want := adopt.Rel(), copied.Rel()
+		if got.Size() != 41 || !reflect.DeepEqual(got.Tuples, want.Tuples) {
+			t.Fatalf("annotated=%v: adopted relation differs from the copied one", annotated)
+		}
+		for i := range got.Tuples {
+			if got.Annot(i) != want.Annot(i) {
+				t.Fatalf("annotated=%v: row %d annotated %d, copying path %d", annotated, i, got.Annot(i), want.Annot(i))
+			}
+		}
+
+		// Without the extra annotated row an unannotated table has no
+		// annotation column at all.
+		plain := NewShardedEmitter(schema, 2)
+		plain.EmitColumns(0, &src, nil)
+		if rel := plain.Rel(); (rel.Annots != nil) != annotated || rel.Size() != 40 {
+			t.Fatalf("annotated=%v: Rel().Annots materialized = %v", annotated, rel.Annots != nil)
+		}
+
+		// MapAnnots: shared values, fresh annotations, lazy while they are 1.
+		d := &Dist{C: NewCluster(1), Schema: schema, Parts: []Columns{src}}
+		ones, doubled := d.MapAnnots(nil), d.MapAnnots(func(a int64) int64 { return 2 * a })
+		if &ones.Parts[0].values[0] != &src.values[0] || &doubled.Parts[0].values[0] != &src.values[0] {
+			t.Fatalf("annotated=%v: MapAnnots copied the value buffer", annotated)
+		}
+		if ones.Parts[0].hasAnnots() || d.MapAnnots(func(int64) int64 { return 1 }).Parts[0].hasAnnots() {
+			t.Fatalf("annotated=%v: the all-ones view materialized an annotation column", annotated)
+		}
+		for i := 0; i < src.Len(); i++ {
+			if ones.Parts[0].Annot(i) != 1 || doubled.Parts[0].Annot(i) != 2*src.Annot(i) {
+				t.Fatalf("annotated=%v: row %d: views carry %d and %d", annotated, i, ones.Parts[0].Annot(i), doubled.Parts[0].Annot(i))
+			}
+		}
+		doubled.Parts[0].Append(extra, 3)
+		if src.Len() != 40 || src.Annot(39) != d.Parts[0].Annot(39) {
+			t.Fatalf("annotated=%v: appending to a view reached its source", annotated)
+		}
 	}
 }

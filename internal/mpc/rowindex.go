@@ -15,10 +15,11 @@ import "repro/internal/relation"
 // Both arrays come from the exchange's int32 pool; Release returns them. A
 // built index is read-only and safe for concurrent lookups.
 type RowIndex struct {
-	cols  *Columns
-	pos   []int
-	slots []int32 // slot → first row of its group + 1; 0 = empty
-	next  []int32 // row → next row with the same key, −1 at the end of the chain
+	cols   *Columns
+	pos    []int
+	slots  []int32 // slot → first row of its group + 1; 0 = empty
+	next   []int32 // row → next row with the same key, −1 at the end of the chain
+	groups int     // distinct keys
 }
 
 // IndexRows builds the index of cols keyed by the columns pos. An empty
@@ -36,11 +37,22 @@ func IndexRows(cols *Columns, pos []int) RowIndex {
 	// group, so every chain ends up in ascending (insertion) order.
 	for i := n - 1; i >= 0; i-- {
 		slot := ix.find(cols.Tuple(i), pos)
+		if ix.slots[slot] == 0 {
+			ix.groups++
+		}
 		ix.next[i] = ix.slots[slot] - 1
 		ix.slots[slot] = int32(i) + 1
 	}
 	return ix
 }
+
+// Groups returns the number of distinct keys.
+func (ix *RowIndex) Groups() int { return ix.groups }
+
+// Opens reports whether row i is the first row of its group. Scanning the
+// rows for the ones that open a group visits the groups in first-occurrence
+// order: the hash order of the slots never reaches a caller.
+func (ix *RowIndex) Opens(i int) bool { return ix.First(ix.cols.Tuple(i), ix.pos) == i }
 
 // find returns the slot holding the group whose key equals t's projection
 // onto pos, or the empty slot where that group would go.

@@ -10,20 +10,20 @@ import (
 )
 
 // TestLookupAllocCeiling is the allocation-regression guard for the
-// columnar record pool: a steady-state Lookup allocates roughly one key
-// string per distinct key (the per-generation interning) plus the output
-// parts — never a fresh record slice, sort scratch, or per-item keys.
-// Before the pool a call at this size cost ~3 allocations per record; the
-// pooled path sits around 2.4k for 2048 distinct keys. The ceiling
-// (2·distinct + 1k) leaves room for pool misses after a GC while any
-// per-item regression overshoots it several-fold.
+// columnar record pool: a steady-state Lookup allocates its output parts
+// (grown by doubling) and per-call bookkeeping — never a fresh record
+// slice, sort scratch, or anything per probe or per key: keys are windows
+// into the record set's flat key column. Measured 308 for 8192 probes at
+// p = 16, about 19 per part; the ceiling of 32 per part leaves room for
+// pool misses after a GC, while one allocation per distinct key (2048)
+// overshoots it four-fold and one per probe sixteen-fold.
 func TestLookupAllocCeiling(t *testing.T) {
-	const n, distinct = 8192, 2048
-	const ceiling = 2*distinct + 1024
+	const n, distinct, p = 8192, 2048, 16
+	const ceiling = 32 * p
 	prev := runtime.SetParallelism(1)
 	defer runtime.SetParallelism(prev)
 
-	c := mpc.NewCluster(16)
+	c := mpc.NewCluster(p)
 	rng := rand.New(rand.NewSource(3))
 	x := relation.New("X", relation.NewSchema(1, 2))
 	for i := 0; i < n; i++ {
@@ -67,5 +67,64 @@ func TestSampleSortAllocCeiling(t *testing.T) {
 	if got > ceiling {
 		t.Fatalf("sample sort allocates %.0f per run (n=%d), ceiling %d — the sort scratch pool has regressed",
 			got, n, ceiling)
+	}
+}
+
+// aggAllocDist builds p parts of rows rows each over schema (1, 2): keys
+// from rows/4 values per part (so every key repeats), every row annotated.
+func aggAllocDist(p, rows int) *mpc.Dist {
+	d := mpc.NewDist(mpc.NewCluster(p), relation.NewSchema(1, 2))
+	rng := rand.New(rand.NewSource(int64(rows)))
+	for s := range d.Parts {
+		for i := 0; i < rows; i++ {
+			d.Parts[s].Append(relation.Tuple{relation.Value(rng.Intn(rows / 4)), relation.Value(i)}, int64(1+rng.Intn(3)))
+		}
+	}
+	return d
+}
+
+// TestSumByKeyAllocCeiling is the allocation-regression guard for the
+// word-keyed combiner: SumByKey and CountByKey allocate per part — the
+// combined parts, the shuffle's destination parts, the annotation view's
+// headers — and NEVER per row or per key. The string-keyed combiner cost
+// one key string per row plus a projected tuple and two map entries per
+// key; here an 8× larger input must fit under the same fixed per-part
+// budget.
+func TestSumByKeyAllocCeiling(t *testing.T) {
+	const p, perPart = 8, 24 // allocations allowed per part, whatever the row count
+	prev := runtime.SetParallelism(1)
+	defer runtime.SetParallelism(prev)
+	key := []relation.Attr{1}
+	for _, rows := range []int{500, 4000} {
+		d := aggAllocDist(p, rows)
+		for name, run := range map[string]func(){
+			"SumByKey":   func() { SumByKey(d, key, relation.CountRing, 7) },
+			"CountByKey": func() { CountByKey(d, key, 7) },
+		} {
+			run() // warm the index pool
+			if got := testing.AllocsPerRun(10, run); got > perPart*p {
+				t.Fatalf("rows=%d: %s allocates %.0f per run, ceiling %d — per-row or per-key allocations are back",
+					rows, name, got, perPart*p)
+			}
+		}
+	}
+}
+
+// TestDistinctByKeyAllocCeiling: the local dedup stages the rows that open
+// a group straight into the pooled record set, whose key column holds the
+// kept projections — nothing is allocated per key, only the output parts
+// (grown by doubling) and the sort's splitter sample.
+func TestDistinctByKeyAllocCeiling(t *testing.T) {
+	const p, perPart = 8, 24
+	prev := runtime.SetParallelism(1)
+	defer runtime.SetParallelism(prev)
+	for _, rows := range []int{500, 4000} {
+		d := aggAllocDist(p, rows)
+		run := func() { DistinctByKey(d, []relation.Attr{1}) }
+		run() // warm the record and index pools
+		if got := testing.AllocsPerRun(10, run); got > perPart*p {
+			t.Fatalf("rows=%d: DistinctByKey allocates %.0f per run, ceiling %d — per-key allocations are back",
+				rows, got, perPart*p)
+		}
 	}
 }

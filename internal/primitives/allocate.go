@@ -2,7 +2,6 @@ package primitives
 
 import (
 	"repro/internal/mpc"
-	"repro/internal/relation"
 )
 
 // Range is a half-open server interval [Lo, Hi) allocated to a subproblem.
@@ -17,31 +16,40 @@ func (r Range) Width() int { return r.Hi - r.Lo }
 // max_j p2(j) ≤ Σ_j p(j). Every server learns the full directory, which has
 // O(#subproblems) entries — the callers guarantee #subproblems = O(p).
 //
-// The returned map is keyed by the subproblem tuple's encoding.
+// The ranges come back in directory order (server-major, rows in part
+// order): range j belongs to the j-th subproblem tuple.
 //
 //lint:load const trust callers guarantee O(p) subproblems, so the broadcast directory has O(p) entries
 //lint:rounds const
-func AllocateServers(dir *mpc.Dist) map[string]Range {
-	out := make(map[string]Range, dir.Size())
+func AllocateServers(dir *mpc.Dist) []Range {
+	n := dir.Size()
+	var all mpc.Columns
+	out := make([]Range, 0, n)
 	offset := 0
 	for s := range dir.Parts {
 		part := &dir.Parts[s]
+		all.AppendColumns(part)
 		for i := 0; i < part.Len(); i++ {
-			k := relation.EncodeTuple(part.Tuple(i))
-			if _, dup := out[k]; dup {
-				panic("primitives: AllocateServers duplicate subproblem key")
-			}
 			w := int(part.Annot(i))
 			if w < 1 {
 				panic("primitives: AllocateServers non-positive width")
 			}
-			out[k] = Range{Lo: offset, Hi: offset + w}
+			out = append(out, Range{Lo: offset, Hi: offset + w})
 			offset += w
 		}
 	}
+	whole := make([]int, all.Width())
+	for i := range whole {
+		whole[i] = i
+	}
+	ix := mpc.IndexRows(&all, whole)
+	distinct := ix.Groups()
+	ix.Release()
+	if distinct != n {
+		panic("primitives: AllocateServers duplicate subproblem key")
+	}
 	// Gather directory to the coordinator, then broadcast: every server
 	// receives the whole directory.
-	n := dir.Size()
 	dir.C.Charge(0, n)
 	loads := make([]int, dir.C.P)
 	for i := range loads {

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/mpc"
+	"repro/internal/relation"
+	"repro/internal/runtime"
 )
 
 // FuzzSampleSortParity fuzzes the columnar rank-vector sample sort against
@@ -68,5 +70,110 @@ func FuzzSampleSortParity(f *testing.F) {
 			t.Fatalf("charges differ:\nref %+v\ngot %+v", refStats, gotStats)
 		}
 		putRecCols(rc)
+	})
+}
+
+// FuzzSumByKeyParity fuzzes the word-keyed aggregation side — SumByKey,
+// CountByKey, DistinctByKey over mpc.RowIndex and annotation views —
+// against the retained string-keyed references (serialref_test.go): random
+// part sizes (empty parts included), key widths 0–3 at non-identity
+// positions, key ranges from one heavy key to all-distinct, annotated and
+// lazy-annotation inputs, two semirings, cluster sizes, data-plane widths
+// and the record pool in both states must produce Equal parts in identical
+// per-server row order — first-occurrence order, so hash order cannot leak
+// — and identical cluster charges. The references run at width 1 with the
+// pool on. Run continuously by `make fuzz-smoke` (part of ci).
+func FuzzSumByKeyParity(f *testing.F) {
+	f.Add(int64(1), uint16(400), uint16(1), uint8(1), uint8(16), uint8(1), true, true)      // one heavy key
+	f.Add(int64(2), uint16(400), uint16(65535), uint8(2), uint8(16), uint8(2), false, true) // all distinct, lazy annotations
+	f.Add(int64(3), uint16(300), uint16(40), uint8(3), uint8(7), uint8(8), true, false)     // width-3 keys, odd p, pool off
+	f.Add(int64(4), uint16(200), uint16(9), uint8(0), uint8(5), uint8(2), true, true)       // width-0 keys: one group
+	f.Add(int64(5), uint16(0), uint16(3), uint8(1), uint8(4), uint8(1), false, false)       // empty input
+	f.Add(int64(6), uint16(3), uint16(2), uint8(2), uint8(2), uint8(3), true, true)         // tiny parts
+	f.Add(int64(7), uint16(900), uint16(250), uint8(1), uint8(16), uint8(2), false, false)  // zipf-ish, lazy
+
+	f.Fuzz(func(t *testing.T, seed int64, n, keys uint16, kw, p, width uint8, annotated, pooled bool) {
+		maxPart := int(n) % 1024
+		kk := int(keys)%(8*maxPart+1) + 1
+		kwidth := int(kw) % 4
+		pp := int(p)%16 + 1
+		b := int(width)%8 + 1
+		ring := relation.CountRing
+		if seed&1 == 1 {
+			ring = relation.MaxPlusRing
+		}
+
+		// Rows are (payload, key digits…): attribute 9 is the payload, key
+		// attribute j holds digit j of the drawn key in base 4 (the last
+		// digit takes the rest), so keys are distinct exactly when the
+		// draws are. The key attributes are listed in reverse.
+		schema := relation.NewSchema([]relation.Attr{9, 1, 2, 3}[:kwidth+1]...)
+		keyAttrs := make([]relation.Attr, kwidth)
+		for j := range keyAttrs {
+			keyAttrs[j] = relation.Attr(kwidth - j)
+		}
+		build := func() *mpc.Dist {
+			rng := rand.New(rand.NewSource(seed))
+			d := mpc.NewDist(mpc.NewCluster(pp), schema)
+			row := make(relation.Tuple, kwidth+1)
+			for s := range d.Parts {
+				for i, rows := 0, rng.Intn(maxPart+1); i < rows; i++ {
+					k := rng.Intn(1 + rng.Intn(kk)) // zipf-ish over [0, kk)
+					row[0] = relation.Value(i)
+					for j := 1; j <= kwidth; j++ {
+						if j < kwidth {
+							row[j], k = relation.Value(k%4), k/4
+						} else {
+							row[j] = relation.Value(k)
+						}
+					}
+					a := int64(1)
+					if annotated {
+						a = int64(rng.Intn(4))
+					}
+					d.Parts[s].Append(row, a)
+				}
+			}
+			return d
+		}
+
+		ops := []struct {
+			name      string
+			ref, prod func(d *mpc.Dist) *mpc.Dist
+		}{
+			{"SumByKey",
+				func(d *mpc.Dist) *mpc.Dist { return sumByKeyRef(d, keyAttrs, ring, uint64(seed)) },
+				func(d *mpc.Dist) *mpc.Dist { return SumByKey(d, keyAttrs, ring, uint64(seed)) }},
+			{"CountByKey",
+				func(d *mpc.Dist) *mpc.Dist { return countByKeyRef(d, keyAttrs, uint64(seed)) },
+				func(d *mpc.Dist) *mpc.Dist { return CountByKey(d, keyAttrs, uint64(seed)) }},
+			{"DistinctByKey",
+				func(d *mpc.Dist) *mpc.Dist { return distinctByKeyRef(d, keyAttrs) },
+				func(d *mpc.Dist) *mpc.Dist { return DistinctByKey(d, keyAttrs) }},
+		}
+		for _, op := range ops {
+			prevW, prevPool := runtime.SetParallelism(1), SetRecordPooling(true)
+			ref := build()
+			want := op.ref(ref)
+			runtime.SetParallelism(b)
+			SetRecordPooling(pooled)
+			got := build()
+			have := op.prod(got)
+			runtime.SetParallelism(prevW)
+			SetRecordPooling(prevPool)
+
+			if !want.Schema.Equal(have.Schema) {
+				t.Fatalf("%s: schema %v, reference %v", op.name, have.Schema, want.Schema)
+			}
+			for s := range want.Parts {
+				if !want.Parts[s].Equal(&have.Parts[s]) {
+					t.Fatalf("%s: part %d differs from the string-keyed reference (maxPart=%d keys=%d kw=%d p=%d b=%d annotated=%v pool=%v ring=%s)",
+						op.name, s, maxPart, kk, kwidth, pp, b, annotated, pooled, ring.Name)
+				}
+			}
+			if !reflect.DeepEqual(ref.C.Snapshot(), got.C.Snapshot()) {
+				t.Fatalf("%s: charges differ:\nref %+v\ngot %+v", op.name, ref.C.Snapshot(), got.C.Snapshot())
+			}
+		}
 	})
 }

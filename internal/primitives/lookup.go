@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/mpc"
 	"repro/internal/relation"
+	"repro/internal/runtime"
 )
 
 // LookupResult is handed to the combine callback of Lookup for every x item.
@@ -109,17 +110,14 @@ func Lookup(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.Attr
 
 // verifyDistinctDirectory panics when the staged directory records carry a
 // duplicate key. Only the empty-probe early-out needs it — the sorted path
-// detects duplicates as adjacent d records for free — so a small map over
-// encoded keys is fine here: the path charges no rounds and is off every
-// hot loop.
+// detects duplicates as adjacent d records for free — so it makes them
+// adjacent the same way: the sort alone is local and charges nothing.
 func verifyDistinctDirectory(rc *recCols) {
-	seen := make(map[string]bool, rc.len())
-	for i := 0; i < rc.len(); i++ {
-		k := relation.EncodeValues(rc.key(i)...)
-		if seen[k] {
+	sampleSortCols(rc, runtime.Parallelism())
+	for i := 1; i < rc.len(); i++ {
+		if rc.keyEq(i-1, i) {
 			panic(fmt.Sprintf("primitives: Lookup directory has duplicate key %v", rc.key(i)))
 		}
-		seen[k] = true
 	}
 }
 
@@ -181,6 +179,7 @@ func AttachAnnot(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation
 // sort-based and skew-proof. The kept item is the first in sort order; its
 // annotation is NOT combined (use SumByKey for that).
 //
+//lint:alloc-ceiling
 //lint:load perP
 //lint:rounds const
 func DistinctByKey(d *mpc.Dist, keyAttrs []relation.Attr) *mpc.Dist {
@@ -189,27 +188,23 @@ func DistinctByKey(d *mpc.Dist, keyAttrs []relation.Attr) *mpc.Dist {
 	if d.Size() == 0 {
 		return mpc.NewDist(d.C, schema)
 	}
-	// Local dedup first (combiner): at most one record per (server, key),
-	// tracked with a per-part map over the encoded key built in one shared
-	// scratch buffer (a string is allocated only per locally-distinct key).
+	// Local dedup first (combiner): at most one record per (server, key) —
+	// the rows that open a group in the part's value index. A record's key
+	// column entry is the kept projection itself, so nothing is built per
+	// key.
 	rc := getRecCols(d.Size())
-	var buf []byte
 	for s := range d.Parts {
 		part := &d.Parts[s]
-		seen := make(map[string]bool)
-		for i := 0; i < part.Len(); i++ {
-			t := part.Tuple(i)
-			buf = relation.AppendKeyAt(buf[:0], t, pos)
-			if seen[string(buf)] {
-				continue
-			}
-			seen[string(buf)] = true
-			proj := make(relation.Tuple, len(pos))
-			for j, p := range pos {
-				proj[j] = t[p]
-			}
-			rc.appendSelfKeyed(proj, 0, part.Annot(i))
+		if part.Len() == 0 {
+			continue
 		}
+		ix := mpc.IndexRows(part, pos)
+		for i := 0; i < part.Len(); i++ {
+			if ix.Opens(i) {
+				rc.appendKeyed(part.Tuple(i), pos, 0, part.Annot(i))
+			}
+		}
+		ix.Release()
 	}
 	bounds := sortAndChop(d.C, rc)
 	// Cross-chunk dedup: each server drops its first run if the previous
@@ -224,7 +219,7 @@ func DistinctByKey(d *mpc.Dist, keyAttrs []relation.Attr) *mpc.Dist {
 			if prev >= 0 && rc.keyEq(prev, i) {
 				continue
 			}
-			out.Parts[s].Append(rc.tuples[i], rc.annots[i])
+			out.Parts[s].Append(rc.key(i), rc.annots[i])
 			prev = i
 		}
 	}

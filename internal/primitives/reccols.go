@@ -77,16 +77,6 @@ func (rc *recCols) appendKeyed(t relation.Tuple, pos []int, tag uint8, a int64) 
 	rc.annots = append(rc.annots, a)
 }
 
-// appendSelfKeyed adds one record whose key is the whole tuple (the
-// DistinctByKey projection case: the kept tuple IS the key).
-func (rc *recCols) appendSelfKeyed(t relation.Tuple, tag uint8, a int64) {
-	rc.adoptKeyWidth(len(t))
-	rc.keys = append(rc.keys, t...)
-	rc.tags = append(rc.tags, tag)
-	rc.tuples = append(rc.tuples, t)
-	rc.annots = append(rc.annots, a)
-}
-
 // item assembles row i for callbacks that take items.
 func (rc *recCols) item(i int) mpc.Item { return mpc.Item{T: rc.tuples[i], A: rc.annots[i]} }
 

@@ -2,8 +2,10 @@ package primitives
 
 // The serial reference for the sample sort — the pre-parallel coordinator
 // sort over an array-of-structs record view — and the bridge that stages
-// its records into the columnar set. Test-only: the parity, fuzz and
-// benchmark tests compare sortAndChop against it.
+// its records into the columnar set; and the string-keyed references for
+// the aggregation side (sum-by-key, count-by-key, distinct-by-key as they
+// were before keys became windows into flat parts). Test-only: the parity,
+// fuzz and benchmark tests compare the production paths against them.
 
 import (
 	"encoding/binary"
@@ -69,4 +71,97 @@ func (rc *recCols) append(key string, tag uint8, t relation.Tuple, a int64) {
 	rc.tags = append(rc.tags, tag)
 	rc.tuples = append(rc.tuples, t)
 	rc.annots = append(rc.annots, a)
+}
+
+// localCombineRef is the string-keyed combiner localCombine replaced, kept
+// verbatim: two maps over relation.KeyAt, one projected tuple per key,
+// output in first-occurrence order.
+func localCombineRef(d *mpc.Dist, pos []int, schema relation.Schema, ring relation.Semiring) *mpc.Dist {
+	out := mpc.NewDist(d.C, schema)
+	for s := range d.Parts {
+		part := &d.Parts[s]
+		agg := make(map[string]int64, part.Len())
+		repr := make(map[string]relation.Tuple, part.Len())
+		var order []string
+		for i := 0; i < part.Len(); i++ {
+			t := part.Tuple(i)
+			k := relation.KeyAt(t, pos)
+			if _, ok := agg[k]; !ok {
+				agg[k] = ring.Zero
+				proj := make(relation.Tuple, len(pos))
+				for j, p := range pos {
+					proj[j] = t[p]
+				}
+				repr[k] = proj
+				order = append(order, k)
+			}
+			agg[k] = ring.Add(agg[k], part.Annot(i))
+		}
+		for _, k := range order {
+			out.Parts[s].Append(repr[k], agg[k])
+		}
+	}
+	return out
+}
+
+// sumByKeyRef is SumByKey over localCombineRef.
+func sumByKeyRef(d *mpc.Dist, keyAttrs []relation.Attr, ring relation.Semiring, salt uint64) *mpc.Dist {
+	pos := d.Positions(keyAttrs)
+	schema := relation.NewSchema(keyAttrs...)
+	partials := localCombineRef(d, pos, schema, ring)
+	shuffled := partials.ShuffleByKey(partials.Positions(keyAttrs), salt)
+	return localCombineRef(shuffled, shuffled.Positions(keyAttrs), schema, ring)
+}
+
+// countByKeyRef is CountByKey as it was: a copy of d with every annotation
+// rewritten to 1 through a per-row MapLocal closure, then summed.
+func countByKeyRef(d *mpc.Dist, keyAttrs []relation.Attr, salt uint64) *mpc.Dist {
+	ones := d.MapLocal(d.Schema, func(_ int, it mpc.Item) []mpc.Item {
+		return []mpc.Item{{T: it.T, A: 1}}
+	})
+	return sumByKeyRef(ones, keyAttrs, relation.CountRing, salt)
+}
+
+// distinctByKeyRef is DistinctByKey with the string-keyed local dedup it
+// had: a seen-map over the encoded key per part and one projected tuple
+// per locally-distinct key, staged as a self-keyed record.
+func distinctByKeyRef(d *mpc.Dist, keyAttrs []relation.Attr) *mpc.Dist {
+	pos := d.Positions(keyAttrs)
+	schema := relation.NewSchema(keyAttrs...)
+	if d.Size() == 0 {
+		return mpc.NewDist(d.C, schema)
+	}
+	rc := getRecCols(d.Size())
+	for s := range d.Parts {
+		part := &d.Parts[s]
+		seen := make(map[string]bool)
+		for i := 0; i < part.Len(); i++ {
+			t := part.Tuple(i)
+			k := relation.KeyAt(t, pos)
+			if seen[k] {
+				continue
+			}
+			seen[k] = true
+			proj := make(relation.Tuple, len(pos))
+			for j, p := range pos {
+				proj[j] = t[p]
+			}
+			rc.append(k, 0, proj, part.Annot(i))
+		}
+	}
+	bounds := sortAndChop(d.C, rc)
+	chargeCoordinatorExchange(d.C)
+	out := mpc.NewDist(d.C, schema)
+	prev := -1
+	for s := 0; s < d.C.P; s++ {
+		for i := bounds[s]; i < bounds[s+1]; i++ {
+			if prev >= 0 && rc.keyEq(prev, i) {
+				continue
+			}
+			out.Parts[s].Append(rc.tuples[i], rc.annots[i])
+			prev = i
+		}
+	}
+	putRecCols(rc)
+	return out
 }

@@ -25,42 +25,45 @@ func SumByKey(d *mpc.Dist, keyAttrs []relation.Attr, ring relation.Semiring, sal
 }
 
 // CountByKey returns the degree of every key: one item per distinct key,
-// annotated with the number of matching items (annotations ignored).
+// annotated with the number of matching items (annotations ignored — the
+// sum runs over d's all-ones view, which shares d's value buffers).
 //
 //lint:load perP
 //lint:rounds const
 func CountByKey(d *mpc.Dist, keyAttrs []relation.Attr, salt uint64) *mpc.Dist {
-	ones := d.MapLocal(d.Schema, func(_ int, it mpc.Item) []mpc.Item {
-		return []mpc.Item{{T: it.T, A: 1}}
-	})
-	return SumByKey(ones, keyAttrs, relation.CountRing, salt)
+	return SumByKey(d.MapAnnots(nil), keyAttrs, relation.CountRing, salt)
 }
 
-// localCombine aggregates per server: one output item per (server, key).
+// localCombine aggregates per server: one output row per (server, key), in
+// the order the keys first occur in the part. Keys are never built: the
+// part is indexed by value (mpc.IndexRows), every row that opens a group
+// folds its group's chain with ring.Add in row order, and the combined rows
+// are written in place into one exactly-sized part.
+//
+//lint:alloc-ceiling
 func localCombine(d *mpc.Dist, pos []int, schema relation.Schema, ring relation.Semiring) *mpc.Dist {
 	out := mpc.NewDist(d.C, schema)
 	for s := range d.Parts {
 		part := &d.Parts[s]
-		agg := make(map[string]int64, part.Len())
-		repr := make(map[string]relation.Tuple, part.Len())
-		var order []string
+		if part.Len() == 0 {
+			continue
+		}
+		ix := mpc.IndexRows(part, pos)
+		out.Parts[s].Reserve(len(pos), ix.Groups())
 		for i := 0; i < part.Len(); i++ {
-			t := part.Tuple(i)
-			k := relation.KeyAt(t, pos)
-			if _, ok := agg[k]; !ok {
-				agg[k] = ring.Zero
-				proj := make(relation.Tuple, len(pos))
-				for j, p := range pos {
-					proj[j] = t[p]
-				}
-				repr[k] = proj
-				order = append(order, k)
+			if !ix.Opens(i) {
+				continue
 			}
-			agg[k] = ring.Add(agg[k], part.Annot(i))
+			sum := ring.Zero
+			for r := i; r >= 0; r = ix.Next(r) {
+				sum = ring.Add(sum, part.Annot(r))
+			}
+			t, row := part.Tuple(i), out.Parts[s].AppendRow(sum)
+			for j, p := range pos {
+				row[j] = t[p]
+			}
 		}
-		for _, k := range order {
-			out.Parts[s].Append(repr[k], agg[k])
-		}
+		ix.Release()
 	}
 	return out
 }

@@ -29,18 +29,6 @@ func KeyAt(t Tuple, pos []int) string {
 	return string(buf)
 }
 
-// AppendKeyAt appends the key encoding of t's projection onto pos to dst
-// and returns the extended slice. Interning layers use it to build keys in
-// a reusable buffer, allocating a string only for keys not seen before.
-func AppendKeyAt(dst []byte, t Tuple, pos []int) []byte {
-	var scratch [8]byte
-	for _, p := range pos {
-		binary.BigEndian.PutUint64(scratch[:], uint64(t[p])^(1<<63))
-		dst = append(dst, scratch[:]...)
-	}
-	return dst
-}
-
 // DecodeKey decodes a key back into values. It panics on malformed input:
 // keys only ever come from the encoders above.
 func DecodeKey(k string) []Value {
