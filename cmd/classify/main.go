@@ -141,7 +141,7 @@ func describe(q *hypergraph.Hypergraph) {
 	fmt.Printf("class: %s\n", cls)
 	if a, err := engine.Auto(q); err == nil {
 		fmt.Printf("engine dispatch: %s (bound %s; declared rounds %s, load %s)\n",
-			a.Name(), engine.BoundOf(a), engine.RoundClassOf(a), engine.LoadClassOf(a))
+			a.Name(), a.Bound(), a.RoundClass(), a.LoadClass())
 		printStaticClasses(a.Name())
 	}
 	printCostDispatch(q)

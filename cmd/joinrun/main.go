@@ -76,8 +76,9 @@ func main() {
 	printScorecard(res.Candidates)
 	fmt.Printf("  comm: total = %d tuples   exchanges = %d (%d tuples batched, %d active destinations)\n",
 		res.TotalComm, res.Exchange.Exchanges, res.Exchange.Tuples, res.Exchange.ActiveDests)
-	fmt.Printf("  bounds: linear IN/p = %.0f   Yannakakis IN/p+OUT/p = %.0f   paper IN/p+√(IN·OUT/p) = %.0f\n",
-		stats.Linear(in.IN(), *p), stats.Yannakakis(in.IN(), out, *p), stats.Acyclic(in.IN(), out, *p))
+	fmt.Printf("  bounds: linear IN/p = %.0f   Yannakakis %s = %.0f   paper %s = %.0f\n",
+		stats.Linear(in.IN(), *p), stats.YannakakisFormula, stats.Yannakakis(in.IN(), out, *p),
+		stats.AcyclicFormula, stats.Acyclic(in.IN(), out, *p))
 }
 
 // printScorecard renders the ranked dispatch candidates of an auto run

@@ -83,6 +83,7 @@ func main() {
 	for _, r := range results {
 		fmt.Printf("%-40s load L = %6d\n", r.name, r.load)
 	}
-	fmt.Printf("\nbounds: linear IN/p = %.0f, Yannakakis IN/p+OUT/p = %.0f, paper IN/p+√(IN·OUT/p) = %.0f\n",
-		stats.Linear(in.IN(), p), stats.Yannakakis(in.IN(), want, p), stats.Acyclic(in.IN(), want, p))
+	fmt.Printf("\nbounds: linear IN/p = %.0f, Yannakakis %s = %.0f, paper %s = %.0f\n",
+		stats.Linear(in.IN(), p), stats.YannakakisFormula, stats.Yannakakis(in.IN(), want, p),
+		stats.AcyclicFormula, stats.Acyclic(in.IN(), want, p))
 }

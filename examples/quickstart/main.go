@@ -43,8 +43,8 @@ func main() {
 	fmt.Printf("IN = %d tuples, OUT = %d results, p = 16 servers\n", in.IN(), res.OUT)
 	fmt.Printf("%s measured load L = %d in %d rounds (tracks %s)\n",
 		res.Algorithm, res.Load, res.Rounds, res.Bound)
-	fmt.Printf("paper bound IN/p + sqrt(IN*OUT/p) = %.0f\n", stats.Acyclic(in.IN(), res.OUT, 16))
-	fmt.Printf("Yannakakis would pay up to IN/p + OUT/p = %.0f\n", stats.Yannakakis(in.IN(), res.OUT, 16))
+	fmt.Printf("paper bound %s = %.0f\n", stats.AcyclicFormula, stats.Acyclic(in.IN(), res.OUT, 16))
+	fmt.Printf("Yannakakis would pay up to %s = %.0f\n", stats.YannakakisFormula, stats.Yannakakis(in.IN(), res.OUT, 16))
 	if res.Verified {
 		fmt.Println("verified against the sequential oracle ✓")
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -11,80 +12,55 @@ import (
 	"repro/internal/stats"
 )
 
-// dispatch is the paper's Figure 1 hierarchy as routing logic: for each
-// class, the algorithm preference order, most specialized (cheapest
-// guarantee) first. The candidate set for a query is exactly this list;
-// cost-based dispatch (AutoCost) ranks the candidates by predicted
-// per-server load and the list order is the deterministic tiebreak, so
-// shape-restricted entries (hypercube for products, line3 for chains,
-// triangle) win ties against the class-general ones when the query
-// matches their shape.
-//
-//	tall-flat      → one-round BinHC (instance-optimal in one round, [26])
-//	hierarchical   → HyperCube on products (eq. 1), else RHier (§3.2)
-//	r-hierarchical → RHier (IN/p + L_instance, Thm 3)
-//	acyclic        → Line3 on chains, else AcyclicJoin (§5.1, Thm 7)
-//	cyclic         → HyperCube triangle (§7), else the sequential oracle
-var dispatch = map[hypergraph.Class][]string{
-	hypergraph.TallFlat:      {"binhc", "rhier", "acyclic", "yannakakis"},
-	hypergraph.Hierarchical:  {"hypercube", "rhier", "acyclic", "yannakakis"},
-	hypergraph.RHierarchical: {"rhier", "acyclic", "yannakakis"},
-	hypergraph.Acyclic:       {"line3", "acyclic", "yannakakis"},
-	hypergraph.Cyclic:        {"triangle", "naive"},
-}
-
 // Candidate is one dispatch candidate's scorecard: what the dispatcher
 // predicted for it, or why it could not run. Result.Candidates carries the
 // ranked list so mispredictions are visible next to the measured load.
 type Candidate struct {
-	// Name is the registry name of the candidate.
+	// Name is the catalog name of the candidate.
 	Name string
 	// Predicted is the predicted per-server load (+Inf for candidates that
 	// cannot run, 0 when dispatch ran without statistics).
 	Predicted float64
 	// PredictedBy names the stats formula behind Predicted.
 	PredictedBy string
-	// Rejected is why the candidate cannot run ("" when it can): the
-	// registry has no algorithm under the name, or Applies rejects the
-	// query's shape.
+	// Rejected is why the candidate cannot run ("" when it can): Applies
+	// rejects the query's shape.
 	Rejected string
+
+	spec *Spec
 }
 
-// candidates scores every dispatch-list entry for q: runnable candidates
-// get a prediction from pred (nil means "no statistics" — every runnable
-// candidate predicts 0 and the ranking degenerates to the preference
-// order), rejected ones record why. The returned list is ranked: runnable
-// candidates by ascending predicted load, exact load ties by declared
-// round class (cost mode only — without statistics the round class must
-// not override the preference order), and what remains tied falls to the
-// Figure 1 preference order (the sort is stable); rejected candidates
-// follow in preference order.
+// candidates scores every catalog entry listing q's class: runnable
+// candidates get a prediction from pred (nil means "no statistics" — every
+// runnable candidate predicts 0 and the ranking degenerates to the
+// preference order), rejected ones record why. The returned list is
+// ranked: runnable candidates by ascending predicted load, exact load ties
+// by declared round class (cost mode only — without statistics the round
+// class must not override the preference order), and what remains tied
+// falls to the catalog's preference order (the sort is stable); rejected
+// candidates follow in preference order.
 func candidates(q *hypergraph.Hypergraph, pred func(Algorithm) (float64, string)) []Candidate {
 	cls := q.Classify()
-	names := dispatch[cls]
-	out := make([]Candidate, 0, len(names))
-	rank := make(map[string]int, len(names)) // round-class rank per runnable candidate
-	for _, name := range names {
-		c := Candidate{Name: name, Predicted: math.Inf(1)}
-		a, ok := Lookup(name)
+	out := make([]Candidate, 0, 4) // the longest Figure 1 row
+	for _, a := range registered() {
+		if !slices.Contains(a.classes, cls) {
+			continue
+		}
+		c := Candidate{Name: a.name, Predicted: math.Inf(1), spec: a}
 		switch {
-		case !ok:
-			c.Rejected = "not registered"
-		case !a.Applies(q):
+		case !a.applies(q):
 			c.Rejected = "Applies rejects the query"
-		default:
+		case pred == nil:
 			c.Predicted = 0
-			if pred != nil {
-				c.Predicted, c.PredictedBy = pred(a)
-				if math.IsNaN(c.Predicted) || c.Predicted < 0 {
-					// The stats contract says this cannot happen; if an
-					// external predictor breaks it anyway, rank last
-					// deterministically instead of letting NaN poison
-					// the argmin (NaN compares false against everything).
-					c.Predicted = math.Inf(1)
-				}
+		default:
+			c.Predicted, c.PredictedBy = pred(a)
+			if math.IsNaN(c.Predicted) || c.Predicted < 0 {
+				// The stats contract says this cannot happen; if a
+				// predictor breaks it anyway, rank last deterministically
+				// instead of letting NaN poison the argmin (NaN compares
+				// false against everything).
+				c.Predicted = math.Inf(1)
 			}
-			rank[name] = roundRank(RoundClassOf(a))
 		}
 		out = append(out, c)
 	}
@@ -99,7 +75,7 @@ func candidates(q *hypergraph.Hypergraph, pred func(Algorithm) (float64, string)
 		if out[i].Predicted != out[j].Predicted {
 			return out[i].Predicted < out[j].Predicted
 		}
-		return pred != nil && rank[out[i].Name] < rank[out[j].Name]
+		return pred != nil && roundRank(out[i].spec.rounds) < roundRank(out[j].spec.rounds)
 	})
 	return out
 }
@@ -121,20 +97,20 @@ func roundRank(class string) int {
 	}
 }
 
-// noCoverError reports a dispatch failure with the full scorecard: which
-// candidates were tried and why each was rejected, so a mis-registered
-// adapter is visible from the message alone.
-func noCoverError(q *hypergraph.Hypergraph, cands []Candidate) error {
-	cls := q.Classify()
-	if len(cands) == 0 {
-		return fmt.Errorf("engine: no dispatch entry for class %s (query %v)", cls, q)
+// pick ranks q's candidates and returns the first runnable one with the
+// scorecard, or an error carrying the full scorecard: which candidates
+// were tried and why each was rejected.
+func pick(q *hypergraph.Hypergraph, pred func(Algorithm) (float64, string)) (Algorithm, []Candidate, error) {
+	cands := candidates(q, pred)
+	if len(cands) > 0 && cands[0].Rejected == "" {
+		return cands[0].spec, cands, nil
 	}
 	parts := make([]string, len(cands))
 	for i, c := range cands {
 		parts[i] = fmt.Sprintf("%s: %s", c.Name, c.Rejected)
 	}
-	return fmt.Errorf("engine: no registered algorithm covers %v (class %s); candidates tried: %s",
-		q, cls, strings.Join(parts, "; "))
+	return nil, cands, fmt.Errorf("engine: no registered algorithm covers %v (class %s); candidates tried: %s",
+		q, q.Classify(), strings.Join(parts, "; "))
 }
 
 // Auto returns the algorithm the engine routes q to when no statistics
@@ -144,14 +120,8 @@ func noCoverError(q *hypergraph.Hypergraph, cands []Candidate) error {
 // dispatch through AutoCost (or AutoRun), which ranks the same candidates
 // by predicted load.
 func Auto(q *hypergraph.Hypergraph) (Algorithm, error) {
-	cands := candidates(q, nil)
-	for _, c := range cands {
-		if c.Rejected == "" {
-			a, _ := Lookup(c.Name)
-			return a, nil
-		}
-	}
-	return nil, noCoverError(q, cands)
+	a, _, err := pick(q, nil)
+	return a, err
 }
 
 // AutoCost is cost-based dispatch: it scores every candidate whose
@@ -171,37 +141,21 @@ func AutoCost(in *core.Instance, p int, outEst int64) (Algorithm, []Candidate, e
 	if outEst < 0 {
 		outEst = EstimateOut(in)
 	}
-	cands := candidates(in.Q, func(a Algorithm) (float64, string) {
+	return pick(in.Q, func(a Algorithm) (float64, string) {
 		return PredictLoad(a, in, outEst, p)
 	})
-	for _, c := range cands {
-		if c.Rejected == "" {
-			a, _ := Lookup(c.Name)
-			return a, cands, nil
-		}
-	}
-	return nil, cands, noCoverError(in.Q, cands)
 }
 
 // PredictLoad predicts the per-server load of running a on in at cluster
 // width p, assuming the run emits outEst results: the stats formula for
-// the algorithm's declared bound where the catalog has one (hypercube's
-// eq. 1 is evaluated over the actual relation sizes), and the
-// load-class-seeded fallback for algorithms registered outside the
-// catalog. The returned value is finite for every IN ≥ 0, OUT ≥ 0.
+// the algorithm's declared bound, sharpened by the entry's own refinement
+// where it has one (hypercube's eq. 1 is evaluated over the actual
+// relation sizes). The returned value is finite for every IN ≥ 0, OUT ≥ 0.
 func PredictLoad(a Algorithm, in *core.Instance, outEst int64, p int) (float64, string) {
-	name, inSize := a.Name(), in.IN()
-	if name == "hypercube" && len(in.Rels) <= stats.MaxCartesianRelations {
-		sizes := make([]int, len(in.Rels))
-		for i, r := range in.Rels {
-			sizes[i] = r.Size()
-		}
-		return stats.CartesianLower(sizes, p), "L_cartesian(p,R) (eq. 1)"
+	pr, _ := stats.Predict(a.name, in.IN(), outEst, p) // Register checked the row exists
+	if a.refine != nil {
+		pr.Load = a.refine(in, p, pr.Load)
 	}
-	if pr, ok := stats.Predict(name, inSize, outEst, p); ok {
-		return pr.Load, pr.Formula
-	}
-	pr := stats.PredictClass(LoadClassOf(a), inSize, outEst, p)
 	return pr.Load, pr.Formula
 }
 

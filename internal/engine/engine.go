@@ -1,6 +1,6 @@
 // Package engine is the repository's unified execution surface: every join
-// algorithm in internal/core is wrapped as an Algorithm, published in a
-// registry, and selected per query by cost-based dispatch. Callers
+// algorithm in internal/core is one Spec in an ordered catalog, selected
+// per query by cost-based dispatch. Callers
 // describe WHAT to run with a Job and read the measurement back as a
 // Result; they never touch clusters, emitters or per-algorithm signatures
 // directly.
@@ -8,7 +8,7 @@
 // The paper's Figure 1 hierarchy (tall-flat ⊂ hierarchical ⊂
 // r-hierarchical ⊂ acyclic) is executable here: classification names the
 // candidate set, and AutoCost ranks the candidates by predicted
-// per-server load — each adapter's repoload-verified load class refined
+// per-server load — each entry's repoload-verified load class refined
 // by the stats formula for its declared bound — picking the argmin, with
 // the Figure 1 preference order as the deterministic tiebreak. Auto is
 // the statistics-free projection (preference order alone), and every
@@ -26,17 +26,6 @@ import (
 	"repro/internal/mpc"
 	"repro/internal/relation"
 )
-
-// Algorithm is one join algorithm behind the unified API. Applies reports
-// whether the algorithm's guarantee covers the query (shape and class
-// checks only — never data); Run executes it on the job's cluster, emitting
-// every result through the job's emitter, and returns the distributed
-// result (nil for algorithms that do not materialize one).
-type Algorithm interface {
-	Name() string
-	Applies(q *hypergraph.Hypergraph) bool
-	Run(job Job) (*mpc.Dist, error)
-}
 
 // Job describes one execution: the instance plus every knob an algorithm
 // can take. Zero values select defaults (P=DefaultP, the instance's
@@ -166,10 +155,11 @@ func (job Job) instance() *core.Instance {
 	return &cp
 }
 
-// ErrAborted wraps every panic raised below Run — an invariant one of the
-// algorithms, primitives or the simulator refuses to continue past (a
-// duplicate directory key, an oversized charge, a schema mismatch) — so a
-// bad Job costs its caller an error naming the job, not the process.
+// ErrAborted wraps every panic raised below the job boundary — an
+// invariant one of the algorithms, primitives or the simulator refuses to
+// continue past (a duplicate directory key, an oversized charge, a schema
+// mismatch, an instance with fewer relations than edges) — so a bad Job
+// costs its caller an error naming the job, not the process.
 var ErrAborted = errors.New("job aborted")
 
 // Run executes a on a fresh cluster sized per job and measures it. The
@@ -177,26 +167,70 @@ var ErrAborted = errors.New("job aborted")
 // completed, only the check failed. A panic below Run (runtime.Fork
 // re-raises its workers' on this goroutine, stack attached) comes back as
 // an error wrapping ErrAborted.
-func Run(a Algorithm, job Job) (res Result, err error) {
-	if job.In == nil {
-		return Result{}, fmt.Errorf("engine: job has no instance")
+func Run(a Algorithm, job Job) (Result, error) {
+	if a == nil {
+		return Result{}, errors.New("engine: Run with no algorithm")
 	}
+	return execute(a, job)
+}
+
+// RunNamed looks the algorithm up in the catalog and runs it.
+func RunNamed(name string, job Job) (Result, error) {
+	a, ok := Lookup(name)
+	if !ok {
+		return Result{}, fmt.Errorf("engine: unknown algorithm %q (have %v)", name, Names())
+	}
+	return execute(a, job)
+}
+
+// AutoRun dispatches the job's query through cost-based dispatch
+// (AutoCost) and runs the argmin candidate: the whole engine API in one
+// call. The Result carries the ranked candidate scorecard alongside the
+// predicted and measured loads, so mispredictions are visible to every
+// caller. Dispatch runs inside the job boundary: an instance it cannot
+// price aborts like one an algorithm cannot run, with "dispatch" in the
+// algorithm's place.
+func AutoRun(job Job) (Result, error) {
+	return execute(nil, job)
+}
+
+// execute is the one job boundary: it chooses the algorithm (a, or
+// AutoCost's pick when a is nil), prices it, runs it on a fresh cluster
+// and measures it, and holds the package's only recover.
+func execute(a Algorithm, job Job) (res Result, err error) {
+	if job.In == nil {
+		return Result{}, errors.New("engine: job has no instance")
+	}
+	var cands []Candidate
 	defer func() {
 		if r := recover(); r != nil {
-			res = Result{Algorithm: a.Name()}
+			who := "dispatch"
+			res = Result{Candidates: cands}
+			if a != nil {
+				who, res.Algorithm = a.name, a.name
+			}
 			err = fmt.Errorf("engine: %s: %w (P=%d Seed=%d query %v): %v",
-				a.Name(), ErrAborted, job.P, job.Seed, job.In.Q, r)
+				who, ErrAborted, job.P, job.Seed, job.In.Q, r)
 		}
 	}()
 	if job.P < 0 {
 		panic("engine: negative cluster size")
 	}
-	if !a.Applies(job.In.Q) {
-		return Result{}, fmt.Errorf("engine: %s does not apply to %v (class %s)",
-			a.Name(), job.In.Q, job.In.Q.Classify())
-	}
 	if job.P == 0 {
 		job.P = DefaultP
+	}
+	if a != nil && !a.applies(job.In.Q) {
+		return Result{}, fmt.Errorf("engine: %s does not apply to %v (class %s)",
+			a.name, job.In.Q, job.In.Q.Classify())
+	}
+	outEst, predicted, predictedBy := outEstimate(job), 0.0, ""
+	if a != nil {
+		predicted, predictedBy = PredictLoad(a, job.In, outEst, job.P)
+	} else {
+		if a, cands, err = AutoCost(job.In, job.P, outEst); err != nil {
+			return Result{Candidates: cands}, err
+		}
+		predicted, predictedBy = cands[0].Predicted, cands[0].PredictedBy
 	}
 	job.In = job.instance()
 	job.Ring = nil
@@ -217,21 +251,21 @@ func Run(a Algorithm, job Job) (res Result, err error) {
 	}
 	job.Emitter = sinks
 
-	dist, err := a.Run(job)
+	dist, err := a.run(job)
 	if err != nil {
-		return Result{Algorithm: a.Name()}, fmt.Errorf("engine: %s: %w", a.Name(), err)
+		return Result{Algorithm: a.name, Candidates: cands}, fmt.Errorf("engine: %s: %w", a.name, err)
 	}
-	predicted, predictedBy := PredictLoad(a, job.In, outEstimate(job), job.P)
 	res = Result{
-		Algorithm:   a.Name(),
+		Algorithm:   a.name,
 		OUT:         counter.N,
 		Annot:       counter.AnnotSum,
 		Load:        job.Cluster.MaxLoad(),
 		Rounds:      job.Cluster.Rounds(),
-		Bound:       BoundOf(a),
-		LoadClass:   LoadClassOf(a),
+		Bound:       a.bound,
+		LoadClass:   a.load,
 		Predicted:   predicted,
 		PredictedBy: predictedBy,
+		Candidates:  cands,
 		TotalComm:   job.Cluster.TotalComm(),
 		Exchange:    job.Cluster.Exchange(),
 		Dist:        dist,
@@ -242,8 +276,8 @@ func Run(a Algorithm, job Job) (res Result, err error) {
 	want, check := job.Want, job.CheckWant
 	// CheckOracle stands down for non-full-join algorithms (scalar and
 	// aggregate emissions are not the full join's cardinality).
-	if job.CheckOracle && IsFullJoin(a) {
-		if isOracle(a) {
+	if job.CheckOracle && a.fullJoin {
+		if a.oracle {
 			// The algorithm IS the oracle; re-running the sequential join
 			// would verify it against itself at double the dominant cost.
 			res.Verified = true
@@ -254,7 +288,7 @@ func Run(a Algorithm, job Job) (res Result, err error) {
 	if check {
 		if res.OUT != want {
 			return res, fmt.Errorf("engine: %s: %w: emitted %d results, oracle says %d",
-				a.Name(), ErrVerify, res.OUT, want)
+				a.name, ErrVerify, res.OUT, want)
 		}
 		res.Verified = true
 	}
@@ -265,30 +299,13 @@ func Run(a Algorithm, job Job) (res Result, err error) {
 // canonical output schema for full-join algorithms, the group-by schema
 // for aggregates, and the empty schema for scalar emissions.
 func emitSchema(a Algorithm, job Job) relation.Schema {
-	if IsFullJoin(a) {
+	if a.fullJoin {
 		return job.In.OutputSchema()
 	}
 	if len(job.GroupBy) > 0 {
 		return job.GroupBy.Schema()
 	}
 	return relation.Schema{}
-}
-
-// isOracle reports whether a declares itself the verification oracle.
-func isOracle(a Algorithm) bool {
-	if o, ok := a.(interface{ Oracle() bool }); ok {
-		return o.Oracle()
-	}
-	return false
-}
-
-// RunNamed looks the algorithm up in the registry and runs it.
-func RunNamed(name string, job Job) (Result, error) {
-	a, ok := Lookup(name)
-	if !ok {
-		return Result{}, fmt.Errorf("engine: unknown algorithm %q (have %v)", name, Names())
-	}
-	return Run(a, job)
 }
 
 // outEstimate is the OUT the dispatcher predicts with: the caller-known
@@ -300,53 +317,4 @@ func outEstimate(job Job) int64 {
 		return job.Want
 	}
 	return EstimateOut(job.In)
-}
-
-// AutoRun dispatches the job's query through cost-based dispatch
-// (AutoCost) and runs the argmin candidate: the whole engine API in one
-// call. The Result carries the ranked candidate scorecard alongside the
-// predicted and measured loads, so mispredictions are visible to every
-// caller.
-func AutoRun(job Job) (Result, error) {
-	if job.In == nil {
-		return Result{}, fmt.Errorf("engine: job has no instance")
-	}
-	a, cands, err := AutoCost(job.In, job.P, outEstimate(job))
-	if err != nil {
-		return Result{Candidates: cands}, err
-	}
-	res, err := Run(a, job)
-	res.Candidates = cands
-	return res, err
-}
-
-// BoundOf names the load bound a tracks, or "" when the algorithm does not
-// declare one.
-func BoundOf(a Algorithm) string {
-	if b, ok := a.(interface{ Bound() string }); ok {
-		return b.Bound()
-	}
-	return ""
-}
-
-// RoundClassOf returns a's declared round class (zero, const, log, or
-// loop), or "" when the algorithm does not implement the optional
-// RoundClass method. The repobound analyzer verifies the declaration
-// statically; the harness checks it against observed Result.Rounds.
-func RoundClassOf(a Algorithm) string {
-	if r, ok := a.(interface{ RoundClass() string }); ok {
-		return r.RoundClass()
-	}
-	return ""
-}
-
-// LoadClassOf returns a's declared load class (perP, frac, or linear), or
-// "" when the algorithm does not implement the optional LoadClass method.
-// The repoload analyzer verifies the declaration statically; the harness
-// checks it against observed Result.Load scaling across cluster widths.
-func LoadClassOf(a Algorithm) string {
-	if l, ok := a.(interface{ LoadClass() string }); ok {
-		return l.LoadClass()
-	}
-	return ""
 }

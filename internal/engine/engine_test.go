@@ -227,23 +227,10 @@ func TestRunRejectsInapplicable(t *testing.T) {
 	}
 }
 
-// TestRegistry covers lookup misses and the sorted name list.
+// TestRegistry covers the misses; TestCatalog pins what is there.
 func TestRegistry(t *testing.T) {
 	if _, ok := engine.Lookup("no-such-algorithm"); ok {
 		t.Error("Lookup invented an algorithm")
-	}
-	names := engine.Names()
-	for _, want := range []string{"acyclic", "binhc", "count", "hypercube", "line3",
-		"line3wc", "naive", "rhier", "triangle", "yannakakis", "aggregate"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("registry missing %q (have %v)", want, names)
-		}
 	}
 	if _, err := engine.RunNamed("no-such-algorithm", engine.Job{}); err == nil {
 		t.Error("RunNamed on unknown name must fail")
@@ -283,6 +270,30 @@ func TestRunContainsPanics(t *testing.T) {
 				t.Errorf("width %d, %s: aborted run returned %+v", width, name, res)
 			}
 		}
+		// A malformed instance (fewer relations than edges) fails while
+		// dispatch prices it — inside the same boundary, before any
+		// algorithm is chosen — or in the named algorithm.
+		short := engine.Job{In: &core.Instance{Q: hypergraph.Line3()}, P: 8, Seed: 7}
+		for _, c := range []struct {
+			who, algo string
+			run       func(engine.Job) (engine.Result, error)
+		}{
+			{"dispatch", "", engine.AutoRun},
+			{"yannakakis", "yannakakis", func(j engine.Job) (engine.Result, error) { return engine.RunNamed("yannakakis", j) }},
+		} {
+			res, err := c.run(short)
+			if !errors.Is(err, engine.ErrAborted) {
+				t.Fatalf("width %d, %s on a short instance: err = %v, want ErrAborted", width, c.who, err)
+			}
+			for _, want := range []string{c.who, "P=8", "Seed=7", short.In.Q.String()} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("width %d, %s: error does not name %q: %v", width, c.who, want, err)
+				}
+			}
+			if res.Algorithm != c.algo || res.OUT != 0 {
+				t.Errorf("width %d, %s: aborted run returned %+v", width, c.who, res)
+			}
+		}
 		if res, err := engine.RunNamed("yannakakis", engine.Job{In: good, P: 8, CheckOracle: true}); err != nil || !res.Verified {
 			t.Errorf("width %d: good job after aborted ones: verified=%v err=%v", width, res.Verified, err)
 		}
@@ -291,6 +302,9 @@ func TestRunContainsPanics(t *testing.T) {
 
 	if _, err := engine.RunNamed("yannakakis", engine.Job{In: good, P: -1}); !errors.Is(err, engine.ErrAborted) {
 		t.Errorf("P=-1: err = %v, want ErrAborted", err)
+	}
+	if _, err := engine.Run(nil, engine.Job{In: good}); err == nil || !strings.Contains(err.Error(), "no algorithm") {
+		t.Errorf("Run(nil, job): err = %v, want the no-algorithm error", err)
 	}
 }
 

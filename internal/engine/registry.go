@@ -4,52 +4,59 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"repro/internal/stats"
 )
 
-// The registry maps algorithm names to implementations. Core adapters
-// register at init; external packages may Register additional algorithms
-// (a remote executor, an instrumented variant) under fresh names.
+// The catalog holds every algorithm in registration order, which is the
+// Figure 1 preference order dispatch reads (see adapters.go).
 var (
-	regMu  sync.RWMutex
-	byName = map[string]Algorithm{}
+	regMu   sync.RWMutex
+	catalog []*Spec
 )
 
-// Register publishes a under a.Name(). Empty or duplicate names panic:
-// registration is an init-time wiring error, not a runtime condition.
-// Algorithms registered from outside the repository's catalog take part
-// in cost-based dispatch through the load-class fallback predictor
-// (stats.PredictClass); registering a per-name formula in
-// internal/stats/predict.go sharpens their ranking.
-func Register(a Algorithm) {
-	name := a.Name()
-	if name == "" {
+// Register appends a to the catalog. An empty or duplicate name, or one
+// stats.Predict has no formula for, panics: registration is an init-time
+// wiring error, not a runtime condition.
+func Register(a *Spec) {
+	if a.name == "" {
 		panic("engine: Register with empty name")
+	}
+	if _, ok := stats.Predict(a.name, 0, 0, 1); !ok {
+		panic(fmt.Sprintf("engine: algorithm %q has no formula in stats.Predict", a.name))
 	}
 	regMu.Lock()
 	defer regMu.Unlock()
-	if _, dup := byName[name]; dup {
-		panic(fmt.Sprintf("engine: duplicate algorithm %q", name))
+	for _, b := range catalog {
+		if b.name == a.name {
+			panic(fmt.Sprintf("engine: duplicate algorithm %q", a.name))
+		}
 	}
-	byName[name] = a
+	catalog = append(catalog, a)
+}
+
+// registered returns the catalog in registration order. Entries are never
+// removed or reordered, so the returned prefix stays valid without the lock.
+func registered() []*Spec {
+	regMu.RLock()
+	defer regMu.RUnlock()
+	return catalog
 }
 
 // Lookup returns the named algorithm.
 func Lookup(name string) (Algorithm, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	a, ok := byName[name]
-	return a, ok
+	for _, a := range registered() {
+		if a.name == name {
+			return a, true
+		}
+	}
+	return nil, false
 }
 
 // All returns every registered algorithm, sorted by name.
 func All() []Algorithm {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]Algorithm, 0, len(byName))
-	for _, a := range byName {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
+	out := append([]Algorithm(nil), registered()...)
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
 }
 
@@ -58,7 +65,7 @@ func Names() []string {
 	all := All()
 	out := make([]string, len(all))
 	for i, a := range all {
-		out[i] = a.Name()
+		out[i] = a.name
 	}
 	return out
 }

@@ -54,11 +54,7 @@ func TestObservedLoadRespectsDeclaredClass(t *testing.T) {
 
 	for _, a := range engine.All() {
 		name := a.Name()
-		class := engine.LoadClassOf(a)
-		if class == "" {
-			t.Errorf("%s: no declared load class (load field missing?)", name)
-			continue
-		}
+		class := a.LoadClass()
 		s, okS := atSmall[name]
 		l, okL := atLarge[name]
 		if !okS || !okL {

@@ -73,11 +73,7 @@ func TestObservedRoundsRespectDeclaredClass(t *testing.T) {
 
 	for _, a := range engine.All() {
 		name := a.Name()
-		class := engine.RoundClassOf(a)
-		if class == "" {
-			t.Errorf("%s: no declared round class (rounds field missing?)", name)
-			continue
-		}
+		class := a.RoundClass()
 		s, okS := atSmall[name]
 		l, okL := atLarge[name]
 		if !okS || !okL {

@@ -149,9 +149,9 @@ func WriteContracts(w io.Writer, root string) error {
 	fmt.Fprintf(w, "prose ≤ declared); the Figure 1 load bound; and the predicted-load\n")
 	fmt.Fprintf(w, "formula cost-based dispatch (`engine.AutoCost`) evaluates for the\n")
 	fmt.Fprintf(w, "algorithm at (IN, OUT estimate, p) — the per-name formula from\n")
-	fmt.Fprintf(w, "`internal/stats/predict.go`, or the load-class fallback for algorithms\n")
-	fmt.Fprintf(w, "without one. The charge sites below are the `//lint:rounds`-declared\n")
-	fmt.Fprintf(w, "primitives each run body can reach, with both of their classes.\n\n")
+	fmt.Fprintf(w, "`internal/stats/predict.go`. The charge sites below are the\n")
+	fmt.Fprintf(w, "`//lint:rounds`-declared primitives each run body can reach, with both\n")
+	fmt.Fprintf(w, "of their classes.\n\n")
 	fmt.Fprintf(w, "| algorithm | declared rounds | static rounds | declared load | static load | load bound | predicted load |\n")
 	fmt.Fprintf(w, "|---|---|---|---|---|---|---|\n")
 
@@ -163,11 +163,11 @@ func WriteContracts(w io.Writer, root string) error {
 	for _, a := range m.adapters {
 		name, declLoad := a.fields["name"].val, a.fields["load"].val
 		rounds, load, sites := m.classify(a)
-		predicted, ok := stats.PredictorFormula(name)
+		predicted, ok := stats.Predict(name, 0, 0, 1)
 		if !ok {
-			predicted = stats.PredictClass(declLoad, 0, 0, 1).Formula + " (fallback)"
+			return fmt.Errorf("%s has no formula in stats.Predict", name)
 		}
-		fmt.Fprintf(w, "| %s | %s | %s | %s | %s | %s | %s |\n", name, a.fields["rounds"].val, rounds, declLoad, load, a.fields["bound"].val, predicted)
+		fmt.Fprintf(w, "| %s | %s | %s | %s | %s | %s | %s |\n", name, a.fields["rounds"].val, rounds, declLoad, load, a.fields["bound"].val, predicted.Formula)
 		rows = append(rows, row{name: name, sites: sites})
 	}
 

@@ -132,22 +132,31 @@ func TestContractsMatchCheckedIn(t *testing.T) {
 }
 
 // TestStringLitUnquotes pins that adapter fields are read as Go reads them:
-// an escaped √ is a √, so the bound-prose rule and CONTRACTS.md see the
-// string the program sees.
+// an escaped √ is a √ and a constant is its value, so the bound-prose rule
+// and CONTRACTS.md see the string the program sees.
 func TestStringLitUnquotes(t *testing.T) {
-	for lit, want := range map[string]string{
-		`"plain"`:      "plain",
-		"`raw\\n`":     `raw\n`,
-		`"√"`:          "√",
-		`"IN/\u221ap"`: "IN/√p",
-		`"a\"b"`:       `a"b`,
-	} {
-		if got := stringLit(&ast.BasicLit{Kind: token.STRING, Value: lit}); got != want {
-			t.Errorf("stringLit(%s) = %q, want %q", lit, got, want)
-		}
+	const src = `package p
+
+const formula = "IN/p + " + "OUT/p"
+
+var exprs = []any{"plain", ` + "`raw\\n`" + `, "√", "IN/\u221ap", "a\"b", formula, ("paren"), 1, len("x")}
+`
+	want := []string{"plain", `raw\n`, "√", "IN/√p", `a"b`, "IN/p + OUT/p", "paren", "", ""}
+
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "p.go", src, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := stringLit(&ast.BasicLit{Kind: token.INT, Value: "1"}); got != "" {
-		t.Errorf("stringLit(1) = %q, want empty", got)
+	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}
+	if _, err := (&types.Config{}).Check("p", fset, []*ast.File{f}, info); err != nil {
+		t.Fatal(err)
+	}
+	exprs := f.Decls[1].(*ast.GenDecl).Specs[0].(*ast.ValueSpec).Values[0].(*ast.CompositeLit).Elts
+	for i, e := range exprs {
+		if got := stringLit(info, e); got != want[i] {
+			t.Errorf("stringLit(%s) = %q, want %q", types.ExprString(e), got, want[i])
+		}
 	}
 }
 

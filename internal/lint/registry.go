@@ -2,9 +2,9 @@ package lint
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
-	"strconv"
 	"strings"
 
 	"golang.org/x/tools/go/analysis"
@@ -17,8 +17,8 @@ type adapterLit struct {
 	run    ast.Expr                // run: field value (nil if absent)
 }
 
-// adapterField is one keyed field of a registration: its string-literal
-// value ("" for anything else) and where it stands.
+// adapterField is one keyed field of a registration: its string value — a
+// literal or a constant — ("" for anything else) and where it stands.
 type adapterField struct {
 	val string
 	pos token.Pos
@@ -60,7 +60,7 @@ func parseAdapters(info *types.Info, files []*ast.File) []adapterLit {
 				if key.Name == "run" {
 					a.run = kv.Value
 				} else {
-					a.fields[key.Name] = adapterField{val: stringLit(kv.Value), pos: kv.Value.Pos()}
+					a.fields[key.Name] = adapterField{val: stringLit(info, kv.Value), pos: kv.Value.Pos()}
 				}
 			}
 			out = append(out, a)
@@ -70,14 +70,14 @@ func parseAdapters(info *types.Info, files []*ast.File) []adapterLit {
 	return out
 }
 
-// stringLit unquotes a string literal expression ("" for anything else).
-func stringLit(e ast.Expr) string {
-	lit, ok := ast.Unparen(e).(*ast.BasicLit)
-	if !ok || lit.Kind != token.STRING {
-		return ""
+// stringLit returns the value of a constant string expression — a literal
+// or a named constant such as stats.AcyclicFormula — as the type checker
+// evaluated it ("" for anything else).
+func stringLit(info *types.Info, e ast.Expr) string {
+	if v := info.Types[e].Value; v != nil && v.Kind() == constant.String {
+		return constant.StringVal(v)
 	}
-	s, _ := strconv.Unquote(lit.Value)
-	return s
+	return ""
 }
 
 // newRegistryAnalyzer builds an axis's registry checker: every

@@ -42,6 +42,10 @@ var registry []*adapter
 
 func Register(a *adapter) { registry = append(registry, a) }
 
+// sharedFormula is a bound spelled once and referenced from a
+// registration: the registry reads the constant's value, not its name.
+const sharedFormula = "IN/p in one round"
+
 func init() {
 	Register(&adapter{
 		name: "good", bound: "IN/p", rounds: "const",
@@ -65,6 +69,16 @@ func init() {
 		name:   "prose",
 		rounds: "const",
 		bound:  "one round, degree shares", // want "prose's bound string .* claims round behavior in prose"
+		run: func(j job) (*dist, error) {
+			var c cluster
+			chargeOnce(&c)
+			return &dist{}, nil
+		},
+	})
+	Register(&adapter{
+		name:   "constprose",
+		rounds: "const",
+		bound:  sharedFormula, // want "constprose's bound string \"IN/p in one round\" claims round behavior in prose"
 		run: func(j job) (*dist, error) {
 			var c cluster
 			chargeOnce(&c)

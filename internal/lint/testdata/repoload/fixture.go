@@ -51,6 +51,10 @@ func Register(a *adapter) { registry = append(registry, a) }
 
 var data = []Value{"a", "b"}
 
+// sharedFormula is a bound spelled once and referenced from a
+// registration: the registry reads the constant's value, not its name.
+const sharedFormula = "IN/√p (shared)"
+
 func init() {
 	Register(&adapter{
 		name: "good", bound: "IN/p", load: "perP",
@@ -74,6 +78,16 @@ func init() {
 		name:  "prose",
 		load:  "perP",
 		bound: "IN/√p shares", // want "prose's bound string .* claims load class frac in prose, stronger than its declared load \"perP\""
+		run: func(j job) (*dist, error) {
+			var c cluster
+			chargePerP(&c, data)
+			return &dist{}, nil
+		},
+	})
+	Register(&adapter{
+		name:  "constprose",
+		load:  "perP",
+		bound: sharedFormula, // want "constprose's bound string \"IN/√p \\(shared\\)\" claims load class frac in prose, stronger than its declared load \"perP\""
 		run: func(j job) (*dist, error) {
 			var c cluster
 			chargePerP(&c, data)

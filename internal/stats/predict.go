@@ -1,16 +1,26 @@
 package stats
 
 // Dispatch-time load prediction: the quantitative half of the engine's
-// cost-based dispatcher. Every registered algorithm carries a
-// repoload-verified load class (perP, frac, linear) and a Figure 1 bound;
-// this file maps each algorithm's declared bound to its formula so the
-// dispatcher can rank candidates by a predicted per-server load instead
-// of by the static preference order alone. Predictions are evaluated at
-// (IN, OUT estimate, p) and are finite for all IN ≥ 0, OUT ≥ 0, p ≥ 1 —
-// the bound functions in bounds.go clamp their log/overflow edge cases,
-// so a degenerate instance can never poison the ranking with NaN (which
-// compares false against everything and would otherwise win or lose
-// argmin ties nondeterministically).
+// algorithm catalog. Every catalog entry carries a repoload-verified load
+// class (perP, frac, linear) and a Figure 1 bound; this file maps each
+// entry's name to the formula behind that bound so the dispatcher can
+// rank candidates by a predicted per-server load instead of by the static
+// preference order alone. Predictions are evaluated at (IN, OUT estimate,
+// p) and are finite for all IN ≥ 0, OUT ≥ 0, p ≥ 1 — the bound functions
+// in bounds.go clamp their log/overflow edge cases, so a degenerate
+// instance can never poison the ranking with NaN (which compares false
+// against everything and would otherwise win or lose argmin ties
+// nondeterministically).
+
+// The bound formulas the engine's catalog and the predictors below both
+// name: each is spelled once, here.
+const (
+	YannakakisFormula = "IN/p + OUT/p"
+	AcyclicFormula    = "IN/p + √(IN·OUT/p)"
+	AggregateFormula  = "IN/p + √(IN·OUT_y/p)"
+	CartesianFormula  = "L_cartesian(p,R) (eq. 1)"
+	TriangleFormula   = "IN/p^(2/3)"
+)
 
 // Prediction is one dispatch-time load prediction: the predicted
 // per-server load and the formula that produced it.
@@ -21,38 +31,36 @@ type Prediction struct {
 	Formula string
 }
 
-// predictors maps registry algorithm names to the formula behind each
-// adapter's declared Figure 1 bound. A slice, not a map: lookups scan in
-// declaration order, so there is no map-iteration order anywhere near
-// dispatch. Names must match internal/engine/adapters.go; the engine's
-// catalog tests close the loop.
+// predictors maps the engine catalog's algorithm names to the formula
+// behind each entry's declared Figure 1 bound. A slice, not a map: lookups
+// scan in declaration order, so there is no map-iteration order anywhere
+// near dispatch. engine.Register refuses a name that has no row here.
 var predictors = []struct {
 	algo    string
 	formula string
 	eval    func(in int, out int64, p int) float64
 }{
-	{"yannakakis", "IN/p + OUT/p", Yannakakis},
-	{"acyclic", "IN/p + √(IN·OUT/p)", Acyclic},
-	{"line3", "IN/p + √(IN·OUT/p)", Acyclic},
+	{"yannakakis", YannakakisFormula, Yannakakis},
+	{"acyclic", AcyclicFormula, Acyclic},
+	{"line3", AcyclicFormula, Acyclic},
 	{"line3wc", "IN/√p", func(in int, _ int64, p int) float64 { return WorstCaseLine(in, p) }},
 	{"rhier", "IN/p^{1/(k*−1)} + (OUT/p)^{1/k*}", RHierOutput},
 	{"binhc", "IN/p^{1/(k*−1)} + (OUT/p)^{1/k*}", RHierOutput},
 	// The scalar proxy for eq. 1: per-server output counting at m=2 plus
 	// the linear floor. The engine refines this with CartesianLower over
 	// the actual relation sizes when the instance is in hand.
-	{"hypercube", "L_cartesian(p,R) (eq. 1)", func(in int, out int64, p int) float64 {
+	{"hypercube", CartesianFormula, func(in int, out int64, p int) float64 {
 		return max2(Linear(in, p), PerServerOutputLower(out, p, 2))
 	}},
-	{"triangle", "IN/p^(2/3)", func(in int, _ int64, p int) float64 { return TriangleWorstCase(in, p) }},
+	{"triangle", TriangleFormula, func(in int, _ int64, p int) float64 { return TriangleWorstCase(in, p) }},
 	{"naive", "IN (sequential gather)", func(in int, _ int64, _ int) float64 { return float64(in) }},
 	{"count", "IN/p", func(in int, _ int64, p int) float64 { return Linear(in, p) }},
-	{"aggregate", "IN/p + √(IN·OUT_y/p)", Acyclic},
+	{"aggregate", AggregateFormula, Acyclic},
 }
 
 // Predict evaluates the named algorithm's declared-bound formula at
-// (IN, OUT estimate, p) and reports false for algorithms this package
-// has no formula for (callers fall back to PredictClass with the
-// algorithm's repoload class).
+// (IN, OUT estimate, p) and reports false for names this package has no
+// formula for.
 func Predict(algo string, in int, out int64, p int) (Prediction, bool) {
 	for _, pr := range predictors {
 		if pr.algo == algo {
@@ -60,39 +68,6 @@ func Predict(algo string, in int, out int64, p int) (Prediction, bool) {
 		}
 	}
 	return Prediction{}, false
-}
-
-// PredictorFormula returns the formula Predict would evaluate for the
-// named algorithm, without evaluating it. CONTRACTS.md renders it next to
-// the declared/static load classes.
-func PredictorFormula(algo string) (string, bool) {
-	for _, pr := range predictors {
-		if pr.algo == algo {
-			return pr.formula, true
-		}
-	}
-	return "", false
-}
-
-// PredictClass is the predictor seeded by the repoload-verified load
-// class alone, for algorithms registered outside the repository's catalog
-// (no per-name formula): the weakest bound the class admits. perP
-// algorithms promise IN/p + OUT/p, frac algorithms IN/p^c with the √p
-// worst case as the conservative exponent plus the output floor, and
-// linear algorithms promise nothing below the whole input on one server.
-// Unknown classes predict like linear: rank last, never NaN.
-func PredictClass(loadClass string, in int, out int64, p int) Prediction {
-	switch loadClass {
-	case "perP":
-		return Prediction{Load: Yannakakis(in, out, p), Formula: "IN/p + OUT/p (perP class)"}
-	case "frac":
-		return Prediction{
-			Load:    max2(WorstCaseLine(in, p), PerServerOutputLower(out, p, 2)),
-			Formula: "max(IN/√p, √(OUT/p)) (frac class)",
-		}
-	default: // linear, or no verified class at all
-		return Prediction{Load: float64(in), Formula: "IN (linear class)"}
-	}
 }
 
 func max2(a, b float64) float64 {

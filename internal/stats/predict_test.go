@@ -37,29 +37,22 @@ func TestPredictKnownAlgorithms(t *testing.T) {
 		if pr.Formula == "" {
 			t.Errorf("Predict(%q) has an empty formula name", c.algo)
 		}
-		if f, ok := PredictorFormula(c.algo); !ok || f != pr.Formula {
-			t.Errorf("PredictorFormula(%q) = %q, want %q", c.algo, f, pr.Formula)
-		}
 	}
 }
 
-// TestPredictUnknownAlgorithm: names outside the catalog report false so
-// the engine falls back to the load-class predictor.
+// TestPredictUnknownAlgorithm: names outside the catalog report false —
+// what engine.Register's wiring check reads.
 func TestPredictUnknownAlgorithm(t *testing.T) {
 	if _, ok := Predict("no-such-algorithm", 10, 10, 4); ok {
 		t.Error("Predict of an unknown name should report false")
 	}
-	if _, ok := PredictorFormula("no-such-algorithm"); ok {
-		t.Error("PredictorFormula of an unknown name should report false")
-	}
 }
 
 // TestPredictFiniteOnDegenerateInputs extends the NaN-safety contract to
-// every per-name predictor and every load-class fallback.
+// every per-name predictor.
 func TestPredictFiniteOnDegenerateInputs(t *testing.T) {
 	algos := []string{"yannakakis", "acyclic", "line3", "line3wc", "rhier", "binhc",
 		"hypercube", "triangle", "naive", "count", "aggregate"}
-	classes := []string{"perP", "frac", "linear", ""}
 	for _, in := range []int{0, 1, 2, 100} {
 		for _, out := range []int64{0, 1, 1 << 40} {
 			for _, p := range []int{1, 16} {
@@ -73,31 +66,7 @@ func TestPredictFiniteOnDegenerateInputs(t *testing.T) {
 							a, in, out, p, pr.Load)
 					}
 				}
-				for _, c := range classes {
-					pr := PredictClass(c, in, out, p)
-					if math.IsNaN(pr.Load) || math.IsInf(pr.Load, 0) || pr.Load < 0 {
-						t.Errorf("PredictClass(%q, IN=%d, OUT=%d, p=%d) = %v, want finite ≥ 0",
-							c, in, out, p, pr.Load)
-					}
-				}
 			}
 		}
-	}
-}
-
-// TestPredictClassOrdering: at a representative scale the class fallbacks
-// order the way the hierarchy promises — perP (output-linear) below frac
-// (√p fractional) below linear (one server holds everything) once OUT is
-// small enough for the output terms not to dominate.
-func TestPredictClassOrdering(t *testing.T) {
-	in, out, p := 1<<16, int64(1<<16), 64
-	perP := PredictClass("perP", in, out, p).Load
-	frac := PredictClass("frac", in, out, p).Load
-	linear := PredictClass("linear", in, out, p).Load
-	if !(perP < frac && frac < linear) {
-		t.Errorf("class predictions out of order: perP=%v frac=%v linear=%v", perP, frac, linear)
-	}
-	if got := PredictClass("", in, out, p); got.Load != linear {
-		t.Errorf("unknown class should predict like linear: %v vs %v", got.Load, linear)
 	}
 }
