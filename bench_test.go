@@ -46,14 +46,13 @@ func benchScale() harness.Scale {
 
 // measure runs one algorithm per iteration and reports load/round metrics.
 func measure(b *testing.B, in *core.Instance, p int,
-	algo func(c *mpc.Cluster, em mpc.Emitter)) {
+	algo func(c *mpc.Cluster) *mpc.Dist) {
 	b.Helper()
 	var load, rounds, out int
 	for i := 0; i < b.N; i++ {
 		c := mpc.NewCluster(p)
-		em := mpc.NewCountEmitter(in.Ring)
-		algo(c, em)
-		load, rounds, out = c.MaxLoad(), c.Rounds(), int(em.N)
+		out = algo(c).Size()
+		load, rounds = c.MaxLoad(), c.Rounds()
 	}
 	b.ReportMetric(float64(load), "load")
 	b.ReportMetric(float64(rounds), "rounds")
@@ -186,23 +185,23 @@ func BenchmarkFig3_JoinOrder(b *testing.B) {
 			in = gen.YannakakisHard(s.IN, 8*s.IN)
 		}
 		b.Run(name+"/yannakakis_fwd", func(b *testing.B) {
-			measure(b, in, s.P, func(c *mpc.Cluster, em mpc.Emitter) {
-				core.Yannakakis(c, in, []int{0, 1, 2}, s.Seed, em)
+			measure(b, in, s.P, func(c *mpc.Cluster) *mpc.Dist {
+				return core.Yannakakis(c, in, []int{0, 1, 2}, s.Seed)
 			})
 		})
 		b.Run(name+"/yannakakis_bwd", func(b *testing.B) {
-			measure(b, in, s.P, func(c *mpc.Cluster, em mpc.Emitter) {
-				core.Yannakakis(c, in, []int{2, 1, 0}, s.Seed, em)
+			measure(b, in, s.P, func(c *mpc.Cluster) *mpc.Dist {
+				return core.Yannakakis(c, in, []int{2, 1, 0}, s.Seed)
 			})
 		})
 		b.Run(name+"/line3", func(b *testing.B) {
-			measure(b, in, s.P, func(c *mpc.Cluster, em mpc.Emitter) {
-				core.Line3(c, in, s.Seed, em)
+			measure(b, in, s.P, func(c *mpc.Cluster) *mpc.Dist {
+				return core.Line3(c, in, s.Seed)
 			})
 		})
 		b.Run(name+"/acyclic", func(b *testing.B) {
-			measure(b, in, s.P, func(c *mpc.Cluster, em mpc.Emitter) {
-				core.AcyclicJoin(c, in, s.Seed, em)
+			measure(b, in, s.P, func(c *mpc.Cluster) *mpc.Dist {
+				return core.AcyclicJoin(c, in, s.Seed)
 			})
 		})
 	}
@@ -216,13 +215,13 @@ func BenchmarkFig4_Line3Sweep(b *testing.B) {
 	for _, f := range []int{1, 4, 16, 64} {
 		in := gen.Line3Random(rng, s.IN, s.IN*f)
 		b.Run(fmt.Sprintf("outfactor=%d/line3", f), func(b *testing.B) {
-			measure(b, in, s.P, func(c *mpc.Cluster, em mpc.Emitter) {
-				core.Line3(c, in, s.Seed, em)
+			measure(b, in, s.P, func(c *mpc.Cluster) *mpc.Dist {
+				return core.Line3(c, in, s.Seed)
 			})
 		})
 		b.Run(fmt.Sprintf("outfactor=%d/yannakakis", f), func(b *testing.B) {
-			measure(b, in, s.P, func(c *mpc.Cluster, em mpc.Emitter) {
-				core.Yannakakis(c, in, nil, s.Seed, em)
+			measure(b, in, s.P, func(c *mpc.Cluster) *mpc.Dist {
+				return core.Yannakakis(c, in, nil, s.Seed)
 			})
 		})
 	}
@@ -247,8 +246,8 @@ func BenchmarkFig6_TriangleSweep(b *testing.B) {
 	for _, f := range []int{1, 4, 16} {
 		in := gen.TriangleRandom(rng, s.IN, s.IN*f)
 		b.Run(fmt.Sprintf("outfactor=%d", f), func(b *testing.B) {
-			measure(b, in, 27, func(c *mpc.Cluster, em mpc.Emitter) {
-				core.Triangle(c, in, s.Seed, em)
+			measure(b, in, 27, func(c *mpc.Cluster) *mpc.Dist {
+				return core.Triangle(c, in, s.Seed)
 			})
 		})
 	}
@@ -260,13 +259,13 @@ func BenchmarkTable1_TallFlat(b *testing.B) {
 	s := benchScale()
 	in := gen.TallFlatSkewed(96, s.IN/2)
 	b.Run("binhc", func(b *testing.B) {
-		measure(b, in, s.P, func(c *mpc.Cluster, em mpc.Emitter) {
-			core.BinHC(c, in, s.Seed, false, em)
+		measure(b, in, s.P, func(c *mpc.Cluster) *mpc.Dist {
+			return core.BinHC(c, in, s.Seed, false)
 		})
 	})
 	b.Run("rhier", func(b *testing.B) {
-		measure(b, in, s.P, func(c *mpc.Cluster, em mpc.Emitter) {
-			core.RHier(c, in, s.Seed, em)
+		measure(b, in, s.P, func(c *mpc.Cluster) *mpc.Dist {
+			return core.RHier(c, in, s.Seed)
 		})
 	})
 }
@@ -276,18 +275,18 @@ func BenchmarkTable1_RHierarchical(b *testing.B) {
 	rng := mpc.NewRng(s.Seed)
 	in := gen.RHierSkewed(rng, 4, 64, s.IN/2)
 	b.Run("binhc", func(b *testing.B) {
-		measure(b, in, s.P, func(c *mpc.Cluster, em mpc.Emitter) {
-			core.BinHC(c, in, s.Seed, false, em)
+		measure(b, in, s.P, func(c *mpc.Cluster) *mpc.Dist {
+			return core.BinHC(c, in, s.Seed, false)
 		})
 	})
 	b.Run("rhier", func(b *testing.B) {
-		measure(b, in, s.P, func(c *mpc.Cluster, em mpc.Emitter) {
-			core.RHier(c, in, s.Seed, em)
+		measure(b, in, s.P, func(c *mpc.Cluster) *mpc.Dist {
+			return core.RHier(c, in, s.Seed)
 		})
 	})
 	b.Run("yannakakis", func(b *testing.B) {
-		measure(b, in, s.P, func(c *mpc.Cluster, em mpc.Emitter) {
-			core.Yannakakis(c, in, nil, s.Seed, em)
+		measure(b, in, s.P, func(c *mpc.Cluster) *mpc.Dist {
+			return core.Yannakakis(c, in, nil, s.Seed)
 		})
 	})
 }
@@ -297,18 +296,18 @@ func BenchmarkTable1_RHierDangling(b *testing.B) {
 	rng := mpc.NewRng(s.Seed)
 	in := gen.WithDangling(gen.RHierSkewed(rng, 4, 64, s.IN/2), 1, s.IN)
 	b.Run("binhc_oneround", func(b *testing.B) {
-		measure(b, in, s.P, func(c *mpc.Cluster, em mpc.Emitter) {
-			core.BinHC(c, in, s.Seed, false, em)
+		measure(b, in, s.P, func(c *mpc.Cluster) *mpc.Dist {
+			return core.BinHC(c, in, s.Seed, false)
 		})
 	})
 	b.Run("reduce_binhc", func(b *testing.B) {
-		measure(b, in, s.P, func(c *mpc.Cluster, em mpc.Emitter) {
-			core.BinHC(c, in, s.Seed, true, em)
+		measure(b, in, s.P, func(c *mpc.Cluster) *mpc.Dist {
+			return core.BinHC(c, in, s.Seed, true)
 		})
 	})
 	b.Run("rhier", func(b *testing.B) {
-		measure(b, in, s.P, func(c *mpc.Cluster, em mpc.Emitter) {
-			core.RHier(c, in, s.Seed, em)
+		measure(b, in, s.P, func(c *mpc.Cluster) *mpc.Dist {
+			return core.RHier(c, in, s.Seed)
 		})
 	})
 }
@@ -318,18 +317,18 @@ func BenchmarkTable1_Acyclic(b *testing.B) {
 	rng := mpc.NewRng(s.Seed)
 	in := gen.Line3Random(rng, s.IN, 8*s.IN)
 	b.Run("yannakakis", func(b *testing.B) {
-		measure(b, in, s.P, func(c *mpc.Cluster, em mpc.Emitter) {
-			core.Yannakakis(c, in, nil, s.Seed, em)
+		measure(b, in, s.P, func(c *mpc.Cluster) *mpc.Dist {
+			return core.Yannakakis(c, in, nil, s.Seed)
 		})
 	})
 	b.Run("line3", func(b *testing.B) {
-		measure(b, in, s.P, func(c *mpc.Cluster, em mpc.Emitter) {
-			core.Line3(c, in, s.Seed, em)
+		measure(b, in, s.P, func(c *mpc.Cluster) *mpc.Dist {
+			return core.Line3(c, in, s.Seed)
 		})
 	})
 	b.Run("acyclic", func(b *testing.B) {
-		measure(b, in, s.P, func(c *mpc.Cluster, em mpc.Emitter) {
-			core.AcyclicJoin(c, in, s.Seed, em)
+		measure(b, in, s.P, func(c *mpc.Cluster) *mpc.Dist {
+			return core.AcyclicJoin(c, in, s.Seed)
 		})
 	})
 }
@@ -338,8 +337,8 @@ func BenchmarkTable1_Triangle(b *testing.B) {
 	s := benchScale()
 	rng := mpc.NewRng(s.Seed)
 	in := gen.TriangleRandom(rng, s.IN, 4*s.IN)
-	measure(b, in, 27, func(c *mpc.Cluster, em mpc.Emitter) {
-		core.Triangle(c, in, s.Seed, em)
+	measure(b, in, 27, func(c *mpc.Cluster) *mpc.Dist {
+		return core.Triangle(c, in, s.Seed)
 	})
 }
 
@@ -351,8 +350,8 @@ func BenchmarkE2_RHierClosedForm(b *testing.B) {
 		rng := mpc.NewRng(s.Seed)
 		in := gen.RHierSkewed(rng, 2, hub, s.IN/4)
 		b.Run(fmt.Sprintf("hub=%d", hub), func(b *testing.B) {
-			measure(b, in, s.P, func(c *mpc.Cluster, em mpc.Emitter) {
-				core.RHier(c, in, s.Seed, em)
+			measure(b, in, s.P, func(c *mpc.Cluster) *mpc.Dist {
+				return core.RHier(c, in, s.Seed)
 			})
 		})
 	}
@@ -365,13 +364,13 @@ func BenchmarkE3_AcyclicVsYannakakis(b *testing.B) {
 	rng := mpc.NewRng(s.Seed)
 	in := gen.LineKUniform(rng, 4, s.IN/4, 48)
 	b.Run("yannakakis", func(b *testing.B) {
-		measure(b, in, s.P, func(c *mpc.Cluster, em mpc.Emitter) {
-			core.Yannakakis(c, in, nil, s.Seed, em)
+		measure(b, in, s.P, func(c *mpc.Cluster) *mpc.Dist {
+			return core.Yannakakis(c, in, nil, s.Seed)
 		})
 	})
 	b.Run("acyclic", func(b *testing.B) {
-		measure(b, in, s.P, func(c *mpc.Cluster, em mpc.Emitter) {
-			core.AcyclicJoin(c, in, s.Seed, em)
+		measure(b, in, s.P, func(c *mpc.Cluster) *mpc.Dist {
+			return core.AcyclicJoin(c, in, s.Seed)
 		})
 	})
 }
@@ -386,7 +385,7 @@ func BenchmarkE4_Aggregate(b *testing.B) {
 	var load int
 	for i := 0; i < b.N; i++ {
 		c := mpc.NewCluster(s.P)
-		core.Aggregate(c, in, y, s.Seed, nil)
+		core.Aggregate(c, in, y, s.Seed)
 		load = c.MaxLoad()
 	}
 	b.ReportMetric(float64(load), "load")
@@ -411,8 +410,8 @@ func BenchmarkE5_InstanceOptimalityGap(b *testing.B) {
 	s := benchScale()
 	rng := mpc.NewRng(s.Seed)
 	in := gen.Line3Random(rng, s.IN, s.P*s.IN)
-	measure(b, in, s.P, func(c *mpc.Cluster, em mpc.Emitter) {
-		core.Line3(c, in, s.Seed, em)
+	measure(b, in, s.P, func(c *mpc.Cluster) *mpc.Dist {
+		return core.Line3(c, in, s.Seed)
 	})
 }
 
@@ -424,8 +423,8 @@ func BenchmarkAblation_Tau(b *testing.B) {
 	in := gen.Line3Random(rng, s.IN, 16*s.IN)
 	for _, tau := range []int64{1, 4, 16, 64} {
 		b.Run(fmt.Sprintf("tau=%d", tau), func(b *testing.B) {
-			measure(b, in, s.P, func(c *mpc.Cluster, em mpc.Emitter) {
-				core.Line3WithTau(c, in, tau, s.Seed, em)
+			measure(b, in, s.P, func(c *mpc.Cluster) *mpc.Dist {
+				return core.Line3WithTau(c, in, tau, s.Seed)
 			})
 		})
 	}

@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 	"strings"
 
 	"repro/internal/harness"
@@ -19,8 +20,12 @@ import (
 )
 
 func main() {
-	which := flag.String("run", "all",
-		"experiment: all|fig1|fig2|fig3|fig4|fig5|fig6|table1|e2|e3|e4|e5|tau|grid")
+	exps := harness.Experiments()
+	names := "all"
+	for _, e := range exps {
+		names += "|" + e.Name
+	}
+	which := flag.String("run", "all", "experiment: "+names)
 	p := flag.Int("p", 0, "servers (0 = default scale)")
 	inSize := flag.Int("in", 0, "input size (0 = default scale)")
 	seed := flag.Uint64("seed", 0, "seed (0 = default scale)")
@@ -44,46 +49,15 @@ func main() {
 	// probes). Tables are byte-identical for every value.
 	runtime.SetParallelism(*workers)
 
-	sel := strings.ToLower(*which)
-	show := func(name string) bool { return sel == "all" || sel == name }
-
-	if show("fig1") {
-		fmt.Println(harness.Fig1Classification(s).Render())
+	sel, ran := strings.ToLower(*which), false
+	for _, e := range exps {
+		if sel == "all" || sel == e.Name {
+			fmt.Println(e.Render(s))
+			ran = true
+		}
 	}
-	if show("fig2") {
-		fmt.Println(harness.Fig2Forests())
-	}
-	if show("fig3") {
-		fmt.Println(harness.Fig3JoinOrder(s).Render())
-	}
-	if show("fig4") {
-		fmt.Println(harness.Fig4Line3Sweep(s).Render())
-	}
-	if show("fig5") {
-		fmt.Println(harness.Fig5JoinTree())
-	}
-	if show("fig6") {
-		fmt.Println(harness.Fig6TriangleSweep(s).Render())
-	}
-	if show("table1") {
-		fmt.Println(harness.Table1Loads(s).Render())
-	}
-	if show("e2") {
-		fmt.Println(harness.E2RHierClosedForm(s).Render())
-	}
-	if show("e3") {
-		fmt.Println(harness.E3AcyclicVsYannakakis(s).Render())
-	}
-	if show("e4") {
-		fmt.Println(harness.E4Aggregate(s).Render())
-	}
-	if show("e5") {
-		fmt.Println(harness.E5InstanceGap(s).Render())
-	}
-	if show("tau") {
-		fmt.Println(harness.AblationTau(s).Render())
-	}
-	if show("grid") {
-		fmt.Println(harness.AblationGrid(s).Render())
+	if !ran {
+		fmt.Fprintf(os.Stderr, "experiments: unknown -run %q (have %s)\n", *which, names)
+		os.Exit(2)
 	}
 }

@@ -35,6 +35,11 @@ func main() {
 	p := flag.Int("p", 64, "number of servers")
 	seed := flag.Uint64("seed", 2019, "random seed")
 	flag.Parse()
+	if *p < 1 {
+		fmt.Fprintf(os.Stderr, "joinrun: -p %d: need at least one server\n", *p)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	in, err := gen.Build(*family, mpc.NewRng(*seed), *inSize, *outSize)
 	if err != nil {

@@ -34,7 +34,7 @@ import (
 //
 //lint:load frac
 //lint:rounds const
-func AcyclicJoin(c *mpc.Cluster, in *Instance, seed uint64, em mpc.Emitter) *mpc.Dist {
+func AcyclicJoin(c *mpc.Cluster, in *Instance, seed uint64) *mpc.Dist {
 	if !in.Q.IsAcyclic() {
 		panic("core: AcyclicJoin on cyclic query")
 	}
@@ -45,10 +45,7 @@ func AcyclicJoin(c *mpc.Cluster, in *Instance, seed uint64, em mpc.Emitter) *mpc
 	if out == 0 {
 		return mpc.NewDist(c, outSchema)
 	}
-	res := acyclicRec(c, in.Q.Edges, dists, in.Ring, out, seed, 0)
-	res = res.Project(outSchema)
-	EmitDist(res, outSchema, em)
-	return res
+	return acyclicRec(c, in.Q.Edges, dists, in.Ring, out, seed, 0).Project(outSchema)
 }
 
 // acyclicRec computes the (already fully reduced) join of edges/dists and
@@ -200,7 +197,7 @@ func acyclicRec(c *mpc.Cluster, edges []hypergraph.AttrSet, dists []*mpc.Dist,
 			if ok && rp0.Size() > 0 {
 				// (3.1.3) keyed multiway join on e0's full tuple.
 				results = append(results,
-					MultiwayKeyedJoin(edges[e0].Schema(), parts, ring, pseed^0x30, nil))
+					MultiwayKeyedJoin(edges[e0].Schema(), parts, ring, pseed^0x30))
 			}
 		}
 

@@ -22,7 +22,7 @@ func TestMultiwayKeyedJoinMatchesNaive(t *testing.T) {
 		in := randInstance(rng, q, 25, 5)
 		c := mpc.NewCluster(1 + rng.Intn(8))
 		dists := LoadInstance(c, in)
-		res := MultiwayKeyedJoin(relation.NewSchema(1), dists, in.Ring, uint64(trial), nil)
+		res := MultiwayKeyedJoin(relation.NewSchema(1), dists, in.Ring, uint64(trial))
 		relEqual(t, res.ToRelation("got"), Naive(in))
 	}
 }
@@ -43,7 +43,7 @@ func TestMultiwayKeyedJoinCartesian(t *testing.T) {
 	p := 8
 	c := mpc.NewCluster(p)
 	dists := LoadInstance(c, in)
-	res := MultiwayKeyedJoin(relation.Schema{}, dists, in.Ring, 3, nil)
+	res := MultiwayKeyedJoin(relation.Schema{}, dists, in.Ring, 3)
 	want := sizes[0] * sizes[1] * sizes[2]
 	if res.Size() != want {
 		t.Fatalf("product size = %d, want %d", res.Size(), want)
@@ -87,7 +87,7 @@ func TestMultiwayKeyedJoinSkewedKey(t *testing.T) {
 	in := NewInstance(q, mk(2), mk(3), mk(4))
 	c := mpc.NewCluster(p)
 	dists := LoadInstance(c, in)
-	res := MultiwayKeyedJoin(relation.NewSchema(1), dists, in.Ring, 1, nil)
+	res := MultiwayKeyedJoin(relation.NewSchema(1), dists, in.Ring, 1)
 	if res.Size() != n*n*n {
 		t.Fatalf("size = %d, want %d", res.Size(), n*n*n)
 	}
@@ -106,7 +106,7 @@ func TestMultiwayKeyedJoinAnnotations(t *testing.T) {
 	in := NewInstance(q, r1, r2)
 	c := mpc.NewCluster(2)
 	dists := LoadInstance(c, in)
-	res := MultiwayKeyedJoin(relation.NewSchema(1), dists, in.Ring, 1, nil)
+	res := MultiwayKeyedJoin(relation.NewSchema(1), dists, in.Ring, 1)
 	if len(res.All()) != 1 || res.All()[0].A != 15 {
 		t.Errorf("annotated multiway = %v", res.All())
 	}
@@ -124,9 +124,7 @@ func TestAcyclicJoinMatchesNaiveAcrossQueries(t *testing.T) {
 		for trial := 0; trial < 4; trial++ {
 			in := randInstance(rng, q, 12+rng.Intn(15), 4)
 			c := mpc.NewCluster(1 + rng.Intn(8))
-			em := mpc.NewCollectEmitter(in.OutputSchema())
-			AcyclicJoin(c, in, uint64(trial), em)
-			relEqual(t, em.Rel, Naive(in))
+			relEqual(t, collected(in, AcyclicJoin(c, in, uint64(trial))), Naive(in))
 		}
 	}
 }
@@ -141,9 +139,7 @@ func TestAcyclicJoinCartesianComponents(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	in := randInstance(rng, q, 10, 3)
 	c := mpc.NewCluster(4)
-	em := mpc.NewCollectEmitter(in.OutputSchema())
-	AcyclicJoin(c, in, 1, em)
-	relEqual(t, em.Rel, Naive(in))
+	relEqual(t, collected(in, AcyclicJoin(c, in, 1)), Naive(in))
 }
 
 func TestAcyclicJoinSkewedLine4(t *testing.T) {
@@ -163,9 +159,7 @@ func TestAcyclicJoinSkewedLine4(t *testing.T) {
 	in := NewInstance(hypergraph.LineK(4),
 		r1.Dedup(), r2.Dedup(), r3.Dedup(), r4.Dedup())
 	c := mpc.NewCluster(6)
-	em := mpc.NewCollectEmitter(in.OutputSchema())
-	AcyclicJoin(c, in, 9, em)
-	relEqual(t, em.Rel, Naive(in))
+	relEqual(t, collected(in, AcyclicJoin(c, in, 9)), Naive(in))
 }
 
 func TestAcyclicJoinEmptyOutput(t *testing.T) {
@@ -177,7 +171,7 @@ func TestAcyclicJoinEmptyOutput(t *testing.T) {
 	r3.Add(2, 3)
 	in := NewInstance(hypergraph.Line3(), r1, r2, r3)
 	c := mpc.NewCluster(4)
-	if res := AcyclicJoin(c, in, 1, nil); res.Size() != 0 {
+	if res := AcyclicJoin(c, in, 1); res.Size() != 0 {
 		t.Errorf("empty join produced %d", res.Size())
 	}
 }
@@ -190,7 +184,7 @@ func TestAcyclicJoinRejectsCyclic(t *testing.T) {
 			t.Fatal("AcyclicJoin on triangle did not panic")
 		}
 	}()
-	AcyclicJoin(c, in, 1, nil)
+	AcyclicJoin(c, in, 1)
 }
 
 func TestAcyclicJoinAnnotated(t *testing.T) {
@@ -204,9 +198,7 @@ func TestAcyclicJoinAnnotated(t *testing.T) {
 		}
 	}
 	c := mpc.NewCluster(4)
-	em := mpc.NewCollectEmitter(in.OutputSchema())
-	AcyclicJoin(c, in, 2, em)
-	relEqual(t, em.Rel, Naive(in))
+	relEqual(t, collected(in, AcyclicJoin(c, in, 2)), Naive(in))
 }
 
 func TestAcyclicJoinLoadBeatsYannakakisOnHardInstance(t *testing.T) {
@@ -218,15 +210,13 @@ func TestAcyclicJoinLoadBeatsYannakakisOnHardInstance(t *testing.T) {
 	want := NaiveCount(in)
 
 	cA := mpc.NewCluster(p)
-	emA := mpc.NewCountEmitter(in.Ring)
-	AcyclicJoin(cA, in, 1, emA)
+	emA := counted(in, AcyclicJoin(cA, in, 1))
 	if emA.N != want {
 		t.Fatalf("AcyclicJoin count = %d, want %d", emA.N, want)
 	}
 
 	cY := mpc.NewCluster(p)
-	emY := mpc.NewCountEmitter(in.Ring)
-	Yannakakis(cY, in, []int{0, 1, 2}, 1, emY)
+	Yannakakis(cY, in, []int{0, 1, 2}, 1)
 
 	inSize := float64(in.IN())
 	bound := inSize/float64(p) + math.Sqrt(inSize*float64(want)/float64(p))

@@ -168,19 +168,18 @@ func CountOutputDists(q *hypergraph.Hypergraph, dists []*mpc.Dist, seed uint64) 
 
 // Aggregate computes the full free-connex join-aggregate query ⊕_ȳ Q(R):
 // LinearAggro, then the output-optimal join over the frontier relations
-// (Theorem 9). The result is distributed over y's schema; em, when non-nil,
-// observes every output tuple with its aggregate annotation.
+// (Theorem 9). The result is distributed over y's attributes, each row
+// annotated with its aggregate.
 //
 //lint:load frac trust dispatches to RHier/BinaryJoin for the join phase; the aggregation passes themselves stay at IN/p
 //lint:rounds const
-func Aggregate(c *mpc.Cluster, in *Instance, y hypergraph.AttrSet, seed uint64, em mpc.Emitter) *mpc.Dist {
+func Aggregate(c *mpc.Cluster, in *Instance, y hypergraph.AttrSet, seed uint64) *mpc.Dist {
 	res := LinearAggro(c, in, y, seed)
 	ySchema := y.Schema()
 	if len(res.Frontiers) == 0 {
 		out := mpc.NewDist(c, ySchema)
 		if len(y) == 0 && res.Scalar != in.Ring.Zero {
 			out.Parts[0].Append(relation.Tuple{}, res.Scalar)
-			EmitDist(out, ySchema, em)
 		}
 		return out
 	}
@@ -196,10 +195,9 @@ func Aggregate(c *mpc.Cluster, in *Instance, y hypergraph.AttrSet, seed uint64, 
 	if fq.IsRHierarchical() {
 		frontInst := &Instance{Q: fq, Rels: materialize(frontiers), Ring: in.Ring}
 		sub := mpc.NewCluster(c.P)
-		out := RHier(sub, frontInst, seed^0x5A, nil)
+		out := RHier(sub, frontInst, seed^0x5A)
 		c.MergeSequential(sub.Snapshot())
 		out.C = c
-		EmitDist(out, ySchema, em)
 		return out
 	}
 	order := DefaultJoinOrder(fq)
@@ -207,7 +205,6 @@ func Aggregate(c *mpc.Cluster, in *Instance, y hypergraph.AttrSet, seed uint64, 
 	for i := 1; i < len(order); i++ {
 		acc = BinaryJoin(acc, frontiers[order[i]], in.Ring, seed+uint64(13*i), nil)
 	}
-	EmitDist(acc, ySchema, em)
 	return acc
 }
 

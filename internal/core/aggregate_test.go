@@ -122,7 +122,7 @@ func TestAggregateMatchesNaive(t *testing.T) {
 		for trial := 0; trial < 3; trial++ {
 			in := randInstance(rng, cse.q, 20, 4)
 			c := mpc.NewCluster(1 + rng.Intn(8))
-			got := Aggregate(c, in, cse.y, uint64(trial), nil)
+			got := Aggregate(c, in, cse.y, uint64(trial))
 			want := naiveAggregate(in, cse.y)
 			// Drop zero groups from want (they are not output).
 			for k, v := range want {
@@ -158,7 +158,7 @@ func TestAggregateWithMaxPlusRing(t *testing.T) {
 	in := NewInstance(hypergraph.Line2(), r1, r2)
 	in.Ring = relation.MaxPlusRing
 	c := mpc.NewCluster(2)
-	got := Aggregate(c, in, hypergraph.NewAttrSet(2), 1, nil)
+	got := Aggregate(c, in, hypergraph.NewAttrSet(2), 1)
 	items := got.All()
 	if len(items) != 1 {
 		t.Fatalf("groups = %d, want 1", len(items))
@@ -176,7 +176,7 @@ func TestAggregateNonFreeConnexPanics(t *testing.T) {
 			t.Fatal("non-free-connex aggregate did not panic")
 		}
 	}()
-	Aggregate(c, in, hypergraph.NewAttrSet(1, 4), 1, nil)
+	Aggregate(c, in, hypergraph.NewAttrSet(1, 4), 1)
 }
 
 func TestAggregateEmptyResult(t *testing.T) {
@@ -186,7 +186,7 @@ func TestAggregateEmptyResult(t *testing.T) {
 	r2.Add(6, 2)
 	in := NewInstance(hypergraph.Line2(), r1, r2)
 	c := mpc.NewCluster(2)
-	got := Aggregate(c, in, hypergraph.NewAttrSet(2), 1, nil)
+	got := Aggregate(c, in, hypergraph.NewAttrSet(2), 1)
 	if got.Size() != 0 {
 		t.Errorf("empty join aggregated to %d groups", got.Size())
 	}
@@ -206,7 +206,7 @@ func TestAggregateReducedQueryWithContainedEdge(t *testing.T) {
 	r2.AddAnnotated(7, 11)
 	in := NewInstance(q, r1, r2)
 	c := mpc.NewCluster(2)
-	got := Aggregate(c, in, hypergraph.NewAttrSet(1), 1, nil)
+	got := Aggregate(c, in, hypergraph.NewAttrSet(1), 1)
 	want := naiveAggregate(in, hypergraph.NewAttrSet(1))
 	gotM := map[string]int64{}
 	for _, it := range got.All() {

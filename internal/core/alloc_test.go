@@ -9,12 +9,12 @@ import (
 )
 
 // TestLocalJoinEmitAllocCeiling is the allocation-regression guard for the
-// output path: a per-server local join followed by emission into a counting
-// and a materializing sink allocates per part — the result buffers, the
-// stage bindings, the sink's partitions — and NEVER per row. The old path
-// cost four allocations per result row (tuple, key strings, projected
-// tuple, buffer doublings); here an 8× larger join must fit under the same
-// fixed per-part budget.
+// output path: a per-server local join whose result is then counted and
+// tabled allocates per part — the result buffers, the stage bindings, the
+// table's row headers — and NEVER per row. The old path cost four
+// allocations per result row (tuple, key strings, projected tuple, buffer
+// doublings); here an 8× larger join must fit under the same fixed
+// per-part budget.
 func TestLocalJoinEmitAllocCeiling(t *testing.T) {
 	const p, perPart = 8, 30 // allocations allowed per part, whatever the row count
 	prev := runtime.SetParallelism(1)
@@ -40,9 +40,7 @@ func TestLocalJoinEmitAllocCeiling(t *testing.T) {
 			for s := 0; s < p; s++ {
 				indexJoin(&res.Parts[s], len(out), stagesAt(stages, []*mpc.Dist{a, b}, s), nil, relation.CountRing)
 			}
-			count, table := mpc.NewCountEmitter(relation.CountRing), mpc.NewShardedEmitter(out, p)
-			EmitDist(res, out, mpc.MultiEmitter{count, table})
-			results = int(count.N)
+			results = res.Rel().Size()
 		}
 		run() // warm the index pool
 		got := testing.AllocsPerRun(10, run)
@@ -50,7 +48,7 @@ func TestLocalJoinEmitAllocCeiling(t *testing.T) {
 			t.Fatalf("rows=%d: join produced only %d results — the test no longer exercises the output path", rows, results)
 		}
 		if got > perPart*p {
-			t.Fatalf("rows=%d (%d results): local join + emit allocates %.0f per run, ceiling %d — per-row allocations are back",
+			t.Fatalf("rows=%d (%d results): local join + table allocates %.0f per run, ceiling %d — per-row allocations are back",
 				rows, results, got, perPart*p)
 		}
 	}

@@ -45,22 +45,19 @@ func TestOneRoundDanglingBarrier(t *testing.T) {
 	}
 
 	cOne := mpc.NewCluster(p)
-	emOne := mpc.NewCountEmitter(in.Ring)
-	BinHC(cOne, in, 1, false, emOne)
+	emOne := counted(in, BinHC(cOne, in, 1, false))
 	if emOne.N != want {
 		t.Fatalf("one-round BinHC wrong count %d", emOne.N)
 	}
 
 	cRed := mpc.NewCluster(p)
-	emRed := mpc.NewCountEmitter(in.Ring)
-	BinHC(cRed, in, 1, true, emRed)
+	emRed := counted(in, BinHC(cRed, in, 1, true))
 	if emRed.N != want {
 		t.Fatalf("reduce+BinHC wrong count %d", emRed.N)
 	}
 
 	cRH := mpc.NewCluster(p)
-	emRH := mpc.NewCountEmitter(in.Ring)
-	RHier(cRH, in, 1, emRH)
+	emRH := counted(in, RHier(cRH, in, 1))
 	if emRH.N != want {
 		t.Fatalf("RHier wrong count %d", emRH.N)
 	}

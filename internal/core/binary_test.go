@@ -36,6 +36,21 @@ func relEqual(t *testing.T, got, want *relation.Relation) {
 	}
 }
 
+// collected replays res through EmitDist into a table over in's output
+// schema: the result as a row-by-row observer sees it.
+func collected(in *Instance, res *mpc.Dist) *relation.Relation {
+	em := mpc.NewShardedEmitter(in.OutputSchema(), len(res.Parts))
+	EmitDist(res, in.OutputSchema(), em)
+	return em.Rel()
+}
+
+// counted is collected for a counting observer.
+func counted(in *Instance, res *mpc.Dist) *mpc.CountEmitter {
+	em := mpc.NewCountEmitter(in.Ring)
+	EmitDist(res, in.OutputSchema(), em)
+	return em
+}
+
 // randRel builds a random binary relation with given size and domains.
 func randRel(rng *rand.Rand, name string, a1, a2 relation.Attr, n, d1, d2 int) *relation.Relation {
 	r := relation.New(name, relation.NewSchema(a1, a2))
@@ -166,18 +181,5 @@ func TestBinaryJoinEmitter(t *testing.T) {
 	res := BinaryJoin(dists[0], dists[1], in.Ring, 1, em)
 	if em.N != int64(res.Size()) {
 		t.Errorf("emitter saw %d, result has %d", em.N, res.Size())
-	}
-}
-
-func TestStripSynthetic(t *testing.T) {
-	c := mpc.NewCluster(2)
-	d := mpc.NewDist(c, relation.Schema{1, synthDA, 2})
-	d.Parts[0].Append(relation.Tuple{10, 99, 20}, 1)
-	s := StripSynthetic(d)
-	if !s.Schema.Equal(relation.NewSchema(1, 2)) {
-		t.Fatalf("schema = %v", s.Schema)
-	}
-	if s.All()[0].T[0] != 10 || s.All()[0].T[1] != 20 {
-		t.Errorf("tuple = %v", s.All()[0].T)
 	}
 }

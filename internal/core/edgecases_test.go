@@ -40,17 +40,14 @@ func TestAllAlgorithmsOnEmptyInput(t *testing.T) {
 		if CountOutput(c, in, 1) != 0 {
 			t.Error("CountOutput on empty input should be 0")
 		}
-		em := mpc.NewCountEmitter(in.Ring)
-		Yannakakis(mpc.NewCluster(4), in, nil, 1, em)
-		AcyclicJoin(mpc.NewCluster(4), in, 1, em)
+		n := Yannakakis(mpc.NewCluster(4), in, nil, 1).Size() + AcyclicJoin(mpc.NewCluster(4), in, 1).Size()
 		if q.IsRHierarchical() {
-			RHier(mpc.NewCluster(4), in, 1, em)
-			BinHC(mpc.NewCluster(4), in, 1, false, em)
+			n += RHier(mpc.NewCluster(4), in, 1).Size() + BinHC(mpc.NewCluster(4), in, 1, false).Size()
 		} else {
-			Line3(mpc.NewCluster(4), in, 1, em)
+			n += Line3(mpc.NewCluster(4), in, 1).Size()
 		}
-		if em.N != 0 {
-			t.Errorf("%v: emitted %d results from empty input", q, em.N)
+		if n != 0 {
+			t.Errorf("%v: emitted %d results from empty input", q, n)
 		}
 	}
 }
@@ -65,18 +62,16 @@ func TestAllAlgorithmsOnSingletons(t *testing.T) {
 		if want != 1 {
 			t.Fatalf("%v: singleton oracle = %d", q, want)
 		}
-		check := func(name string, f func(c *mpc.Cluster, em mpc.Emitter)) {
-			em := mpc.NewCountEmitter(in.Ring)
-			f(mpc.NewCluster(3), em)
-			if em.N != 1 {
-				t.Errorf("%v/%s: emitted %d, want 1", q, name, em.N)
+		check := func(name string, f func(c *mpc.Cluster) *mpc.Dist) {
+			if n := f(mpc.NewCluster(3)).Size(); n != 1 {
+				t.Errorf("%v/%s: emitted %d, want 1", q, name, n)
 			}
 		}
-		check("yannakakis", func(c *mpc.Cluster, em mpc.Emitter) { Yannakakis(c, in, nil, 1, em) })
-		check("acyclic", func(c *mpc.Cluster, em mpc.Emitter) { AcyclicJoin(c, in, 1, em) })
+		check("yannakakis", func(c *mpc.Cluster) *mpc.Dist { return Yannakakis(c, in, nil, 1) })
+		check("acyclic", func(c *mpc.Cluster) *mpc.Dist { return AcyclicJoin(c, in, 1) })
 		if q.IsRHierarchical() {
-			check("rhier", func(c *mpc.Cluster, em mpc.Emitter) { RHier(c, in, 1, em) })
-			check("binhc", func(c *mpc.Cluster, em mpc.Emitter) { BinHC(c, in, 1, false, em) })
+			check("rhier", func(c *mpc.Cluster) *mpc.Dist { return RHier(c, in, 1) })
+			check("binhc", func(c *mpc.Cluster) *mpc.Dist { return BinHC(c, in, 1, false) })
 		}
 	}
 }
@@ -87,17 +82,14 @@ func TestAlgorithmsOnSingleServer(t *testing.T) {
 	rng := rand.New(rand.NewSource(80))
 	in := randInstance(rng, hypergraph.Line3(), 30, 5)
 	want := NaiveCount(in)
-	for _, f := range []func(c *mpc.Cluster, em mpc.Emitter){
-		func(c *mpc.Cluster, em mpc.Emitter) { Yannakakis(c, in, nil, 1, em) },
-		func(c *mpc.Cluster, em mpc.Emitter) { Line3(c, in, 1, em) },
-		func(c *mpc.Cluster, em mpc.Emitter) { AcyclicJoin(c, in, 1, em) },
-		func(c *mpc.Cluster, em mpc.Emitter) { Line3WorstCase(c, in, 1, em) },
+	for _, f := range []func(c *mpc.Cluster) *mpc.Dist{
+		func(c *mpc.Cluster) *mpc.Dist { return Yannakakis(c, in, nil, 1) },
+		func(c *mpc.Cluster) *mpc.Dist { return Line3(c, in, 1) },
+		func(c *mpc.Cluster) *mpc.Dist { return AcyclicJoin(c, in, 1) },
+		func(c *mpc.Cluster) *mpc.Dist { return Line3WorstCase(c, in, 1) },
 	} {
-		c := mpc.NewCluster(1)
-		em := mpc.NewCountEmitter(in.Ring)
-		f(c, em)
-		if em.N != want {
-			t.Errorf("p=1 run emitted %d, want %d", em.N, want)
+		if n := int64(f(mpc.NewCluster(1)).Size()); n != want {
+			t.Errorf("p=1 run emitted %d, want %d", n, want)
 		}
 	}
 }
@@ -114,16 +106,13 @@ func TestDanglingOnlyRelation(t *testing.T) {
 		r3.Add(relation.Value(i), relation.Value(i))
 	}
 	in := NewInstance(hypergraph.Line3(), r1, r2, r3)
-	for _, f := range []func(c *mpc.Cluster, em mpc.Emitter){
-		func(c *mpc.Cluster, em mpc.Emitter) { Yannakakis(c, in, nil, 1, em) },
-		func(c *mpc.Cluster, em mpc.Emitter) { Line3(c, in, 1, em) },
-		func(c *mpc.Cluster, em mpc.Emitter) { AcyclicJoin(c, in, 1, em) },
+	for _, f := range []func(c *mpc.Cluster) *mpc.Dist{
+		func(c *mpc.Cluster) *mpc.Dist { return Yannakakis(c, in, nil, 1) },
+		func(c *mpc.Cluster) *mpc.Dist { return Line3(c, in, 1) },
+		func(c *mpc.Cluster) *mpc.Dist { return AcyclicJoin(c, in, 1) },
 	} {
-		c := mpc.NewCluster(4)
-		em := mpc.NewCountEmitter(in.Ring)
-		f(c, em)
-		if em.N != 0 {
-			t.Errorf("dangling-only join emitted %d", em.N)
+		if n := f(mpc.NewCluster(4)).Size(); n != 0 {
+			t.Errorf("dangling-only join emitted %d", n)
 		}
 	}
 }
@@ -139,8 +128,7 @@ func TestAllTuplesOneKey(t *testing.T) {
 	}
 	in := NewInstance(hypergraph.Line2(), r1, r2)
 	c := mpc.NewCluster(9)
-	em := mpc.NewCountEmitter(in.Ring)
-	AcyclicJoin(c, in, 1, em)
+	em := counted(in, AcyclicJoin(c, in, 1))
 	if em.N != int64(n*n) {
 		t.Fatalf("one-key join = %d, want %d", em.N, n*n)
 	}
@@ -205,13 +193,9 @@ func TestMixedArityQuery(t *testing.T) {
 	in := randInstance(rng, q, 15, 4)
 	want := Naive(in)
 	c := mpc.NewCluster(4)
-	em := mpc.NewCollectEmitter(in.OutputSchema())
-	AcyclicJoin(c, in, 1, em)
-	relEqual(t, em.Rel, want)
+	relEqual(t, collected(in, AcyclicJoin(c, in, 1)), want)
 	c2 := mpc.NewCluster(4)
-	em2 := mpc.NewCollectEmitter(in.OutputSchema())
-	RHier(c2, in, 1, em2)
-	relEqual(t, em2.Rel, want)
+	relEqual(t, collected(in, RHier(c2, in, 1)), want)
 }
 
 func TestNegativeValues(t *testing.T) {
@@ -223,11 +207,10 @@ func TestNegativeValues(t *testing.T) {
 	r2.Add(-10, -20)
 	in := NewInstance(hypergraph.Line2(), r1, r2)
 	c := mpc.NewCluster(3)
-	em := mpc.NewCollectEmitter(in.OutputSchema())
-	AcyclicJoin(c, in, 1, em)
-	relEqual(t, em.Rel, Naive(in))
-	if em.Rel.Size() != 2 {
-		t.Errorf("negative-value join size = %d, want 2", em.Rel.Size())
+	em := collected(in, AcyclicJoin(c, in, 1))
+	relEqual(t, em, Naive(in))
+	if em.Size() != 2 {
+		t.Errorf("negative-value join size = %d, want 2", em.Size())
 	}
 }
 
@@ -239,7 +222,7 @@ func TestAggregateSingleRelation(t *testing.T) {
 	r.Add(2, 12)
 	in := NewInstance(q, r)
 	c := mpc.NewCluster(2)
-	got := Aggregate(c, in, hypergraph.NewAttrSet(1), 1, nil)
+	got := Aggregate(c, in, hypergraph.NewAttrSet(1), 1)
 	m := map[relation.Value]int64{}
 	for _, it := range got.All() {
 		m[it.T[0]] = it.A

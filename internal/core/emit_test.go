@@ -9,56 +9,42 @@ import (
 	"repro/internal/runtime"
 )
 
-// TestEmitDistParallelMatchesSerial drives EmitDist's lock-free parallel
-// path (every sink shard-safe: counter, sharded collector, per-server
-// counter) at several widths and checks each emitter's state is identical
-// to the serial CollectEmitter reference. Run under -race this proves the
-// per-partition ownership contract holds.
+// TestEmitDistParallelMatchesSerial: the two readings of a result agree.
+// The engine's — Project under runtime.Fork, then Rel — at several widths
+// is row for row what EmitDist's serial replay hands an observer: parts in
+// server order, rows in part order, projected onto the emitted schema.
 func TestEmitDistParallelMatchesSerial(t *testing.T) {
-	const p, n = 8, 3 * emitSerialBelow
+	const p, n = 8, 3 << 12
 	c := mpc.NewCluster(p)
 	r := relation.New("R", relation.NewSchema(1, 2))
 	rng := mpc.NewRng(7)
 	for i := 0; i < n; i++ {
-		r.Add(relation.Value(rng.Intn(64)), relation.Value(i))
+		r.AddAnnotated(int64(1+i%3), relation.Value(rng.Intn(64)), relation.Value(i))
 	}
 	d := mpc.FromRelation(c, r)
 	schema := relation.NewSchema(2, 1) // projection with reordering
 
-	ref := mpc.NewCollectEmitter(schema)
-	EmitDist(d, schema, ref)
-
+	counter, sharded := mpc.NewCountEmitter(relation.CountRing), mpc.NewShardedEmitter(schema, p)
+	EmitDist(d, schema, counter)
+	EmitDist(d, schema, sharded)
+	if counter.N != n || counter.AnnotSum != 2*n || sharded.N() != n {
+		t.Fatalf("observers saw %d rows (annotation sum %d) and %d rows, want %d (%d)", counter.N, counter.AnnotSum, sharded.N(), n, 2*n)
+	}
+	want := sharded.Rel()
+	for s, k := 0, 0; s < p; s++ {
+		for i := 0; i < d.Parts[s].Len(); i, k = i+1, k+1 {
+			row := d.Parts[s].Tuple(i)
+			if want.Tuples[k][0] != row[1] || want.Tuples[k][1] != row[0] || want.Annots[k] != d.Parts[s].Annot(i) {
+				t.Fatalf("observed row %d is not row %d of part %d", k, i, s)
+			}
+		}
+	}
 	for _, width := range []int{1, 3, 8} {
 		prev := runtime.SetParallelism(width)
-		counter := mpc.NewCountEmitter(relation.CountRing)
-		sharded := mpc.NewShardedEmitter(schema, p)
-		perServer := mpc.NewPerServerCounter(p)
-		EmitDist(d, schema, mpc.MultiEmitter{counter, sharded, perServer})
+		got := d.Project(schema).Rel()
 		runtime.SetParallelism(prev)
-
-		if counter.N != int64(n) {
-			t.Fatalf("width %d: counter.N = %d, want %d", width, counter.N, n)
-		}
-		// Annotations compare through Annot(i): an all-ones column has two
-		// representations (nil and materialized).
-		got := sharded.Rel()
-		if !reflect.DeepEqual(got.Tuples, ref.Rel.Tuples) {
-			t.Fatalf("width %d: sharded merge differs from serial collect", width)
-		}
-		for i := range got.Tuples {
-			if got.Annot(i) != ref.Rel.Annot(i) {
-				t.Fatalf("width %d: row %d annotated %d, serial collect has %d", width, i, got.Annot(i), ref.Rel.Annot(i))
-			}
-		}
-		var perTotal int64
-		for s, cnt := range perServer.Counts {
-			if int(cnt) != d.Parts[s].Len() {
-				t.Fatalf("width %d: server %d count %d, want %d", width, s, cnt, d.Parts[s].Len())
-			}
-			perTotal += cnt
-		}
-		if perTotal != int64(n) {
-			t.Fatalf("width %d: per-server total %d, want %d", width, perTotal, n)
+		if !reflect.DeepEqual(got.Tuples, want.Tuples) || !reflect.DeepEqual(got.Annots, want.Annots) {
+			t.Fatalf("width %d: the projected table differs from the serial replay", width)
 		}
 	}
 }

@@ -19,14 +19,12 @@ import (
 //
 //lint:load frac trust eq. (1): per-relation grid dimensions adapt to the sizes, attaining L_cartesian up to polylog factors
 //lint:rounds const
-func HyperCubeProduct(c *mpc.Cluster, in *Instance, seed uint64, em mpc.Emitter) *mpc.Dist {
+func HyperCubeProduct(c *mpc.Cluster, in *Instance, seed uint64) *mpc.Dist {
 	if !IsProductQuery(in.Q) {
 		panic("core: HyperCubeProduct needs pairwise disjoint relations")
 	}
 	dists := LoadInstance(c, in)
-	res := MultiwayKeyedJoin(relation.Schema{}, dists, in.Ring, seed, nil)
-	EmitDist(res, in.OutputSchema(), em)
-	return res
+	return MultiwayKeyedJoin(relation.Schema{}, dists, in.Ring, seed)
 }
 
 // IsProductQuery reports whether q is a Cartesian product (pairwise

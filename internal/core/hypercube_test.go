@@ -45,9 +45,7 @@ func cartesianLower(sizes []int, p int) float64 {
 func TestHyperCubeProductCorrect(t *testing.T) {
 	in := productInstance(7, 5, 3)
 	c := mpc.NewCluster(8)
-	em := mpc.NewCollectEmitter(in.OutputSchema())
-	HyperCubeProduct(c, in, 1, em)
-	relEqual(t, em.Rel, Naive(in))
+	relEqual(t, collected(in, HyperCubeProduct(c, in, 1)), Naive(in))
 }
 
 // TestHyperCubeInstanceOptimalOnPaperExamples checks the Section 1.3
@@ -66,8 +64,7 @@ func TestHyperCubeInstanceOptimalOnPaperExamples(t *testing.T) {
 	for _, sizes := range cases {
 		in := productInstance(sizes...)
 		c := mpc.NewCluster(p)
-		em := mpc.NewCountEmitter(in.Ring)
-		HyperCubeProduct(c, in, 1, em)
+		em := counted(in, HyperCubeProduct(c, in, 1))
 		want := int64(sizes[0]) * int64(sizes[1]) * int64(sizes[2])
 		if em.N != want {
 			t.Fatalf("product %v = %d, want %d", sizes, em.N, want)
@@ -99,7 +96,7 @@ func TestHyperCubeProductRejectsSharedAttrs(t *testing.T) {
 			t.Fatal("HyperCubeProduct on joined query did not panic")
 		}
 	}()
-	HyperCubeProduct(c, in, 1, nil)
+	HyperCubeProduct(c, in, 1)
 }
 
 // TestJoinProjectViaBoolRing: join-project queries π_y Q(R) are the
@@ -117,7 +114,7 @@ func TestJoinProjectViaBoolRing(t *testing.T) {
 	in := NewInstance(hypergraph.Line2(), r1, r2)
 	in.Ring = relation.BoolRing
 	c := mpc.NewCluster(4)
-	got := Aggregate(c, in, hypergraph.NewAttrSet(2), 1, nil)
+	got := Aggregate(c, in, hypergraph.NewAttrSet(2), 1)
 	seen := map[relation.Value]int64{}
 	for _, it := range got.All() {
 		seen[it.T[0]] = it.A

@@ -27,8 +27,8 @@ import (
 //
 //lint:load frac
 //lint:rounds const
-func Line3(c *mpc.Cluster, in *Instance, seed uint64, em mpc.Emitter) *mpc.Dist {
-	return Line3WithTau(c, in, 0, seed, em)
+func Line3(c *mpc.Cluster, in *Instance, seed uint64) *mpc.Dist {
+	return Line3WithTau(c, in, 0, seed)
 }
 
 // Line3WithTau runs the Section 4.2 algorithm with an explicit degree
@@ -37,7 +37,7 @@ func Line3(c *mpc.Cluster, in *Instance, seed uint64, em mpc.Emitter) *mpc.Dist 
 //
 //lint:load frac
 //lint:rounds const
-func Line3WithTau(c *mpc.Cluster, in *Instance, tauOverride int64, seed uint64, em mpc.Emitter) *mpc.Dist {
+func Line3WithTau(c *mpc.Cluster, in *Instance, tauOverride int64, seed uint64) *mpc.Dist {
 	b, _ := line3Attrs(in)
 
 	dists := LoadInstance(c, in)
@@ -72,9 +72,7 @@ func Line3WithTau(c *mpc.Cluster, in *Instance, tauOverride int64, seed uint64, 
 	t12 := BinaryJoin(r1L, r2L, in.Ring, seed^0x402, nil)
 	q2 := BinaryJoin(t12, r3, in.Ring, seed^0x403, nil)
 
-	res := mpc.Concat(q1.Project(outSchema), q2.Project(outSchema))
-	EmitDist(res, outSchema, em)
-	return res
+	return mpc.Concat(q1.Project(outSchema), q2.Project(outSchema))
 }
 
 // IsLine3Query reports whether q has the line-3 chain shape

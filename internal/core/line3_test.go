@@ -15,9 +15,7 @@ func TestLine3MatchesNaive(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		in := randInstance(rng, hypergraph.Line3(), 25+rng.Intn(30), 5)
 		c := mpc.NewCluster(1 + rng.Intn(8))
-		em := mpc.NewCollectEmitter(in.OutputSchema())
-		Line3(c, in, uint64(trial), em)
-		relEqual(t, em.Rel, Naive(in))
+		relEqual(t, collected(in, Line3(c, in, uint64(trial))), Naive(in))
 	}
 }
 
@@ -44,9 +42,7 @@ func TestLine3SkewedInstances(t *testing.T) {
 	}
 	in := NewInstance(hypergraph.Line3(), r1.Dedup(), r2.Dedup(), r3.Dedup())
 	c := mpc.NewCluster(5)
-	em := mpc.NewCollectEmitter(in.OutputSchema())
-	Line3(c, in, 7, em)
-	relEqual(t, em.Rel, Naive(in))
+	relEqual(t, collected(in, Line3(c, in, 7)), Naive(in))
 }
 
 func TestLine3EmptyOutput(t *testing.T) {
@@ -58,7 +54,7 @@ func TestLine3EmptyOutput(t *testing.T) {
 	r3.Add(3, 3)
 	in := NewInstance(hypergraph.Line3(), r1, r2, r3)
 	c := mpc.NewCluster(4)
-	res := Line3(c, in, 1, nil)
+	res := Line3(c, in, 1)
 	if res.Size() != 0 {
 		t.Errorf("empty join produced %d tuples", res.Size())
 	}
@@ -72,7 +68,7 @@ func TestLine3RejectsWrongShape(t *testing.T) {
 			t.Fatal("Line3 on star query did not panic")
 		}
 	}()
-	Line3(c, in, 1, nil)
+	Line3(c, in, 1)
 }
 
 // yannakakisHard builds the Figure 3 one-sided hard instance: A×B complete
@@ -116,15 +112,13 @@ func TestLine3BeatsYannakakisOnHardInstance(t *testing.T) {
 	}
 
 	cBad := mpc.NewCluster(p)
-	emBad := mpc.NewCountEmitter(in.Ring)
-	Yannakakis(cBad, in, []int{0, 1, 2}, 1, emBad) // (R1 ⋈ R2) ⋈ R3
+	emBad := counted(in, Yannakakis(cBad, in, []int{0, 1, 2}, 1)) // (R1 ⋈ R2) ⋈ R3
 	if emBad.N != want {
 		t.Fatalf("Yannakakis bad order wrong count %d, want %d", emBad.N, want)
 	}
 
 	cNew := mpc.NewCluster(p)
-	emNew := mpc.NewCountEmitter(in.Ring)
-	Line3(cNew, in, 1, emNew)
+	emNew := counted(in, Line3(cNew, in, 1))
 	if emNew.N != want {
 		t.Fatalf("Line3 wrong count %d, want %d", emNew.N, want)
 	}
@@ -177,8 +171,7 @@ func TestLine3DoubledHardInstanceNoGoodOrder(t *testing.T) {
 	worstBest := 1 << 62
 	for _, order := range [][]int{{0, 1, 2}, {2, 1, 0}} {
 		c := mpc.NewCluster(p)
-		em := mpc.NewCountEmitter(in.Ring)
-		Yannakakis(c, in, order, 1, em)
+		em := counted(in, Yannakakis(c, in, order, 1))
 		if em.N != want {
 			t.Fatalf("order %v wrong count", order)
 		}
@@ -187,8 +180,7 @@ func TestLine3DoubledHardInstanceNoGoodOrder(t *testing.T) {
 		}
 	}
 	c := mpc.NewCluster(p)
-	em := mpc.NewCountEmitter(in.Ring)
-	Line3(c, in, 1, em)
+	em := counted(in, Line3(c, in, 1))
 	if em.N != want {
 		t.Fatalf("Line3 wrong count on doubled instance")
 	}

@@ -26,7 +26,7 @@ import (
 //
 //lint:load frac trust Section 4.3: the sqrt(p) x sqrt(p) grid replicates each endpoint relation sqrt(p)-fold, IN/sqrt(p) per server
 //lint:rounds const
-func Line3WorstCase(c *mpc.Cluster, in *Instance, seed uint64, em mpc.Emitter) *mpc.Dist {
+func Line3WorstCase(c *mpc.Cluster, in *Instance, seed uint64) *mpc.Dist {
 	b, cAttr := line3Attrs(in)
 	dists := LoadInstance(c, in)
 	r1, r2, r3 := dists[0], dists[1], dists[2]
@@ -77,6 +77,5 @@ func Line3WorstCase(c *mpc.Cluster, in *Instance, seed uint64, em mpc.Emitter) *
 	runtime.Fork(c.P, func(sv int) {
 		indexJoin(&res.Parts[sv], len(outSchema), stagesAt(stages, inputs, sv), nil, in.Ring)
 	})
-	EmitDist(res, outSchema, em)
 	return res
 }

@@ -15,9 +15,7 @@ func TestLine3WorstCaseMatchesNaive(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		in := randInstance(rng, hypergraph.Line3(), 30, 6)
 		c := mpc.NewCluster(1 + rng.Intn(16))
-		em := mpc.NewCollectEmitter(in.OutputSchema())
-		Line3WorstCase(c, in, uint64(trial), em)
-		relEqual(t, em.Rel, Naive(in))
+		relEqual(t, collected(in, Line3WorstCase(c, in, uint64(trial))), Naive(in))
 	}
 }
 
@@ -43,8 +41,7 @@ func TestLine3WorstCaseLoad(t *testing.T) {
 	}
 	in := NewInstance(hypergraph.Line3(), r1, r2, r3)
 	c := mpc.NewCluster(p)
-	em := mpc.NewCountEmitter(in.Ring)
-	Line3WorstCase(c, in, 1, em)
+	em := counted(in, Line3WorstCase(c, in, 1))
 	if em.N != NaiveCount(in) {
 		t.Fatalf("count = %d, want %d", em.N, NaiveCount(in))
 	}
@@ -70,8 +67,7 @@ func TestLine3WorstCaseWinsWhenOutHuge(t *testing.T) {
 	want := NaiveCount(in)
 
 	cWC := mpc.NewCluster(p)
-	emWC := mpc.NewCountEmitter(in.Ring)
-	Line3WorstCase(cWC, in, 1, emWC)
+	emWC := counted(in, Line3WorstCase(cWC, in, 1))
 	if emWC.N != want {
 		t.Fatalf("worst-case count = %d, want %d", emWC.N, want)
 	}

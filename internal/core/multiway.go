@@ -26,7 +26,7 @@ import (
 //
 //lint:load frac trust the per-key hypercubes target the instance-optimal L of bound (2); light keys stay at IN/p
 //lint:rounds const
-func MultiwayKeyedJoin(key relation.Schema, dists []*mpc.Dist, ring relation.Semiring, seed uint64, em mpc.Emitter) *mpc.Dist {
+func MultiwayKeyedJoin(key relation.Schema, dists []*mpc.Dist, ring relation.Semiring, seed uint64) *mpc.Dist {
 	if len(dists) == 0 {
 		panic("core: MultiwayKeyedJoin of nothing")
 	}
@@ -41,9 +41,6 @@ func MultiwayKeyedJoin(key relation.Schema, dists []*mpc.Dist, ring relation.Sem
 		outSchema = outSchema.Union(d.Schema)
 	}
 	if m == 1 {
-		if em != nil {
-			EmitDist(dists[0], outSchema, em)
-		}
 		return dists[0]
 	}
 	keyAttrs := []relation.Attr(key)
@@ -131,7 +128,6 @@ func MultiwayKeyedJoin(key relation.Schema, dists []*mpc.Dist, ring relation.Sem
 		}
 		indexJoin(&res.Parts[s], len(outSchema), stagesAt(stages, routed, s), order, ring)
 	})
-	EmitDist(res, outSchema, em)
 	return res
 }
 

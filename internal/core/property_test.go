@@ -54,33 +54,33 @@ func TestPropertyAllAlgorithmsAgree(t *testing.T) {
 	type algo struct {
 		name    string
 		applies func(q *hypergraph.Hypergraph) bool
-		run     func(c *mpc.Cluster, in *Instance, em mpc.Emitter)
+		run     func(c *mpc.Cluster, in *Instance) *mpc.Dist
 	}
 	acyclic := func(q *hypergraph.Hypergraph) bool { return q.IsAcyclic() }
 	algos := []algo{
-		{"yannakakis", acyclic, func(c *mpc.Cluster, in *Instance, em mpc.Emitter) {
-			Yannakakis(c, in, nil, 1, em)
+		{"yannakakis", acyclic, func(c *mpc.Cluster, in *Instance) *mpc.Dist {
+			return Yannakakis(c, in, nil, 1)
 		}},
-		{"acyclic", acyclic, func(c *mpc.Cluster, in *Instance, em mpc.Emitter) {
-			AcyclicJoin(c, in, 1, em)
+		{"acyclic", acyclic, func(c *mpc.Cluster, in *Instance) *mpc.Dist {
+			return AcyclicJoin(c, in, 1)
 		}},
-		{"rhier", (*hypergraph.Hypergraph).IsRHierarchical, func(c *mpc.Cluster, in *Instance, em mpc.Emitter) {
-			RHier(c, in, 1, em)
+		{"rhier", (*hypergraph.Hypergraph).IsRHierarchical, func(c *mpc.Cluster, in *Instance) *mpc.Dist {
+			return RHier(c, in, 1)
 		}},
-		{"binhc", (*hypergraph.Hypergraph).IsRHierarchical, func(c *mpc.Cluster, in *Instance, em mpc.Emitter) {
-			BinHC(c, in, 1, false, em)
+		{"binhc", (*hypergraph.Hypergraph).IsRHierarchical, func(c *mpc.Cluster, in *Instance) *mpc.Dist {
+			return BinHC(c, in, 1, false)
 		}},
-		{"line3", IsLine3Query, func(c *mpc.Cluster, in *Instance, em mpc.Emitter) {
-			Line3(c, in, 1, em)
+		{"line3", IsLine3Query, func(c *mpc.Cluster, in *Instance) *mpc.Dist {
+			return Line3(c, in, 1)
 		}},
-		{"line3wc", IsLine3Query, func(c *mpc.Cluster, in *Instance, em mpc.Emitter) {
-			Line3WorstCase(c, in, 1, em)
+		{"line3wc", IsLine3Query, func(c *mpc.Cluster, in *Instance) *mpc.Dist {
+			return Line3WorstCase(c, in, 1)
 		}},
-		{"hypercube", IsProductQuery, func(c *mpc.Cluster, in *Instance, em mpc.Emitter) {
-			HyperCubeProduct(c, in, 1, em)
+		{"hypercube", IsProductQuery, func(c *mpc.Cluster, in *Instance) *mpc.Dist {
+			return HyperCubeProduct(c, in, 1)
 		}},
-		{"triangle", IsTriangleQuery, func(c *mpc.Cluster, in *Instance, em mpc.Emitter) {
-			Triangle(c, in, 1, em)
+		{"triangle", IsTriangleQuery, func(c *mpc.Cluster, in *Instance) *mpc.Dist {
+			return Triangle(c, in, 1)
 		}},
 	}
 	queries := []*hypergraph.Hypergraph{
@@ -107,9 +107,7 @@ func TestPropertyAllAlgorithmsAgree(t *testing.T) {
 				continue
 			}
 			c := mpc.NewCluster(p)
-			em := mpc.NewCollectEmitter(in.OutputSchema())
-			a.run(c, in, em)
-			if !sameResults(canonical(em.Rel), want) {
+			if !sameResults(canonical(collected(in, a.run(c, in))), want) {
 				t.Logf("%s disagrees on %v (seed %d, p %d)", a.name, q, seed, p)
 				return false
 			}
@@ -131,8 +129,7 @@ func TestPropertyAcyclicLoadBound(t *testing.T) {
 		in := randInstance(rng, q, 30+rng.Intn(40), 6)
 		p := 4 + rng.Intn(12)
 		c := mpc.NewCluster(p)
-		em := mpc.NewCountEmitter(in.Ring)
-		AcyclicJoin(c, in, uint64(seed), em)
+		em := counted(in, AcyclicJoin(c, in, uint64(seed)))
 		inSize := float64(in.IN())
 		bound := inSize/float64(p) + math.Sqrt(inSize*float64(em.N)/float64(p)) + float64(4*p)
 		if float64(c.MaxLoad()) > 10*bound {
@@ -191,17 +188,16 @@ func TestPropertyCountOutputAgrees(t *testing.T) {
 }
 
 // TestPropertyEmitterConsistency: the result Dist returned by an algorithm
-// and the tuples it emits are the same multiset.
+// and the tuples an observer of it is handed are the same multiset.
 func TestPropertyEmitterConsistency(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		in := randInstance(rng, hypergraph.Line3(), 25, 5)
 		c := mpc.NewCluster(5)
-		em := mpc.NewCollectEmitter(in.OutputSchema())
-		res := Line3(c, in, uint64(seed), em)
+		res := Line3(c, in, uint64(seed))
 		return sameResults(
 			canonical(res.Project(in.OutputSchema()).ToRelation("res")),
-			canonical(em.Rel))
+			canonical(collected(in, res)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

@@ -53,7 +53,7 @@ func degreeSizer(rels []*relation.Relation) int64 {
 //
 //lint:load frac trust Theorem 9: the residue-class grid and recursion keep every server at IN/p + L_instance(p,R)
 //lint:rounds const
-func RHier(c *mpc.Cluster, in *Instance, seed uint64, em mpc.Emitter) *mpc.Dist {
+func RHier(c *mpc.Cluster, in *Instance, seed uint64) *mpc.Dist {
 	if !in.Q.IsRHierarchical() {
 		panic("core: RHier on non-r-hierarchical query")
 	}
@@ -70,10 +70,7 @@ func RHier(c *mpc.Cluster, in *Instance, seed uint64, em mpc.Emitter) *mpc.Dist 
 	if l < 1 {
 		l = 1
 	}
-	res := hierRec(c, rels, nil, l, in.Ring, exactSizer)
-	res = res.Project(outSchema)
-	EmitDist(res, outSchema, em)
-	return res
+	return hierRec(c, rels, nil, l, in.Ring, exactSizer).Project(outSchema)
 }
 
 // BinHC runs the one-round degree-based algorithm. With removeDangling it
@@ -85,7 +82,7 @@ func RHier(c *mpc.Cluster, in *Instance, seed uint64, em mpc.Emitter) *mpc.Dist 
 //
 //lint:load frac trust Section 5.1: degree-based sharing caps each server at the Table 1 instance bound
 //lint:rounds const
-func BinHC(c *mpc.Cluster, in *Instance, seed uint64, removeDangling bool, em mpc.Emitter) *mpc.Dist {
+func BinHC(c *mpc.Cluster, in *Instance, seed uint64, removeDangling bool) *mpc.Dist {
 	if !in.Q.IsRHierarchical() {
 		panic("core: BinHC on non-r-hierarchical query")
 	}
@@ -107,10 +104,7 @@ func BinHC(c *mpc.Cluster, in *Instance, seed uint64, removeDangling bool, em mp
 			lo = mid + 1
 		}
 	}
-	res := hierRec(c, rels, nil, lo, in.Ring, degreeSizer)
-	res = res.Project(outSchema)
-	EmitDist(res, outSchema, em)
-	return res
+	return hierRec(c, rels, nil, lo, in.Ring, degreeSizer).Project(outSchema)
 }
 
 // hierState is one recursion node: relations plus the attributes already

@@ -57,9 +57,7 @@ func TestRHierMatchesNaive(t *testing.T) {
 		for trial := 0; trial < 5; trial++ {
 			in := randInstance(rng, q, 12+rng.Intn(12), 4)
 			c := mpc.NewCluster(1 + rng.Intn(8))
-			em := mpc.NewCollectEmitter(in.OutputSchema())
-			RHier(c, in, uint64(trial), em)
-			relEqual(t, em.Rel, Naive(in))
+			relEqual(t, collected(in, RHier(c, in, uint64(trial))), Naive(in))
 		}
 	}
 }
@@ -72,7 +70,7 @@ func TestRHierRejectsLine3(t *testing.T) {
 			t.Fatal("RHier on line-3 did not panic")
 		}
 	}()
-	RHier(c, in, 1, nil)
+	RHier(c, in, 1)
 }
 
 func TestRHierAnnotated(t *testing.T) {
@@ -85,9 +83,7 @@ func TestRHierAnnotated(t *testing.T) {
 		}
 	}
 	c := mpc.NewCluster(4)
-	em := mpc.NewCollectEmitter(in.OutputSchema())
-	RHier(c, in, 1, em)
-	relEqual(t, em.Rel, Naive(in))
+	relEqual(t, collected(in, RHier(c, in, 1)), Naive(in))
 }
 
 func TestRHierInstanceOptimalLoad(t *testing.T) {
@@ -112,8 +108,7 @@ func TestRHierInstanceOptimalLoad(t *testing.T) {
 	}
 	in := NewInstance(hypergraph.RHierSimple(), r1, r2, r3.Dedup())
 	c := mpc.NewCluster(p)
-	em := mpc.NewCountEmitter(in.Ring)
-	RHier(c, in, 1, em)
+	em := counted(in, RHier(c, in, 1))
 	if em.N != NaiveCount(in) {
 		t.Fatalf("RHier count = %d, want %d", em.N, NaiveCount(in))
 	}
@@ -147,8 +142,7 @@ func TestRHierCartesianInterleaving(t *testing.T) {
 	}
 	in := NewInstance(q, r0, r1, r2)
 	c := mpc.NewCluster(p)
-	em := mpc.NewCountEmitter(in.Ring)
-	RHier(c, in, 1, em)
+	em := counted(in, RHier(c, in, 1))
 	want := int64(nIN * p)
 	if em.N != want {
 		t.Fatalf("count = %d, want %d", em.N, want)
@@ -196,9 +190,8 @@ func TestRHierGridDeterministicAcrossWidths(t *testing.T) {
 		defer runtime.SetParallelism(prev)
 		in := build()
 		c := mpc.NewCluster(p)
-		em := mpc.NewCollectEmitter(in.OutputSchema())
-		res := RHier(c, in, 1, em)
-		return run{parts: res.All(), rel: em.Rel, stats: c.Snapshot()}
+		res := RHier(c, in, 1)
+		return run{parts: res.All(), rel: collected(in, res), stats: c.Snapshot()}
 	}
 
 	ref := runAt(1)
@@ -226,9 +219,7 @@ func TestBinHCMatchesNaive(t *testing.T) {
 			in := randInstance(rng, q, 12, 4)
 			for _, dangling := range []bool{false, true} {
 				c := mpc.NewCluster(1 + rng.Intn(8))
-				em := mpc.NewCollectEmitter(in.OutputSchema())
-				BinHC(c, in, uint64(trial), dangling, em)
-				relEqual(t, em.Rel, Naive(in))
+				relEqual(t, collected(in, BinHC(c, in, uint64(trial), dangling)), Naive(in))
 			}
 		}
 	}
@@ -252,12 +243,10 @@ func TestBinHCDanglingBarrier(t *testing.T) {
 	in := NewInstance(hypergraph.RHierSimple(), r1, r2, r3)
 
 	cNo := mpc.NewCluster(p)
-	emNo := mpc.NewCountEmitter(in.Ring)
-	BinHC(cNo, in, 1, false, emNo)
+	emNo := counted(in, BinHC(cNo, in, 1, false))
 
 	cYes := mpc.NewCluster(p)
-	emYes := mpc.NewCountEmitter(in.Ring)
-	BinHC(cYes, in, 1, true, emYes)
+	emYes := counted(in, BinHC(cYes, in, 1, true))
 
 	if emNo.N != 1 || emYes.N != 1 {
 		t.Fatalf("counts = %d,%d want 1,1", emNo.N, emYes.N)

@@ -22,7 +22,7 @@ import (
 //
 //lint:load frac trust Section 7: cube replication copies each relation p^(1/3)-fold, IN/p^(2/3) per server on skew-free inputs
 //lint:rounds const
-func Triangle(c *mpc.Cluster, in *Instance, seed uint64, em mpc.Emitter) *mpc.Dist {
+func Triangle(c *mpc.Cluster, in *Instance, seed uint64) *mpc.Dist {
 	a, b, cc := triangleAttrs(in)
 	dists := LoadInstance(c, in)
 
@@ -90,7 +90,6 @@ func Triangle(c *mpc.Cluster, in *Instance, seed uint64, em mpc.Emitter) *mpc.Di
 	runtime.Fork(c.P, func(sv int) {
 		indexJoin(&res.Parts[sv], len(outSchema), stagesAt(stages, inputs, sv), nil, in.Ring)
 	})
-	EmitDist(res, outSchema, em)
 	return res
 }
 

@@ -15,9 +15,7 @@ func TestTriangleMatchesNaive(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		in := randInstance(rng, hypergraph.Triangle(), 30, 6)
 		c := mpc.NewCluster(1 + rng.Intn(27))
-		em := mpc.NewCollectEmitter(in.OutputSchema())
-		Triangle(c, in, uint64(trial), em)
-		relEqual(t, em.Rel, Naive(in))
+		relEqual(t, collected(in, Triangle(c, in, uint64(trial))), Naive(in))
 	}
 }
 
@@ -31,9 +29,7 @@ func TestTriangleAnnotated(t *testing.T) {
 		}
 	}
 	c := mpc.NewCluster(8)
-	em := mpc.NewCollectEmitter(in.OutputSchema())
-	Triangle(c, in, 1, em)
-	relEqual(t, em.Rel, Naive(in))
+	relEqual(t, collected(in, Triangle(c, in, 1)), Naive(in))
 }
 
 // TestTriangleBagSemantics: duplicate rows keep their multiplicity and
@@ -50,8 +46,7 @@ func TestTriangleBagSemantics(t *testing.T) {
 	r2.AddAnnotated(3, 5, 20)
 	r3.Add(5, 10)
 	in := NewInstance(hypergraph.Triangle(), r1, r2, r3)
-	count := mpc.NewCountEmitter(in.Ring)
-	Triangle(mpc.NewCluster(8), in, 1, count)
+	count := counted(in, Triangle(mpc.NewCluster(8), in, 1))
 	if count.N != 2 || count.AnnotSum != 5 {
 		t.Fatalf("duplicate R2 rows: OUT %d annotation sum %d, want 2 and 5", count.N, count.AnnotSum)
 	}
@@ -59,9 +54,7 @@ func TestTriangleBagSemantics(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	for trial := 0; trial < 10; trial++ {
 		in := randBagInstance(rng, hypergraph.Triangle(), 40, 4)
-		em := mpc.NewCollectEmitter(in.OutputSchema())
-		Triangle(mpc.NewCluster(1+rng.Intn(27)), in, uint64(trial), em)
-		relEqual(t, em.Rel, Naive(in))
+		relEqual(t, collected(in, Triangle(mpc.NewCluster(1+rng.Intn(27)), in, uint64(trial))), Naive(in))
 	}
 }
 
@@ -79,8 +72,7 @@ func TestTriangleWorstCaseLoad(t *testing.T) {
 	}
 	in := NewInstance(hypergraph.Triangle(), mk(2, 3), mk(1, 3), mk(1, 2))
 	c := mpc.NewCluster(p)
-	em := mpc.NewCountEmitter(in.Ring)
-	Triangle(c, in, 1, em)
+	em := counted(in, Triangle(c, in, 1))
 	if em.N != NaiveCount(in) {
 		t.Fatalf("triangle count = %d, want %d", em.N, NaiveCount(in))
 	}
@@ -99,5 +91,5 @@ func TestTriangleRejectsNonTriangle(t *testing.T) {
 			t.Fatal("Triangle on line-3 did not panic")
 		}
 	}()
-	Triangle(c, in, 1, nil)
+	Triangle(c, in, 1)
 }

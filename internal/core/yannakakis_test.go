@@ -134,9 +134,7 @@ func TestYannakakisMatchesNaive(t *testing.T) {
 		for trial := 0; trial < 5; trial++ {
 			in := randInstance(rng, q, 20, 4)
 			c := mpc.NewCluster(1 + rng.Intn(8))
-			em := mpc.NewCollectEmitter(in.OutputSchema())
-			Yannakakis(c, in, nil, uint64(trial), em)
-			relEqual(t, em.Rel, Naive(in))
+			relEqual(t, collected(in, Yannakakis(c, in, nil, uint64(trial))), Naive(in))
 		}
 	}
 }
@@ -147,9 +145,7 @@ func TestYannakakisCustomOrder(t *testing.T) {
 	want := Naive(in)
 	for _, order := range [][]int{{0, 1, 2}, {2, 1, 0}, {1, 0, 2}, {1, 2, 0}} {
 		c := mpc.NewCluster(4)
-		em := mpc.NewCollectEmitter(in.OutputSchema())
-		Yannakakis(c, in, order, 3, em)
-		relEqual(t, em.Rel, want)
+		relEqual(t, collected(in, Yannakakis(c, in, order, 3)), want)
 	}
 }
 
@@ -161,5 +157,5 @@ func TestYannakakisWrongOrderLengthPanics(t *testing.T) {
 			t.Fatal("bad order length did not panic")
 		}
 	}()
-	Yannakakis(c, in, []int{0, 1}, 1, nil)
+	Yannakakis(c, in, []int{0, 1}, 1)
 }

@@ -40,8 +40,7 @@ type Spec struct {
 	// its guarantee covers the query — shape and class checks, never data.
 	classes []hypergraph.Class
 	applies func(q *hypergraph.Hypergraph) bool
-	// run executes on job.Cluster, emits every result through job.Emitter
-	// and returns the distributed result (nil when none is materialized).
+	// run executes on job.Cluster and returns the distributed result.
 	run func(job Job) (*mpc.Dist, error)
 	// refine, when set, sharpens the scalar stats prediction with the
 	// instance in hand.
@@ -88,14 +87,14 @@ func init() {
 		name: "binhc", bound: "IN/p + degree shares (Table 1)", load: "frac", rounds: "const", fullJoin: true,
 		classes: []hypergraph.Class{hypergraph.TallFlat}, applies: isRHier,
 		run: func(job Job) (*mpc.Dist, error) {
-			return core.BinHC(job.Cluster, job.In, job.Seed, job.Reduce, job.Emitter), nil
+			return core.BinHC(job.Cluster, job.In, job.Seed, job.Reduce), nil
 		},
 	})
 	Register(&Spec{
 		name: "hypercube", bound: stats.CartesianFormula, load: "frac", rounds: "const", fullJoin: true,
 		classes: []hypergraph.Class{hypergraph.Hierarchical}, applies: core.IsProductQuery,
 		run: func(job Job) (*mpc.Dist, error) {
-			return core.HyperCubeProduct(job.Cluster, job.In, job.Seed, job.Emitter), nil
+			return core.HyperCubeProduct(job.Cluster, job.In, job.Seed), nil
 		},
 		// Eq. 1 over the actual relation sizes.
 		refine: func(in *core.Instance, p int, scalar float64) float64 {
@@ -113,74 +112,73 @@ func init() {
 		name: "rhier", bound: "IN/p + L_instance(p,R)", load: "frac", rounds: "const", fullJoin: true,
 		classes: []hypergraph.Class{hypergraph.TallFlat, hypergraph.Hierarchical, hypergraph.RHierarchical}, applies: isRHier,
 		run: func(job Job) (*mpc.Dist, error) {
-			return core.RHier(job.Cluster, job.In, job.Seed, job.Emitter), nil
+			return core.RHier(job.Cluster, job.In, job.Seed), nil
 		},
 	})
 	Register(&Spec{
 		name: "line3", bound: stats.AcyclicFormula, load: "frac", rounds: "const", fullJoin: true,
 		classes: []hypergraph.Class{hypergraph.Acyclic}, applies: core.IsLine3Query,
 		run: func(job Job) (*mpc.Dist, error) {
-			return core.Line3WithTau(job.Cluster, job.In, job.Tau, job.Seed, job.Emitter), nil
+			return core.Line3WithTau(job.Cluster, job.In, job.Tau, job.Seed), nil
 		},
 	})
 	Register(&Spec{
 		name: "line3wc", bound: "IN/√p (worst-case)", load: "frac", rounds: "const", fullJoin: true,
 		applies: core.IsLine3Query,
 		run: func(job Job) (*mpc.Dist, error) {
-			return core.Line3WorstCase(job.Cluster, job.In, job.Seed, job.Emitter), nil
+			return core.Line3WorstCase(job.Cluster, job.In, job.Seed), nil
 		},
 	})
 	Register(&Spec{
 		name: "acyclic", bound: stats.AcyclicFormula, load: "frac", rounds: "const", fullJoin: true,
 		classes: everyAcyclic, applies: (*hypergraph.Hypergraph).IsAcyclic,
 		run: func(job Job) (*mpc.Dist, error) {
-			return core.AcyclicJoin(job.Cluster, job.In, job.Seed, job.Emitter), nil
+			return core.AcyclicJoin(job.Cluster, job.In, job.Seed), nil
 		},
 	})
 	Register(&Spec{
 		name: "yannakakis", bound: stats.YannakakisFormula, load: "perP", rounds: "const", fullJoin: true,
 		classes: everyAcyclic, applies: (*hypergraph.Hypergraph).IsAcyclic,
 		run: func(job Job) (*mpc.Dist, error) {
-			return core.Yannakakis(job.Cluster, job.In, job.Order, job.Seed, job.Emitter), nil
+			return core.Yannakakis(job.Cluster, job.In, job.Order, job.Seed), nil
 		},
 	})
 	Register(&Spec{
 		name: "triangle", bound: stats.TriangleFormula, load: "frac", rounds: "const", fullJoin: true,
 		classes: []hypergraph.Class{hypergraph.Cyclic}, applies: core.IsTriangleQuery,
 		run: func(job Job) (*mpc.Dist, error) {
-			return core.Triangle(job.Cluster, job.In, job.Seed, job.Emitter), nil
+			return core.Triangle(job.Cluster, job.In, job.Seed), nil
 		},
 	})
 	Register(&Spec{
 		name: "naive", bound: "sequential oracle", load: "linear", rounds: "zero", fullJoin: true, oracle: true,
 		classes: []hypergraph.Class{hypergraph.Cyclic}, applies: anyQuery,
 		run: func(job Job) (*mpc.Dist, error) {
+			// The oracle's rows, uncharged, as server 0's part.
 			rel := core.Naive(job.In)
+			out := mpc.NewDist(job.Cluster, rel.Schema)
+			out.Parts[0].Reserve(len(rel.Schema), len(rel.Tuples))
 			for i, t := range rel.Tuples {
-				a := job.In.Ring.One
-				if i < len(rel.Annots) {
-					a = rel.Annots[i]
-				}
-				job.Emitter.Emit(0, t, a)
+				out.Parts[0].Append(t, rel.Annot(i))
 			}
-			return nil, nil
+			return out, nil
 		},
 	})
 	Register(&Spec{
 		name: "count", bound: "IN/p (Cor. 4)", load: "perP", rounds: "const", fullJoin: false,
 		applies: (*hypergraph.Hypergraph).IsAcyclic,
 		run: func(job Job) (*mpc.Dist, error) {
-			n := core.CountOutput(job.Cluster, job.In, job.Seed)
-			// One scalar emission: Result.Annot carries |Q(R)|.
-			job.Emitter.Emit(0, relation.Tuple{}, n)
-			return nil, nil
+			// One scalar row: Result.Annot carries |Q(R)|.
+			out := mpc.NewDist(job.Cluster, relation.Schema{})
+			out.Parts[0].Append(relation.Tuple{}, core.CountOutput(job.Cluster, job.In, job.Seed))
+			return out, nil
 		},
 	})
 	Register(&Spec{
 		name: "aggregate", bound: stats.AggregateFormula, load: "frac", rounds: "const", fullJoin: false,
 		applies: (*hypergraph.Hypergraph).IsAcyclic,
 		run: func(job Job) (*mpc.Dist, error) {
-			return core.Aggregate(job.Cluster, job.In, job.GroupBy, job.Seed, job.Emitter), nil
+			return core.Aggregate(job.Cluster, job.In, job.GroupBy, job.Seed), nil
 		},
 	})
 }

@@ -17,9 +17,9 @@ import (
 // width — through Auto dispatch, and then through every other full-join
 // algorithm that applies, so the one-round grid algorithms dispatch never
 // picks (line3wc, binhc, hypercube) are pinned too — materializing the
-// emitted result through the engine's ShardedEmitter, and renders every
-// observable of the Result — counts, load, rounds, comm and exchange
-// statistics, and the materialized table itself — into one string.
+// result into Result.Table, and renders every observable of the Result —
+// counts, load, rounds, comm and exchange statistics, and the materialized
+// table itself — into one string.
 func renderCatalogRuns(t *testing.T, width int) string {
 	t.Helper()
 	prev := runtime.SetParallelism(width)
@@ -53,12 +53,12 @@ func renderCatalogRuns(t *testing.T, width int) string {
 }
 
 // TestEngineDeterministicAcrossWidths is the data plane's end-to-end
-// guarantee: every engine result — including the table materialized
-// through the lock-free ShardedEmitter — is byte-identical between the
+// guarantee: every engine result — including the materialized table and
+// the per-part annotation fold — is byte-identical between the
 // serial reference (width 1) and parallel widths, with the columnar record
 // pool in both states. Run under -race (the Makefile ci target does) this
 // also proves the batched exchange, the parallel sub-clusters, the pooled
-// record columns, and the sharded emitters are data-race free.
+// record columns, and the result fold are data-race free.
 func TestEngineDeterministicAcrossWidths(t *testing.T) {
 	serial := renderCatalogRuns(t, 1)
 	for _, pooled := range []bool{true, false} {

@@ -25,6 +25,7 @@ import (
 	"repro/internal/hypergraph"
 	"repro/internal/mpc"
 	"repro/internal/relation"
+	"repro/internal/runtime"
 )
 
 // Job describes one execution: the instance plus every knob an algorithm
@@ -39,18 +40,10 @@ type Job struct {
 	Seed uint64
 	// Ring overrides the instance's semiring without mutating it.
 	Ring *relation.Semiring
-	// Emitter, when non-nil, observes every emitted result alongside the
-	// engine's own counter. A materializing observer shared across
-	// concurrent jobs must wrap in mpc.Synchronized (one mutex): jobs
-	// running on different clusters reuse server indices, so a shared
-	// mpc.ShardedEmitter would break its single-producer-per-partition
-	// contract. For lock-free materialization give each job its own
-	// collector — Job.Materialize does exactly that.
+	// Emitter, when non-nil, observes the result after the run: every row
+	// of Result.Table's, in its order, one serial Emit each.
 	Emitter mpc.Emitter
-	// Materialize asks Run to collect the emitted results into
-	// Result.Table through a lock-free mpc.ShardedEmitter (per-server
-	// buffers — adopted from the algorithm's own parts where those have
-	// the output layout — and a deterministic server-major merge order).
+	// Materialize asks Run to collect the result into Result.Table.
 	Materialize bool
 	// Tau overrides the line-3 heavy/light degree threshold (≤ 0 keeps the
 	// paper's balanced τ = √(OUT/IN)).
@@ -128,15 +121,13 @@ type Result struct {
 	Exchange mpc.ExchangeStats
 	// Verified is true when a requested OUT check ran and passed.
 	Verified bool
-	// Dist is the distributed result, when the algorithm materializes one.
-	// Read-only: Table may be a view of the same buffers.
+	// Dist is the distributed result, as the algorithm returned it; OUT,
+	// Annot and Table are read off it. Read-only.
 	Dist *mpc.Dist
-	// Table is the emitted result materialized by Job.Materialize (nil
-	// otherwise), partition-major in emission order. Read-only: where the
-	// algorithm's parts already had the output layout the table adopted
-	// them, so its tuples are windows into Dist's buffers — the output is
-	// alive once. Annots is nil when every annotation is 1; read it
-	// through Annot(i).
+	// Table is the result as one relation over the output schema when
+	// Job.Materialize asked for it (nil otherwise), part-major. Read-only:
+	// its tuples are windows into Dist's buffers, not copies. Annots is nil
+	// when every annotation is 1; read it through Annot(i).
 	Table *relation.Relation
 }
 
@@ -237,28 +228,18 @@ func execute(a Algorithm, job Job) (res Result, err error) {
 	if job.Cluster == nil {
 		job.Cluster = mpc.NewCluster(job.P)
 	}
-	counter := mpc.NewCountEmitter(job.In.Ring)
-	sinks := mpc.MultiEmitter{counter}
-	var table *mpc.ShardedEmitter
-	if job.Materialize {
-		// Partitioned by the actual cluster width: a pre-set Job.Cluster
-		// may be wider than P, and algorithms emit with its server ids.
-		table = mpc.NewShardedEmitter(emitSchema(a, job), job.Cluster.P)
-		sinks = append(sinks, table)
-	}
-	if job.Emitter != nil {
-		sinks = append(sinks, job.Emitter)
-	}
-	job.Emitter = sinks
-
 	dist, err := a.run(job)
 	if err != nil {
 		return Result{Algorithm: a.name, Candidates: cands}, fmt.Errorf("engine: %s: %w", a.name, err)
 	}
+	// The result is what the algorithm returned, in the emitted layout (a
+	// no-op for every full join but hypercube's): count it, fold it, table
+	// it, and only then let the caller's observer watch it go by.
+	out := dist.Project(emitSchema(a, job))
 	res = Result{
 		Algorithm:   a.name,
-		OUT:         counter.N,
-		Annot:       counter.AnnotSum,
+		OUT:         int64(out.Size()),
+		Annot:       foldAnnots(out, job.In.Ring),
 		Load:        job.Cluster.MaxLoad(),
 		Rounds:      job.Cluster.Rounds(),
 		Bound:       a.bound,
@@ -270,9 +251,10 @@ func execute(a Algorithm, job Job) (res Result, err error) {
 		Exchange:    job.Cluster.Exchange(),
 		Dist:        dist,
 	}
-	if table != nil {
-		res.Table = table.Rel()
+	if job.Materialize {
+		res.Table = out.Rel()
 	}
+	core.EmitDist(out, out.Schema, job.Emitter)
 	want, check := job.Want, job.CheckWant
 	// CheckOracle stands down for non-full-join algorithms (scalar and
 	// aggregate emissions are not the full join's cardinality).
@@ -293,6 +275,24 @@ func execute(a Algorithm, job Job) (res Result, err error) {
 		res.Verified = true
 	}
 	return res, nil
+}
+
+// foldAnnots is the semiring sum of d's annotations: one fold per part,
+// merged in part order, so the value is the same at every width.
+func foldAnnots(d *mpc.Dist, ring relation.Semiring) int64 {
+	sums := make([]int64, len(d.Parts))
+	runtime.Fork(len(d.Parts), func(s int) {
+		part, sum := &d.Parts[s], ring.Zero
+		for i := 0; i < part.Len(); i++ {
+			sum = ring.Add(sum, part.Annot(i))
+		}
+		sums[s] = sum
+	})
+	total := ring.Zero
+	for _, sum := range sums {
+		total = ring.Add(total, sum)
+	}
+	return total
 }
 
 // emitSchema is the schema of what a emits under job: the full join's

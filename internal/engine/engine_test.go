@@ -2,6 +2,8 @@ package engine_test
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	stdruntime "runtime"
 	"strings"
 	"testing"
@@ -74,33 +76,33 @@ func TestAutoShapeSpecialization(t *testing.T) {
 }
 
 // directRun reproduces what engine.Run does for the named algorithm with a
-// bare core call: same cluster size, same seed, same emitter. The parity
+// bare core call: same cluster size, same seed, the returned Dist. The parity
 // test asserts the engine adds nothing and loses nothing.
 func directRun(t *testing.T, name string, in *core.Instance, p int, seed uint64) (int64, int, int) {
 	t.Helper()
 	c := mpc.NewCluster(p)
-	em := mpc.NewCountEmitter(in.Ring)
+	var res *mpc.Dist
 	switch name {
 	case "yannakakis":
-		core.Yannakakis(c, in, nil, seed, em)
+		res = core.Yannakakis(c, in, nil, seed)
 	case "acyclic":
-		core.AcyclicJoin(c, in, seed, em)
+		res = core.AcyclicJoin(c, in, seed)
 	case "line3":
-		core.Line3(c, in, seed, em)
+		res = core.Line3(c, in, seed)
 	case "line3wc":
-		core.Line3WorstCase(c, in, seed, em)
+		res = core.Line3WorstCase(c, in, seed)
 	case "rhier":
-		core.RHier(c, in, seed, em)
+		res = core.RHier(c, in, seed)
 	case "binhc":
-		core.BinHC(c, in, seed, false, em)
+		res = core.BinHC(c, in, seed, false)
 	case "hypercube":
-		core.HyperCubeProduct(c, in, seed, em)
+		res = core.HyperCubeProduct(c, in, seed)
 	case "triangle":
-		core.Triangle(c, in, seed, em)
+		res = core.Triangle(c, in, seed)
 	default:
 		t.Fatalf("directRun: no core call for %q", name)
 	}
-	return em.N, c.MaxLoad(), c.Rounds()
+	return int64(res.Size()), c.MaxLoad(), c.Rounds()
 }
 
 // TestEngineParityWithCore runs every catalog query through engine.Auto and
@@ -308,11 +310,11 @@ func TestRunContainsPanics(t *testing.T) {
 	}
 }
 
-// TestMaterializedResultHoldsOneCopy pins the adopted-parts property: a
+// TestMaterializedResultHoldsOneCopy pins the one-copy property: a
 // materializing job ends with its output alive once. The last join writes
-// its rows in the output schema's order, the table's ShardedEmitter adopts
-// those parts instead of copying them, so Result.Table and Result.Dist
-// share storage, the all-ones annotation column is never materialized, and
+// its rows in the output schema's order, the table is read off those parts
+// without a projection, so Result.Table and Result.Dist share storage, the
+// all-ones annotation column is never materialized, and
 // what a caller holding the Result keeps alive is the rows (8·w bytes each)
 // plus Table's tuple headers (24 bytes each) — not two more copies.
 func TestMaterializedResultHoldsOneCopy(t *testing.T) {
@@ -363,5 +365,101 @@ func TestMaterializedResultHoldsOneCopy(t *testing.T) {
 	}
 	if held < out*int64(8*width) {
 		t.Errorf("the Result holds only %d bytes for %d rows of width %d: the reading does not see the table", held, out, width)
+	}
+}
+
+// TestResultIsTheDist pins the one result path: for every catalog query and
+// every catalog entry that applies to it, at data-plane widths 1 and 2,
+// everything a Result says about the output is read off the Dist the
+// algorithm returned — OUT is its size, Annot its row-order fold, Table its
+// rows projected onto the output schema, part-major — and an observer set as
+// Job.Emitter is handed exactly Table's rows, in Table's order.
+func TestResultIsTheDist(t *testing.T) {
+	for _, width := range []int{1, 2} {
+		prev := runtime.SetParallelism(width)
+		for i, e := range hypergraph.Catalog() {
+			in := gen.ForQuery(mpc.NewChildRng(22, i), e.Q, 48, 6)
+			for ri, r := range in.Rels {
+				r.Annots = make([]int64, r.Size())
+				for j := range r.Annots {
+					r.Annots[j] = int64(1 + (ri+2*j)%3)
+				}
+			}
+			for _, a := range engine.All() {
+				if a.Applies(e.Q) {
+					checkResultIsTheDist(t, a, in, width)
+				}
+			}
+		}
+		runtime.SetParallelism(prev)
+	}
+}
+
+func checkResultIsTheDist(t *testing.T, a engine.Algorithm, in *core.Instance, width int) {
+	t.Helper()
+	const p = 8
+	fail := func(format string, args ...any) {
+		t.Helper()
+		t.Errorf("width %d, %s on %v: %s", width, a.Name(), in.Q, fmt.Sprintf(format, args...))
+	}
+	job := engine.Job{In: in, P: p, Seed: 22, Materialize: true}
+	res, err := engine.Run(a, job)
+	if err != nil {
+		fail("%v", err)
+		return
+	}
+	if res.Dist == nil {
+		fail("Result.Dist is nil")
+		return
+	}
+	if engine.IsFullJoin(a) {
+		if !res.Table.Schema.Equal(in.OutputSchema()) {
+			fail("Table is over %v, want the output schema %v", res.Table.Schema, in.OutputSchema())
+		}
+		if res.OUT != int64(res.Dist.Size()) {
+			fail("OUT = %d, Dist holds %d rows", res.OUT, res.Dist.Size())
+		}
+	}
+	if a.Name() == "count" {
+		if all := res.Dist.All(); len(all) != 1 || len(all[0].T) != 0 || all[0].A != core.NaiveCount(in) {
+			fail("Dist = %v, want one empty row annotated %d", all, core.NaiveCount(in))
+		}
+	}
+
+	// Table is Dist's rows in the emitted layout, part-major; Annot is the
+	// fold of their annotations in that order.
+	proj, fold := res.Dist.Project(res.Table.Schema).All(), in.Ring.Zero
+	if int64(len(proj)) != res.OUT || res.Table.Size() != len(proj) {
+		fail("OUT = %d, Table holds %d rows, Dist %d", res.OUT, res.Table.Size(), len(proj))
+		return
+	}
+	for k, it := range proj {
+		if !reflect.DeepEqual(res.Table.Tuples[k], it.T) || res.Table.Annot(k) != it.A {
+			fail("Table row %d = %v/%d, Dist's is %v/%d", k, res.Table.Tuples[k], res.Table.Annot(k), it.T, it.A)
+			return
+		}
+		fold = in.Ring.Add(fold, it.A)
+	}
+	if res.Annot != fold {
+		fail("Annot = %d, the row-order fold is %d", res.Annot, fold)
+	}
+
+	// The one behaviour Job.Emitter keeps: a serial replay of Table.
+	count, table := mpc.NewCountEmitter(in.Ring), mpc.NewShardedEmitter(res.Table.Schema, p)
+	for _, em := range []mpc.Emitter{count, table} {
+		job.Emitter = em
+		if again, err := engine.Run(a, job); err != nil || again.OUT != res.OUT || again.Annot != res.Annot {
+			fail("the run with an observer returned OUT=%d Annot=%d err=%v, want %d, %d", again.OUT, again.Annot, err, res.OUT, res.Annot)
+		}
+	}
+	if count.N != res.OUT || count.AnnotSum != res.Annot || table.N() != res.OUT {
+		fail("observers saw N=%d AnnotSum=%d and %d rows, Result has OUT=%d Annot=%d", count.N, count.AnnotSum, table.N(), res.OUT, res.Annot)
+	}
+	seen := table.Rel()
+	for k := range seen.Tuples {
+		if !reflect.DeepEqual(seen.Tuples[k], res.Table.Tuples[k]) || seen.Annot(k) != res.Table.Annot(k) {
+			fail("observed row %d = %v/%d, Table's is %v/%d", k, seen.Tuples[k], seen.Annot(k), res.Table.Tuples[k], res.Table.Annot(k))
+			return
+		}
 	}
 }

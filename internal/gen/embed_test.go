@@ -44,9 +44,7 @@ func TestEmbedLine3HardRunsThroughAcyclicJoin(t *testing.T) {
 	in := EmbedLine3Hard(q, n, out)
 	want := core.NaiveCount(in)
 	c := mpc.NewCluster(16)
-	em := mpc.NewCountEmitter(in.Ring)
-	core.AcyclicJoin(c, in, 1, em)
-	if em.N != want {
-		t.Fatalf("AcyclicJoin on embedded instance = %d, want %d", em.N, want)
+	if got := int64(core.AcyclicJoin(c, in, 1).Size()); got != want {
+		t.Fatalf("AcyclicJoin on embedded instance = %d, want %d", got, want)
 	}
 }

@@ -17,17 +17,9 @@ func renderAll(w int) string {
 	defer runtime.SetParallelism(prev)
 	s := Scale{P: 16, IN: 1 << 9, Seed: 2019, Workers: w}
 	var b strings.Builder
-	b.WriteString(Fig1Classification(s).Render())
-	b.WriteString(Fig3JoinOrder(s).Render())
-	b.WriteString(Fig4Line3Sweep(s).Render())
-	b.WriteString(Fig6TriangleSweep(s).Render())
-	b.WriteString(Table1Loads(s).Render())
-	b.WriteString(E2RHierClosedForm(s).Render())
-	b.WriteString(E3AcyclicVsYannakakis(s).Render())
-	b.WriteString(E4Aggregate(s).Render())
-	b.WriteString(E5InstanceGap(Scale{P: 16, IN: 1 << 9, Seed: 2019, Workers: w}).Render())
-	b.WriteString(AblationTau(s).Render())
-	b.WriteString(AblationGrid(s).Render())
+	for _, e := range Experiments() {
+		b.WriteString(e.Render(s))
+	}
 	return b.String()
 }
 

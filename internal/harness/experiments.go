@@ -28,6 +28,40 @@ type Scale struct {
 // DefaultScale is used by the experiments command and benchmarks.
 func DefaultScale() Scale { return Scale{P: 64, IN: 1 << 14, Seed: 2019} }
 
+// Experiment is one regenerable table or figure: the name cmd/experiments
+// selects it by, and the function that renders it at a scale.
+type Experiment struct {
+	Name   string
+	Render func(Scale) string
+}
+
+// Experiments lists every experiment in the order "run everything" prints
+// them: the one list the CLI's dispatch, its help text and the determinism
+// test range over.
+func Experiments() []Experiment {
+	table := func(f func(Scale) *Table) func(Scale) string {
+		return func(s Scale) string { return f(s).Render() }
+	}
+	fixed := func(f func() string) func(Scale) string {
+		return func(Scale) string { return f() }
+	}
+	return []Experiment{
+		{"fig1", table(Fig1Classification)},
+		{"fig2", fixed(Fig2Forests)},
+		{"fig3", table(Fig3JoinOrder)},
+		{"fig4", table(Fig4Line3Sweep)},
+		{"fig5", fixed(Fig5JoinTree)},
+		{"fig6", table(Fig6TriangleSweep)},
+		{"table1", table(Table1Loads)},
+		{"e2", table(E2RHierClosedForm)},
+		{"e3", table(E3AcyclicVsYannakakis)},
+		{"e4", table(E4Aggregate)},
+		{"e5", table(E5InstanceGap)},
+		{"tau", table(AblationTau)},
+		{"grid", table(AblationGrid)},
+	}
+}
+
 // pool returns the scheduler for this scale.
 func (s Scale) pool() *runtime.Pool { return runtime.NewPool(s.Workers) }
 

@@ -114,8 +114,8 @@ func (c *Columns) AppendItem(it Item) { c.Append(it.T, it.A) }
 
 // Reserve makes room for n more rows of the given width with one exact
 // allocation per column (no doubling): producers that can count their
-// output first — the local join kernel, the bulk sinks, Concat, Project —
-// reserve once and then fill rows in place with AppendRow. An empty part
+// output first — the local join kernel, Concat, Project — reserve once
+// and then fill rows in place with AppendRow. An empty part
 // adopts the width; a non-empty one must already have it, and when it has
 // to grow it at least doubles, like Append: a part filled by many small
 // reservations (one local join per light group) is copied O(log) times,
@@ -255,17 +255,6 @@ func (c *Columns) setRow(i int, t relation.Tuple, a int64) {
 		c.annots[i] = a
 	} else if a != 1 {
 		panic("mpc: setRow with annotation on an identity column")
-	}
-}
-
-// Swap exchanges rows i and j in every column.
-func (c *Columns) Swap(i, j int) {
-	w := c.width
-	for k := 0; k < w; k++ {
-		c.values[i*w+k], c.values[j*w+k] = c.values[j*w+k], c.values[i*w+k]
-	}
-	if c.annots != nil {
-		c.annots[i], c.annots[j] = c.annots[j], c.annots[i]
 	}
 }
 

@@ -3,8 +3,6 @@ package mpc
 import (
 	"sync"
 	"testing"
-
-	"repro/internal/relation"
 )
 
 // TestShardedRoundConcurrentReceives drives the sharded counters the way a
@@ -89,53 +87,5 @@ func TestChildSeedIndependentStreams(t *testing.T) {
 	a, b := NewChildRng(2019, 7), NewChildRng(2019, 7)
 	if a.Next() != b.Next() {
 		t.Error("child stream not deterministic")
-	}
-}
-
-func TestCountEmitterMerge(t *testing.T) {
-	total := NewCountEmitter(relation.CountRing)
-	workers := make([]*CountEmitter, 3)
-	for w := range workers {
-		workers[w] = NewCountEmitter(relation.CountRing)
-		for i := 0; i <= w; i++ {
-			workers[w].Emit(0, relation.Tuple{1}, 2)
-		}
-	}
-	total.Merge(workers...)
-	if total.N != 6 || total.AnnotSum != 12 {
-		t.Errorf("merged N=%d sum=%d, want 6 and 12", total.N, total.AnnotSum)
-	}
-}
-
-func TestPerServerCounterMerge(t *testing.T) {
-	total := NewPerServerCounter(2)
-	a, b := NewPerServerCounter(2), NewPerServerCounter(2)
-	a.Emit(0, nil, 1)
-	b.Emit(0, nil, 1)
-	b.Emit(1, nil, 1)
-	total.Merge(a, b)
-	if total.Counts[0] != 2 || total.Counts[1] != 1 {
-		t.Errorf("merged counts = %v", total.Counts)
-	}
-}
-
-// TestSyncEmitterConcurrent hammers a wrapped materializing emitter from
-// several goroutines; with -race this proves Synchronized makes it safe.
-func TestSyncEmitterConcurrent(t *testing.T) {
-	col := NewCollectEmitter(relation.NewSchema(1))
-	em := Synchronized(col)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				em.Emit(0, relation.Tuple{relation.Value(i)}, 1)
-			}
-		}()
-	}
-	wg.Wait()
-	if col.Rel.Size() != 2000 {
-		t.Errorf("collected %d results, want 2000", col.Rel.Size())
 	}
 }

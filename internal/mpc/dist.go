@@ -105,7 +105,7 @@ func (d *Dist) Size() int {
 	return n
 }
 
-// All returns every item (server order). Used by tests and emitters.
+// All returns every item (server order). Used by tests.
 func (d *Dist) All() []Item {
 	out := make([]Item, 0, d.Size())
 	for s := range d.Parts {
@@ -118,18 +118,36 @@ func (d *Dist) All() []Item {
 }
 
 // ToRelation collects the distributed items into a relation (no load is
-// charged: this is a test/inspection helper, not an MPC operation). The
-// returned tuples are windows into the parts' flat buffers.
+// charged: this is an inspection helper, not an MPC operation) with the
+// annotation column always present, for callers that index Annots.
 func (d *Dist) ToRelation(name string) *relation.Relation {
+	return d.relation(name, true)
+}
+
+// Rel is the collection as the relation "out", for results: Annots stays
+// nil (every annotation 1, as Relation.Annot reads it) unless some part
+// materialized an annotation column. Read-only, like ToRelation's.
+func (d *Dist) Rel() *relation.Relation {
+	return d.relation("out", d.hasAnnots())
+}
+
+// relation is the one parts → relation conversion: part-major, row order
+// kept inside each part. The tuples are windows into the parts' flat
+// buffers, not copies.
+func (d *Dist) relation(name string, withAnnots bool) *relation.Relation {
 	r := relation.New(name, d.Schema)
 	n := d.Size()
 	r.Tuples = make([]relation.Tuple, 0, n)
-	r.Annots = make([]int64, 0, n)
+	if withAnnots {
+		r.Annots = make([]int64, 0, n)
+	}
 	for s := range d.Parts {
 		part := &d.Parts[s]
 		for i := 0; i < part.Len(); i++ {
 			r.Tuples = append(r.Tuples, part.Tuple(i))
-			r.Annots = append(r.Annots, part.Annot(i))
+			if withAnnots {
+				r.Annots = append(r.Annots, part.Annot(i))
+			}
 		}
 	}
 	return r

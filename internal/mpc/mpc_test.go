@@ -306,12 +306,11 @@ func TestEmitters(t *testing.T) {
 	if ce.N != 2 || ce.AnnotSum != 5 {
 		t.Errorf("count emitter N=%d sum=%d", ce.N, ce.AnnotSum)
 	}
-	col := NewCollectEmitter(relation.NewSchema(1))
-	psc := NewPerServerCounter(2)
-	m := MultiEmitter{col, psc}
-	m.Emit(1, relation.Tuple{5}, 1)
-	if col.Rel.Size() != 1 || psc.Counts[1] != 1 {
-		t.Errorf("multi emitter failed")
+	se := NewShardedEmitter(relation.NewSchema(1), 2)
+	se.Emit(1, relation.Tuple{5}, 1)
+	se.Emit(0, relation.Tuple{6}, 1)
+	if rel := se.Rel(); se.N() != 2 || rel.Tuples[0][0] != 6 || rel.Tuples[1][0] != 5 || rel.Annots != nil {
+		t.Errorf("sharded emitter collected %v, want partition-major [6] [5] and no annotation column", rel.Tuples)
 	}
 }
 

@@ -197,94 +197,57 @@ func TestRowIndexGroupsInInsertionOrder(t *testing.T) {
 	}
 }
 
-// emitSinks builds one of every sink in emit.go over the given schema.
-func emitSinks(schema relation.Schema, p int) (*CountEmitter, *CollectEmitter, *PerServerCounter, *ShardedEmitter) {
-	return NewCountEmitter(relation.CountRing), NewCollectEmitter(schema), NewPerServerCounter(p), NewShardedEmitter(schema, p)
-}
-
 // TestEmitterBorrowsTuple is the Emitter contract: t is only borrowed. The
-// same rows are emitted three ways — each from a fresh tuple, all from one
-// reused scratch tuple that is overwritten after every call, and in bulk
-// through EmitColumns — into every sink, alone, under MultiEmitter and
-// under Synchronized, and every sink must end in the same state.
+// same rows are emitted twice — each from a fresh tuple, and all from one
+// reused scratch tuple that is overwritten after every call — into both
+// sinks, and each must end in the same state, the table row for row the
+// projected source in part-major order.
 func TestEmitterBorrowsTuple(t *testing.T) {
 	const p = 4
 	schema := relation.NewSchema(7, 5)
-	pos := []int{2, 0} // emitted layout: columns 2 and 0 of the source rows
 	rng := NewRng(17)
 	parts := make([]Columns, p)
 	for s := range parts {
 		parts[s] = randomColumns(rng, 20+s, 3, 30, s%2 == 1)
 	}
-
-	type feed func(em Emitter)
-	fresh := func(em Emitter) {
-		for s := range parts {
-			for i := 0; i < parts[s].Len(); i++ {
-				row := parts[s].Tuple(i)
-				em.Emit(s, relation.Tuple{row[2], row[0]}, parts[s].Annot(i))
-			}
-		}
-	}
-	scratch := func(em Emitter) {
+	// The emitted layout is columns 2 and 0 of the source rows.
+	feed := func(reuse bool) (*CountEmitter, *relation.Relation) {
+		count, sharded := NewCountEmitter(relation.CountRing), NewShardedEmitter(schema, p)
 		tup := make(relation.Tuple, 2)
 		for s := range parts {
 			for i := 0; i < parts[s].Len(); i++ {
 				row := parts[s].Tuple(i)
-				tup[0], tup[1] = row[2], row[0]
-				em.Emit(s, tup, parts[s].Annot(i))
-				tup[0], tup[1] = -1, -1 // a retained alias would now be corrupt
-			}
-		}
-	}
-	bulk := func(em Emitter) {
-		for s := range parts {
-			EmitColumns(em, s, &parts[s], pos)
-		}
-	}
-
-	type state struct {
-		N, Sum           int64
-		Collect, Sharded *relation.Relation
-		PerServer        []int64
-	}
-	wrappers := map[string]func(sinks ...Emitter) []Emitter{
-		"alone":        func(sinks ...Emitter) []Emitter { return sinks },
-		"multi":        func(sinks ...Emitter) []Emitter { return []Emitter{MultiEmitter(sinks)} },
-		"synchronized": func(sinks ...Emitter) []Emitter { return []Emitter{Synchronized(MultiEmitter(sinks))} },
-	}
-	run := func(f feed, wrap func(sinks ...Emitter) []Emitter) state {
-		count, collect, per, sharded := emitSinks(schema, p)
-		for _, em := range wrap(count, collect, per, sharded) {
-			f(em)
-		}
-		return state{count.N, count.AnnotSum, collect.Rel, sharded.Rel(), per.Counts}
-	}
-	for name, wrap := range wrappers {
-		want := run(fresh, wrap)
-		if want.N == 0 || want.Collect.Size() != int(want.N) {
-			t.Fatalf("%s: reference run emitted nothing", name)
-		}
-		for mode, f := range map[string]feed{"scratch": scratch, "bulk": bulk} {
-			got := run(f, wrap)
-			if got.N != want.N || got.Sum != want.Sum || !reflect.DeepEqual(got.PerServer, want.PerServer) {
-				t.Fatalf("%s/%s: counters differ from per-row fresh tuples", name, mode)
-			}
-			for _, pair := range [][2]*relation.Relation{{got.Collect, want.Collect}, {got.Sharded, want.Sharded}, {got.Sharded, want.Collect}} {
-				if !reflect.DeepEqual(pair[0].Tuples, pair[1].Tuples) || !reflect.DeepEqual(pair[0].Annots, pair[1].Annots) {
-					t.Fatalf("%s/%s: materialized rows differ from per-row fresh tuples", name, mode)
+				if !reuse {
+					tup = make(relation.Tuple, 2)
+				}
+				for _, em := range []Emitter{count, sharded} {
+					tup[0], tup[1] = row[2], row[0]
+					em.Emit(s, tup, parts[s].Annot(i))
+					if reuse {
+						tup[0], tup[1] = -1, -1 // a retained alias would now be corrupt
+					}
 				}
 			}
 		}
+		if sharded.N() != count.N {
+			t.Fatalf("reuse=%v: table holds %d rows, counter saw %d", reuse, sharded.N(), count.N)
+		}
+		return count, sharded.Rel()
 	}
-
-	// Identity layout (pos nil) takes the block-copy path.
-	_, collect, _, sharded := emitSinks(relation.NewSchema(1, 2, 3), p)
-	for s := range parts {
-		EmitColumns(MultiEmitter{collect, sharded}, s, &parts[s], nil)
+	wantCount, want := feed(false)
+	gotCount, got := feed(true)
+	if wantCount.N == 0 || want.Size() != int(wantCount.N) {
+		t.Fatal("reference run emitted nothing")
 	}
-	if got := sharded.Rel(); !reflect.DeepEqual(got.Tuples, collect.Rel.Tuples) || !reflect.DeepEqual(got.Annots, collect.Rel.Annots) {
-		t.Fatal("identity bulk emit differs between the block-copy sink and the per-row sink")
+	if gotCount.N != wantCount.N || gotCount.AnnotSum != wantCount.AnnotSum {
+		t.Fatal("counters differ from per-row fresh tuples")
+	}
+	if !reflect.DeepEqual(got.Tuples, want.Tuples) || !reflect.DeepEqual(got.Annots, want.Annots) {
+		t.Fatal("materialized rows differ from per-row fresh tuples")
+	}
+	src := &Dist{C: NewCluster(p), Schema: relation.NewSchema(5, 6, 7), Parts: parts}
+	if proj := src.Project(schema).Rel(); !reflect.DeepEqual(got.Tuples, proj.Tuples) || !reflect.DeepEqual(got.Annots, proj.Annots) {
+		t.Fatal("the table is not the projected source, part-major")
 	}
 }
 
@@ -321,67 +284,19 @@ func TestReplicateAppendMatchesReplicateBy(t *testing.T) {
 	}
 }
 
-// TestShardedEmitterAdoptThenAppend: a part emitted in the emitted layout
-// into an empty partition is adopted — the partition reads the producer's
-// buffer — and from then on neither side can show the other a row: a later
-// Emit into the partition reallocates instead of writing into the
-// producer's spare capacity, and a row the producer appends afterwards
-// stays out of the table. The relation is value for value the one the
-// copying path collects, with Annots left nil exactly when no partition
-// materialized an annotation column. MapAnnots is the same view with the
-// annotation column replaced.
-func TestShardedEmitterAdoptThenAppend(t *testing.T) {
+// TestMapAnnotsIsAView: MapAnnots shares the value buffer and replaces the
+// annotation column, which stays absent while every annotation is 1; an
+// append to the view never reaches its source. Dist.Rel leaves Annots nil
+// exactly when no part materialized the column.
+func TestMapAnnotsIsAView(t *testing.T) {
 	schema := relation.NewSchema(1, 2, 3)
+	extra := relation.Tuple{-1, -2, -3}
 	for _, annotated := range []bool{false, true} {
-		rng := NewRng(5)
-		// Reserved for twice the rows: spare capacity an unclamped view
-		// would let the sink's next append write into.
-		var part Columns
-		part.Reserve(3, 80)
-		src := randomColumns(rng, 40, 3, 9, annotated)
-		part.AppendColumns(&src)
-		extra, late := relation.Tuple{-1, -2, -3}, relation.Tuple{-7, -8, -9}
-
-		adopt, copied := NewShardedEmitter(schema, 2), NewShardedEmitter(schema, 2)
-		adopt.EmitColumns(1, &part, nil)
-		if &adopt.parts[1].values[0] != &part.values[0] {
-			t.Fatalf("annotated=%v: the part was copied, not adopted", annotated)
-		}
-		adopt.Emit(1, extra, 4)
-		part.Append(late, 6) // the producer's own next row lands where extra would have
-		for i := 0; i < src.Len(); i++ {
-			copied.Emit(1, src.Tuple(i), src.Annot(i))
-		}
-		copied.Emit(1, extra, 4)
-
-		if part.Len() != 41 || !reflect.DeepEqual(part.Tuple(40), late) || part.Annot(40) != 6 {
-			t.Fatalf("annotated=%v: the sink's Emit overwrote the producer's row 40: %v/%d", annotated, part.Tuple(40), part.Annot(40))
-		}
-		for i := 0; i < 40; i++ {
-			if !reflect.DeepEqual(part.Tuple(i), src.Tuple(i)) || part.Annot(i) != src.Annot(i) {
-				t.Fatalf("annotated=%v: producer row %d changed after adoption", annotated, i)
-			}
-		}
-		got, want := adopt.Rel(), copied.Rel()
-		if got.Size() != 41 || !reflect.DeepEqual(got.Tuples, want.Tuples) {
-			t.Fatalf("annotated=%v: adopted relation differs from the copied one", annotated)
-		}
-		for i := range got.Tuples {
-			if got.Annot(i) != want.Annot(i) {
-				t.Fatalf("annotated=%v: row %d annotated %d, copying path %d", annotated, i, got.Annot(i), want.Annot(i))
-			}
-		}
-
-		// Without the extra annotated row an unannotated table has no
-		// annotation column at all.
-		plain := NewShardedEmitter(schema, 2)
-		plain.EmitColumns(0, &src, nil)
-		if rel := plain.Rel(); (rel.Annots != nil) != annotated || rel.Size() != 40 {
+		src := randomColumns(NewRng(5), 40, 3, 9, annotated)
+		d := &Dist{C: NewCluster(1), Schema: schema, Parts: []Columns{src}}
+		if rel := d.Rel(); (rel.Annots != nil) != annotated || rel.Size() != 40 {
 			t.Fatalf("annotated=%v: Rel().Annots materialized = %v", annotated, rel.Annots != nil)
 		}
-
-		// MapAnnots: shared values, fresh annotations, lazy while they are 1.
-		d := &Dist{C: NewCluster(1), Schema: schema, Parts: []Columns{src}}
 		ones, doubled := d.MapAnnots(nil), d.MapAnnots(func(a int64) int64 { return 2 * a })
 		if &ones.Parts[0].values[0] != &src.values[0] || &doubled.Parts[0].values[0] != &src.values[0] {
 			t.Fatalf("annotated=%v: MapAnnots copied the value buffer", annotated)

@@ -1,6 +1,8 @@
 package repro
 
 import (
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
@@ -39,8 +41,8 @@ func TestSmokeBenchWiring(t *testing.T) {
 	s := smokeScale()
 	in := gen.YannakakisHard(s.IN, 8*s.IN)
 	res := testing.Benchmark(func(b *testing.B) {
-		measure(b, in, s.P, func(c *mpc.Cluster, em mpc.Emitter) {
-			core.Line3(c, in, s.Seed, em)
+		measure(b, in, s.P, func(c *mpc.Cluster) *mpc.Dist {
+			return core.Line3(c, in, s.Seed)
 		})
 	})
 	if res.Extra["load"] <= 0 {
@@ -51,5 +53,23 @@ func TestSmokeBenchWiring(t *testing.T) {
 	}
 	if res.Extra["OUT"] != float64(8*s.IN) {
 		t.Errorf("measure reported OUT = %v, want %d", res.Extra["OUT"], 8*s.IN)
+	}
+}
+
+// TestFrozenBenchCompiles makes the frozen benchmark's pins executable in
+// tier-1: bench/ is a module of its own, so `go build ./... && go test
+// ./...` never compiles it, and a signature it depends on could change
+// unnoticed until the BENCHMARK.json pipeline ran. Vets it with the
+// environment bench/run.sh builds under.
+func TestFrozenBenchCompiles(t *testing.T) {
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go is not on PATH")
+	}
+	cmd := exec.Command(goBin, "vet", ".")
+	cmd.Dir = "bench"
+	cmd.Env = append(os.Environ(), "GOPROXY=off", "GOTOOLCHAIN=local")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go vet in bench/: %v\n%s", err, out)
 	}
 }
