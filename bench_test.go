@@ -5,7 +5,7 @@
 // in a round; rounds = communication rounds), alongside the usual ns/op.
 //
 //	go test -bench=. -benchmem
-//	go test -bench=. -workers=1   # serial experiment scheduler
+//	go test -bench=. -workers=1   # serial reference execution
 package repro
 
 import (
@@ -24,13 +24,13 @@ import (
 	"repro/internal/runtime"
 )
 
-// workersFlag caps the parallelism of both planes — the experiment
-// scheduler driving the harness benchmarks (BenchmarkHarness_*) and smoke
-// tests, and the data plane inside each cell (batched exchange, parallel
-// sub-clusters, oracle probes). Tables and metrics are identical for any
-// value; 1 runs everything serially.
-var workersFlag = flag.Int("workers", runtime.DefaultWorkers(),
-	"simulator parallelism (1 = serial)")
+// workersFlag is the width handed to runtime.SetParallelism: it bounds
+// every runtime.Fork — the harness's experiment cells and the loops inside
+// each cell (batched exchange, parallel sub-clusters, oracle probes).
+// Tables and metrics are identical for any value; 1 runs everything
+// serially.
+var workersFlag = flag.Int("workers", 0,
+	"simulator parallelism (0 = GOMAXPROCS, 1 = serial)")
 
 func TestMain(m *testing.M) {
 	flag.Parse()
@@ -41,7 +41,7 @@ func TestMain(m *testing.M) {
 // benchScale keeps per-iteration work moderate; the experiments command
 // runs the full DefaultScale.
 func benchScale() harness.Scale {
-	return harness.Scale{P: 16, IN: 1 << 11, Seed: 2019, Workers: *workersFlag}
+	return harness.Scale{P: 16, IN: 1 << 11, Seed: 2019}
 }
 
 // measure runs one algorithm per iteration and reports load/round metrics.
@@ -430,7 +430,7 @@ func BenchmarkAblation_Tau(b *testing.B) {
 	}
 }
 
-// --- Harness scheduler: whole experiment matrices through the pool -----------
+// --- Harness: whole experiment matrices, cells forked ------------------------
 
 func BenchmarkHarness_Fig3Matrix(b *testing.B) {
 	s := benchScale()

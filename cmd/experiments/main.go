@@ -6,7 +6,7 @@
 //	experiments                 # run everything at the default scale
 //	experiments -run fig4       # one experiment
 //	experiments -p 128 -in 32768
-//	experiments -workers 1      # serial scheduler (same tables, slower)
+//	experiments -workers 1      # serial execution (same tables, slower)
 package main
 
 import (
@@ -29,9 +29,14 @@ func main() {
 	p := flag.Int("p", 0, "servers (0 = default scale)")
 	inSize := flag.Int("in", 0, "input size (0 = default scale)")
 	seed := flag.Uint64("seed", 0, "seed (0 = default scale)")
-	workers := flag.Int("workers", runtime.DefaultWorkers(),
-		"experiment scheduler parallelism (1 = serial; tables are identical for any value)")
+	workers := flag.Int("workers", 0,
+		"simulator parallelism (0 = GOMAXPROCS, 1 = serial; tables are identical for any value)")
 	flag.Parse()
+	if *p < 0 || *inSize < 0 {
+		fmt.Fprintf(os.Stderr, "experiments: -p %d -in %d: sizes cannot be negative\n", *p, *inSize)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	s := harness.DefaultScale()
 	if *p > 0 {
@@ -43,10 +48,9 @@ func main() {
 	if *seed > 0 {
 		s.Seed = *seed
 	}
-	s.Workers = *workers
-	// One knob for both planes: the experiment scheduler's width and the
-	// data plane (batched exchange scatter, parallel sub-clusters, oracle
-	// probes). Tables are byte-identical for every value.
+	// The one width: experiment cells and everything inside them (batched
+	// exchange scatter, parallel sub-clusters, oracle probes) run on
+	// runtime.Fork. Tables are byte-identical for every value.
 	runtime.SetParallelism(*workers)
 
 	sel, ran := strings.ToLower(*which), false

@@ -41,10 +41,13 @@ func main() {
 		os.Exit(2)
 	}
 
+	// Build rejects exactly what the flags can get wrong: an unknown
+	// -family, -in < 1, -out < 0.
 	in, err := gen.Build(*family, mpc.NewRng(*seed), *inSize, *outSize)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "joinrun:", err)
-		os.Exit(1)
+		flag.Usage()
+		os.Exit(2)
 	}
 
 	job := engine.Job{In: in, P: *p, Seed: *seed, CheckOracle: true}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/hypergraph"
 	"repro/internal/mpc"
-	"repro/internal/primitives"
 	"repro/internal/runtime"
 )
 
@@ -55,24 +54,15 @@ func renderCatalogRuns(t *testing.T, width int) string {
 // TestEngineDeterministicAcrossWidths is the data plane's end-to-end
 // guarantee: every engine result — including the materialized table and
 // the per-part annotation fold — is byte-identical between the
-// serial reference (width 1) and parallel widths, with the columnar record
-// pool in both states. Run under -race (the Makefile ci target does) this
+// serial reference (width 1) and parallel widths. Run under -race (the Makefile ci target does) this
 // also proves the batched exchange, the parallel sub-clusters, the pooled
 // record columns, and the result fold are data-race free.
 func TestEngineDeterministicAcrossWidths(t *testing.T) {
 	serial := renderCatalogRuns(t, 1)
-	for _, pooled := range []bool{true, false} {
-		prevPool := primitives.SetRecordPooling(pooled)
-		for _, w := range []int{1, 2, 8} {
-			if pooled && w == 1 {
-				continue // the reference render itself
-			}
-			if got := renderCatalogRuns(t, w); got != serial {
-				primitives.SetRecordPooling(prevPool)
-				t.Fatalf("pool=%v width %d differs from serial:\n--- reference ---\n%s\n--- got ---\n%s",
-					pooled, w, serial, got)
-			}
+	for _, w := range []int{2, 8} {
+		if got := renderCatalogRuns(t, w); got != serial {
+			t.Fatalf("width %d differs from serial:\n--- reference ---\n%s\n--- got ---\n%s",
+				w, serial, got)
 		}
-		primitives.SetRecordPooling(prevPool)
 	}
 }

@@ -58,11 +58,16 @@ func FamilyNames() []string {
 	return out
 }
 
-// Build constructs an instance of the named family.
+// Build constructs an instance of the named family. The sizes are
+// unchecked input wherever they come from a command line: in < 1 or
+// out < 0 is an error here, before any family's builder divides by them.
 func Build(name string, rng *mpc.Rng, in, out int) (*core.Instance, error) {
 	f, ok := families[name]
 	if !ok {
 		return nil, fmt.Errorf("gen: unknown instance family %q (have %v)", name, FamilyNames())
+	}
+	if in < 1 || out < 0 {
+		return nil, fmt.Errorf("gen: family %q: invalid sizes in=%d out=%d (need in ≥ 1, out ≥ 0)", name, in, out)
 	}
 	return f.Build(rng, in, out), nil
 }

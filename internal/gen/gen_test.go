@@ -155,3 +155,25 @@ func TestLineKUniform(t *testing.T) {
 		t.Errorf("IN = %d, want 100", in.IN())
 	}
 }
+
+// TestBuildRejectsBadSizes: sizes reach Build unchecked from the command
+// line, so every family refuses in < 1 and out < 0 with an error — before
+// its builder can divide by them or fall back to a default size — and
+// still builds at the smallest valid sizes.
+func TestBuildRejectsBadSizes(t *testing.T) {
+	cases := []struct {
+		in, out int
+		ok      bool
+	}{
+		{0, 16, false}, {-5, 16, false}, {64, -1, false}, {0, -1, false},
+		{64, 0, true}, {64, 256, true}, {1, 0, true},
+	}
+	for _, name := range FamilyNames() {
+		for _, tc := range cases {
+			inst, err := Build(name, mpc.NewRng(7), tc.in, tc.out)
+			if tc.ok != (err == nil) || tc.ok != (inst != nil) {
+				t.Errorf("Build(%q, in=%d, out=%d) = %v, %v; want ok=%v", name, tc.in, tc.out, inst != nil, err, tc.ok)
+			}
+		}
+	}
+}

@@ -4,18 +4,16 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/primitives"
 	"repro/internal/runtime"
 )
 
-// renderAll regenerates the full experiment matrix with w scheduler
-// workers AND data-plane width w (batched exchange scatter, parallel
-// sub-clusters, parallel oracle), and returns the concatenated rendered
-// tables.
+// renderAll regenerates the full experiment matrix at width w (experiment
+// cells, batched exchange scatter, parallel sub-clusters, parallel oracle
+// all run on runtime.Fork), and returns the concatenated rendered tables.
 func renderAll(w int) string {
 	prev := runtime.SetParallelism(w)
 	defer runtime.SetParallelism(prev)
-	s := Scale{P: 16, IN: 1 << 9, Seed: 2019, Workers: w}
+	s := Scale{P: 16, IN: 1 << 9, Seed: 2019}
 	var b strings.Builder
 	for _, e := range Experiments() {
 		b.WriteString(e.Render(s))
@@ -24,14 +22,14 @@ func renderAll(w int) string {
 }
 
 // TestDeterminismAcrossWorkers is the parallel runtime's core guarantee:
-// the full experiment matrix rendered with a serial scheduler AND a serial
-// data plane must be byte-identical to an 8-worker run with an 8-wide data
-// plane — same instances (child seeds depend only on task indices), same
-// loads, same rounds, same result counts, same row order. Run under -race
-// (the Makefile ci target does) this also proves the sharded simulator
-// state, the batched exchange, and the parallel inner loops are data-race
-// free. The memoized oracle is exercised hard here: the three renders
-// rebuild the same instances, so renders two and three hit the cache.
+// the full experiment matrix rendered at width 1 must be byte-identical to
+// an 8-wide run — same instances (child seeds depend only on task
+// indices), same loads, same rounds, same result counts, same row order.
+// Run under -race (the Makefile ci target does) this also proves the
+// forked cells, the batched exchange, and the parallel inner loops are
+// data-race free. The memoized oracle is exercised hard here: the three
+// renders rebuild the same instances, so renders two and three hit the
+// cache.
 func TestDeterminismAcrossWorkers(t *testing.T) {
 	serial := renderAll(1)
 	parallel := renderAll(8)
@@ -42,13 +40,5 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 	// And an odd width that cannot tile any experiment's task count evenly.
 	if odd := renderAll(3); odd != serial {
 		t.Fatalf("workers=3 output differs from workers=1")
-	}
-	// The columnar record pool is memory reuse only: with pooling disabled
-	// the full matrix — tables, loads, rounds, every Cluster charge — must
-	// stay byte-identical, serial and parallel.
-	prevPool := primitives.SetRecordPooling(false)
-	defer primitives.SetRecordPooling(prevPool)
-	if unpooled := renderAll(8); unpooled != serial {
-		t.Fatalf("pool=off output differs from pooled serial render")
 	}
 }

@@ -18,11 +18,6 @@ type Scale struct {
 	P    int // servers
 	IN   int // base input size
 	Seed uint64
-	// Workers caps the experiment scheduler's parallelism: 0 means one
-	// worker per CPU, 1 reproduces the serial harness. Tables are
-	// byte-identical for every value — tasks derive their RNG streams
-	// from (Seed, task index), never from shared state.
-	Workers int
 }
 
 // DefaultScale is used by the experiments command and benchmarks.
@@ -62,15 +57,14 @@ func Experiments() []Experiment {
 	}
 }
 
-// pool returns the scheduler for this scale.
-func (s Scale) pool() *runtime.Pool { return runtime.NewPool(s.Workers) }
-
-// rows runs n independent tasks on s's scheduler and returns every task's
-// rows flattened in task order, so the assembled table does not depend on
-// the worker count. Tasks must not share mutable state; each builds its
-// instances from mpc.ChildSeed(s.Seed, task) when randomness is needed.
+// rows runs n independent tasks with runtime.Fork and returns every task's
+// rows flattened in task order, so the assembled table is byte-identical
+// for every runtime.Parallelism() width. Tasks must not share mutable
+// state; each builds its instances from mpc.ChildSeed(s.Seed, task) —
+// never from shared state — when randomness is needed.
 func (s Scale) rows(n int, fn func(task int) [][]any) [][]any {
-	chunks := runtime.Map(s.pool(), n, fn)
+	chunks := make([][][]any, n)
+	runtime.Fork(n, func(task int) { chunks[task] = fn(task) })
 	var out [][]any
 	for _, ch := range chunks {
 		out = append(out, ch...)
@@ -78,7 +72,7 @@ func (s Scale) rows(n int, fn func(task int) [][]any) [][]any {
 	return out
 }
 
-// addRows runs n tasks on s's scheduler and appends their rows to t in
+// addRows runs n tasks through rows and appends their rows to t in
 // task order.
 func (s Scale) addRows(t *Table, n int, fn func(task int) [][]any) {
 	for _, r := range s.rows(n, fn) {

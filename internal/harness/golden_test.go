@@ -22,7 +22,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden table files")
 func goldenTables(width int) string {
 	prev := runtime.SetParallelism(width)
 	defer runtime.SetParallelism(prev)
-	s := Scale{P: 16, IN: 1 << 9, Seed: 2019, Workers: width}
+	s := Scale{P: 16, IN: 1 << 9, Seed: 2019}
 	return Fig1Classification(s).Render() + Fig3JoinOrder(s).Render()
 }
 

@@ -45,9 +45,10 @@ var loadAxis = &axis{
 	unknownAs:  "load",
 	reaches:    "load class",
 	newFact:    func() costFact { return new(LoadCostFact) },
-	// The physical exchange routes through Shard.Receive, invisible to this
-	// classifier, so declarations are the contract and the computed class
-	// is only the drift detector.
+	// The physical exchange books its receives through
+	// Cluster.bookExchange, which is not a Charge intrinsic and so is
+	// invisible to this classifier: declarations are the contract and the
+	// computed class is only the drift detector.
 	declWins:  true,
 	intrinsic: chargeIntrinsic,
 	// A bound written in terms of /p, √p, or p^(c) must not be paired with

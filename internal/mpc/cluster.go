@@ -16,91 +16,40 @@
 // of every dimension).
 package mpc
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Cluster is a simulated MPC deployment of P servers. Round 0 is reserved
 // for the initial data distribution, so MaxLoad() ≥ IN/P as in the model.
 //
-// Receive counts for the open (latest) round are sharded: every recording
-// goroutine owns a Shard whose counters only it touches, and shards are
-// folded into the merged per-round table at round barriers (newRound and
-// every read). The coordinating goroutine — the one that opens rounds —
-// records through an implicit shard via receive/Charge/ChargeRound; worker
-// goroutines of a parallel inner loop must each obtain their own Shard and
-// finish before the coordinator closes the round.
+// The ledger has one writer: the coordinating goroutine — the one that
+// opens rounds — books every receive, the batched exchange's included
+// (routeTasks books the plan's per-destination totals after its forked
+// tasks have finished). Forked tasks never touch a cluster they did not
+// create, so reads and writes need no synchronisation.
 type Cluster struct {
 	P int
 
-	mu     sync.Mutex
-	rounds [][]int // merged counts: rounds[r][s] = tuples received by server s in round r
-	shards []*Shard
-	serial *Shard // the coordinator's shard
-
-	// workerShards are the batched exchange's per-task shards, reused
-	// across rounds: routes run one at a time (the coordinator contract)
-	// and barriers zero the counters between rounds, so the shard count
-	// stays bounded by the widest exchange instead of growing per round.
-	workerShards []*Shard
-
+	rounds   [][]int // rounds[r][s] = tuples received by server s in round r
 	exchange ExchangeStats
 }
-
-// Shard is one worker's receive counters for the cluster's open round.
-// Receive is lock-free because only the owning worker writes the counters;
-// the cluster folds and zeroes them at the next round barrier.
-type Shard struct {
-	counts []int
-}
-
-// Receive records n tuples received by server s in the open round.
-func (sh *Shard) Receive(s, n int) { sh.counts[s] += n }
 
 // NewCluster returns a cluster of p ≥ 1 servers.
 func NewCluster(p int) *Cluster {
 	if p < 1 {
 		panic(fmt.Sprintf("mpc: invalid server count %d", p))
 	}
-	c := &Cluster{P: p, rounds: [][]int{make([]int, p)}}
-	c.serial = c.Shard()
-	return c
+	return &Cluster{P: p, rounds: [][]int{make([]int, p)}}
 }
 
-// Shard registers a per-worker counter set for the open round. Safe to call
-// concurrently; each worker goroutine must use its own Shard.
-func (c *Cluster) Shard() *Shard {
-	sh := &Shard{counts: make([]int, c.P)}
-	c.mu.Lock()
-	c.shards = append(c.shards, sh)
-	c.mu.Unlock()
-	return sh
-}
-
-// shardFor returns the reusable shard for exchange task slot, creating it
-// on first use. Distinct slots are owned by distinct concurrent tasks;
-// slot reuse across sequential rounds is safe because barriers fold and
-// zero the counters.
-func (c *Cluster) shardFor(slot int) *Shard {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for len(c.workerShards) <= slot {
-		sh := &Shard{counts: make([]int, c.P)}
-		c.workerShards = append(c.workerShards, sh)
-		c.shards = append(c.shards, sh)
-	}
-	return c.workerShards[slot]
-}
-
-// recordExchange accumulates the deterministic per-exchange statistics
-// from the plan's exact per-destination totals. Coordinator-only.
-func (c *Cluster) recordExchange(totals []int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// bookExchange books one exchange from the plan's exact per-destination
+// totals: the receives of the open round and the deterministic
+// per-exchange statistics, in one pass.
+func (c *Cluster) bookExchange(totals []int) {
+	cur := c.rounds[len(c.rounds)-1]
 	c.exchange.Exchanges++
-	for _, n := range totals {
+	for s, n := range totals {
 		if n > 0 {
+			cur[s] += n
 			c.exchange.Tuples += int64(n)
 			c.exchange.ActiveDests++
 		}
@@ -108,36 +57,10 @@ func (c *Cluster) recordExchange(totals []int) {
 }
 
 // Exchange reports the batched exchange's counters for this cluster.
-func (c *Cluster) Exchange() ExchangeStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.exchange
-}
+func (c *Cluster) Exchange() ExchangeStats { return c.exchange }
 
-// barrierLocked folds every shard's counters into the open round and zeroes
-// them. Callers hold c.mu; all worker goroutines must already be quiescent,
-// which is the round-barrier contract of the MPC model itself.
-func (c *Cluster) barrierLocked() {
-	cur := c.rounds[len(c.rounds)-1]
-	for _, sh := range c.shards {
-		for s, n := range sh.counts {
-			if n != 0 {
-				cur[s] += n
-				sh.counts[s] = 0
-			}
-		}
-	}
-}
-
-// barrier is barrierLocked for callers not holding the lock.
-func (c *Cluster) barrier() {
-	c.mu.Lock()
-	c.barrierLocked()
-	c.mu.Unlock()
-}
-
-// newRound closes the open round at a barrier, starts a fresh one, and
-// returns its index. Only the coordinating goroutine opens rounds.
+// newRound closes the open round, starts a fresh one, and returns its
+// index.
 //
 // This is the ground truth of the static round accounting: every charge in
 // the repository reaches a round through this append, so its trusted
@@ -146,25 +69,12 @@ func (c *Cluster) barrier() {
 //
 //lint:rounds const trust the simulator's single base charge: one append, one round
 func (c *Cluster) newRound() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.barrierLocked()
 	c.rounds = append(c.rounds, make([]int, c.P))
 	return len(c.rounds) - 1
 }
 
-// receive records n tuples received by server s in round r on the
-// coordinator's shard. Coordinator-only; workers use their own Shard.
-func (c *Cluster) receive(r, s, n int) {
-	if r == len(c.rounds)-1 {
-		c.serial.counts[s] += n
-		return
-	}
-	// A closed round (only reachable through explicit replay in tests).
-	c.mu.Lock()
-	c.rounds[r][s] += n
-	c.mu.Unlock()
-}
+// receive records n tuples received by server s in round r.
+func (c *Cluster) receive(r, s, n int) { c.rounds[r][s] += n }
 
 // input records n tuples placed on server s as part of the initial
 // distribution (round 0).
@@ -177,7 +87,6 @@ func (c *Cluster) Rounds() int { return len(c.rounds) - 1 }
 // MaxLoad returns the realized load L: the maximum number of tuples
 // received by any server in any round, including the initial distribution.
 func (c *Cluster) MaxLoad() int {
-	c.barrier()
 	max := 0
 	for _, row := range c.rounds {
 		for _, v := range row {
@@ -191,7 +100,6 @@ func (c *Cluster) MaxLoad() int {
 
 // RoundMax returns the largest per-server receive count of round r.
 func (c *Cluster) RoundMax(r int) int {
-	c.barrier()
 	max := 0
 	for _, v := range c.rounds[r] {
 		if v > max {
@@ -204,7 +112,6 @@ func (c *Cluster) RoundMax(r int) int {
 // TotalComm returns the total number of tuples communicated (all rounds,
 // all servers), excluding the initial distribution.
 func (c *Cluster) TotalComm() int {
-	c.barrier()
 	sum := 0
 	for r := 1; r < len(c.rounds); r++ {
 		for _, v := range c.rounds[r] {
@@ -236,11 +143,9 @@ func (c *Cluster) Snapshot() Stats {
 
 // addExchange folds a merged sub-computation's exchange counters into c's.
 func (c *Cluster) addExchange(e ExchangeStats) {
-	c.mu.Lock()
 	c.exchange.Exchanges += e.Exchanges
 	c.exchange.Tuples += e.Tuples
 	c.exchange.ActiveDests += e.ActiveDests
-	c.mu.Unlock()
 }
 
 // MergeSequential appends a sub-computation's rounds after the current ones:

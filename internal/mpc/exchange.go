@@ -25,9 +25,9 @@ import (
 //     spans and write rows into disjoint, pre-sized buffer windows — no
 //     locks, no growth reallocation. Runs of consecutive items bound for
 //     the same destination (gathers, sub-cluster hand-offs, skew clusters)
-//     move as contiguous block copies of the flat value buffer. Each task
-//     charges its deliveries to its own Cluster.Shard, folded at the next
-//     round barrier.
+//     move as contiguous block copies of the flat value buffer. Once the
+//     tasks have finished, the coordinator books the plan's
+//     per-destination totals to the open round (Cluster.bookExchange).
 //
 // Hash shuffles — the hottest exchange in every algorithm — take a fast
 // path: the router carries the key positions and salt instead of a
@@ -300,8 +300,7 @@ func (plan *exchangePlan) alloc(d, out *Dist) {
 // scatter fans the items out into out's pre-sized buffer windows. Task w
 // writes the half-open offset ranges [bases[w][t], bases[w][t]+counts[w][t])
 // — disjoint across tasks by construction — moving runs of same-destination
-// items as contiguous block copies of the value buffer, and charges its
-// deliveries to its own cluster shard.
+// items as contiguous block copies of the value buffer.
 //
 //lint:alloc-ceiling
 func (plan *exchangePlan) scatter(d, out *Dist, rt router) {
@@ -312,12 +311,6 @@ func (plan *exchangePlan) scatter(d, out *Dist, rt router) {
 			plan.hashScatter(d, out, rt, w, cursor)
 		} else {
 			plan.genericScatter(d, out, w, cursor)
-		}
-		sh := d.C.shardFor(w)
-		for t, n := range plan.counts[w] {
-			if n > 0 {
-				sh.Receive(t, int(n))
-			}
 		}
 		putInt32(cursor)
 	})
@@ -439,7 +432,7 @@ func (d *Dist) routeTasks(schema relation.Schema, rt router, tasks int) *Dist {
 	plan := newExchangePlan(d, rt, tasks)
 	plan.alloc(d, out)
 	plan.scatter(d, out, rt)
-	c.recordExchange(plan.totals)
+	c.bookExchange(plan.totals)
 	plan.release()
 	return out
 }

@@ -119,12 +119,8 @@ func destFns(p int) map[string]func(s int, it Item) []int {
 	}
 }
 
-// roundTable folds the cluster's counters and copies the per-round,
-// per-server receive table.
+// roundTable copies the per-round, per-server receive table.
 func roundTable(c *Cluster) [][]int {
-	c.barrier()
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	out := make([][]int, len(c.rounds))
 	for r, row := range c.rounds {
 		out[r] = append([]int(nil), row...)

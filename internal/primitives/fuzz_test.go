@@ -13,17 +13,18 @@ import (
 // FuzzSampleSortParity fuzzes the columnar rank-vector sample sort against
 // the retained serialSortAndChopRef: random sizes, key ranges, key widths
 // (including the degenerate width 0), mixed tuple arities, tag mixes,
-// partition widths, cluster sizes, and the record pool in both states must
-// produce value-identical chunks and identical cluster charges. Sizes reach
+// partition widths, cluster sizes, and the record pools clean or dirtied
+// (dirtyPools) must produce value-identical chunks and identical cluster
+// charges. Sizes reach
 // past sampleSortSerialBelow, so both the serial rank sort and the
 // splitter/partition path are exercised. Run continuously by
 // `make fuzz-smoke` (part of ci).
 func FuzzSampleSortParity(f *testing.F) {
 	// Seed corpus from the adversarial-skew shapes of the parity tests:
 	// one heavy key, zipf-ish skew, few distinct keys across many chunks,
-	// degenerate sizes, pool on and off — plus key widths 0, 2 and 3 and a
-	// size past the serial cutoff so the splitter path runs on multi-value
-	// flat keys.
+	// degenerate sizes, pools clean and dirtied — plus key widths 0, 2 and 3
+	// and a size past the serial cutoff so the splitter path runs on
+	// multi-value flat keys.
 	f.Add(int64(1), uint16(2000), uint16(1), uint8(2), uint8(16), uint8(1), true)     // one heavy key
 	f.Add(int64(2), uint16(2000), uint16(250), uint8(8), uint8(16), uint8(1), true)   // zipf-ish
 	f.Add(int64(3), uint16(1000), uint16(3), uint8(3), uint8(7), uint8(1), false)     // 3 keys, odd p
@@ -34,7 +35,7 @@ func FuzzSampleSortParity(f *testing.F) {
 	f.Add(int64(8), uint16(1200), uint16(80), uint8(5), uint8(9), uint8(3), false)    // width-3 keys
 	f.Add(int64(9), uint16(5000), uint16(200), uint8(8), uint8(16), uint8(2), true)   // past serial cutoff
 
-	f.Fuzz(func(t *testing.T, seed int64, n uint16, keys uint16, width, p, kw uint8, pooled bool) {
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, keys uint16, width, p, kw uint8, dirty bool) {
 		nn := int(n) % 8192
 		kk := int(keys)%(nn+1) + 1
 		b := int(width)%16 + 1
@@ -51,8 +52,9 @@ func FuzzSampleSortParity(f *testing.F) {
 		refChunks := serialSortAndChopRef(ref, append([]rec(nil), recs...))
 		refStats := ref.Snapshot()
 
-		prevPool := SetRecordPooling(pooled)
-		defer SetRecordPooling(prevPool)
+		if dirty {
+			dirtyPools(len(recs), kwidth)
+		}
 		c := mpc.NewCluster(pp)
 		rc := getRecCols(len(recs))
 		fillRecCols(rc, recs)
@@ -62,8 +64,8 @@ func FuzzSampleSortParity(f *testing.F) {
 
 		for s := 0; s < pp; s++ {
 			if !reflect.DeepEqual(refChunks[s], colsChunk(rc, bounds, s)) {
-				t.Fatalf("chunk %d differs (n=%d keys=%d kw=%d b=%d p=%d pool=%v)",
-					s, nn, kk, kwidth, b, pp, pooled)
+				t.Fatalf("chunk %d differs (n=%d keys=%d kw=%d b=%d p=%d dirty=%v)",
+					s, nn, kk, kwidth, b, pp, dirty)
 			}
 		}
 		if !reflect.DeepEqual(refStats, gotStats) {
@@ -79,20 +81,20 @@ func FuzzSampleSortParity(f *testing.F) {
 // part sizes (empty parts included), key widths 0–3 at non-identity
 // positions, key ranges from one heavy key to all-distinct, annotated and
 // lazy-annotation inputs, two semirings, cluster sizes, data-plane widths
-// and the record pool in both states must produce Equal parts in identical
-// per-server row order — first-occurrence order, so hash order cannot leak
-// — and identical cluster charges. The references run at width 1 with the
-// pool on. Run continuously by `make fuzz-smoke` (part of ci).
+// and the record pools clean or dirtied must produce Equal parts in
+// identical per-server row order — first-occurrence order, so hash order
+// cannot leak — and identical cluster charges. The references run at width
+// 1. Run continuously by `make fuzz-smoke` (part of ci).
 func FuzzSumByKeyParity(f *testing.F) {
 	f.Add(int64(1), uint16(400), uint16(1), uint8(1), uint8(16), uint8(1), true, true)      // one heavy key
 	f.Add(int64(2), uint16(400), uint16(65535), uint8(2), uint8(16), uint8(2), false, true) // all distinct, lazy annotations
-	f.Add(int64(3), uint16(300), uint16(40), uint8(3), uint8(7), uint8(8), true, false)     // width-3 keys, odd p, pool off
+	f.Add(int64(3), uint16(300), uint16(40), uint8(3), uint8(7), uint8(8), true, false)     // width-3 keys, odd p, clean pools
 	f.Add(int64(4), uint16(200), uint16(9), uint8(0), uint8(5), uint8(2), true, true)       // width-0 keys: one group
 	f.Add(int64(5), uint16(0), uint16(3), uint8(1), uint8(4), uint8(1), false, false)       // empty input
 	f.Add(int64(6), uint16(3), uint16(2), uint8(2), uint8(2), uint8(3), true, true)         // tiny parts
 	f.Add(int64(7), uint16(900), uint16(250), uint8(1), uint8(16), uint8(2), false, false)  // zipf-ish, lazy
 
-	f.Fuzz(func(t *testing.T, seed int64, n, keys uint16, kw, p, width uint8, annotated, pooled bool) {
+	f.Fuzz(func(t *testing.T, seed int64, n, keys uint16, kw, p, width uint8, annotated, dirty bool) {
 		maxPart := int(n) % 1024
 		kk := int(keys)%(8*maxPart+1) + 1
 		kwidth := int(kw) % 4
@@ -152,23 +154,24 @@ func FuzzSumByKeyParity(f *testing.F) {
 				func(d *mpc.Dist) *mpc.Dist { return DistinctByKey(d, keyAttrs) }},
 		}
 		for _, op := range ops {
-			prevW, prevPool := runtime.SetParallelism(1), SetRecordPooling(true)
+			prevW := runtime.SetParallelism(1)
 			ref := build()
 			want := op.ref(ref)
 			runtime.SetParallelism(b)
-			SetRecordPooling(pooled)
 			got := build()
+			if dirty {
+				dirtyPools(got.Size(), kwidth)
+			}
 			have := op.prod(got)
 			runtime.SetParallelism(prevW)
-			SetRecordPooling(prevPool)
 
 			if !want.Schema.Equal(have.Schema) {
 				t.Fatalf("%s: schema %v, reference %v", op.name, have.Schema, want.Schema)
 			}
 			for s := range want.Parts {
 				if !want.Parts[s].Equal(&have.Parts[s]) {
-					t.Fatalf("%s: part %d differs from the string-keyed reference (maxPart=%d keys=%d kw=%d p=%d b=%d annotated=%v pool=%v ring=%s)",
-						op.name, s, maxPart, kk, kwidth, pp, b, annotated, pooled, ring.Name)
+					t.Fatalf("%s: part %d differs from the string-keyed reference (maxPart=%d keys=%d kw=%d p=%d b=%d annotated=%v dirty=%v ring=%s)",
+						op.name, s, maxPart, kk, kwidth, pp, b, annotated, dirty, ring.Name)
 				}
 			}
 			if !reflect.DeepEqual(ref.C.Snapshot(), got.C.Snapshot()) {

@@ -2,7 +2,6 @@ package primitives
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/mpc"
 	"repro/internal/relation"
@@ -22,23 +21,8 @@ import (
 //
 // Pooling is strictly a memory-reuse layer: every buffer is fully
 // initialized before it is read, so results, cluster charges and table
-// bytes are identical with the pool on or off. SetRecordPooling(false)
-// forces fresh allocations — the determinism sweeps prove the equivalence
-// under -race.
-
-// recordPooling gates every primitives-layer pool (record columns, index
-// scratch). On by default.
-var recordPooling atomic.Bool
-
-func init() { recordPooling.Store(true) }
-
-// SetRecordPooling enables or disables the columnar record pool and
-// returns the previous setting. Used by the determinism sweeps; safe for
-// concurrent use (in-flight calls keep the buffers they already hold).
-func SetRecordPooling(on bool) bool { return recordPooling.Swap(on) }
-
-// RecordPooling reports whether the record pool is active.
-func RecordPooling() bool { return recordPooling.Load() }
+// bytes do not depend on what a pooled buffer held before — the parity
+// tests run against pools seeded with garbage-filled buffers.
 
 // recCols is the columnar record set: a flat fixed-width key buffer plus
 // parallel tag/tuple/annot columns, sorted together by (key, tag) via an
@@ -140,14 +124,12 @@ var recColsPool sync.Pool
 
 // getRecCols returns an empty record set with room for capacity rows.
 func getRecCols(capacity int) *recCols {
-	if RecordPooling() {
-		if v := recColsPool.Get(); v != nil {
-			rc := v.(*recCols)
-			if cap(rc.tags) >= capacity {
-				return rc
-			}
-			// Too small for this call site: grow once, keep the grown set.
+	if v := recColsPool.Get(); v != nil {
+		rc := v.(*recCols)
+		if cap(rc.tags) >= capacity {
+			return rc
 		}
+		// Too small for this call site: grow once, keep the grown set.
 	}
 	return &recCols{
 		keys:   make([]relation.Value, 0, capacity),
@@ -160,9 +142,6 @@ func getRecCols(capacity int) *recCols {
 // putRecCols recycles rc. Callers must have copied out every tuple header
 // and annotation they keep (the output Dist does).
 func putRecCols(rc *recCols) {
-	if !RecordPooling() {
-		return
-	}
 	rc.reset()
 	recColsPool.Put(rc)
 }
@@ -208,18 +187,13 @@ func taskVecs(vs [][]int32, tasks, n int) [][]int32 {
 var sortScratchPool sync.Pool
 
 func getSortScratch() *sortScratch {
-	if RecordPooling() {
-		if v := sortScratchPool.Get(); v != nil {
-			return v.(*sortScratch)
-		}
+	if v := sortScratchPool.Get(); v != nil {
+		return v.(*sortScratch)
 	}
 	return &sortScratch{}
 }
 
 func putSortScratch(sc *sortScratch) {
-	if !RecordPooling() {
-		return
-	}
 	// The permute swap leaves the pre-sort tuple column here; clear it so
 	// the pool never retains a past dataset's tuples (the key column is
 	// pointer-free and needs no clearing).

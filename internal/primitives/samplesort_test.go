@@ -106,6 +106,43 @@ func fillRecCols(rc *recCols, recs []rec) {
 	}
 }
 
+// dirtyPools seeds the record pools with garbage before a run under test:
+// it takes a record set and a sort scratch from their pools, sizes them for
+// rows records of key width kw, fills every column to capacity with
+// sentinels (−1 in the rank vectors, so a read before a write panics
+// instead of seeing a quiet zero) and puts them back. Pooling is memory
+// reuse only, so the run that follows must produce the same bytes as one
+// on fresh memory. (The puts clear the tuple columns, as in production.)
+func dirtyPools(rows, kw int) {
+	const junk = -0x5eed
+	rc, sc := getRecCols(rows), getSortScratch()
+	sc.order, sc.ranges = ensureSlice(sc.order, rows), ensureSlice(sc.ranges, rows)
+	sc.perTask, sc.bases = taskVecs(sc.perTask, 16, 64), taskVecs(sc.bases, 16, 64)
+	sc.keys, sc.tags = ensureSlice(sc.keys, rows*kw), ensureSlice(sc.tags, rows)
+	sc.tuples, sc.annots = ensureSlice(sc.tuples, rows), ensureSlice(sc.annots, rows)
+	for _, v := range append(append([][]int32{sc.order, sc.ranges}, sc.perTask...), sc.bases...) {
+		fillCap(v, -1)
+	}
+	fillCap(rc.keys, junk)
+	fillCap(sc.keys, junk)
+	fillCap(rc.tags, 0xAA)
+	fillCap(sc.tags, 0xAA)
+	fillCap(rc.tuples, relation.Tuple{junk})
+	fillCap(sc.tuples, relation.Tuple{junk})
+	fillCap(rc.annots, junk)
+	fillCap(sc.annots, junk)
+	putRecCols(rc)
+	putSortScratch(sc)
+}
+
+// fillCap sets every element of s, up to its capacity, to v.
+func fillCap[T any](s []T, v T) {
+	s = s[:cap(s)]
+	for i := range s {
+		s[i] = v
+	}
+}
+
 // colsChunk extracts chunk s of a sorted columnar set as []rec for
 // comparison against the serial reference's chunks, re-encoding the flat
 // key windows into the reference's key strings.
@@ -121,8 +158,8 @@ func colsChunk(rc *recCols, bounds []int, s int) []rec {
 }
 
 // TestSampleSortParityWithSerialRef is the tentpole guarantee: for every
-// input shape, every data-plane width, and the record pool on or off,
-// sortAndChop produces value-identical chunks and identical per-round
+// input shape, every data-plane width, and the record pools clean or
+// seeded with garbage (dirtyPools), sortAndChop produces value-identical chunks and identical per-round
 // cluster charges to the retained serial reference. Run under -race
 // (make ci) this is also the lock-freedom proof for the partition/
 // scatter/sort passes.
@@ -134,12 +171,14 @@ func TestSampleSortParityWithSerialRef(t *testing.T) {
 			refChunks := serialSortAndChopRef(ref, in.recs())
 			refStats := ref.Snapshot()
 
-			for _, pooled := range []bool{true, false} {
-				prevPool := SetRecordPooling(pooled)
+			for _, dirty := range []bool{false, true} {
 				for _, width := range []int{1, 2, 8} {
 					prev := runtime.SetParallelism(width)
 					c := mpc.NewCluster(p)
 					recs := in.recs()
+					if dirty {
+						dirtyPools(len(recs), 1)
+					}
 					rc := getRecCols(len(recs))
 					fillRecCols(rc, recs)
 					bounds := sortAndChop(c, rc)
@@ -147,18 +186,17 @@ func TestSampleSortParityWithSerialRef(t *testing.T) {
 
 					for s := 0; s < p; s++ {
 						if !reflect.DeepEqual(refChunks[s], colsChunk(rc, bounds, s)) {
-							t.Fatalf("pool=%v width %d: chunk %d differs: ref %d recs, got %d recs",
-								pooled, width, s, len(refChunks[s]), bounds[s+1]-bounds[s])
+							t.Fatalf("dirty=%v width %d: chunk %d differs: ref %d recs, got %d recs",
+								dirty, width, s, len(refChunks[s]), bounds[s+1]-bounds[s])
 						}
 					}
 					if !reflect.DeepEqual(refStats, gotStats) {
-						t.Fatalf("pool=%v width %d: charges differ:\nref %+v\ngot %+v",
-							pooled, width, refStats, gotStats)
+						t.Fatalf("dirty=%v width %d: charges differ:\nref %+v\ngot %+v",
+							dirty, width, refStats, gotStats)
 					}
 					putRecCols(rc)
 					runtime.SetParallelism(prev)
 				}
-				SetRecordPooling(prevPool)
 			}
 		})
 	}
@@ -307,19 +345,21 @@ func TestEmptyInputsChargeNoRounds(t *testing.T) {
 }
 
 // TestSampleSortWidthSweepDeterminism re-sorts the same zipf input at every
-// width (and the pool in both states) and demands byte-identical chunk
+// width (and the pools clean and dirtied) and demands byte-identical chunk
 // tables — the cheap standing sweep the engine catalog test mirrors at
 // full scale.
 func TestSampleSortWidthSweepDeterminism(t *testing.T) {
 	const p, n = 8, 1 << 14
 	mk := sortInputs(n)[2] // zipfish
 	var ref [][]rec
-	for _, pooled := range []bool{true, false} {
-		prevPool := SetRecordPooling(pooled)
+	for _, dirty := range []bool{false, true} {
 		for _, width := range []int{1, 2, 4, 8} {
 			prev := runtime.SetParallelism(width)
 			c := mpc.NewCluster(p)
 			recs := mk.recs()
+			if dirty {
+				dirtyPools(len(recs), 1)
+			}
 			rc := getRecCols(len(recs))
 			fillRecCols(rc, recs)
 			bounds := sortAndChop(c, rc)
@@ -334,9 +374,8 @@ func TestSampleSortWidthSweepDeterminism(t *testing.T) {
 				continue
 			}
 			if !reflect.DeepEqual(ref, got) {
-				t.Fatal(fmt.Sprintf("pool=%v width %d chunks differ from reference", pooled, width))
+				t.Fatal(fmt.Sprintf("dirty=%v width %d chunks differ from reference", dirty, width))
 			}
 		}
-		SetRecordPooling(prevPool)
 	}
 }

@@ -1,3 +1,21 @@
+// Package runtime is the simulator's one scheduler: Fork, a bounded
+// parallel-for.
+//
+// Everything that runs in parallel runs on it — the harness's experiment
+// cells, the exchange's plan and scatter tasks, RHier's per-heavy-group
+// sub-clusters, the oracle's hash-join probe, the per-server local joins —
+// and goroutines start nowhere else. All of them draw from one
+// process-wide token bucket of Parallelism()−1 spawned workers: a Fork
+// that finds no free token runs its tasks inline on the caller. Nested
+// forks (cells that fork exchanges that fork again) are therefore
+// deadlock-free, and a fork tree never has more than Parallelism() tasks
+// running — its root goroutine plus the spawned workers — however deep the
+// nesting.
+//
+// Every user of Fork writes results into per-task slots (slices indexed by
+// task) and merges them in task order, so the result bytes are identical
+// for every parallelism width — including 1, which runs the exact serial
+// loop. SetParallelism(1) is therefore the reference execution.
 package runtime
 
 import (
@@ -8,30 +26,10 @@ import (
 	"sync/atomic"
 )
 
-// The data plane: Fork is the bounded parallel-for the simulator's inner
-// loops run on — the exchange's scatter workers, RHier's per-heavy-group
-// sub-clusters, the oracle's hash-join probe, the per-server local joins.
-//
-// Where Pool shards the experiment matrix (the control plane, one task per
-// experiment cell), Fork shards the loops inside one cell. Both planes draw
-// real parallelism from the same machine, so both are counted in a single
-// process-wide token bucket: Pool workers hold a token each for their
-// lifetime, and a Fork that finds no free token runs its task inline on
-// the caller. A saturated control plane therefore runs the data plane
-// inline (the cells themselves are the parallelism), nested forks (a
-// recursion that forks at every level) are deadlock-free, and the total
-// busy goroutine count stays O(max(pool width, Parallelism())) no matter
-// how deep the nesting.
-//
-// Every user of Fork writes results into per-task slots (slices indexed by
-// task) and merges them in task order, so the result bytes are identical
-// for every parallelism width — including 1, which runs the exact serial
-// loop. SetParallelism(1) is therefore the reference execution.
-
-// dataWidth is the configured data-plane width; 0 selects GOMAXPROCS.
+// dataWidth is the configured width; 0 selects GOMAXPROCS.
 var dataWidth atomic.Int64
 
-// SetParallelism fixes the data-plane width: the maximum number of
+// SetParallelism fixes the width: the maximum number of
 // goroutines Fork may have in flight process-wide. n ≤ 0 restores the
 // default (GOMAXPROCS). It returns the previous setting (0 = default) so
 // tests can restore it.
@@ -42,7 +40,7 @@ func SetParallelism(n int) int {
 	return int(dataWidth.Swap(int64(n)))
 }
 
-// Parallelism reports the current data-plane width.
+// Parallelism reports the current width.
 func Parallelism() int {
 	if w := dataWidth.Load(); w > 0 {
 		return int(w)
@@ -50,15 +48,9 @@ func Parallelism() int {
 	return stdruntime.GOMAXPROCS(0)
 }
 
-// forkTokens counts worker goroutines in flight across the whole process:
-// Fork's spawned workers and Pool's cell workers alike.
+// forkTokens counts Fork's spawned worker goroutines in flight across the
+// whole process.
 var forkTokens atomic.Int64
-
-// reserveWorker counts a long-lived worker (a Pool goroutine) in the
-// process-wide budget; releaseWorker returns the token. Unconditional:
-// the control plane's width is the user's explicit choice.
-func reserveWorker() { forkTokens.Add(1) }
-func releaseWorker() { forkTokens.Add(-1) }
 
 // acquireToken reserves one extra worker if the process-wide budget allows.
 // The budget is width−1: the calling goroutine is always the width-th

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	stdruntime "runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -72,13 +73,34 @@ func TestForkReleasesTokens(t *testing.T) {
 			t.Fatalf("round %d: %d tokens leaked", round, got)
 		}
 	}
-	// Nested forks must not deadlock even when tokens are exhausted.
-	Fork(4, func(int) {
-		Fork(4, func(int) {
-			Fork(2, func(int) {})
+}
+
+// TestForkNestedStaysWithinWidth: the width bound is exact. Three levels
+// of nested Fork do not deadlock on an exhausted bucket, never have more
+// than Parallelism() tasks running at once — the root goroutine plus at
+// most width−1 spawned workers — and leave the bucket whole.
+func TestForkNestedStaysWithinWidth(t *testing.T) {
+	const width = 4
+	prev := SetParallelism(width)
+	defer SetParallelism(prev)
+	// Only leaves count themselves: a goroutine inside an outer task is the
+	// one running the inner Fork's tasks, not a second runner.
+	var running atomic.Int64
+	leaf := func(int) {
+		if n := running.Add(1); n > width {
+			t.Errorf("%d tasks running at width %d", n, width)
+		}
+		for spin := 0; spin < 1000; spin++ {
+			stdruntime.Gosched()
+		}
+		running.Add(-1)
+	}
+	Fork(6, func(int) {
+		Fork(5, func(int) {
+			Fork(3, leaf)
 		})
 	})
 	if got := forkTokens.Load(); got != 0 {
-		t.Fatalf("nested forks leaked %d tokens", got)
+		t.Errorf("nested forks leaked %d tokens", got)
 	}
 }

@@ -1,8 +1,13 @@
 package repro
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -15,12 +20,12 @@ import (
 // smokeScale is deliberately tiny: the point is that `go test ./...`
 // exercises the bench wiring end-to-end, not that it measures anything.
 func smokeScale() harness.Scale {
-	return harness.Scale{P: 8, IN: 1 << 8, Seed: 2019, Workers: *workersFlag}
+	return harness.Scale{P: 8, IN: 1 << 8, Seed: 2019}
 }
 
 // TestSmokeExperimentEndToEnd runs one full experiment — instance
 // generation, oracle verification, all four Figure 3 algorithms on the MPC
-// simulator, table rendering — through the parallel scheduler.
+// simulator, table rendering — with the cells on runtime.Fork.
 func TestSmokeExperimentEndToEnd(t *testing.T) {
 	tab := harness.Fig3JoinOrder(smokeScale())
 	if len(tab.Rows) != 8 {
@@ -71,5 +76,57 @@ func TestFrozenBenchCompiles(t *testing.T) {
 	cmd.Env = append(os.Environ(), "GOPROXY=off", "GOTOOLCHAIN=local")
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("go vet in bench/: %v\n%s", err, out)
+	}
+}
+
+// concurrencyAllowed lists the non-test files that may import sync or
+// sync/atomic or contain a go statement. The simulator's concurrency fits
+// one paragraph (DESIGN.md, "The parallel experiment runtime"); a new entry
+// here is a reviewed decision.
+var concurrencyAllowed = map[string]bool{
+	"internal/runtime/fork.go":       true, // the one scheduler: goroutines, WaitGroup, token bucket
+	"internal/mpc/columns.go":        true, // sync.Pool for exchange scratch
+	"internal/primitives/reccols.go": true, // sync.Pool for record columns and sort scratch
+	"internal/harness/oracle.go":     true, // sync.Map memoizing oracle counts across forked cells
+	"internal/engine/registry.go":    true, // RWMutex around the algorithm registry
+}
+
+// TestConcurrencyStaysWhereItIs parses every non-test Go file under
+// internal/ and cmd/ and fails on a go statement or a sync / sync/atomic
+// import outside concurrencyAllowed, so the next lock or goroutine cannot
+// arrive unnoticed. `make race` still runs the race detector over it all.
+func TestConcurrencyStaysWhereItIs(t *testing.T) {
+	fset := token.NewFileSet()
+	check := func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && d.Name() == "testdata":
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"),
+			concurrencyAllowed[filepath.ToSlash(path)]:
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if v := imp.Path.Value; v == `"sync"` || v == `"sync/atomic"` {
+				t.Errorf("%s imports %s: not in concurrencyAllowed", path, v)
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
+				t.Errorf("%s: go statement outside concurrencyAllowed", fset.Position(g.Pos()))
+			}
+			return true
+		})
+		return nil
+	}
+	for _, root := range []string{"internal", "cmd"} {
+		if err := filepath.WalkDir(root, check); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
