@@ -34,7 +34,7 @@ BENCH_JSON ?= BENCH_10.json
 BENCH_BASELINE ?= BENCH_9.json
 GATE ?= 25
 
-.PHONY: FORCE ci fmt vet build test race smoke bench bench-all bench-compare bench-smoke bench-e2e-smoke bench-verify fuzz-smoke cover lint lint-fix-list tidy-check contracts contracts-verify experiments
+.PHONY: FORCE ci fmt vet build test race smoke bench bench-all bench-compare bench-smoke bench-e2e-smoke bench-pairs bench-verify fuzz-smoke cover lint lint-fix-list tidy-check contracts contracts-verify experiments
 
 # ci is tier-1 plus race checking, a public-API smoke pass, coverage
 # floors, a fuzz-smoke pass over the data-plane parity targets, a
@@ -119,14 +119,15 @@ cover:
 	done
 
 # fuzz-smoke runs each native fuzz target for FUZZTIME: the exchange, the
-# sample sort, the local join kernel and the word-keyed aggregation side
-# must stay value-identical to their retained references on randomized
-# inputs, widths, and pool states.
+# sample sort, the local join kernel, the word-keyed aggregation side and
+# the one-sort semi-join must stay value-identical to their retained
+# references on randomized inputs, widths, and pool states.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzExchangeParity$$' -fuzztime $(FUZZTIME) ./internal/mpc
 	$(GO) test -run '^$$' -fuzz '^FuzzSampleSortParity$$' -fuzztime $(FUZZTIME) ./internal/primitives
 	$(GO) test -run '^$$' -fuzz '^FuzzLocalJoinParity$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzSumByKeyParity$$' -fuzztime $(FUZZTIME) ./internal/primitives
+	$(GO) test -run '^$$' -fuzz '^FuzzSemiJoinParity$$' -fuzztime $(FUZZTIME) ./internal/primitives
 
 # contracts regenerates CONTRACTS.md from the engine registry and the
 # round-cost classifier (repolint -contracts runs standalone: under go
@@ -187,6 +188,17 @@ bench-smoke:
 # instead of in the pipeline that runs BENCHMARK.json.
 bench-e2e-smoke:
 	cd bench && $(GO) vet . && $(GO) test ./...
+
+# bench-pairs runs N alternating pairs of the BENCHMARK.json benchmark,
+# commit REF against the working tree, and prints the per-pair verdicts and
+# the medians, ratio medians and pairs won (scripts/bench-pairs.sh). A full
+# pair is two ≈ 95 s runs; WORKLOADS=a,b narrows both sides.
+#
+#	make bench-pairs REF=HEAD~1 N=10 WORKLOADS=rhier_skew
+N ?= 10
+bench-pairs:
+	@test -n "$(REF)" || { echo "usage: make bench-pairs REF=<commit> [N=10] [WORKLOADS=a,b]"; exit 2; }
+	bash scripts/bench-pairs.sh "$(REF)" "$(N)" "$(WORKLOADS)"
 
 experiments:
 	$(GO) run ./cmd/experiments

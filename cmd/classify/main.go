@@ -29,6 +29,11 @@ import (
 func main() {
 	query := flag.String("q", "", "ad-hoc query: semicolon-separated edges of comma-separated attribute ids")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "classify: unexpected argument %q: no positional arguments are taken, and flags after one would be ignored\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *query == "" {
 		fmt.Print(harness.Fig1Classification(harness.DefaultScale()).Render())

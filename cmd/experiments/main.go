@@ -32,6 +32,11 @@ func main() {
 	workers := flag.Int("workers", 0,
 		"simulator parallelism (0 = GOMAXPROCS, 1 = serial; tables are identical for any value)")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "experiments: unexpected argument %q: no positional arguments are taken, and flags after one would be ignored\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *p < 0 || *inSize < 0 {
 		fmt.Fprintf(os.Stderr, "experiments: -p %d -in %d: sizes cannot be negative\n", *p, *inSize)
 		flag.Usage()

@@ -35,6 +35,11 @@ func main() {
 	p := flag.Int("p", 64, "number of servers")
 	seed := flag.Uint64("seed", 2019, "random seed")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "joinrun: unexpected argument %q: no positional arguments are taken, and flags after one would be ignored\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *p < 1 {
 		fmt.Fprintf(os.Stderr, "joinrun: -p %d: need at least one server\n", *p)
 		flag.Usage()

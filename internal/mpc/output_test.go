@@ -197,6 +197,44 @@ func TestRowIndexGroupsInInsertionOrder(t *testing.T) {
 	}
 }
 
+// TestRowIndexOpensIsFirst pins the flag the build records against the
+// definition it replaced: row i opens its group exactly when looking its
+// own key up returns i — on random parts, one heavy key, all-distinct keys,
+// the empty key (every row in one group) and the empty part, with the
+// index arrays recycled from a pool that held other data.
+func TestRowIndexOpensIsFirst(t *testing.T) {
+	rng := NewRng(33)
+	for _, tc := range []struct {
+		name   string
+		n, dom int
+		pos    []int
+	}{
+		{"random", 500, 6, []int{2, 0}},
+		{"one heavy key", 300, 1, []int{1}},
+		{"all distinct", 400, 1 << 30, []int{0, 1, 2}},
+		{"empty pos", 50, 6, nil},
+		{"empty part", 0, 6, []int{1}},
+		{"single row", 1, 6, []int{1}},
+	} {
+		cols := randomColumns(rng, tc.n, 3, tc.dom, false)
+		ix := IndexRows(&cols, tc.pos)
+		opens := 0
+		for i := 0; i < tc.n; i++ {
+			want := ix.First(cols.Tuple(i), tc.pos) == i
+			if ix.Opens(i) != want {
+				t.Fatalf("%s: Opens(%d) = %v, First says %v", tc.name, i, ix.Opens(i), want)
+			}
+			if want {
+				opens++
+			}
+		}
+		if opens != ix.Groups() {
+			t.Fatalf("%s: %d rows open a group, Groups() = %d", tc.name, opens, ix.Groups())
+		}
+		ix.Release()
+	}
+}
+
 // TestEmitterBorrowsTuple is the Emitter contract: t is only borrowed. The
 // same rows are emitted twice — each from a fresh tuple, and all from one
 // reused scratch tuple that is overwritten after every call — into both

@@ -1,6 +1,10 @@
 package mpc
 
-import "repro/internal/relation"
+import (
+	"math"
+
+	"repro/internal/relation"
+)
 
 // RowIndex is a value-keyed hash index over the rows of one Columns: rows
 // are grouped by their projection onto a fixed list of key columns and
@@ -18,9 +22,14 @@ type RowIndex struct {
 	cols   *Columns
 	pos    []int
 	slots  []int32 // slot → first row of its group + 1; 0 = empty
-	next   []int32 // row → next row with the same key, −1 at the end of the chain
+	next   []int32 // row → next row with the same key + 1 (0 ends the chain), | displaced
 	groups int     // distinct keys
 }
+
+// displaced is the sign bit of a next entry: set on a row when an earlier
+// row with the same key took its place as the head of the group, so the
+// rows that open a group are exactly the ones without it.
+const displaced = math.MinInt32
 
 // IndexRows builds the index of cols keyed by the columns pos. An empty
 // pos puts every row in one group (the keyless cross product).
@@ -37,10 +46,13 @@ func IndexRows(cols *Columns, pos []int) RowIndex {
 	// group, so every chain ends up in ascending (insertion) order.
 	for i := n - 1; i >= 0; i-- {
 		slot := ix.find(cols.Tuple(i), pos)
-		if ix.slots[slot] == 0 {
+		head := ix.slots[slot]
+		if head == 0 {
 			ix.groups++
+		} else {
+			ix.next[head-1] |= displaced
 		}
-		ix.next[i] = ix.slots[slot] - 1
+		ix.next[i] = head
 		ix.slots[slot] = int32(i) + 1
 	}
 	return ix
@@ -49,10 +61,11 @@ func IndexRows(cols *Columns, pos []int) RowIndex {
 // Groups returns the number of distinct keys.
 func (ix *RowIndex) Groups() int { return ix.groups }
 
-// Opens reports whether row i is the first row of its group. Scanning the
-// rows for the ones that open a group visits the groups in first-occurrence
-// order: the hash order of the slots never reaches a caller.
-func (ix *RowIndex) Opens(i int) bool { return ix.First(ix.cols.Tuple(i), ix.pos) == i }
+// Opens reports whether row i is the first row of its group — one load: the
+// build recorded which rows were displaced. Scanning the rows for the ones
+// that open a group visits the groups in first-occurrence order: the hash
+// order of the slots never reaches a caller.
+func (ix *RowIndex) Opens(i int) bool { return ix.next[i] >= 0 }
 
 // find returns the slot holding the group whose key equals t's projection
 // onto pos, or the empty slot where that group would go.
@@ -82,7 +95,7 @@ func (ix *RowIndex) First(t relation.Tuple, pos []int) int {
 }
 
 // Next returns the row after i in its group's insertion order, or −1.
-func (ix *RowIndex) Next(i int) int { return int(ix.next[i]) }
+func (ix *RowIndex) Next(i int) int { return int(ix.next[i]&^displaced) - 1 }
 
 // Release recycles the index's arrays; the index must not be used after.
 func (ix *RowIndex) Release() {

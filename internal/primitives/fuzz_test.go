@@ -1,6 +1,7 @@
 package primitives
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -12,8 +13,9 @@ import (
 
 // FuzzSampleSortParity fuzzes the columnar rank-vector sample sort against
 // the retained serialSortAndChopRef: random sizes, key ranges, key widths
-// (including the degenerate width 0), mixed tuple arities, tag mixes,
-// partition widths, cluster sizes, and the record pools clean or dirtied
+// (including the degenerate width 0) and key shapes (shapedKey: both signs,
+// the int64 extremes, top-byte-only and last-word-only differences), mixed
+// tuple arities, tag mixes, partition widths, cluster sizes, and the record pools clean or dirtied
 // (dirtyPools) must produce value-identical chunks and identical cluster
 // charges. Sizes reach
 // past sampleSortSerialBelow, so both the serial rank sort and the
@@ -34,6 +36,13 @@ func FuzzSampleSortParity(f *testing.F) {
 	f.Add(int64(7), uint16(900), uint16(40), uint8(4), uint8(8), uint8(0), true)      // width-0 keys: tag-only order
 	f.Add(int64(8), uint16(1200), uint16(80), uint8(5), uint8(9), uint8(3), false)    // width-3 keys
 	f.Add(int64(9), uint16(5000), uint16(200), uint8(8), uint8(16), uint8(2), true)   // past serial cutoff
+	// Seeds from 16 up select the key shapes of shapedKey (seed/16 mod
+	// keyShapes) — what a byte-wise sort can get wrong.
+	f.Add(int64(17), uint16(3000), uint16(900), uint8(2), uint8(7), uint8(1), true)   // both signs
+	f.Add(int64(33), uint16(2000), uint16(700), uint8(3), uint8(5), uint8(2), false)  // int64 extremes
+	f.Add(int64(49), uint16(6000), uint16(255), uint8(2), uint8(16), uint8(1), true)  // top byte only, past serial cutoff
+	f.Add(int64(65), uint16(1500), uint16(1500), uint8(4), uint8(9), uint8(3), false) // only the last of three words differs
+	f.Add(int64(18), uint16(33), uint16(9), uint8(1), uint8(3), uint8(1), true)       // one window at the insertion cutoff
 
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, keys uint16, width, p, kw uint8, dirty bool) {
 		nn := int(n) % 8192
@@ -42,10 +51,12 @@ func FuzzSampleSortParity(f *testing.F) {
 		pp := int(p)%16 + 1
 		kwidth := int(kw) % 4
 
+		shape := int(uint64(seed) / 16 % keyShapes)
+
 		rng := rand.New(rand.NewSource(seed))
 		recs := make([]rec, nn)
 		for i := range recs {
-			recs[i] = mkRecKW(kwidth, rng.Intn(kk), uint8(rng.Intn(3)), i)
+			recs[i] = mkRecShaped(shape, kwidth, rng.Intn(kk), uint8(rng.Intn(3)), i)
 		}
 
 		ref := mpc.NewCluster(pp)
@@ -64,8 +75,8 @@ func FuzzSampleSortParity(f *testing.F) {
 
 		for s := 0; s < pp; s++ {
 			if !reflect.DeepEqual(refChunks[s], colsChunk(rc, bounds, s)) {
-				t.Fatalf("chunk %d differs (n=%d keys=%d kw=%d b=%d p=%d dirty=%v)",
-					s, nn, kk, kwidth, b, pp, dirty)
+				t.Fatalf("chunk %d differs (n=%d keys=%d shape=%d kw=%d b=%d p=%d dirty=%v)",
+					s, nn, kk, shape, kwidth, b, pp, dirty)
 			}
 		}
 		if !reflect.DeepEqual(refStats, gotStats) {
@@ -177,6 +188,159 @@ func FuzzSumByKeyParity(f *testing.F) {
 			if !reflect.DeepEqual(ref.C.Snapshot(), got.C.Snapshot()) {
 				t.Fatalf("%s: charges differ:\nref %+v\ngot %+v", op.name, ref.C.Snapshot(), got.C.Snapshot())
 			}
+		}
+	})
+}
+
+// FuzzSemiJoinParity fuzzes the one-sort semi-join against the retained
+// two-sort body (semiJoinRef/antiJoinRef: DistinctByKey, then Lookup):
+// random part sizes for x and d (either side empty, empty parts), d with
+// duplicates within and across servers, key widths 0–3 held at different,
+// non-identity positions on the two sides, key ranges from one heavy key
+// to all-distinct, annotated x, cluster sizes, data-plane widths 1, 2 and
+// 8 and the record pools clean or dirtied. The kept rows, read part-major,
+// must be the reference's global sequence with its annotations — which
+// server a row lands on is not part of the contract, since the chunk
+// boundaries move with the number of d records staged — the parts must be
+// identical at every width, and the cluster must show exactly three rounds:
+// the sort round at most ⌈(|x| + Σ_s distinct_s(d))/p⌉ per server, then the
+// coordinator exchange at p and 1. Run continuously by `make fuzz-smoke`.
+func FuzzSemiJoinParity(f *testing.F) {
+	f.Add(int64(1), uint16(300), uint16(300), uint16(0), uint8(1), uint8(15), true, true)      // one heavy key
+	f.Add(int64(2), uint16(300), uint16(200), uint16(65535), uint8(2), uint8(15), false, true) // near-distinct keys
+	f.Add(int64(3), uint16(200), uint16(400), uint16(40), uint8(3), uint8(6), true, false)     // width-3 keys, odd p, d heavier than x
+	f.Add(int64(4), uint16(150), uint16(90), uint16(9), uint8(0), uint8(4), true, true)        // width-0 keys: found iff d is not empty
+	f.Add(int64(5), uint16(0), uint16(50), uint16(3), uint8(1), uint8(3), false, false)        // x empty: no rounds
+	f.Add(int64(6), uint16(120), uint16(0), uint16(3), uint8(1), uint8(3), true, true)         // d empty: nothing found
+	f.Add(int64(7), uint16(3), uint16(2), uint16(2), uint8(2), uint8(1), true, true)           // tiny parts
+	f.Add(int64(8), uint16(1000), uint16(900), uint16(600), uint8(1), uint8(15), false, false) // past the serial cutoff: splitter path
+	f.Add(int64(9), uint16(40), uint16(40), uint16(5), uint8(1), uint8(0), true, false)        // one server
+
+	f.Fuzz(func(t *testing.T, seed int64, nx, nd, keys uint16, kw, p uint8, annotated, dirty bool) {
+		maxX, maxD := int(nx)%1024, int(nd)%1024
+		kk := int(keys)%(8*(maxX+maxD)+1) + 1
+		kwidth := int(kw) % 4
+		pp := int(p)%16 + 1
+
+		// x rows are (payload, key digits…), d rows (digit 1, payload,
+		// digits 2…); the key attributes are listed in reverse, so neither
+		// side reads its key at identity positions and the two differ.
+		xSchema := relation.NewSchema([]relation.Attr{9, 1, 2, 3}[:kwidth+1]...)
+		dSchema := relation.NewSchema(8)
+		if kwidth > 0 {
+			dSchema = relation.NewSchema(append([]relation.Attr{1, 8}, []relation.Attr{2, 3}[:kwidth-1]...)...)
+		}
+		keyAttrs := make([]relation.Attr, kwidth)
+		for j := range keyAttrs {
+			keyAttrs[j] = relation.Attr(kwidth - j)
+		}
+		fill := func(d *mpc.Dist, rng *rand.Rand, maxPart int, annotated bool) {
+			pos := d.Positions(relation.NewSchema([]relation.Attr{1, 2, 3}[:kwidth]...))
+			row := make(relation.Tuple, len(d.Schema))
+			for s := range d.Parts {
+				for i, rows := 0, rng.Intn(maxPart+1); i < rows; i++ {
+					k := rng.Intn(1 + rng.Intn(kk)) // zipf-ish over [0, kk)
+					for j := range row {
+						row[j] = relation.Value(i)
+					}
+					for j, at := range pos {
+						if j < kwidth-1 {
+							row[at], k = relation.Value(k%4), k/4
+						} else {
+							row[at] = relation.Value(k)
+						}
+					}
+					a := int64(1)
+					if annotated {
+						a = int64(rng.Intn(4))
+					}
+					d.Parts[s].Append(row, a)
+				}
+			}
+		}
+		build := func() (x, d *mpc.Dist) {
+			rng := rand.New(rand.NewSource(seed))
+			c := mpc.NewCluster(pp)
+			x, d = mpc.NewDist(c, xSchema), mpc.NewDist(c, dSchema)
+			fill(x, rng, maxX, annotated)
+			fill(d, rng, maxD, false)
+			return x, d
+		}
+		flatten := func(d *mpc.Dist) (rows []mpc.Item) {
+			for s := range d.Parts {
+				for i := 0; i < d.Parts[s].Len(); i++ {
+					it := d.Parts[s].Item(i)
+					rows = append(rows, mpc.Item{T: append(relation.Tuple(nil), it.T...), A: it.A})
+				}
+			}
+			return rows
+		}
+
+		ops := []struct {
+			name      string
+			ref, prod func(x, d *mpc.Dist) *mpc.Dist
+		}{
+			{"SemiJoin",
+				func(x, d *mpc.Dist) *mpc.Dist { return semiJoinRef(x, keyAttrs, d, keyAttrs) },
+				func(x, d *mpc.Dist) *mpc.Dist { return SemiJoin(x, keyAttrs, d, keyAttrs) }},
+			{"AntiJoin",
+				func(x, d *mpc.Dist) *mpc.Dist { return antiJoinRef(x, keyAttrs, d, keyAttrs) },
+				func(x, d *mpc.Dist) *mpc.Dist { return AntiJoin(x, keyAttrs, d, keyAttrs) }},
+		}
+		for _, op := range ops {
+			prevW := runtime.SetParallelism(1)
+			want := flatten(op.ref(build()))
+			var first *mpc.Dist
+			for _, b := range []int{1, 2, 8} {
+				runtime.SetParallelism(b)
+				x, d := build()
+				staged := 0
+				dPos := d.Positions(keyAttrs)
+				for s := range d.Parts {
+					seen := map[string]bool{}
+					for i := 0; i < d.Parts[s].Len(); i++ {
+						seen[relation.KeyAt(d.Parts[s].Tuple(i), dPos)] = true
+					}
+					staged += len(seen)
+				}
+				if dirty {
+					dirtyPools(x.Size()+d.Size(), kwidth)
+				}
+				have := op.prod(x, d)
+				where := fmt.Sprintf("%s (maxX=%d maxD=%d keys=%d kw=%d p=%d b=%d annotated=%v dirty=%v)",
+					op.name, maxX, maxD, kk, kwidth, pp, b, annotated, dirty)
+
+				if !have.Schema.Equal(xSchema) {
+					t.Fatalf("%s: schema %v, want %v", where, have.Schema, xSchema)
+				}
+				if got := flatten(have); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: %d kept rows differ from the two-sort reference's %d", where, len(got), len(want))
+				}
+				if first == nil {
+					first = have
+				}
+				for s := range first.Parts {
+					if !first.Parts[s].Equal(&have.Parts[s]) {
+						t.Fatalf("%s: part %d differs from width 1", where, s)
+					}
+				}
+				c := x.C
+				if x.Size() == 0 {
+					if c.Rounds() != 0 {
+						t.Fatalf("%s: empty x charged %d rounds", where, c.Rounds())
+					}
+					continue
+				}
+				n := x.Size() + staged
+				if c.Rounds() != 3 || c.RoundMax(1) > (n+pp-1)/pp || c.RoundMax(2) != pp || c.RoundMax(3) != 1 {
+					t.Fatalf("%s: %d rounds, maxima %d (bound %d), %d, %d — want the sort round and one coordinator exchange",
+						where, c.Rounds(), c.RoundMax(1), (n+pp-1)/pp, c.RoundMax(2), c.RoundMax(3))
+				}
+				if c.TotalComm() != n+2*pp {
+					t.Fatalf("%s: %d tuples communicated, want %d staged records + 2p", where, c.TotalComm(), n+2*pp)
+				}
+			}
+			runtime.SetParallelism(prevW)
 		}
 	})
 }

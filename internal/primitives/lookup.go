@@ -2,6 +2,7 @@ package primitives
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/mpc"
 	"repro/internal/relation"
@@ -26,7 +27,8 @@ type LookupResult struct {
 // The implementation is sort-based and therefore skew-proof: x and d are
 // sorted together by key (d entries first), cut into p equal chunks, and
 // the "last seen d entry" flows across chunk boundaries through the
-// coordinator. Load: O((|x|+|d|)/p + p) in O(1) rounds.
+// coordinator. Three rounds — the sort round, then the gather to and the
+// reply from the coordinator — at load O((|x|+|d|)/p + p).
 //
 // Records are collected into a pooled columnar set with flat fixed-width
 // keys: building a key copies its values into the key buffer, comparing
@@ -46,12 +48,7 @@ func Lookup(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.Attr
 	dPos := d.Positions(dKey)
 
 	rc := getRecCols(x.Size() + d.Size())
-	for s := range d.Parts {
-		part := &d.Parts[s]
-		for i := 0; i < part.Len(); i++ {
-			rc.appendKeyed(part.Tuple(i), dPos, 0, part.Annot(i))
-		}
-	}
+	rc.appendDist(d, dPos, 0)
 	// An empty probe side has an empty result; a trivially-empty sub-query
 	// must not pay the sort and coordinator rounds. The duplicate-key check
 	// runs before the early-out, so a malformed directory still panics.
@@ -60,12 +57,7 @@ func Lookup(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.Attr
 		putRecCols(rc)
 		return mpc.NewDist(x.C, outSchema)
 	}
-	for s := range x.Parts {
-		part := &x.Parts[s]
-		for i := 0; i < part.Len(); i++ {
-			rc.appendKeyed(part.Tuple(i), xPos, 1, part.Annot(i))
-		}
-	}
+	rc.appendDist(x, xPos, 1)
 
 	bounds := sortAndChop(x.C, rc)
 
@@ -122,39 +114,88 @@ func verifyDistinctDirectory(rc *recCols) {
 }
 
 // SemiJoin returns the items of x whose key projection matches at least one
-// item of d (R1 ⋉ R2 in the paper's Section 2). d may contain duplicates;
-// it is first reduced to one entry per key. The sort underneath is
-// splitter-based but deterministic (stride sampling, no RNG), so no salt
-// is needed — the parameter the old hash-based sketches reserved is gone.
+// item of d (R1 ⋉ R2 in the paper's Section 2; d may hold duplicates) as
+// one multi-search, in (key, input order) re-chopped over the servers.
+// Three rounds, load O((|x| + min(|d|, p·keys))/p + p). The sort underneath
+// is deterministic (stride sampling, no RNG), so no salt is taken.
 //
 //lint:load perP
 //lint:rounds const
 func SemiJoin(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.Attr) *mpc.Dist {
-	// An empty probe side is empty output; don't pay for sorting the
-	// directory either.
-	if x.Size() == 0 {
-		return mpc.NewDist(x.C, x.Schema)
-	}
-	dir := DistinctByKey(d, dKey)
-	return Lookup(x, xKey, dir, dKey, x.Schema,
-		func(it mpc.Item, r LookupResult) (mpc.Item, bool) {
-			return it, r.Found
-		})
+	return semiJoinSorted(x, xKey, d, dKey, true)
 }
 
-// AntiJoin returns the items of x with no matching key in d.
+// AntiJoin returns the items of x with no matching key in d; rounds and
+// load as SemiJoin.
 //
 //lint:load perP
 //lint:rounds const
 func AntiJoin(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.Attr) *mpc.Dist {
+	return semiJoinSorted(x, xKey, d, dKey, false)
+}
+
+// semiJoinSorted keeps the items of x whose key is (keepFound) or is not
+// among d's keys. A semi-join needs no globally distinct directory: d
+// records sort before x records of the same key, so "found" is "the
+// nearest preceding d record has my key". Each server stages only the d
+// rows that open a key group locally (the uncharged combiner) next to all
+// of x; the one record set is rank-sorted once and cut into p chunks, and
+// no column is permuted: a chunk is a window of the rank vector, scanned
+// as i := order[j]. What crosses a chunk boundary is one record, the d
+// record opening the run the previous chunk ends in; each chunk end finds
+// it by binary search (d records lead their run), the pass over the p
+// chunk ends is the coordinator exchange, and the chunks are scanned
+// concurrently, task s appending only to its own output part.
+//
+//lint:load perP
+//lint:rounds const
+func semiJoinSorted(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.Attr, keepFound bool) *mpc.Dist {
+	out := mpc.NewDist(x.C, x.Schema)
+	// An empty probe side is empty output; don't pay for d either.
 	if x.Size() == 0 {
-		return mpc.NewDist(x.C, x.Schema)
+		return out
 	}
-	dir := DistinctByKey(d, dKey)
-	return Lookup(x, xKey, dir, dKey, x.Schema,
-		func(it mpc.Item, r LookupResult) (mpc.Item, bool) {
-			return it, !r.Found
-		})
+	xPos, dPos := x.Positions(xKey), d.Positions(dKey)
+
+	rc := getRecCols(x.Size() + d.Size())
+	rc.appendOpeners(d, dPos)
+	rc.appendDist(x, xPos, 1)
+
+	sc := getSortScratch()
+	order := rankSort(rc, sc, runtime.Parallelism())
+	bounds := chopBounds(x.C, len(order))
+
+	// carry[s] = the d record opening the run that the record before chunk
+	// s belongs to, −1 when that run has none (or nothing precedes s).
+	carry := make([]int32, x.C.P)
+	for s := range carry {
+		carry[s] = -1
+		if lo := bounds[s]; lo > 0 && lo < len(order) {
+			end := order[lo-1]
+			run := order[sort.Search(lo, func(j int) bool { return !rc.keyLess(int(order[j]), int(end)) })]
+			if rc.tags[run] == 0 {
+				carry[s] = run
+			}
+		}
+	}
+	chargeCoordinatorExchange(x.C)
+
+	runtime.Fork(x.C.P, func(s int) {
+		part := &out.Parts[s]
+		cur := carry[s]
+		for _, i := range order[bounds[s]:bounds[s+1]] {
+			if rc.tags[i] == 0 {
+				cur = i
+				continue
+			}
+			if found := cur >= 0 && rc.keyEq(int(cur), int(i)); found == keepFound {
+				part.Append(rc.tuples[i], rc.annots[i])
+			}
+		}
+	})
+	putSortScratch(sc)
+	putRecCols(rc)
+	return out
 }
 
 // AttachAnnot rewrites each x item's annotation by combining it with the
@@ -188,24 +229,11 @@ func DistinctByKey(d *mpc.Dist, keyAttrs []relation.Attr) *mpc.Dist {
 	if d.Size() == 0 {
 		return mpc.NewDist(d.C, schema)
 	}
-	// Local dedup first (combiner): at most one record per (server, key) —
-	// the rows that open a group in the part's value index. A record's key
-	// column entry is the kept projection itself, so nothing is built per
-	// key.
+	// Local dedup first (combiner): at most one record per (server, key).
+	// A record's key column entry is the kept projection itself, so nothing
+	// is built per key.
 	rc := getRecCols(d.Size())
-	for s := range d.Parts {
-		part := &d.Parts[s]
-		if part.Len() == 0 {
-			continue
-		}
-		ix := mpc.IndexRows(part, pos)
-		for i := 0; i < part.Len(); i++ {
-			if ix.Opens(i) {
-				rc.appendKeyed(part.Tuple(i), pos, 0, part.Annot(i))
-			}
-		}
-		ix.Release()
-	}
+	rc.appendOpeners(d, pos)
 	bounds := sortAndChop(d.C, rc)
 	// Cross-chunk dedup: each server drops its first run if the previous
 	// chunk ends with the same key (boundary info via coordinator). Equal

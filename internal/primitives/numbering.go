@@ -25,12 +25,7 @@ func MultiNumbering(d *mpc.Dist, keyAttrs []relation.Attr, numberAttr relation.A
 	}
 
 	rc := getRecCols(d.Size())
-	for s := range d.Parts {
-		part := &d.Parts[s]
-		for i := 0; i < part.Len(); i++ {
-			rc.appendKeyed(part.Tuple(i), pos, 0, part.Annot(i))
-		}
-	}
+	rc.appendDist(d, pos, 0)
 	bounds := sortAndChop(d.C, rc)
 
 	// offsets[s] = number of items with the same key as chunk s's first

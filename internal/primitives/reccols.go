@@ -8,9 +8,9 @@ import (
 )
 
 // The columnar record pool, flat-key edition. Every skew-sensitive
-// primitive (Lookup, DistinctByKey, MultiNumbering) collects its records
-// into a pooled struct-of-arrays set (parallel key/tag/tuple/annot
-// columns). Keys are fixed width per call — a projection onto a fixed
+// primitive (Lookup, the semi-join, DistinctByKey, MultiNumbering) collects
+// its records into a pooled struct-of-arrays set (parallel key/tag/tuple/
+// annot columns). Keys are fixed width per call — a projection onto a fixed
 // position list — so the key column is one flat []relation.Value buffer:
 // row i's key is keys[i*kw : (i+1)*kw], compared with a word-wise value
 // loop. This drops the byte-string interning layer entirely: building a
@@ -59,6 +59,35 @@ func (rc *recCols) appendKeyed(t relation.Tuple, pos []int, tag uint8, a int64) 
 	rc.tags = append(rc.tags, tag)
 	rc.tuples = append(rc.tuples, t)
 	rc.annots = append(rc.annots, a)
+}
+
+// appendDist adds every row of d, keyed by its projection onto pos.
+func (rc *recCols) appendDist(d *mpc.Dist, pos []int, tag uint8) {
+	for s := range d.Parts {
+		part := &d.Parts[s]
+		for i := 0; i < part.Len(); i++ {
+			rc.appendKeyed(part.Tuple(i), pos, tag, part.Annot(i))
+		}
+	}
+}
+
+// appendOpeners is the local combiner, uncharged: of every part of d it
+// adds only the rows that open a key group there — at most one record per
+// (server, key), in first-occurrence order.
+func (rc *recCols) appendOpeners(d *mpc.Dist, pos []int) {
+	for s := range d.Parts {
+		part := &d.Parts[s]
+		if part.Len() == 0 {
+			continue
+		}
+		ix := mpc.IndexRows(part, pos)
+		for i := 0; i < part.Len(); i++ {
+			if ix.Opens(i) {
+				rc.appendKeyed(part.Tuple(i), pos, 0, part.Annot(i))
+			}
+		}
+		ix.Release()
+	}
 }
 
 // item assembles row i for callbacks that take items.
@@ -146,8 +175,9 @@ func putRecCols(rc *recCols) {
 	recColsPool.Put(rc)
 }
 
-// sortScratch is the sample sort's whole working set — rank vectors, merge
-// buffer, per-task counters, and one permute target per record column —
+// sortScratch is the sample sort's whole working set — the rank vector,
+// the range ids that become the radix buffer, per-task counters, and one
+// permute target per record column (untouched by the semi-join) —
 // pooled as a single pointer so a steady-state sort performs one pool
 // round-trip and zero boxing allocations. ensure* grow the vectors in
 // place; contents are UNSPECIFIED until written (consumers initialize

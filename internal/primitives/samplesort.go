@@ -1,6 +1,7 @@
 package primitives
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/mpc"
@@ -12,12 +13,11 @@ import (
 //
 // sortAndChop runs the paper's one-round sample sort for real on
 // runtime.Fork — splitter sampling, parallel range partition, concurrent
-// per-range sorts — but the sort itself never moves a record: it sorts an
-// int32 rank vector (indices into the record columns) and permutes the
-// key/tag/tuple/annot columns exactly once at the end. The per-range merge
-// passes therefore move 4-byte indices instead of ~56-byte records, which
-// closes the ROADMAP note on the merge-copy traffic of the old []rec sort,
-// and every scratch vector comes from the record pool.
+// per-range sorts — but the sort itself never moves a record: rankSort
+// sorts an int32 rank vector (indices into the record columns). Callers
+// that scan rows in order (sampleSortCols) then permute the key/tag/tuple/
+// annot columns exactly once; the semi-join scans the rank vector and
+// skips even that. Every scratch vector comes from the record pool.
 //
 //  1. Splitters. A deterministic stride sample of the keys is sorted and
 //     cut at regular positions into b−1 splitters (b = data-plane width),
@@ -31,9 +31,10 @@ import (
 //     (range, segment) order then give every task a disjoint write window
 //     per range, and a second forked pass scatters the indices —
 //     lock-free, one pooled buffer.
-//  3. Sort. Each range's index window is stable-sorted concurrently;
-//     ranges are contiguous and ordered, so the concatenated rank vector
-//     is the globally sorted permutation, applied once per column.
+//  3. Sort. Each range's index window is stable-sorted concurrently — an
+//     LSD radix sort of the 4-byte indices by the bytes of (key, tag),
+//     see stableSortIdx; ranges are contiguous and ordered, so the
+//     concatenated rank vector is the globally sorted permutation.
 //
 // Determinism is structural, not incidental: within a range the scatter
 // preserves global input order (segments are contiguous in input order and
@@ -67,20 +68,29 @@ func sortAndChop(c *mpc.Cluster, rc *recCols) []int {
 }
 
 // sampleSortCols stable-sorts the record columns by (key, tag) with b
-// partition tasks. All scratch comes from one pooled sortScratch: a
-// steady-state sort allocates nothing but the splitter sample.
+// partition tasks: the rank sort, then one permute per column. All scratch
+// is one pooled sortScratch; only the splitter sample is allocated.
 //
 //lint:alloc-ceiling
 func sampleSortCols(rc *recCols, b int) {
-	n := rc.len()
-	if n < 2 {
+	if rc.len() < 2 {
 		return
 	}
+	sc := getSortScratch()
+	permuteCols(rc, sc, rankSort(rc, sc, b))
+	putSortScratch(sc)
+}
+
+// rankSort returns the stable (key, tag) sort of rc as a rank vector —
+// order[j] is the row that sorts j-th — computed with b partition tasks
+// and without touching a column. The vector is a window of sc.
+//
+//lint:alloc-ceiling
+func rankSort(rc *recCols, sc *sortScratch, b int) []int32 {
+	n := rc.len()
 	if b > n {
 		b = n
 	}
-	sc := getSortScratch()
-	defer putSortScratch(sc)
 	sc.order = ensureSlice(sc.order, n)
 	sc.ranges = ensureSlice(sc.ranges, n)
 	order := sc.order
@@ -89,8 +99,7 @@ func sampleSortCols(rc *recCols, b int) {
 		for i := range order {
 			order[i] = int32(i)
 		}
-		permuteCols(rc, sc, stableSortIdx(rc, order, sc.ranges))
-		return
+		return stableSortIdx(rc, order, sc.ranges)
 	}
 
 	splitters, nsp := sampleSplitters(rc, b)
@@ -145,7 +154,7 @@ func sampleSortCols(rc *recCols, b int) {
 	})
 
 	// Sort each range's index window concurrently. The ranges vector is
-	// dead after the scatter, so its windows double as the merge buffers —
+	// dead after the scatter, so its windows double as the radix buffers —
 	// disjoint, no extra allocation, no locks.
 	runtime.Fork(nr, func(r int) {
 		lo, hi := rangeStart[r], rangeStart[r+1]
@@ -156,8 +165,7 @@ func sampleSortCols(rc *recCols, b int) {
 			copy(order[lo:hi], sorted)
 		}
 	})
-
-	permuteCols(rc, sc, order)
+	return order
 }
 
 // permuteCols applies the sorted rank vector to every column in one pass
@@ -194,45 +202,68 @@ func permuteCols(rc *recCols, sc *sortScratch, order []int32) {
 	sc.annots, rc.annots = rc.annots[:0], as
 }
 
-// insertionRun is the block size seeded by insertion sort before the merge
-// passes take over.
-const insertionRun = 24
+// radixBelow is the window length under which the rank sort is a plain
+// insertion sort (measured crossover on one-word keys: about 20 records).
+const radixBelow = 24
 
 // stableSortIdx sorts the index vector a by the records it points at —
-// rc.less, ties keeping input order — with a bottom-up stable merge sort
-// through the caller-provided buffer (len(buf) ≥ len(a)): insertion-sorted
-// runs, then buffered merges of 4-byte indices. The sorted vector ends in
-// a or in buf depending on the pass count; the returned slice is whichever
-// holds it, so the caller copies only when it actually needs the other one.
+// rc.less, ties keeping input order — with a stable LSD radix sort through
+// the caller-provided buffer (len(buf) ≥ len(a)): least significant first,
+// the tag, then the key words last to first with the sign bit flipped so
+// unsigned byte order is signed value order. Every pass is stable, so the
+// result is the unique stable (key, tag) permutation, whichever sort
+// computes it. It ends in a or in buf depending on the pass count; the
+// returned slice is whichever holds it.
 //
 //lint:alloc-ceiling
 func stableSortIdx(rc *recCols, a, buf []int32) []int32 {
 	n := len(a)
-	if n < 2 {
+	if n < radixBelow {
+		insertionSortIdx(rc, a)
 		return a
 	}
-	for lo := 0; lo < n; lo += insertionRun {
-		hi := lo + insertionRun
-		if hi > n {
-			hi = n
-		}
-		insertionSortIdx(rc, a[lo:hi])
+	src, dst := radixWord(rc.tags, 1, 0, 0, a, buf[:n])
+	for w := rc.kw - 1; w >= 0; w-- {
+		src, dst = radixWord(rc.keys, rc.kw, w, math.MinInt64, src, dst)
 	}
-	src, dst := a, buf[:n]
-	for width := insertionRun; width < n; width *= 2 {
-		for lo := 0; lo < n; lo += 2 * width {
-			mid, hi := lo+width, lo+2*width
-			if mid > n {
-				mid = n
-			}
-			if hi > n {
-				hi = n
-			}
-			mergeIdx(rc, dst[lo:hi], src[lo:mid], src[mid:hi])
+	return src
+}
+
+// radixWord stable-sorts src by word w of the stride-wide column col, flip
+// XORed into every word first: one counting pass (256-entry table on the
+// stack) per byte, low to high, from src into dst and then swapping them.
+// A byte that is constant over src orders nothing and is skipped — one
+// OR-of-XOR sweep finds them — so dense keys cost two or three passes. It
+// returns the pair as it ends, sorted vector first.
+//
+//lint:alloc-ceiling
+func radixWord[T ~uint8 | ~int64](col []T, stride, w int, flip T, src, dst []int32) ([]int32, []int32) {
+	first := col[int(src[0])*stride+w]
+	var diff uint64
+	for _, i := range src {
+		diff |= uint64(col[int(i)*stride+w] ^ first)
+	}
+	for shift := uint(0); diff>>shift != 0; shift += 8 {
+		if diff>>shift&0xff == 0 {
+			continue
+		}
+		var count [256]int32
+		for _, i := range src {
+			count[uint8(uint64(col[int(i)*stride+w]^flip)>>shift)]++
+		}
+		var off int32
+		for b, c := range count {
+			count[b] = off
+			off += c
+		}
+		for _, i := range src {
+			b := uint8(uint64(col[int(i)*stride+w]^flip) >> shift)
+			dst[count[b]] = i
+			count[b]++
 		}
 		src, dst = dst, src
 	}
-	return src
+	return src, dst
 }
 
 // insertionSortIdx is a stable insertion sort: an index moves left only
@@ -249,26 +280,6 @@ func insertionSortIdx(rc *recCols, a []int32) {
 		}
 		a[j+1] = x
 	}
-}
-
-// mergeIdx merges sorted index runs a and b into dst (len(dst) =
-// len(a)+len(b)), taking from a on ties — the stability rule.
-//
-//lint:alloc-ceiling
-func mergeIdx(rc *recCols, dst, a, b []int32) {
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		if rc.less(b[j], a[i]) {
-			dst[k] = b[j]
-			j++
-		} else {
-			dst[k] = a[i]
-			i++
-		}
-		k++
-	}
-	k += copy(dst[k:], a[i:])
-	copy(dst[k:], b[j:])
 }
 
 // sampleSplitters returns at most b−1 sorted splitter keys cutting the key

@@ -2,6 +2,7 @@ package primitives
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -34,16 +35,46 @@ func mkRec(key int, tag uint8, i int) rec {
 // kw=0 makes every key the empty window (the degenerate width where flat
 // key indexing breaks first); the payload still carries i so chunk equality
 // proves stability.
-func mkRecKW(kw, key int, tag uint8, i int) rec {
+func mkRecKW(kw, key int, tag uint8, i int) rec { return mkRecShaped(0, kw, key, tag, i) }
+
+// keyShapes counts the key shapes of shapedKey.
+const keyShapes = 5
+
+// shapedKey spreads a drawn key over kw values in one of keyShapes ways.
+// Shape 0 is the small non-negative range every generator draws from; the
+// others are the values a byte-wise sort can get wrong and a comparison
+// sort cannot: both signs (1), the ends of the int64 range (2), values that
+// differ in their top byte alone, sign bit included (3), and wide keys that
+// differ in their last word alone (4).
+func shapedKey(shape, kw, key int) []relation.Value {
 	kv := make([]relation.Value, kw)
 	for j := range kv {
-		kv[j] = relation.Value(key >> uint(2*j))
+		k := relation.Value(key >> uint(2*j))
+		switch shape {
+		case 1:
+			k = k>>1 ^ -(k & 1) // zigzag: 0, −1, 1, −2, …
+		case 2:
+			k = []relation.Value{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}[k%7]
+		case 3:
+			k <<= 56
+		case 4:
+			k = 7
+			if j == kw-1 {
+				k = relation.Value(key)
+			}
+		}
+		kv[j] = k
 	}
+	return kv
+}
+
+// mkRecShaped is mkRecKW over shapedKey.
+func mkRecShaped(shape, kw, key int, tag uint8, i int) rec {
 	t := make(relation.Tuple, 1+i%3)
 	for j := range t {
 		t[j] = relation.Value(i + j)
 	}
-	return rec{key: relation.EncodeValues(kv...), tag: tag, it: mpc.Item{T: t, A: int64(i)}}
+	return rec{key: relation.EncodeValues(shapedKey(shape, kw, key)...), tag: tag, it: mpc.Item{T: t, A: int64(i)}}
 }
 
 // sortInputs covers the skew shapes the primitives meet: uniform keys,
@@ -92,6 +123,31 @@ func sortInputs(n int) []sortInput {
 			return []rec{mkRec(3, 1, 0), mkRec(1, 0, 1), mkRec(3, 0, 2)}
 		}},
 		{"empty", func() []rec { return nil }},
+		// The radix sort's own corners: key shapes no generator above draws
+		// (see shapedKey), tag columns that are constant and that use all
+		// three values, and windows on both sides of the insertion cutoff.
+		{"both_signs", shaped(n, 1, 1, n, 3)},
+		{"int64_extremes", shaped(n, 2, 1, n, 3)},
+		{"top_byte_only", shaped(n, 3, 1, 256, 3)},
+		{"last_of_three_words", shaped(n, 4, 3, n, 3)},
+		{"tags_all_0", shaped(n, 1, 2, n/4, 1)},
+		{"tags_mixed_3", shaped(n, 0, 1, 5, 3)},
+		{"below_cutoff", shaped(radixBelow-1, 1, 1, 9, 3)},
+		{"at_cutoff", shaped(radixBelow, 1, 1, 9, 3)},
+		{"above_cutoff", shaped(radixBelow+1, 2, 2, 9, 3)},
+	}
+}
+
+// shaped draws n records with keys of the given shape and width from a
+// range of keys values, tags from [0, tags).
+func shaped(n, shape, kw, keys, tags int) func() []rec {
+	return func() []rec {
+		rng := rand.New(rand.NewSource(int64(31*shape + kw)))
+		recs := make([]rec, n)
+		for i := range recs {
+			recs[i] = mkRecShaped(shape, kw, rng.Intn(keys), uint8(rng.Intn(tags)), i)
+		}
+		return recs
 	}
 }
 
@@ -176,8 +232,8 @@ func TestSampleSortParityWithSerialRef(t *testing.T) {
 					prev := runtime.SetParallelism(width)
 					c := mpc.NewCluster(p)
 					recs := in.recs()
-					if dirty {
-						dirtyPools(len(recs), 1)
+					if dirty && len(recs) > 0 {
+						dirtyPools(len(recs), len(recs[0].key)/8)
 					}
 					rc := getRecCols(len(recs))
 					fillRecCols(rc, recs)
@@ -203,16 +259,20 @@ func TestSampleSortParityWithSerialRef(t *testing.T) {
 }
 
 // TestSampleSortPropertyRandomShapes is the property test: on random sizes,
-// key ranges and tag mixes, the parallel rank sort must equal the unique
-// stable (key, tag) sort of the input.
+// key ranges, key shapes and widths (shapedKey) and tag mixes, the parallel
+// rank sort must equal the unique stable (key, tag) sort of the input.
 func TestSampleSortPropertyRandomShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 30; trial++ {
 		n := rng.Intn(3 * sampleSortSerialBelow)
+		if trial%5 == 4 {
+			n = radixBelow - 2 + rng.Intn(5) // straddle the insertion cutoff
+		}
 		keys := 1 + rng.Intn(1+n/(1+rng.Intn(64)))
+		shape, kw, tags := trial%keyShapes, 1+trial%3, 1+rng.Intn(3)
 		recs := make([]rec, n)
 		for i := range recs {
-			recs[i] = mkRec(rng.Intn(keys), uint8(rng.Intn(3)), i)
+			recs[i] = mkRecShaped(shape, kw, rng.Intn(keys), uint8(rng.Intn(tags)), i)
 		}
 		want := append([]rec(nil), recs...)
 		sort.SliceStable(want, func(i, j int) bool { return recLess(want[i], want[j]) })
@@ -230,8 +290,8 @@ func TestSampleSortPropertyRandomShapes(t *testing.T) {
 		}
 		putRecCols(rc)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d (n=%d keys=%d width=%d): parallel sort is not the stable sort",
-				trial, n, keys, width)
+			t.Fatalf("trial %d (n=%d keys=%d shape=%d kw=%d tags=%d width=%d): parallel sort is not the stable sort",
+				trial, n, keys, shape, kw, tags, width)
 		}
 	}
 }

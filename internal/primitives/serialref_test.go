@@ -4,8 +4,10 @@ package primitives
 // sort over an array-of-structs record view — and the bridge that stages
 // its records into the columnar set; and the string-keyed references for
 // the aggregation side (sum-by-key, count-by-key, distinct-by-key as they
-// were before keys became windows into flat parts). Test-only: the parity,
-// fuzz and benchmark tests compare the production paths against them.
+// were before keys became windows into flat parts); and the two-sort
+// semi-join (a distinct directory, then a lookup) that the one-sort
+// semiJoinSorted replaced. Test-only: the parity, fuzz and benchmark tests
+// compare the production paths against them.
 
 import (
 	"encoding/binary"
@@ -164,4 +166,32 @@ func distinctByKeyRef(d *mpc.Dist, keyAttrs []relation.Attr) *mpc.Dist {
 	}
 	putRecCols(rc)
 	return out
+}
+
+// semiJoinRef is SemiJoin as it was before the one-sort multi-search, kept
+// verbatim: d reduced to a globally distinct directory (one sort, one
+// coordinator exchange), then a Lookup of x against it (another of each).
+func semiJoinRef(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.Attr) *mpc.Dist {
+	// An empty probe side is empty output; don't pay for sorting the
+	// directory either.
+	if x.Size() == 0 {
+		return mpc.NewDist(x.C, x.Schema)
+	}
+	dir := DistinctByKey(d, dKey)
+	return Lookup(x, xKey, dir, dKey, x.Schema,
+		func(it mpc.Item, r LookupResult) (mpc.Item, bool) {
+			return it, r.Found
+		})
+}
+
+// antiJoinRef is AntiJoin as it was, likewise.
+func antiJoinRef(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.Attr) *mpc.Dist {
+	if x.Size() == 0 {
+		return mpc.NewDist(x.C, x.Schema)
+	}
+	dir := DistinctByKey(d, dKey)
+	return Lookup(x, xKey, dir, dKey, x.Schema,
+		func(it mpc.Item, r LookupResult) (mpc.Item, bool) {
+			return it, !r.Found
+		})
 }

@@ -4,16 +4,18 @@
 // with load O(IN/p + p), which is O(IN/p) under the model's standing
 // assumption IN ≥ p^{1+ε}.
 //
-// Skew-sensitive primitives (lookup, numbering, distinct) are built on a
-// one-round sample sort (Goodrich et al. [14]): records are globally sorted
-// by key and cut into p equal chunks, so a heavy key spreads over
-// consecutive servers instead of hashing onto one; per-chunk boundary
-// information then flows through a coordinator at O(p) load. The simulator
-// runs the sort as a real parallel sample sort over runtime.Fork — splitter
-// sampling, parallel range partition, concurrent per-range sorts — matching
-// the topology the cost model charges. Records live in pooled columnar sets
-// (see reccols.go) and the sort permutes an int32 rank vector, never whole
-// records (see samplesort.go).
+// Skew-sensitive primitives (lookup, semi-join, numbering, distinct) are
+// built on a one-round sample sort (Goodrich et al. [14]): records are
+// globally sorted by key and cut into p equal chunks, so a heavy key
+// spreads over consecutive servers instead of hashing onto one; per-chunk
+// boundary information then flows through a coordinator at O(p) load —
+// three rounds per primitive; the semi-join is one such multi-search over
+// x and d's keys together. The simulator runs the sort as a real parallel
+// sample sort over runtime.Fork — splitter sampling, parallel range
+// partition, concurrent per-range sorts — matching the topology the cost
+// model charges. Records live in pooled columnar sets (see reccols.go) and
+// the sort is a radix sort of an int32 rank vector, never of whole records
+// (see samplesort.go).
 package primitives
 
 import (

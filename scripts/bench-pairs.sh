@@ -1,0 +1,84 @@
+#!/usr/bin/env bash
+# Alternating benchmark pairs against a reference commit — the procedure
+# behind every timing claim in CHANGES.md, which asks for a gain to hold in
+# pair after pair rather than in one run of each side.
+#
+#   scripts/bench-pairs.sh REF [N] [WORKLOADS]      (make bench-pairs REF=… N=… WORKLOADS=a,b)
+#
+# REF is archived into .bench_build/ref/ (so it builds from its own source,
+# as the BENCHMARK.json pipeline does) and the working tree is the change.
+# Each of the N pairs runs `bash bench/run.sh` once per side, odd pairs the
+# parent first, even pairs the change first, so drift of the machine falls
+# on both sides alike. Every results.json is kept under .bench_build/pairs/.
+# Printed: `bench/run.sh --compare parent_i change_i` per pair, then per
+# (workload, end-to-end metric of BENCHMARK.json) both sides' medians, the
+# median of the per-pair ratios change/parent and the pairs the change won.
+# Nothing under bench/ is touched.
+set -euo pipefail
+
+ref=${1:?usage: scripts/bench-pairs.sh REF [N] [WORKLOADS]}
+n=${2:-10}
+workloads=${3:-}
+
+root=$(cd "$(dirname "$0")/.." && pwd)
+build=$root/.bench_build
+pairs=$build/pairs
+rm -rf "$build/ref" "$pairs"
+mkdir -p "$build/ref" "$pairs"
+git -C "$root" archive "$ref" | tar -x -C "$build/ref"
+
+# side <name> <checkout> <pair>: one full run of that checkout's benchmark.
+side() {
+	bash "$2/bench/run.sh" ${workloads:+--workload "$workloads"} --out "$pairs/$1_$3" > "$pairs/$1_$3.log"
+}
+
+for i in $(seq 1 "$n"); do
+	if [ $((i % 2)) -eq 1 ]; then
+		side parent "$build/ref" "$i"
+		side change "$root" "$i"
+	else
+		side change "$root" "$i"
+		side parent "$build/ref" "$i"
+	fi
+	echo "== pair $i of $n"
+	# --compare exits 1 on a "worse" verdict; the summary still wants the rest.
+	bash "$root/bench/run.sh" --compare "$pairs/parent_$i/results.json" "$pairs/change_$i/results.json" |
+		tee "$pairs/compare_$i.txt" || true
+done
+
+# The summary reads the compare tables back: rows are
+#   workload metric old new change bound verdict
+# and the direction of each end-to-end metric comes from BENCHMARK.json.
+echo "== summary over $n pairs: ratio = change / parent"
+awk '
+function median(a, m,    i, j, t, s) {
+	for (i = 1; i <= m; i++) s[i] = a[i]
+	for (i = 2; i <= m; i++) { t = s[i]; for (j = i - 1; j >= 1 && s[j] > t; j--) s[j+1] = s[j]; s[j+1] = t }
+	return m % 2 ? s[(m+1)/2] : (s[m/2] + s[m/2+1]) / 2
+}
+FILENAME ~ /BENCHMARK.json$/ {
+	if ($0 ~ /"end_to_end"/) e2e = 1
+	if ($0 ~ /"per_layer"/) e2e = 0
+	if (e2e && $1 == "\"name\":") { name = $2; gsub(/[",]/, "", name) }
+	if (e2e && $1 == "\"better\":") { dir = $2; gsub(/[",]/, "", dir); better[name] = dir }
+	next
+}
+NF == 7 && ($2 in better) && $7 ~ /^(better|worse|same|unresolved)$/ {
+	k = $1 SUBSEP $2
+	if (!(k in cnt)) keys[++nk] = k
+	c = ++cnt[k]
+	old[k, c] = $3; new[k, c] = $4
+}
+END {
+	printf "%-16s %-18s %12s %12s %8s %6s\n", "workload", "metric", "parent_med", "change_med", "ratio", "won"
+	for (q = 1; q <= nk; q++) {
+		k = keys[q]; split(k, wm, SUBSEP); m = cnt[k]; won = 0; nr = 0
+		for (i = 1; i <= m; i++) {
+			o[i] = old[k, i]; c2[i] = new[k, i]
+			if (o[i] != 0) r[++nr] = c2[i] / o[i]
+			if (better[wm[2]] == "lower" ? c2[i] < o[i] : c2[i] > o[i]) won++
+		}
+		ratio = nr ? sprintf("%.3f", median(r, nr)) : "-"
+		printf "%-16s %-18s %12.6g %12.6g %8s %3d/%-2d\n", wm[1], wm[2], median(o, m), median(c2, m), ratio, won, m
+	}
+}' "$root/BENCHMARK.json" "$pairs"/compare_*.txt

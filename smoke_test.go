@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -76,6 +77,51 @@ func TestFrozenBenchCompiles(t *testing.T) {
 	cmd.Env = append(os.Environ(), "GOPROXY=off", "GOTOOLCHAIN=local")
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("go vet in bench/: %v\n%s", err, out)
+	}
+}
+
+// TestCLIsRejectStrayArguments: Go's flag package stops at the first
+// positional argument, so `experiments fig3 -in 512` used to run all
+// thirteen experiments at the default scale and exit 0. Every CLI now
+// treats a stray argument as a usage error: exit status 2, the argument
+// named on stderr, nothing on stdout.
+func TestCLIsRejectStrayArguments(t *testing.T) {
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go is not on PATH")
+	}
+	bin := t.TempDir()
+	for _, tc := range []struct {
+		cli   string
+		args  []string
+		stray string
+	}{
+		{"experiments", []string{"fig3", "-in", "512"}, "fig3"},
+		{"experiments", []string{"-run", "fig1", "extra"}, "extra"},
+		{"joinrun", []string{"random", "-in", "1000"}, "random"},
+		{"joinrun", []string{"-p", "4", "-in", "64", "8"}, "8"},
+		{"classify", []string{"foo"}, "foo"},
+		{"classify", []string{"-q", "1,2;2,3", "1,3"}, "1,3"},
+	} {
+		exe := filepath.Join(bin, tc.cli)
+		if _, err := os.Stat(exe); err != nil {
+			if out, err := exec.Command(goBin, "build", "-o", exe, "./cmd/"+tc.cli).CombinedOutput(); err != nil {
+				t.Fatalf("go build ./cmd/%s: %v\n%s", tc.cli, err, out)
+			}
+		}
+		var stdout, stderr strings.Builder
+		cmd := exec.Command(exe, tc.args...)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 2 {
+			t.Errorf("%s %v: %v, want exit status 2", tc.cli, tc.args, err)
+		}
+		if want := fmt.Sprintf("%s: unexpected argument %q", tc.cli, tc.stray); !strings.Contains(stderr.String(), want) {
+			t.Errorf("%s %v: stderr does not say %q:\n%s", tc.cli, tc.args, want, stderr.String())
+		}
+		if stdout.Len() > 0 {
+			t.Errorf("%s %v: ran anyway:\n%s", tc.cli, tc.args, stdout.String())
+		}
 	}
 }
 
