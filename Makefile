@@ -190,9 +190,11 @@ bench-e2e-smoke:
 	cd bench && $(GO) vet . && $(GO) test ./...
 
 # bench-pairs runs N alternating pairs of the BENCHMARK.json benchmark,
-# commit REF against the working tree, and prints the per-pair verdicts and
-# the medians, ratio medians and pairs won (scripts/bench-pairs.sh). A full
-# pair is two ≈ 95 s runs; WORKLOADS=a,b narrows both sides.
+# commit REF against the working tree, and prints the per-pair verdicts and,
+# per workload and metric, the medians, ratio median, pairs won, the
+# parent's quartiles and a gain/loss/unresolved verdict
+# (scripts/bench-pairs.sh). A full pair is two ≈ 95 s runs; WORKLOADS=a,b
+# narrows both sides.
 #
 #	make bench-pairs REF=HEAD~1 N=10 WORKLOADS=rhier_skew
 N ?= 10

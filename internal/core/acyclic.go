@@ -45,23 +45,25 @@ func AcyclicJoin(c *mpc.Cluster, in *Instance, seed uint64) *mpc.Dist {
 	if out == 0 {
 		return mpc.NewDist(c, outSchema)
 	}
-	return acyclicRec(c, in.Q.Edges, dists, in.Ring, out, seed, 0).Project(outSchema)
+	return mpc.Concat(outSchema, acyclicRec(c, in.Q.Edges, dists, in.Ring, out, seed, 0)...)
 }
 
-// acyclicRec computes the (already fully reduced) join of edges/dists and
-// returns the result over the union of their attributes. out is the output
-// size of the ORIGINAL query (intermediate bounds only need an upper bound).
+// acyclicRec computes the (already fully reduced) join of edges/dists as
+// pieces, sub-join results left where they were computed whose union is the
+// join (a recursion contributes its own pieces); the caller gathers them
+// with one Concat. out is the output size of the ORIGINAL query
+// (intermediate bounds only need an upper bound).
 //
 //lint:rounds const trust self-recursion bounded by the query's join-tree depth; each level charges a fixed round schedule
 //lint:load frac trust Theorem 6: intermediates are bounded by sqrt(IN*OUT/p) per server at every level
 func acyclicRec(c *mpc.Cluster, edges []hypergraph.AttrSet, dists []*mpc.Dist,
-	ring relation.Semiring, out int64, seed uint64, depth int) *mpc.Dist {
+	ring relation.Semiring, out int64, seed uint64, depth int) []*mpc.Dist {
 
 	if len(dists) == 1 {
-		return dists[0]
+		return []*mpc.Dist{dists[0]}
 	}
 	if len(dists) == 2 {
-		return BinaryJoin(dists[0], dists[1], ring, seed^0x11, nil)
+		return []*mpc.Dist{BinaryJoin(dists[0], dists[1], ring, seed^0x11, nil)}
 	}
 	q := hypergraph.New(edges...)
 	tree, ok := q.GYO()
@@ -125,11 +127,7 @@ func acyclicRec(c *mpc.Cluster, edges []hypergraph.AttrSet, dists []*mpc.Dist,
 		}
 	}
 
-	var results []*mpc.Dist
-	unionSchema := work[e0].Schema
-	for _, d := range work {
-		unionSchema = unionSchema.Union(d.Schema)
-	}
+	var pieces []*mpc.Dist
 
 	// Enumerate the 2^k heavy/light patterns.
 	for mask := 0; mask < 1<<k; mask++ {
@@ -165,7 +163,7 @@ func acyclicRec(c *mpc.Cluster, edges []hypergraph.AttrSet, dists []*mpc.Dist,
 				subEdges = append(subEdges, edges[e])
 			}
 			rPrime := subJoin(subEdges, sub, ring, pseed^0x2)
-			results = append(results, BinaryJoin(heavyC[h], rPrime, ring, pseed^0x3, nil))
+			pieces = append(pieces, BinaryJoin(heavyC[h], rPrime, ring, pseed^0x3, nil))
 			continue
 		}
 
@@ -196,7 +194,7 @@ func acyclicRec(c *mpc.Cluster, edges []hypergraph.AttrSet, dists []*mpc.Dist,
 			}
 			if ok && rp0.Size() > 0 {
 				// (3.1.3) keyed multiway join on e0's full tuple.
-				results = append(results,
+				pieces = append(pieces,
 					MultiwayKeyedJoin(edges[e0].Schema(), parts, ring, pseed^0x30))
 			}
 		}
@@ -214,7 +212,7 @@ func acyclicRec(c *mpc.Cluster, edges []hypergraph.AttrSet, dists []*mpc.Dist,
 				continue
 			}
 			if len(eBar) == 0 {
-				results = append(results, rl)
+				pieces = append(pieces, rl)
 				continue
 			}
 			// (3.2.2) contract the subtree into one node and recurse.
@@ -224,19 +222,11 @@ func acyclicRec(c *mpc.Cluster, edges []hypergraph.AttrSet, dists []*mpc.Dist,
 				recEdges = append(recEdges, edges[e])
 				recDists = append(recDists, work[e])
 			}
-			results = append(results,
-				acyclicRec(c, recEdges, recDists, ring, out, pseed^0x50, depth+1))
+			pieces = append(pieces,
+				acyclicRec(c, recEdges, recDists, ring, out, pseed^0x50, depth+1)...)
 		}
 	}
-
-	final := mpc.NewDist(c, unionSchema)
-	for _, r := range results {
-		if r.Size() == 0 {
-			continue
-		}
-		final = mpc.Concat(final, r.Project(unionSchema))
-	}
-	return final
+	return pieces
 }
 
 // pickInternalNode returns a deepest node whose children are all leaves.

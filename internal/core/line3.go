@@ -23,7 +23,8 @@ import (
 // subroutine keeps every step within the target load. This is the paper's
 // key observation that join ORDER has asymptotic consequences in MPC
 // (Section 4.1) and that decomposing by degree always yields a good order
-// for each part.
+// for each part. The result is Q1 ∪ Q2 gathered by one mpc.Concat onto the
+// output schema: each result row is copied once, on its own server.
 //
 //lint:load frac
 //lint:rounds const
@@ -72,7 +73,7 @@ func Line3WithTau(c *mpc.Cluster, in *Instance, tauOverride int64, seed uint64) 
 	t12 := BinaryJoin(r1L, r2L, in.Ring, seed^0x402, nil)
 	q2 := BinaryJoin(t12, r3, in.Ring, seed^0x403, nil)
 
-	return mpc.Concat(q1.Project(outSchema), q2.Project(outSchema))
+	return mpc.Concat(outSchema, q1, q2)
 }
 
 // IsLine3Query reports whether q has the line-3 chain shape

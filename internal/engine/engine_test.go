@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"reflect"
 	stdruntime "runtime"
+	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 
@@ -365,6 +367,47 @@ func TestMaterializedResultHoldsOneCopy(t *testing.T) {
 	}
 	if held < out*int64(8*width) {
 		t.Errorf("the Result holds only %d bytes for %d rows of width %d: the reading does not see the table", held, out, width)
+	}
+}
+
+// TestAcyclicAssemblesOutputOnce pins what the acyclic algorithm allocates
+// on the doubled instance (OUT = 262 144 rows of width 4, 8 MB): its 2^k
+// sub-join results are gathered onto the output schema by one Concat, so
+// the output is copied once. Measured 46.1–47.6 MB at width 2 on cold pools
+// with the collector off; the ceiling is that plus 10 %. Projecting every
+// sub-result, folding them pairwise and projecting the union again — 3.5
+// copies of the output — reads 71–72 MB the same way.
+func TestAcyclicAssemblesOutputOnce(t *testing.T) {
+	const ceilingMB = 47.6 * 1.1
+	if bi, _ := debug.ReadBuildInfo(); bi != nil && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+		t.Skip("the race detector's sync.Pool drops buffers at random: the bytes would measure the detector")
+	}
+	in, err := gen.Build("doubled", mpc.NewRng(2019), 8192, 131072)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := runtime.SetParallelism(2)
+	defer runtime.SetParallelism(prev)
+	// Cold pools and no collection while counting: two collections empty
+	// the data plane's sync.Pools (primary, then victim), and with the
+	// collector off none is emptied mid-run, so every scratch buffer is
+	// allocated exactly once whatever ran before.
+	stdruntime.GC()
+	stdruntime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after stdruntime.MemStats
+	stdruntime.ReadMemStats(&before)
+	res, err := engine.RunNamed("acyclic", engine.Job{In: in, P: 16, Seed: 2019})
+	stdruntime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.OUT != 262144 {
+		t.Fatalf("OUT = %d, want the doubled instance's 262 144", res.OUT)
+	}
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb > ceilingMB {
+		t.Errorf("acyclic allocates %.1f MB on the doubled instance, ceiling %.1f MB — the output is copied more than once",
+			mb, ceilingMB)
 	}
 }
 

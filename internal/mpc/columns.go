@@ -114,8 +114,8 @@ func (c *Columns) AppendItem(it Item) { c.Append(it.T, it.A) }
 
 // Reserve makes room for n more rows of the given width with one exact
 // allocation per column (no doubling): producers that can count their
-// output first — the local join kernel, Concat, Project — reserve once
-// and then fill rows in place with AppendRow. An empty part
+// output first — the local join kernel, Concat, the semi-join — reserve
+// once and then fill the rows (in place, with AppendRow). An empty part
 // adopts the width; a non-empty one must already have it, and when it has
 // to grow it at least doubles, like Append: a part filled by many small
 // reservations (one local join per light group) is copied O(log) times,

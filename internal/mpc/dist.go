@@ -279,22 +279,11 @@ func (d *Dist) MapAnnots(f func(a int64) int64) *Dist {
 	return out
 }
 
-// Project keeps the columns of schema, in schema's order; local, free,
-// columnar: every part is gathered into one exactly-sized buffer, one task
-// per part, with no item or tuple per row. Projecting onto the collection's
-// own schema returns it unchanged.
-//
-//lint:alloc-ceiling
+// Project keeps the columns of schema, in schema's order; local, free. It is
+// Concat of one source: a non-empty collection already in schema's layout
+// is returned unchanged.
 func (d *Dist) Project(schema relation.Schema) *Dist {
-	if d.Schema.Equal(schema) {
-		return d
-	}
-	pos := d.Positions(schema)
-	out := &Dist{C: d.C, Schema: schema, Parts: make([]Columns, d.C.P)}
-	runtime.Fork(len(d.Parts), func(s int) {
-		out.Parts[s].AppendProjected(&d.Parts[s], pos)
-	})
-	return out
+	return Concat(schema, d)
 }
 
 // FilterLocal keeps items satisfying pred; local, free. pred must be safe
@@ -314,31 +303,51 @@ func (d *Dist) FilterLocal(pred func(it Item) bool) *Dist {
 	return out
 }
 
-// Concat unions several collections sharing a schema; local, free. Every
-// output part is sized once for all its sources, then filled with one copy
-// per column per source.
-func Concat(ds ...*Dist) *Dist {
+// Concat unions collections of one cluster onto schema; local, free. Part s
+// is part s of every source, source-major and in order, gathered onto
+// schema's columns (others dropped) into one exactly-sized buffer, one task
+// per part; annotations stay lazy unless a source's are not. Empty sources
+// are skipped whatever their schema; a non-empty one must hold all of
+// schema, and is returned as is when it is the only one, in schema's layout.
+//
+//lint:alloc-ceiling
+func Concat(schema relation.Schema, ds ...*Dist) *Dist {
 	if len(ds) == 0 {
 		panic("mpc: Concat of nothing")
 	}
-	out := &Dist{C: ds[0].C, Schema: ds[0].Schema, Parts: make([]Columns, ds[0].C.P)}
+	n, last := 0, ds[0]
 	for _, d := range ds {
-		if !d.Schema.Equal(out.Schema) {
-			panic("mpc: Concat schema mismatch")
+		if d.C != ds[0].C {
+			panic("mpc: Concat across clusters")
+		}
+		if d.Size() > 0 {
+			n, last = n+1, d
 		}
 	}
-	for s := range out.Parts {
-		n, w := 0, 0
-		for _, d := range ds {
-			if part := &d.Parts[s]; part.Len() > 0 {
-				n, w = n+part.Len(), part.Width()
+	if n == 1 && last.Schema.Equal(schema) {
+		return last
+	}
+	srcs, pos := make([]*Dist, 0, n), make([][]int, n) // pos[i] nil: srcs[i] is in schema's layout
+	for _, d := range ds {
+		if d.Size() > 0 {
+			if !d.Schema.Equal(schema) {
+				pos[len(srcs)] = d.Positions(schema)
 			}
-		}
-		out.Parts[s].Reserve(w, n)
-		for _, d := range ds {
-			out.Parts[s].AppendColumns(&d.Parts[s])
+			srcs = append(srcs, d)
 		}
 	}
+	out := NewDist(ds[0].C, schema)
+	runtime.Fork(len(out.Parts), func(s int) {
+		rows := 0
+		for _, d := range srcs {
+			rows += d.Parts[s].Len()
+		}
+		part := &out.Parts[s]
+		part.Reserve(len(schema), rows)
+		for i, d := range srcs {
+			part.AppendProjected(&d.Parts[s], pos[i])
+		}
+	})
 	return out
 }
 

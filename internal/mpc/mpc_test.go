@@ -146,16 +146,29 @@ func TestMapFilterLocalFree(t *testing.T) {
 	}
 }
 
-func TestConcatSchemaMismatchPanics(t *testing.T) {
-	c := NewCluster(2)
-	a := NewDist(c, relation.NewSchema(1))
-	b := NewDist(c, relation.NewSchema(2))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Concat with schema mismatch did not panic")
-		}
-	}()
-	Concat(a, b)
+// TestConcatAcrossClustersPanics: Concat's part s is every source's part s,
+// so a source on another cluster is refused — whether it has servers the
+// first lacks (their rows would be dropped), fewer (part s would not
+// exist), or as many under another ledger.
+func TestConcatAcrossClustersPanics(t *testing.T) {
+	two, four := FromRelation(NewCluster(2), mkRel(10)), FromRelation(NewCluster(4), mkRel(10))
+	for _, tc := range []struct {
+		name string
+		ds   []*Dist
+	}{
+		{"larger", []*Dist{two, four}},
+		{"smaller", []*Dist{four, two}},
+		{"same size", []*Dist{two, FromRelation(NewCluster(2), mkRel(3))}},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != "mpc: Concat across clusters" {
+					t.Errorf("%s cluster: Concat recovered %v, want the across-clusters panic", tc.name, r)
+				}
+			}()
+			Concat(two.Schema, tc.ds...)
+		}()
+	}
 }
 
 func TestMoveToChargesSubInput(t *testing.T) {

@@ -128,29 +128,83 @@ func TestProjectMatchesMapLocal(t *testing.T) {
 	}
 }
 
-// TestConcatReservesOnce: Concat keeps the row order (source-major within
-// each part) and sizes every part exactly.
-func TestConcatReservesOnce(t *testing.T) {
+// TestConcatContract pins the one union-and-projection path. Part s of the
+// result is part s of every non-empty source, source-major and in order,
+// gathered onto the target's columns (extra columns dropped, the rest
+// reordered) into a buffer of exactly rows·w values; the annotation column
+// of a part is materialized exactly when some source's is; empty sources
+// of any schema are skipped; a single non-empty source already in the
+// target's layout comes back as is; a width-0 target still counts rows;
+// and a non-empty source missing a target attribute panics.
+func TestConcatContract(t *testing.T) {
 	c := NewCluster(3)
-	schema := relation.NewSchema(1, 2)
 	rng := NewRng(5)
-	a, b := NewDist(c, schema), NewDist(c, schema)
-	for s := range a.Parts {
-		a.Parts[s] = randomColumns(rng, 5+s, 2, 9, false)
-		b.Parts[s] = randomColumns(rng, 7, 2, 9, s == 1)
+	target := relation.NewSchema(3, 1)
+	inLayout := NewDist(c, target)
+	wide := NewDist(c, relation.NewSchema(1, 9, 3)) // target reordered, plus column 9
+	for s := range inLayout.Parts {
+		inLayout.Parts[s] = randomColumns(rng, 5+s, 2, 9, false)
+		wide.Parts[s] = randomColumns(rng, 7*s, 3, 9, s == 1) // part 0 empty, part 1 annotated
 	}
-	got := Concat(a, b)
+	other := NewDist(c, relation.NewSchema(42)) // empty, and sharing no attribute
+
+	got := Concat(target, other, inLayout, wide, other)
+	if !got.Schema.Equal(target) {
+		t.Fatalf("schema %v, want %v", got.Schema, target)
+	}
 	for s := range got.Parts {
 		var want Columns
-		want.AppendColumns(&a.Parts[s])
-		want.AppendColumns(&b.Parts[s])
-		if !got.Parts[s].Equal(&want) {
-			t.Fatalf("part %d: Concat changed rows or their order", s)
+		src := &inLayout.Parts[s]
+		for i := 0; i < src.Len(); i++ {
+			want.Append(src.Tuple(i), src.Annot(i))
 		}
-		if cap(got.Parts[s].values) != got.Parts[s].Len()*2 {
-			t.Fatalf("part %d: capacity %d for %d rows", s, cap(got.Parts[s].values), got.Parts[s].Len())
+		src = &wide.Parts[s]
+		for i := 0; i < src.Len(); i++ {
+			row := src.Tuple(i)
+			want.Append(relation.Tuple{row[2], row[0]}, src.Annot(i))
+		}
+		part := &got.Parts[s]
+		if !part.Equal(&want) {
+			t.Fatalf("part %d: rows differ from the sources' projections, source-major", s)
+		}
+		if cap(part.values) != part.Len()*2 {
+			t.Fatalf("part %d: capacity %d for %d rows of width 2", s, cap(part.values), part.Len())
+		}
+		if part.hasAnnots() != (s == 1) {
+			t.Fatalf("part %d: annotation column materialized = %v", s, part.hasAnnots())
 		}
 	}
+
+	if Concat(target, other, inLayout, NewDist(c, target)) != inLayout {
+		t.Fatal("a single non-empty source in the target's layout must come back as is")
+	}
+	if Concat(target, wide) == wide || Concat(relation.NewSchema(1, 9, 3), wide) != wide {
+		t.Fatal("a source is aliased exactly when it is already in the target's layout")
+	}
+	if a := testing.AllocsPerRun(10, func() { inLayout.Project(target) }); a != 0 {
+		t.Fatalf("projecting a collection onto its own layout allocates %.0f per call", a)
+	}
+	if e := Concat(target, other, NewDist(c, target)); e.Size() != 0 || !e.Schema.Equal(target) {
+		t.Fatal("a union of empty sources must be an empty collection over the target")
+	}
+
+	scalar := Concat(relation.Schema{}, inLayout, wide)
+	for s := range scalar.Parts {
+		part := &scalar.Parts[s]
+		if n := inLayout.Parts[s].Len() + wide.Parts[s].Len(); part.Len() != n || part.Width() != 0 {
+			t.Fatalf("width-0 part %d holds %d rows of width %d, want %d rows", s, part.Len(), part.Width(), n)
+		}
+		if n := inLayout.Parts[s].Len(); s == 1 && part.Annot(n) != wide.Parts[1].Annot(0) {
+			t.Fatal("width-0 rows lost their annotations")
+		}
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a non-empty source missing a target attribute did not panic")
+		}
+	}()
+	Concat(relation.NewSchema(3, 7), other, inLayout)
 }
 
 // TestRowIndexGroupsInInsertionOrder checks the index against a map of row

@@ -2,6 +2,8 @@ package primitives
 
 import (
 	"math/rand"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"repro/internal/mpc"
@@ -67,6 +69,51 @@ func TestSampleSortAllocCeiling(t *testing.T) {
 	if got > ceiling {
 		t.Fatalf("sample sort allocates %.0f per run (n=%d), ceiling %d — the sort scratch pool has regressed",
 			got, n, ceiling)
+	}
+}
+
+// TestSemiJoinAllocCeiling: a steady-state semi-join allocates per part —
+// each output part reserved once for the x records of its chunk — and per
+// call, never per row: the count is the same at 2 048 and 65 536 rows per
+// side. An output part grown by doubling allocates log n times, which
+// breaks the equality before any ceiling is reached. Measured 60 at p = 16
+// (the two index arrays' pool round-trips are most of it). The collector
+// is off while counting: a collection empties the pools, and the refill
+// would be counted as the data's.
+func TestSemiJoinAllocCeiling(t *testing.T) {
+	const p, perPart = 16, 8
+	if bi, _ := debug.ReadBuildInfo(); bi != nil && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+		t.Skip("the race detector's sync.Pool drops buffers at random: the count would measure the detector")
+	}
+	prev := runtime.SetParallelism(1)
+	defer runtime.SetParallelism(prev)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	key := []relation.Attr{1}
+	counts := map[int]float64{}
+	for _, n := range []int{2048, 65536} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		x := relation.New("X", relation.NewSchema(1, 2))
+		d := relation.New("D", relation.NewSchema(1))
+		for i := 0; i < n; i++ {
+			x.Add(relation.Value(rng.Intn(n)), relation.Value(i))
+			d.Add(relation.Value(rng.Intn(n)))
+		}
+		c := mpc.NewCluster(p)
+		dx, dd := mpc.FromRelation(c, x), mpc.FromRelation(c, d)
+		kept := 0
+		run := func() { kept = SemiJoin(dx, key, dd, key).Size() }
+		run() // warm the record, sort and index pools
+		counts[n] = testing.AllocsPerRun(10, run)
+		if kept == 0 || kept == n {
+			t.Fatalf("n=%d: the semi-join kept %d of %d rows — the test no longer exercises hits and misses", n, kept, n)
+		}
+		if counts[n] > perPart*p {
+			t.Fatalf("n=%d: SemiJoin allocates %.0f per run, ceiling %d", n, counts[n], perPart*p)
+		}
+	}
+	if counts[2048] != counts[65536] {
+		t.Fatalf("SemiJoin allocates %.0f per run at 2 048 rows per side and %.0f at 65 536 — output parts grow with the data",
+			counts[2048], counts[65536])
 	}
 }
 

@@ -145,7 +145,9 @@ func AntiJoin(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.At
 // record opening the run the previous chunk ends in; each chunk end finds
 // it by binary search (d records lead their run), the pass over the p
 // chunk ends is the coordinator exchange, and the chunks are scanned
-// concurrently, task s appending only to its own output part.
+// concurrently, task s appending only to its own output part. Task s first
+// counts the x records of its window — every row it can keep — and
+// reserves its part once for them, so the part never grows by doubling.
 //
 //lint:load perP
 //lint:rounds const
@@ -181,9 +183,15 @@ func semiJoinSorted(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relat
 	chargeCoordinatorExchange(x.C)
 
 	runtime.Fork(x.C.P, func(s int) {
+		window := order[bounds[s]:bounds[s+1]]
+		xs := 0
+		for _, i := range window {
+			xs += int(rc.tags[i])
+		}
 		part := &out.Parts[s]
+		part.Reserve(len(x.Schema), xs)
 		cur := carry[s]
-		for _, i := range order[bounds[s]:bounds[s+1]] {
+		for _, i := range window {
 			if rc.tags[i] == 0 {
 				cur = i
 				continue

@@ -12,8 +12,14 @@
 # on both sides alike. Every results.json is kept under .bench_build/pairs/.
 # Printed: `bench/run.sh --compare parent_i change_i` per pair, then per
 # (workload, end-to-end metric of BENCHMARK.json) both sides' medians, the
-# median of the per-pair ratios change/parent and the pairs the change won.
-# Nothing under bench/ is touched.
+# median of the per-pair ratios change/parent, the pairs the change won
+# (ties count for neither side), the parent's quartiles and a verdict:
+#   gain        the change won at least 9 in 10 pairs, and the medians
+#               differ in its favour by more than the parent's quartile
+#               distance (its own run-to-run spread);
+#   loss        the same with the sides swapped;
+#   unresolved  anything else.
+# A claim is read off its one row. Nothing under bench/ is touched.
 set -euo pipefail
 
 ref=${1:?usage: scripts/bench-pairs.sh REF [N] [WORKLOADS]}
@@ -51,10 +57,13 @@ done
 # and the direction of each end-to-end metric comes from BENCHMARK.json.
 echo "== summary over $n pairs: ratio = change / parent"
 awk '
-function median(a, m,    i, j, t, s) {
+# quantile q of a[1..m], linear between the order statistics around
+# position 1 + (m-1)·q: the median at q = 0.5, the quartiles at 0.25/0.75.
+function quantile(a, m, q,    i, j, t, s, h, lo) {
 	for (i = 1; i <= m; i++) s[i] = a[i]
 	for (i = 2; i <= m; i++) { t = s[i]; for (j = i - 1; j >= 1 && s[j] > t; j--) s[j+1] = s[j]; s[j+1] = t }
-	return m % 2 ? s[(m+1)/2] : (s[m/2] + s[m/2+1]) / 2
+	h = 1 + (m - 1) * q; lo = int(h)
+	return lo >= m ? s[m] : s[lo] + (h - lo) * (s[lo+1] - s[lo])
 }
 FILENAME ~ /BENCHMARK.json$/ {
 	if ($0 ~ /"end_to_end"/) e2e = 1
@@ -70,15 +79,25 @@ NF == 7 && ($2 in better) && $7 ~ /^(better|worse|same|unresolved)$/ {
 	old[k, c] = $3; new[k, c] = $4
 }
 END {
-	printf "%-16s %-18s %12s %12s %8s %6s\n", "workload", "metric", "parent_med", "change_med", "ratio", "won"
+	printf "%-16s %-18s %12s %12s %8s %6s %12s %12s %s\n", "workload", "metric", "parent_med", "change_med",
+		"ratio", "won", "parent_q1", "parent_q3", "verdict"
 	for (q = 1; q <= nk; q++) {
-		k = keys[q]; split(k, wm, SUBSEP); m = cnt[k]; won = 0; nr = 0
+		k = keys[q]; split(k, wm, SUBSEP); m = cnt[k]; won = 0; lost = 0; nr = 0
+		lower = better[wm[2]] == "lower"
 		for (i = 1; i <= m; i++) {
 			o[i] = old[k, i]; c2[i] = new[k, i]
 			if (o[i] != 0) r[++nr] = c2[i] / o[i]
-			if (better[wm[2]] == "lower" ? c2[i] < o[i] : c2[i] > o[i]) won++
+			if (lower ? c2[i] < o[i] : c2[i] > o[i]) won++
+			if (lower ? c2[i] > o[i] : c2[i] < o[i]) lost++
 		}
-		ratio = nr ? sprintf("%.3f", median(r, nr)) : "-"
-		printf "%-16s %-18s %12.6g %12.6g %8s %3d/%-2d\n", wm[1], wm[2], median(o, m), median(c2, m), ratio, won, m
+		ratio = nr ? sprintf("%.3f", quantile(r, nr, 0.5)) : "-"
+		pm = quantile(o, m, 0.5); cm = quantile(c2, m, 0.5)
+		q1 = quantile(o, m, 0.25); q3 = quantile(o, m, 0.75)
+		gap = lower ? pm - cm : cm - pm # > 0: the change is better
+		verdict = "unresolved"
+		if (10 * won >= 9 * m && gap > q3 - q1) verdict = "gain"
+		if (10 * lost >= 9 * m && -gap > q3 - q1) verdict = "loss"
+		printf "%-16s %-18s %12.6g %12.6g %8s %3d/%-2d %12.6g %12.6g %s\n", wm[1], wm[2], pm, cm,
+			ratio, won, m, q1, q3, verdict
 	}
 }' "$root/BENCHMARK.json" "$pairs"/compare_*.txt
