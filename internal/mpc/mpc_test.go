@@ -146,6 +146,20 @@ func TestMapFilterLocalFree(t *testing.T) {
 	}
 }
 
+// TestConcatSchemaMismatchPanics: a non-empty source that lacks an attribute
+// of the target schema cannot be gathered onto it.
+func TestConcatSchemaMismatchPanics(t *testing.T) {
+	c := NewCluster(2)
+	a := FromRelation(c, mkRel(4)).Project(relation.NewSchema(1))
+	b := FromRelation(c, mkRel(4)).Project(relation.NewSchema(2))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Concat with schema mismatch did not panic")
+		}
+	}()
+	Concat(a.Schema, a, b)
+}
+
 // TestConcatAcrossClustersPanics: Concat's part s is every source's part s,
 // so a source on another cluster is refused — whether it has servers the
 // first lacks (their rows would be dropped), fewer (part s would not

@@ -128,6 +128,32 @@ func TestProjectMatchesMapLocal(t *testing.T) {
 	}
 }
 
+// TestConcatReservesOnce: a union of sources already in the target's layout
+// keeps every row in source-major order and fills each part from one exact
+// reservation.
+func TestConcatReservesOnce(t *testing.T) {
+	c := NewCluster(3)
+	schema := relation.NewSchema(1, 2)
+	rng := NewRng(5)
+	a, b := NewDist(c, schema), NewDist(c, schema)
+	for s := range a.Parts {
+		a.Parts[s] = randomColumns(rng, 5+s, 2, 9, false)
+		b.Parts[s] = randomColumns(rng, 7, 2, 9, s == 1)
+	}
+	got := Concat(schema, a, b)
+	for s := range got.Parts {
+		var want Columns
+		want.AppendColumns(&a.Parts[s])
+		want.AppendColumns(&b.Parts[s])
+		if !got.Parts[s].Equal(&want) {
+			t.Fatalf("part %d: Concat changed rows or their order", s)
+		}
+		if cap(got.Parts[s].values) != got.Parts[s].Len()*2 {
+			t.Fatalf("part %d: capacity %d for %d rows", s, cap(got.Parts[s].values), got.Parts[s].Len())
+		}
+	}
+}
+
 // TestConcatContract pins the one union-and-projection path. Part s of the
 // result is part s of every non-empty source, source-major and in order,
 // gathered onto the target's columns (extra columns dropped, the rest
