@@ -2,6 +2,7 @@ package primitives
 
 import (
 	"math/rand"
+	goruntime "runtime"
 	"runtime/debug"
 	"slices"
 	"testing"
@@ -48,28 +49,66 @@ func TestLookupAllocCeiling(t *testing.T) {
 }
 
 // TestSampleSortAllocCeiling pins the rank-vector sort: sorting a pooled
-// record set in steady state must not allocate per record (the old []rec
-// path allocated a full record scratch buffer every call).
+// record set in steady state allocates nothing per record — not a record
+// scratch buffer (the old []rec path allocated one every call), nor a rank
+// or key vector. The count is the same at 8 192 and 131 072 records, under
+// a ceiling, and the bytes stay under one per record at the larger size,
+// so a vector regrown on every call fails the test even though its count
+// does not grow. Measured 0 allocations and 0 bytes per run. The collector
+// is off while counting, as in TestSemiJoinAllocCeiling.
 func TestSampleSortAllocCeiling(t *testing.T) {
-	const n, ceiling = 8192, 64
-	prev := runtime.SetParallelism(2)
-	defer runtime.SetParallelism(prev)
-
-	base := benchRecs(n, true, 7)
-	sortOnce := func() {
-		rc := getRecCols(n)
-		for _, r := range base {
-			rc.append(r.key, r.tag, r.it.T, r.it.A)
+	const ceiling = 64
+	if raceEnabled() {
+		t.Skip("the race detector's sync.Pool drops buffers at random: the count would measure the detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	counts := map[int]uint64{}
+	for _, n := range []int{8192, 131072} {
+		base := benchRecs(n, true, 7)
+		sortOnce := func() {
+			rc := getRecCols(n)
+			for _, r := range base {
+				rc.append(r.key, r.tag, r.it.T, r.it.A)
+			}
+			sampleSortCols(rc)
+			putRecCols(rc)
 		}
-		sampleSortCols(rc, 2)
-		putRecCols(rc)
+		var bytes uint64
+		counts[n], bytes = steadyAllocs(sortOnce)
+		if counts[n] > ceiling {
+			t.Fatalf("n=%d: the sort allocates %d per run, ceiling %d — the sort scratch pool has regressed",
+				n, counts[n], ceiling)
+		}
+		if bytes >= uint64(n) {
+			t.Fatalf("n=%d: the sort allocates %d bytes per run — a vector is regrown on every call", n, bytes)
+		}
 	}
-	sortOnce() // warm the scratch pool
-	got := testing.AllocsPerRun(10, sortOnce)
-	if got > ceiling {
-		t.Fatalf("sample sort allocates %.0f per run (n=%d), ceiling %d — the sort scratch pool has regressed",
-			got, n, ceiling)
+	if counts[8192] != counts[131072] {
+		t.Fatalf("the sort allocates %d per run at 8 192 records and %d at 131 072 — it allocates with the data",
+			counts[8192], counts[131072])
 	}
+}
+
+// steadyAllocs returns the allocations and bytes per call of f in steady
+// state: on one P, as testing.AllocsPerRun counts, after one call that
+// warms the pools there, averaged over ten calls.
+func steadyAllocs(f func()) (count, bytes uint64) {
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(1))
+	f()
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	const runs = 10
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	goruntime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / runs, (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	bi, _ := debug.ReadBuildInfo()
+	return bi != nil && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
 }
 
 // TestSemiJoinAllocCeiling: a steady-state semi-join allocates per part —
@@ -82,7 +121,7 @@ func TestSampleSortAllocCeiling(t *testing.T) {
 // would be counted as the data's.
 func TestSemiJoinAllocCeiling(t *testing.T) {
 	const p, perPart = 16, 8
-	if bi, _ := debug.ReadBuildInfo(); bi != nil && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+	if raceEnabled() {
 		t.Skip("the race detector's sync.Pool drops buffers at random: the count would measure the detector")
 	}
 	prev := runtime.SetParallelism(1)
@@ -160,7 +199,7 @@ func TestSumByKeyAllocCeiling(t *testing.T) {
 // TestDistinctByKeyAllocCeiling: the local dedup stages the rows that open
 // a group straight into the pooled record set, whose key column holds the
 // kept projections — nothing is allocated per key, only the output parts
-// (grown by doubling) and the sort's splitter sample.
+// (grown by doubling).
 func TestDistinctByKeyAllocCeiling(t *testing.T) {
 	const p, perPart = 8, 24
 	prev := runtime.SetParallelism(1)

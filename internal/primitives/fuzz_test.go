@@ -11,22 +11,20 @@ import (
 	"repro/internal/runtime"
 )
 
-// FuzzSampleSortParity fuzzes the columnar rank-vector sample sort against
-// the retained serialSortAndChopRef: random sizes, key ranges, key widths
+// FuzzSampleSortParity fuzzes the columnar rank-vector sort against the
+// retained serialSortAndChopRef: random sizes, key ranges, key widths
 // (including the degenerate width 0) and key shapes (shapedKey: both signs,
 // the int64 extremes, top-byte-only and last-word-only differences), mixed
-// tuple arities, tag mixes, partition widths, cluster sizes, and the record pools clean or dirtied
-// (dirtyPools) must produce value-identical chunks and identical cluster
-// charges. Sizes reach
-// past sampleSortSerialBelow, so both the serial rank sort and the
-// splitter/partition path are exercised. Run continuously by
-// `make fuzz-smoke` (part of ci).
+// tuple arities, interleaved tag mixes (so the tag pass runs), data-plane
+// widths, cluster sizes, and the record pools clean or dirtied (dirtyPools)
+// must produce value-identical chunks and identical cluster charges. Sizes
+// run from the insertion sort's windows to thousands of records over
+// multi-word keys. Run continuously by `make fuzz-smoke` (part of ci).
 func FuzzSampleSortParity(f *testing.F) {
 	// Seed corpus from the adversarial-skew shapes of the parity tests:
 	// one heavy key, zipf-ish skew, few distinct keys across many chunks,
 	// degenerate sizes, pools clean and dirtied — plus key widths 0, 2 and 3
-	// and a size past the serial cutoff so the splitter path runs on
-	// multi-value flat keys.
+	// and sizes in the thousands on multi-value flat keys.
 	f.Add(int64(1), uint16(2000), uint16(1), uint8(2), uint8(16), uint8(1), true)     // one heavy key
 	f.Add(int64(2), uint16(2000), uint16(250), uint8(8), uint8(16), uint8(1), true)   // zipf-ish
 	f.Add(int64(3), uint16(1000), uint16(3), uint8(3), uint8(7), uint8(1), false)     // 3 keys, odd p
@@ -35,14 +33,14 @@ func FuzzSampleSortParity(f *testing.F) {
 	f.Add(int64(6), uint16(4000), uint16(4000), uint8(33), uint8(16), uint8(1), true) // oversized width
 	f.Add(int64(7), uint16(900), uint16(40), uint8(4), uint8(8), uint8(0), true)      // width-0 keys: tag-only order
 	f.Add(int64(8), uint16(1200), uint16(80), uint8(5), uint8(9), uint8(3), false)    // width-3 keys
-	f.Add(int64(9), uint16(5000), uint16(200), uint8(8), uint8(16), uint8(2), true)   // past serial cutoff
+	f.Add(int64(9), uint16(5000), uint16(200), uint8(8), uint8(16), uint8(2), true)   // thousands of records, width-2 keys
 	// Seeds from 16 up select the key shapes of shapedKey (seed/16 mod
 	// keyShapes) — what a byte-wise sort can get wrong.
 	f.Add(int64(17), uint16(3000), uint16(900), uint8(2), uint8(7), uint8(1), true)   // both signs
 	f.Add(int64(33), uint16(2000), uint16(700), uint8(3), uint8(5), uint8(2), false)  // int64 extremes
-	f.Add(int64(49), uint16(6000), uint16(255), uint8(2), uint8(16), uint8(1), true)  // top byte only, past serial cutoff
+	f.Add(int64(49), uint16(6000), uint16(255), uint8(2), uint8(16), uint8(1), true)  // top byte only, thousands of records
 	f.Add(int64(65), uint16(1500), uint16(1500), uint8(4), uint8(9), uint8(3), false) // only the last of three words differs
-	f.Add(int64(18), uint16(33), uint16(9), uint8(1), uint8(3), uint8(1), true)       // one window at the insertion cutoff
+	f.Add(int64(18), uint16(33), uint16(9), uint8(1), uint8(3), uint8(1), true)       // at the insertion cutoff
 
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, keys uint16, width, p, kw uint8, dirty bool) {
 		nn := int(n) % 8192
@@ -69,7 +67,9 @@ func FuzzSampleSortParity(f *testing.F) {
 		c := mpc.NewCluster(pp)
 		rc := getRecCols(len(recs))
 		fillRecCols(rc, recs)
-		sampleSortCols(rc, b)
+		prevW := runtime.SetParallelism(b)
+		sampleSortCols(rc)
+		runtime.SetParallelism(prevW)
 		bounds := chopBounds(c, rc.len())
 		gotStats := c.Snapshot()
 
@@ -213,7 +213,7 @@ func FuzzSemiJoinParity(f *testing.F) {
 	f.Add(int64(5), uint16(0), uint16(50), uint16(3), uint8(1), uint8(3), false, false)        // x empty: no rounds
 	f.Add(int64(6), uint16(120), uint16(0), uint16(3), uint8(1), uint8(3), true, true)         // d empty: nothing found
 	f.Add(int64(7), uint16(3), uint16(2), uint16(2), uint8(2), uint8(1), true, true)           // tiny parts
-	f.Add(int64(8), uint16(1000), uint16(900), uint16(600), uint8(1), uint8(15), false, false) // past the serial cutoff: splitter path
+	f.Add(int64(8), uint16(1000), uint16(900), uint16(600), uint8(1), uint8(15), false, false) // a thousand records a side
 	f.Add(int64(9), uint16(40), uint16(40), uint16(5), uint8(1), uint8(0), true, false)        // one server
 
 	f.Fuzz(func(t *testing.T, seed int64, nx, nd, keys uint16, kw, p uint8, annotated, dirty bool) {

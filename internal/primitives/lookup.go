@@ -105,7 +105,7 @@ func Lookup(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.Attr
 // detects duplicates as adjacent d records for free — so it makes them
 // adjacent the same way: the sort alone is local and charges nothing.
 func verifyDistinctDirectory(rc *recCols) {
-	sampleSortCols(rc, runtime.Parallelism())
+	sampleSortCols(rc)
 	for i := 1; i < rc.len(); i++ {
 		if rc.keyEq(i-1, i) {
 			panic(fmt.Sprintf("primitives: Lookup directory has duplicate key %v", rc.key(i)))
@@ -117,7 +117,7 @@ func verifyDistinctDirectory(rc *recCols) {
 // item of d (R1 ⋉ R2 in the paper's Section 2; d may hold duplicates) as
 // one multi-search, in (key, input order) re-chopped over the servers.
 // Three rounds, load O((|x| + min(|d|, p·keys))/p + p). The sort underneath
-// is deterministic (stride sampling, no RNG), so no salt is taken.
+// is deterministic (a radix sort, no RNG), so no salt is taken.
 //
 //lint:load perP
 //lint:rounds const
@@ -164,7 +164,7 @@ func semiJoinSorted(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relat
 	rc.appendDist(x, xPos, 1)
 
 	sc := getSortScratch()
-	order := rankSort(rc, sc, runtime.Parallelism())
+	order := rankSort(rc, sc)
 	bounds := chopBounds(x.C, len(order))
 
 	// carry[s] = the d record opening the run that the record before chunk

@@ -126,7 +126,7 @@ func (rc *recCols) keyEq(i, j int) bool {
 
 // less is THE record order of every skew-sensitive primitive — by key,
 // ties broken by tag. The tests' serial reference (recLess) and the
-// parallel sample sort must agree on it exactly.
+// rank sort must agree on it exactly.
 func (rc *recCols) less(i, j int32) bool {
 	kw := rc.kw
 	a, b := int(i)*kw, int(j)*kw
@@ -175,23 +175,21 @@ func putRecCols(rc *recCols) {
 	recColsPool.Put(rc)
 }
 
-// sortScratch is the sample sort's whole working set — the rank vector,
-// the range ids that become the radix buffer, per-task counters, and one
-// permute target per record column (untouched by the semi-join) —
-// pooled as a single pointer so a steady-state sort performs one pool
-// round-trip and zero boxing allocations. ensure* grow the vectors in
-// place; contents are UNSPECIFIED until written (consumers initialize
-// before reading). Pointer-bearing columns are cleared on put, like the
-// record sets, so the pool never retains a past dataset.
+// sortScratch is the sample sort's whole working set — the rank vector and
+// its radix twin, and one permute target per record column — pooled as a
+// single pointer so a steady-state sort performs one pool round-trip and
+// zero boxing allocations. The keys and annots permute targets are dead
+// while the rank sort runs and serve it as its two key vectors (the
+// semi-join, which permutes nothing, uses them only so). ensureSlice grows the vectors in place; contents are
+// UNSPECIFIED until written (consumers initialize before reading).
+// Pointer-bearing columns are cleared on put, like the record sets, so the
+// pool never retains a past dataset.
 type sortScratch struct {
-	order   []int32
-	ranges  []int32
-	perTask [][]int32 // per task: range counters, then reused as write cursors
-	bases   [][]int32 // per task: first write offset per range
-	keys    []relation.Value
-	tags    []uint8
-	tuples  []relation.Tuple
-	annots  []int64
+	ranks  []int32 // the rank vector, then its radix twin: one allocation
+	keys   []relation.Value
+	tags   []uint8
+	tuples []relation.Tuple
+	annots []int64
 }
 
 // ensureSlice grows s to length n, reusing its capacity when possible.
@@ -200,18 +198,6 @@ func ensureSlice[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
-}
-
-// taskVecs sizes a per-task [][]int32 table to tasks rows of width n each.
-func taskVecs(vs [][]int32, tasks, n int) [][]int32 {
-	if cap(vs) < tasks {
-		vs = make([][]int32, tasks)
-	}
-	vs = vs[:tasks]
-	for t := range vs {
-		vs[t] = ensureSlice(vs[t], n)
-	}
-	return vs
 }
 
 var sortScratchPool sync.Pool

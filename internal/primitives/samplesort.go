@@ -2,170 +2,99 @@ package primitives
 
 import (
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/mpc"
 	"repro/internal/relation"
-	"repro/internal/runtime"
 )
 
-// The parallel sample sort, columnar edition.
+// The sample sort, columnar edition.
 //
-// sortAndChop runs the paper's one-round sample sort for real on
-// runtime.Fork — splitter sampling, parallel range partition, concurrent
-// per-range sorts — but the sort itself never moves a record: rankSort
-// sorts an int32 rank vector (indices into the record columns). Callers
-// that scan rows in order (sampleSortCols) then permute the key/tag/tuple/
-// annot columns exactly once; the semi-join scans the rank vector and
-// skips even that. Every scratch vector comes from the record pool.
+// The paper's skew-sensitive primitives sort their records globally by
+// (key, tag) in one round — a sample sort with linear load — and cut the
+// sorted order into p equal chunks. sortAndChop charges exactly that, one
+// round through chopBounds, and computes the order with a serial stable
+// radix sort that never moves a record: rankSort sorts an int32 rank vector
+// (indices into the record columns). Callers that scan rows in order
+// (sampleSortCols) then permute the key/tag/tuple/annot columns exactly
+// once; the semi-join scans the rank vector and skips even that. Every
+// scratch vector comes from the sort scratch pool.
 //
-//  1. Splitters. A deterministic stride sample of the keys is sorted and
-//     cut at regular positions into b−1 splitters (b = data-plane width),
-//     oversampled so skewed key distributions still yield balanced ranges.
-//     Splitters live in one flat fixed-width value buffer, like the keys.
-//  2. Partition. The rank vector is cut into b contiguous segments; each
-//     forked task classifies its segment's rows into key ranges (a binary
-//     search over the flat splitter buffer with word-wise key compares —
-//     a pure function of the key, so every occurrence of a key lands in
-//     the same range) and counts per (segment, range). Prefix sums in
-//     (range, segment) order then give every task a disjoint write window
-//     per range, and a second forked pass scatters the indices —
-//     lock-free, one pooled buffer.
-//  3. Sort. Each range's index window is stable-sorted concurrently — an
-//     LSD radix sort of the 4-byte indices by the bytes of (key, tag),
-//     see stableSortIdx; ranges are contiguous and ordered, so the
-//     concatenated rank vector is the globally sorted permutation.
+// The radix sort is least significant digit first:
 //
-// Determinism is structural, not incidental: within a range the scatter
-// preserves global input order (segments are contiguous in input order and
-// the write windows are prefix sums in segment order), so stable-sorting
-// each range and concatenating yields exactly the unique stable sort by
-// (key, tag) — the same permutation the tests' serialSortAndChopRef
-// produces — for every width and every splitter choice.
-// runtime.SetParallelism(1) and small inputs take the serial rank sort,
-// which is byte-identical anyway.
+//  1. Tags. One sequential sweep checks whether the tag column is already
+//     non-decreasing — every production caller stages its tag-0 records
+//     before its tag-1 records — and then the identity is the tag order;
+//     otherwise one counting pass by tag builds it.
+//  2. Keys. For each key word, last to first, the word of every record is
+//     gathered once, in the current rank order, into an 8-byte key vector
+//     with the sign bit flipped, so unsigned byte order is signed value
+//     order. That gather is the one random read per record and word. Each
+//     byte that varies over the vector, low to high, is one sequential
+//     scatter of (key word, row) pairs into the other key and rank vectors;
+//     its counts come from the sweep before it (the gather counts the low
+//     byte, each scatter the next varying byte), and a word's last scatter
+//     moves rows alone. Constant bytes order nothing and are skipped.
+//
+// Every pass is stable, so the result is the unique stable (key, tag)
+// permutation — the one the tests' serialSortAndChopRef produces — whatever
+// the width, since nothing here forks. Splitting the records into key
+// ranges sorted concurrently measured slower than this serial sort at every
+// size from 2^12 to 2^19 records on a 2-vCPU VM, and forked byte passes
+// with per-task histograms, prototyped, lost below 2^17 records, more than
+// any record set the benchmark workloads stage.
 
-// sampleSortSerialBelow is the record count under which the sort runs as a
-// single sequential rank sort: splitter sampling and two extra passes cost
-// more than they save, and the output is byte-identical either way.
-const sampleSortSerialBelow = 1 << 12
-
-// splitterOversample is the number of sampled keys per range; regular
-// sampling at this rate keeps expected range sizes within a constant
-// factor of n/b even on adversarial key distributions.
-const splitterOversample = 8
-
-// sortAndChop globally sorts the record columns by (key, tag) with the
-// parallel sample sort and distributes them into p equal chunks, charging
-// each server its chunk size in one round (the paper's one-round sample
-// sort with linear load). Chunk s is rows [bounds[s], bounds[s+1]) of rc.
+// sortAndChop globally sorts the record columns by (key, tag) and
+// distributes them into p equal chunks, charging each server its chunk size
+// in one round (the paper's one-round sample sort with linear load). Chunk
+// s is rows [bounds[s], bounds[s+1]) of rc.
 //
 //lint:load perP
 //lint:rounds const
 func sortAndChop(c *mpc.Cluster, rc *recCols) []int {
-	sampleSortCols(rc, runtime.Parallelism())
+	sampleSortCols(rc)
 	return chopBounds(c, rc.len())
 }
 
-// sampleSortCols stable-sorts the record columns by (key, tag) with b
-// partition tasks: the rank sort, then one permute per column. All scratch
-// is one pooled sortScratch; only the splitter sample is allocated.
+// sampleSortCols stable-sorts the record columns by (key, tag): the rank
+// sort, then one permute per column. All scratch is one pooled sortScratch.
 //
 //lint:alloc-ceiling
-func sampleSortCols(rc *recCols, b int) {
+func sampleSortCols(rc *recCols) {
 	if rc.len() < 2 {
 		return
 	}
 	sc := getSortScratch()
-	permuteCols(rc, sc, rankSort(rc, sc, b))
+	permuteCols(rc, sc, rankSort(rc, sc))
 	putSortScratch(sc)
 }
 
 // rankSort returns the stable (key, tag) sort of rc as a rank vector —
-// order[j] is the row that sorts j-th — computed with b partition tasks
-// and without touching a column. The vector is a window of sc.
+// order[j] is the row that sorts j-th — without touching a column. The
+// vector is a window of sc.
 //
 //lint:alloc-ceiling
-func rankSort(rc *recCols, sc *sortScratch, b int) []int32 {
+func rankSort(rc *recCols, sc *sortScratch) []int32 {
 	n := rc.len()
-	if b > n {
-		b = n
-	}
-	sc.order = ensureSlice(sc.order, n)
-	sc.ranges = ensureSlice(sc.ranges, n)
-	order := sc.order
-
-	if n < sampleSortSerialBelow || b <= 1 {
+	sc.ranks = ensureSlice(sc.ranks, 2*n)
+	order, spare := sc.ranks[:n], sc.ranks[n:]
+	if slices.IsSorted(rc.tags) {
 		for i := range order {
 			order[i] = int32(i)
 		}
-		return stableSortIdx(rc, order, sc.ranges)
-	}
-
-	splitters, nsp := sampleSplitters(rc, b)
-	nr := nsp + 1
-
-	// Segment bounds: b contiguous segments in input order.
-	segLo := func(t int) int { return t * n / b }
-
-	// Counting pass: each task classifies its segment into ranges.
-	ranges := sc.ranges
-	sc.perTask = taskVecs(sc.perTask, b, nr)
-	counts := sc.perTask
-	runtime.Fork(b, func(t int) {
-		cnt := counts[t]
-		for i := range cnt {
-			cnt[i] = 0
-		}
-		for i := segLo(t); i < segLo(t+1); i++ {
-			r := searchSplitters(splitters, nsp, rc, i)
-			ranges[i] = r
-			cnt[r]++
-		}
-	})
-
-	// Prefix sums in (range, segment) order: rangeStart bounds each range
-	// in the rank vector; bases give each task its disjoint write window
-	// per range, in segment order — global input order per range.
-	rangeStart := make([]int, nr+1)
-	sc.bases = taskVecs(sc.bases, b, nr)
-	bases := sc.bases
-	off := 0
-	for r := 0; r < nr; r++ {
-		rangeStart[r] = off
-		for t := 0; t < b; t++ {
-			bases[t][r] = int32(off)
-			off += int(counts[t][r])
+	} else {
+		off := offsets(byteCounts(rc.tags, 0))
+		for i, t := range rc.tags {
+			order[off[t]] = int32(i)
+			off[t]++
 		}
 	}
-	rangeStart[nr] = off
-
-	// Scatter pass: indices into disjoint pre-computed windows, no locks.
-	// The per-task counters are dead after the prefix sums, so they double
-	// as the write cursors.
-	runtime.Fork(b, func(t int) {
-		cur := counts[t]
-		copy(cur, bases[t])
-		for i := segLo(t); i < segLo(t+1); i++ {
-			r := ranges[i]
-			order[cur[r]] = int32(i)
-			cur[r]++
-		}
-	})
-
-	// Sort each range's index window concurrently. The ranges vector is
-	// dead after the scatter, so its windows double as the radix buffers —
-	// disjoint, no extra allocation, no locks.
-	runtime.Fork(nr, func(r int) {
-		lo, hi := rangeStart[r], rangeStart[r+1]
-		if lo == hi {
-			return
-		}
-		if sorted := stableSortIdx(rc, order[lo:hi], ranges[lo:hi]); &sorted[0] != &order[lo] {
-			copy(order[lo:hi], sorted)
-		}
-	})
-	return order
+	if n < radixBelow {
+		insertionSortIdx(rc, order)
+		return order
+	}
+	return stableSortIdx(rc, sc, order, spare)
 }
 
 // permuteCols applies the sorted rank vector to every column in one pass
@@ -202,68 +131,138 @@ func permuteCols(rc *recCols, sc *sortScratch, order []int32) {
 	sc.annots, rc.annots = rc.annots[:0], as
 }
 
-// radixBelow is the window length under which the rank sort is a plain
+// radixBelow is the record count under which the rank sort is a plain
 // insertion sort (measured crossover on one-word keys: about 20 records).
 const radixBelow = 24
 
-// stableSortIdx sorts the index vector a by the records it points at —
-// rc.less, ties keeping input order — with a stable LSD radix sort through
-// the caller-provided buffer (len(buf) ≥ len(a)): least significant first,
-// the tag, then the key words last to first with the sign bit flipped so
-// unsigned byte order is signed value order. Every pass is stable, so the
-// result is the unique stable (key, tag) permutation, whichever sort
-// computes it. It ends in a or in buf depending on the pass count; the
-// returned slice is whichever holds it.
+// stableSortIdx stable-sorts the rank vector src by the keys of the records
+// it points at, through dst (len(dst) = len(src)), with a key-carrying LSD
+// radix sort: the key words last to first, each gathered once in rank order
+// (gatherWord) and sorted by its varying bytes (radixWord). The two key
+// vectors are the permute columns keys and annots, dead until the permute;
+// their types differ but share int64 underneath. Ties keep src's order, so
+// a src stable by tag gives the stable (key, tag) sort. It ends in src or
+// in dst depending on the pass count; the returned slice is whichever
+// holds it.
 //
 //lint:alloc-ceiling
-func stableSortIdx(rc *recCols, a, buf []int32) []int32 {
-	n := len(a)
-	if n < radixBelow {
-		insertionSortIdx(rc, a)
-		return a
-	}
-	src, dst := radixWord(rc.tags, 1, 0, 0, a, buf[:n])
+func stableSortIdx(rc *recCols, sc *sortScratch, src, dst []int32) []int32 {
+	n := len(src)
+	sc.keys, sc.annots = ensureSlice(sc.keys, n), ensureSlice(sc.annots, n)
 	for w := rc.kw - 1; w >= 0; w-- {
-		src, dst = radixWord(rc.keys, rc.kw, w, math.MinInt64, src, dst)
+		diff, low := gatherWord(sc.keys, rc.keys, rc.kw, w, src)
+		src, dst = radixWord(sc.keys, sc.annots, src, dst, diff, low)
 	}
 	return src
 }
 
-// radixWord stable-sorts src by word w of the stride-wide column col, flip
-// XORed into every word first: one counting pass (256-entry table on the
-// stack) per byte, low to high, from src into dst and then swapping them.
-// A byte that is constant over src orders nothing and is skipped — one
-// OR-of-XOR sweep finds them — so dense keys cost two or three passes. It
-// returns the pair as it ends, sorted vector first.
+// gatherWord writes word w of every record's key, in the rank order of
+// order, into kv with the sign bit flipped, and returns the OR of every
+// word's XOR with the first — its zero bytes are constant over the records
+// — and the count of each value of the low byte, the first counting pass
+// whenever that byte varies.
 //
 //lint:alloc-ceiling
-func radixWord[T ~uint8 | ~int64](col []T, stride, w int, flip T, src, dst []int32) ([]int32, []int32) {
-	first := col[int(src[0])*stride+w]
-	var diff uint64
-	for _, i := range src {
-		diff |= uint64(col[int(i)*stride+w] ^ first)
+func gatherWord(kv, keys []relation.Value, kw, w int, order []int32) (diff uint64, low [256]int32) {
+	kv = kv[:len(order)]
+	first := keys[int(order[0])*kw+w]
+	for j, i := range order {
+		k := keys[int(i)*kw+w]
+		kv[j] = k ^ math.MinInt64
+		low[uint8(k)]++
+		diff |= uint64(k ^ first)
 	}
-	for shift := uint(0); diff>>shift != 0; shift += 8 {
-		if diff>>shift&0xff == 0 {
-			continue
+	return diff, low
+}
+
+// radixWord stable-sorts the rank vector src by the key word kv holds for
+// each of its entries: one scatter per byte set in diff, low to high, from
+// src into dst and then swapping them. count holds the counts of the low
+// byte's values. Each scatter but the last carries the key word along,
+// into kb and back, and counts the next varying byte as it goes; the last
+// moves rows alone, since the next word is gathered afresh. It returns the
+// pair as it ends, sorted vector first.
+//
+//lint:alloc-ceiling
+func radixWord(kv []relation.Value, kb []int64, src, dst []int32, diff uint64, count [256]int32) ([]int32, []int32) {
+	if diff == 0 {
+		return src, dst
+	}
+	shift := uint(bits.TrailingZeros64(diff)) &^ 7
+	if shift != 0 {
+		count = byteCounts(kv, shift)
+	}
+	for inKV := true; ; inKV = !inKV {
+		rest := diff >> shift >> 8
+		if rest == 0 {
+			if inKV {
+				scatterRows(kv, src, dst, shift, count)
+			} else {
+				scatterRows(kb, src, dst, shift, count)
+			}
+			return dst, src
 		}
-		var count [256]int32
-		for _, i := range src {
-			count[uint8(uint64(col[int(i)*stride+w]^flip)>>shift)]++
-		}
-		var off int32
-		for b, c := range count {
-			count[b] = off
-			off += c
-		}
-		for _, i := range src {
-			b := uint8(uint64(col[int(i)*stride+w]^flip) >> shift)
-			dst[count[b]] = i
-			count[b]++
+		next := shift + 8 + uint(bits.TrailingZeros64(rest))&^7
+		if inKV {
+			count = scatterPairs(kv, src, kb, dst, shift, next, count)
+		} else {
+			count = scatterPairs(kb, src, kv, dst, shift, next, count)
 		}
 		src, dst = dst, src
+		shift = next
 	}
-	return src, dst
+}
+
+// byteCounts is a counting pass: how many keys carry each value of the
+// byte at shift.
+//
+//lint:alloc-ceiling
+func byteCounts[K ~uint8 | ~int64](keys []K, shift uint) [256]int32 {
+	var count [256]int32
+	for _, k := range keys {
+		count[uint8(uint64(k)>>shift)]++
+	}
+	return count
+}
+
+// offsets turns per-byte counts into each byte value's first output slot.
+func offsets(count [256]int32) [256]int32 {
+	var sum int32
+	for b, c := range count {
+		count[b] = sum
+		sum += c
+	}
+	return count
+}
+
+// scatterPairs moves every (key word, row) pair of (sk, si) to its slot in
+// (dk, di) by the key byte at shift, stably, given that byte's counts, and
+// returns the counts of the byte at next.
+//
+//lint:alloc-ceiling
+func scatterPairs[S, D ~int64](sk []S, si []int32, dk []D, di []int32, shift, next uint, count [256]int32) (nextCount [256]int32) {
+	off := offsets(count)
+	si = si[:len(sk)]
+	for j, k := range sk {
+		b := uint8(uint64(k) >> shift)
+		nextCount[uint8(uint64(k)>>next)]++
+		dk[off[b]], di[off[b]] = D(k), si[j]
+		off[b]++
+	}
+	return nextCount
+}
+
+// scatterRows is scatterPairs without the key words or the next count.
+//
+//lint:alloc-ceiling
+func scatterRows[K ~int64](sk []K, si, di []int32, shift uint, count [256]int32) {
+	off := offsets(count)
+	si = si[:len(sk)]
+	for j, k := range sk {
+		b := uint8(uint64(k) >> shift)
+		di[off[b]] = si[j]
+		off[b]++
+	}
 }
 
 // insertionSortIdx is a stable insertion sort: an index moves left only
@@ -280,83 +279,4 @@ func insertionSortIdx(rc *recCols, a []int32) {
 		}
 		a[j+1] = x
 	}
-}
-
-// sampleSplitters returns at most b−1 sorted splitter keys cutting the key
-// space into b near-equal ranges: a deterministic stride sample (no RNG,
-// no seed — the same keys always yield the same splitters), sorted and
-// cut at regular positions. The splitters come back as one flat
-// fixed-width value buffer (rc.kw values per splitter) plus the splitter
-// count. Duplicate splitters are collapsed; the ranges they would bound
-// are empty anyway.
-func sampleSplitters(rc *recCols, b int) ([]relation.Value, int) {
-	n := rc.len()
-	kw := rc.kw
-	want := b * splitterOversample
-	stride := n / want
-	if stride < 1 {
-		stride = 1
-	}
-	sample := make([]int32, 0, want+1)
-	for i := 0; i < n; i += stride {
-		sample = append(sample, int32(i))
-	}
-	// Rows with equal keys are interchangeable under this order, so the
-	// unstable sort still cuts deterministic splitter values.
-	sort.Slice(sample, func(x, y int) bool {
-		return rc.keyLess(int(sample[x]), int(sample[y]))
-	})
-	flat := make([]relation.Value, 0, (b-1)*kw)
-	nsp := 0
-	for i := 1; i < b; i++ {
-		row := int(sample[i*len(sample)/b])
-		key := rc.key(row)
-		if nsp > 0 && keyWindowEqual(flat[(nsp-1)*kw:nsp*kw], key) {
-			continue
-		}
-		flat = append(flat, key...)
-		nsp++
-	}
-	return flat, nsp
-}
-
-// searchSplitters returns the range index of row i: the number of
-// splitters strictly less than the row's key — the flat-buffer equivalent
-// of sort.SearchStrings over encoded keys (identical order, word-wise
-// compares).
-func searchSplitters(spl []relation.Value, nsp int, rc *recCols, i int) int32 {
-	kw := rc.kw
-	key := rc.keys[i*kw : i*kw+kw]
-	lo, hi := 0, nsp
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if keyWindowLess(spl[mid*kw:mid*kw+kw], key) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return int32(lo)
-}
-
-// keyWindowLess is the strict lexicographic order on equal-width key
-// windows — the same order the byte-string encoding produced.
-func keyWindowLess(a, b []relation.Value) bool {
-	for k := range a {
-		if a[k] != b[k] {
-			return a[k] < b[k]
-		}
-	}
-	return false
-}
-
-// keyWindowEqual reports whether two equal-width key windows hold the same
-// values.
-func keyWindowEqual(a, b []relation.Value) bool {
-	for k := range a {
-		if a[k] != b[k] {
-			return false
-		}
-	}
-	return true
 }

@@ -9,14 +9,16 @@ import (
 	"repro/internal/relation"
 )
 
-// BenchmarkSampleSort vs BenchmarkSerialSortRef: the parallel sample sort
+// BenchmarkSampleSort vs BenchmarkSerialSortRef: the rank-vector radix sort
 // against the retained coordinator sort, on the same record sets. Both are
-// in the counted `make bench` family; the parallel path must win ns/op at
+// in the counted `make bench` family; the radix sort must win ns/op at
 // IN = 2^17. BenchmarkLookup covers the primitive end-to-end (record
 // collection, sort, boundary propagation, combine).
 
 const benchSortP = 64
 
+// benchRecs draws n records with uniform or skewed keys. Their tags
+// alternate (i%2), which only the sort's fallback tag pass handles.
 func benchRecs(n int, skewed bool, seed int64) []rec {
 	rng := rand.New(rand.NewSource(seed))
 	recs := make([]rec, n)
@@ -30,14 +32,21 @@ func benchRecs(n int, skewed bool, seed int64) []rec {
 	return recs
 }
 
+// benchSortShapes are the record sets the sort benchmarks run on: uniform
+// and skewed keys with alternating tags, and the production order, staged
+// (tag-0 block, then tag-1 block, uniform keys shared across both).
 func benchSortShapes() []struct {
-	name   string
-	skewed bool
+	name string
+	recs func(n int) []rec
 } {
 	return []struct {
-		name   string
-		skewed bool
-	}{{"uniform", false}, {"skewed", true}}
+		name string
+		recs func(n int) []rec
+	}{
+		{"uniform", func(n int) []rec { return benchRecs(n, false, 7) }},
+		{"skewed", func(n int) []rec { return benchRecs(n, true, 7) }},
+		{"staged", func(n int) []rec { return tagBlocks(n, false)() }},
+	}
 }
 
 // The cluster is a shared fixture (created outside the measured loop):
@@ -47,7 +56,7 @@ func benchSortShapes() []struct {
 func BenchmarkSampleSort(b *testing.B) {
 	for _, n := range []int{1 << 14, 1 << 17} {
 		for _, shape := range benchSortShapes() {
-			base := benchRecs(n, shape.skewed, 7)
+			base := shape.recs(n)
 			c := mpc.NewCluster(benchSortP)
 			b.Run(fmt.Sprintf("%s/n=%d", shape.name, n), func(b *testing.B) {
 				b.ReportAllocs()
@@ -67,7 +76,7 @@ func BenchmarkSampleSort(b *testing.B) {
 func BenchmarkSerialSortRef(b *testing.B) {
 	for _, n := range []int{1 << 14, 1 << 17} {
 		for _, shape := range benchSortShapes() {
-			base := benchRecs(n, shape.skewed, 7)
+			base := shape.recs(n)
 			c := mpc.NewCluster(benchSortP)
 			b.Run(fmt.Sprintf("%s/n=%d", shape.name, n), func(b *testing.B) {
 				b.ReportAllocs()

@@ -119,6 +119,11 @@ func sortInputs(n int) []sortInput {
 			}
 			return recs
 		}},
+		// The two tag orders over one key range: the production order, every
+		// tag-0 record before every tag-1 record (the sort skips its tag
+		// pass), and the mirror image, which must take it.
+		{"staged", tagBlocks(n, false)},
+		{"tags_descending", tagBlocks(n, true)},
 		{"tiny", func() []rec {
 			return []rec{mkRec(3, 1, 0), mkRec(1, 0, 1), mkRec(3, 0, 2)}
 		}},
@@ -151,6 +156,23 @@ func shaped(n, shape, kw, keys, tags int) func() []rec {
 	}
 }
 
+// tagBlocks draws n records in two blocks, tag 0 then tag 1 (tag 1 first
+// when descending), whose keys come from one shared range of n/4 values.
+func tagBlocks(n int, descending bool) func() []rec {
+	return func() []rec {
+		rng := rand.New(rand.NewSource(3))
+		recs := make([]rec, n)
+		for i := range recs {
+			tag := uint8(0)
+			if (i >= n/3) != descending {
+				tag = 1
+			}
+			recs[i] = mkRec(rng.Intn(1+n/4), tag, i)
+		}
+		return recs
+	}
+}
+
 // fillRecCols loads an array-of-structs record set into a caller-acquired
 // columnar set — the bridge between the retained []rec references and the
 // columnar sort under test. The caller owns rc (acquires it and puts it
@@ -166,19 +188,18 @@ func fillRecCols(rc *recCols, recs []rec) {
 // it takes a record set and a sort scratch from their pools, sizes them for
 // rows records of key width kw, fills every column to capacity with
 // sentinels (−1 in the rank vectors, so a read before a write panics
-// instead of seeing a quiet zero) and puts them back. Pooling is memory
-// reuse only, so the run that follows must produce the same bytes as one
-// on fresh memory. (The puts clear the tuple columns, as in production.)
+// instead of seeing a quiet zero) and puts them back. The scratch's keys
+// and annots columns are the radix sort's two key vectors too, so a key
+// word read before it is gathered sorts as junk. Pooling is memory reuse
+// only, so the run that follows must produce the same bytes as one on
+// fresh memory. (The puts clear the tuple columns, as in production.)
 func dirtyPools(rows, kw int) {
 	const junk = -0x5eed
 	rc, sc := getRecCols(rows), getSortScratch()
-	sc.order, sc.ranges = ensureSlice(sc.order, rows), ensureSlice(sc.ranges, rows)
-	sc.perTask, sc.bases = taskVecs(sc.perTask, 16, 64), taskVecs(sc.bases, 16, 64)
+	sc.ranks = ensureSlice(sc.ranks, 2*rows)
 	sc.keys, sc.tags = ensureSlice(sc.keys, rows*kw), ensureSlice(sc.tags, rows)
 	sc.tuples, sc.annots = ensureSlice(sc.tuples, rows), ensureSlice(sc.annots, rows)
-	for _, v := range append(append([][]int32{sc.order, sc.ranges}, sc.perTask...), sc.bases...) {
-		fillCap(v, -1)
-	}
+	fillCap(sc.ranks, -1)
 	fillCap(rc.keys, junk)
 	fillCap(sc.keys, junk)
 	fillCap(rc.tags, 0xAA)
@@ -215,10 +236,10 @@ func colsChunk(rc *recCols, bounds []int, s int) []rec {
 
 // TestSampleSortParityWithSerialRef is the tentpole guarantee: for every
 // input shape, every data-plane width, and the record pools clean or
-// seeded with garbage (dirtyPools), sortAndChop produces value-identical chunks and identical per-round
-// cluster charges to the retained serial reference. Run under -race
-// (make ci) this is also the lock-freedom proof for the partition/
-// scatter/sort passes.
+// seeded with garbage (dirtyPools), sortAndChop produces value-identical
+// chunks and identical per-round cluster charges to the retained serial
+// reference. The sort forks nothing; the width sweep pins that its output
+// does not depend on the width.
 func TestSampleSortParityWithSerialRef(t *testing.T) {
 	const p, n = 16, 20000
 	for _, in := range sortInputs(n) {
@@ -259,30 +280,34 @@ func TestSampleSortParityWithSerialRef(t *testing.T) {
 }
 
 // TestSampleSortPropertyRandomShapes is the property test: on random sizes,
-// key ranges, key shapes and widths (shapedKey) and tag mixes, the parallel
-// rank sort must equal the unique stable (key, tag) sort of the input.
+// key ranges, key shapes and widths (shapedKey) and tag mixes, the rank
+// sort must equal the unique stable (key, tag) sort of the input. Trials
+// alternate the two tag orders: staged in blocks of ascending tag, as the
+// production callers stage them, and drawn at random.
 func TestSampleSortPropertyRandomShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 30; trial++ {
-		n := rng.Intn(3 * sampleSortSerialBelow)
+		n := rng.Intn(3 << 12)
 		if trial%5 == 4 {
 			n = radixBelow - 2 + rng.Intn(5) // straddle the insertion cutoff
 		}
 		keys := 1 + rng.Intn(1+n/(1+rng.Intn(64)))
 		shape, kw, tags := trial%keyShapes, 1+trial%3, 1+rng.Intn(3)
+		staged := trial%2 == 0
 		recs := make([]rec, n)
 		for i := range recs {
-			recs[i] = mkRecShaped(shape, kw, rng.Intn(keys), uint8(rng.Intn(tags)), i)
+			tag := rng.Intn(tags)
+			if staged {
+				tag = i * tags / n
+			}
+			recs[i] = mkRecShaped(shape, kw, rng.Intn(keys), uint8(tag), i)
 		}
 		want := append([]rec(nil), recs...)
 		sort.SliceStable(want, func(i, j int) bool { return recLess(want[i], want[j]) })
 
-		width := 1 + rng.Intn(8)
-		prev := runtime.SetParallelism(width)
 		rc := getRecCols(len(recs))
 		fillRecCols(rc, recs)
-		sampleSortCols(rc, width)
-		runtime.SetParallelism(prev)
+		sampleSortCols(rc)
 
 		got := make([]rec, rc.len())
 		for i := range got {
@@ -290,38 +315,42 @@ func TestSampleSortPropertyRandomShapes(t *testing.T) {
 		}
 		putRecCols(rc)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d (n=%d keys=%d shape=%d kw=%d tags=%d width=%d): parallel sort is not the stable sort",
-				trial, n, keys, shape, kw, tags, width)
+			t.Fatalf("trial %d (n=%d keys=%d shape=%d kw=%d tags=%d staged=%v): the rank sort is not the stable sort",
+				trial, n, keys, shape, kw, tags, staged)
 		}
 	}
 }
 
-// TestSampleSplittersAreSortedAndDistinct pins the splitter contract the
-// range partition depends on: sorted, distinct, and fewer than b.
+// TestSampleSplittersAreSortedAndDistinct pins the rank vector the chunks
+// are cut from: over one heavy key, two keys, a hundred and all distinct,
+// it is a permutation of the rows that is non-decreasing in (key, tag),
+// equal records in input order.
 func TestSampleSplittersAreSortedAndDistinct(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	for _, keys := range []int{1, 2, 100, 1 << 14} {
-		rc := getRecCols(1 << 14)
-		for i := 0; i < 1<<14; i++ {
-			r := mkRec(rng.Intn(keys), 0, i)
+	const n = 1 << 14
+	for _, keys := range []int{1, 2, 100, n} {
+		rc := getRecCols(n)
+		for i := 0; i < n; i++ {
+			r := mkRec(rng.Intn(keys), uint8(rng.Intn(2)), i)
 			rc.append(r.key, r.tag, r.it.T, r.it.A)
 		}
-		for _, b := range []int{2, 3, 8, 32} {
-			sp, nsp := sampleSplitters(rc, b)
-			if nsp >= b {
-				t.Fatalf("keys=%d b=%d: %d splitters", keys, b, nsp)
+		sc := getSortScratch()
+		order := rankSort(rc, sc)
+		seen := make([]bool, n)
+		for j, i := range order {
+			if seen[i] {
+				t.Fatalf("keys=%d: row %d ranked twice", keys, i)
 			}
-			if len(sp) != nsp*rc.kw {
-				t.Fatalf("keys=%d b=%d: flat buffer holds %d values for %d splitters of width %d",
-					keys, b, len(sp), nsp, rc.kw)
+			seen[i] = true
+			if j == 0 {
+				continue
 			}
-			for i := 1; i < nsp; i++ {
-				prev, cur := sp[(i-1)*rc.kw:i*rc.kw], sp[i*rc.kw:(i+1)*rc.kw]
-				if !keyWindowLess(prev, cur) {
-					t.Fatalf("keys=%d b=%d: splitters not sorted-distinct: %v", keys, b, sp)
-				}
+			prev := order[j-1]
+			if rc.less(i, prev) || !rc.less(prev, i) && prev > i {
+				t.Fatalf("keys=%d: rank %d holds row %d after row %d", keys, j, i, prev)
 			}
 		}
+		putSortScratch(sc)
 		putRecCols(rc)
 	}
 }

@@ -28,7 +28,7 @@ type rec struct {
 
 // recLess is the record order of every skew-sensitive primitive: by key,
 // ties broken by tag. recCols.less is the columnar form; the serial
-// reference and the parallel sample sort must agree on it exactly.
+// reference and the rank sort must agree on it exactly.
 func recLess(a, b rec) bool {
 	if a.key != b.key {
 		return a.key < b.key

@@ -10,12 +10,11 @@
 // spreads over consecutive servers instead of hashing onto one; per-chunk
 // boundary information then flows through a coordinator at O(p) load —
 // three rounds per primitive; the semi-join is one such multi-search over
-// x and d's keys together. The simulator runs the sort as a real parallel
-// sample sort over runtime.Fork — splitter sampling, parallel range
-// partition, concurrent per-range sorts — matching the topology the cost
-// model charges. Records live in pooled columnar sets (see reccols.go) and
-// the sort is a radix sort of an int32 rank vector, never of whole records
-// (see samplesort.go).
+// x and d's keys together. The cluster is charged for the sample sort's
+// round; the simulator computes its order with a serial, stable,
+// key-carrying radix sort of an int32 rank vector, never of whole records
+// (see samplesort.go). Records live in pooled columnar sets (see
+// reccols.go).
 package primitives
 
 import (

@@ -19,7 +19,11 @@
 #               distance (its own run-to-run spread);
 #   loss        the same with the sides swapped;
 #   unresolved  anything else.
-# A claim is read off its one row. Nothing under bench/ is touched.
+# A claim is read off its one row. The summary ends with one line per exact
+# metric (load_max, load_over_linear, rounds, comm_tuples, dispatch_regret,
+# failed_frac): "identical in N/N pairs", or the first pair and workload
+# where parent and change differ, with both values. Nothing under bench/ is
+# touched.
 set -euo pipefail
 
 ref=${1:?usage: scripts/bench-pairs.sh REF [N] [WORKLOADS]}
@@ -65,6 +69,10 @@ function quantile(a, m, q,    i, j, t, s, h, lo) {
 	h = 1 + (m - 1) * q; lo = int(h)
 	return lo >= m ? s[m] : s[lo] + (h - lo) * (s[lo+1] - s[lo])
 }
+BEGIN {
+	ne = split("load_max load_over_linear rounds comm_tuples dispatch_regret failed_frac", exactNames, " ")
+	for (e = 1; e <= ne; e++) exact[exactNames[e]] = 1
+}
 FILENAME ~ /BENCHMARK.json$/ {
 	if ($0 ~ /"end_to_end"/) e2e = 1
 	if ($0 ~ /"per_layer"/) e2e = 0
@@ -77,6 +85,16 @@ NF == 7 && ($2 in better) && $7 ~ /^(better|worse|same|unresolved)$/ {
 	if (!(k in cnt)) keys[++nk] = k
 	c = ++cnt[k]
 	old[k, c] = $3; new[k, c] = $4
+}
+# Exact metrics are judged by their verdict, which compare.go takes from the
+# unrounded values; the change column is empty when the parent reads 0.
+$2 in exact && $NF ~ /^(better|worse|same)$/ {
+	pair = FILENAME; sub(/.*compare_/, "", pair); sub(/\.txt$/, "", pair); pair += 0
+	inPair[$2, pair] = 1
+	if ($NF != "same" && !(($2, pair) in differs)) {
+		differs[$2, pair] = 1
+		if (!($2 in firstPair) || pair < firstPair[$2]) { firstPair[$2] = pair; firstAt[$2] = $1 ": parent " $3 ", change " $4 }
+	}
 }
 END {
 	printf "%-16s %-18s %12s %12s %8s %6s %12s %12s %s\n", "workload", "metric", "parent_med", "change_med",
@@ -99,5 +117,18 @@ END {
 		if (10 * lost >= 9 * m && -gap > q3 - q1) verdict = "loss"
 		printf "%-16s %-18s %12.6g %12.6g %8s %3d/%-2d %12.6g %12.6g %s\n", wm[1], wm[2], pm, cm,
 			ratio, won, m, q1, q3, verdict
+	}
+	for (e = 1; e <= ne; e++) {
+		x = exactNames[e]; total = 0; same = 0
+		for (k in inPair) {
+			split(k, xp, SUBSEP)
+			if (xp[1] != x) continue
+			total++
+			if (!(k in differs)) same++
+		}
+		if (x in firstPair)
+			printf "exact %-18s identical in %d/%d pairs; first differs in pair %d, %s\n", x, same, total, firstPair[x], firstAt[x]
+		else
+			printf "exact %-18s identical in %d/%d pairs\n", x, same, total
 	}
 }' "$root/BENCHMARK.json" "$pairs"/compare_*.txt
