@@ -192,15 +192,16 @@ bench-e2e-smoke:
 # bench-pairs runs N alternating pairs of the BENCHMARK.json benchmark,
 # commit REF against the working tree, and prints the per-pair verdicts and,
 # per workload and metric, the medians, ratio median, pairs won, the
-# parent's quartiles and a gain/loss/unresolved verdict
+# parent's quartiles and a gain/loss/unresolved verdict, a loss read against
+# the metric's BENCHMARK.json bound
 # (scripts/bench-pairs.sh). A full pair is two ≈ 95 s runs; WORKLOADS=a,b
-# narrows both sides.
+# narrows both sides and SEED=n runs both on the benchmark's --seed n.
 #
-#	make bench-pairs REF=HEAD~1 N=10 WORKLOADS=rhier_skew
+#	make bench-pairs REF=HEAD~1 N=10 WORKLOADS=rhier_skew SEED=7
 N ?= 10
 bench-pairs:
-	@test -n "$(REF)" || { echo "usage: make bench-pairs REF=<commit> [N=10] [WORKLOADS=a,b]"; exit 2; }
-	bash scripts/bench-pairs.sh "$(REF)" "$(N)" "$(WORKLOADS)"
+	@test -n "$(REF)" || { echo "usage: make bench-pairs REF=<commit> [N=10] [WORKLOADS=a,b] [SEED=n]"; exit 2; }
+	bash scripts/bench-pairs.sh "$(REF)" "$(N)" "$(WORKLOADS)" "$(SEED)"
 
 experiments:
 	$(GO) run ./cmd/experiments

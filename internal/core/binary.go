@@ -11,12 +11,11 @@ import (
 	"repro/internal/runtime"
 )
 
-// Synthetic attributes used to carry per-tuple statistics through
-// exchanges. Negative ids cannot collide with query attributes.
+// Synthetic attributes of the degree table jd's two degree columns.
+// Negative ids cannot collide with query attributes.
 const (
 	synthDA relation.Attr = -101
 	synthDB relation.Attr = -102
-	synthN  relation.Attr = -103
 )
 
 // BinaryJoin computes a ⋈ b with the output-optimal load O(IN/p + √(OUT/p))
@@ -26,9 +25,10 @@ const (
 // exceeds the target load L0 = IN/p + √(OUT/p) or its output da·db exceeds
 // OUT/p. Each heavy key gets its own ⌈da/L0⌉ × ⌈db/L0⌉ server grid
 // (fragment-replicate), which bounds its per-server input by 2·L0 and
-// output by ~OUT/p; light keys are hashed. The result stays distributed on
-// the servers that produced it, its rows laid out as a's columns followed
-// by b's new ones.
+// output by ~OUT/p; light keys are hashed. Tuples are routed by their key's
+// entry in the broadcast directory of O(p) heavy keys, not by degrees they
+// carry. The result stays distributed on the servers that produced it, its
+// rows laid out as a's columns followed by b's new ones.
 //
 // em (optional) observes the finished result row by row. It is the one
 // observer parameter left on a join: the top-level algorithms just return
@@ -104,30 +104,31 @@ func binaryJoin(a, b *mpc.Dist, outSchema relation.Schema, ring relation.Semirin
 	defer dir.idx.Release()
 	chargeDirectory(c, len(dir.grids))
 
-	// Attach (da, db) to every tuple (multi-search); tuples whose key is
-	// missing from the directory side cannot join and are dropped here.
-	ax := attachDegrees(a, shared, jd)
-	bx := attachDegrees(b, shared, jd)
+	// Tuples whose key is missing from jd cannot join and are dropped here
+	// (jd has one row per key, so the semi-join is one multi-search).
+	ax := primitives.SemiJoin(a, shared, jd, shared)
+	bx := primitives.SemiJoin(b, shared, jd, shared)
 
 	aPosKey := ax.Positions(shared)
 	bPosKey := bx.Positions(shared)
-	heavy := func(da, db int64) bool {
-		return da > l0 || db > l0 || da*db > (out+int64(c.P)-1)/int64(c.P)
-	}
 
-	// Destinations are hashed straight off the flat rows (HashTupleAt is
-	// bit-identical to hashing the encoded key or tuple) and appended to
-	// the exchange's per-task scratch: routing allocates nothing per row.
+	// A tuple is heavy iff its key is in the directory (buildGrid admits
+	// exactly the keys over the degree thresholds); its grid cell hashes
+	// the row followed by the key's (da, db). Destinations are hashed
+	// straight off the flat rows and appended to the exchange's per-task
+	// scratch: routing allocates nothing per row.
 	routeSide := func(d *mpc.Dist, keyPos []int, isA bool, salt uint64) *mpc.Dist {
 		whole := identityPos(len(d.Schema))
 		return d.ReplicateAppend(func(it mpc.Item, dst []int) []int {
-			n := len(it.T)
-			da, db := int64(it.T[n-2]), int64(it.T[n-1])
-			if !heavy(da, db) {
+			r := -1
+			if len(dir.grids) > 0 {
+				r = dir.idx.First(it.T, keyPos)
+			}
+			if r < 0 {
 				return append(dst, int(mpc.HashTupleAt(it.T, keyPos, seed^0x10)%uint64(c.P)))
 			}
-			g := dir.grids[dir.idx.First(it.T, keyPos)]
-			h := mpc.HashTupleAt(it.T, whole, salt)
+			g := dir.grids[r]
+			h := mpc.HashTupleAtWith(it.T, whole, salt, g.da, g.db)
 			if isA {
 				row := int(h % uint64(g.rows))
 				for col := 0; col < g.cols; col++ {
@@ -161,9 +162,10 @@ func binaryJoin(a, b *mpc.Dist, outSchema relation.Schema, ring relation.Semirin
 	return res
 }
 
-// gridInfo describes the server grid of one heavy key.
+// gridInfo describes the server grid of one heavy key and its degrees.
 type gridInfo struct {
 	base, rows, cols int
+	da, db           relation.Value
 }
 
 // gridDir is the heavy-key directory: one row of keys per heavy key, found
@@ -243,7 +245,7 @@ func buildGrid(jd *mpc.Dist, kw int, l0, out int64, p int) *gridDir {
 		dims := []int{rows, cols}
 		size := clampDims(dims, p)
 		copy(dir.keys.AppendRow(1), h[:kw])
-		dir.grids[i] = gridInfo{base: base % p, rows: dims[0], cols: dims[1]}
+		dir.grids[i] = gridInfo{base: base % p, rows: dims[0], cols: dims[1], da: h[kw], db: h[kw+1]}
 		base += size
 	}
 	dir.idx = mpc.IndexRows(&dir.keys, identityPos(kw))
@@ -264,24 +266,4 @@ func chargeDirectory(c *mpc.Cluster, n int) {
 		loads[i] = n
 	}
 	c.ChargeRound(loads)
-}
-
-// attachDegrees extends every tuple of d with the (da, db) of its key via
-// the sorted lookup; tuples without a directory entry are dropped. Lookup
-// copies each returned item before it asks for the next, so one scratch
-// tuple serves every row.
-func attachDegrees(d *mpc.Dist, shared relation.Schema, jd *mpc.Dist) *mpc.Dist {
-	keyAttrs := []relation.Attr(shared)
-	outSchema := append(append(relation.Schema{}, d.Schema...), synthDA, synthDB)
-	jdN := len(jd.Schema)
-	t := make(relation.Tuple, len(outSchema))
-	return primitives.Lookup(d, keyAttrs, jd, keyAttrs, outSchema,
-		func(it mpc.Item, r primitives.LookupResult) (mpc.Item, bool) {
-			if !r.Found {
-				return mpc.Item{}, false
-			}
-			n := copy(t, it.T)
-			t[n], t[n+1] = r.DTuple[jdN-2], r.DTuple[jdN-1]
-			return mpc.Item{T: t, A: it.A}, true
-		})
 }

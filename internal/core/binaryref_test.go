@@ -1,0 +1,146 @@
+package core
+
+import (
+	"math"
+
+	"repro/internal/mpc"
+	"repro/internal/primitives"
+	"repro/internal/relation"
+	"repro/internal/runtime"
+)
+
+// The retained routing of binaryJoin, kept as the reference the directory
+// router is pinned against: every input tuple is widened with its key's
+// (da, db) by a Lookup multi-search, the router reads heavy or light off
+// those two columns, and the widened rows travel through the exchange. The
+// body is the production one before routing moved to the directory,
+// verbatim; buildGrid and chargeDirectory are shared.
+
+// BinaryJoinRef is BinaryJoin on the retained routing, without an observer.
+// heavy is the number of keys its directory holds, so a test can tell the
+// grid path ran. It is exported for the external test package, which builds
+// instances through gen.
+func BinaryJoinRef(a, b *mpc.Dist, ring relation.Semiring, seed uint64) (res *mpc.Dist, heavy int) {
+	return binaryJoinRef(a, b, a.Schema.Union(b.Schema), ring, seed)
+}
+
+// YannakakisRef is Yannakakis in its default join order with every binary
+// join on the retained routing.
+func YannakakisRef(c *mpc.Cluster, in *Instance, seed uint64) *mpc.Dist {
+	order := DefaultJoinOrder(in.Q)
+	dists := LoadInstance(c, in)
+	dists = FullReduce(in, dists)
+	acc := dists[order[0]]
+	for i := 1; i < len(order); i++ {
+		layout := acc.Schema.Union(dists[order[i]].Schema)
+		if i == len(order)-1 {
+			layout = in.OutputSchema()
+		}
+		acc, _ = binaryJoinRef(acc, dists[order[i]], layout, in.Ring, seed+uint64(7*i))
+	}
+	return acc
+}
+
+func binaryJoinRef(a, b *mpc.Dist, outSchema relation.Schema, ring relation.Semiring, seed uint64) (*mpc.Dist, int) {
+	c := a.C
+	shared := a.Schema.Intersect(b.Schema)
+
+	// Per-key degrees on both sides, co-located by key.
+	dA := primitives.CountByKey(a, shared, seed^0x1)
+	dB := primitives.CountByKey(b, shared, seed^0x2)
+	jd := joinDegrees(dA, dB, shared, seed^0x3)
+
+	// OUT = Σ_k da·db and the heavy-key directory, known cluster-wide.
+	out := int64(0)
+	for s := range jd.Parts {
+		part := &jd.Parts[s]
+		for i := 0; i < part.Len(); i++ {
+			t := part.Tuple(i)
+			da, db := int64(t[len(t)-2]), int64(t[len(t)-1])
+			out += da * db
+		}
+	}
+	primitives.TotalCount(jd) // charges the coordinator aggregation
+
+	if out == 0 {
+		return mpc.NewDist(c, outSchema), 0
+	}
+	inSize := int64(a.Size() + b.Size())
+	l0 := inSize/int64(c.P) + int64(math.Ceil(math.Sqrt(float64(out)/float64(c.P))))
+	if l0 < 1 {
+		l0 = 1
+	}
+	dir := buildGrid(jd, len(shared), l0, out, c.P)
+	defer dir.idx.Release()
+	chargeDirectory(c, len(dir.grids))
+
+	// Attach (da, db) to every tuple (multi-search); tuples whose key is
+	// missing from the directory side cannot join and are dropped here.
+	ax := attachDegrees(a, shared, jd)
+	bx := attachDegrees(b, shared, jd)
+
+	aPosKey := ax.Positions(shared)
+	bPosKey := bx.Positions(shared)
+	heavy := func(da, db int64) bool {
+		return da > l0 || db > l0 || da*db > (out+int64(c.P)-1)/int64(c.P)
+	}
+
+	routeSide := func(d *mpc.Dist, keyPos []int, isA bool, salt uint64) *mpc.Dist {
+		whole := identityPos(len(d.Schema))
+		return d.ReplicateAppend(func(it mpc.Item, dst []int) []int {
+			n := len(it.T)
+			da, db := int64(it.T[n-2]), int64(it.T[n-1])
+			if !heavy(da, db) {
+				return append(dst, int(mpc.HashTupleAt(it.T, keyPos, seed^0x10)%uint64(c.P)))
+			}
+			g := dir.grids[dir.idx.First(it.T, keyPos)]
+			h := mpc.HashTupleAt(it.T, whole, salt)
+			if isA {
+				row := int(h % uint64(g.rows))
+				for col := 0; col < g.cols; col++ {
+					dst = append(dst, (g.base+row*g.cols+col)%c.P)
+				}
+				return dst
+			}
+			col := int(h % uint64(g.cols))
+			for row := 0; row < g.rows; row++ {
+				dst = append(dst, (g.base+row*g.cols+col)%c.P)
+			}
+			return dst
+		})
+	}
+	ra := routeSide(ax, aPosKey, true, seed^0x20)
+	rb := routeSide(bx, bPosKey, false, seed^0x21)
+
+	res := mpc.NewDist(c, outSchema)
+	bExtra := []relation.Attr(b.Schema.Minus(a.Schema))
+	stages := []joinStage{
+		{src: identityPos(len(a.Schema)), dst: outSchema.Positions(a.Schema)},
+		{keyPos: bPosKey, keyOut: outSchema.Positions(shared), src: rb.Positions(bExtra), dst: outSchema.Positions(bExtra)},
+	}
+	inputs := []*mpc.Dist{ra, rb}
+	runtime.Fork(c.P, func(s int) {
+		indexJoin(&res.Parts[s], len(outSchema), stagesAt(stages, inputs, s), nil, ring)
+	})
+	return res, len(dir.grids)
+}
+
+// attachDegrees extends every tuple of d with the (da, db) of its key via
+// the sorted lookup; tuples without a directory entry are dropped. Lookup
+// copies each returned item before it asks for the next, so one scratch
+// tuple serves every row.
+func attachDegrees(d *mpc.Dist, shared relation.Schema, jd *mpc.Dist) *mpc.Dist {
+	keyAttrs := []relation.Attr(shared)
+	outSchema := append(append(relation.Schema{}, d.Schema...), synthDA, synthDB)
+	jdN := len(jd.Schema)
+	t := make(relation.Tuple, len(outSchema))
+	return primitives.Lookup(d, keyAttrs, jd, keyAttrs, outSchema,
+		func(it mpc.Item, r primitives.LookupResult) (mpc.Item, bool) {
+			if !r.Found {
+				return mpc.Item{}, false
+			}
+			n := copy(t, it.T)
+			t[n], t[n+1] = r.DTuple[jdN-2], r.DTuple[jdN-1]
+			return mpc.Item{T: t, A: it.A}, true
+		})
+}

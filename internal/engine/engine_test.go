@@ -379,36 +379,67 @@ func TestMaterializedResultHoldsOneCopy(t *testing.T) {
 // copies of the output — reads 71–72 MB the same way.
 func TestAcyclicAssemblesOutputOnce(t *testing.T) {
 	const ceilingMB = 47.6 * 1.1
-	if bi, _ := debug.ReadBuildInfo(); bi != nil && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
-		t.Skip("the race detector's sync.Pool drops buffers at random: the bytes would measure the detector")
-	}
 	in, err := gen.Build("doubled", mpc.NewRng(2019), 8192, 131072)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, mb := coldAllocMB(t, "acyclic", in)
+	if res.OUT != 262144 {
+		t.Fatalf("OUT = %d, want the doubled instance's 262 144", res.OUT)
+	}
+	if mb > ceilingMB {
+		t.Errorf("acyclic allocates %.1f MB on the doubled instance, ceiling %.1f MB — the output is copied more than once",
+			mb, ceilingMB)
+	}
+}
+
+// TestBinaryJoinRoutesByDirectory pins what yannakakis allocates on the
+// random line3 instance (IN ≈ 8 k, OUT ≈ 16·IN): each binary join semi-joins
+// its inputs against the degree table and routes them by the broadcast
+// heavy directory, so no input row is copied with its key's degrees
+// appended, grown row by row, or carried through the exchange in two extra
+// columns. Measured 8.37 MB at width 2 on cold pools with the collector
+// off; the ceiling is that plus 10 %. Widening every row by a Lookup
+// multi-search and routing the widened rows reads 12.30 MB the same way.
+func TestBinaryJoinRoutesByDirectory(t *testing.T) {
+	const ceilingMB = 8.37 * 1.1
+	in, err := gen.Build("random", mpc.NewRng(2019), 8192, 131072)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, mb := coldAllocMB(t, "yannakakis", in)
+	if res.OUT < 8192 {
+		t.Fatalf("OUT = %d — the instance no longer exercises an output-dominated join", res.OUT)
+	}
+	if mb > ceilingMB {
+		t.Errorf("yannakakis allocates %.1f MB on the random line3 instance, ceiling %.1f MB — the binary joins widen their inputs again",
+			mb, ceilingMB)
+	}
+}
+
+// coldAllocMB runs the named algorithm on in (p = 16, width 2) and returns
+// its result and the MB it allocated. Cold pools and no collection while
+// counting: two collections empty the data plane's sync.Pools (primary,
+// then victim), and with the collector off none is emptied mid-run, so
+// every scratch buffer is allocated exactly once whatever ran before.
+func coldAllocMB(t *testing.T, algo string, in *core.Instance) (engine.Result, float64) {
+	t.Helper()
+	if bi, _ := debug.ReadBuildInfo(); bi != nil && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+		t.Skip("the race detector's sync.Pool drops buffers at random: the bytes would measure the detector")
+	}
 	prev := runtime.SetParallelism(2)
 	defer runtime.SetParallelism(prev)
-	// Cold pools and no collection while counting: two collections empty
-	// the data plane's sync.Pools (primary, then victim), and with the
-	// collector off none is emptied mid-run, so every scratch buffer is
-	// allocated exactly once whatever ran before.
 	stdruntime.GC()
 	stdruntime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after stdruntime.MemStats
 	stdruntime.ReadMemStats(&before)
-	res, err := engine.RunNamed("acyclic", engine.Job{In: in, P: 16, Seed: 2019})
+	res, err := engine.RunNamed(algo, engine.Job{In: in, P: 16, Seed: 2019})
 	stdruntime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.OUT != 262144 {
-		t.Fatalf("OUT = %d, want the doubled instance's 262 144", res.OUT)
-	}
-	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb > ceilingMB {
-		t.Errorf("acyclic allocates %.1f MB on the doubled instance, ceiling %.1f MB — the output is copied more than once",
-			mb, ceilingMB)
-	}
+	return res, float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
 }
 
 // TestResultIsTheDist pins the one result path: for every catalog query and

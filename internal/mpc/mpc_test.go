@@ -1,6 +1,7 @@
 package mpc
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -313,6 +314,59 @@ func TestHashTupleAtMatchesHash64(t *testing.T) {
 		if got, want := HashTupleAt(tu, pos, salt), Hash64(relation.KeyAt(tu, pos), salt); got != want {
 			t.Fatalf("trial %d: HashTupleAt=%#x, Hash64(KeyAt)=%#x (tuple %v, pos %v, salt %#x)",
 				trial, got, want, tu, pos, salt)
+		}
+	}
+}
+
+// TestHashTupleAtWithMatchesWidenedRow pins the identity the binary join's
+// heavy-key router depends on: HashTupleAtWith(t, pos, salt, u, v) equals
+// HashTupleAt of the row t ++ [u, v] over pos ++ [w, w+1], for tuple widths
+// 0–4, random and repeated positions, several salts, and the values whose
+// order encoding is extreme (0, −1, MinInt64, MaxInt64) in the row and in
+// the tail.
+func TestHashTupleAtWithMatchesWidenedRow(t *testing.T) {
+	specials := []relation.Value{0, -1, math.MinInt64, math.MaxInt64}
+	rng := NewRng(29)
+	value := func() relation.Value {
+		if rng.Intn(2) == 0 {
+			return specials[rng.Intn(len(specials))]
+		}
+		return relation.Value(rng.Next()) >> uint(rng.Intn(64))
+	}
+	salts := []uint64{0, 1, 0x10, math.MaxUint64, rng.Next()}
+	for width := 0; width <= 4; width++ {
+		for trial := 0; trial < 200; trial++ {
+			tu := make(relation.Tuple, width)
+			for i := range tu {
+				tu[i] = value()
+			}
+			var pos []int
+			switch {
+			case width == 0:
+			case trial%3 == 0: // every position once, the router's whole row
+				for i := 0; i < width; i++ {
+					pos = append(pos, i)
+				}
+			case trial%3 == 1: // one position repeated
+				pos = []int{rng.Intn(width), rng.Intn(width)}
+				pos = append(pos, pos[0], pos[1], pos[0])
+			default:
+				pos = make([]int, rng.Intn(2*width+1))
+				for i := range pos {
+					pos[i] = rng.Intn(width)
+				}
+			}
+			u, v := value(), value()
+			if trial < len(specials)*len(specials) {
+				u, v = specials[trial/len(specials)], specials[trial%len(specials)]
+			}
+			salt := salts[trial%len(salts)]
+			wide := append(append(relation.Tuple{}, tu...), u, v)
+			widePos := append(append([]int{}, pos...), width, width+1)
+			if got, want := HashTupleAtWith(tu, pos, salt, u, v), HashTupleAt(wide, widePos, salt); got != want {
+				t.Fatalf("width %d, trial %d: HashTupleAtWith=%#x, HashTupleAt(widened)=%#x (tuple %v, pos %v, tail %d %d, salt %#x)",
+					width, trial, got, want, tu, pos, u, v, salt)
+			}
 		}
 	}
 }

@@ -87,6 +87,19 @@ func HashTupleAt(t relation.Tuple, pos []int, salt uint64) uint64 {
 	return hashFinalize(h)
 }
 
+// HashTupleAtWith is HashTupleAt(t ++ [u, v], pos ++ [len(t), len(t)+1],
+// salt) without widening the row: the same fold, continued over u and v.
+//
+//lint:alloc-ceiling
+func HashTupleAtWith(t relation.Tuple, pos []int, salt uint64, u, v relation.Value) uint64 {
+	h := uint64(14695981039346656037) ^ (salt * 0x9e3779b97f4a7c15)
+	for _, p := range pos {
+		h = fnvValue(h, uint64(t[p])^(1<<63))
+	}
+	h = fnvValue(h, uint64(u)^(1<<63))
+	return hashFinalize(fnvValue(h, uint64(v)^(1<<63)))
+}
+
 // fnvValue folds one order-encoded value into the running FNV-1a state as
 // 8 big-endian bytes — the unrolled body of Hash64's byte loop, kept
 // bit-identical to it (the golden tables pin the routing this produces).

@@ -3,13 +3,15 @@
 # behind every timing claim in CHANGES.md, which asks for a gain to hold in
 # pair after pair rather than in one run of each side.
 #
-#   scripts/bench-pairs.sh REF [N] [WORKLOADS]      (make bench-pairs REF=… N=… WORKLOADS=a,b)
+#   scripts/bench-pairs.sh REF [N] [WORKLOADS] [SEED]   (make bench-pairs REF=… N=… WORKLOADS=a,b SEED=7)
 #
 # REF is archived into .bench_build/ref/ (so it builds from its own source,
 # as the BENCHMARK.json pipeline does) and the working tree is the change.
 # Each of the N pairs runs `bash bench/run.sh` once per side, odd pairs the
 # parent first, even pairs the change first, so drift of the machine falls
-# on both sides alike. Every results.json is kept under .bench_build/pairs/.
+# on both sides alike. SEED, when given, is passed to both sides as --seed,
+# so a claim can be re-read on instances other than the default seed's.
+# Every results.json is kept under .bench_build/pairs/.
 # Printed: `bench/run.sh --compare parent_i change_i` per pair, then per
 # (workload, end-to-end metric of BENCHMARK.json) both sides' medians, the
 # median of the per-pair ratios change/parent, the pairs the change won
@@ -17,8 +19,11 @@
 #   gain        the change won at least 9 in 10 pairs, and the medians
 #               differ in its favour by more than the parent's quartile
 #               distance (its own run-to-run spread);
-#   loss        the same with the sides swapped;
-#   unresolved  anything else.
+#   loss (in bound)    the same with the sides swapped, the change's median
+#                      worse than the parent's by at most the metric's
+#                      BENCHMARK.json bound;
+#   loss (past bound)  such a loss by more than the bound;
+#   unresolved         anything else.
 # A claim is read off its one row. The summary ends with one line per exact
 # metric (load_max, load_over_linear, rounds, comm_tuples, dispatch_regret,
 # failed_frac): "identical in N/N pairs", or the first pair and workload
@@ -26,9 +31,10 @@
 # touched.
 set -euo pipefail
 
-ref=${1:?usage: scripts/bench-pairs.sh REF [N] [WORKLOADS]}
+ref=${1:?usage: scripts/bench-pairs.sh REF [N] [WORKLOADS] [SEED]}
 n=${2:-10}
 workloads=${3:-}
+seed=${4:-}
 
 root=$(cd "$(dirname "$0")/.." && pwd)
 build=$root/.bench_build
@@ -39,7 +45,7 @@ git -C "$root" archive "$ref" | tar -x -C "$build/ref"
 
 # side <name> <checkout> <pair>: one full run of that checkout's benchmark.
 side() {
-	bash "$2/bench/run.sh" ${workloads:+--workload "$workloads"} --out "$pairs/$1_$3" > "$pairs/$1_$3.log"
+	bash "$2/bench/run.sh" ${workloads:+--workload "$workloads"} ${seed:+--seed "$seed"} --out "$pairs/$1_$3" > "$pairs/$1_$3.log"
 }
 
 for i in $(seq 1 "$n"); do
@@ -58,7 +64,8 @@ done
 
 # The summary reads the compare tables back: rows are
 #   workload metric old new change bound verdict
-# and the direction of each end-to-end metric comes from BENCHMARK.json.
+# and the direction and bound of each end-to-end metric come from
+# BENCHMARK.json.
 echo "== summary over $n pairs: ratio = change / parent"
 awk '
 # quantile q of a[1..m], linear between the order statistics around
@@ -78,6 +85,7 @@ FILENAME ~ /BENCHMARK.json$/ {
 	if ($0 ~ /"per_layer"/) e2e = 0
 	if (e2e && $1 == "\"name\":") { name = $2; gsub(/[",]/, "", name) }
 	if (e2e && $1 == "\"better\":") { dir = $2; gsub(/[",]/, "", dir); better[name] = dir }
+	if (e2e && $1 == "\"bound\":") { b = $2; gsub(/[",]/, "", b); bound[name] = b + 0 }
 	next
 }
 NF == 7 && ($2 in better) && $7 ~ /^(better|worse|same|unresolved)$/ {
@@ -114,7 +122,10 @@ END {
 		gap = lower ? pm - cm : cm - pm # > 0: the change is better
 		verdict = "unresolved"
 		if (10 * won >= 9 * m && gap > q3 - q1) verdict = "gain"
-		if (10 * lost >= 9 * m && -gap > q3 - q1) verdict = "loss"
+		# A loss is in bound when the median of the change is worse than the
+		# median of the parent by at most the bound, a fraction of the latter.
+		if (10 * lost >= 9 * m && -gap > q3 - q1)
+			verdict = -gap <= bound[wm[2]] * (pm < 0 ? -pm : pm) ? "loss (in bound)" : "loss (past bound)"
 		printf "%-16s %-18s %12.6g %12.6g %8s %3d/%-2d %12.6g %12.6g %s\n", wm[1], wm[2], pm, cm,
 			ratio, won, m, q1, q3, verdict
 	}
