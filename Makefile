@@ -119,11 +119,13 @@ cover:
 	done
 
 # fuzz-smoke runs each native fuzz target for FUZZTIME: the exchange, the
-# sample sort, the local join kernel, the word-keyed aggregation side and
-# the one-sort semi-join must stay value-identical to their retained
-# references on randomized inputs, widths, and pool states.
+# sample sort, the local join kernel, the row index under it, the
+# word-keyed aggregation side and the one-sort semi-join must stay
+# value-identical to their retained references on randomized inputs,
+# widths, and pool states.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzExchangeParity$$' -fuzztime $(FUZZTIME) ./internal/mpc
+	$(GO) test -run '^$$' -fuzz '^FuzzRowIndexParity$$' -fuzztime $(FUZZTIME) ./internal/mpc
 	$(GO) test -run '^$$' -fuzz '^FuzzSampleSortParity$$' -fuzztime $(FUZZTIME) ./internal/primitives
 	$(GO) test -run '^$$' -fuzz '^FuzzLocalJoinParity$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzSumByKeyParity$$' -fuzztime $(FUZZTIME) ./internal/primitives

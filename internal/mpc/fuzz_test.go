@@ -1,6 +1,7 @@
 package mpc
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -130,6 +131,120 @@ func FuzzExchangeParity(f *testing.F) {
 		}
 		if !partsEqual(expect, flat) {
 			t.Fatalf("per-row→flat roundtrip differs from Append reference (n=%d w=%d p=%d)", nn, w, pp)
+		}
+	})
+}
+
+// FuzzRowIndexParity fuzzes the row index against a map from key to row
+// list: random parts of widths 0–4, key positions with repeats (and none),
+// words from a small domain or from the full int64 range with its extremes.
+// Every row's key must hit with its whole chain in insertion order, a
+// near-miss of each key must agree with the map, Opens(i) must mark exactly
+// the first row of each key and Groups() must count the keys. Probes hold
+// the key at other positions than the indexed rows do, and the pool arrays
+// are dirtied with sentinels before the build. Run continuously by `make
+// fuzz-smoke` (part of ci).
+func FuzzRowIndexParity(f *testing.F) {
+	f.Add(uint64(1), uint16(500), uint8(3), uint8(2), uint8(6), false)
+	f.Add(uint64(2), uint16(700), uint8(4), uint8(3), uint8(3), true)
+	f.Add(uint64(3), uint16(300), uint8(2), uint8(4), uint8(1), false) // one heavy key, repeated positions
+	f.Add(uint64(4), uint16(200), uint8(0), uint8(2), uint8(5), false) // width 0: the keyless group
+	f.Add(uint64(5), uint16(400), uint8(1), uint8(0), uint8(9), true)  // empty pos
+	f.Add(uint64(6), uint16(0), uint8(3), uint8(1), uint8(4), false)   // empty part
+	f.Add(uint64(7), uint16(1), uint8(1), uint8(1), uint8(4), true)    // single row
+
+	extremes := []relation.Value{0, -1, 1, math.MinInt64, math.MaxInt64, math.MinInt64 + 1, math.MaxInt64 - 1}
+
+	f.Fuzz(func(t *testing.T, seed uint64, n uint16, width, keys, dom uint8, wide bool) {
+		rng := NewRng(seed)
+		nn := int(n) % 2048
+		w := int(width) % 5
+		word := func() relation.Value {
+			if !wide {
+				return relation.Value(rng.Intn(int(dom)%12 + 1))
+			}
+			if rng.Intn(2) == 0 {
+				return extremes[rng.Intn(len(extremes))]
+			}
+			return relation.Value(rng.Next())
+		}
+		var pos []int
+		if w > 0 {
+			for k := int(keys) % 4; k > 0; k-- {
+				pos = append(pos, rng.Intn(w))
+			}
+		}
+
+		// Dirty the pool: whatever the build takes from it held other data.
+		for _, size := range []int{8, 2 * nn, 4 * nn, 8 * nn} {
+			s := getInt32Cap(size)[:size]
+			for i := range s {
+				s[i] = int32(-7 - i)
+			}
+			putInt32(s)
+		}
+
+		var cols Columns
+		row := make(relation.Tuple, w)
+		for i := 0; i < nn; i++ {
+			for j := range row {
+				row[j] = word()
+			}
+			cols.Append(row, 1)
+		}
+		want := map[string][]int{}
+		for i := 0; i < nn; i++ {
+			k := relation.KeyAt(cols.Tuple(i), pos)
+			want[k] = append(want[k], i)
+		}
+
+		ix := IndexRows(&cols, pos)
+		defer ix.Release()
+		if ix.Groups() != len(want) {
+			t.Fatalf("Groups() = %d, want %d", ix.Groups(), len(want))
+		}
+		for i := 0; i < nn; i++ {
+			k := relation.KeyAt(cols.Tuple(i), pos)
+			if ix.Opens(i) != (want[k][0] == i) {
+				t.Fatalf("Opens(%d) = %v, first row of its key is %d", i, ix.Opens(i), want[k][0])
+			}
+		}
+
+		// The probe holds the key reversed, after one filler word.
+		probe := make(relation.Tuple, len(pos)+1)
+		ppos := make([]int, len(pos))
+		for k := range pos {
+			ppos[k] = len(pos) - k
+		}
+		check := func(key relation.Tuple) {
+			probe[0] = word()
+			for k := range pos {
+				probe[ppos[k]] = key[k]
+			}
+			var got []int
+			for r := ix.First(probe, ppos); r >= 0; r = ix.Next(r) {
+				got = append(got, r)
+			}
+			if exp := want[relation.KeyAt(probe, ppos)]; !reflect.DeepEqual(got, exp) {
+				t.Fatalf("key %v (pos %v, w=%d): chain %v, want %v", key, pos, w, got, exp)
+			}
+		}
+		key := make(relation.Tuple, len(pos))
+		for i := 0; i < nn; i++ {
+			for k, p := range pos {
+				key[k] = cols.Tuple(i)[p]
+			}
+			check(key) // hits
+			if len(key) > 0 {
+				key[rng.Intn(len(key))]++ // a near-miss: absent unless another row holds it
+				check(key)
+			}
+		}
+		for i := 0; i < 64 && len(pos) > 0; i++ {
+			for k := range key {
+				key[k] = word()
+			}
+			check(key)
 		}
 	})
 }

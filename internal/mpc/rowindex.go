@@ -2,6 +2,7 @@ package mpc
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/relation"
 )
@@ -11,17 +12,22 @@ import (
 // addressed by row number, so a local join walks flat buffers and int32
 // chains — no key string, no per-row Item, no per-key slice. The table is
 // open-addressed (linear probing over a power-of-two slot array, at most
-// half full); keys are hashed straight off the flat buffer (HashTupleAt)
-// and compared word-wise. Rows with equal keys are chained through next in
-// insertion order, so iterating a group visits its rows exactly as the
-// map-of-slices joins this replaces did.
+// half full). Keys are hashed straight off the flat buffer by slotHash, a
+// word-wise multiply mixer private to the index: unlike the routing hashes
+// (HashTupleAt and friends, whose destinations the golden tables pin), its
+// values never reach a caller, so it is free to change. Each slot keeps the
+// high half of its key's hash as a tag, and a probe compares tags before it
+// loads a row, so a collision costs no row load; equal tags are confirmed
+// word-wise. Rows with equal keys are chained through next in insertion
+// order, so iterating a group visits its rows exactly as the map-of-slices
+// joins this replaces did.
 //
 // Both arrays come from the exchange's int32 pool; Release returns them. A
 // built index is read-only and safe for concurrent lookups.
 type RowIndex struct {
 	cols   *Columns
 	pos    []int
-	slots  []int32 // slot → first row of its group + 1; 0 = empty
+	slots  []int32 // slot pairs: first row of the group + 1 (0 = empty), then its tag
 	next   []int32 // row → next row with the same key + 1 (0 ends the chain), | displaced
 	groups int     // distinct keys
 }
@@ -30,6 +36,28 @@ type RowIndex struct {
 // row with the same key took its place as the head of the group, so the
 // rows that open a group are exactly the ones without it.
 const displaced = math.MinInt32
+
+// slotSeed and slotMul drive slotHash: per key word, the state is xored
+// with the word and multiplied by the odd constant slotMul into 128 bits,
+// whose halves fold back together. The nonzero seed keeps small words
+// from multiplying a near-zero state.
+const (
+	slotSeed = 0xe7037ed1a0b428db
+	slotMul  = 0x9e3779b97f4a7c15
+)
+
+// slotHash hashes t's projection onto pos for the slot table: its low bits
+// pick the home slot, its high 32 bits are the tag. The low bits of a
+// folded product move little between keys that differ only in high bits
+// (strided keys), so the last step xors the high half into them.
+func slotHash(t relation.Tuple, pos []int) uint64 {
+	h := uint64(slotSeed)
+	for _, p := range pos {
+		hi, lo := bits.Mul64(h^uint64(t[p]), slotMul)
+		h = hi ^ lo
+	}
+	return h ^ h>>32
+}
 
 // IndexRows builds the index of cols keyed by the columns pos. An empty
 // pos puts every row in one group (the keyless cross product).
@@ -41,14 +69,15 @@ func IndexRows(cols *Columns, pos []int) RowIndex {
 	for size < 2*n {
 		size <<= 1
 	}
-	ix := RowIndex{cols: cols, pos: pos, slots: getInt32Zero(size), next: getInt32Cap(n)[:n]}
+	ix := RowIndex{cols: cols, pos: pos, slots: getInt32Zero(2 * size), next: getInt32Cap(n)[:n]}
 	// Rows are inserted last to first, each becoming the head of its
 	// group, so every chain ends up in ascending (insertion) order.
 	for i := n - 1; i >= 0; i-- {
-		slot := ix.find(cols.Tuple(i), pos)
+		slot, tag := ix.find(cols.Tuple(i), pos)
 		head := ix.slots[slot]
 		if head == 0 {
 			ix.groups++
+			ix.slots[slot+1] = tag
 		} else {
 			ix.next[head-1] |= displaced
 		}
@@ -67,12 +96,18 @@ func (ix *RowIndex) Groups() int { return ix.groups }
 // order of the slots never reaches a caller.
 func (ix *RowIndex) Opens(i int) bool { return ix.next[i] >= 0 }
 
-// find returns the slot holding the group whose key equals t's projection
-// onto pos, or the empty slot where that group would go.
-func (ix *RowIndex) find(t relation.Tuple, pos []int) int {
-	mask := len(ix.slots) - 1
-	slot := int(HashTupleAt(t, pos, 0)) & mask
-	for ; ix.slots[slot] != 0; slot = (slot + 1) & mask {
+// find returns the slot (the even index of its pair) holding the group
+// whose key equals t's projection onto pos, or the empty slot where that
+// group would go, together with the key's tag. It writes nothing: lookups
+// on a built index run concurrently.
+func (ix *RowIndex) find(t relation.Tuple, pos []int) (slot int, tag int32) {
+	h := slotHash(t, pos)
+	tag = int32(h >> 32)
+	mask := len(ix.slots) - 2 // pairs sit at even indices
+	for slot = int(h<<1) & mask; ix.slots[slot] != 0; slot = (slot + 2) & mask {
+		if ix.slots[slot+1] != tag {
+			continue
+		}
 		head := ix.cols.Tuple(int(ix.slots[slot]) - 1)
 		equal := true
 		for k, p := range ix.pos {
@@ -85,13 +120,14 @@ func (ix *RowIndex) find(t relation.Tuple, pos []int) int {
 			break
 		}
 	}
-	return slot
+	return slot, tag
 }
 
 // First returns the first row whose key equals t's projection onto pos
 // (aligned with the index's key columns), or −1 when there is none.
 func (ix *RowIndex) First(t relation.Tuple, pos []int) int {
-	return int(ix.slots[ix.find(t, pos)]) - 1
+	slot, _ := ix.find(t, pos)
+	return int(ix.slots[slot]) - 1
 }
 
 // Next returns the row after i in its group's insertion order, or −1.
