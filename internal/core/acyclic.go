@@ -280,9 +280,9 @@ func splitE0ByProduct(r0 *mpc.Dist, si [][]relation.Attr, lightC []*mpc.Dist, ta
 	prodPos := len(cur.Schema) - 1
 	for i, lc := range lightC {
 		deg := primitives.CountByKey(lc, si[i], seed^uint64(0x60+i))
-		t := make(relation.Tuple, len(cur.Schema)) // Lookup copies each result before the next call
 		cur = primitives.Lookup(cur, si[i], deg, si[i], cur.Schema,
-			func(it mpc.Item, r primitives.LookupResult) (mpc.Item, bool) {
+			func(out *mpc.Columns, it mpc.Item, r primitives.LookupResult) {
+				t := out.AppendRow(it.A)
 				copy(t, it.T)
 				if !r.Found {
 					t[prodPos] = 0
@@ -291,7 +291,6 @@ func splitE0ByProduct(r0 *mpc.Dist, si [][]relation.Attr, lightC []*mpc.Dist, ta
 				} else {
 					t[prodPos] = v
 				}
-				return mpc.Item{T: t, A: it.A}, true
 			})
 	}
 	isHeavy := func(it mpc.Item) bool { return int64(it.T[prodPos]) >= tau }

@@ -126,21 +126,18 @@ func binaryJoinRef(a, b *mpc.Dist, outSchema relation.Schema, ring relation.Semi
 }
 
 // attachDegrees extends every tuple of d with the (da, db) of its key via
-// the sorted lookup; tuples without a directory entry are dropped. Lookup
-// copies each returned item before it asks for the next, so one scratch
-// tuple serves every row.
+// the sorted lookup; tuples without a directory entry are dropped. Each
+// kept row is written in place in its output part.
 func attachDegrees(d *mpc.Dist, shared relation.Schema, jd *mpc.Dist) *mpc.Dist {
 	keyAttrs := []relation.Attr(shared)
 	outSchema := append(append(relation.Schema{}, d.Schema...), synthDA, synthDB)
 	jdN := len(jd.Schema)
-	t := make(relation.Tuple, len(outSchema))
 	return primitives.Lookup(d, keyAttrs, jd, keyAttrs, outSchema,
-		func(it mpc.Item, r primitives.LookupResult) (mpc.Item, bool) {
-			if !r.Found {
-				return mpc.Item{}, false
+		func(out *mpc.Columns, it mpc.Item, r primitives.LookupResult) {
+			if r.Found {
+				t := out.AppendRow(it.A)
+				n := copy(t, it.T)
+				t[n], t[n+1] = r.DTuple[jdN-2], r.DTuple[jdN-1]
 			}
-			n := copy(t, it.T)
-			t[n], t[n+1] = r.DTuple[jdN-2], r.DTuple[jdN-1]
-			return mpc.Item{T: t, A: it.A}, true
 		})
 }

@@ -113,12 +113,16 @@ func line3Attrs(in *Instance) (relation.Attr, relation.Attr) {
 // split itself is local.
 func splitByDegree(d *mpc.Dist, keyAttrs []relation.Attr, deg *mpc.Dist, tau int64) (heavy, light *mpc.Dist) {
 	heavy = primitives.Lookup(d, keyAttrs, deg, keyAttrs, d.Schema,
-		func(it mpc.Item, r primitives.LookupResult) (mpc.Item, bool) {
-			return it, r.Found && r.DAnnot > tau
+		func(out *mpc.Columns, it mpc.Item, r primitives.LookupResult) {
+			if r.Found && r.DAnnot > tau {
+				out.Append(it.T, it.A)
+			}
 		})
 	light = primitives.Lookup(d, keyAttrs, deg, keyAttrs, d.Schema,
-		func(it mpc.Item, r primitives.LookupResult) (mpc.Item, bool) {
-			return it, !r.Found || r.DAnnot <= tau
+		func(out *mpc.Columns, it mpc.Item, r primitives.LookupResult) {
+			if !r.Found || r.DAnnot <= tau {
+				out.Append(it.T, it.A)
+			}
 		})
 	return heavy, light
 }

@@ -24,7 +24,8 @@ import (
 //     value whose (same-package) type has a method that calls the matching
 //     put — the exchange plan's scratch vectors, released by plan.release().
 //   - releasing through a closure: a func literal in the same function
-//     that puts the buffer (Lookup's `release := func() { putRecCols(rc) }`).
+//     that puts the buffer (`release := func() { putRecCols(rc) }`; no
+//     production site releases this way today, the fixture keeps it legal).
 //
 // Unlike the other analyzers this one checks _test.go files too: the pool
 // is process-global, so a test helper that leaks a buffer corrupts the

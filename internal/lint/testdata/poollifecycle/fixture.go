@@ -69,7 +69,7 @@ func carrierHandoff(n int) *plan {
 	return p
 }
 
-// closureRelease releases through a local closure (the Lookup shape).
+// closureRelease releases through a local closure.
 func closureRelease(n int) int {
 	rc := getRecCols(n)
 	release := func() { putRecCols(rc) }

@@ -15,19 +15,18 @@ import (
 // half full). Keys are hashed straight off the flat buffer by slotHash, a
 // word-wise multiply mixer private to the index: unlike the routing hashes
 // (HashTupleAt and friends, whose destinations the golden tables pin), its
-// values never reach a caller, so it is free to change. Each slot keeps the
-// high half of its key's hash as a tag, and a probe compares tags before it
-// loads a row, so a collision costs no row load; equal tags are confirmed
-// word-wise. Rows with equal keys are chained through next in insertion
-// order, so iterating a group visits its rows exactly as the map-of-slices
-// joins this replaces did.
+// values never reach a caller, so it is free to change. A probe compares
+// keys word-wise against the head row of each occupied slot it visits.
+// Rows with equal keys are chained through next in insertion order, so
+// iterating a group visits its rows exactly as the map-of-slices joins this
+// replaces did.
 //
 // Both arrays come from the exchange's int32 pool; Release returns them. A
 // built index is read-only and safe for concurrent lookups.
 type RowIndex struct {
 	cols   *Columns
 	pos    []int
-	slots  []int32 // slot pairs: first row of the group + 1 (0 = empty), then its tag
+	slots  []int32 // slot → first row of its group + 1; 0 = empty
 	next   []int32 // row → next row with the same key + 1 (0 ends the chain), | displaced
 	groups int     // distinct keys
 }
@@ -47,9 +46,9 @@ const (
 )
 
 // slotHash hashes t's projection onto pos for the slot table: its low bits
-// pick the home slot, its high 32 bits are the tag. The low bits of a
-// folded product move little between keys that differ only in high bits
-// (strided keys), so the last step xors the high half into them.
+// pick the home slot. The low bits of a folded product move little between
+// keys that differ only in high bits (strided keys), so the last step xors
+// the high half into them.
 func slotHash(t relation.Tuple, pos []int) uint64 {
 	h := uint64(slotSeed)
 	for _, p := range pos {
@@ -69,15 +68,14 @@ func IndexRows(cols *Columns, pos []int) RowIndex {
 	for size < 2*n {
 		size <<= 1
 	}
-	ix := RowIndex{cols: cols, pos: pos, slots: getInt32Zero(2 * size), next: getInt32Cap(n)[:n]}
+	ix := RowIndex{cols: cols, pos: pos, slots: getInt32Zero(size), next: getInt32Cap(n)[:n]}
 	// Rows are inserted last to first, each becoming the head of its
 	// group, so every chain ends up in ascending (insertion) order.
 	for i := n - 1; i >= 0; i-- {
-		slot, tag := ix.find(cols.Tuple(i), pos)
+		slot := ix.find(cols.Tuple(i), pos)
 		head := ix.slots[slot]
 		if head == 0 {
 			ix.groups++
-			ix.slots[slot+1] = tag
 		} else {
 			ix.next[head-1] |= displaced
 		}
@@ -96,18 +94,13 @@ func (ix *RowIndex) Groups() int { return ix.groups }
 // order of the slots never reaches a caller.
 func (ix *RowIndex) Opens(i int) bool { return ix.next[i] >= 0 }
 
-// find returns the slot (the even index of its pair) holding the group
-// whose key equals t's projection onto pos, or the empty slot where that
-// group would go, together with the key's tag. It writes nothing: lookups
-// on a built index run concurrently.
-func (ix *RowIndex) find(t relation.Tuple, pos []int) (slot int, tag int32) {
-	h := slotHash(t, pos)
-	tag = int32(h >> 32)
-	mask := len(ix.slots) - 2 // pairs sit at even indices
-	for slot = int(h<<1) & mask; ix.slots[slot] != 0; slot = (slot + 2) & mask {
-		if ix.slots[slot+1] != tag {
-			continue
-		}
+// find returns the slot holding the group whose key equals t's projection
+// onto pos, or the empty slot where that group would go. It writes
+// nothing: lookups on a built index run concurrently.
+func (ix *RowIndex) find(t relation.Tuple, pos []int) int {
+	mask := len(ix.slots) - 1
+	slot := int(slotHash(t, pos)) & mask
+	for ; ix.slots[slot] != 0; slot = (slot + 1) & mask {
 		head := ix.cols.Tuple(int(ix.slots[slot]) - 1)
 		equal := true
 		for k, p := range ix.pos {
@@ -120,14 +113,13 @@ func (ix *RowIndex) find(t relation.Tuple, pos []int) (slot int, tag int32) {
 			break
 		}
 	}
-	return slot, tag
+	return slot
 }
 
 // First returns the first row whose key equals t's projection onto pos
 // (aligned with the index's key columns), or −1 when there is none.
 func (ix *RowIndex) First(t relation.Tuple, pos []int) int {
-	slot, _ := ix.find(t, pos)
-	return int(ix.slots[slot]) - 1
+	return int(ix.slots[ix.find(t, pos)]) - 1
 }
 
 // Next returns the row after i in its group's insertion order, or −1.

@@ -22,14 +22,14 @@ func keyColumns(keys [][]relation.Value) Columns {
 // probeLength returns the mean and the largest displacement of the occupied
 // slots from their home slots, in slots.
 func probeLength(ix *RowIndex) (mean float64, longest int) {
-	mask := len(ix.slots) - 2
+	mask := len(ix.slots) - 1
 	occupied, total := 0, 0
-	for slot := 0; slot < len(ix.slots); slot += 2 {
+	for slot := range ix.slots {
 		if ix.slots[slot] == 0 {
 			continue
 		}
-		home := int(slotHash(ix.cols.Tuple(int(ix.slots[slot])-1), ix.pos)<<1) & mask
-		d := ((slot - home) & mask) / 2
+		home := int(slotHash(ix.cols.Tuple(int(ix.slots[slot])-1), ix.pos)) & mask
+		d := (slot - home) & mask
 		occupied++
 		total += d
 		longest = max(longest, d)

@@ -12,39 +12,54 @@ import (
 	"repro/internal/runtime"
 )
 
-// TestLookupAllocCeiling is the allocation-regression guard for the
-// columnar record pool: a steady-state Lookup allocates its output parts
-// (grown by doubling) and per-call bookkeeping — never a fresh record
-// slice, sort scratch, or anything per probe or per key: keys are windows
-// into the record set's flat key column. Measured 308 for 8192 probes at
-// p = 16, about 19 per part; the ceiling of 32 per part leaves room for
-// pool misses after a GC, while one allocation per distinct key (2048)
-// overshoots it four-fold and one per probe sixteen-fold.
+// TestLookupAllocCeiling: a steady-state Lookup allocates per part — each
+// output part reserved once for the x records of its chunk — and per call,
+// never per probe or per key: keys are windows into the record set's flat
+// key column, and the record set and sort scratch are pooled. The count is
+// the same at 16 384 and 131 072 probes, under a ceiling, and the bytes
+// stay under 1.5 times the output's own two values and annotation per row,
+// so a part grown by doubling fails twice over: its allocations grow with
+// the data, and its copies and slack overshoot the bytes. Measured 45 at
+// p = 16. The collector is off while counting, as in
+// TestSemiJoinAllocCeiling.
 func TestLookupAllocCeiling(t *testing.T) {
-	const n, distinct, p = 8192, 2048, 16
-	const ceiling = 32 * p
+	const p, perPart = 16, 8
+	if raceEnabled() {
+		t.Skip("the race detector's sync.Pool drops buffers at random: the count would measure the detector")
+	}
 	prev := runtime.SetParallelism(1)
 	defer runtime.SetParallelism(prev)
-
-	c := mpc.NewCluster(p)
-	rng := rand.New(rand.NewSource(3))
-	x := relation.New("X", relation.NewSchema(1, 2))
-	for i := 0; i < n; i++ {
-		x.Add(relation.Value(rng.Intn(distinct)), relation.Value(i))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	key := []relation.Attr{1}
+	counts := map[int]uint64{}
+	for _, n := range []int{16384, 131072} {
+		distinct := n / 4
+		c := mpc.NewCluster(p)
+		rng := rand.New(rand.NewSource(3))
+		x := relation.New("X", relation.NewSchema(1, 2))
+		for i := 0; i < n; i++ {
+			x.Add(relation.Value(rng.Intn(distinct)), relation.Value(i))
+		}
+		d := relation.New("D", relation.NewSchema(1))
+		for k := 0; k < distinct; k++ {
+			d.AddAnnotated(int64(k), relation.Value(k))
+		}
+		dx, dd := mpc.FromRelation(c, x), mpc.FromRelation(c, d)
+		attach := func() {
+			AttachAnnot(dx, key, dd, key, relation.CountRing, true)
+		}
+		var bytes uint64
+		counts[n], bytes = steadyAllocs(attach)
+		if counts[n] > perPart*p {
+			t.Fatalf("n=%d: Lookup allocates %d per run, ceiling %d — the record pool has regressed", n, counts[n], perPart*p)
+		}
+		if out := uint64(n) * 3 * 8; bytes > out*3/2 {
+			t.Fatalf("n=%d: Lookup allocates %d bytes per run for %d bytes of output — a part grows by doubling", n, bytes, out)
+		}
 	}
-	d := relation.New("D", relation.NewSchema(1))
-	for k := 0; k < distinct; k++ {
-		d.AddAnnotated(int64(k), relation.Value(k))
-	}
-	dx, dd := mpc.FromRelation(c, x), mpc.FromRelation(c, d)
-	attach := func() {
-		AttachAnnot(dx, []relation.Attr{1}, dd, []relation.Attr{1}, relation.CountRing, true)
-	}
-	attach() // warm the record pool
-	got := testing.AllocsPerRun(10, attach)
-	if got > ceiling {
-		t.Fatalf("Lookup allocates %.0f per run (n=%d, distinct=%d), ceiling %d — the record pool has regressed",
-			got, n, distinct, ceiling)
+	if counts[16384] != counts[131072] {
+		t.Fatalf("Lookup allocates %d per run at 16 384 probes and %d at 131 072 — output parts grow with the data",
+			counts[16384], counts[131072])
 	}
 }
 

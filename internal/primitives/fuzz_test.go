@@ -192,19 +192,25 @@ func FuzzSumByKeyParity(f *testing.F) {
 	})
 }
 
-// FuzzSemiJoinParity fuzzes the one-sort semi-join against the retained
-// two-sort body (semiJoinRef/antiJoinRef: DistinctByKey, then Lookup):
-// random part sizes for x and d (either side empty, empty parts), d with
-// duplicates within and across servers, key widths 0–3 held at different,
+// FuzzSemiJoinParity fuzzes the one multi-search scan against the
+// retained serial bodies: the semi- and anti-join against the two-sort
+// semiJoinRef/antiJoinRef (DistinctByKey, then lookupRef), and its
+// directory arm — Lookup against a globally distinct, annotated directory
+// made from d — against lookupRef, through an AttachAnnot emit and a
+// row-widening emit that writes its extra column in place. Random part
+// sizes for x and d (either side empty, empty parts), d with duplicates
+// within and across servers, key widths 0–3 held at different,
 // non-identity positions on the two sides, key ranges from one heavy key
 // to all-distinct, annotated x, cluster sizes, data-plane widths 1, 2 and
-// 8 and the record pools clean or dirtied. The kept rows, read part-major,
-// must be the reference's global sequence with its annotations — which
-// server a row lands on is not part of the contract, since the chunk
-// boundaries move with the number of d records staged — the parts must be
-// identical at every width, and the cluster must show exactly three rounds:
-// the sort round at most ⌈(|x| + Σ_s distinct_s(d))/p⌉ per server, then the
-// coordinator exchange at p and 1. Run continuously by `make fuzz-smoke`.
+// 8 and the record pools clean or dirtied. The semi-join's kept rows, read
+// part-major, must be the reference's global sequence with its
+// annotations — which server a row lands on is not part of its contract,
+// since the chunk boundaries move with the number of d records staged —
+// and a lookup's parts and cluster snapshot must equal lookupRef's one for
+// one. The parts must be identical at every width, and the cluster must
+// show exactly three rounds: the sort round at most ⌈(|x| + Σ_s
+// distinct_s(d))/p⌉ per server, then the coordinator exchange at p and 1.
+// Run continuously by `make fuzz-smoke`.
 func FuzzSemiJoinParity(f *testing.F) {
 	f.Add(int64(1), uint16(300), uint16(300), uint16(0), uint8(1), uint8(15), true, true)      // one heavy key
 	f.Add(int64(2), uint16(300), uint16(200), uint16(65535), uint8(2), uint8(15), false, true) // near-distinct keys
@@ -276,24 +282,94 @@ func FuzzSemiJoinParity(f *testing.F) {
 			return rows
 		}
 
+		// directoryOf keeps the first row of every key of d, annotated 1–3:
+		// a directory as SumByKey or DistinctByKey would leave it, made
+		// without charging the cluster.
+		directoryOf := func(d *mpc.Dist) *mpc.Dist {
+			dir := mpc.NewDist(d.C, d.Schema)
+			pos := d.Positions(keyAttrs)
+			seen := map[string]bool{}
+			for s := range d.Parts {
+				for i := 0; i < d.Parts[s].Len(); i++ {
+					t := d.Parts[s].Tuple(i)
+					if k := relation.KeyAt(t, pos); !seen[k] {
+						seen[k] = true
+						dir.Parts[s].Append(t, int64(1+len(seen)%3))
+					}
+				}
+			}
+			return dir
+		}
+		// The widening lookup appends column 7 — the directory row's first
+		// value plus its annotation — to every matched x row, and drops the
+		// unmatched ones.
+		wide := append(append(relation.Schema{}, xSchema...), 7)
+		widenRef := func(x, d *mpc.Dist) *mpc.Dist {
+			t := make(relation.Tuple, len(wide))
+			return lookupRef(x, keyAttrs, d, keyAttrs, wide,
+				func(it mpc.Item, r LookupResult) (mpc.Item, bool) {
+					if !r.Found {
+						return mpc.Item{}, false
+					}
+					n := copy(t, it.T)
+					t[n] = r.DTuple[0] + relation.Value(r.DAnnot)
+					return mpc.Item{T: t, A: it.A + r.DAnnot}, true
+				})
+		}
+		widen := func(x, d *mpc.Dist) *mpc.Dist {
+			return Lookup(x, keyAttrs, d, keyAttrs, wide,
+				func(out *mpc.Columns, it mpc.Item, r LookupResult) {
+					if r.Found {
+						t := out.AppendRow(it.A + r.DAnnot)
+						n := copy(t, it.T)
+						t[n] = r.DTuple[0] + relation.Value(r.DAnnot)
+					}
+				})
+		}
+		attachRef := func(x, d *mpc.Dist) *mpc.Dist {
+			return lookupRef(x, keyAttrs, d, keyAttrs, xSchema,
+				func(it mpc.Item, r LookupResult) (mpc.Item, bool) {
+					if !r.Found {
+						return it, !annotated
+					}
+					return mpc.Item{T: it.T, A: it.A * r.DAnnot}, true
+				})
+		}
+		attach := func(x, d *mpc.Dist) *mpc.Dist {
+			return AttachAnnot(x, keyAttrs, d, keyAttrs, relation.CountRing, annotated)
+		}
+
 		ops := []struct {
 			name      string
+			directory bool // d becomes directoryOf(d); parts and charges match the reference's
+			schema    relation.Schema
 			ref, prod func(x, d *mpc.Dist) *mpc.Dist
 		}{
-			{"SemiJoin",
+			{"SemiJoin", false, xSchema,
 				func(x, d *mpc.Dist) *mpc.Dist { return semiJoinRef(x, keyAttrs, d, keyAttrs) },
 				func(x, d *mpc.Dist) *mpc.Dist { return SemiJoin(x, keyAttrs, d, keyAttrs) }},
-			{"AntiJoin",
+			{"AntiJoin", false, xSchema,
 				func(x, d *mpc.Dist) *mpc.Dist { return antiJoinRef(x, keyAttrs, d, keyAttrs) },
 				func(x, d *mpc.Dist) *mpc.Dist { return AntiJoin(x, keyAttrs, d, keyAttrs) }},
+			{"AttachAnnot", true, xSchema, attachRef, attach},
+			{"Lookup widening", true, wide, widenRef, widen},
 		}
 		for _, op := range ops {
 			prevW := runtime.SetParallelism(1)
-			want := flatten(op.ref(build()))
+			x, d := build()
+			if op.directory {
+				d = directoryOf(d)
+			}
+			ref := op.ref(x, d)
+			refStats := x.C.Snapshot()
+			want := flatten(ref)
 			var first *mpc.Dist
 			for _, b := range []int{1, 2, 8} {
 				runtime.SetParallelism(b)
 				x, d := build()
+				if op.directory {
+					d = directoryOf(d)
+				}
 				staged := 0
 				dPos := d.Positions(keyAttrs)
 				for s := range d.Parts {
@@ -310,11 +386,21 @@ func FuzzSemiJoinParity(f *testing.F) {
 				where := fmt.Sprintf("%s (maxX=%d maxD=%d keys=%d kw=%d p=%d b=%d annotated=%v dirty=%v)",
 					op.name, maxX, maxD, kk, kwidth, pp, b, annotated, dirty)
 
-				if !have.Schema.Equal(xSchema) {
-					t.Fatalf("%s: schema %v, want %v", where, have.Schema, xSchema)
+				if !have.Schema.Equal(op.schema) {
+					t.Fatalf("%s: schema %v, want %v", where, have.Schema, op.schema)
 				}
 				if got := flatten(have); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: %d kept rows differ from the two-sort reference's %d", where, len(got), len(want))
+					t.Fatalf("%s: %d kept rows differ from the reference's %d", where, len(got), len(want))
+				}
+				if op.directory {
+					for s := range ref.Parts {
+						if !ref.Parts[s].Equal(&have.Parts[s]) {
+							t.Fatalf("%s: part %d differs from the serial lookup's", where, s)
+						}
+					}
+					if got := x.C.Snapshot(); !reflect.DeepEqual(got, refStats) {
+						t.Fatalf("%s: cluster %+v, the serial lookup's %+v", where, got, refStats)
+					}
 				}
 				if first == nil {
 					first = have

@@ -9,7 +9,7 @@ import (
 	"repro/internal/runtime"
 )
 
-// LookupResult is handed to the combine callback of Lookup for every x item.
+// LookupResult is handed to the emit callback of Lookup for every x item.
 type LookupResult struct {
 	Found  bool
 	DTuple relation.Tuple
@@ -19,98 +19,20 @@ type LookupResult struct {
 // Lookup is the paper's multi-search primitive specialized to the uses in
 // the paper's algorithms: for every item of x, find the unique d item with
 // an equal key (exact match; d must have at most one item per key, as
-// produced by SumByKey/DistinctByKey) and rewrite the x item via combine.
-// combine returns the replacement item and whether to keep it; it is called
-// on one goroutine, and a kept item is copied into the output before the
-// next call, so combine may return the same scratch tuple every time.
+// produced by SumByKey/DistinctByKey) and let emit append the rows the x
+// item becomes (usually zero or one) to out, the part of the server the
+// item's chunk lands on. emit writes nothing but out: it runs on the
+// forked chunk scan, one task per part.
 //
-// The implementation is sort-based and therefore skew-proof: x and d are
-// sorted together by key (d entries first), cut into p equal chunks, and
-// the "last seen d entry" flows across chunk boundaries through the
-// coordinator. Three rounds — the sort round, then the gather to and the
-// reply from the coordinator — at load O((|x|+|d|)/p + p).
-//
-// Records are collected into a pooled columnar set with flat fixed-width
-// keys: building a key copies its values into the key buffer, comparing
-// keys is a word-wise value loop, and the columns are recycled on return —
-// no per-call []rec rebuild and no byte-string interning. Duplicate
-// directory keys surface as adjacent d records in the sorted order (d
-// records sort before x records of the same key), so the boundary scan
-// doubles as the duplicate check.
+// It is one multi-search (see multiSearch): three rounds — the sort round,
+// then the gather to and the reply from the coordinator — at load
+// O((|x|+|d|)/p + p). A duplicate directory key panics.
 //
 //lint:load perP
 //lint:rounds const
 func Lookup(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.Attr,
-	outSchema relation.Schema,
-	combine func(it mpc.Item, r LookupResult) (mpc.Item, bool)) *mpc.Dist {
-
-	xPos := x.Positions(xKey)
-	dPos := d.Positions(dKey)
-
-	rc := getRecCols(x.Size() + d.Size())
-	rc.appendDist(d, dPos, 0)
-	// An empty probe side has an empty result; a trivially-empty sub-query
-	// must not pay the sort and coordinator rounds. The duplicate-key check
-	// runs before the early-out, so a malformed directory still panics.
-	if x.Size() == 0 {
-		verifyDistinctDirectory(rc)
-		putRecCols(rc)
-		return mpc.NewDist(x.C, outSchema)
-	}
-	rc.appendDist(x, xPos, 1)
-
-	bounds := sortAndChop(x.C, rc)
-
-	// Boundary propagation: carry[s] = the row of the latest d record at or
-	// before the start of chunk s (−1: none). One coordinator exchange.
-	// Equal-key d records are adjacent here — the duplicate-directory check.
-	carry := make([]int, x.C.P)
-	last := -1
-	for s := 0; s < x.C.P; s++ {
-		carry[s] = last
-		for i := bounds[s]; i < bounds[s+1]; i++ {
-			if rc.tags[i] == 0 {
-				if last >= 0 && rc.keyEq(last, i) {
-					panic(fmt.Sprintf("primitives: Lookup directory has duplicate key %v", rc.key(i)))
-				}
-				last = i
-			}
-		}
-	}
-	chargeCoordinatorExchange(x.C)
-
-	out := mpc.NewDist(x.C, outSchema)
-	for s := 0; s < x.C.P; s++ {
-		cur := carry[s]
-		for i := bounds[s]; i < bounds[s+1]; i++ {
-			if rc.tags[i] == 0 {
-				cur = i
-				continue
-			}
-			res := LookupResult{}
-			if cur >= 0 && rc.keyEq(cur, i) {
-				res = LookupResult{Found: true, DTuple: rc.tuples[cur], DAnnot: rc.annots[cur]}
-			}
-			if it, keep := combine(rc.item(i), res); keep {
-				out.Parts[s].AppendItem(it)
-			}
-		}
-	}
-	putRecCols(rc)
-	return out
-}
-
-// verifyDistinctDirectory panics when the staged directory records carry a
-// duplicate key. Only the empty-probe early-out needs it — the sorted path
-// detects duplicates as adjacent d records for free — so it makes them
-// adjacent the same way: the sort alone is local and charges nothing.
-func verifyDistinctDirectory(rc *recCols) {
-	sampleSortCols(rc)
-	for i := 1; i < rc.len(); i++ {
-		if rc.keyEq(i-1, i) {
-			panic(fmt.Sprintf("primitives: Lookup directory has duplicate key %v", rc.key(i)))
-		}
-	}
+	outSchema relation.Schema, emit func(out *mpc.Columns, it mpc.Item, r LookupResult)) *mpc.Dist {
+	return multiSearch(x, xKey, d, dKey, outSchema, true, emit)
 }
 
 // SemiJoin returns the items of x whose key projection matches at least one
@@ -122,7 +44,7 @@ func verifyDistinctDirectory(rc *recCols) {
 //lint:load perP
 //lint:rounds const
 func SemiJoin(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.Attr) *mpc.Dist {
-	return semiJoinSorted(x, xKey, d, dKey, true)
+	return multiSearch(x, xKey, d, dKey, x.Schema, false, keepFound)
 }
 
 // AntiJoin returns the items of x with no matching key in d; rounds and
@@ -131,36 +53,67 @@ func SemiJoin(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.At
 //lint:load perP
 //lint:rounds const
 func AntiJoin(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.Attr) *mpc.Dist {
-	return semiJoinSorted(x, xKey, d, dKey, false)
+	return multiSearch(x, xKey, d, dKey, x.Schema, false, keepMissing)
 }
 
-// semiJoinSorted keeps the items of x whose key is (keepFound) or is not
-// among d's keys. A semi-join needs no globally distinct directory: d
-// records sort before x records of the same key, so "found" is "the
-// nearest preceding d record has my key". Each server stages only the d
-// rows that open a key group locally (the uncharged combiner) next to all
-// of x; the one record set is rank-sorted once and cut into p chunks, and
-// no column is permuted: a chunk is a window of the rank vector, scanned
-// as i := order[j]. What crosses a chunk boundary is one record, the d
-// record opening the run the previous chunk ends in; each chunk end finds
-// it by binary search (d records lead their run), the pass over the p
-// chunk ends is the coordinator exchange, and the chunks are scanned
-// concurrently, task s appending only to its own output part. Task s first
-// counts the x records of its window — every row it can keep — and
-// reserves its part once for them, so the part never grows by doubling.
+// keepFound and keepMissing are the semi- and anti-join's emits.
+func keepFound(out *mpc.Columns, it mpc.Item, r LookupResult) {
+	if r.Found {
+		out.Append(it.T, it.A)
+	}
+}
+
+func keepMissing(out *mpc.Columns, it mpc.Item, r LookupResult) {
+	if !r.Found {
+		out.Append(it.T, it.A)
+	}
+}
+
+// multiSearch is the paper's multi-search, the one scan under Lookup,
+// SemiJoin and AntiJoin: every x item learns whether d holds its key, and
+// emit appends what it becomes to its server's part of the outSchema
+// result. d records sort before x records of the same key, so "found" is
+// "the nearest preceding d record has my key". A directory (Lookup) must
+// be distinct and is staged whole, so that the scan sees a key held twice
+// on one server. Otherwise d may hold duplicates (the semi-join): each
+// server stages only the d rows that open a key group locally (the
+// uncharged combiner), and r carries the first record of the key's run.
+// Next to all of x, the one record set is rank-sorted once and cut into p
+// chunks, and no column is permuted: a chunk is a window of the rank
+// vector, scanned as i := order[j]. What crosses a chunk boundary is one
+// record, the d record opening the run the previous chunk ends in; each
+// chunk end finds it by binary search (d records lead their run), the pass
+// over the p chunk ends is the coordinator exchange, and the chunks are
+// scanned concurrently, task s appending only to its own output part. Task
+// s first counts the x records of its window and reserves its part once
+// for one row each, so a part that emit fills with at most a row per item
+// never grows by doubling. Equal-key d records are adjacent in the scan,
+// or the first of a chunk meets its twin as the carry, so the scan doubles
+// as the directory's duplicate check.
 //
 //lint:load perP
 //lint:rounds const
-func semiJoinSorted(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.Attr, keepFound bool) *mpc.Dist {
-	out := mpc.NewDist(x.C, x.Schema)
-	// An empty probe side is empty output; don't pay for d either.
-	if x.Size() == 0 {
+func multiSearch(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.Attr,
+	outSchema relation.Schema, directory bool, emit func(out *mpc.Columns, it mpc.Item, r LookupResult)) *mpc.Dist {
+	out := mpc.NewDist(x.C, outSchema)
+	// An empty probe side is empty output and pays no rounds; only a
+	// directory is staged, to check it for duplicate keys.
+	if x.Size() == 0 && !directory {
 		return out
 	}
 	xPos, dPos := x.Positions(xKey), d.Positions(dKey)
 
 	rc := getRecCols(x.Size() + d.Size())
-	rc.appendOpeners(d, dPos)
+	if directory {
+		rc.appendDist(d, dPos, 0)
+	} else {
+		rc.appendOpeners(d, dPos)
+	}
+	if x.Size() == 0 {
+		verifyDistinctDirectory(rc)
+		putRecCols(rc)
+		return out
+	}
 	rc.appendDist(x, xPos, 1)
 
 	sc := getSortScratch()
@@ -189,21 +142,39 @@ func semiJoinSorted(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relat
 			xs += int(rc.tags[i])
 		}
 		part := &out.Parts[s]
-		part.Reserve(len(x.Schema), xs)
+		part.Reserve(len(outSchema), xs)
 		cur := carry[s]
 		for _, i := range window {
 			if rc.tags[i] == 0 {
+				if directory && cur >= 0 && rc.keyEq(int(cur), int(i)) {
+					panic(fmt.Sprintf("primitives: Lookup directory has duplicate key %v", rc.key(int(i))))
+				}
 				cur = i
 				continue
 			}
-			if found := cur >= 0 && rc.keyEq(int(cur), int(i)); found == keepFound {
-				part.Append(rc.tuples[i], rc.annots[i])
+			r := LookupResult{}
+			if cur >= 0 && rc.keyEq(int(cur), int(i)) {
+				r = LookupResult{Found: true, DTuple: rc.tuples[cur], DAnnot: rc.annots[cur]}
 			}
+			emit(part, rc.item(int(i)), r)
 		}
 	})
 	putSortScratch(sc)
 	putRecCols(rc)
 	return out
+}
+
+// verifyDistinctDirectory panics when the staged directory records carry a
+// duplicate key. Only the empty-probe early-out needs it — the scan
+// detects duplicates as adjacent d records for free — so it makes them
+// adjacent the same way: the sort alone is local and charges nothing.
+func verifyDistinctDirectory(rc *recCols) {
+	sampleSortCols(rc)
+	for i := 1; i < rc.len(); i++ {
+		if rc.keyEq(i-1, i) {
+			panic(fmt.Sprintf("primitives: Lookup directory has duplicate key %v", rc.key(i)))
+		}
+	}
 }
 
 // AttachAnnot rewrites each x item's annotation by combining it with the
@@ -216,11 +187,13 @@ func semiJoinSorted(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relat
 func AttachAnnot(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.Attr,
 	ring relation.Semiring, dropMissing bool) *mpc.Dist {
 	return Lookup(x, xKey, d, dKey, x.Schema,
-		func(it mpc.Item, r LookupResult) (mpc.Item, bool) {
-			if !r.Found {
-				return it, !dropMissing
+		func(out *mpc.Columns, it mpc.Item, r LookupResult) {
+			switch {
+			case r.Found:
+				out.Append(it.T, ring.Mul(it.A, r.DAnnot))
+			case !dropMissing:
+				out.Append(it.T, it.A)
 			}
-			return mpc.Item{T: it.T, A: ring.Mul(it.A, r.DAnnot)}, true
 		})
 }
 

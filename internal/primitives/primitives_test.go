@@ -1,11 +1,14 @@
 package primitives
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/mpc"
 	"repro/internal/relation"
+	"repro/internal/runtime"
 )
 
 // buildDist returns a distributed relation over schema (1,2) with n tuples
@@ -119,46 +122,53 @@ func TestLookupMissingKeys(t *testing.T) {
 	dRel.AddAnnotated(7, 3) // only key 3 present
 	dx := mpc.FromRelation(c, x)
 	dd := mpc.FromRelation(c, dRel)
-	kept := Lookup(dx, []relation.Attr{1}, dd, []relation.Attr{1}, dx.Schema,
-		func(it mpc.Item, r LookupResult) (mpc.Item, bool) {
-			return it, r.Found
-		})
+	kept := Lookup(dx, []relation.Attr{1}, dd, []relation.Attr{1}, dx.Schema, keepFound)
 	if kept.Size() != 1 || kept.All()[0].T[0] != 3 {
 		t.Errorf("Lookup keep-found = %v", kept.All())
 	}
 }
 
+// TestLookupDuplicateDirectoryPanics: a directory key held twice panics at
+// every width, wherever the two records land — inside one chunk, on both
+// sides of a chunk boundary (the second record meets the first only as
+// its chunk's carry), or with an empty probe, whose short-circuit must not
+// skip the check.
 func TestLookupDuplicateDirectoryPanics(t *testing.T) {
-	c := mpc.NewCluster(2)
-	d := relation.New("D", relation.NewSchema(1))
-	d.Add(1)
-	d.Add(1)
-	dd := mpc.FromRelation(c, d)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate directory key did not panic")
-		}
-	}()
-	Lookup(dd, []relation.Attr{1}, dd, []relation.Attr{1}, dd.Schema,
-		func(it mpc.Item, r LookupResult) (mpc.Item, bool) { return it, true })
-}
-
-func TestLookupDuplicateDirectoryPanicsOnEmptyProbe(t *testing.T) {
-	// The empty-probe short-circuit must not skip the directory contract:
-	// a malformed directory panics even when there is nothing to look up.
-	c := mpc.NewCluster(2)
-	d := relation.New("D", relation.NewSchema(1))
-	d.Add(1)
-	d.Add(1)
-	dd := mpc.FromRelation(c, d)
-	empty := mpc.NewDist(c, relation.NewSchema(1))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate directory key with empty probe did not panic")
-		}
-	}()
-	Lookup(empty, []relation.Attr{1}, dd, []relation.Attr{1}, empty.Schema,
-		func(it mpc.Item, r LookupResult) (mpc.Item, bool) { return it, true })
+	cases := []struct {
+		name      string
+		probe, dk []relation.Value
+	}{
+		// Six records at p = 2, three per chunk: d2 d2 x5 | x6 x7 x8.
+		{"one_chunk", []relation.Value{5, 6, 7, 8}, []relation.Value{2, 2}},
+		// x0 x1 d2 | d2 x5 x6.
+		{"straddling", []relation.Value{0, 1, 5, 6}, []relation.Value{2, 2}},
+		{"empty_probe", nil, []relation.Value{2, 2}},
+	}
+	key := []relation.Attr{1}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, b := range []int{1, 2, 8} {
+				prev := runtime.SetParallelism(b)
+				c := mpc.NewCluster(2)
+				x, d := mpc.NewDist(c, relation.NewSchema(1)), mpc.NewDist(c, relation.NewSchema(1))
+				for i, v := range tc.probe {
+					x.Parts[i%2].Append(relation.Tuple{v}, 1)
+				}
+				for i, v := range tc.dk {
+					d.Parts[i%2].Append(relation.Tuple{v}, 1)
+				}
+				msg := func() (msg string) {
+					defer func() { msg = fmt.Sprint(recover()) }()
+					Lookup(x, key, d, key, x.Schema, keepFound)
+					return ""
+				}()
+				runtime.SetParallelism(prev)
+				if !strings.Contains(msg, "duplicate key") {
+					t.Fatalf("b=%d: duplicate directory key gave %q, want a duplicate-key panic", b, msg)
+				}
+			}
+		})
+	}
 }
 
 func TestSemiJoinAndAntiJoin(t *testing.T) {

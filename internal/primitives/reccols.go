@@ -8,16 +8,16 @@ import (
 )
 
 // The columnar record pool, flat-key edition. Every skew-sensitive
-// primitive (Lookup, the semi-join, DistinctByKey, MultiNumbering) collects
-// its records into a pooled struct-of-arrays set (parallel key/tag/tuple/
-// annot columns). Keys are fixed width per call — a projection onto a fixed
-// position list — so the key column is one flat []relation.Value buffer:
-// row i's key is keys[i*kw : (i+1)*kw], compared with a word-wise value
-// loop. This drops the byte-string interning layer entirely: building a
-// key is copying kw values, comparing two keys is at most kw integer
-// compares, and the order is identical to the old encoded-string order
-// because the encoding (8 big-endian bytes of uint64(v)^(1<<63) per
-// value) was order-preserving by construction.
+// primitive (the multi-search under Lookup and the semi-join, DistinctByKey,
+// MultiNumbering) collects its records into a pooled struct-of-arrays set
+// (parallel key/tag/tuple/annot columns). Keys are fixed width per call — a
+// projection onto a fixed position list — so the key column is one flat
+// []relation.Value buffer: row i's key is keys[i*kw : (i+1)*kw], compared
+// with a word-wise value loop. This drops the byte-string interning layer
+// entirely: building a key is copying kw values, comparing two keys is at
+// most kw integer compares, and the order is identical to the old
+// encoded-string order because the encoding (8 big-endian bytes of
+// uint64(v)^(1<<63) per value) was order-preserving by construction.
 //
 // Pooling is strictly a memory-reuse layer: every buffer is fully
 // initialized before it is read, so results, cluster charges and table
@@ -180,8 +180,9 @@ func putRecCols(rc *recCols) {
 // single pointer so a steady-state sort performs one pool round-trip and
 // zero boxing allocations. The keys and annots permute targets are dead
 // while the rank sort runs and serve it as its two key vectors (the
-// semi-join, which permutes nothing, uses them only so). ensureSlice grows the vectors in place; contents are
-// UNSPECIFIED until written (consumers initialize before reading).
+// multi-search, which permutes nothing, uses them only so). ensureSlice
+// grows the vectors in place; contents are UNSPECIFIED until written
+// (consumers initialize before reading).
 // Pointer-bearing columns are cleared on put, like the record sets, so the
 // pool never retains a past dataset.
 type sortScratch struct {

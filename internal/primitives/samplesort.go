@@ -17,8 +17,9 @@ import (
 // round through chopBounds, and computes the order with a serial stable
 // radix sort that never moves a record: rankSort sorts an int32 rank vector
 // (indices into the record columns). Callers that scan rows in order
-// (sampleSortCols) then permute the key/tag/tuple/annot columns exactly
-// once; the semi-join scans the rank vector and skips even that. Every
+// (sampleSortCols: DistinctByKey, MultiNumbering) then permute the
+// key/tag/tuple/annot columns exactly once; the multi-search under every
+// lookup and semi-join scans the rank vector and skips even that. Every
 // scratch vector comes from the sort scratch pool.
 //
 // The radix sort is least significant digit first:

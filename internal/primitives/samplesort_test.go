@@ -394,10 +394,9 @@ func TestEmptyInputsChargeNoRounds(t *testing.T) {
 		return r
 	}())
 
-	keep := func(it mpc.Item, r LookupResult) (mpc.Item, bool) { return it, r.Found }
 	key := []relation.Attr{1}
 
-	if got := Lookup(empty, key, full, key, empty.Schema, keep); got.Size() != 0 {
+	if got := Lookup(empty, key, full, key, empty.Schema, keepFound); got.Size() != 0 {
 		t.Fatalf("Lookup(empty) size = %d", got.Size())
 	}
 	if got := DistinctByKey(empty, key); got.Size() != 0 {
@@ -427,7 +426,7 @@ func TestEmptyInputsChargeNoRounds(t *testing.T) {
 	if c.Rounds() != 3 {
 		t.Fatalf("DistinctByKey rounds = %d, want 3", c.Rounds())
 	}
-	Lookup(full, key, full.FilterLocal(func(mpc.Item) bool { return false }), key, full.Schema, keep)
+	Lookup(full, key, full.FilterLocal(func(mpc.Item) bool { return false }), key, full.Schema, keepFound)
 	if c.Rounds() != 6 {
 		t.Fatalf("Lookup rounds = %d, want 3+3", c.Rounds())
 	}

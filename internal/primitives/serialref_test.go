@@ -4,13 +4,15 @@ package primitives
 // sort over an array-of-structs record view — and the bridge that stages
 // its records into the columnar set; and the string-keyed references for
 // the aggregation side (sum-by-key, count-by-key, distinct-by-key as they
-// were before keys became windows into flat parts); and the two-sort
-// semi-join (a distinct directory, then a lookup) that the one-sort
-// semiJoinSorted replaced. Test-only: the parity, fuzz and benchmark tests
-// compare the production paths against them.
+// were before keys became windows into flat parts); the serial lookup that
+// the forked multi-search scan replaced; and the two-sort semi-join (a
+// distinct directory, then that lookup) that the one-sort scan replaced.
+// Test-only: the parity, fuzz and benchmark tests compare the production
+// paths against them.
 
 import (
 	"encoding/binary"
+	"fmt"
 	"sort"
 
 	"repro/internal/mpc"
@@ -168,9 +170,74 @@ func distinctByKeyRef(d *mpc.Dist, keyAttrs []relation.Attr) *mpc.Dist {
 	return out
 }
 
+// lookupRef is Lookup as it was before it ran on the forked multi-search
+// scan, kept verbatim: a permuting sort of x and d together, a serial scan
+// carrying the last d record across chunk boundaries (which doubles as the
+// duplicate-directory check), then a serial output loop that copies each
+// kept item before combine is called again.
+func lookupRef(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.Attr,
+	outSchema relation.Schema,
+	combine func(it mpc.Item, r LookupResult) (mpc.Item, bool)) *mpc.Dist {
+
+	xPos := x.Positions(xKey)
+	dPos := d.Positions(dKey)
+
+	rc := getRecCols(x.Size() + d.Size())
+	rc.appendDist(d, dPos, 0)
+	// An empty probe side has an empty result; a trivially-empty sub-query
+	// must not pay the sort and coordinator rounds. The duplicate-key check
+	// runs before the early-out, so a malformed directory still panics.
+	if x.Size() == 0 {
+		verifyDistinctDirectory(rc)
+		putRecCols(rc)
+		return mpc.NewDist(x.C, outSchema)
+	}
+	rc.appendDist(x, xPos, 1)
+
+	bounds := sortAndChop(x.C, rc)
+
+	// Boundary propagation: carry[s] = the row of the latest d record at or
+	// before the start of chunk s (−1: none). One coordinator exchange.
+	// Equal-key d records are adjacent here — the duplicate-directory check.
+	carry := make([]int, x.C.P)
+	last := -1
+	for s := 0; s < x.C.P; s++ {
+		carry[s] = last
+		for i := bounds[s]; i < bounds[s+1]; i++ {
+			if rc.tags[i] == 0 {
+				if last >= 0 && rc.keyEq(last, i) {
+					panic(fmt.Sprintf("primitives: Lookup directory has duplicate key %v", rc.key(i)))
+				}
+				last = i
+			}
+		}
+	}
+	chargeCoordinatorExchange(x.C)
+
+	out := mpc.NewDist(x.C, outSchema)
+	for s := 0; s < x.C.P; s++ {
+		cur := carry[s]
+		for i := bounds[s]; i < bounds[s+1]; i++ {
+			if rc.tags[i] == 0 {
+				cur = i
+				continue
+			}
+			res := LookupResult{}
+			if cur >= 0 && rc.keyEq(cur, i) {
+				res = LookupResult{Found: true, DTuple: rc.tuples[cur], DAnnot: rc.annots[cur]}
+			}
+			if it, keep := combine(rc.item(i), res); keep {
+				out.Parts[s].AppendItem(it)
+			}
+		}
+	}
+	putRecCols(rc)
+	return out
+}
+
 // semiJoinRef is SemiJoin as it was before the one-sort multi-search, kept
 // verbatim: d reduced to a globally distinct directory (one sort, one
-// coordinator exchange), then a Lookup of x against it (another of each).
+// coordinator exchange), then a lookup of x against it (another of each).
 func semiJoinRef(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.Attr) *mpc.Dist {
 	// An empty probe side is empty output; don't pay for sorting the
 	// directory either.
@@ -178,7 +245,7 @@ func semiJoinRef(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation
 		return mpc.NewDist(x.C, x.Schema)
 	}
 	dir := DistinctByKey(d, dKey)
-	return Lookup(x, xKey, dir, dKey, x.Schema,
+	return lookupRef(x, xKey, dir, dKey, x.Schema,
 		func(it mpc.Item, r LookupResult) (mpc.Item, bool) {
 			return it, r.Found
 		})
@@ -190,7 +257,7 @@ func antiJoinRef(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation
 		return mpc.NewDist(x.C, x.Schema)
 	}
 	dir := DistinctByKey(d, dKey)
-	return Lookup(x, xKey, dir, dKey, x.Schema,
+	return lookupRef(x, xKey, dir, dKey, x.Schema,
 		func(it mpc.Item, r LookupResult) (mpc.Item, bool) {
 			return it, !r.Found
 		})

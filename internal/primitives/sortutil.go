@@ -9,8 +9,8 @@
 // globally sorted by key and cut into p equal chunks, so a heavy key
 // spreads over consecutive servers instead of hashing onto one; per-chunk
 // boundary information then flows through a coordinator at O(p) load —
-// three rounds per primitive; the semi-join is one such multi-search over
-// x and d's keys together. The cluster is charged for the sample sort's
+// three rounds per primitive; lookup and the semi-join are one
+// multi-search over x and d's keys together. The cluster is charged for the sample sort's
 // round; the simulator computes its order with a serial, stable,
 // key-carrying radix sort of an int32 rank vector, never of whole records
 // (see samplesort.go). Records live in pooled columnar sets (see
