@@ -89,8 +89,9 @@ race:
 	$(GO) test -race ./...
 
 # smoke builds and runs every public entry point at a small scale: all four
-# examples, an auto-dispatched and an explicit joinrun, and both classify
-# modes. Keeps the engine API surface from silently rotting.
+# examples, an auto-dispatched joinrun and explicit ones (rhier, and the
+# two fixed-share grids line3wc and triangle, which no benchmark workload
+# reaches), and both classify modes. Keeps the engine API surface from silently rotting.
 smoke: build
 	$(GO) run ./examples/quickstart > /dev/null
 	$(GO) run ./examples/hierarchy > /dev/null
@@ -98,6 +99,8 @@ smoke: build
 	$(GO) run ./examples/aggregation > /dev/null
 	$(GO) run ./cmd/joinrun -algo auto -family random -in 4096 -out 16384 -p 16 > /dev/null
 	$(GO) run ./cmd/joinrun -algo rhier -family rhier -in 4096 -p 16 > /dev/null
+	$(GO) run ./cmd/joinrun -algo line3wc -family random -in 4096 -out 16384 -p 16 > /dev/null
+	$(GO) run ./cmd/joinrun -algo triangle -family triangle -in 4096 -out 16384 -p 16 > /dev/null
 	$(GO) run ./cmd/classify > /dev/null
 	$(GO) run ./cmd/classify -q "1,2;2,3;3,4" > /dev/null
 	@echo "smoke: all examples and CLIs ran"

@@ -16,11 +16,32 @@ import (
 // pairwise concatenation, and the top level projects the union once more
 // onto the output schema. The algorithm around it is the production one,
 // verbatim; only the assembly differs, and the two helpers below are the
-// old Dist.Project and mpc.Concat bodies.
+// old Dist.Project and mpc.Concat bodies. Its step (3.1.3) join is a
+// parameter, so the retained multiway join can stand in for the current one.
 
 // AcyclicJoinRef is AcyclicJoin with the retained assembly. It is exported
 // for the external test package, which builds the instances through gen.
 func AcyclicJoinRef(c *mpc.Cluster, in *Instance, seed uint64) *mpc.Dist {
+	return acyclicJoinRef(c, in, seed, MultiwayKeyedJoin)
+}
+
+// AcyclicJoinMultiwayRef is AcyclicJoinRef with the step (3.1.3) joins of
+// its own levels run by the retained MultiwayKeyedJoin (multiwayref_test.go);
+// joins counts them, so a test can tell that step ran.
+func AcyclicJoinMultiwayRef(c *mpc.Cluster, in *Instance, seed uint64) (res *mpc.Dist, joins int) {
+	res = acyclicJoinRef(c, in, seed, func(key relation.Schema, dists []*mpc.Dist, ring relation.Semiring, seed uint64) *mpc.Dist {
+		joins++
+		r, _ := multiwayKeyedJoinRef(key, dists, ring, seed)
+		return r
+	})
+	return res, joins
+}
+
+// multiwayJoin is MultiwayKeyedJoin's signature, which the reference's step
+// (3.1.3) calls through.
+type multiwayJoin func(key relation.Schema, dists []*mpc.Dist, ring relation.Semiring, seed uint64) *mpc.Dist
+
+func acyclicJoinRef(c *mpc.Cluster, in *Instance, seed uint64, multiway multiwayJoin) *mpc.Dist {
 	if !in.Q.IsAcyclic() {
 		panic("core: AcyclicJoin on cyclic query")
 	}
@@ -31,11 +52,11 @@ func AcyclicJoinRef(c *mpc.Cluster, in *Instance, seed uint64) *mpc.Dist {
 	if out == 0 {
 		return mpc.NewDist(c, outSchema)
 	}
-	return projectRef(acyclicRecRef(c, in.Q.Edges, dists, in.Ring, out, seed, 0), outSchema)
+	return projectRef(acyclicRecRef(c, in.Q.Edges, dists, in.Ring, out, seed, 0, multiway), outSchema)
 }
 
 func acyclicRecRef(c *mpc.Cluster, edges []hypergraph.AttrSet, dists []*mpc.Dist,
-	ring relation.Semiring, out int64, seed uint64, depth int) *mpc.Dist {
+	ring relation.Semiring, out int64, seed uint64, depth int, multiway multiwayJoin) *mpc.Dist {
 
 	if len(dists) == 1 {
 		return dists[0]
@@ -161,7 +182,7 @@ func acyclicRecRef(c *mpc.Cluster, edges []hypergraph.AttrSet, dists []*mpc.Dist
 			}
 			if ok && rp0.Size() > 0 {
 				results = append(results,
-					MultiwayKeyedJoin(edges[e0].Schema(), parts, ring, pseed^0x30))
+					multiway(edges[e0].Schema(), parts, ring, pseed^0x30))
 			}
 		}
 
@@ -187,7 +208,7 @@ func acyclicRecRef(c *mpc.Cluster, edges []hypergraph.AttrSet, dists []*mpc.Dist
 				recDists = append(recDists, work[e])
 			}
 			results = append(results,
-				acyclicRecRef(c, recEdges, recDists, ring, out, pseed^0x50, depth+1))
+				acyclicRecRef(c, recEdges, recDists, ring, out, pseed^0x50, depth+1, multiway))
 		}
 	}
 

@@ -14,7 +14,8 @@ import (
 // (da, db) by a Lookup multi-search, the router reads heavy or light off
 // those two columns, and the widened rows travel through the exchange. The
 // body is the production one before routing moved to the directory,
-// verbatim; buildGrid and chargeDirectory are shared.
+// verbatim but for the shared degreeTable, newDirectory and chargeDirectory
+// it now builds its directory with; its grid loops stay hand-written.
 
 // BinaryJoinRef is BinaryJoin on the retained routing, without an observer.
 // heavy is the number of keys its directory holds, so a test can tell the
@@ -48,7 +49,7 @@ func binaryJoinRef(a, b *mpc.Dist, outSchema relation.Schema, ring relation.Semi
 	// Per-key degrees on both sides, co-located by key.
 	dA := primitives.CountByKey(a, shared, seed^0x1)
 	dB := primitives.CountByKey(b, shared, seed^0x2)
-	jd := joinDegrees(dA, dB, shared, seed^0x3)
+	jd := degreeTable(shared, dA.ShuffleByAttrs(shared, seed^0x3), dB.ShuffleByAttrs(shared, seed^0x3))
 
 	// OUT = Σ_k da·db and the heavy-key directory, known cluster-wide.
 	out := int64(0)
@@ -70,9 +71,12 @@ func binaryJoinRef(a, b *mpc.Dist, outSchema relation.Schema, ring relation.Semi
 	if l0 < 1 {
 		l0 = 1
 	}
-	dir := buildGrid(jd, len(shared), l0, out, c.P)
+	heavy := func(da, db int64) bool {
+		return da > l0 || db > l0 || da*db > (out+int64(c.P)-1)/int64(c.P)
+	}
+	dir := newDirectory(jd, len(shared), l0, func(d relation.Tuple) bool { return heavy(int64(d[0]), int64(d[1])) })
 	defer dir.idx.Release()
-	chargeDirectory(c, len(dir.grids))
+	chargeDirectory(c, len(dir.cubes))
 
 	// Attach (da, db) to every tuple (multi-search); tuples whose key is
 	// missing from the directory side cannot join and are dropped here.
@@ -81,9 +85,6 @@ func binaryJoinRef(a, b *mpc.Dist, outSchema relation.Schema, ring relation.Semi
 
 	aPosKey := ax.Positions(shared)
 	bPosKey := bx.Positions(shared)
-	heavy := func(da, db int64) bool {
-		return da > l0 || db > l0 || da*db > (out+int64(c.P)-1)/int64(c.P)
-	}
 
 	routeSide := func(d *mpc.Dist, keyPos []int, isA bool, salt uint64) *mpc.Dist {
 		whole := identityPos(len(d.Schema))
@@ -93,18 +94,19 @@ func binaryJoinRef(a, b *mpc.Dist, outSchema relation.Schema, ring relation.Semi
 			if !heavy(da, db) {
 				return append(dst, int(mpc.HashTupleAt(it.T, keyPos, seed^0x10)%uint64(c.P)))
 			}
-			g := dir.grids[dir.idx.First(it.T, keyPos)]
+			g := dir.cubes[dir.idx.First(it.T, keyPos)]
+			rows, cols := g.dims[0], g.dims[1]
 			h := mpc.HashTupleAt(it.T, whole, salt)
 			if isA {
-				row := int(h % uint64(g.rows))
-				for col := 0; col < g.cols; col++ {
-					dst = append(dst, (g.base+row*g.cols+col)%c.P)
+				row := int(h % uint64(rows))
+				for col := 0; col < cols; col++ {
+					dst = append(dst, (g.base+row*cols+col)%c.P)
 				}
 				return dst
 			}
-			col := int(h % uint64(g.cols))
-			for row := 0; row < g.rows; row++ {
-				dst = append(dst, (g.base+row*g.cols+col)%c.P)
+			col := int(h % uint64(cols))
+			for row := 0; row < rows; row++ {
+				dst = append(dst, (g.base+row*cols+col)%c.P)
 			}
 			return dst
 		})
@@ -122,7 +124,7 @@ func binaryJoinRef(a, b *mpc.Dist, outSchema relation.Schema, ring relation.Semi
 	runtime.Fork(c.P, func(s int) {
 		indexJoin(&res.Parts[s], len(outSchema), stagesAt(stages, inputs, s), nil, ring)
 	})
-	return res, len(dir.grids)
+	return res, len(dir.cubes)
 }
 
 // attachDegrees extends every tuple of d with the (da, db) of its key via
@@ -130,7 +132,7 @@ func binaryJoinRef(a, b *mpc.Dist, outSchema relation.Schema, ring relation.Semi
 // kept row is written in place in its output part.
 func attachDegrees(d *mpc.Dist, shared relation.Schema, jd *mpc.Dist) *mpc.Dist {
 	keyAttrs := []relation.Attr(shared)
-	outSchema := append(append(relation.Schema{}, d.Schema...), synthDA, synthDB)
+	outSchema := append(append(relation.Schema{}, d.Schema...), synthDeg(0), synthDeg(1))
 	jdN := len(jd.Schema)
 	return primitives.Lookup(d, keyAttrs, jd, keyAttrs, outSchema,
 		func(out *mpc.Columns, it mpc.Item, r primitives.LookupResult) {

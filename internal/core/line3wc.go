@@ -39,26 +39,22 @@ func Line3WorstCase(c *mpc.Cluster, in *Instance, seed uint64) *mpc.Dist {
 	p2b, p2c := r2.Positions([]relation.Attr{b}), r2.Positions([]relation.Attr{cAttr})
 	p3c := r3.Positions([]relation.Attr{cAttr})
 	// Grid coordinates are hashes of the one join column, read off the flat
-	// row (bit-identical to hashing its encoded value).
-	hb := func(t relation.Tuple, pos []int) int { return int(mpc.HashTupleAt(t, pos, seed^0x1) % uint64(s)) }
-	hc := func(t relation.Tuple, pos []int) int { return int(mpc.HashTupleAt(t, pos, seed^0x2) % uint64(s)) }
+	// row (bit-identical to hashing its encoded value): B fixes dimension 0
+	// of the √p × √p cube, C dimension 1.
+	grid := newCube([]int{s, s}, 0, c.P)
+	hb := func(t relation.Tuple, pos []int) coord {
+		return coord{0, int(mpc.HashTupleAt(t, pos, seed^0x1) % uint64(s))}
+	}
+	hc := func(t relation.Tuple, pos []int) coord {
+		return coord{1, int(mpc.HashTupleAt(t, pos, seed^0x2) % uint64(s))}
+	}
 
-	// R1 → row h(b), all columns; R3 → column h(c), all rows; R2 → one cell.
-	g1 := r1.ReplicateAppend(func(it mpc.Item, dst []int) []int {
-		row := hb(it.T, p1b)
-		for j := 0; j < s; j++ {
-			dst = append(dst, row*s+j)
-		}
-		return dst
+	// R1 → row h(b), all columns; R2 → one cell; R3 → column h(c), all rows.
+	g1 := r1.ReplicateAppend(func(it mpc.Item, dst []int) []int { return grid.appendServers(dst, hb(it.T, p1b)) })
+	g2 := r2.ReplicateAppend(func(it mpc.Item, dst []int) []int {
+		return grid.appendServers(dst, hb(it.T, p2b), hc(it.T, p2c))
 	})
-	g2 := r2.ShuffleBy(func(it mpc.Item) int { return hb(it.T, p2b)*s + hc(it.T, p2c) })
-	g3 := r3.ReplicateAppend(func(it mpc.Item, dst []int) []int {
-		col := hc(it.T, p3c)
-		for i := 0; i < s; i++ {
-			dst = append(dst, i*s+col)
-		}
-		return dst
-	})
+	g3 := r3.ReplicateAppend(func(it mpc.Item, dst []int) []int { return grid.appendServers(dst, hc(it.T, p3c)) })
 
 	// Per-server joins (indexJoin) run in parallel — server sv writes only
 	// res.Parts[sv] — and emission runs afterwards in server order: each

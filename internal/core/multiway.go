@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"repro/internal/mpc"
 	"repro/internal/primitives"
@@ -45,33 +44,38 @@ func MultiwayKeyedJoin(key relation.Schema, dists []*mpc.Dist, ring relation.Sem
 	}
 	keyAttrs := []relation.Attr(key)
 
-	// Per-relation degree tables, co-located by key (same salt).
+	// Per-relation degree tables, co-located by key (same salt) and merged.
 	degs := make([]*mpc.Dist, m)
 	for i, d := range dists {
 		degs[i] = primitives.CountByKey(d, keyAttrs, seed^uint64(0x600+i)).
 			ShuffleByAttrs(keyAttrs, seed^0x700)
 	}
-	stats := collectKeyStats(degs)
+	jd := degreeTable(key, degs...)
+	kw := len(key)
 
 	inSize := 0
 	for _, d := range dists {
 		inSize += d.Size()
 	}
-	l0 := chooseLoad(stats, inSize, c.P)
-	cubes, gridded := buildCube(stats, l0, c.P)
-	chargeDirectory(c, gridded)
+	l0 := chooseLoad(jd, kw, inSize, c.P)
+	dir := newDirectory(jd, kw, l0, func(d relation.Tuple) bool {
+		return slices.ContainsFunc(d, func(v relation.Value) bool { return int64(v) > l0 })
+	})
+	defer dir.idx.Release()
+	chargeDirectory(c, len(dir.cubes))
 
-	// The joinable keys as one flat, value-indexed part: row r is stats[r]'s
-	// key, so a routed tuple finds its cube without building a key string.
+	// The joinable keys as one flat part indexed by key value, so a routed
+	// tuple is checked without building a key string.
 	var keys mpc.Columns
-	keys.Reserve(len(key), len(stats))
-	for _, st := range stats {
-		copy(keys.AppendRow(1), st.key)
+	keys.Reserve(len(jd.Schema), jd.Size())
+	for s := range jd.Parts {
+		keys.AppendColumns(&jd.Parts[s])
 	}
-	keyIdx := mpc.IndexRows(&keys, identityPos(len(key)))
+	keyIdx := mpc.IndexRows(&keys, identityPos(kw))
 	defer keyIdx.Release()
 
-	// Route every relation: light keys by hash, heavy keys into their cube.
+	// Route every relation: light keys by hash; relation i fixes dimension
+	// i of its heavy key's cube and is replicated along the others.
 	routed := make([]*mpc.Dist, m)
 	for i, d := range dists {
 		idx := i
@@ -84,12 +88,16 @@ func MultiwayKeyedJoin(key relation.Schema, dists []*mpc.Dist, ring relation.Sem
 		// dropped locally here.
 		joinable := d.FilterLocal(func(it mpc.Item) bool { return keyIdx.First(it.T, pos) >= 0 })
 		routed[i] = joinable.ReplicateAppend(func(it mpc.Item, dst []int) []int {
-			cube := &cubes[keyIdx.First(it.T, pos)]
-			if cube.size == 0 {
+			r := -1
+			if len(dir.cubes) > 0 {
+				r = dir.idx.First(it.T, pos)
+			}
+			if r < 0 {
 				return append(dst, int(mpc.HashTupleAt(it.T, pos, seed^0x800)%uint64(c.P)))
 			}
-			coord := int(mpc.HashTupleAt(it.T, whole, seed^uint64(0x900+idx)) % uint64(cube.dims[idx]))
-			return cube.appendServers(dst, idx, coord, c.P)
+			cb := &dir.cubes[r]
+			x := int(mpc.HashTupleAt(it.T, whole, seed^uint64(0x900+idx)) % uint64(cb.dims[idx]))
+			return cb.appendServers(dst, coord{idx, x})
 		})
 	}
 
@@ -131,55 +139,17 @@ func MultiwayKeyedJoin(key relation.Schema, dists []*mpc.Dist, ring relation.Sem
 	return res
 }
 
-// keyStat aggregates the per-relation degrees of one key value.
-type keyStat struct {
-	key  relation.Tuple
-	degs []int64
-}
-
-// collectKeyStats merges the degree tables — whose rows are the keys, and
-// which are co-located by key — into per-key vectors, keeping only keys
-// present in every relation, in key order.
-func collectKeyStats(degs []*mpc.Dist) []keyStat {
-	m := len(degs)
-	whole := identityPos(len(degs[0].Schema))
-	var out []keyStat
-	for s := range degs[0].Parts {
-		idx := make([]mpc.RowIndex, m)
-		for i := 1; i < m; i++ {
-			idx[i] = mpc.IndexRows(&degs[i].Parts[s], whole)
-		}
-		first := &degs[0].Parts[s]
-	keys:
-		for j := 0; j < first.Len(); j++ {
-			st := keyStat{key: first.Tuple(j), degs: make([]int64, m)}
-			st.degs[0] = first.Annot(j)
-			for i := 1; i < m; i++ {
-				r := idx[i].First(st.key, whole)
-				if r < 0 {
-					continue keys
-				}
-				st.degs[i] = degs[i].Parts[s].Annot(r)
-			}
-			out = append(out, st)
-		}
-		for i := 1; i < m; i++ {
-			idx[i].Release()
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return slices.Compare(out[i].key, out[j].key) < 0 })
-	return out
-}
-
 // chooseLoad binary-searches the smallest per-relation load target L ≥ IN/p
-// whose heavy keys need at most 2p grid cells in total.
-func chooseLoad(stats []keyStat, inSize, p int) int64 {
+// whose heavy keys need at most 2p grid cells in total; jd is the degree
+// table (kw key columns, then one degree per relation).
+func chooseLoad(jd *mpc.Dist, kw, inSize, p int) int64 {
 	lo := int64(inSize/p) + 1
 	hi := int64(1)
-	for _, st := range stats {
-		for _, d := range st.degs {
-			if d > hi {
-				hi = d
+	for s := range jd.Parts {
+		part := &jd.Parts[s]
+		for i := 0; i < part.Len(); i++ {
+			for _, d := range part.Tuple(i)[kw:] {
+				hi = max(hi, int64(d))
 			}
 		}
 	}
@@ -188,21 +158,24 @@ func chooseLoad(stats []keyStat, inSize, p int) int64 {
 	}
 	cells := func(l int64) int64 {
 		var total int64
-		for _, st := range stats {
-			cell := int64(1)
-			gridded := false
-			for _, d := range st.degs {
-				dim := (d + l - 1) / l
-				if dim > 1 {
-					gridded = true
+		for s := range jd.Parts {
+			part := &jd.Parts[s]
+			for i := 0; i < part.Len(); i++ {
+				cell := int64(1)
+				gridded := false
+				for _, d := range part.Tuple(i)[kw:] {
+					dim := (int64(d) + l - 1) / l
+					if dim > 1 {
+						gridded = true
+					}
+					cell *= dim
 				}
-				cell *= dim
-			}
-			if gridded {
-				total += cell
-			}
-			if total > 1<<40 {
-				return total
+				if gridded {
+					total += cell
+				}
+				if total > 1<<40 {
+					return total
+				}
 			}
 		}
 		return total
@@ -216,85 +189,4 @@ func chooseLoad(stats []keyStat, inSize, p int) int64 {
 		}
 	}
 	return lo
-}
-
-// cubeInfo is the server hypercube of one heavy key.
-type cubeInfo struct {
-	base    int
-	dims    []int
-	strides []int
-	size    int
-}
-
-// appendServers appends the servers covering coordinate coord of dimension
-// idx (the tuple is replicated across all other dimensions), in increasing
-// cell order.
-func (ci *cubeInfo) appendServers(dst []int, idx, coord, p int) []int {
-	step := ci.strides[idx]
-	for hi := 0; hi < ci.size; hi += step * ci.dims[idx] {
-		for lo := 0; lo < step; lo++ {
-			dst = append(dst, (ci.base+hi+coord*step+lo)%p)
-		}
-	}
-	return dst
-}
-
-// clampDims shrinks the largest dimensions until the cube has at most p
-// cells: a single key's grid must never wrap around the cluster, or pairs
-// would meet on more than one server and be reported twice.
-func clampDims(dims []int, p int) int {
-	size := 1
-	for _, d := range dims {
-		size *= d
-	}
-	for size > p {
-		maxI := 0
-		for i, d := range dims {
-			if d > dims[maxI] {
-				maxI = i
-			}
-		}
-		size = size / dims[maxI]
-		dims[maxI]--
-		if dims[maxI] < 1 {
-			dims[maxI] = 1
-		}
-		size *= dims[maxI]
-	}
-	return size
-}
-
-// buildCube assigns hypercubes to the keys that need more than one cell:
-// cubes[i] is stats[i]'s cube, left zero (size 0) for light keys, and
-// gridded counts the cubes assigned.
-func buildCube(stats []keyStat, l0 int64, p int) (cubes []cubeInfo, gridded int) {
-	cubes = make([]cubeInfo, len(stats))
-	base := 0
-	for k, st := range stats {
-		dims := make([]int, len(st.degs))
-		multi := false
-		for i, d := range st.degs {
-			dims[i] = int((d + l0 - 1) / l0)
-			if dims[i] < 1 {
-				dims[i] = 1
-			}
-			if dims[i] > 1 {
-				multi = true
-			}
-		}
-		if !multi {
-			continue
-		}
-		size := clampDims(dims, p)
-		strides := make([]int, len(dims))
-		s := 1
-		for i := len(dims) - 1; i >= 0; i-- {
-			strides[i] = s
-			s *= dims[i]
-		}
-		cubes[k] = cubeInfo{base: base % p, dims: dims, strides: strides, size: size}
-		base += size
-		gridded++
-	}
-	return cubes, gridded
 }

@@ -30,33 +30,27 @@ func Triangle(c *mpc.Cluster, in *Instance, seed uint64) *mpc.Dist {
 	if s < 1 {
 		s = 1
 	}
-	// Cube coordinates per attribute, in (a, b, c) order: a tuple's bucket
-	// on a dimension is the hash of that one column, read off the flat row.
+	// One s × s × s cube over (a, b, c): a tuple's coordinate on a
+	// dimension is the hash of that one column, read off the flat row, and
+	// each relation is replicated along the dimension of the attribute it
+	// misses.
 	attrs := [3]relation.Attr{a, b, cc}
-	stride := [3]int{s * s, s, 1}
-
-	// route replicates d along the dimension of the one attribute it misses.
+	grid := newCube([]int{s, s, s}, 0, c.P)
 	route := func(d *mpc.Dist) *mpc.Dist {
-		var col [3][]int // col[k] = the column holding attrs[k]; nil for the missing one
-		missing := 0
+		var dims [2]int   // the cube dimensions of d's two attributes
+		var cols [2][]int // and the columns holding them
+		n := 0
 		for k, at := range attrs {
 			if p := d.Schema.Pos(at); p >= 0 {
-				col[k] = []int{p}
-			} else {
-				missing = k
+				dims[n], cols[n] = k, []int{p}
+				n++
 			}
 		}
+		at := func(t relation.Tuple, j int) coord {
+			return coord{dims[j], int(mpc.HashTupleAt(t, cols[j], seed^uint64(attrs[dims[j]])) % uint64(s))}
+		}
 		return d.ReplicateAppend(func(it mpc.Item, dst []int) []int {
-			base := 0
-			for k, at := range attrs {
-				if col[k] != nil {
-					base += stride[k] * int(mpc.HashTupleAt(it.T, col[k], seed^uint64(at))%uint64(s))
-				}
-			}
-			for r := 0; r < s; r++ {
-				dst = append(dst, base+r*stride[missing])
-			}
-			return dst
+			return grid.appendServers(dst, at(it.T, 0), at(it.T, 1))
 		})
 	}
 	// Identify which routed dist plays which role by schema.

@@ -50,7 +50,7 @@ func init() {
 var commFuncs = map[string]bool{
 	// routed exchanges on mpc.Dist
 	"route": true, "routeTasks": true,
-	"ShuffleByKey": true, "ShuffleByAttrs": true, "ShuffleBy": true,
+	"ShuffleByKey": true, "ShuffleByAttrs": true,
 	"ReplicateBy": true, "ReplicateAppend": true, "Broadcast": true, "GatherTo": true, "MoveTo": true,
 	// sort-and-chop plus the explicit charges
 	"sortAndChop": true, "chopBounds": true,

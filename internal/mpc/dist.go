@@ -179,14 +179,6 @@ func (d *Dist) ShuffleByAttrs(attrs []relation.Attr, salt uint64) *Dist {
 	return d.ShuffleByKey(d.Positions(attrs), salt)
 }
 
-// ShuffleBy routes each item to the single server chosen by f.
-//
-//lint:load linear trust the routing function is caller-supplied; nothing bounds how many items it sends to one server
-//lint:rounds const
-func (d *Dist) ShuffleBy(f func(it Item) int) *Dist {
-	return d.route(d.Schema, router{one: func(_ int, it Item) int { return f(it) }})
-}
-
 // ReplicateAppend routes each item to every server f appends to dst (used
 // by HyperCube-style plans where a tuple is copied along grid dimensions).
 // dst is the exchange's per-task scratch, empty on entry: f appends the
@@ -226,7 +218,7 @@ func (d *Dist) Broadcast() *Dist {
 //lint:load linear trust one server receives the whole collection by design
 //lint:rounds const
 func (d *Dist) GatherTo(s int) *Dist {
-	return d.route(d.Schema, router{one: func(_ int, _ Item) int { return s }})
+	return d.route(d.Schema, router{many: func(_ int, _ Item, dst []int) []int { return append(dst, s) }})
 }
 
 // MapLocal rewrites every item locally (no communication, no new round).

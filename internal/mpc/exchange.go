@@ -58,12 +58,11 @@ const exchangeSerialBelow = 1 << 12
 
 // router resolves an item's destinations. Exactly one strategy is set:
 // hash shuffles carry the key positions and salt (hashPos non-nil, the
-// flat fast path); other single-destination operations (gathers,
-// arithmetic placements) use one, which never allocates a per-item slice;
-// replicating operations use many, which appends the item's destinations
-// to a per-task scratch list the counting pass reuses for every row.
+// flat fast path); every other operation uses many, which appends the
+// item's destinations to a per-task scratch list the counting pass reuses
+// for every row (a plan of fan-out 1 throughout, such as a gather, keeps
+// one int32 per row and no fan-out list).
 type router struct {
-	one      func(s int, it Item) int
 	many     func(s int, it Item, dst []int) []int
 	hashPos  []int // non-nil ⇒ destination is HashTupleAt(row, hashPos, hashSalt) % P
 	hashSalt uint64
@@ -199,42 +198,29 @@ func newExchangePlan(d *Dist, rt router, tasks int) *exchangePlan {
 		flat := getInt32Cap(items) // fan-out is 1 in the common case
 		var fan []int32            // lazily materialized on the first fan-out ≠ 1
 		seen := 0
-		if rt.one != nil {
-			sp.each(d.Parts, func(s int, cols *Columns, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					t := rt.one(s, cols.Item(i))
+		var ts []int // the task's destination scratch, reused across rows
+		sp.each(d.Parts, func(s int, cols *Columns, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				ts = rt.many(s, cols.Item(i), ts[:0])
+				for _, t := range ts {
 					if t < 0 || t >= p {
 						panic(fmt.Sprintf("mpc: route to invalid server %d", t))
 					}
 					flat = append(flat, int32(t))
 					cnt[t]++
 				}
-			})
-		} else {
-			var ts []int // the task's destination scratch, reused across rows
-			sp.each(d.Parts, func(s int, cols *Columns, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					ts = rt.many(s, cols.Item(i), ts[:0])
-					for _, t := range ts {
-						if t < 0 || t >= p {
-							panic(fmt.Sprintf("mpc: route to invalid server %d", t))
-						}
-						flat = append(flat, int32(t))
-						cnt[t]++
+				if fan == nil && len(ts) != 1 {
+					fan = getInt32Cap(items)
+					for k := 0; k < seen; k++ {
+						fan = append(fan, 1)
 					}
-					if fan == nil && len(ts) != 1 {
-						fan = getInt32Cap(items)
-						for k := 0; k < seen; k++ {
-							fan = append(fan, 1)
-						}
-					}
-					if fan != nil {
-						fan = append(fan, int32(len(ts)))
-					}
-					seen++
 				}
-			})
-		}
+				if fan != nil {
+					fan = append(fan, int32(len(ts)))
+				}
+				seen++
+			}
+		})
 		plan.dests[w] = flat
 		plan.fans[w] = fan
 		plan.counts[w] = cnt

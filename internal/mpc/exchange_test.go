@@ -329,7 +329,7 @@ func TestExchangeInvalidServerPanics(t *testing.T) {
 			}()
 			c := NewCluster(4)
 			d := exchangeTestDist(c, 8192, 3)
-			d.ShuffleBy(func(it Item) int { return int(it.T[1]) })
+			d.ReplicateAppend(func(it Item, dst []int) []int { return append(dst, int(it.T[1])) })
 		}()
 	}
 }

@@ -125,7 +125,7 @@ func TestRouteInvalidServerPanics(t *testing.T) {
 			t.Fatal("routing to invalid server did not panic")
 		}
 	}()
-	d.ShuffleBy(func(it Item) int { return 7 })
+	d.ReplicateAppend(func(it Item, dst []int) []int { return append(dst, 7) })
 }
 
 func TestMapFilterLocalFree(t *testing.T) {
