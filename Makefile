@@ -89,9 +89,11 @@ race:
 	$(GO) test -race ./...
 
 # smoke builds and runs every public entry point at a small scale: all four
-# examples, an auto-dispatched joinrun and explicit ones (rhier, and the
-# two fixed-share grids line3wc and triangle, which no benchmark workload
-# reaches), and both classify modes. Keeps the engine API surface from silently rotting.
+# examples, an auto-dispatched joinrun and explicit ones (rhier, the two
+# fixed-share grids line3wc and triangle, which no benchmark workload
+# reaches, and count on a random and a doubled instance), and both classify
+# modes. Every joinrun is oracle-checked and exits 1 on a mismatch. Keeps
+# the engine API surface from silently rotting.
 smoke: build
 	$(GO) run ./examples/quickstart > /dev/null
 	$(GO) run ./examples/hierarchy > /dev/null
@@ -101,6 +103,8 @@ smoke: build
 	$(GO) run ./cmd/joinrun -algo rhier -family rhier -in 4096 -p 16 > /dev/null
 	$(GO) run ./cmd/joinrun -algo line3wc -family random -in 4096 -out 16384 -p 16 > /dev/null
 	$(GO) run ./cmd/joinrun -algo triangle -family triangle -in 4096 -out 16384 -p 16 > /dev/null
+	$(GO) run ./cmd/joinrun -algo count -family random -in 4096 -out 16384 -p 16 > /dev/null
+	$(GO) run ./cmd/joinrun -algo count -family doubled -in 4096 -out 16384 -p 16 > /dev/null
 	$(GO) run ./cmd/classify > /dev/null
 	$(GO) run ./cmd/classify -q "1,2;2,3;3,4" > /dev/null
 	@echo "smoke: all examples and CLIs ran"
@@ -125,7 +129,8 @@ cover:
 # sample sort, the local join kernel, the row index under it, the
 # word-keyed aggregation side and the one-sort semi-join must stay
 # value-identical to their retained references on randomized inputs,
-# widths, and pool states.
+# widths, and pool states, and the reducer-free count must equal the naive
+# oracle and the reduce-then-fold reference on random join trees.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzExchangeParity$$' -fuzztime $(FUZZTIME) ./internal/mpc
 	$(GO) test -run '^$$' -fuzz '^FuzzRowIndexParity$$' -fuzztime $(FUZZTIME) ./internal/mpc
@@ -133,6 +138,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLocalJoinParity$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzSumByKeyParity$$' -fuzztime $(FUZZTIME) ./internal/primitives
 	$(GO) test -run '^$$' -fuzz '^FuzzSemiJoinParity$$' -fuzztime $(FUZZTIME) ./internal/primitives
+	$(GO) test -run '^$$' -fuzz '^FuzzCountAgainstOracle$$' -fuzztime $(FUZZTIME) ./internal/core
 
 # contracts regenerates CONTRACTS.md from the engine registry and the
 # round-cost classifier (repolint -contracts runs standalone: under go

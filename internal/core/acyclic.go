@@ -13,11 +13,13 @@ import (
 // AcyclicJoin is the paper's Section 5.1 output-optimal algorithm for an
 // arbitrary acyclic join, with load O(IN/p + √(IN·OUT/p)).
 //
-// After removing dangling tuples and computing OUT, it recursively picks an
-// internal join-tree node e0 whose children e1…ek are all leaves, splits
-// each child's tuples into heavy/light by the degree of their join
-// assignment (threshold τ = √(OUT/Nβ), Nβ = IN − Σ|R(ei)|), and decomposes
-// the join into the 2^k heavy/light sub-joins:
+// After removing dangling tuples and computing OUT (Cor. 4's fold, which
+// runs no reducer of its own: dangling tuples only add Zero to a y = ∅
+// fold, so one reducer serves both the count and the joins), it
+// recursively picks an internal join-tree node e0 whose children e1…ek are
+// all leaves, splits each child's tuples into heavy/light by the degree of
+// their join assignment (threshold τ = √(OUT/Nβ), Nβ = IN − Σ|R(ei)|), and
+// decomposes the join into the 2^k heavy/light sub-joins:
 //
 //   - a sub-join containing a heavy child e_h is computed as
 //     R^H(e_h) ⋈ [ (R(e0) ⋉ R^H(e_h)) ⋈ rest ]   (steps 2.1–2.3):

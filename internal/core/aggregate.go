@@ -44,23 +44,37 @@ func LinearAggro(c *mpc.Cluster, in *Instance, y hypergraph.AttrSet, seed uint64
 }
 
 // linearAggroDists is LinearAggro on already-distributed relations.
+//
+// Only y ≠ ∅ runs the full reducer first: the frontier join that follows
+// needs dangling-free frontiers for its output bound. A y = ∅ fold needs
+// none under any commutative semiring, because a dangling tuple only ever
+// contributes Zero. An unmatched child key is never looked up, and
+// AttachAnnot(…, dropMissing) drops an unmatched parent, so the root's sum
+// ranges over exactly the tuples a reducer would keep. Skipping it saves
+// 2·(|E|−1) semi-joins, 3 rounds each.
 func linearAggroDists(q *hypergraph.Hypergraph, dists []*mpc.Dist, y hypergraph.AttrSet,
 	ring relation.Semiring, seed uint64) AggregateResult {
 
-	// Preprocessing: remove dangling tuples, then reduce the hypergraph;
-	// an absorbed edge's annotations are ⊗-merged into its host (the
-	// paper replaces R(e') with R(e) ⋈ R(e') before discarding R(e)).
-	dists = FullReduce(&Instance{Q: q, Rels: relsOf(q, dists)}, dists)
+	// Preprocessing: remove dangling tuples (y ≠ ∅ only), then reduce the
+	// hypergraph; an absorbed edge's annotations are ⊗-merged into its host
+	// (the paper replaces R(e') with R(e) ⋈ R(e') before discarding R(e)).
+	if len(y) > 0 {
+		dists = FullReduce(&Instance{Q: q, Rels: relsOf(q, dists)}, dists)
+	}
+	// Each reduced edge starts from the first relation over exactly its
+	// attributes; src remembers which, so that relation is never attached
+	// to itself once an earlier absorbed edge has replaced rdists[h].
 	reduced, host := q.Reduce()
 	rdists := make([]*mpc.Dist, len(reduced.Edges))
+	src := make([]int, len(reduced.Edges))
 	for i := range q.Edges {
 		if host[i] >= 0 && rdists[host[i]] == nil && reduced.Edges[host[i]].Equal(hypergraph.NewAttrSet([]relation.Attr(dists[i].Schema)...)) {
-			rdists[host[i]] = dists[i]
+			rdists[host[i]], src[host[i]] = dists[i], i
 		}
 	}
 	for i := range q.Edges {
 		h := host[i]
-		if rdists[h] == dists[i] {
+		if src[h] == i {
 			continue
 		}
 		key := []relation.Attr(dists[i].Schema)
@@ -140,7 +154,8 @@ func scalarOf(d *mpc.Dist, ring relation.Semiring) int64 {
 }
 
 // CountOutput computes OUT = |Q(R)| for an acyclic join in O(1) rounds with
-// linear load (Corollary 4): LinearAggro under the count ring with y = ∅.
+// linear load (Corollary 4): LinearAggro under the count ring with y = ∅,
+// which is one bottom-up fold and no full reducer (see linearAggroDists).
 // This is the MPC primitive the output-optimal algorithms start with.
 //
 //lint:load perP
@@ -153,7 +168,8 @@ func CountOutput(c *mpc.Cluster, in *Instance, seed uint64) int64 {
 
 // CountOutputDists is CountOutput on already-distributed relations, with
 // annotations forced to 1 so it counts tuples regardless of the semiring
-// the caller runs under.
+// the caller runs under. The relations may hold dangling tuples; callers
+// that have reduced them already pay no second reducer.
 //
 //lint:load perP
 //lint:rounds const
@@ -169,7 +185,8 @@ func CountOutputDists(q *hypergraph.Hypergraph, dists []*mpc.Dist, seed uint64) 
 // Aggregate computes the full free-connex join-aggregate query ⊕_ȳ Q(R):
 // LinearAggro, then the output-optimal join over the frontier relations
 // (Theorem 9). The result is distributed over y's attributes, each row
-// annotated with its aggregate.
+// annotated with its aggregate. An empty y is the count's scalar fold: no
+// reducer and no join (see linearAggroDists).
 //
 //lint:load frac trust dispatches to RHier/BinaryJoin for the join phase; the aggregation passes themselves stay at IN/p
 //lint:rounds const

@@ -221,3 +221,35 @@ func TestAggregateReducedQueryWithContainedEdge(t *testing.T) {
 		}
 	}
 }
+
+// TestAbsorbKeepsTheHostsOwnRelation: R1(A) ⊆ R2(A,B) ⊇ R3(B) lists an
+// absorbed edge before its host's own relation. The host starts from R2 and
+// absorbs R1 and R3; R2 is never its own directory, which would square its
+// annotations and abort on a duplicate row.
+func TestAbsorbKeepsTheHostsOwnRelation(t *testing.T) {
+	r1, r2, r3 := relation.New("R1", relation.NewSchema(1)), relation.New("R2", relation.NewSchema(1, 2)), relation.New("R3", relation.NewSchema(2))
+	r1.AddAnnotated(2, 5)
+	r2.AddAnnotated(3, 5, 6)
+	r2.AddAnnotated(3, 5, 6) // a bag on the host
+	r2.AddAnnotated(4, 7, 6)
+	r3.AddAnnotated(5, 6)
+	in := NewInstance(hypergraph.RHierSimple(), r1, r2, r3)
+	for _, y := range []hypergraph.AttrSet{nil, hypergraph.NewAttrSet(1)} {
+		want := naiveAggregate(in, y)
+		got := map[string]int64{}
+		for _, it := range Aggregate(mpc.NewCluster(2), in, y, 1).All() {
+			got[relation.EncodeTuple(it.T)] = it.A
+		}
+		if len(got) != len(want) {
+			t.Fatalf("y=%v: %d groups, want %d", y, len(got), len(want))
+		}
+		for k, v := range want {
+			if got[k] != v {
+				t.Errorf("y=%v: group value %d, want %d", y, got[k], v)
+			}
+		}
+	}
+	if n := CountOutput(mpc.NewCluster(2), in, 1); n != 2 {
+		t.Errorf("CountOutput = %d, want 2", n)
+	}
+}

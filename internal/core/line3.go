@@ -12,9 +12,11 @@ import (
 // Line3 is the paper's Section 4.2 output-optimal algorithm for the line-3
 // join R1(A,B) ⋈ R2(B,C) ⋈ R3(C,D), with load O(IN/p + √(IN·OUT/p)).
 //
-// After removing dangling tuples it computes OUT (an MPC primitive), sets
-// the degree threshold τ = √(OUT/IN), and splits B-values by their degree
-// in R1. The join then decomposes into two parts with different orders:
+// After removing dangling tuples it computes OUT (Cor. 4's fold, which runs
+// no reducer of its own: dangling tuples only add Zero to a y = ∅ fold, so
+// one reducer serves both the count and the joins), sets the degree
+// threshold τ = √(OUT/IN), and splits B-values by their degree in R1. The
+// join then decomposes into two parts with different orders:
 //
 //	Q1 = R1^H ⋈ (R2^H ⋈ R3)   — |R2^H ⋈ R3| ≤ OUT/τ,
 //	Q2 = (R1^L ⋈ R2^L) ⋈ R3   — |R1^L ⋈ R2^L| ≤ IN·τ,

@@ -32,6 +32,9 @@ type Spec struct {
 	// i.e. whose OUT the naive oracle can verify. Scalar algorithms (count)
 	// and aggregates emit different cardinalities.
 	fullJoin bool
+	// count marks algorithms that emit one scalar row annotated |Q(R)|:
+	// verification reads that count off Result.Annot instead of OUT.
+	count bool
 	// oracle marks the verification oracle itself: CheckOracle against it
 	// would just run the same sequential join twice.
 	oracle bool
@@ -165,7 +168,7 @@ func init() {
 		},
 	})
 	Register(&Spec{
-		name: "count", bound: "IN/p (Cor. 4)", load: "perP", rounds: "const", fullJoin: false,
+		name: "count", bound: "IN/p (Cor. 4)", load: "perP", rounds: "const", count: true,
 		applies: (*hypergraph.Hypergraph).IsAcyclic,
 		run: func(job Job) (*mpc.Dist, error) {
 			// One scalar row: Result.Annot carries |Q(R)|.

@@ -59,10 +59,12 @@ type Job struct {
 	Want int64
 	// CheckWant verifies the measured OUT against Want (set both when the
 	// oracle count is already known — the harness computes it once per
-	// instance and shares it across algorithms).
+	// instance and shares it across algorithms). A count's measured OUT is
+	// its scalar, Result.Annot.
 	CheckWant bool
 	// CheckOracle verifies the measured OUT against core.NaiveCount,
 	// computed by the engine. Expensive: materializes the sequential join.
+	// Aggregates are not checked.
 	CheckOracle bool
 
 	// Cluster is the cluster the job runs on. Run fills it with a fresh
@@ -256,9 +258,14 @@ func execute(a Algorithm, job Job) (res Result, err error) {
 	}
 	core.EmitDist(out, out.Schema, job.Emitter)
 	want, check := job.Want, job.CheckWant
-	// CheckOracle stands down for non-full-join algorithms (scalar and
-	// aggregate emissions are not the full join's cardinality).
-	if job.CheckOracle && a.fullJoin {
+	// The measured |Q(R)|: what a full join emitted, what a count counted.
+	got := res.OUT
+	if a.count {
+		got = res.Annot
+	}
+	// CheckOracle stands down for aggregates, whose emissions are neither
+	// the full join nor its cardinality.
+	if job.CheckOracle && (a.fullJoin || a.count) {
 		if a.oracle {
 			// The algorithm IS the oracle; re-running the sequential join
 			// would verify it against itself at double the dominant cost.
@@ -268,9 +275,9 @@ func execute(a Algorithm, job Job) (res Result, err error) {
 		}
 	}
 	if check {
-		if res.OUT != want {
-			return res, fmt.Errorf("engine: %s: %w: emitted %d results, oracle says %d",
-				a.name, ErrVerify, res.OUT, want)
+		if got != want {
+			return res, fmt.Errorf("engine: %s: %w: measured OUT %d, oracle says %d",
+				a.name, ErrVerify, got, want)
 		}
 		res.Verified = true
 	}

@@ -168,24 +168,34 @@ func TestEveryRegisteredAlgorithmOnItsHome(t *testing.T) {
 }
 
 // TestScalarAlgorithms covers count and aggregate, whose emissions are not
-// the full join.
+// the full join: the oracle checks count's scalar and leaves aggregate be.
 func TestScalarAlgorithms(t *testing.T) {
 	rng := mpc.NewRng(3)
 	in := gen.Line3Random(rng, 256, 1024)
 	want := core.NaiveCount(in)
 
-	res, err := engine.RunNamed("count", engine.Job{In: in, P: 8, Seed: 3})
+	res, err := engine.RunNamed("count", engine.Job{In: in, P: 8, Seed: 3, CheckOracle: true})
 	if err != nil {
 		t.Fatalf("count: %v", err)
 	}
 	if res.Annot != want {
 		t.Errorf("count: Annot = %d, want %d", res.Annot, want)
 	}
+	if !res.Verified {
+		t.Error("count: CheckOracle did not verify the scalar")
+	}
+	// A count is checked by its scalar, not by its one emitted row.
+	if _, err := engine.RunNamed("count", engine.Job{In: in, P: 8, Seed: 3, Want: want + 1, CheckWant: true}); !errors.Is(err, engine.ErrVerify) {
+		t.Errorf("count against Want %d: err = %v, want ErrVerify", want+1, err)
+	}
 
 	y := hypergraph.NewAttrSet(2, 3)
-	agg, err := engine.RunNamed("aggregate", engine.Job{In: in, P: 8, Seed: 3, GroupBy: y})
+	agg, err := engine.RunNamed("aggregate", engine.Job{In: in, P: 8, Seed: 3, GroupBy: y, CheckOracle: true})
 	if err != nil {
 		t.Fatalf("aggregate: %v", err)
+	}
+	if agg.Verified {
+		t.Error("aggregate: CheckOracle must stand down for grouped emissions")
 	}
 	if agg.Dist == nil || agg.Dist.Size() == 0 {
 		t.Fatal("aggregate: no grouped result")
