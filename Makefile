@@ -91,9 +91,11 @@ race:
 # smoke builds and runs every public entry point at a small scale: all four
 # examples, an auto-dispatched joinrun and explicit ones (rhier, the two
 # fixed-share grids line3wc and triangle, which no benchmark workload
-# reaches, and count on a random and a doubled instance), and both classify
-# modes. Every joinrun is oracle-checked and exits 1 on a mismatch. Keeps
-# the engine API surface from silently rotting.
+# reaches, count on a random and a doubled instance, and yannakakis and
+# acyclic, whose binary joins route partnered sides without their
+# semi-joins), and both classify modes. Every joinrun is oracle-checked and
+# exits 1 on a mismatch. Keeps the engine API surface from silently
+# rotting.
 smoke: build
 	$(GO) run ./examples/quickstart > /dev/null
 	$(GO) run ./examples/hierarchy > /dev/null
@@ -105,6 +107,8 @@ smoke: build
 	$(GO) run ./cmd/joinrun -algo triangle -family triangle -in 4096 -out 16384 -p 16 > /dev/null
 	$(GO) run ./cmd/joinrun -algo count -family random -in 4096 -out 16384 -p 16 > /dev/null
 	$(GO) run ./cmd/joinrun -algo count -family doubled -in 4096 -out 16384 -p 16 > /dev/null
+	$(GO) run ./cmd/joinrun -algo yannakakis -family random -in 4096 -out 16384 -p 16 > /dev/null
+	$(GO) run ./cmd/joinrun -algo acyclic -family doubled -in 4096 -out 16384 -p 16 > /dev/null
 	$(GO) run ./cmd/classify > /dev/null
 	$(GO) run ./cmd/classify -q "1,2;2,3;3,4" > /dev/null
 	@echo "smoke: all examples and CLIs ran"
@@ -129,8 +133,11 @@ cover:
 # sample sort, the local join kernel, the row index under it, the
 # word-keyed aggregation side and the one-sort semi-join must stay
 # value-identical to their retained references on randomized inputs,
-# widths, and pool states, and the reducer-free count must equal the naive
-# oracle and the reduce-then-fold reference on random join trees.
+# widths, and pool states, the reducer-free count must equal the naive
+# oracle and the reduce-then-fold reference on random join trees, and the
+# binary join must equal the naive oracle on dangling, partnered, bag and
+# Cartesian pairs, charging the always-semi-joining reference's rounds less
+# 3 per side it routes without its semi-join.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzExchangeParity$$' -fuzztime $(FUZZTIME) ./internal/mpc
 	$(GO) test -run '^$$' -fuzz '^FuzzRowIndexParity$$' -fuzztime $(FUZZTIME) ./internal/mpc
@@ -139,6 +146,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSumByKeyParity$$' -fuzztime $(FUZZTIME) ./internal/primitives
 	$(GO) test -run '^$$' -fuzz '^FuzzSemiJoinParity$$' -fuzztime $(FUZZTIME) ./internal/primitives
 	$(GO) test -run '^$$' -fuzz '^FuzzCountAgainstOracle$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzBinaryJoinAgainstNaive$$' -fuzztime $(FUZZTIME) ./internal/core
 
 # contracts regenerates CONTRACTS.md from the engine registry and the
 # round-cost classifier (repolint -contracts runs standalone: under go

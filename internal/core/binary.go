@@ -60,6 +60,18 @@ func EmitDist(d *mpc.Dist, schema relation.Schema, em mpc.Emitter) {
 // will live, so a caller that knows the final layout (Yannakakis' last
 // step) returns parts that need no projection.
 //
+// A tuple whose key has no partner cannot join; a side's semi-join against
+// the degree table (3 rounds) drops such tuples before routing. The table
+// holds only keys present on both sides, so Σ_k da = |a ⋉ b|: when that
+// equals |a|, the semi-join would return a unchanged, and a is routed as
+// it is (b likewise). The two sums ride the coordinator aggregation that
+// already yields OUT, and routing reads only a row and the broadcast
+// directory, so every server receives the same rows either way — a skipped
+// side's in its source order. After a full reducer no side dangles, so
+// every step of Yannakakis' fold and of acyclic's subJoin folds routes both
+// sides as they are; line3's joins, acyclic's other joins and aggregate's
+// frontier fold skip whichever sides are partnered.
+//
 //lint:load frac trust [8,18]: degree-threshold grids cap each server at IN/p + sqrt(OUT/p)
 //lint:rounds const
 func binaryJoin(a, b *mpc.Dist, outSchema relation.Schema, ring relation.Semiring, seed uint64) *mpc.Dist {
@@ -72,13 +84,17 @@ func binaryJoin(a, b *mpc.Dist, outSchema relation.Schema, ring relation.Semirin
 	jd := degreeTable(shared, dA.ShuffleByAttrs(shared, seed^0x3), dB.ShuffleByAttrs(shared, seed^0x3))
 	kw := len(shared)
 
-	// OUT = Σ_k da·db and the heavy-key directory, known cluster-wide.
-	out := int64(0)
+	// OUT = Σ_k da·db, |a ⋉ b| = Σ_k da, |b ⋉ a| = Σ_k db and the
+	// heavy-key directory, known cluster-wide.
+	out, aJoin, bJoin := int64(0), 0, 0
 	for s := range jd.Parts {
 		part := &jd.Parts[s]
 		for i := 0; i < part.Len(); i++ {
 			t := part.Tuple(i)
-			out += int64(t[kw]) * int64(t[kw+1])
+			da, db := t[kw], t[kw+1]
+			out += int64(da) * int64(db)
+			aJoin += int(da)
+			bJoin += int(db)
 		}
 	}
 	primitives.TotalCount(jd) // charges the coordinator aggregation
@@ -99,10 +115,15 @@ func binaryJoin(a, b *mpc.Dist, outSchema relation.Schema, ring relation.Semirin
 	defer dir.idx.Release()
 	chargeDirectory(c, len(dir.cubes))
 
-	// Tuples whose key is missing from jd cannot join and are dropped here
-	// (jd has one row per key, so the semi-join is one multi-search).
-	ax := primitives.SemiJoin(a, shared, jd, shared)
-	bx := primitives.SemiJoin(b, shared, jd, shared)
+	// Tuples whose key is missing from jd are dropped here (jd has one row
+	// per key, so the semi-join is one multi-search) unless there are none.
+	ax, bx := a, b
+	if aJoin < a.Size() {
+		ax = primitives.SemiJoin(a, shared, jd, shared)
+	}
+	if bJoin < b.Size() {
+		bx = primitives.SemiJoin(b, shared, jd, shared)
+	}
 
 	aPosKey := ax.Positions(shared)
 	bPosKey := bx.Positions(shared)

@@ -17,17 +17,31 @@ import (
 // verbatim but for the shared degreeTable, newDirectory and chargeDirectory
 // it now builds its directory with; its grid loops stay hand-written.
 
+// The reference always runs both degree lookups. A side whose every row has
+// a partner on the other side loses nothing to its lookup, and binaryJoin
+// routes such a side without its semi-join; the reference notes each such
+// lookup as a RefSkip, so a test can subtract exactly those charges.
+
+// RefSkip is one degree lookup of the reference whose side had no dangling
+// row: it opened round Round (an index into Snapshot().RoundMaxs), ran
+// Rounds rounds, and charged Comm tuples and the Exchange counters.
+type RefSkip struct {
+	Round, Rounds, Comm int
+	Exchange            mpc.ExchangeStats
+}
+
 // BinaryJoinRef is BinaryJoin on the retained routing, without an observer.
 // heavy is the number of keys its directory holds, so a test can tell the
 // grid path ran. It is exported for the external test package, which builds
 // instances through gen.
-func BinaryJoinRef(a, b *mpc.Dist, ring relation.Semiring, seed uint64) (res *mpc.Dist, heavy int) {
-	return binaryJoinRef(a, b, a.Schema.Union(b.Schema), ring, seed)
+func BinaryJoinRef(a, b *mpc.Dist, ring relation.Semiring, seed uint64) (res *mpc.Dist, heavy int, skips []RefSkip) {
+	res, heavy = binaryJoinRef(a, b, a.Schema.Union(b.Schema), ring, seed, &skips)
+	return res, heavy, skips
 }
 
 // YannakakisRef is Yannakakis in its default join order with every binary
 // join on the retained routing.
-func YannakakisRef(c *mpc.Cluster, in *Instance, seed uint64) *mpc.Dist {
+func YannakakisRef(c *mpc.Cluster, in *Instance, seed uint64) (res *mpc.Dist, skips []RefSkip) {
 	order := DefaultJoinOrder(in.Q)
 	dists := LoadInstance(c, in)
 	dists = FullReduce(in, dists)
@@ -37,12 +51,55 @@ func YannakakisRef(c *mpc.Cluster, in *Instance, seed uint64) *mpc.Dist {
 		if i == len(order)-1 {
 			layout = in.OutputSchema()
 		}
-		acc, _ = binaryJoinRef(acc, dists[order[i]], layout, in.Ring, seed+uint64(7*i))
+		acc, _ = binaryJoinRef(acc, dists[order[i]], layout, in.Ring, seed+uint64(7*i), &skips)
 	}
-	return acc
+	return acc, skips
 }
 
-func binaryJoinRef(a, b *mpc.Dist, outSchema relation.Schema, ring relation.Semiring, seed uint64) (*mpc.Dist, int) {
+// PartneredSides counts the sides of a ⋈ b whose every row has a partner on
+// the other side, and is 0 when the join is empty (a binary join returns
+// before its semi-joins then): the semi-joins binaryJoin leaves out.
+func PartneredSides(a, b *relation.Relation) int {
+	shared := a.Schema.Intersect(b.Schema)
+	ab, ba := naiveSemiJoin(a, b, shared).Size(), naiveSemiJoin(b, a, shared).Size()
+	if ab == 0 {
+		return 0
+	}
+	n := 0
+	if ab == a.Size() {
+		n++
+	}
+	if ba == b.Size() {
+		n++
+	}
+	return n
+}
+
+// NaiveJoin is the oracle's in-memory join of two relations under the
+// counting ring.
+func NaiveJoin(a, b *relation.Relation) *relation.Relation {
+	return naiveJoin(a, b, relation.CountRing)
+}
+
+// attachNoting is attachDegrees that notes the lookup in skips when every
+// row of x has a partner in y.
+func attachNoting(x, y *mpc.Dist, shared relation.Schema, jd *mpc.Dist, skips *[]RefSkip) *mpc.Dist {
+	c := x.C
+	round, comm, ex := c.Rounds(), c.TotalComm(), c.Exchange()
+	res := attachDegrees(x, shared, jd)
+	if naiveSemiJoin(x.ToRelation("x"), y.ToRelation("y"), shared).Size() == x.Size() {
+		after := c.Exchange()
+		*skips = append(*skips, RefSkip{Round: round, Rounds: c.Rounds() - round, Comm: c.TotalComm() - comm,
+			Exchange: mpc.ExchangeStats{
+				Exchanges:   after.Exchanges - ex.Exchanges,
+				Tuples:      after.Tuples - ex.Tuples,
+				ActiveDests: after.ActiveDests - ex.ActiveDests,
+			}})
+	}
+	return res
+}
+
+func binaryJoinRef(a, b *mpc.Dist, outSchema relation.Schema, ring relation.Semiring, seed uint64, skips *[]RefSkip) (*mpc.Dist, int) {
 	c := a.C
 	shared := a.Schema.Intersect(b.Schema)
 
@@ -80,8 +137,8 @@ func binaryJoinRef(a, b *mpc.Dist, outSchema relation.Schema, ring relation.Semi
 
 	// Attach (da, db) to every tuple (multi-search); tuples whose key is
 	// missing from the directory side cannot join and are dropped here.
-	ax := attachDegrees(a, shared, jd)
-	bx := attachDegrees(b, shared, jd)
+	ax := attachNoting(a, b, shared, jd, skips)
+	bx := attachNoting(b, a, shared, jd, skips)
 
 	aPosKey := ax.Positions(shared)
 	bPosKey := bx.Positions(shared)

@@ -2,7 +2,9 @@ package core_test
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -218,8 +220,10 @@ func TestLinearAggroFrontiersMatchReducerRef(t *testing.T) {
 // p = 64 (every relation non-empty): count charges 3·2·(|E|−1) = 12 rounds
 // fewer than the reduce-then-fold reference, 9 instead of 21, and line3 and
 // acyclic, which count right after their own reducer, fall by the same 12
-// from what they charged while the count reduced a second time. A reducer
-// back on the scalar path fails here.
+// from what they charged while the count reduced a second time. They also
+// charge 3 rounds fewer for every side one of their binary joins routes
+// without its semi-join, counted from the reduced relations (4 sides each
+// here). A reducer back on the scalar path fails here.
 func TestCountRoundsDropByTheReducer(t *testing.T) {
 	in, err := gen.Build("random", mpc.NewRng(2019), 32768, 524288)
 	if err != nil {
@@ -242,19 +246,116 @@ func TestCountRoundsDropByTheReducer(t *testing.T) {
 		t.Fatalf("reference count charged %d rounds, want 21", ref)
 	}
 	cases := []struct {
-		name   string
-		run    func(c *mpc.Cluster)
-		before int // rounds charged while the count ran the reducer
+		name    string
+		run     func(c *mpc.Cluster)
+		before  int // rounds charged while the count ran the reducer and every join both semi-joins
+		skipped int // sides the binary joins route without their semi-join
 	}{
-		{"count", func(c *mpc.Cluster) { core.CountOutput(c, in, seed) }, ref},
-		{"line3", func(c *mpc.Cluster) { core.Line3(c, in, seed) }, 86},
-		{"acyclic", func(c *mpc.Cluster) { core.AcyclicJoin(c, in, seed) }, 90},
+		{"count", func(c *mpc.Cluster) { core.CountOutput(c, in, seed) }, ref, 0},
+		{"line3", func(c *mpc.Cluster) { core.Line3(c, in, seed) }, 86, line3Skips(in)},
+		{"acyclic", func(c *mpc.Cluster) { core.AcyclicJoin(c, in, seed) }, 90, acyclicSkips(t, in)},
 	}
 	for _, cs := range cases {
-		if got := rounds(cs.run); got != cs.before-reducer {
-			t.Errorf("%s charged %d rounds, want %d − %d = %d", cs.name, got, cs.before, reducer, cs.before-reducer)
+		if cs.name != "count" && cs.skipped == 0 {
+			t.Fatalf("%s routes every side through its semi-join: the case no longer reaches the skip", cs.name)
+		}
+		want := cs.before - reducer - 3*cs.skipped
+		if got := rounds(cs.run); got != want {
+			t.Errorf("%s charged %d rounds, want %d − %d − 3·%d = %d", cs.name, got, cs.before, reducer, cs.skipped, want)
 		}
 	}
+}
+
+// line3Skips counts the sides Line3's four binary joins route without their
+// semi-join, from in's reduced relations: τ = ⌈√(OUT/IN)⌉ splits R1 and R2
+// by B's degree in R1 (heavy above τ), and step (2) joins R2^H ⋈ R3,
+// R1^H ⋈ (R2^H ⋈ R3), R1^L ⋈ R2^L and (R1^L ⋈ R2^L) ⋈ R3.
+func line3Skips(in *core.Instance) int {
+	red := core.NaiveSemiJoinReduce(in)
+	r1, r2, r3 := red.Rels[0], red.Rels[1], red.Rels[2]
+	tau := ceilSqrt(core.NaiveCount(red), in.IN())
+	deg := degrees(r1, r1.Schema.Intersect(r2.Schema))
+	r1H, r1L := splitRows(r1, deg, tau)
+	r2H, r2L := splitRows(r2, deg, tau)
+	return core.PartneredSides(r2H, r3) + core.PartneredSides(r1H, core.NaiveJoin(r2H, r3)) +
+		core.PartneredSides(r1L, r2L) + core.PartneredSides(core.NaiveJoin(r1L, r2L), r3)
+}
+
+// acyclicSkips is line3Skips for AcyclicJoin. Its join tree on line-3 is
+// the chain R1 – R2 – R3 rooted at R3, so acyclicRec picks e0 = R2 with the
+// one child R1 and ē = {R3}, sets τ = ⌈√(OUT/Nβ)⌉ with Nβ = |R2| + |R3|,
+// and splits R1 by B's degree (heavy from τ on). The heavy pattern joins
+// R1^H ⋈ [(R2 ⋉ R1^H) ⋈ R3], the bracket a reduced subJoin. In the light
+// pattern every R2 tuple is light, since a light child's degree stays below
+// τ, so step (3.1) joins nothing; step (3.2) joins R2 ⋈ R1^L as a reduced
+// subJoin and, when that is non-empty, joins it with R3.
+func acyclicSkips(t *testing.T, in *core.Instance) int {
+	t.Helper()
+	tree, ok := in.Q.GYO()
+	if !ok || tree.Root != 2 || !slices.Equal(tree.Children[2], []int{1}) || !slices.Equal(tree.Children[1], []int{0}) {
+		t.Fatalf("the join tree is no longer the chain R1 – R2 – R3 rooted at R3: %+v", tree)
+	}
+	red := core.NaiveSemiJoinReduce(in)
+	r1, r2, r3 := red.Rels[0], red.Rels[1], red.Rels[2]
+	tau := ceilSqrt(core.NaiveCount(red), r2.Size()+r3.Size())
+	r1H, r1L := splitRows(r1, degrees(r1, r1.Schema.Intersect(r2.Schema)), tau-1)
+	// A reduced subJoin of two relations routes both sides as they are
+	// whenever their join is non-empty.
+	subJoin := func(x, y *relation.Relation) (*relation.Relation, int) {
+		j := core.NaiveJoin(x, y)
+		if j.Size() == 0 {
+			return j, 0
+		}
+		return j, 2
+	}
+	skips := 0
+	if r1H.Size() > 0 {
+		key := degrees(r1H, r1H.Schema.Intersect(r2.Schema))
+		r0, _ := splitRows(r2, key, 0) // R2 ⋉ R1^H
+		rPrime, n := subJoin(r0, r3)
+		skips += n + core.PartneredSides(r1H, rPrime)
+	}
+	if rl, n := subJoin(r2, r1L); n > 0 {
+		skips += n + core.PartneredSides(rl, r3)
+	}
+	return skips
+}
+
+// ceilSqrt is ⌈√(out/n)⌉, at least 1: the algorithms' degree threshold τ.
+func ceilSqrt(out int64, n int) int64 {
+	return max(1, int64(math.Ceil(math.Sqrt(float64(out)/float64(max(1, n))))))
+}
+
+// degrees maps the key projection of every row of r on key, keyed by the
+// key's attributes in key's order, to the number of rows carrying it.
+func degrees(r *relation.Relation, key relation.Schema) keyDegrees {
+	d := keyDegrees{key: key, n: map[string]int64{}}
+	pos := r.Schema.Positions(key)
+	for _, t := range r.Tuples {
+		d.n[relation.KeyAt(t, pos)]++
+	}
+	return d
+}
+
+// keyDegrees is a degree table over the attributes key.
+type keyDegrees struct {
+	key relation.Schema
+	n   map[string]int64
+}
+
+// splitRows splits r into the rows whose key's degree exceeds above and
+// the rest, annotations kept.
+func splitRows(r *relation.Relation, deg keyDegrees, above int64) (heavy, light *relation.Relation) {
+	heavy, light = relation.New(r.Name, r.Schema), relation.New(r.Name, r.Schema)
+	pos := r.Schema.Positions(deg.key)
+	for i, t := range r.Tuples {
+		dst := light
+		if deg.n[relation.KeyAt(t, pos)] > above {
+			dst = heavy
+		}
+		dst.AddAnnotated(r.Annot(i), t...)
+	}
+	return heavy, light
 }
 
 // FuzzCountAgainstOracle draws a random join tree — contained edges and

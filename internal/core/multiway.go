@@ -81,11 +81,13 @@ func MultiwayKeyedJoin(key relation.Schema, dists []*mpc.Dist, ring relation.Sem
 		idx := i
 		pos := d.Positions(keyAttrs)
 		whole := identityPos(len(d.Schema))
-		// Tuples of keys absent from any relation cannot join. The
-		// directory exchange is already charged by the degree shuffles and
-		// the filter is local knowledge per routed tuple in the real
-		// algorithm (attached during the degree multi-search), so they are
-		// dropped locally here.
+		// Tuples of keys absent from any relation cannot join; an
+		// uncharged local filter against the gathered degree table drops
+		// them (the degrees come from SumByKey's hash shuffle, so no
+		// multi-search carries them). By binaryJoin's Σ-degree identity the
+		// filter is the identity exactly when no relation dangles; when
+		// one does, the semi-join it stands for goes uncharged (ROADMAP
+		// item 14).
 		joinable := d.FilterLocal(func(it mpc.Item) bool { return keyIdx.First(it.T, pos) >= 0 })
 		routed[i] = joinable.ReplicateAppend(func(it mpc.Item, dst []int) []int {
 			r := -1
