@@ -22,29 +22,18 @@ COVER_FLOOR_LINT ?= 85
 # fuzz-smoke budget per target.
 FUZZTIME ?= 10s
 
-# The benchmark trajectory file this PR generation writes (see ROADMAP),
-# and the previous generation's file it is compared against: benchjson
-# aggregates the COUNT samples into medians, prints per-benchmark deltas,
-# warns past the advisory threshold, and `make bench-compare` fails when a
-# median ns/op regresses past GATE percent. GATE sits well above the warn
-# threshold because trajectory files come from whatever machine ran `make
-# bench` — it must absorb machine drift while still catching a lost
-# optimization.
-BENCH_JSON ?= BENCH_10.json
-BENCH_BASELINE ?= BENCH_9.json
-GATE ?= 25
-
-.PHONY: FORCE ci fmt vet build test race smoke bench bench-all bench-compare bench-smoke bench-e2e-smoke bench-pairs bench-verify fuzz-smoke cover lint lint-fix-list tidy-check contracts contracts-verify experiments
+.PHONY: FORCE ci fmt vet build test race smoke bench bench-all bench-smoke bench-e2e-smoke bench-pairs fuzz-smoke cover lint lint-fix-list tidy-check contracts contracts-verify experiments
 
 # ci is tier-1 plus race checking, a public-API smoke pass, coverage
 # floors, a fuzz-smoke pass over the data-plane parity targets, a
-# bench-smoke pass, the repolint static-analysis suite, the module tidy
-# check, the benchmark-trajectory staleness gate, the cross-generation
-# benchmark regression gate, and a compile-and-smoke pass over the frozen
-# Job→Result benchmark in one command: if an example, CLI, benchmark,
-# fuzz target, coverage floor, contract analyzer, or recorded perf win
-# stops holding, ci fails.
-ci: fmt vet lint tidy-check build race smoke cover fuzz-smoke bench-smoke bench-e2e-smoke bench-verify bench-compare contracts-verify
+# bench-smoke pass over the counted benchmarks, the repolint
+# static-analysis suite, the module tidy check, a compile-and-smoke pass
+# over the frozen Job→Result benchmark and the CONTRACTS.md drift check in
+# one command: if an example, CLI, benchmark, fuzz target, coverage floor
+# or contract analyzer stops holding, ci fails. ci times nothing: a timing
+# is read off interleaved runs of both sides (make bench-pairs, or make
+# bench on each side), never off a file recorded on another day.
+ci: fmt vet lint tidy-check build race smoke cover fuzz-smoke bench-smoke bench-e2e-smoke contracts-verify
 
 fmt:
 	@out="$$(gofmt -l . | grep -v '^third_party/')"; \
@@ -164,41 +153,37 @@ contracts-verify: bin/repolint
 	fi
 	@echo "contracts-verify: CONTRACTS.md matches the registry"
 
-# bench runs the exchange microbenchmarks (override with BENCH=…) as
-# COUNT counted passes with allocation stats, and records the per-benchmark
-# medians (with sample counts and ns/op spread) into $(BENCH_JSON) — the
-# trajectory point ci's bench-verify gate checks for staleness and
-# bench-compare gates against the previous generation. The raw lines still
-# stream to stdout, so the benchstat workflow is unchanged:
+# bench runs the counted microbenchmarks (override with BENCH=…) as COUNT
+# passes with allocation stats and prints the raw lines, nothing recorded.
+# A micro timing is judged only against the other side run on the same
+# machine at the same time, e.g. with benchstat:
 #
-#	make bench > new.txt && git stash && make bench > old.txt
+#	make bench > new.txt && git stash && make bench > old.txt && git stash pop
 #	benchstat old.txt new.txt
 #
 # -p 1 serializes the per-package test binaries: letting them run
 # concurrently (the go test default) contends for cores and inflates the
 # counted medians by double-digit percentages on loaded machines.
 bench:
-	$(GO) test -p 1 -run '^$$' -bench '$(BENCH)' -benchmem -count $(COUNT) ./... | $(GO) run ./cmd/benchjson -o $(BENCH_JSON) -baseline $(BENCH_BASELINE)
-
-# bench-compare gates the recorded trajectory against the previous
-# generation's without re-running anything: any shared benchmark whose
-# median ns/op regressed past GATE percent fails ci.
-bench-compare:
-	$(GO) run ./cmd/benchjson -compare $(BENCH_JSON) -baseline $(BENCH_BASELINE) -gate $(GATE)
-
-# bench-verify fails when $(BENCH_JSON) is stale relative to the counted
-# benchmark list: a benchmark was added, renamed, or removed without
-# re-recording the trajectory (`make bench`).
-bench-verify:
-	$(GO) test -run '^$$' -list '$(BENCH)' ./... | $(GO) run ./cmd/benchjson -verify $(BENCH_JSON)
+	$(GO) test -p 1 -run '^$$' -bench '$(BENCH)' -benchmem -count $(COUNT) ./...
 
 # bench-all is the full uncounted suite (tables, figures, micro).
 bench-all:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
-# bench-smoke compiles and runs every counted benchmark once; keeps the
-# benchmark surface from rotting without paying for counted runs.
+# bench-smoke first fails when a |-separated name in $(BENCH) is the
+# prefix of no benchmark `go test -list` finds: a renamed or deleted
+# benchmark would otherwise drop out of the -bench filter, and out of make
+# bench, without a word. Then it compiles and runs every counted benchmark
+# once; keeps the benchmark surface from rotting without paying for
+# counted runs.
 bench-smoke:
+	@listed="$$($(GO) test -run '^$$' -list '$(BENCH)' ./...)" || exit 1; \
+	missing=; \
+	for name in $$(echo '$(BENCH)' | tr '|' ' '); do \
+		printf '%s\n' "$$listed" | grep -q "^$$name" || missing="$$missing $$name"; \
+	done; \
+	if [ -n "$$missing" ]; then echo "bench-smoke: no benchmark has the prefix$$missing"; exit 1; fi
 	$(GO) test -run '^$$' -bench '$(BENCH)' -benchtime 1x . ./internal/mpc ./internal/primitives
 
 # bench-e2e-smoke vets and smoke-tests bench/, the Job→Result benchmark.
@@ -212,8 +197,9 @@ bench-e2e-smoke:
 # commit REF against the working tree, and prints the per-pair verdicts and,
 # per workload and metric, the medians, ratio median, pairs won, the
 # parent's quartiles and a gain/loss/unresolved verdict, a loss read against
-# the metric's BENCHMARK.json bound
-# (scripts/bench-pairs.sh). A full pair is two ≈ 95 s runs; WORKLOADS=a,b
+# the metric's BENCHMARK.json bound (scripts/bench-pairs.sh). It is the
+# repository's one performance record, and a gate: it exits 1 when any row
+# reads "loss (past bound)". A full pair is two ≈ 95 s runs; WORKLOADS=a,b
 # narrows both sides and SEED=n runs both on the benchmark's --seed n.
 #
 #	make bench-pairs REF=HEAD~1 N=10 WORKLOADS=rhier_skew SEED=7

@@ -470,9 +470,10 @@ func BenchmarkMicro_FullReduce(b *testing.B) {
 	}
 }
 
-// BenchmarkMicro_SemiJoin drives the skew-sensitive primitives end-to-end
-// from the top layer: DistinctByKey + Lookup, both riding the parallel
-// sample sort (internal/primitives/samplesort.go). The counted pair lives
+// BenchmarkMicro_SemiJoin drives the semi-join end-to-end from the top
+// layer: one multi-search (internal/primitives/lookup.go) over a serial
+// radix rank sort of both sides' records, with d's duplicates dropped by
+// the local combiner, not a separate pass. The sort is counted on its own
 // in internal/primitives (BenchmarkSampleSort vs BenchmarkSerialSortRef).
 func BenchmarkMicro_SemiJoin(b *testing.B) {
 	s := benchScale()

@@ -263,8 +263,7 @@ func subJoin(edges []hypergraph.AttrSet, dists []*mpc.Dist, ring relation.Semiri
 		return dists[0]
 	}
 	q := hypergraph.New(edges...)
-	inst := &Instance{Q: q, Rels: relsOf(q, dists), Ring: ring}
-	red := FullReduce(inst, dists)
+	red := FullReduce(&Instance{Q: q}, dists)
 	order := DefaultJoinOrder(q)
 	acc := red[order[0]]
 	for i := 1; i < len(order); i++ {

@@ -59,7 +59,7 @@ func linearAggroDists(q *hypergraph.Hypergraph, dists []*mpc.Dist, y hypergraph.
 	// hypergraph; an absorbed edge's annotations are ⊗-merged into its host
 	// (the paper replaces R(e') with R(e) ⋈ R(e') before discarding R(e)).
 	if len(y) > 0 {
-		dists = FullReduce(&Instance{Q: q, Rels: relsOf(q, dists)}, dists)
+		dists = FullReduce(&Instance{Q: q}, dists)
 	}
 	// Each reduced edge starts from the first relation over exactly its
 	// attributes; src remembers which, so that relation is never attached
@@ -231,14 +231,4 @@ func frontierSchemas(fs []*mpc.Dist) []relation.Schema {
 		out[i] = f.Schema
 	}
 	return out
-}
-
-// relsOf reconstructs placeholder relations for FullReduce's tree building
-// (only schemas are consulted).
-func relsOf(q *hypergraph.Hypergraph, dists []*mpc.Dist) []*relation.Relation {
-	rels := make([]*relation.Relation, len(dists))
-	for i, d := range dists {
-		rels[i] = relation.New(fmt.Sprintf("R%d", i), d.Schema)
-	}
-	return rels
 }

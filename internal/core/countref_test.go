@@ -46,7 +46,7 @@ func countWithReducerRef(q *hypergraph.Hypergraph, dists []*mpc.Dist, seed uint6
 func linearAggroRef(q *hypergraph.Hypergraph, dists []*mpc.Dist, y hypergraph.AttrSet,
 	ring relation.Semiring, seed uint64) AggregateResult {
 
-	dists = FullReduce(&Instance{Q: q, Rels: relsOf(q, dists)}, dists)
+	dists = FullReduce(&Instance{Q: q}, dists)
 	reduced, host := q.Reduce()
 	rdists := make([]*mpc.Dist, len(reduced.Edges))
 	src := make([]int, len(reduced.Edges))

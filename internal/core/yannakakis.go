@@ -23,7 +23,8 @@ func LoadInstance(c *mpc.Cluster, in *Instance) []*mpc.Dist {
 // FullReduce removes all dangling tuples with a full reducer over the join
 // tree: one bottom-up and one top-down semi-join pass [34]. O(1) rounds,
 // linear load. It panics on cyclic queries. Fully deterministic: the
-// semi-joins sort, they do not hash, so no seed is taken.
+// semi-joins sort, they do not hash, so no seed is taken. Only in.Q is
+// read, for the join tree; the relations are dists, aligned with in.Q.Edges.
 //
 //lint:load perP
 //lint:rounds const

@@ -97,17 +97,6 @@ func (f *AttrForest) RootOf(a relation.Attr) relation.Attr {
 	return anc[len(anc)-1]
 }
 
-// Leaves returns the node indices with no children.
-func (f *AttrForest) Leaves() []int {
-	var out []int
-	for i := range f.Attrs {
-		if len(f.Children[i]) == 0 {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // String renders the forest with indentation, one attribute per line.
 func (f *AttrForest) String() string {
 	var b strings.Builder

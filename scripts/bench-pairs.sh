@@ -29,6 +29,10 @@
 # failed_frac): "identical in N/N pairs", or the first pair and workload
 # where parent and change differ, with both values. Nothing under bench/ is
 # touched.
+# Exit status: 1 when any (workload, metric) row reads "loss (past bound)",
+# after the whole summary is printed; 0 otherwise. A per-pair "worse"
+# verdict alone does not fail the run, and a failed run of either side
+# exits with its status before any summary.
 set -euo pipefail
 
 ref=${1:?usage: scripts/bench-pairs.sh REF [N] [WORKLOADS] [SEED]}
@@ -128,6 +132,7 @@ END {
 			verdict = -gap <= bound[wm[2]] * (pm < 0 ? -pm : pm) ? "loss (in bound)" : "loss (past bound)"
 		printf "%-16s %-18s %12.6g %12.6g %8s %3d/%-2d %12.6g %12.6g %s\n", wm[1], wm[2], pm, cm,
 			ratio, won, m, q1, q3, verdict
+		if (verdict == "loss (past bound)") past++
 	}
 	for (e = 1; e <= ne; e++) {
 		x = exactNames[e]; total = 0; same = 0
@@ -141,5 +146,9 @@ END {
 			printf "exact %-18s identical in %d/%d pairs; first differs in pair %d, %s\n", x, same, total, firstPair[x], firstAt[x]
 		else
 			printf "exact %-18s identical in %d/%d pairs\n", x, same, total
+	}
+	if (past) {
+		printf "bench-pairs: %d row(s) read loss (past bound)\n", past
+		exit 1
 	}
 }' "$root/BENCHMARK.json" "$pairs"/compare_*.txt
