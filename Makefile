@@ -78,11 +78,11 @@ race:
 	$(GO) test -race ./...
 
 # smoke builds and runs every public entry point at a small scale: all four
-# examples, an auto-dispatched joinrun and explicit ones (rhier, the two
-# fixed-share grids line3wc and triangle, which no benchmark workload
-# reaches, count on a random and a doubled instance, and yannakakis and
-# acyclic, whose binary joins route partnered sides without their
-# semi-joins), and both classify modes. Every joinrun is oracle-checked and
+# examples, an auto-dispatched joinrun and explicit ones (rhier, binhc on
+# the tall-flat hub, the two fixed-share grids line3wc and triangle, which
+# no benchmark workload reaches, count on a random and a doubled instance,
+# and yannakakis and acyclic, whose binary joins route partnered sides
+# without their semi-joins), and both classify modes. Every joinrun is oracle-checked and
 # exits 1 on a mismatch. Keeps the engine API surface from silently
 # rotting.
 smoke: build
@@ -92,6 +92,7 @@ smoke: build
 	$(GO) run ./examples/aggregation > /dev/null
 	$(GO) run ./cmd/joinrun -algo auto -family random -in 4096 -out 16384 -p 16 > /dev/null
 	$(GO) run ./cmd/joinrun -algo rhier -family rhier -in 4096 -p 16 > /dev/null
+	$(GO) run ./cmd/joinrun -algo binhc -family tallflat -in 4096 -p 16 > /dev/null
 	$(GO) run ./cmd/joinrun -algo line3wc -family random -in 4096 -out 16384 -p 16 > /dev/null
 	$(GO) run ./cmd/joinrun -algo triangle -family triangle -in 4096 -out 16384 -p 16 > /dev/null
 	$(GO) run ./cmd/joinrun -algo count -family random -in 4096 -out 16384 -p 16 > /dev/null
@@ -126,7 +127,9 @@ cover:
 # oracle and the reduce-then-fold reference on random join trees, and the
 # binary join must equal the naive oracle on dangling, partnered, bag and
 # Cartesian pairs, charging the always-semi-joining reference's rounds less
-# 3 per side it routes without its semi-join.
+# 3 per side it routes without its semi-join, and rhier and both binhc
+# variants must equal the naive oracle and the regrouping reference on
+# random r-hierarchical queries.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzExchangeParity$$' -fuzztime $(FUZZTIME) ./internal/mpc
 	$(GO) test -run '^$$' -fuzz '^FuzzRowIndexParity$$' -fuzztime $(FUZZTIME) ./internal/mpc
@@ -136,6 +139,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSemiJoinParity$$' -fuzztime $(FUZZTIME) ./internal/primitives
 	$(GO) test -run '^$$' -fuzz '^FuzzCountAgainstOracle$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryJoinAgainstNaive$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzRHierAgainstNaive$$' -fuzztime $(FUZZTIME) ./internal/core
 
 # contracts regenerates CONTRACTS.md from the engine registry and the
 # round-cost classifier (repolint -contracts runs standalone: under go

@@ -83,3 +83,77 @@ func TestFoldIntoAllocCeiling(t *testing.T) {
 		}
 	}
 }
+
+// keyedProduct is R1(K,X) ⋈ R2(K,Y) with keys 0…keys−1, key k holding
+// 1 + k%3 rows in R1 and 1 + k%2 in R2, plus a hub key −1 with hub rows in
+// each: many small groups, and one big one when hub > 0.
+func keyedProduct(keys, hub int) []*relation.Relation {
+	r1 := relation.New("R1", relation.NewSchema(1, 2))
+	r2 := relation.New("R2", relation.NewSchema(1, 3))
+	for i := 0; i < hub; i++ {
+		r1.Add(-1, relation.Value(i))
+		r2.Add(-1, relation.Value(i))
+	}
+	for k := 0; k < keys; k++ {
+		for i := 0; i <= k%3; i++ {
+			r1.Add(relation.Value(k), relation.Value(i))
+		}
+		for i := 0; i <= k%2; i++ {
+			r2.Add(relation.Value(k), relation.Value(i))
+		}
+	}
+	return []*relation.Relation{r1, r2}
+}
+
+// TestBinHCSearchAllocCeiling: once the plan nodes a load probe visits
+// exist, BinHC's search probe is arithmetic over cached group sizes and
+// subset sizes — it allocates nothing, where the retained search regrouped
+// the whole instance at every probe.
+func TestBinHCSearchAllocCeiling(t *testing.T) {
+	rels := keyedProduct(200, 60)
+	plan := newHierNode(rels, nil, relation.CountRing, degreeSizer)
+	in := int64(totalSize(rels))
+	probes := []int64{in/16 + 1, in / 8, in / 4, in + 1}
+	for _, l := range probes {
+		plan.servers(l) // build the nodes this probe visits
+	}
+	if hub := plan.groups[0]; hub.child == nil || hub.child.groups == nil {
+		t.Fatal("the hub group built no child node — the test no longer reaches a sub-plan")
+	}
+	for _, l := range probes {
+		if got := testing.AllocsPerRun(10, func() { plan.servers(l) }); got != 0 {
+			t.Fatalf("l=%d: a probe over built nodes allocates %.0f, want 0", l, got)
+		}
+	}
+}
+
+// TestHierCase1AllocCeiling: a Case-1 node solves each server's light
+// groups with one local join, so it allocates per server — the output
+// parts, the batch, each join's stages and index — and never per light
+// group. The retained body grouped into one relation per value and ran one
+// join per group; here 8× more light groups must fit the same budget.
+func TestHierCase1AllocCeiling(t *testing.T) {
+	const p, perServer = 8, 32 // allocations allowed per server, whatever the group count
+	prev := runtime.SetParallelism(1)
+	defer runtime.SetParallelism(prev)
+	for _, keys := range []int{128, 1024} {
+		rels := keyedProduct(keys, 0)
+		n := newHierNode(rels, nil, relation.CountRing, exactSizer)
+		n.fold()
+		n.group()
+		if n.comps || len(n.groups) != keys {
+			t.Fatalf("keys=%d: the node has %d groups (Case 2: %v), want one Case-1 group per key", keys, len(n.groups), n.comps)
+		}
+		l := int64(totalSize(rels)) / (4 * p) // ≈ 4 packs per server
+		results := 0
+		run := func() { results = n.case1(mpc.NewCluster(p), l).Rel().Size() }
+		run() // warm the index pool
+		if want := int(InMemoryJoinCount(rels)); results != want {
+			t.Fatalf("keys=%d: %d results, want %d", keys, results, want)
+		}
+		got := testing.AllocsPerRun(10, func() { n.case1(mpc.NewCluster(p), l) })
+		if got > perServer*p {
+			t.Fatalf("keys=%d: a Case-1 node allocates %.0f per run, ceiling %d — per-group allocations are back", keys, got, perServer*p)
+		}
+	}
+}

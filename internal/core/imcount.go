@@ -81,7 +81,11 @@ func LInstance(in *Instance, p int) int64 {
 	// relations whose schema is contained in another's before enumerating
 	// subsets, or disjoint contained edges would contribute spurious
 	// Cartesian-product terms that are not real Q(R, S) sets.
-	rels := reduceFold(in.Rels, nil, relation.CountRing)
+	return lInstance(reduceFold(in.Rels, nil, relation.CountRing), p)
+}
+
+// lInstance is L_instance(p, R) over already-folded relations.
+func lInstance(rels []*relation.Relation, p int) int64 {
 	m := len(rels)
 	best := int64(0)
 	for mask := 1; mask < 1<<m; mask++ {

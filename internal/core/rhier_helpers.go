@@ -207,34 +207,6 @@ func toDistInPlace(c *mpc.Cluster, r *relation.Relation, ring relation.Semiring)
 	return d
 }
 
-// groupByValue restricts every relation to σ_{x=v} for each value v of x
-// present anywhere. Relations may come back empty for a given v.
-func groupByValue(rels []*relation.Relation, x relation.Attr) map[relation.Value][]*relation.Relation {
-	groups := map[relation.Value][]*relation.Relation{}
-	ensure := func(v relation.Value) []*relation.Relation {
-		if g, ok := groups[v]; ok {
-			return g
-		}
-		g := make([]*relation.Relation, len(rels))
-		for i, r := range rels {
-			nr := relation.New(r.Name, r.Schema)
-			nr.Annots = []int64{}
-			g[i] = nr
-		}
-		groups[v] = g
-		return g
-	}
-	for i, r := range rels {
-		pos := r.Schema.Pos(x)
-		for j, t := range r.Tuples {
-			g := ensure(t[pos])
-			g[i].Tuples = append(g[i].Tuples, t)
-			g[i].Annots = append(g[i].Annots, r.Annot(j))
-		}
-	}
-	return groups
-}
-
 // localJoin joins small in-memory relations on one server, left to right,
 // appending the result rows to out in schema's layout (schema is the union
 // of the relations' schemas, in any order): relation 0 probes, every later
