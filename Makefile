@@ -6,8 +6,9 @@ GO ?= go
 # reference: Exchange/Route (columnar plan/scatter vs tuple-at-a-time),
 # SampleSort/SerialSortRef (rank-vector sort vs coordinator sort), the
 # columnar FromRelation placement, plus Lookup end-to-end over the pooled
-# record columns and the cost-based dispatch overhead (AutoCost).
-BENCH ?= BenchmarkExchange|BenchmarkRoute|BenchmarkFromRelation|BenchmarkSampleSort|BenchmarkSerialSortRef|BenchmarkLookup|BenchmarkMicro_SemiJoin|BenchmarkEngine_AutoCost
+# record columns, the cost-based dispatch overhead (AutoCost) and the
+# per-server local join kernel on one server's triangle share.
+BENCH ?= BenchmarkExchange|BenchmarkRoute|BenchmarkFromRelation|BenchmarkSampleSort|BenchmarkSerialSortRef|BenchmarkLookup|BenchmarkMicro_SemiJoin|BenchmarkEngine_AutoCost|BenchmarkLocalJoin_Triangle
 COUNT ?= 6
 
 # Coverage floors (percent of statements). The columnar store and the
@@ -188,7 +189,7 @@ bench-smoke:
 		printf '%s\n' "$$listed" | grep -q "^$$name" || missing="$$missing $$name"; \
 	done; \
 	if [ -n "$$missing" ]; then echo "bench-smoke: no benchmark has the prefix$$missing"; exit 1; fi
-	$(GO) test -run '^$$' -bench '$(BENCH)' -benchtime 1x . ./internal/mpc ./internal/primitives
+	$(GO) test -run '^$$' -bench '$(BENCH)' -benchtime 1x . ./internal/mpc ./internal/primitives ./internal/core
 
 # bench-e2e-smoke vets and smoke-tests bench/, the Job→Result benchmark.
 # It is a module of its own, so none of the targets above compile it: an

@@ -11,45 +11,73 @@ import (
 // TestLocalJoinEmitAllocCeiling is the allocation-regression guard for the
 // output path: a per-server local join whose result is then counted and
 // tabled allocates per part — the result buffers, the stage bindings, the
-// table's row headers — and NEVER per row. The old path cost four
-// allocations per result row (tuple, key strings, projected tuple, buffer
-// doublings); here an 8× larger join must fit under the same fixed
-// per-part budget.
+// head log, the table's row headers — and NEVER per row. The old path cost
+// four allocations per result row (tuple, key strings, projected tuple,
+// buffer doublings); here an 8× larger join must fit under the same fixed
+// per-part budget. Two shapes: a one-stage keyed join, whose head log holds
+// one entry per probe row, and Triangle's two stages, whose log outgrows
+// the probe rows ⌈tau/s⌉ + 1-fold.
 func TestLocalJoinEmitAllocCeiling(t *testing.T) {
 	const p, perPart = 8, 30 // allocations allowed per part, whatever the row count
 	prev := runtime.SetParallelism(1)
 	defer runtime.SetParallelism(prev)
 
-	schemaA, schemaB := relation.NewSchema(1, 2), relation.NewSchema(2, 3)
-	out := schemaA.Union(schemaB)
-	stages := []joinStage{
-		{src: []int{0, 1}, dst: []int{0, 1}},
-		{keyPos: []int{0}, keyOut: []int{1}, src: []int{1}, dst: []int{2}},
+	chain := func(rng *mpc.Rng, rows int) []joinStage {
+		return []joinStage{
+			{part: fuzzPart(rng, rows, 2, rows/4, false), src: []int{0, 1}, dst: []int{0, 1}},
+			{part: fuzzPart(rng, rows, 2, rows/4, true), keyPos: []int{0}, keyOut: []int{1}, src: []int{1}, dst: []int{2}},
+		}
 	}
-	for _, rows := range []int{500, 4000} {
-		c := mpc.NewCluster(p)
-		a, b := mpc.NewDist(c, schemaA), mpc.NewDist(c, schemaB)
-		rng := mpc.NewRng(uint64(rows))
-		for s := 0; s < p; s++ {
-			a.Parts[s] = *fuzzPart(rng, rows, 2, rows/4, false)
-			b.Parts[s] = *fuzzPart(rng, rows, 2, rows/4, true)
-		}
-		results := 0
-		run := func() {
-			res := mpc.NewDist(c, out)
-			for s := 0; s < p; s++ {
-				indexJoin(&res.Parts[s], len(out), stagesAt(stages, []*mpc.Dist{a, b}, s), nil, relation.CountRing)
+	// tau = 6 A-values, side·6 ≈ rows R3 and R2 rows, ≈ rows R1 rows.
+	triangle := func(rng *mpc.Rng, rows int) []joinStage {
+		side := rows / 6
+		return triangleShare(rng, 6, side, 1, float64(rows)/float64(side*side))
+	}
+	for _, shape := range []struct {
+		name   string
+		stages func(*mpc.Rng, int) []joinStage
+	}{{"chain", chain}, {"triangle", triangle}} {
+		for _, rows := range []int{500, 4000} {
+			rng := mpc.NewRng(uint64(rows))
+			parts := make([][]joinStage, p)
+			for s := range parts {
+				parts[s] = shape.stages(rng, rows)
 			}
-			results = res.Rel().Size()
-		}
-		run() // warm the index pool
-		got := testing.AllocsPerRun(10, run)
-		if results < 2*rows*p {
-			t.Fatalf("rows=%d: join produced only %d results — the test no longer exercises the output path", rows, results)
-		}
-		if got > perPart*p {
-			t.Fatalf("rows=%d (%d results): local join + table allocates %.0f per run, ceiling %d — per-row allocations are back",
-				rows, results, got, perPart*p)
+			if shape.name == "triangle" {
+				// The head log holds one R3 lookup per R1 row and one R2
+				// lookup per matching (R1, R3) pair.
+				bc, ab := parts[0][0].part, parts[0][1].part
+				deg := map[relation.Value]int{}
+				for i := 0; i < ab.Len(); i++ {
+					deg[ab.Tuple(i)[1]]++
+				}
+				pairs := 0
+				for i := 0; i < bc.Len(); i++ {
+					pairs += deg[bc.Tuple(i)[0]]
+				}
+				if pairs <= bc.Len() {
+					t.Fatalf("rows=%d: %d (R1, R3) pairs for %d probe rows — the head log no longer outgrows the probe", rows, pairs, bc.Len())
+				}
+			}
+			c := mpc.NewCluster(p)
+			out := relation.NewSchema(1, 2, 3)
+			results := 0
+			run := func() {
+				res := mpc.NewDist(c, out)
+				for s := 0; s < p; s++ {
+					indexJoin(&res.Parts[s], len(out), parts[s], nil, relation.CountRing)
+				}
+				results = res.Rel().Size()
+			}
+			run() // warm the index pool
+			got := testing.AllocsPerRun(10, run)
+			if results < 2*rows*p {
+				t.Fatalf("%s rows=%d: join produced only %d results — the test no longer exercises the output path", shape.name, rows, results)
+			}
+			if got > perPart*p {
+				t.Fatalf("%s rows=%d (%d results): local join + table allocates %.0f per run, ceiling %d — per-row allocations are back",
+					shape.name, rows, results, got, perPart*p)
+			}
 		}
 	}
 }

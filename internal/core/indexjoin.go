@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/mpc"
 	"repro/internal/relation"
 )
@@ -28,7 +30,11 @@ type joinStage struct {
 //
 // The kernel counts, reserves out exactly once, then fills: result rows are
 // written in place into out's flat buffer and the stages are indexed by
-// mpc.RowIndex, so a call allocates per stage, never per row.
+// mpc.RowIndex, so a call allocates per stage, never per row. Each stage
+// index is probed once per binding: the count pass logs every chain head it
+// looks up, in visiting order, and the fill pass — which visits the same
+// bindings in the same order — replays the log instead of hashing the keys
+// again.
 //
 //lint:alloc-ceiling
 func indexJoin(out *mpc.Columns, width int, stages []joinStage, order []int32, ring relation.Semiring) {
@@ -37,11 +43,15 @@ func indexJoin(out *mpc.Columns, width int, stages []joinStage, order []int32, r
 			return
 		}
 	}
+	// Every probe row looks up the first stage once: the log holds at least
+	// one head per probe row, and exactly that with one stage.
+	log := mpc.GetInt32Log(stages[0].part.Len())
 	j := indexJoiner{
 		out:    out,
 		probe:  stages[0],
 		stages: stages[1:],
 		idx:    make([]mpc.RowIndex, len(stages)-1),
+		heads:  log.S,
 		bind:   make(relation.Tuple, width),
 		ring:   ring,
 	}
@@ -57,15 +67,19 @@ func indexJoin(out *mpc.Columns, width int, stages []joinStage, order []int32, r
 	for k := range j.idx {
 		j.idx[k].Release()
 	}
+	log.S = j.heads // the pool keeps the capacity the log grew to
+	log.Release()
 }
 
-// indexJoiner is indexJoin's state: the stage indexes, the output row being
-// bound, and which of the two passes is running.
+// indexJoiner is indexJoin's state: the stage indexes, the head log, the
+// output row being bound, and which of the two passes is running.
 type indexJoiner struct {
 	out    *mpc.Columns
 	probe  joinStage
 	stages []joinStage // the stages after the probe
 	idx    []mpc.RowIndex
+	heads  []int32 // every First the count pass made, in visiting order (−1 for none)
+	next   int     // the fill pass's read position in heads
 	bind   relation.Tuple
 	ring   relation.Semiring
 	fill   bool
@@ -106,14 +120,26 @@ func (j *indexJoiner) extend(k int, annot int64) {
 		return
 	}
 	st := &j.stages[k]
-	if !j.fill && k == len(j.stages)-1 {
-		// Counting needs only the length of the innermost chain.
-		for r := j.idx[k].First(j.bind, st.keyOut); r >= 0; r = j.idx[k].Next(r) {
-			j.n++
+	var r int
+	if j.fill {
+		r = int(j.heads[j.next])
+		j.next++
+	} else {
+		r = j.idx[k].First(j.bind, st.keyOut)
+		if len(j.heads) == cap(j.heads) {
+			// Double: append grows a long slice by a quarter at a time.
+			j.heads = slices.Grow(j.heads, len(j.heads))
 		}
-		return
+		j.heads = append(j.heads, int32(r))
+		if k == len(j.stages)-1 {
+			// Counting needs only the length of the innermost chain.
+			for ; r >= 0; r = j.idx[k].Next(r) {
+				j.n++
+			}
+			return
+		}
 	}
-	for r := j.idx[k].First(j.bind, st.keyOut); r >= 0; r = j.idx[k].Next(r) {
+	for ; r >= 0; r = j.idx[k].Next(r) {
 		row := st.part.Tuple(r)
 		for c, p := range st.src {
 			j.bind[st.dst[c]] = row[p]

@@ -12,11 +12,13 @@ import (
 
 // PoolLifecycleAnalyzer enforces the buffer-recycling contract: a buffer
 // acquired from a sync.Pool accessor (getRecCols, getSortScratch,
-// getInterner, getInt32Zero/getInt32Cap) is owned by the acquiring
-// function. It must be released with the matching put before the function
-// returns, and it must never escape the function — not via a return value,
-// not via a global or a foreign struct field, because a pooled buffer that
-// outlives its owner aliases whatever the pool hands out next.
+// getInterner, getInt32Zero/getInt32Cap, mpc.GetInt32Log) is owned by the
+// acquiring function. It must be released with the matching put (for an
+// Int32Log, its Release method) before the function returns, also on a
+// return that comes before the release in the body, and it must never
+// escape the function — not via a return value, not via a global or a
+// foreign struct field, because a pooled buffer that outlives its owner
+// aliases whatever the pool hands out next.
 //
 // Two shapes are blessed:
 //
@@ -42,13 +44,49 @@ func init() {
 		"comma-separated package paths to check (\"all\" for every package)")
 }
 
-// poolPairs maps each pool accessor to its releasing put.
+// poolPairs maps each pool accessor to its releasing put, named as
+// releaseName names it: a function by its name, a method as Type.Method
+// (called on the buffer).
 var poolPairs = map[string]string{
 	"getRecCols":     "putRecCols",
 	"getSortScratch": "putSortScratch",
 	"getInterner":    "putInterner",
 	"getInt32Zero":   "putInt32",
 	"getInt32Cap":    "putInt32",
+	"GetInt32Log":    "Int32Log.Release",
+}
+
+// releaseName names fn as poolPairs names a put: a method as Type.Method,
+// anything else by its name.
+func releaseName(fn *types.Func) string {
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+		t := recv.Type()
+		if ptr, ok := t.(*types.Pointer); ok {
+			t = ptr.Elem()
+		}
+		if named, ok := t.(*types.Named); ok {
+			return named.Obj().Name() + "." + fn.Name()
+		}
+	}
+	return fn.Name()
+}
+
+// releases reports whether call is the put that releases obj: put called
+// with obj in an argument, or put as a method called on obj.
+func releases(info *types.Info, call *ast.CallExpr, put string, obj types.Object) bool {
+	fn := calleeFunc(info, call)
+	if fn == nil || releaseName(fn) != put {
+		return false
+	}
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && usesObject(info, sel.X, obj) {
+		return true
+	}
+	for _, arg := range call.Args {
+		if usesObject(info, arg, obj) {
+			return true
+		}
+	}
+	return false
 }
 
 func runPoolLifecycle(pass *analysis.Pass) (interface{}, error) {
@@ -101,7 +139,7 @@ func carrierTypes(pass *analysis.Pass) map[*types.TypeName]bool {
 			callsPut := false
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				if call, ok := n.(*ast.CallExpr); ok {
-					if fn := calleeFunc(pass.TypesInfo, call); fn != nil && puts[fn.Name()] {
+					if fn := calleeFunc(pass.TypesInfo, call); fn != nil && puts[releaseName(fn)] {
 						callsPut = true
 					}
 				}
@@ -164,6 +202,15 @@ func checkPoolOwnership(pass *analysis.Pass, report func(token.Pos, string, ...i
 	for _, a := range acqs {
 		released := false
 		escaped := false
+		// The earliest position at which a is released, handed to a
+		// carrier or put inside a closure (or deferred).
+		firstRelease := token.NoPos
+		release := func(pos token.Pos) {
+			released = true
+			if pos > a.pos && (firstRelease == token.NoPos || pos < firstRelease) {
+				firstRelease = pos
+			}
+		}
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			switch v := n.(type) {
 			case *ast.ReturnStmt:
@@ -178,13 +225,8 @@ func checkPoolOwnership(pass *analysis.Pass, report func(token.Pos, string, ...i
 					}
 				}
 			case *ast.CallExpr:
-				fn := calleeFunc(pass.TypesInfo, v)
-				if fn != nil && fn.Name() == a.put {
-					for _, arg := range v.Args {
-						if usesObject(pass.TypesInfo, arg, a.obj) {
-							released = true
-						}
-					}
+				if releases(pass.TypesInfo, v, a.put, a.obj) {
+					release(v.Pos())
 				}
 			case *ast.AssignStmt:
 				for i, lhs := range v.Lhs {
@@ -205,7 +247,7 @@ func checkPoolOwnership(pass *analysis.Pass, report func(token.Pos, string, ...i
 					}
 					switch dest := destKind(pass, carriers, lhs); dest {
 					case destCarrier:
-						released = true // ownership handed to the carrier's release method
+						release(v.Pos()) // ownership handed to the carrier's release method
 					case destField:
 						report(v.Pos(), "pooled buffer %s escapes into %s: only a type that releases it (a method calling %s) may hold a pooled buffer", a.name, lhsString(lhs), a.put)
 						escaped = true
@@ -220,7 +262,29 @@ func checkPoolOwnership(pass *analysis.Pass, report func(token.Pos, string, ...i
 		if !released && !escaped {
 			report(a.pos, "pooled buffer %s is acquired but never released: call %s on every path (defer it, or hand it to a releasing carrier)", a.name, a.put)
 		}
+		if released && !escaped {
+			reportEarlyReturns(fd.Body, a.pos, firstRelease, func(ret *ast.ReturnStmt) {
+				report(ret.Pos(), "pooled buffer %s leaks on this return: it is released only further down; call %s before returning, or defer it", a.name, a.put)
+			})
+		}
 	}
+}
+
+// reportEarlyReturns calls leak on every return of body, outside function
+// literals (whose returns leave only the literal), that lies after the
+// acquisition at acquired and before the first release.
+func reportEarlyReturns(body *ast.BlockStmt, acquired, firstRelease token.Pos, leak func(*ast.ReturnStmt)) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch v := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.ReturnStmt:
+			if v.Pos() > acquired && v.Pos() < firstRelease {
+				leak(v)
+			}
+		}
+		return true
+	})
 }
 
 type destination int

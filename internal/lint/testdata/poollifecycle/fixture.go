@@ -85,3 +85,66 @@ func selfFieldWrite(n int) {
 	rc.keys = rc.keys[:0]
 	putRecCols(rc)
 }
+
+// Int32Log stubs the pooled head log the local join kernel draws: it is
+// released by its own Release method, called on the log.
+type Int32Log struct{ S []int32 }
+
+func GetInt32Log(n int) *Int32Log { return &Int32Log{S: make([]int32, 0, n)} }
+func (l *Int32Log) Release()      {}
+
+// logLeaksOnEarlyReturn releases the log at the end, but the early return
+// between acquisition and release hands it to no one.
+func logLeaksOnEarlyReturn(n int) int {
+	log := GetInt32Log(n)
+	log.S = append(log.S, 1)
+	if n == 0 {
+		return 0 // want `pooled buffer log leaks on this return`
+	}
+	m := len(log.S)
+	log.Release()
+	return m
+}
+
+// logNeverReleased acquires a log and forgets it.
+func logNeverReleased(n int) int {
+	log := GetInt32Log(n) // want `pooled buffer log is acquired but never released`
+	return cap(log.S)
+}
+
+// logDeferred releases the log on every path, early returns included; the
+// return inside the closure leaves only the closure.
+func logDeferred(n int) int {
+	log := GetInt32Log(n)
+	defer log.Release()
+	less := func(i, j int) bool { return log.S[i] < log.S[j] }
+	if n == 0 || less(0, 0) {
+		return 0
+	}
+	return len(log.S)
+}
+
+// joiner is a carrier for a log: its release method calls the log's
+// Release, so handing the log to a joiner transfers ownership.
+type joiner struct{ heads *Int32Log }
+
+func (j *joiner) release() { j.heads.Release() }
+
+func logCarrierHandoff(n int) int {
+	heads := GetInt32Log(n)
+	j := joiner{}
+	j.heads = heads
+	m := len(j.heads.S)
+	j.release()
+	return m
+}
+
+// int32EarlyReturn is the same early-return leak for a getInt32Zero slice.
+func int32EarlyReturn(n int) int {
+	v := getInt32Zero(n)
+	if n > 8 {
+		return n // want `pooled buffer v leaks on this return`
+	}
+	putInt32(v)
+	return 0
+}

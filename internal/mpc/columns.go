@@ -337,6 +337,33 @@ func putInt32(s []int32) {
 	}
 }
 
+// logPool recycles Int32Logs by pointer: a log keeps the capacity it grew
+// to, and returning a pointer to a sync.Pool allocates nothing, where
+// returning a slice boxes its header.
+var logPool sync.Pool
+
+// Int32Log is a pooled, append-only int32 buffer for the per-server
+// kernels outside this package: GetInt32Log hands out an empty one, the
+// owner appends to S, and Release returns it — with whatever capacity S
+// grew to — for the next call to reuse.
+type Int32Log struct{ S []int32 }
+
+// GetInt32Log returns an empty log from the pool with capacity ≥ n.
+func GetInt32Log(n int) *Int32Log {
+	l, _ := logPool.Get().(*Int32Log)
+	if l == nil {
+		l = new(Int32Log)
+	}
+	if cap(l.S) < n {
+		l.S = make([]int32, 0, n)
+	}
+	l.S = l.S[:0]
+	return l
+}
+
+// Release returns the log to the pool; it must not be used after.
+func (l *Int32Log) Release() { logPool.Put(l) }
+
 // bytePool recycles the hash fast path's per-row destination bytes (valid
 // whenever the cluster has ≤ 256 servers — every configuration in the
 // repository). One byte per row instead of one int32 keeps the scatter's

@@ -166,3 +166,19 @@ func BenchmarkRowIndex(b *testing.B) {
 
 // benchSink keeps the probes' results alive.
 var benchSink int
+
+// TestInt32LogRecycles: a log comes out of the pool empty with at least
+// the asked capacity, whether it is fresh, recycled smaller than asked, or
+// recycled holding entries from its last owner.
+func TestInt32LogRecycles(t *testing.T) {
+	for _, n := range []int{0, 5, 64, 3} {
+		log := GetInt32Log(n)
+		if len(log.S) != 0 || cap(log.S) < n {
+			t.Fatalf("GetInt32Log(%d): len %d cap %d", n, len(log.S), cap(log.S))
+		}
+		for i := 0; i < 2*n+1; i++ {
+			log.S = append(log.S, int32(i))
+		}
+		log.Release()
+	}
+}
