@@ -90,9 +90,10 @@ func main() {
 	printScorecard(res.Candidates)
 	fmt.Printf("  comm: total = %d tuples   exchanges = %d (%d tuples batched, %d active destinations)\n",
 		res.TotalComm, res.Exchange.Exchanges, res.Exchange.Tuples, res.Exchange.ActiveDests)
-	fmt.Printf("  bounds: linear IN/p = %.0f   Yannakakis %s = %.0f   paper %s = %.0f\n",
-		stats.Linear(in.IN(), *p), stats.YannakakisFormula, stats.Yannakakis(in.IN(), out, *p),
-		stats.AcyclicFormula, stats.Acyclic(in.IN(), out, *p))
+	v := stats.Vars{IN: in.IN(), OUT: out, P: *p}
+	fmt.Printf("  bounds: linear %s = %.0f   Yannakakis %s = %.0f   paper %s = %.0f\n",
+		stats.Linear.Formula(), stats.Linear.Eval(v), stats.Yannakakis, stats.Yannakakis.Eval(v),
+		stats.Thm7, stats.Thm7.Eval(v))
 	if mismatch {
 		// The report above is the measurement; the exit status is the check.
 		os.Exit(1)

@@ -51,8 +51,9 @@ func main() {
 	}
 	fmt.Printf("full join |Q(R)| = %d; aggregate output = %d groups (sum of counts %d)\n",
 		fullJoin, groups.Size(), total)
-	fmt.Printf("aggregate load L = %d vs linear IN/p = %.0f vs full-join Yannakakis bound %.0f\n",
-		res.Load, stats.Linear(in.IN(), p), stats.Yannakakis(in.IN(), fullJoin, p))
+	v := stats.Vars{IN: in.IN(), OUT: fullJoin, P: p}
+	fmt.Printf("aggregate load L = %d vs linear %s = %.0f vs full-join Yannakakis bound %.0f\n",
+		res.Load, stats.Linear.Formula(), stats.Linear.Eval(v), stats.Yannakakis.Eval(v))
 	if total != fullJoin {
 		panic("aggregate counts do not add up to the full join size")
 	}

@@ -58,8 +58,8 @@ func main() {
 	fmt.Printf("IN = %d, OUT = %d, p = %d\n", in.IN(), want, p)
 	red := core.NaiveSemiJoinReduce(in)
 	li := core.LInstance(red, p)
-	bound := int64(in.IN()/p) + li
-	fmt.Printf("per-instance bound IN/p + L_instance(p,R) = %d + %d = %d\n\n", in.IN()/p, li, bound)
+	bound := stats.Thm3.Eval(stats.Vars{IN: in.IN(), P: p, LInstance: li})
+	fmt.Printf("per-instance bound %s = %.0f (L_instance = %d)\n\n", stats.Thm3, bound, li)
 
 	measure := func(algo, label string) {
 		res, err := engine.RunNamed(algo, engine.Job{
@@ -69,7 +69,7 @@ func main() {
 			panic(err)
 		}
 		fmt.Printf("%-28s load L = %6d  (%.1f× the instance bound)\n",
-			label, res.Load, stats.Ratio(res.Load, float64(bound)))
+			label, res.Load, stats.Ratio(res.Load, bound))
 	}
 	measure("rhier", "RHier (§3.2, inst-optimal)")
 	measure("binhc", "BinHC (one round)")

@@ -83,7 +83,8 @@ func main() {
 	for _, r := range results {
 		fmt.Printf("%-40s load L = %6d\n", r.name, r.load)
 	}
-	fmt.Printf("\nbounds: linear IN/p = %.0f, Yannakakis %s = %.0f, paper %s = %.0f\n",
-		stats.Linear(in.IN(), p), stats.YannakakisFormula, stats.Yannakakis(in.IN(), want, p),
-		stats.AcyclicFormula, stats.Acyclic(in.IN(), want, p))
+	v := stats.Vars{IN: in.IN(), OUT: want, P: p}
+	fmt.Printf("\nbounds: linear %s = %.0f, Yannakakis %s = %.0f, paper %s = %.0f\n",
+		stats.Linear.Formula(), stats.Linear.Eval(v), stats.Yannakakis, stats.Yannakakis.Eval(v),
+		stats.Thm7, stats.Thm7.Eval(v))
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // AcyclicJoin is the paper's Section 5.1 output-optimal algorithm for an
-// arbitrary acyclic join, with load O(IN/p + √(IN·OUT/p)).
+// arbitrary acyclic join, with the load of Thm 7 (stats.Thm7).
 //
 // After removing dangling tuples and computing OUT (Cor. 4's fold, which
 // runs no reducer of its own: dangling tuples only add Zero to a y = ∅
@@ -57,7 +57,7 @@ func AcyclicJoin(c *mpc.Cluster, in *Instance, seed uint64) *mpc.Dist {
 // (intermediate bounds only need an upper bound).
 //
 //lint:rounds const trust self-recursion bounded by the query's join-tree depth; each level charges a fixed round schedule
-//lint:load frac trust Theorem 6: intermediates are bounded by sqrt(IN*OUT/p) per server at every level
+//lint:load frac trust Thm 7 (stats.Thm7): every level's intermediates stay within the bound per server
 func acyclicRec(c *mpc.Cluster, edges []hypergraph.AttrSet, dists []*mpc.Dist,
 	ring relation.Semiring, out int64, seed uint64, depth int) []*mpc.Dist {
 

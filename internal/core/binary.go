@@ -9,11 +9,11 @@ import (
 	"repro/internal/runtime"
 )
 
-// BinaryJoin computes a ⋈ b with the output-optimal load O(IN/p + √(OUT/p))
-// of [8,18], which the paper uses as its basic subroutine.
+// BinaryJoin computes a ⋈ b with the output-optimal load of [8,18]
+// (stats.BinaryJoin), which the paper uses as its basic subroutine.
 //
 // Keys are split by degree: a key is heavy when either side's degree
-// exceeds the target load L0 = IN/p + √(OUT/p) or its output da·db exceeds
+// exceeds the target load L0, that bound's value, or its output da·db exceeds
 // OUT/p. Each heavy key gets its own ⌈da/L0⌉ × ⌈db/L0⌉ server grid
 // (fragment-replicate), which bounds its per-server input by 2·L0 and
 // output by ~OUT/p; light keys are hashed. Tuples are routed by their key's
@@ -72,7 +72,7 @@ func EmitDist(d *mpc.Dist, schema relation.Schema, em mpc.Emitter) {
 // sides as they are; line3's joins, acyclic's other joins and aggregate's
 // frontier fold skip whichever sides are partnered.
 //
-//lint:load frac trust [8,18]: degree-threshold grids cap each server at IN/p + sqrt(OUT/p)
+//lint:load frac trust [8,18] (stats.BinaryJoin): degree-threshold grids cap each server at the bound
 //lint:rounds const
 func binaryJoin(a, b *mpc.Dist, outSchema relation.Schema, ring relation.Semiring, seed uint64) *mpc.Dist {
 	c := a.C

@@ -2,21 +2,24 @@
 // they are measured against, all as communication programs on the mpc
 // simulator:
 //
-//   - BinaryJoin: the output-optimal binary join of [8,18], load
-//     O(IN/p + √(OUT/p)) — the workhorse subroutine;
+//   - BinaryJoin: the output-optimal binary join of [8,18] — the
+//     workhorse subroutine;
 //   - HyperCube: the one-round algorithm of [3] for Cartesian products;
 //   - BinHC: the one-round degree-decomposed HyperCube of [8];
 //   - Yannakakis: the classical algorithm [34] as an MPC program [2,25]
-//     with a pluggable join order, load O(IN/p + OUT/p);
+//     with a pluggable join order;
 //   - RHier: the paper's Section 3.2 instance-optimal algorithm for
-//     r-hierarchical joins, load O(IN/p + L_instance(p,R));
+//     r-hierarchical joins, instance-optimal (Thm 3);
 //   - Line3: the paper's Section 4.2 output-optimal line-3 join;
 //   - AcyclicJoin: the paper's Section 5.1 output-optimal algorithm for
-//     arbitrary acyclic joins, load O(IN/p + √(IN·OUT/p));
+//     arbitrary acyclic joins (Thm 7);
 //   - Aggregate: Section 6's LinearAggroYannakakis for free-connex
 //     join-aggregate queries (and CountOutput, the |Q(R)| primitive);
-//   - Triangle: the worst-case optimal triangle join of [24], load
-//     O(IN/p^{2/3}), measured against the paper's Section 7 lower bound.
+//   - Triangle: the worst-case optimal triangle join of [24], measured
+//     against the paper's Section 7 lower bound (Thm 11).
+//
+// Each algorithm's load bound is a row of the stats bound table, cited here
+// by its id.
 package core
 
 import (

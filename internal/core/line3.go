@@ -10,7 +10,7 @@ import (
 )
 
 // Line3 is the paper's Section 4.2 output-optimal algorithm for the line-3
-// join R1(A,B) ⋈ R2(B,C) ⋈ R3(C,D), with load O(IN/p + √(IN·OUT/p)).
+// join R1(A,B) ⋈ R2(B,C) ⋈ R3(C,D), with the load of Thm 7 (stats.Thm7).
 //
 // After removing dangling tuples it computes OUT (Cor. 4's fold, which runs
 // no reducer of its own: dangling tuples only add Zero to a y = ∅ fold, so
@@ -21,7 +21,7 @@ import (
 //	Q1 = R1^H ⋈ (R2^H ⋈ R3)   — |R2^H ⋈ R3| ≤ OUT/τ,
 //	Q2 = (R1^L ⋈ R2^L) ⋈ R3   — |R1^L ⋈ R2^L| ≤ IN·τ,
 //
-// so no intermediate result exceeds √(IN·OUT) and the binary-join
+// so neither intermediate exceeds OUT/τ = IN·τ and the binary-join
 // subroutine keeps every step within the target load. This is the paper's
 // key observation that join ORDER has asymptotic consequences in MPC
 // (Section 4.1) and that decomposing by degree always yields a good order

@@ -12,12 +12,12 @@ import (
 // line-3 join [19,24]: a √p × √p server grid with shares on the two join
 // attributes B and C. R1(A,B) replicates along the C dimension, R3(C,D)
 // along the B dimension, and R2(B,C) lands on exactly one server; the load
-// is O(IN/√p) regardless of OUT.
+// is [19,24]'s (stats.WorstCaseLine3) regardless of OUT.
 //
 // Section 4.3 shows this bound is output-optimal exactly when OUT ≥ p·IN,
 // completing the paper's three-regime picture of the line-3 join:
-// OUT ≤ IN → O(IN/p) (Yannakakis); IN < OUT ≤ p·IN → O(√(IN·OUT/p))
-// (Line3); OUT > p·IN → O(IN/√p) (this algorithm).
+// OUT ≤ IN → linear (Yannakakis); IN < OUT ≤ p·IN → Thm 7 (Line3);
+// OUT > p·IN → [19,24] (this algorithm).
 //
 // The degree-based sub-bucketing that [24] adds for heavy B/C values is
 // omitted here: the harness runs this algorithm on the paper's balanced

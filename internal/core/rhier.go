@@ -15,7 +15,7 @@ import (
 // Section 3: r-hierarchical joins.
 //
 // RHier is the paper's Section 3.2 deterministic, instance-optimal
-// algorithm: load O(IN/p + L_instance(p,R)) in O(1) rounds. BinHC is the
+// algorithm: the load of Thm 3 (stats.Thm3) in O(1) rounds. BinHC is the
 // one-round algorithm of [8] (Section 3.1): same recursive decomposition of
 // the attribute forest, but server shares come from degree statistics alone
 // (the quantities in Theorems 1–2) rather than exact sub-join sizes — which
@@ -58,9 +58,9 @@ func degreeSizer(rels []*relation.Relation) int64 {
 	return out
 }
 
-// RHier computes an r-hierarchical join with load O(IN/p + L_instance).
+// RHier computes an r-hierarchical join with the load of Thm 3.
 //
-//lint:load frac trust Theorem 9: the residue-class grid and recursion keep every server at IN/p + L_instance(p,R)
+//lint:load frac trust Thm 3 (stats.Thm3): the residue-class grid and recursion keep every server within the bound
 //lint:rounds const
 func RHier(c *mpc.Cluster, in *Instance, seed uint64) *mpc.Dist {
 	if !in.Q.IsRHierarchical() {
@@ -71,7 +71,7 @@ func RHier(c *mpc.Cluster, in *Instance, seed uint64) *mpc.Dist {
 	dists = FullReduce(in, dists)
 	plan := newHierNode(materialize(dists), nil, in.Ring, exactSizer)
 
-	// L = IN/p + L_instance(p, R), computed from the reduced instance's
+	// L is Thm 3's bound, computed from the reduced instance's
 	// folded relations (2^m linear-load counting passes, charged below).
 	chargeLinear(c, in.IN())
 	plan.fold()

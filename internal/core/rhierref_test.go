@@ -39,9 +39,9 @@ func PlanServersMismatch(in *Instance, p int, removeDangling bool) string {
 	return ""
 }
 
-// RHierRef computes an r-hierarchical join with load O(IN/p + L_instance).
+// RHierRef computes an r-hierarchical join with the load of Thm 3.
 //
-//lint:load frac trust Theorem 9: the residue-class grid and recursion keep every server at IN/p + L_instance(p,R)
+//lint:load frac trust Thm 3 (stats.Thm3): the residue-class grid and recursion keep every server within the bound
 //lint:rounds const
 func RHierRef(c *mpc.Cluster, in *Instance, seed uint64) *mpc.Dist {
 	if !in.Q.IsRHierarchical() {
@@ -52,7 +52,7 @@ func RHierRef(c *mpc.Cluster, in *Instance, seed uint64) *mpc.Dist {
 	dists = FullReduce(in, dists)
 	rels := materialize(dists)
 
-	// L = IN/p + L_instance(p, R), computed from the reduced instance
+	// L is Thm 3's bound, computed from the reduced instance
 	// (2^m linear-load counting passes, charged below).
 	red := &Instance{Q: in.Q, Rels: rels, Ring: in.Ring}
 	chargeLinear(c, in.IN())

@@ -13,14 +13,15 @@ import (
 // worst-case optimal one-round HyperCube algorithm of [24]: servers form an
 // s × s × s cube (s = ⌊p^{1/3}⌋), each attribute is hashed to one of s
 // buckets, and each relation is replicated along its missing attribute's
-// dimension. Load O(IN/p^{2/3}) on skew-free instances, which Section 7's
-// lower bound shows is also output-optimal once OUT ≳ IN·p^{1/3}.
+// dimension. Its load is [24]'s (stats.Triangle) on skew-free instances,
+// which Section 7's lower bound shows is also output-optimal once
+// OUT ≳ IN·p^{1/3}.
 //
 // (The paper gives no matching upper bound below that range — the gap it
 // leaves open; the harness plots the measured load against both branches of
-// the Ω̃(min{IN/p + OUT/p, IN/p^{2/3}}) bound.)
+// Thm 11's lower bound, stats.Thm11.)
 //
-//lint:load frac trust Section 7: cube replication copies each relation p^(1/3)-fold, IN/p^(2/3) per server on skew-free inputs
+//lint:load frac trust [24] (stats.Triangle): cube replication copies each relation p^(1/3)-fold, the bound per server on skew-free inputs
 //lint:rounds const
 func Triangle(c *mpc.Cluster, in *Instance, seed uint64) *mpc.Dist {
 	a, b, cc := triangleAttrs(in)

@@ -83,12 +83,12 @@ func DefaultJoinOrder(q *hypergraph.Hypergraph) []int {
 // Yannakakis is the classical algorithm as an MPC program [2,25]: remove
 // dangling tuples (linear load), then fold the relations pairwise with the
 // output-optimal binary join, in the given order (a permutation of edge
-// indices; nil means DefaultJoinOrder). Load O(IN/p + OUT/p): after
+// indices; nil means DefaultJoinOrder). Load [2,25] (stats.Yannakakis): after
 // reduction every intermediate result is part of a full join result, so
 // intermediate sizes — and hence the inputs of later binary joins — can
 // reach Θ(OUT). Section 4.1 shows this is inherent for fixed orders.
 //
-//lint:load perP trust after the full reduction every intermediate is output-bounded (Cor. 8): IN/p + OUT/p per join step
+//lint:load perP trust [2,25] (stats.Yannakakis): after the full reduction every intermediate is output-bounded (Cor. 8), so each join step stays within the bound
 //lint:rounds const
 func Yannakakis(c *mpc.Cluster, in *Instance, order []int, seed uint64) *mpc.Dist {
 	if order == nil {

@@ -11,13 +11,13 @@ import (
 // Spec is everything the engine knows about one algorithm, written once
 // in the catalog below: callers reach algorithms through
 // Lookup/Auto/AutoCost, never through per-algorithm switch statements. The
-// name doubles as the key into stats.Predict — the quantitative formula
-// behind the declared bound — and Register refuses a name stats does not
-// know.
+// name doubles as the key into stats.Priced — the row of the bound table
+// dispatch prices the algorithm by — and Register refuses a name stats
+// does not know.
 type Spec struct {
 	name string
-	// bound names the Figure 1 load bound the algorithm tracks.
-	bound string
+	// bound is the row of the stats bound table the algorithm tracks.
+	bound stats.BoundID
 	// rounds is the machine-checkable round class (zero, const, log, or
 	// loop): the repobound analyzer verifies the run body's static class
 	// stays within it, and the harness checks observed Result.Rounds
@@ -45,16 +45,13 @@ type Spec struct {
 	applies func(q *hypergraph.Hypergraph) bool
 	// run executes on job.Cluster and returns the distributed result.
 	run func(job Job) (*mpc.Dist, error)
-	// refine, when set, sharpens the scalar stats prediction with the
-	// instance in hand.
-	refine func(in *core.Instance, p int, scalar float64) float64
 }
 
 // Algorithm is how callers hold a catalog entry.
 type Algorithm = *Spec
 
 func (a *Spec) Name() string                          { return a.name }
-func (a *Spec) Bound() string                         { return a.bound }
+func (a *Spec) Bound() stats.BoundID                  { return a.bound }
 func (a *Spec) RoundClass() string                    { return a.rounds }
 func (a *Spec) LoadClass() string                     { return a.load }
 func (a *Spec) Applies(q *hypergraph.Hypergraph) bool { return a.applies(q) }
@@ -80,81 +77,70 @@ func anyQuery(*hypergraph.Hypergraph) bool { return true }
 //
 //	tall-flat      → one-round BinHC (instance-optimal in one round, [26])
 //	hierarchical   → HyperCube on products (eq. 1), else RHier (§3.2)
-//	r-hierarchical → RHier (IN/p + L_instance, Thm 3)
+//	r-hierarchical → RHier (instance-optimal, Thm 3)
 //	acyclic        → Line3 on chains, else AcyclicJoin (§5.1, Thm 7)
-//	cyclic         → HyperCube triangle (§7), else the sequential oracle
+//	cyclic         → HyperCube triangle ([24], §7), else the sequential oracle
 func init() {
 	everyAcyclic := []hypergraph.Class{hypergraph.TallFlat, hypergraph.Hierarchical, hypergraph.RHierarchical, hypergraph.Acyclic}
 
 	Register(&Spec{
-		name: "binhc", bound: "IN/p + degree shares (Table 1)", load: "frac", rounds: "const", fullJoin: true,
+		name: "binhc", bound: stats.OneRound, load: "frac", rounds: "const", fullJoin: true,
 		classes: []hypergraph.Class{hypergraph.TallFlat}, applies: isRHier,
 		run: func(job Job) (*mpc.Dist, error) {
 			return core.BinHC(job.Cluster, job.In, job.Seed, job.Reduce), nil
 		},
 	})
 	Register(&Spec{
-		name: "hypercube", bound: stats.CartesianFormula, load: "frac", rounds: "const", fullJoin: true,
+		name: "hypercube", bound: stats.Eq1, load: "frac", rounds: "const", fullJoin: true,
 		classes: []hypergraph.Class{hypergraph.Hierarchical}, applies: core.IsProductQuery,
 		run: func(job Job) (*mpc.Dist, error) {
 			return core.HyperCubeProduct(job.Cluster, job.In, job.Seed), nil
 		},
-		// Eq. 1 over the actual relation sizes.
-		refine: func(in *core.Instance, p int, scalar float64) float64 {
-			if len(in.Rels) > stats.MaxCartesianRelations {
-				return scalar
-			}
-			sizes := make([]int, len(in.Rels))
-			for i, r := range in.Rels {
-				sizes[i] = r.Size()
-			}
-			return stats.CartesianLower(sizes, p)
-		},
 	})
 	Register(&Spec{
-		name: "rhier", bound: "IN/p + L_instance(p,R)", load: "frac", rounds: "const", fullJoin: true,
+		name: "rhier", bound: stats.Thm3, load: "frac", rounds: "const", fullJoin: true,
 		classes: []hypergraph.Class{hypergraph.TallFlat, hypergraph.Hierarchical, hypergraph.RHierarchical}, applies: isRHier,
 		run: func(job Job) (*mpc.Dist, error) {
 			return core.RHier(job.Cluster, job.In, job.Seed), nil
 		},
 	})
 	Register(&Spec{
-		name: "line3", bound: stats.AcyclicFormula, load: "frac", rounds: "const", fullJoin: true,
+		name: "line3", bound: stats.Thm7, load: "frac", rounds: "const", fullJoin: true,
 		classes: []hypergraph.Class{hypergraph.Acyclic}, applies: core.IsLine3Query,
 		run: func(job Job) (*mpc.Dist, error) {
 			return core.Line3WithTau(job.Cluster, job.In, job.Tau, job.Seed), nil
 		},
 	})
 	Register(&Spec{
-		name: "line3wc", bound: "IN/√p (worst-case)", load: "frac", rounds: "const", fullJoin: true,
+		name: "line3wc", bound: stats.WorstCaseLine3, load: "frac", rounds: "const", fullJoin: true,
 		applies: core.IsLine3Query,
 		run: func(job Job) (*mpc.Dist, error) {
 			return core.Line3WorstCase(job.Cluster, job.In, job.Seed), nil
 		},
 	})
 	Register(&Spec{
-		name: "acyclic", bound: stats.AcyclicFormula, load: "frac", rounds: "const", fullJoin: true,
+		name: "acyclic", bound: stats.Thm7, load: "frac", rounds: "const", fullJoin: true,
 		classes: everyAcyclic, applies: (*hypergraph.Hypergraph).IsAcyclic,
 		run: func(job Job) (*mpc.Dist, error) {
 			return core.AcyclicJoin(job.Cluster, job.In, job.Seed), nil
 		},
 	})
 	Register(&Spec{
-		name: "yannakakis", bound: stats.YannakakisFormula, load: "perP", rounds: "const", fullJoin: true,
+		name: "yannakakis", bound: stats.Yannakakis, load: "perP", rounds: "const", fullJoin: true,
 		classes: everyAcyclic, applies: (*hypergraph.Hypergraph).IsAcyclic,
 		run: func(job Job) (*mpc.Dist, error) {
 			return core.Yannakakis(job.Cluster, job.In, job.Order, job.Seed), nil
 		},
 	})
 	Register(&Spec{
-		name: "triangle", bound: stats.TriangleFormula, load: "frac", rounds: "const", fullJoin: true,
+		name: "triangle", bound: stats.Triangle, load: "frac", rounds: "const", fullJoin: true,
 		classes: []hypergraph.Class{hypergraph.Cyclic}, applies: core.IsTriangleQuery,
 		run: func(job Job) (*mpc.Dist, error) {
 			return core.Triangle(job.Cluster, job.In, job.Seed), nil
 		},
 	})
 	Register(&Spec{
-		name: "naive", bound: "sequential oracle", load: "linear", rounds: "zero", fullJoin: true, oracle: true,
+		name: "naive", bound: stats.Oracle, load: "linear", rounds: "zero", fullJoin: true, oracle: true,
 		classes: []hypergraph.Class{hypergraph.Cyclic}, applies: anyQuery,
 		run: func(job Job) (*mpc.Dist, error) {
 			// The oracle's rows, uncharged, as server 0's part.
@@ -168,7 +154,7 @@ func init() {
 		},
 	})
 	Register(&Spec{
-		name: "count", bound: "IN/p (Cor. 4)", load: "perP", rounds: "const", count: true,
+		name: "count", bound: stats.Cor4, load: "perP", rounds: "const", count: true,
 		applies: (*hypergraph.Hypergraph).IsAcyclic,
 		run: func(job Job) (*mpc.Dist, error) {
 			// One scalar row: Result.Annot carries |Q(R)|.
@@ -178,7 +164,7 @@ func init() {
 		},
 	})
 	Register(&Spec{
-		name: "aggregate", bound: stats.AggregateFormula, load: "frac", rounds: "const", fullJoin: false,
+		name: "aggregate", bound: stats.Thm9, load: "frac", rounds: "const", fullJoin: false,
 		applies: (*hypergraph.Hypergraph).IsAcyclic,
 		run: func(job Job) (*mpc.Dist, error) {
 			return core.Aggregate(job.Cluster, job.In, job.GroupBy, job.Seed), nil

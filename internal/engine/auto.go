@@ -21,7 +21,7 @@ type Candidate struct {
 	// Predicted is the predicted per-server load (+Inf for candidates that
 	// cannot run, 0 when dispatch ran without statistics).
 	Predicted float64
-	// PredictedBy names the stats formula behind Predicted.
+	// PredictedBy is the formula of the stats row behind Predicted.
 	PredictedBy string
 	// Rejected is why the candidate cannot run ("" when it can): Applies
 	// rejects the query's shape.
@@ -125,15 +125,14 @@ func Auto(q *hypergraph.Hypergraph) (Algorithm, error) {
 }
 
 // AutoCost is cost-based dispatch: it scores every candidate whose
-// Applies accepts the query with a predicted per-server load — the
-// algorithm's repoload-verified load class refined by the stats formula
-// for its declared Figure 1 bound, evaluated at (IN, outEst, p) — and
-// returns the argmin together with the full ranked scorecard. outEst < 0
-// asks for EstimateOut's statistics-only estimate; the harness passes the
-// memoized naive-count oracle instead. Dispatch is deterministic: the
-// predictions are pure functions of (IN, outEst, p), ties fall to the
-// declared round class and then the Figure 1 preference order, and no
-// data-plane width or worker count is consulted.
+// Applies accepts the query with a predicted per-server load — the row of
+// the stats bound table the algorithm is priced by, evaluated at
+// (IN, outEst, p) — and returns the argmin together with the full ranked
+// scorecard. outEst < 0 asks for EstimateOut's statistics-only estimate;
+// the harness passes the memoized naive-count oracle instead. Dispatch is
+// deterministic: the predictions are pure functions of (IN, outEst, p),
+// ties fall to the declared round class and then the Figure 1 preference
+// order, and no data-plane width or worker count is consulted.
 func AutoCost(in *core.Instance, p int, outEst int64) (Algorithm, []Candidate, error) {
 	if p <= 0 {
 		p = DefaultP
@@ -147,16 +146,13 @@ func AutoCost(in *core.Instance, p int, outEst int64) (Algorithm, []Candidate, e
 }
 
 // PredictLoad predicts the per-server load of running a on in at cluster
-// width p, assuming the run emits outEst results: the stats formula for
-// the algorithm's declared bound, sharpened by the entry's own refinement
-// where it has one (hypercube's eq. 1 is evaluated over the actual
-// relation sizes). The returned value is finite for every IN ≥ 0, OUT ≥ 0.
+// width p, assuming the run emits outEst results: the stats row a is priced
+// by, evaluated with the instance in hand (so hypercube's eq. 1 ranges over
+// the actual relation sizes), and that row's formula. The returned value is
+// finite for every IN ≥ 0, OUT ≥ 0.
 func PredictLoad(a Algorithm, in *core.Instance, outEst int64, p int) (float64, string) {
-	pr, _ := stats.Predict(a.name, in.IN(), outEst, p) // Register checked the row exists
-	if a.refine != nil {
-		pr.Load = a.refine(in, p, pr.Load)
-	}
-	return pr.Load, pr.Formula
+	id, _ := stats.Priced(a.name) // Register checked the row exists
+	return id.Eval(stats.Vars{IN: in.IN(), OUT: outEst, P: p, Rels: in.Rels}), id.Formula()
 }
 
 // EstimateOut is the dispatcher's statistics-only estimate of |Q(R)|: the

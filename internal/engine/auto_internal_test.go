@@ -44,8 +44,8 @@ func TestCatalog(t *testing.T) {
 			t.Errorf("catalog name %q is empty or repeated", a.name)
 		}
 		seen[a.name] = true
-		if _, ok := stats.Predict(a.name, 1, 1, 1); !ok {
-			t.Errorf("%s: no stats.Predict row", a.name)
+		if _, ok := stats.Priced(a.name); !ok {
+			t.Errorf("%s: no stats.Priced row", a.name)
 		}
 	}
 	for _, name := range []string{"line3wc", "count", "aggregate"} {
@@ -66,7 +66,7 @@ func TestCatalog(t *testing.T) {
 }
 
 // TestRegisterRefusesBadNames: an empty name, a duplicate, and a name
-// stats.Predict has no formula for are init-time wiring errors.
+// stats.Priced has no row for are init-time wiring errors.
 func TestRegisterRefusesBadNames(t *testing.T) {
 	for _, name := range []string{"", "yannakakis", "no-predictor-for-this"} {
 		func() {

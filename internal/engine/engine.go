@@ -8,9 +8,9 @@
 // The paper's Figure 1 hierarchy (tall-flat ⊂ hierarchical ⊂
 // r-hierarchical ⊂ acyclic) is executable here: classification names the
 // candidate set, and AutoCost ranks the candidates by predicted
-// per-server load — each entry's repoload-verified load class refined
-// by the stats formula for its declared bound — picking the argmin, with
-// the Figure 1 preference order as the deterministic tiebreak. Auto is
+// per-server load — each entry's row of the stats bound table evaluated
+// at the instance — picking the argmin, with the Figure 1 preference
+// order as the deterministic tiebreak. Auto is
 // the statistics-free projection (preference order alone), and every
 // Result records predicted next to measured load so mispredictions are
 // visible. This is the seam the ROADMAP's cross-process sharding item
@@ -26,6 +26,7 @@ import (
 	"repro/internal/mpc"
 	"repro/internal/relation"
 	"repro/internal/runtime"
+	"repro/internal/stats"
 )
 
 // Job describes one execution: the instance plus every knob an algorithm
@@ -91,8 +92,9 @@ type Result struct {
 	Load int
 	// Rounds is the number of communication rounds.
 	Rounds int
-	// Bound names the load bound the algorithm tracks.
-	Bound string
+	// Bound is the row of the stats bound table the algorithm tracks; it
+	// prints as the formula with its citation.
+	Bound stats.BoundID
 	// LoadClass is the algorithm's declared load class (perP, frac, or
 	// linear), statically verified by the repoload analyzer. "" when the
 	// algorithm declares none.
@@ -103,7 +105,7 @@ type Result struct {
 	// EstimateOut statistics otherwise). Compare against Load to see
 	// mispredictions; the Fig1 tables and cmd/classify render the ratio.
 	Predicted float64
-	// PredictedBy names the stats formula behind Predicted.
+	// PredictedBy is the formula of the stats row behind Predicted.
 	PredictedBy string
 	// Candidates is the ranked scorecard cost-based dispatch considered
 	// (argmin first, rejected candidates last). Nil when the algorithm

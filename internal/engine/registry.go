@@ -16,14 +16,14 @@ var (
 )
 
 // Register appends a to the catalog. An empty or duplicate name, or one
-// stats.Predict has no formula for, panics: registration is an init-time
+// stats.Priced has no row for, panics: registration is an init-time
 // wiring error, not a runtime condition.
 func Register(a *Spec) {
 	if a.name == "" {
 		panic("engine: Register with empty name")
 	}
-	if _, ok := stats.Predict(a.name, 0, 0, 1); !ok {
-		panic(fmt.Sprintf("engine: algorithm %q has no formula in stats.Predict", a.name))
+	if _, ok := stats.Priced(a.name); !ok {
+		panic(fmt.Sprintf("engine: algorithm %q has no row in stats.Priced", a.name))
 	}
 	regMu.Lock()
 	defer regMu.Unlock()

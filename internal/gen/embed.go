@@ -13,7 +13,7 @@ import (
 // (x1, x2, x3, x4) (Lemma 2) and builds an instance R' of Q whose join
 // results are exactly those of the line-3 hard instance on the path's
 // attributes — every other attribute has a singleton domain. Consequently
-// the line-3 lower bound Ω̃(min{√(IN·OUT/p), IN/√p}) transfers to Q.
+// the line-3 lower bound of Thm 6 (stats.Thm6) transfers to Q.
 //
 // The line-3 instance embedded is YannakakisHard(n, out); swap in
 // Line3Random for the randomized construction.

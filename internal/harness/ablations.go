@@ -14,8 +14,8 @@ import (
 )
 
 // E2RHierClosedForm sweeps OUT on r-hierarchical instances and compares the
-// measured RHier load to Theorem 4's closed form
-// IN/p^{1/max(1,k*−1)} + (OUT/p)^{1/k*}. One task per hub degree.
+// measured RHier load to Thm 4's closed form (stats.Thm4). One task per hub
+// degree.
 func E2RHierClosedForm(s Scale) *Table {
 	t := &Table{
 		Title: "Theorem 4 — r-hierarchical output-optimal closed form",
@@ -29,7 +29,7 @@ func E2RHierClosedForm(s Scale) *Table {
 		in := gen.TallFlatSkewed(hub, s.IN/4)
 		out := oracleCount(in)
 		l := run("rhier", s.job(in, out)).Load
-		b := stats.RHierOutput(in.IN(), out, s.P)
+		b := stats.Thm4.Eval(stats.Vars{IN: in.IN(), OUT: out, P: s.P})
 		return [][]any{{hub, in.IN(), out, stats.KStar(in.IN(), out), l, b, stats.Ratio(l, b)}}
 	})
 	return t
@@ -61,7 +61,7 @@ func E3AcyclicVsYannakakis(s Scale) *Table {
 			// 4, so OUT ≈ 64·size stays materializable by the oracle.
 			name = "line-4 uniform"
 			rng := mpc.NewChildRng(s.Seed, task)
-			in = gen.LineKUniform(rng, 4, s.IN/4, maxInt(s.IN/16, 2))
+			in = gen.LineKUniform(rng, 4, s.IN/4, max(s.IN/16, 2))
 		}
 		want := oracleCount(in)
 		yjob := s.job(in, want)
@@ -69,7 +69,7 @@ func E3AcyclicVsYannakakis(s Scale) *Table {
 		ly := run("yannakakis", yjob).Load
 		la := run("acyclic", s.job(in, want)).Load
 		return [][]any{{name, in.IN(), want, ly, la,
-			fmt.Sprintf("%.1fx", float64(ly)/float64(maxInt(la, 1)))}}
+			fmt.Sprintf("%.1fx", float64(ly)/float64(max(la, 1)))}}
 	})
 	return t
 }
@@ -102,7 +102,7 @@ func baseFanOut(base *core.Instance, fan int) *relation.Relation {
 func E4Aggregate(s Scale) *Table {
 	t := &Table{
 		Title: "Section 6 — free-connex join-aggregate (COUNT(*) GROUP BY B,C on line-3)",
-		Note:  "|Q(R)| is huge; OUT = |Q_y(R)| is small; load must track IN/p + √(IN·OUT_y/p)",
+		Note:  "|Q(R)| is huge; OUT = |Q_y(R)| is small; load must track " + stats.Thm9.String(),
 		Header: []string{"IN", "|Q(R)|", "OUT_y", "L(aggregate)", "L(full join §5.1)",
 			"linear IN/p", "L/linear"},
 	}
@@ -124,7 +124,7 @@ func E4Aggregate(s Scale) *Table {
 	})
 	outY, lAgg := res[0][0].(int64), res[0][1].(int)
 	fullOut, lFull := res[1][0].(int64), res[1][1].(int)
-	lin := stats.Linear(in.IN(), s.P)
+	lin := stats.Linear.Eval(stats.Vars{IN: in.IN(), P: s.P})
 	t.Add(in.IN(), fullOut, outY, lAgg, lFull, lin, stats.Ratio(lAgg, lin))
 	return t
 }
@@ -137,7 +137,7 @@ func AblationTau(s Scale) *Table {
 	rng := mpc.NewChildRng(s.Seed, 0)
 	in := gen.Line3Random(rng, s.IN, 16*s.IN)
 	want := oracleCount(in)
-	tauStar := maxInt(1, primitives.IsqrtInt(int(want)/maxInt(in.IN(), 1)))
+	tauStar := max(1, primitives.IsqrtInt(int(want)/max(in.IN(), 1)))
 	t := &Table{
 		Title: "Ablation — line-3 heavy/light threshold τ (eqs. 4–5 balance)",
 		Note: fmt.Sprintf("p=%d IN=%d OUT=%d; paper's τ* = √(OUT/IN) = %d",

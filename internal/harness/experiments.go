@@ -176,15 +176,13 @@ func Fig3JoinOrder(s Scale) *Table {
 		Header: []string{"instance", "algorithm", "IN", "OUT", "pred L", "load L", "L/pred", "L/(IN/p)", "bound tracked"},
 	}
 	algos := []struct {
-		algo  string
-		label string
-		bound string
-		order []int
+		algo, label, bound string
+		order              []int
 	}{
-		{"yannakakis", "Yannakakis (R1⋈R2)⋈R3", "OUT/p", []int{0, 1, 2}},
-		{"yannakakis", "Yannakakis R1⋈(R2⋈R3)", "IN/p+√(OUT/p) or OUT/p", []int{2, 1, 0}},
-		{"line3", "Line3 (§4.2)", "IN/p+√(IN·OUT/p)", nil},
-		{"acyclic", "AcyclicJoin (§5.1)", "IN/p+√(IN·OUT/p)", nil},
+		{"yannakakis", "Yannakakis (R1⋈R2)⋈R3", stats.Yannakakis.String(), []int{0, 1, 2}},
+		{"yannakakis", "Yannakakis R1⋈(R2⋈R3)", stats.BinaryJoin.String() + " or " + stats.Yannakakis.String(), []int{2, 1, 0}},
+		{"line3", "Line3 (§4.2)", stats.Thm7.String(), nil},
+		{"acyclic", "AcyclicJoin (§5.1)", stats.Thm7.String(), nil},
 	}
 	families := []struct{ family, label string }{
 		{"hard", "one-sided"},
@@ -205,7 +203,7 @@ func Fig3JoinOrder(s Scale) *Table {
 			res := run(a.algo, job)
 			rows = append(rows, []any{f.label, a.label, inSize, want, res.Predicted, res.Load,
 				stats.Ratio(res.Load, res.Predicted),
-				stats.Ratio(res.Load, stats.Linear(inSize, s.P)), a.bound})
+				stats.Ratio(res.Load, stats.Linear.Eval(stats.Vars{IN: inSize, P: s.P})), a.bound})
 		}
 		return rows
 	})
@@ -220,9 +218,9 @@ func Fig3JoinOrder(s Scale) *Table {
 func Fig4Line3Sweep(s Scale) *Table {
 	t := &Table{
 		Title: "Figure 4 — line-3 join on the random hard instance, OUT sweep",
-		Note: fmt.Sprintf("p=%d, IN≈%d; LB = Ω(min{√(IN·OUT/(p·log IN)), IN/√p}) (Thm 6)",
-			s.P, s.IN),
-		Header: []string{"OUT/IN", "IN", "OUT", "L(Yann)", "L(Line3)", "L(Acyc §5)", "L(WC IN/√p)", "LB", "Line3/LB", "regime"},
+		Note: fmt.Sprintf("p=%d, IN≈%d; LB = %v",
+			s.P, s.IN, stats.Thm6),
+		Header: []string{"OUT/IN", "IN", "OUT", "L(Yann)", "L(Line3)", "L(Acyc §5)", "L(WC " + stats.WorstCaseLine3.Formula() + ")", "LB", "Line3/LB", "regime"},
 	}
 	factors := []int{0, 1, 4, 16, 64, 256}
 	s.addRows(t, len(factors), func(task int) [][]any {
@@ -242,13 +240,13 @@ func Fig4Line3Sweep(s Scale) *Table {
 		l3 := run("line3", s.job(in, want)).Load
 		la := run("acyclic", s.job(in, want)).Load
 		lw := run("line3wc", s.job(in, want)).Load
-		lb := stats.Line3Lower(inSize, want, s.P)
-		regime := "OUT≤IN: linear"
+		lb := stats.Thm6.Eval(stats.Vars{IN: inSize, OUT: want, P: s.P})
+		regime := "OUT≤IN: " + stats.Linear.Formula()
 		switch {
 		case want > int64(s.P)*int64(inSize):
-			regime = "OUT>p·IN: IN/√p"
+			regime = "OUT>p·IN: " + stats.WorstCaseLine3.Formula()
 		case want > int64(inSize):
-			regime = "IN<OUT≤p·IN: √(IN·OUT/p)"
+			regime = "IN<OUT≤p·IN: " + stats.Thm7.Formula()
 		}
 		return [][]any{{fmt.Sprintf("%d", f), inSize, want, ly, l3, la, lw, lb,
 			stats.Ratio(l3, lb), regime}}
@@ -278,14 +276,14 @@ func Fig5JoinTree() string {
 }
 
 // Fig6TriangleSweep regenerates the Section 7 experiment: the triangle
-// join's measured load against the output-sensitive lower bound
-// Ω̃(min{IN/p + OUT/p, IN/p^{2/3}}), plus the acyclic line-3 load at the
-// same IN and OUT to exhibit the ≥ √(OUT/IN) separation.
+// join's measured load against Thm 11's output-sensitive lower bound, plus
+// the acyclic line-3 load at the same IN and OUT to exhibit the
+// ≥ √(OUT/IN) separation.
 func Fig6TriangleSweep(s Scale) *Table {
 	t := &Table{
 		Title: "Figure 6 / Theorem 11 — triangle join, OUT sweep",
-		Note: fmt.Sprintf("p=%d, IN≈%d; triangle LB = Ω̃(min{IN/p+OUT/p, IN/p^(2/3)})",
-			s.P, s.IN),
+		Note: fmt.Sprintf("p=%d, IN≈%d; triangle LB = %v",
+			s.P, s.IN, stats.Thm11),
 		Header: []string{"OUT/IN", "IN", "OUT", "L(HyperCube△)", "LB(△)", "L/LB", "L(Line3 same IN,OUT)", "separation"},
 	}
 	factors := []int{1, 2, 4, 8, 16}
@@ -299,7 +297,7 @@ func Fig6TriangleSweep(s Scale) *Table {
 		want := oracleCount(in)
 		inSize := in.IN()
 		lt := run("triangle", s.job(in, want)).Load
-		lb := stats.TriangleLower(inSize, want, s.P)
+		lb := stats.Thm11.Eval(stats.Vars{IN: inSize, OUT: want, P: s.P})
 		// An acyclic join with the same IN/OUT for the separation column.
 		l3in, err := gen.Build("random", rng, inSize, int(want))
 		if err != nil {
@@ -308,7 +306,7 @@ func Fig6TriangleSweep(s Scale) *Table {
 		l3want := oracleCount(l3in)
 		l3 := run("line3", s.job(l3in, l3want)).Load
 		return [][]any{{fmt.Sprintf("%d", f), inSize, want, lt, lb, stats.Ratio(lt, lb), l3,
-			fmt.Sprintf("%.1fx", float64(lt)/float64(maxInt(l3, 1)))}}
+			fmt.Sprintf("%.1fx", float64(lt)/float64(max(l3, 1)))}}
 	})
 	return t
 }
@@ -323,110 +321,72 @@ func Table1Loads(s Scale) *Table {
 			s.P),
 		Header: []string{"class", "instance", "algorithm", "IN", "OUT", "L", "bound", "L/bound"},
 	}
-	p := s.P
-	instBound := func(in *core.Instance) float64 {
-		red := core.NaiveSemiJoinReduce(in)
-		return float64(in.IN())/float64(p) + float64(core.LInstance(red, p))
+	// Each run is measured against its own bound row; the r-hierarchical
+	// classes track Thm 3, whose L_instance term is evaluated on the
+	// instance.
+	type algoRun struct {
+		label, algo string
+		bound       stats.BoundID
+		reduce      bool
 	}
-	sections := []func(task int) [][]any{
+	family := func(name string, out int) func(task int) (*core.Instance, error) {
+		return func(task int) (*core.Instance, error) {
+			return gen.Build(name, mpc.NewChildRng(s.Seed, task), s.IN, out)
+		}
+	}
+	binhcRHier := []algoRun{{"BinHC (1 round)", "binhc", stats.Thm3, false}, {"RHier (§3.2)", "rhier", stats.Thm3, false}}
+	sections := []struct {
+		class, inst string
+		build       func(task int) (*core.Instance, error)
+		runs        []algoRun
+	}{
 		// Tall-flat: keyed product with one hub.
-		func(task int) [][]any {
-			tf, err := gen.Build("tallflat", nil, s.IN, 0)
-			if err != nil {
-				panic(err)
-			}
-			tfOut := oracleCount(tf)
-			tfB := instBound(tf)
-			l1 := run("binhc", s.job(tf, tfOut)).Load
-			l2 := run("rhier", s.job(tf, tfOut)).Load
-			return [][]any{
-				{"tall-flat", "hub keyed product", "BinHC (1 round)", tf.IN(), tfOut, l1, tfB, stats.Ratio(l1, tfB)},
-				{"tall-flat", "hub keyed product", "RHier (§3.2)", tf.IN(), tfOut, l2, tfB, stats.Ratio(l2, tfB)},
-			}
-		},
+		{"tall-flat", "hub keyed product", family("tallflat", 0), binhcRHier},
 		// r-hierarchical without dangling tuples.
-		func(task int) [][]any {
-			rng := mpc.NewChildRng(s.Seed, task)
-			rh, err := gen.Build("rhier", rng, s.IN, 0)
-			if err != nil {
-				panic(err)
-			}
-			rhOut := oracleCount(rh)
-			rhB := instBound(rh)
-			l1 := run("binhc", s.job(rh, rhOut)).Load
-			l2 := run("rhier", s.job(rh, rhOut)).Load
-			return [][]any{
-				{"r-hier (no dangling)", "hub star", "BinHC (1 round)", rh.IN(), rhOut, l1, rhB, stats.Ratio(l1, rhB)},
-				{"r-hier (no dangling)", "hub star", "RHier (§3.2)", rh.IN(), rhOut, l2, rhB, stats.Ratio(l2, rhB)},
-			}
-		},
+		{"r-hier (no dangling)", "hub star", family("rhier", 0), binhcRHier},
 		// Hierarchical with dangling tuples (the one-round barrier, [26]):
 		// a fake hub whose degree product looks like fakeDeg² but whose true
 		// output is zero — degree statistics cannot see it, a semi-join can.
-		func(task int) [][]any {
-			rhd := gen.Q2FakeHub(s.IN/8, s.IN/2)
-			rhdOut := oracleCount(rhd)
-			rhdB := instBound(rhd)
-			l1 := run("binhc", s.job(rhd, rhdOut)).Load
-			reduced := s.job(rhd, rhdOut)
-			reduced.Reduce = true
-			l2 := run("binhc", reduced).Load
-			l3 := run("rhier", s.job(rhd, rhdOut)).Load
-			return [][]any{
-				{"hier (dangling)", "Q2 + fake hub", "BinHC (1 round)", rhd.IN(), rhdOut, l1, rhdB, stats.Ratio(l1, rhdB)},
-				{"hier (dangling)", "Q2 + fake hub", "reduce+BinHC", rhd.IN(), rhdOut, l2, rhdB, stats.Ratio(l2, rhdB)},
-				{"hier (dangling)", "Q2 + fake hub", "RHier (§3.2)", rhd.IN(), rhdOut, l3, rhdB, stats.Ratio(l3, rhdB)},
-			}
-		},
+		{"hier (dangling)", "Q2 + fake hub", func(int) (*core.Instance, error) { return gen.Q2FakeHub(s.IN/8, s.IN/2), nil },
+			[]algoRun{binhcRHier[0], {"reduce+BinHC", "binhc", stats.Thm3, true}, binhcRHier[1]}},
 		// Acyclic non-r-hierarchical: line-3 at OUT = 8·IN.
-		func(task int) [][]any {
-			rng := mpc.NewChildRng(s.Seed, task)
-			l3in, err := gen.Build("random", rng, s.IN, 8*s.IN)
-			if err != nil {
-				panic(err)
-			}
-			l3Out := oracleCount(l3in)
-			l3B := stats.Acyclic(l3in.IN(), l3Out, p)
-			yB := stats.Yannakakis(l3in.IN(), l3Out, p)
-			l1 := run("yannakakis", s.job(l3in, l3Out)).Load
-			l2 := run("line3", s.job(l3in, l3Out)).Load
-			l3l := run("acyclic", s.job(l3in, l3Out)).Load
-			return [][]any{
-				{"acyclic", "random line-3", "Yannakakis", l3in.IN(), l3Out, l1, yB, stats.Ratio(l1, yB)},
-				{"acyclic", "random line-3", "Line3 (§4.2)", l3in.IN(), l3Out, l2, l3B, stats.Ratio(l2, l3B)},
-				{"acyclic", "random line-3", "AcyclicJoin (§5.1)", l3in.IN(), l3Out, l3l, l3B, stats.Ratio(l3l, l3B)},
-			}
-		},
-		// Triangle.
-		func(task int) [][]any {
-			rng := mpc.NewChildRng(s.Seed, task)
-			tr, err := gen.Build("triangle", rng, s.IN, 4*s.IN)
-			if err != nil {
-				panic(err)
-			}
-			trOut := oracleCount(tr)
-			trB := stats.TriangleWorstCase(tr.IN(), p)
-			l := run("triangle", s.job(tr, trOut)).Load
-			return [][]any{
-				{"triangle (cyclic)", "random triangle", "HyperCube△ [24]", tr.IN(), trOut, l, trB, stats.Ratio(l, trB)},
-			}
-		},
+		{"acyclic", "random line-3", family("random", 8*s.IN), []algoRun{{"Yannakakis", "yannakakis", stats.Yannakakis, false},
+			{"Line3 (§4.2)", "line3", stats.Thm7, false}, {"AcyclicJoin (§5.1)", "acyclic", stats.Thm7, false}}},
+		{"triangle (cyclic)", "random triangle", family("triangle", 4*s.IN), []algoRun{{"HyperCube△ [24]", "triangle", stats.Triangle, false}}},
 	}
 	s.addRows(t, len(sections), func(task int) [][]any {
-		return sections[task](task)
+		sec := sections[task]
+		in, err := sec.build(task)
+		if err != nil {
+			panic(err)
+		}
+		out := oracleCount(in)
+		v := stats.Vars{IN: in.IN(), OUT: out, P: s.P}
+		if sec.runs[0].bound == stats.Thm3 {
+			v.LInstance = core.LInstance(core.NaiveSemiJoinReduce(in), s.P)
+		}
+		rows := make([][]any, len(sec.runs))
+		for i, r := range sec.runs {
+			job := s.job(in, out)
+			job.Reduce = r.reduce
+			l, b := run(r.algo, job).Load, r.bound.Eval(v)
+			rows[i] = []any{sec.class, sec.inst, r.label, in.IN(), out, l, b, stats.Ratio(l, b)}
+		}
+		return rows
 	})
 	return t
 }
 
 // E5InstanceGap demonstrates Corollaries 2/3: an instance with
-// L_instance = O(IN/p) on which every algorithm must pay Ω̃(IN/√p) — the
+// L_instance = O(IN/p) on which every algorithm must pay Ω̃ of [19,24]'s
+// worst-case line-3 bound (stats.WorstCaseLine3) — the
 // impossibility of instance optimality beyond r-hierarchical joins.
 // One task per server count.
 func E5InstanceGap(s Scale) *Table {
 	t := &Table{
 		Title: "Corollary 2/3 — instance-optimality gap on line-3 (OUT = p·IN)",
-		Note:  "L_instance = O(IN/p) yet every algorithm pays Ω̃(IN/√p)",
-		Header: []string{"p", "IN", "OUT", "L_inst(eq.2)", "IN/√p", "L(Line3)", "L(Yann)",
+		Note:  "L_instance = O(IN/p) yet every algorithm pays Ω̃(" + stats.WorstCaseLine3.Formula() + ")",
+		Header: []string{"p", "IN", "OUT", "L_inst(eq.2)", stats.WorstCaseLine3.Formula(), "L(Line3)", "L(Yann)",
 			"L(Line3)/L_inst"},
 	}
 	ps := []int{16, 64, 256}
@@ -446,15 +406,8 @@ func E5InstanceGap(s Scale) *Table {
 		job := engine.Job{In: in, P: p, Seed: s.Seed, Want: want, CheckWant: true}
 		l3 := run("line3", job).Load
 		ly := run("yannakakis", job).Load
-		return [][]any{{p, in.IN(), want, li, stats.WorstCaseLine(in.IN(), p), l3, ly,
+		return [][]any{{p, in.IN(), want, li, stats.WorstCaseLine3.Eval(stats.Vars{IN: in.IN(), P: p}), l3, ly,
 			stats.Ratio(l3, float64(li))}}
 	})
 	return t
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

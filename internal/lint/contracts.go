@@ -122,9 +122,9 @@ func StaticClasses(root string) (map[string]AdapterClasses, error) {
 // WriteContracts renders the round/communication contract table for every
 // algorithm registered in the engine package: its declared rounds and load
 // classes, the static classes the two classifiers compute for its run
-// body, the Figure 1 load bound, and the declared charging primitives the
-// body can reach. root is the module root directory (the one holding
-// go.mod).
+// body, the bound row it tracks, the row dispatch prices it by, and the
+// declared charging primitives the body can reach. root is the module
+// root directory (the one holding go.mod).
 //
 // The generator shares its classifiers with the reporoundcost and
 // repoloadcost analyzers but runs them whole-program through a source
@@ -142,16 +142,16 @@ func WriteContracts(w io.Writer, root string) error {
 	fmt.Fprintf(w, "Per registered algorithm: the machine-checked round class from its\n")
 	fmt.Fprintf(w, "`rounds:` declaration and the class the static round classifier computes\n")
 	fmt.Fprintf(w, "for its run body (lattice `zero < const < log < loop < unknown`; the\n")
-	fmt.Fprintf(w, "repobound analyzer enforces static ≤ declared); the machine-checked load\n")
-	fmt.Fprintf(w, "class from its `load:` declaration and the class the static load\n")
-	fmt.Fprintf(w, "classifier computes (lattice `zero < const < perP < frac < linear <\n")
-	fmt.Fprintf(w, "unknown`; the repoload analyzer enforces static ≤ declared and bound\n")
-	fmt.Fprintf(w, "prose ≤ declared); the Figure 1 load bound; and the predicted-load\n")
-	fmt.Fprintf(w, "formula cost-based dispatch (`engine.AutoCost`) evaluates for the\n")
-	fmt.Fprintf(w, "algorithm at (IN, OUT estimate, p) — the per-name formula from\n")
-	fmt.Fprintf(w, "`internal/stats/predict.go`. The charge sites below are the\n")
-	fmt.Fprintf(w, "`//lint:rounds`-declared primitives each run body can reach, with both\n")
-	fmt.Fprintf(w, "of their classes.\n\n")
+	fmt.Fprintf(w, "repobound analyzer enforces static ≤ declared and bound row ≤ declared);\n")
+	fmt.Fprintf(w, "the machine-checked load class from its `load:` declaration and the class\n")
+	fmt.Fprintf(w, "the static load classifier computes (lattice `zero < const < perP < frac <\n")
+	fmt.Fprintf(w, "linear < unknown`; the repoload analyzer enforces static ≤ declared and\n")
+	fmt.Fprintf(w, "bound row ≤ declared); the load bound the algorithm tracks; and the\n")
+	fmt.Fprintf(w, "predicted-load formula cost-based dispatch (`engine.AutoCost`) evaluates\n")
+	fmt.Fprintf(w, "for the algorithm at (IN, OUT estimate, p). Both bound columns render rows\n")
+	fmt.Fprintf(w, "of the one bound table in `internal/stats/bounds.go`. The charge sites\n")
+	fmt.Fprintf(w, "below are the `//lint:rounds`-declared primitives each run body can reach,\n")
+	fmt.Fprintf(w, "with both of their classes.\n\n")
 	fmt.Fprintf(w, "| algorithm | declared rounds | static rounds | declared load | static load | load bound | predicted load |\n")
 	fmt.Fprintf(w, "|---|---|---|---|---|---|---|\n")
 
@@ -163,11 +163,15 @@ func WriteContracts(w io.Writer, root string) error {
 	for _, a := range m.adapters {
 		name, declLoad := a.fields["name"].val, a.fields["load"].val
 		rounds, load, sites := m.classify(a)
-		predicted, ok := stats.Predict(name, 0, 0, 1)
+		predicted, ok := stats.Priced(name)
 		if !ok {
-			return fmt.Errorf("%s has no formula in stats.Predict", name)
+			return fmt.Errorf("%s has no row in stats.Priced", name)
 		}
-		fmt.Fprintf(w, "| %s | %s | %s | %s | %s | %s | %s |\n", name, a.fields["rounds"].val, rounds, declLoad, load, a.fields["bound"].val, predicted.Formula)
+		bound := a.fields["bound"].val
+		if _, ok := stats.Lookup(bound); !ok {
+			return fmt.Errorf("%s's bound %q is not a row of the stats bound table", name, bound)
+		}
+		fmt.Fprintf(w, "| %s | %s | %s | %s | %s | %v | %s |\n", name, a.fields["rounds"].val, rounds, declLoad, load, stats.BoundID(bound), predicted.Formula())
 		rows = append(rows, row{name: name, sites: sites})
 	}
 

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 
+	"repro/internal/stats"
+
 	"golang.org/x/tools/go/analysis"
 	"golang.org/x/tools/go/analysis/passes/inspect"
 	"golang.org/x/tools/go/ast/inspector"
@@ -55,9 +57,9 @@ type axis struct {
 	// than their callee; nil means there are none.
 	intrinsic func(fs *funcScope, call *ast.CallExpr) (costClass, bool)
 
-	// boundClaim returns what an adapter's bound prose wrongly claims about
-	// this axis given the declared class, or "" when the prose is fine.
-	boundClaim func(bound string, declared costClass) string
+	// rowClass is the class a registration's bound row claims on this
+	// axis; the declared class must be at least as high.
+	rowClass func(ax *axis, row stats.Row) costClass
 }
 
 func (ax *axis) unknown() costClass { return costClass(len(ax.names) - 1) }

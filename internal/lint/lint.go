@@ -21,7 +21,8 @@
 //	               from exported facts and checked against //lint:rounds
 //	               declarations
 //	repobound      every registered algorithm declares its round class,
-//	               which its run body's static classification must respect
+//	               which its run body's static classification and its
+//	               bound row must respect
 //	loadcost       every function gets a static load class (zero, const,
 //	               perP, frac, linear, unknown) from the arithmetic shape
 //	               of its cluster charge arguments, composed
@@ -29,7 +30,7 @@
 //	               against //lint:load declarations
 //	repoload       every registered algorithm declares its load class,
 //	               which its run body's static classification and its
-//	               bound prose must respect
+//	               bound row must respect
 //
 // The suite runs through cmd/repolint (`go vet -vettool`), so every
 // package — including future ones — inherits the contracts for free.

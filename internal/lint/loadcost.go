@@ -1,11 +1,12 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"strings"
+
+	"repro/internal/stats"
 )
 
 // The load axis: the per-round, per-server charge magnitude a function can
@@ -51,14 +52,9 @@ var loadAxis = &axis{
 	// computed class is only the drift detector.
 	declWins:  true,
 	intrinsic: chargeIntrinsic,
-	// A bound written in terms of /p, √p, or p^(c) must not be paired with
-	// a weaker declaration than the strongest marker it contains.
-	boundClaim: func(bound string, declared costClass) string {
-		if marker := boundMarkerClass(bound); marker > declared {
-			return fmt.Sprintf("load class %s in prose, stronger than its declared load %q", loadNames[marker], loadNames[declared])
-		}
-		return ""
-	},
+	// A bound row whose formula has a √p or p^(c) term claims frac, one
+	// with a /p term perP.
+	rowClass: func(_ *axis, row stats.Row) costClass { return boundMarkerClass(row.Expr.String()) },
 }
 
 // LoadCostFact is the load axis's exported per-function summary. Its
@@ -88,21 +84,19 @@ var LoadCostAnalyzer = newCostAnalyzer(loadAxis, "repoloadcost",
 
 // RepoLoadAnalyzer closes the load half of the registry loop (see
 // newRegistryAnalyzer): `load: "perP|frac|linear"` on every registration,
-// respected by the run body's static class and by the bound prose.
+// respected by the run body's static class and by the bound row's formula.
 var RepoLoadAnalyzer = newRegistryAnalyzer(loadAxis, LoadCostAnalyzer, "repoload",
-	"registered algorithms must declare a load class that their run body's static classification and bound prose respect")
+	"registered algorithms must declare a load class that their run body's static classification and bound row respect")
 
-// boundMarkerClass extracts the strongest load-class claim a Figure 1 bound
-// string makes in prose: "sequential" claims linear, a √ or p^(…) term
-// claims frac, a /p term claims perP, and anything else claims nothing
-// (zero, the bottom — no constraint). The declared class must be at least
-// the marker: a bound may be stated conservatively in /p terms while the
-// declaration carries the honest frac class (RHier's IN/p + L_instance),
-// but a bound advertising √p with a perP tag is drift.
+// boundMarkerClass extracts the strongest load-class claim a bound row's
+// formula makes: a √ or p^(…) term claims frac, a /p term claims perP, and
+// anything else claims nothing (zero, the bottom — no constraint). The
+// declared class must be at least the marker: a bound may be stated
+// conservatively in /p terms while the declaration carries the honest frac
+// class (RHier's Thm 3), but a bound advertising √p with a perP tag is
+// drift.
 func boundMarkerClass(bound string) costClass {
 	switch {
-	case strings.Contains(bound, "sequential"):
-		return loadLinear
 	case strings.Contains(bound, "√"), strings.Contains(bound, "p^("):
 		return loadFrac
 	case strings.Contains(bound, "/p"):

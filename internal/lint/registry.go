@@ -7,6 +7,8 @@ import (
 	"go/types"
 	"strings"
 
+	"repro/internal/stats"
+
 	"golang.org/x/tools/go/analysis"
 )
 
@@ -71,8 +73,8 @@ func parseAdapters(info *types.Info, files []*ast.File) []adapterLit {
 }
 
 // stringLit returns the value of a constant string expression — a literal
-// or a named constant such as stats.AcyclicFormula — as the type checker
-// evaluated it ("" for anything else).
+// or a named constant such as stats.Thm7 — as the type checker evaluated it
+// ("" for anything else).
 func stringLit(info *types.Info, e ast.Expr) string {
 	if v := info.Types[e].Value; v != nil && v.Kind() == constant.String {
 		return constant.StringVal(v)
@@ -85,8 +87,9 @@ func stringLit(info *types.Info, e ast.Expr) string {
 // machine-readable declaration on the axis (`<axis>: "<class>"`, from the
 // classes a registered algorithm may claim), the static class of its run
 // body (computed by the axis's cost analyzer from the charging facts) must
-// not exceed it and must not be unknown, and the human-readable `bound`
-// string must not contradict it (the axis's boundClaim rule).
+// not exceed it and must not be unknown, and the `bound` must name a row of
+// the stats bound table whose class on the axis (rowClass) does not exceed
+// the declaration either.
 func newRegistryAnalyzer(ax *axis, cost *analysis.Analyzer, name, doc string) *analysis.Analyzer {
 	an := &analysis.Analyzer{Name: name, Doc: doc, Requires: []*analysis.Analyzer{cost}}
 	an.Flags.String("scope", enginePkgPath,
@@ -122,9 +125,14 @@ func newRegistryAnalyzer(ax *axis, cost *analysis.Analyzer, name, doc string) *a
 				report(decl.pos, "%s declares invalid %s class %q (want %s)", name, ax.noun, decl.val, orList(declarable))
 				continue
 			}
-			bound := a.fields["bound"]
-			if claim := ax.boundClaim(bound.val, declared); claim != "" {
-				report(bound.pos, "%s's bound string %q claims %s", name, bound.val, claim)
+			bound, ok := a.fields["bound"]
+			if !ok {
+				bound.pos = a.pos
+			}
+			if row, ok := stats.Lookup(bound.val); !ok {
+				report(bound.pos, "%s's bound %q is not a row of the stats bound table", name, bound.val)
+			} else if claim := ax.rowClass(ax, row); claim > declared {
+				report(bound.pos, "%s's bound %q claims %s class %s, which exceeds its declared %s %q", name, bound.val, ax.noun, ax.names[claim], ax.name, decl.val)
 			}
 			if a.run == nil {
 				report(a.pos, "%s has no run function to classify", name)

@@ -6,6 +6,8 @@ import (
 	"go/types"
 	"sort"
 	"strings"
+
+	"repro/internal/stats"
 )
 
 // The rounds axis: how many communication rounds a function charges, as a
@@ -33,13 +35,10 @@ var roundsAxis = &axis{
 	reaches:   "class",
 	newFact:   func() costFact { return new(RoundCostFact) },
 	loopClass: roundsLoopClass,
-	// The paper's Figure 1 bounds are load bounds; round behavior belongs
-	// in the checked rounds field, not in prose.
-	boundClaim: func(bound string, _ costClass) string {
-		if strings.Contains(strings.ToLower(bound), "round") {
-			return "round behavior in prose; the bound field is the load bound — declare rounds in the checked rounds field"
-		}
-		return ""
+	// A bound row states the round class its algorithm runs in.
+	rowClass: func(ax *axis, row stats.Row) costClass {
+		c, _ := ax.parse(row.Rounds)
+		return c
 	},
 }
 
@@ -63,7 +62,7 @@ var RoundCostAnalyzer = newCostAnalyzer(roundsAxis, "reporoundcost",
 // RepoBoundAnalyzer closes the loop between what an algorithm declares and
 // what its code can reach (see newRegistryAnalyzer): `rounds:
 // "zero|const|log|loop"` on every registration, respected by the run body's
-// static class, and no round-count claims smuggled into the bound prose.
+// static class and by the round class of its bound row.
 var RepoBoundAnalyzer = newRegistryAnalyzer(roundsAxis, RoundCostAnalyzer, "repobound",
 	"registered algorithms must declare a round class that their run body's static classification respects")
 

@@ -1,6 +1,7 @@
 // Package repobound exercises the registry contract: every registered
 // algorithm declares its round class, the static class of its run body
-// must respect it, and bound strings must not claim rounds in prose.
+// must respect it, and its bound must be a row of the stats bound table
+// whose round class does not exceed the declaration.
 package repobound
 
 type job struct{ n int }
@@ -42,13 +43,13 @@ var registry []*adapter
 
 func Register(a *adapter) { registry = append(registry, a) }
 
-// sharedFormula is a bound spelled once and referenced from a
-// registration: the registry reads the constant's value, not its name.
-const sharedFormula = "IN/p in one round"
+// sharedRow is a bound row id held in a constant: the registry reads the
+// constant's value, not its name.
+const sharedRow = "Cor. 4"
 
 func init() {
 	Register(&adapter{
-		name: "good", bound: "IN/p", rounds: "const",
+		name: "good", bound: "Thm 7", rounds: "const",
 		run: func(j job) (*dist, error) {
 			var c cluster
 			chargeOnce(&c)
@@ -56,29 +57,37 @@ func init() {
 		},
 	})
 	Register(&adapter{ // want "missing has no rounds declaration"
-		name: "missing", bound: "IN/p",
+		name: "missing", bound: "Thm 7",
 		run: func(j job) (*dist, error) { return &dist{}, nil },
 	})
 	Register(&adapter{
 		name:   "invalid",
-		bound:  "IN/p",
+		bound:  "Thm 7",
 		rounds: "banana", // want "invalid declares invalid round class \"banana\""
+		run:    func(j job) (*dist, error) { return &dist{}, nil },
+	})
+	Register(&adapter{
+		name:   "claims",
+		rounds: "zero",
+		bound:  "Thm 7", // want "claims's bound \"Thm 7\" claims round class const, which exceeds its declared rounds \"zero\""
+		run:    func(j job) (*dist, error) { return &dist{}, nil },
+	})
+	Register(&adapter{
+		name:   "constrow",
+		rounds: "zero",
+		bound:  sharedRow, // want "constrow's bound \"Cor. 4\" claims round class const, which exceeds its declared rounds \"zero\""
+		run:    func(j job) (*dist, error) { return &dist{}, nil },
+	})
+	Register(&adapter{
+		name:   "oracle",
+		rounds: "zero",
+		bound:  "oracle",
 		run:    func(j job) (*dist, error) { return &dist{}, nil },
 	})
 	Register(&adapter{
 		name:   "prose",
 		rounds: "const",
-		bound:  "one round, degree shares", // want "prose's bound string .* claims round behavior in prose"
-		run: func(j job) (*dist, error) {
-			var c cluster
-			chargeOnce(&c)
-			return &dist{}, nil
-		},
-	})
-	Register(&adapter{
-		name:   "constprose",
-		rounds: "const",
-		bound:  sharedFormula, // want "constprose's bound string \"IN/p in one round\" claims round behavior in prose"
+		bound:  "one round, degree shares", // want "prose's bound \"one round, degree shares\" is not a row of the stats bound table"
 		run: func(j job) (*dist, error) {
 			var c cluster
 			chargeOnce(&c)
@@ -87,7 +96,7 @@ func init() {
 	})
 	Register(&adapter{
 		name:   "exceeds",
-		bound:  "IN/p",
+		bound:  "oracle",
 		rounds: "zero", // want "exceeds's run body reaches charges of class const, which exceeds its declared rounds \"zero\""
 		run: func(j job) (*dist, error) {
 			var c cluster
@@ -97,7 +106,7 @@ func init() {
 	})
 	Register(&adapter{
 		name:   "dataloop",
-		bound:  "IN/p",
+		bound:  "Thm 7",
 		rounds: "const", // want "dataloop's run body reaches charges of class loop, which exceeds its declared rounds \"const\""
 		run: func(j job) (*dist, error) {
 			var c cluster
@@ -110,7 +119,7 @@ func init() {
 	})
 	Register(&adapter{
 		name:   "unresolved",
-		bound:  "IN/p",
+		bound:  "Thm 7",
 		rounds: "const",
 		run: func(j job) (*dist, error) { // want "unresolved's run body classifies as unknown round cost"
 			var c cluster

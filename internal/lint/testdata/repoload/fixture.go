@@ -1,7 +1,8 @@
 // Package repoload exercises the load half of the registry contract:
 // every registered algorithm declares its load class, the static load
-// class of its run body must respect it, and bound strings must not claim
-// a stronger class in prose than the declaration carries.
+// class of its run body must respect it, and its bound must be a row of
+// the stats bound table whose formula claims no higher class than the
+// declaration carries.
 package repoload
 
 type job struct{ n int }
@@ -51,13 +52,13 @@ func Register(a *adapter) { registry = append(registry, a) }
 
 var data = []Value{"a", "b"}
 
-// sharedFormula is a bound spelled once and referenced from a
-// registration: the registry reads the constant's value, not its name.
-const sharedFormula = "IN/√p (shared)"
+// sharedRow is a bound row id held in a constant: the registry reads the
+// constant's value, not its name.
+const sharedRow = "[19,24]"
 
 func init() {
 	Register(&adapter{
-		name: "good", bound: "IN/p", load: "perP",
+		name: "good", bound: "Cor. 4", load: "perP",
 		run: func(j job) (*dist, error) {
 			var c cluster
 			chargePerP(&c, data)
@@ -65,19 +66,19 @@ func init() {
 		},
 	})
 	Register(&adapter{ // want "missing has no load declaration"
-		name: "missing", bound: "IN/p",
+		name: "missing", bound: "Cor. 4",
 		run: func(j job) (*dist, error) { return &dist{}, nil },
 	})
 	Register(&adapter{
 		name:  "invalid",
-		bound: "IN/p",
+		bound: "Cor. 4",
 		load:  "zero", // want "invalid declares invalid load class \"zero\" \\(want perP, frac, or linear\\)"
 		run:   func(j job) (*dist, error) { return &dist{}, nil },
 	})
 	Register(&adapter{
-		name:  "prose",
+		name:  "claims",
 		load:  "perP",
-		bound: "IN/√p shares", // want "prose's bound string .* claims load class frac in prose, stronger than its declared load \"perP\""
+		bound: "Thm 7", // want "claims's bound \"Thm 7\" claims load class frac, which exceeds its declared load \"perP\""
 		run: func(j job) (*dist, error) {
 			var c cluster
 			chargePerP(&c, data)
@@ -85,9 +86,28 @@ func init() {
 		},
 	})
 	Register(&adapter{
-		name:  "constprose",
+		name:  "constrow",
 		load:  "perP",
-		bound: sharedFormula, // want "constprose's bound string \"IN/√p \\(shared\\)\" claims load class frac in prose, stronger than its declared load \"perP\""
+		bound: sharedRow, // want "constrow's bound \"\\[19,24\\]\" claims load class frac, which exceeds its declared load \"perP\""
+		run: func(j job) (*dist, error) {
+			var c cluster
+			chargePerP(&c, data)
+			return &dist{}, nil
+		},
+	})
+	Register(&adapter{
+		name:  "prose",
+		load:  "frac",
+		bound: "IN/√p shares", // want "prose's bound \"IN/√p shares\" is not a row of the stats bound table"
+		run: func(j job) (*dist, error) {
+			var c cluster
+			chargePerP(&c, data)
+			return &dist{}, nil
+		},
+	})
+	Register(&adapter{ // want "nobound's bound \"\" is not a row of the stats bound table"
+		name: "nobound",
+		load: "perP",
 		run: func(j job) (*dist, error) {
 			var c cluster
 			chargePerP(&c, data)
@@ -96,7 +116,7 @@ func init() {
 	})
 	Register(&adapter{
 		name:  "exceeds",
-		bound: "IN/p",
+		bound: "Cor. 4",
 		load:  "perP", // want "exceeds's run body reaches charges of load class linear, which exceeds its declared load \"perP\""
 		run: func(j job) (*dist, error) {
 			var c cluster
@@ -105,11 +125,11 @@ func init() {
 		},
 	})
 	Register(&adapter{ // want "norun has no run function to classify"
-		name: "norun", bound: "IN/p", load: "perP",
+		name: "norun", bound: "Cor. 4", load: "perP",
 	})
 	Register(&adapter{
 		name:  "unresolved",
-		bound: "IN/p",
+		bound: "Cor. 4",
 		load:  "perP",
 		run: func(j job) (*dist, error) { // want "unresolved's run body classifies as unknown load"
 			var c cluster
@@ -122,7 +142,7 @@ func init() {
 	//
 	//lint:ignore repoload fixture exercises the suppression path
 	Register(&adapter{
-		name: "suppressed", bound: "IN/p",
+		name: "suppressed", bound: "Cor. 4",
 		run: func(j job) (*dist, error) { return &dist{}, nil },
 	})
 }

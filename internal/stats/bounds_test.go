@@ -7,14 +7,17 @@ import (
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol*math.Max(1, math.Abs(b)) }
 
+// at binds the scalar variables.
+func at(in int, out int64, p int) Vars { return Vars{IN: in, OUT: out, P: p} }
+
 func TestLinear(t *testing.T) {
-	if Linear(1000, 10) != 100 {
+	if Linear.Eval(at(1000, 0, 10)) != 100 {
 		t.Error("Linear wrong")
 	}
 }
 
 func TestYannakakisBound(t *testing.T) {
-	if got := Yannakakis(1000, 5000, 10); got != 600 {
+	if got := Yannakakis.Eval(at(1000, 5000, 10)); got != 600 {
 		t.Errorf("Yannakakis = %v", got)
 	}
 }
@@ -24,10 +27,10 @@ func TestAcyclicBoundImprovesOnYannakakis(t *testing.T) {
 	// (OUT/p) / √(IN·OUT/p) = √(OUT/(IN·p)).
 	in, p := 10000, 100
 	out := int64(40000000) // OUT = 4000·IN = 40·p·IN
-	y := Yannakakis(in, out, p)
-	a := Acyclic(in, out, p)
+	y := Yannakakis.Eval(at(in, out, p))
+	a := Thm7.Eval(at(in, out, p))
 	if a >= y {
-		t.Errorf("Acyclic %v should beat Yannakakis %v", a, y)
+		t.Errorf("Thm 7 %v should beat Yannakakis %v", a, y)
 	}
 	wantRatio := math.Sqrt(float64(out) / (float64(in) * float64(p)))
 	if !approx(y/a, wantRatio, 0.2) {
@@ -55,10 +58,10 @@ func TestRHierOutputMatchesCorollary1Regime(t *testing.T) {
 	// For IN < OUT ≤ IN², k* = 2 and the bound is IN/p + √(OUT/p).
 	in, p := 10000, 16
 	out := int64(1000000)
-	got := RHierOutput(in, out, p)
+	got := Thm4.Eval(at(in, out, p))
 	want := float64(in)/float64(p) + math.Sqrt(float64(out)/float64(p))
 	if !approx(got, want, 0.01) {
-		t.Errorf("RHierOutput = %v, want %v", got, want)
+		t.Errorf("Thm 4 = %v, want %v", got, want)
 	}
 }
 
@@ -66,26 +69,25 @@ func TestLine3LowerCrossover(t *testing.T) {
 	// The √(IN·OUT/(p log IN)) branch holds until OUT ≈ p·IN·(log IN),
 	// after which IN/√p takes over.
 	in, p := 1<<16, 64
-	small := Line3Lower(in, int64(in), p)
-	big := Line3Lower(in, int64(in)*int64(p)*100, p)
+	small := Thm6.Eval(at(in, int64(in), p))
+	big := Thm6.Eval(at(in, int64(in)*int64(p)*100, p))
 	if small >= big {
 		t.Errorf("lower bound should grow with OUT below the cap")
 	}
-	if big != WorstCaseLine(in, p) {
-		t.Errorf("large OUT should hit the IN/√p cap: %v vs %v", big, WorstCaseLine(in, p))
+	if wc := WorstCaseLine3.Eval(at(in, 0, p)); big != wc {
+		t.Errorf("large OUT should hit the IN/√p cap: %v vs %v", big, wc)
 	}
 }
 
 func TestTriangleLowerBranches(t *testing.T) {
 	in, p := 1<<16, 64
+	wc := Triangle.Eval(at(in, 0, p))
 	// Small OUT: the linear branch is active.
-	lo := TriangleLower(in, int64(in), p)
-	if lo >= TriangleWorstCase(in, p) {
+	if lo := Thm11.Eval(at(in, int64(in), p)); lo >= wc {
 		t.Errorf("small-OUT triangle bound should be below worst case")
 	}
 	// Huge OUT: capped by IN/p^{2/3}.
-	hi := TriangleLower(in, int64(in)*1000, p)
-	if hi != TriangleWorstCase(in, p) {
+	if hi := Thm11.Eval(at(in, int64(in)*1000, p)); hi != wc {
 		t.Errorf("large-OUT triangle bound should equal worst case")
 	}
 }
@@ -96,8 +98,8 @@ func TestCartesianLowerPaperExamples(t *testing.T) {
 	p := 64
 	in := 1 << 12
 	s := int(math.Sqrt(float64(in)))
-	flat := CartesianLower([]int{s, s, in}, p)
-	skew := CartesianLower([]int{1, in, in}, p)
+	flat := cartesianLower([]int{s, s, in}, p)
+	skew := cartesianLower([]int{1, in, in}, p)
 	if skew <= flat {
 		t.Errorf("skewed product (%v) must have a higher bound than flat (%v)", skew, flat)
 	}
@@ -107,9 +109,11 @@ func TestCartesianLowerPaperExamples(t *testing.T) {
 	}
 }
 
+// TestPerServerOutputLower: without the relations, eq. 1's term falls back
+// to per-server output counting over pairs, (OUT/p)^{1/2}.
 func TestPerServerOutputLower(t *testing.T) {
-	if got := PerServerOutputLower(1000000, 100, 2); !approx(got, 100, 0.01) {
-		t.Errorf("PerServerOutputLower = %v, want 100", got)
+	if got := Eq1.Eval(at(0, 1000000, 100)); !approx(got, 100, 0.01) {
+		t.Errorf("eq. 1 proxy = %v, want 100", got)
 	}
 }
 
@@ -126,38 +130,24 @@ func TestRatio(t *testing.T) {
 }
 
 // TestBoundsFiniteOnDegenerateInputs is the dispatcher's NaN-safety
-// contract: every bound formula returns a finite non-negative value on
-// every IN ≥ 0, OUT ≥ 0, so a degenerate instance (empty relations,
-// single tuples) can never poison an argmin with NaN or ±Inf. IN=1 is the
+// contract: every row evaluates to a finite non-negative value on every
+// IN ≥ 0, OUT ≥ 0, so a degenerate instance (empty relations, single
+// tuples) can never poison an argmin with NaN or ±Inf. IN=1 is the
 // historical trap: log IN = 0 turned the lower-bound denominators into
 // divisions by zero (±Inf, and NaN at OUT=0 via 0/0).
 func TestBoundsFiniteOnDegenerateInputs(t *testing.T) {
-	bounds := []struct {
-		name string
-		eval func(in int, out int64, p int) float64
-	}{
-		{"Linear", func(in int, _ int64, p int) float64 { return Linear(in, p) }},
-		{"Yannakakis", Yannakakis},
-		{"BinaryJoinBound", BinaryJoinBound},
-		{"Acyclic", Acyclic},
-		{"RHierOutput", RHierOutput},
-		{"RHierOutputSimple", RHierOutputSimple},
-		{"Line3Lower", Line3Lower},
-		{"WorstCaseLine", func(in int, _ int64, p int) float64 { return WorstCaseLine(in, p) }},
-		{"TriangleLower", TriangleLower},
-		{"TriangleWorstCase", func(in int, _ int64, p int) float64 { return TriangleWorstCase(in, p) }},
-		{"CartesianLower", func(in int, _ int64, p int) float64 { return CartesianLower([]int{in, in}, p) }},
-		{"PerServerOutputLower", func(_ int, out int64, p int) float64 { return PerServerOutputLower(out, p, 2) }},
+	check := func(name string, in int, out int64, p int, got float64) {
+		if math.IsNaN(got) || math.IsInf(got, 0) || got < 0 {
+			t.Errorf("%s(IN=%d, OUT=%d, p=%d) = %v, want finite ≥ 0", name, in, out, p, got)
+		}
 	}
-	for _, b := range bounds {
-		for _, in := range []int{0, 1, 2, 3, 1000} {
-			for _, out := range []int64{0, 1, 2, 1000000} {
-				for _, p := range []int{1, 2, 64} {
-					got := b.eval(in, out, p)
-					if math.IsNaN(got) || math.IsInf(got, 0) || got < 0 {
-						t.Errorf("%s(IN=%d, OUT=%d, p=%d) = %v, want finite ≥ 0", b.name, in, out, p, got)
-					}
+	for _, in := range []int{0, 1, 2, 3, 1000} {
+		for _, out := range []int64{0, 1, 2, 1000000} {
+			for _, p := range []int{1, 2, 64} {
+				for id := range bounds {
+					check(string(id), in, out, p, id.Eval(at(in, out, p)))
 				}
+				check("cartesianLower", in, out, p, cartesianLower([]int{in, in}, p))
 			}
 		}
 	}
@@ -167,22 +157,22 @@ func TestBoundsFiniteOnDegenerateInputs(t *testing.T) {
 // log factor is 1, so the formulas evaluate without the ±Inf/NaN of a raw
 // log IN denominator, and OUT=0 gives 0 exactly.
 func TestLowerBoundsAtINOne(t *testing.T) {
-	if got := Line3Lower(1, 0, 64); got != 0 {
-		t.Errorf("Line3Lower(1, 0, 64) = %v, want 0", got)
+	if got := Thm6.Eval(at(1, 0, 64)); got != 0 {
+		t.Errorf("Thm 6 at (1, 0, 64) = %v, want 0", got)
 	}
-	if got := Line3Lower(0, 0, 64); got != 0 {
-		t.Errorf("Line3Lower(0, 0, 64) = %v, want 0", got)
+	if got := Thm6.Eval(at(0, 0, 64)); got != 0 {
+		t.Errorf("Thm 6 at (0, 0, 64) = %v, want 0", got)
 	}
 	// IN=1, OUT=64: min{√(1·64/(64·1)), 1/8} = 1/8.
-	if got := Line3Lower(1, 64, 64); got != 0.125 {
-		t.Errorf("Line3Lower(1, 64, 64) = %v, want 0.125", got)
+	if got := Thm6.Eval(at(1, 64, 64)); got != 0.125 {
+		t.Errorf("Thm 6 at (1, 64, 64) = %v, want 0.125", got)
 	}
-	// TriangleLower at IN=1: min{1/p + OUT/p, 1/p^{2/3}} with log factor 1.
-	if got, want := TriangleLower(1, 0, 64), 1.0/64; got != want {
-		t.Errorf("TriangleLower(1, 0, 64) = %v, want %v", got, want)
+	// Thm 11 at IN=1: min{1/p + OUT/p, 1/p^{2/3}} with log factor 1.
+	if got, want := Thm11.Eval(at(1, 0, 64)), 1.0/64; got != want {
+		t.Errorf("Thm 11 at (1, 0, 64) = %v, want %v", got, want)
 	}
-	if got, want := TriangleLower(0, 0, 64), 0.0; got != want {
-		t.Errorf("TriangleLower(0, 0, 64) = %v, want %v", got, want)
+	if got, want := Thm11.Eval(at(0, 0, 64)), 0.0; got != want {
+		t.Errorf("Thm 11 at (0, 0, 64) = %v, want %v", got, want)
 	}
 }
 
@@ -191,18 +181,60 @@ func TestLowerBoundsAtINOne(t *testing.T) {
 // ints — a silent 0 for a bound that is never 0 on nonempty inputs) after
 // an intractable 2ⁿ scan. The guard panics instead.
 func TestCartesianLowerCap(t *testing.T) {
-	at := make([]int, MaxCartesianRelations)
+	at := make([]int, maxCartesianRelations)
 	for i := range at {
 		at[i] = 2
 	}
-	if got := CartesianLower(at, 1); got <= 0 {
-		t.Errorf("CartesianLower at the cap = %v, want > 0", got)
+	if got := cartesianLower(at, 1); got <= 0 {
+		t.Errorf("cartesianLower at the cap = %v, want > 0", got)
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatalf("CartesianLower over %d relations should panic, not wrap the subset mask",
-				MaxCartesianRelations+1)
+			t.Fatalf("cartesianLower over %d relations should panic, not wrap the subset mask",
+				maxCartesianRelations+1)
 		}
 	}()
-	CartesianLower(make([]int, MaxCartesianRelations+1), 64)
+	cartesianLower(make([]int, maxCartesianRelations+1), 64)
+}
+
+// TestRowsRender pins each row's printed formula: the text every table,
+// label and CONTRACTS.md cell shows.
+func TestRowsRender(t *testing.T) {
+	want := map[BoundID]string{
+		Linear:         "IN/p",
+		Yannakakis:     "IN/p + OUT/p",
+		BinaryJoin:     "IN/p + √(OUT/p)",
+		Thm3:           "IN/p + L_instance(p,R)",
+		OneRound:       "IN/p + L_instance(p,R)",
+		Thm4:           "IN/p^(1/max(1, k* − 1)) + (OUT/p)^(1/k*)",
+		Thm6:           "min(√(IN·OUT/(p·log IN)), IN/√p)",
+		Thm7:           "IN/p + √(IN·OUT/p)",
+		Thm9:           "IN/p + √(IN·OUT_y/p)",
+		Thm11:          "min(IN/p + OUT/(p·log IN), IN/p^(2/3))",
+		WorstCaseLine3: "IN/√p",
+		Triangle:       "IN/p^(2/3)",
+		Eq1:            "L_cartesian(p,R)",
+		Cor4:           "IN/p",
+		Oracle:         "IN",
+	}
+	if len(want) != len(bounds) {
+		t.Errorf("%d renderings pinned for %d rows", len(want), len(bounds))
+	}
+	for id, r := range bounds {
+		if got := id.Formula(); got != want[id] {
+			t.Errorf("%s renders %q, want %q", string(id), got, want[id])
+		}
+		if rounds := r.Rounds; rounds != "zero" && rounds != "const" && rounds != "log" && rounds != "loop" {
+			t.Errorf("%s has round class %q", string(id), rounds)
+		}
+		if r.Regime == "" {
+			t.Errorf("%s states no regime", string(id))
+		}
+	}
+	if got := Yannakakis.String(); got != "IN/p + OUT/p ([2,25])" {
+		t.Errorf("cited rendering %q", got)
+	}
+	if _, ok := Lookup("Thm 99"); ok {
+		t.Error("Lookup resolved an id the table does not have")
+	}
 }

@@ -5,37 +5,34 @@ import (
 	"testing"
 )
 
-// TestPredictKnownAlgorithms pins the per-name predictors to the bound
-// functions they claim to evaluate.
+// TestPredictKnownAlgorithms pins the per-name predictors to the rows they
+// claim to evaluate.
 func TestPredictKnownAlgorithms(t *testing.T) {
 	in, out, p := 1<<12, int64(1<<15), 64
 	cases := []struct {
 		algo string
-		want float64
+		row  BoundID
 	}{
-		{"yannakakis", Yannakakis(in, out, p)},
-		{"acyclic", Acyclic(in, out, p)},
-		{"line3", Acyclic(in, out, p)},
-		{"line3wc", WorstCaseLine(in, p)},
-		{"rhier", RHierOutput(in, out, p)},
-		{"binhc", RHierOutput(in, out, p)},
-		{"hypercube", max2(Linear(in, p), PerServerOutputLower(out, p, 2))},
-		{"triangle", TriangleWorstCase(in, p)},
-		{"naive", float64(in)},
-		{"count", Linear(in, p)},
-		{"aggregate", Acyclic(in, out, p)},
+		{"yannakakis", Yannakakis},
+		{"acyclic", Thm7},
+		{"line3", Thm7},
+		{"line3wc", WorstCaseLine3},
+		{"rhier", Thm4},
+		{"binhc", Thm4},
+		{"hypercube", Eq1},
+		{"triangle", Triangle},
+		{"naive", Oracle},
+		{"count", Cor4},
+		{"aggregate", Thm9},
 	}
 	for _, c := range cases {
-		pr, ok := Predict(c.algo, in, out, p)
-		if !ok {
-			t.Errorf("Predict(%q) has no formula", c.algo)
+		load, ok := Predict(c.algo, in, out, p)
+		if id, _ := Priced(c.algo); !ok || id != c.row {
+			t.Errorf("%q is priced by %q, want %q", c.algo, id, c.row)
 			continue
 		}
-		if pr.Load != c.want {
-			t.Errorf("Predict(%q) = %v, want %v", c.algo, pr.Load, c.want)
-		}
-		if pr.Formula == "" {
-			t.Errorf("Predict(%q) has an empty formula name", c.algo)
+		if want := c.row.Eval(Vars{IN: in, OUT: out, P: p}); load != want {
+			t.Errorf("Predict(%q) = %v, want %v", c.algo, load, want)
 		}
 	}
 }
@@ -43,6 +40,9 @@ func TestPredictKnownAlgorithms(t *testing.T) {
 // TestPredictUnknownAlgorithm: names outside the catalog report false —
 // what engine.Register's wiring check reads.
 func TestPredictUnknownAlgorithm(t *testing.T) {
+	if _, ok := Priced("no-such-algorithm"); ok {
+		t.Error("Priced of an unknown name should report false")
+	}
 	if _, ok := Predict("no-such-algorithm", 10, 10, 4); ok {
 		t.Error("Predict of an unknown name should report false")
 	}
@@ -57,13 +57,13 @@ func TestPredictFiniteOnDegenerateInputs(t *testing.T) {
 		for _, out := range []int64{0, 1, 1 << 40} {
 			for _, p := range []int{1, 16} {
 				for _, a := range algos {
-					pr, ok := Predict(a, in, out, p)
+					load, ok := Predict(a, in, out, p)
 					if !ok {
 						t.Fatalf("Predict(%q) missing", a)
 					}
-					if math.IsNaN(pr.Load) || math.IsInf(pr.Load, 0) || pr.Load < 0 {
+					if math.IsNaN(load) || math.IsInf(load, 0) || load < 0 {
 						t.Errorf("Predict(%q, IN=%d, OUT=%d, p=%d) = %v, want finite ≥ 0",
-							a, in, out, p, pr.Load)
+							a, in, out, p, load)
 					}
 				}
 			}
