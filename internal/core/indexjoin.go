@@ -45,13 +45,13 @@ func indexJoin(out *mpc.Columns, width int, stages []joinStage, order []int32, r
 	}
 	// Every probe row looks up the first stage once: the log holds at least
 	// one head per probe row, and exactly that with one stage.
-	log := mpc.GetInt32Log(stages[0].part.Len())
+	log := headLogPool.Get()
 	j := indexJoiner{
 		out:    out,
 		probe:  stages[0],
 		stages: stages[1:],
 		idx:    make([]mpc.RowIndex, len(stages)-1),
-		heads:  log.S,
+		heads:  mpc.Resize(*log, stages[0].part.Len())[:0],
 		bind:   make(relation.Tuple, width),
 		ring:   ring,
 	}
@@ -67,9 +67,12 @@ func indexJoin(out *mpc.Columns, width int, stages []joinStage, order []int32, r
 	for k := range j.idx {
 		j.idx[k].Release()
 	}
-	log.S = j.heads // the pool keeps the capacity the log grew to
-	log.Release()
+	*log = j.heads // the pool keeps the capacity the log grew to
+	headLogPool.Put(log)
 }
+
+// headLogPool recycles indexJoin's head logs.
+var headLogPool mpc.Pool[[]int32]
 
 // indexJoiner is indexJoin's state: the stage indexes, the head log, the
 // output row being bound, and which of the two passes is running.

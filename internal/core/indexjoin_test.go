@@ -105,9 +105,10 @@ func dirtyHeadLogs(n, k int) {
 	if k == 0 {
 		return
 	}
-	log := mpc.GetInt32Log(n)
-	defer log.Release()
-	s := log.S[:cap(log.S)]
+	log := headLogPool.Get()
+	defer headLogPool.Put(log)
+	*log = mpc.Resize(*log, n)
+	s := (*log)[:cap(*log)]
 	for i := range s {
 		s[i] = headSentinel
 	}

@@ -9,9 +9,10 @@
 //	charging       exported primitives that communicate must charge the
 //	               cluster on every return path, and a Charge call must
 //	               never be skipped behind a non-emptiness guard
-//	poollifecycle  pooled buffers (record columns, sort scratch,
-//	               interners, exchange-plan scratch) are released on
-//	               every path and never escape their owner
+//	poollifecycle  pooled buffers (every mpc.Pool Get: record sets, sort
+//	               scratch, exchange task scratch, index arrays, head
+//	               logs) are released on every path and never escape
+//	               their owner
 //	forksafety     closures handed to runtime.Fork must not write shared
 //	               captured state outside a per-task window
 //	allochygiene   functions under an AllocsPerRun ceiling, marked

@@ -11,20 +11,22 @@ import (
 )
 
 // PoolLifecycleAnalyzer enforces the buffer-recycling contract: a buffer
-// acquired from a sync.Pool accessor (getRecCols, getSortScratch,
-// getInterner, getInt32Zero/getInt32Cap, mpc.GetInt32Log) is owned by the
-// acquiring function. It must be released with the matching put (for an
-// Int32Log, its Release method) before the function returns, also on a
-// return that comes before the release in the body, and it must never
+// acquired from a pool (poolPairs: any mpc.Pool's Get, and getRecCols and
+// getSortScratch, which wrap one) is owned by the acquiring function. It
+// must be released with the matching put before the function returns, also
+// on a return that comes before the release in the body, and it must never
 // escape the function — not via a return value, not via a global or a
 // foreign struct field, because a pooled buffer that outlives its owner
-// aliases whatever the pool hands out next.
+// aliases whatever the pool hands out next. Every acquisition is checked,
+// wherever it is written; the accessors' own bodies are the pool's, and a
+// new wrapper is reported until it joins poolPairs.
 //
 // Two shapes are blessed:
 //
 //   - handing the buffer to a carrier: assignment into a field of a local
-//     value whose (same-package) type has a method that calls the matching
-//     put — the exchange plan's scratch vectors, released by plan.release().
+//     value, or a composite literal, whose (same-package) type has a method
+//     that calls a put — the exchange plan's task scratch, released by
+//     plan.release(), and RowIndex's arrays, released by its Release.
 //   - releasing through a closure: a func literal in the same function
 //     that puts the buffer (`release := func() { putRecCols(rc) }`; no
 //     production site releases this way today, the fixture keeps it legal).
@@ -45,41 +47,42 @@ func init() {
 }
 
 // poolPairs maps each pool accessor to its releasing put, named as
-// releaseName names it: a function by its name, a method as Type.Method
-// (called on the buffer).
+// releaseName names it: a function by its name, a method as Type.Method.
 var poolPairs = map[string]string{
+	"Pool.Get":       "Pool.Put",
 	"getRecCols":     "putRecCols",
 	"getSortScratch": "putSortScratch",
-	"getInterner":    "putInterner",
-	"getInt32Zero":   "putInt32",
-	"getInt32Cap":    "putInt32",
-	"GetInt32Log":    "Int32Log.Release",
 }
 
 // releaseName names fn as poolPairs names a put: a method as Type.Method,
 // anything else by its name.
 func releaseName(fn *types.Func) string {
 	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-		t := recv.Type()
-		if ptr, ok := t.(*types.Pointer); ok {
-			t = ptr.Elem()
-		}
-		if named, ok := t.(*types.Named); ok {
-			return named.Obj().Name() + "." + fn.Name()
+		if tn := typeName(recv.Type()); tn != nil {
+			return tn.Name() + "." + fn.Name()
 		}
 	}
 	return fn.Name()
 }
 
+// typeName returns the declared type that t names, through one pointer, or
+// nil.
+func typeName(t types.Type) *types.TypeName {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj()
+	}
+	return nil
+}
+
 // releases reports whether call is the put that releases obj: put called
-// with obj in an argument, or put as a method called on obj.
+// with obj in an argument.
 func releases(info *types.Info, call *ast.CallExpr, put string, obj types.Object) bool {
 	fn := calleeFunc(info, call)
 	if fn == nil || releaseName(fn) != put {
 		return false
-	}
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && usesObject(info, sel.X, obj) {
-		return true
 	}
 	for _, arg := range call.Args {
 		if usesObject(info, arg, obj) {
@@ -101,13 +104,26 @@ func runPoolLifecycle(pass *analysis.Pass) (interface{}, error) {
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
 		fd := n.(*ast.FuncDecl)
-		if fd.Body == nil {
+		// An accessor's own body is the pool's: it hands buffers over.
+		name := releaseName(pass.TypesInfo.Defs[fd.Name].(*types.Func))
+		if _, get := poolPairs[name]; fd.Body == nil || get || isPut(name) {
 			return
 		}
 		checkPoolOwnership(pass, report, carriers, fd)
 	})
 	ignores.reportUnused(pass)
 	return nil, nil
+}
+
+// isPut reports whether name, as releaseName names it, is one of
+// poolPairs' puts.
+func isPut(name string) bool {
+	for _, put := range poolPairs {
+		if name == put {
+			return true
+		}
+	}
+	return false
 }
 
 // poolGetCall reports whether call acquires from a pool, returning the name
@@ -117,7 +133,7 @@ func poolGetCall(pass *analysis.Pass, call *ast.CallExpr) (putName string, ok bo
 	if fn == nil {
 		return "", false
 	}
-	putName, ok = poolPairs[fn.Name()]
+	putName, ok = poolPairs[releaseName(fn)]
 	return putName, ok
 }
 
@@ -125,10 +141,6 @@ func poolGetCall(pass *analysis.Pass, call *ast.CallExpr) (putName string, ok bo
 // those with a method whose body calls any put function. Handing a buffer
 // to a field of such a type transfers ownership to the carrier.
 func carrierTypes(pass *analysis.Pass) map[*types.TypeName]bool {
-	puts := map[string]bool{}
-	for _, p := range poolPairs {
-		puts[p] = true
-	}
 	carriers := map[*types.TypeName]bool{}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
@@ -139,21 +151,14 @@ func carrierTypes(pass *analysis.Pass) map[*types.TypeName]bool {
 			callsPut := false
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				if call, ok := n.(*ast.CallExpr); ok {
-					if fn := calleeFunc(pass.TypesInfo, call); fn != nil && puts[releaseName(fn)] {
+					if fn := calleeFunc(pass.TypesInfo, call); fn != nil && isPut(releaseName(fn)) {
 						callsPut = true
 					}
 				}
 				return !callsPut
 			})
-			if !callsPut {
-				continue
-			}
-			rt := pass.TypesInfo.TypeOf(fd.Recv.List[0].Type)
-			if ptr, ok := rt.(*types.Pointer); ok {
-				rt = ptr.Elem()
-			}
-			if named, ok := rt.(*types.Named); ok {
-				carriers[named.Obj()] = true
+			if tn := typeName(pass.TypesInfo.TypeOf(fd.Recv.List[0].Type)); callsPut && tn != nil {
+				carriers[tn] = true
 			}
 		}
 	}
@@ -171,12 +176,14 @@ func checkPoolOwnership(pass *analysis.Pass, report func(token.Pos, string, ...i
 		name string
 	}
 	var acqs []acq
+	var stack []ast.Node
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Rhs) != 1 || len(as.Lhs) != 1 {
+		if n == nil {
+			stack = stack[:len(stack)-1]
 			return true
 		}
-		call, ok := as.Rhs[0].(*ast.CallExpr)
+		stack = append(stack, n)
+		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
@@ -184,15 +191,9 @@ func checkPoolOwnership(pass *analysis.Pass, report func(token.Pos, string, ...i
 		if !ok {
 			return true
 		}
-		id, ok := as.Lhs[0].(*ast.Ident)
-		if !ok {
-			return true
+		if obj, id := heldBy(pass, carriers, stack, report, put); obj != nil {
+			acqs = append(acqs, acq{obj: obj, put: put, pos: call.Pos(), name: id})
 		}
-		obj := pass.TypesInfo.ObjectOf(id)
-		if obj == nil {
-			return true
-		}
-		acqs = append(acqs, acq{obj: obj, put: put, pos: call.Pos(), name: id.Name})
 		return true
 	})
 	if len(acqs) == 0 {
@@ -227,6 +228,10 @@ func checkPoolOwnership(pass *analysis.Pass, report func(token.Pos, string, ...i
 			case *ast.CallExpr:
 				if releases(pass.TypesInfo, v, a.put, a.obj) {
 					release(v.Pos())
+				}
+			case *ast.CompositeLit:
+				if carriers[typeName(pass.TypesInfo.TypeOf(v))] && usesObject(pass.TypesInfo, v, a.obj) {
+					release(v.Pos()) // ownership handed to the carrier literal
 				}
 			case *ast.AssignStmt:
 				for i, lhs := range v.Lhs {
@@ -268,6 +273,52 @@ func checkPoolOwnership(pass *analysis.Pass, report func(token.Pos, string, ...i
 			})
 		}
 	}
+}
+
+// heldBy returns the local that receives the pool acquisition on top of
+// stack (the call and its ancestors in fd's body), for tracking. A
+// carrier's field or composite literal takes ownership instead; every other
+// receiver — a return, a call argument, a dereference, a foreign field or
+// literal, a global — is reported, because the buffer can never be put back.
+func heldBy(pass *analysis.Pass, carriers map[*types.TypeName]bool, stack []ast.Node, report func(token.Pos, string, ...interface{}), put string) (types.Object, string) {
+	i := len(stack) - 2
+	for _, paren := stack[i].(*ast.ParenExpr); paren; _, paren = stack[i].(*ast.ParenExpr) {
+		i--
+	}
+	child := stack[i+1]
+	var lhs ast.Expr
+	switch p := stack[i].(type) {
+	case *ast.AssignStmt:
+		for k, rhs := range p.Rhs {
+			if rhs == child && len(p.Lhs) == len(p.Rhs) {
+				lhs = p.Lhs[k]
+			}
+		}
+	case *ast.ValueSpec:
+		for k, v := range p.Values {
+			if v == child && len(p.Names) == len(p.Values) {
+				lhs = p.Names[k]
+			}
+		}
+	case *ast.KeyValueExpr:
+		if carriers[typeName(pass.TypesInfo.TypeOf(stack[i-1].(*ast.CompositeLit)))] {
+			return nil, ""
+		}
+	case *ast.CompositeLit:
+		if carriers[typeName(pass.TypesInfo.TypeOf(p))] {
+			return nil, ""
+		}
+	}
+	if id, ok := lhs.(*ast.Ident); ok {
+		if obj := pass.TypesInfo.ObjectOf(id); obj != nil && obj.Parent() != obj.Pkg().Scope() {
+			return obj, id.Name
+		}
+	}
+	if lhs != nil && destKind(pass, carriers, lhs) == destCarrier {
+		return nil, ""
+	}
+	report(stack[len(stack)-1].Pos(), "pooled buffer is held by no local and no carrier: acquire it into a local and call %s on every path, or hand it to a type with a method calling it", put)
+	return nil, ""
 }
 
 // reportEarlyReturns calls leak on every return of body, outside function
@@ -324,11 +375,7 @@ func destKind(pass *analysis.Pass, carriers map[*types.TypeName]bool, lhs ast.Ex
 	if !hasField {
 		return destLocal
 	}
-	t := obj.Type()
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	if named, ok := t.(*types.Named); ok && carriers[named.Obj()] {
+	if carriers[typeName(obj.Type())] {
 		return destCarrier
 	}
 	return destField

@@ -4,8 +4,8 @@
 // carrier type that releases them.
 package fixture
 
-// recCols and the get/put pairs stub the repo's pool accessors; matching is
-// by function name.
+// recCols, Pool and the get/put pairs stub the repo's pool accessors;
+// matching is by function name, a method's as Type.Method.
 type recCols struct{ keys []int64 }
 
 func (rc *recCols) append(k int64) { rc.keys = append(rc.keys, k) }
@@ -13,8 +13,13 @@ func (rc *recCols) append(k int64) { rc.keys = append(rc.keys, k) }
 func getRecCols(n int) *recCols { return &recCols{keys: make([]int64, 0, n)} }
 func putRecCols(rc *recCols)    {}
 
-func getInt32Zero(n int) []int32 { return make([]int32, n) }
-func putInt32(v []int32)         {}
+// Pool stubs mpc.Pool: an accessor's own body hands buffers over by design.
+type Pool[T any] struct{}
+
+func (p *Pool[T]) Get() *T  { return new(T) }
+func (p *Pool[T]) Put(v *T) {}
+
+var int32s Pool[[]int32]
 
 type holder struct{ rc *recCols }
 
@@ -56,17 +61,69 @@ func deferredRelease(n int) int {
 
 // plan is a carrier: it owns pooled scratch and releases it, mirroring the
 // exchange plan's release().
-type plan struct{ scratch []int32 }
+type plan struct{ scratch *[]int32 }
 
-func (p *plan) release() { putInt32(p.scratch) }
+func (p *plan) release() { int32s.Put(p.scratch) }
 
 // carrierHandoff transfers ownership to the carrier; the buffer may leave
 // the function inside it because release() puts it back.
 func carrierHandoff(n int) *plan {
 	p := &plan{}
-	v := getInt32Zero(n)
+	v := int32s.Get()
 	p.scratch = v
 	return p
+}
+
+// carrierFieldGet acquires straight into a carrier's field.
+func carrierFieldGet() *plan {
+	p := &plan{}
+	p.scratch = int32s.Get()
+	return p
+}
+
+// carrierLiteral acquires inside a composite literal of a carrier type,
+// as mpc.IndexRows builds a RowIndex: the literal owns the buffer.
+func carrierLiteral() plan {
+	return plan{scratch: int32s.Get()}
+}
+
+// carrierPositional is the same with a positional element.
+func carrierPositional() plan {
+	return plan{int32s.Get()}
+}
+
+// varDeclared holds the buffer in a var-declared local.
+func varDeclared(n int) int {
+	var log = int32s.Get()
+	defer int32s.Put(log)
+	return len(*log) + n
+}
+
+// view holds a pooled buffer but has no method that releases it.
+type view struct{ scratch *[]int32 }
+
+// literalLeak acquires inside a composite literal of a type that never
+// releases it: nothing can put the buffer back.
+func literalLeak(n int) int {
+	v := view{scratch: int32s.Get()} // want `pooled buffer is held by no local and no carrier`
+	return len(*v.scratch) + n
+}
+
+// argumentLeak hands a fresh acquisition to a call, and derefLeak drops
+// the box it came in: neither can be released.
+func argumentLeak() int {
+	return len(*int32s.Get()) // want `pooled buffer is held by no local and no carrier`
+}
+
+func derefLeak(n int) []int32 {
+	s := *int32s.Get() // want `pooled buffer is held by no local and no carrier`
+	return s[:n]
+}
+
+// getScratch wraps a Get without joining the pair table: its callers would
+// own a buffer the analyzer cannot see, so the wrapper is an escape.
+func getScratch() *[]int32 {
+	return int32s.Get() // want `pooled buffer is held by no local and no carrier`
 }
 
 // closureRelease releases through a local closure.
@@ -86,65 +143,57 @@ func selfFieldWrite(n int) {
 	putRecCols(rc)
 }
 
-// Int32Log stubs the pooled head log the local join kernel draws: it is
-// released by its own Release method, called on the log.
-type Int32Log struct{ S []int32 }
-
-func GetInt32Log(n int) *Int32Log { return &Int32Log{S: make([]int32, 0, n)} }
-func (l *Int32Log) Release()      {}
-
 // logLeaksOnEarlyReturn releases the log at the end, but the early return
 // between acquisition and release hands it to no one.
 func logLeaksOnEarlyReturn(n int) int {
-	log := GetInt32Log(n)
-	log.S = append(log.S, 1)
+	log := int32s.Get()
+	*log = append(*log, 1)
 	if n == 0 {
 		return 0 // want `pooled buffer log leaks on this return`
 	}
-	m := len(log.S)
-	log.Release()
+	m := len(*log)
+	int32s.Put(log)
 	return m
 }
 
 // logNeverReleased acquires a log and forgets it.
 func logNeverReleased(n int) int {
-	log := GetInt32Log(n) // want `pooled buffer log is acquired but never released`
-	return cap(log.S)
+	log := int32s.Get() // want `pooled buffer log is acquired but never released`
+	return cap(*log) + n
 }
 
 // logDeferred releases the log on every path, early returns included; the
 // return inside the closure leaves only the closure.
 func logDeferred(n int) int {
-	log := GetInt32Log(n)
-	defer log.Release()
-	less := func(i, j int) bool { return log.S[i] < log.S[j] }
+	log := int32s.Get()
+	defer int32s.Put(log)
+	less := func(i, j int) bool { return (*log)[i] < (*log)[j] }
 	if n == 0 || less(0, 0) {
 		return 0
 	}
-	return len(log.S)
+	return len(*log)
 }
 
-// joiner is a carrier for a log: its release method calls the log's
-// Release, so handing the log to a joiner transfers ownership.
-type joiner struct{ heads *Int32Log }
+// joiner is a carrier for a log: its release method puts the log, so
+// handing the log to a joiner transfers ownership.
+type joiner struct{ heads *[]int32 }
 
-func (j *joiner) release() { j.heads.Release() }
+func (j *joiner) release() { int32s.Put(j.heads) }
 
 func logCarrierHandoff(n int) int {
-	heads := GetInt32Log(n)
+	heads := int32s.Get()
 	j := joiner{}
 	j.heads = heads
-	m := len(j.heads.S)
+	m := len(*j.heads) + n
 	j.release()
 	return m
 }
 
-// int32EarlyReturn is the same early-return leak for a getInt32Zero slice.
-func int32EarlyReturn(n int) int {
-	v := getInt32Zero(n)
-	if n > 8 {
-		return n // want `pooled buffer v leaks on this return`
-	}
-	putInt32(v)
-	return 0
+// logCarrierLiteral hands a held log to a carrier literal.
+func logCarrierLiteral() int {
+	heads := int32s.Get()
+	j := joiner{heads: heads}
+	m := len(*j.heads)
+	j.release()
+	return m
 }

@@ -11,10 +11,10 @@ import (
 // the batched exchange: a steady-state hash shuffle allocates the output
 // columns and the plan bookkeeping — NEVER anything per item. Before the
 // columnar refactor a shuffle cost ~3 allocations per item (key string,
-// destination slice, part growth); the pooled columnar plan sits around 33
-// for this configuration. The ceiling leaves room for pool misses after a
-// GC, but any per-item regression blows through it by two orders of
-// magnitude.
+// destination slice, part growth); the columnar plan, its task scratch
+// drawn from a Pool, reads 25 for this configuration. The ceiling leaves
+// room for pool misses after a GC, but any per-item regression blows
+// through it by two orders of magnitude.
 func TestExchangeScatterAllocCeiling(t *testing.T) {
 	const p, n, ceiling = 16, 8192, 120
 	prev := runtime.SetParallelism(1)

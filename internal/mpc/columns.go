@@ -303,87 +303,32 @@ func (c *Columns) view() Columns {
 	return v
 }
 
-// The exchange's per-task scratch — flat destination lists, fan-outs,
-// batch counts, write cursors — is recycled through a pool: the buffers
-// never escape a route call, so steady-state exchanges allocate only the
-// output parts themselves.
-var int32Pool sync.Pool
+// Pool is the data plane's one recycling idiom: a typed sync.Pool that
+// hands out *T — a fresh new(T) when it is empty — and takes *T back. A
+// pointer rides in the pool's interface without a heap box, so neither
+// side allocates, and a slice grows in place behind its pointer: the owner
+// resizes it (see Resize) and the pool keeps whatever capacity it reached.
+// Contents are unspecified on Get; every owner writes before it reads.
+// Pooling is memory reuse only: rows, loads, rounds and charges never
+// depend on what a pooled value held before.
+type Pool[T any] struct{ pool sync.Pool }
 
-// getInt32Cap returns a length-0 slice with capacity ≥ n.
-func getInt32Cap(n int) []int32 {
-	if v := int32Pool.Get(); v != nil {
-		s := v.([]int32)
-		if cap(s) >= n {
-			return s[:0]
-		}
+// Get returns a pooled *T, or new(T) when the pool has none.
+func (p *Pool[T]) Get() *T {
+	if v, _ := p.pool.Get().(*T); v != nil {
+		return v
 	}
-	return make([]int32, 0, n)
+	return new(T)
 }
 
-// getInt32Zero returns a zeroed slice of length n.
-func getInt32Zero(n int) []int32 {
-	s := getInt32Cap(n)[:n]
-	for i := range s {
-		s[i] = 0
+// Put returns v to the pool; the caller must not use it after.
+func (p *Pool[T]) Put(v *T) { p.pool.Put(v) }
+
+// Resize returns s with length n, reusing its capacity when it suffices
+// and allocating exactly n otherwise. The contents are unspecified.
+func Resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	return s
-}
-
-// putInt32 recycles a scratch slice (contents need not be cleared: the
-// slices carry no pointers and every consumer initializes before reading).
-func putInt32(s []int32) {
-	if cap(s) > 0 {
-		int32Pool.Put(s[:0])
-	}
-}
-
-// logPool recycles Int32Logs by pointer: a log keeps the capacity it grew
-// to, and returning a pointer to a sync.Pool allocates nothing, where
-// returning a slice boxes its header.
-var logPool sync.Pool
-
-// Int32Log is a pooled, append-only int32 buffer for the per-server
-// kernels outside this package: GetInt32Log hands out an empty one, the
-// owner appends to S, and Release returns it — with whatever capacity S
-// grew to — for the next call to reuse.
-type Int32Log struct{ S []int32 }
-
-// GetInt32Log returns an empty log from the pool with capacity ≥ n.
-func GetInt32Log(n int) *Int32Log {
-	l, _ := logPool.Get().(*Int32Log)
-	if l == nil {
-		l = new(Int32Log)
-	}
-	if cap(l.S) < n {
-		l.S = make([]int32, 0, n)
-	}
-	l.S = l.S[:0]
-	return l
-}
-
-// Release returns the log to the pool; it must not be used after.
-func (l *Int32Log) Release() { logPool.Put(l) }
-
-// bytePool recycles the hash fast path's per-row destination bytes (valid
-// whenever the cluster has ≤ 256 servers — every configuration in the
-// repository). One byte per row instead of one int32 keeps the scatter's
-// destination reads inside a quarter of the cache footprint.
-var bytePool sync.Pool
-
-// getByteCap returns a length-0 byte slice with capacity ≥ n.
-func getByteCap(n int) []byte {
-	if v := bytePool.Get(); v != nil {
-		s := v.([]byte)
-		if cap(s) >= n {
-			return s[:0]
-		}
-	}
-	return make([]byte, 0, n)
-}
-
-// putByte recycles a destination-byte buffer.
-func putByte(s []byte) {
-	if cap(s) > 0 {
-		bytePool.Put(s[:0])
-	}
+	return s[:n]
 }

@@ -38,9 +38,10 @@ import (
 // of the generic plan's footprint and the per-row scatter is a short
 // contiguous value copy.
 //
-// All per-task scratch (destination lists, fan-outs, counts, offsets,
-// cursors) is recycled through a pool: a steady-state exchange allocates
-// the output columns and nothing else.
+// Each task's scratch (destination lists, fan-outs, counts, offsets) is
+// one taskScratch, recycled through a Pool: a steady-state exchange
+// allocates the output columns and the plan's bookkeeping, never anything
+// per item.
 //
 // The output is byte-identical to the serial tuple-at-a-time loop for
 // every worker count: spans are contiguous in source order and offsets are
@@ -114,13 +115,23 @@ func (sp span) each(parts []Columns, fn func(s int, cols *Columns, lo, hi int)) 
 type exchangePlan struct {
 	p      int
 	spans  []span
-	dests  [][]int32 // per task: flat destinations in (source, item, fan-out) order; nil on the hash path
-	hdests [][]byte  // per task: one destination byte per row (hash fast path, P ≤ 256)
-	fans   [][]int32 // per task: destinations per item, in (source, item) order; nil when uniformly 1
-	counts [][]int32 // per task: dense per-destination item counts, len p
-	totals []int     // per destination: Σ over tasks
-	bases  [][]int32 // per task: first write offset per destination
+	tasks  []*taskScratch // per span, from taskScratchPool; release returns them
+	totals []int          // per destination: Σ over tasks
 }
+
+// taskScratch is one exchange task's working set, pooled as one pointer:
+// a task makes one pool round trip, and each vector keeps the capacity its
+// own role grew to.
+type taskScratch struct {
+	counts []int32 // dense per-destination item counts, len p
+	bases  []int32 // first write offset per destination, len p; the scatter's cursor
+	dests  []int32 // flat destinations in (source, item, fan-out) order (closure routers)
+	fans   []int32 // destinations per item, in (source, item) order; empty when uniformly 1
+	route  []int   // the router's per-row destination scratch (closure routers)
+	hdests []byte  // one destination byte per row (hash fast path, P ≤ 256)
+}
+
+var taskScratchPool Pool[taskScratch]
 
 // planSpans cuts the source items into at most tasks contiguous spans of
 // near-equal size (the first total%tasks spans carry one extra item).
@@ -176,56 +187,65 @@ func planSpans(parts []Columns, tasks int) []span {
 //
 //lint:alloc-ceiling
 func newExchangePlan(d *Dist, rt router, tasks int) *exchangePlan {
-	p := d.C.P
-	plan := &exchangePlan{p: p, spans: planSpans(d.Parts, tasks)}
-	n := len(plan.spans)
-	if rt.hashPos != nil {
-		plan.hdests = make([][]byte, n)
-		plan.counts = make([][]int32, n)
-		runtime.Fork(n, func(w int) {
+	plan := &exchangePlan{p: d.C.P, spans: planSpans(d.Parts, tasks)}
+	plan.tasks = make([]*taskScratch, len(plan.spans))
+	runtime.Fork(len(plan.spans), func(w int) {
+		plan.tasks[w] = taskScratchPool.Get()
+		if rt.hashPos != nil {
 			plan.hashCount(d, rt, w)
-		})
-		return plan
-	}
-	plan.dests = make([][]int32, n)
-	plan.fans = make([][]int32, n)
-	plan.counts = make([][]int32, n)
-	runtime.Fork(n, func(w int) {
-		sp := plan.spans[w]
-		cnt := getInt32Zero(p)
-		items := 0
-		sp.each(d.Parts, func(_ int, _ *Columns, lo, hi int) { items += hi - lo })
-		flat := getInt32Cap(items) // fan-out is 1 in the common case
-		var fan []int32            // lazily materialized on the first fan-out ≠ 1
-		seen := 0
-		var ts []int // the task's destination scratch, reused across rows
-		sp.each(d.Parts, func(s int, cols *Columns, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				ts = rt.many(s, cols.Item(i), ts[:0])
-				for _, t := range ts {
-					if t < 0 || t >= p {
-						panic(fmt.Sprintf("mpc: route to invalid server %d", t))
-					}
-					flat = append(flat, int32(t))
-					cnt[t]++
-				}
-				if fan == nil && len(ts) != 1 {
-					fan = getInt32Cap(items)
-					for k := 0; k < seen; k++ {
-						fan = append(fan, 1)
-					}
-				}
-				if fan != nil {
-					fan = append(fan, int32(len(ts)))
-				}
-				seen++
-			}
-		})
-		plan.dests[w] = flat
-		plan.fans[w] = fan
-		plan.counts[w] = cnt
+		} else {
+			plan.count(d, rt, w)
+		}
 	})
 	return plan
+}
+
+// items returns the number of rows task w's span covers.
+func (plan *exchangePlan) items(d *Dist, w int) int {
+	items := 0
+	plan.spans[w].each(d.Parts, func(_ int, _ *Columns, lo, hi int) { items += hi - lo })
+	return items
+}
+
+// count is task w's counting pass for closure routers: every row's
+// destinations are resolved once and recorded flat, with a fan-out list
+// only once some row's fan-out is not 1.
+//
+//lint:alloc-ceiling
+func (plan *exchangePlan) count(d *Dist, rt router, w int) {
+	p := plan.p
+	ts := plan.tasks[w]
+	cnt := Resize(ts.counts, p)
+	clear(cnt)
+	items := plan.items(d, w)
+	flat := Resize(ts.dests, items)[:0] // fan-out is 1 in the common case
+	fan := ts.fans[:0]
+	fanned := false // the fan-out list is materialized on the first fan-out ≠ 1
+	to := ts.route
+	plan.spans[w].each(d.Parts, func(s int, cols *Columns, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			to = rt.many(s, cols.Item(i), to[:0])
+			for _, t := range to {
+				if t < 0 || t >= p {
+					panic(fmt.Sprintf("mpc: route to invalid server %d", t))
+				}
+				flat = append(flat, int32(t))
+				cnt[t]++
+			}
+			if !fanned && len(to) != 1 {
+				// Every earlier row went to exactly one server.
+				fanned = true
+				fan = Resize(fan, items)[:0]
+				for k := len(to); k < len(flat); k++ {
+					fan = append(fan, 1)
+				}
+			}
+			if fanned {
+				fan = append(fan, int32(len(to)))
+			}
+		}
+	})
+	ts.counts, ts.dests, ts.fans, ts.route = cnt, flat, fan, to
 }
 
 // hashCount is task w's counting pass on the hash fast path: destinations
@@ -236,25 +256,24 @@ func newExchangePlan(d *Dist, rt router, tasks int) *exchangePlan {
 //lint:alloc-ceiling
 func (plan *exchangePlan) hashCount(d *Dist, rt router, w int) {
 	p := plan.p
-	sp := plan.spans[w]
-	cnt := getInt32Zero(p)
-	var hd []byte
-	if p <= 256 {
-		items := 0
-		sp.each(d.Parts, func(_ int, _ *Columns, lo, hi int) { items += hi - lo })
-		hd = getByteCap(items)
+	ts := plan.tasks[w]
+	cnt := Resize(ts.counts, p)
+	clear(cnt)
+	bytes := p <= 256
+	hd := ts.hdests[:0]
+	if bytes {
+		hd = Resize(hd, plan.items(d, w))[:0]
 	}
-	sp.each(d.Parts, func(_ int, cols *Columns, lo, hi int) {
+	plan.spans[w].each(d.Parts, func(_ int, cols *Columns, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			t := int(HashTupleAt(cols.Tuple(i), rt.hashPos, rt.hashSalt) % uint64(p))
 			cnt[t]++
-			if hd != nil {
+			if bytes {
 				hd = append(hd, byte(t))
 			}
 		}
 	})
-	plan.hdests[w] = hd
-	plan.counts[w] = cnt
+	ts.counts, ts.hdests = cnt, hd
 }
 
 // alloc sums the per-task counts into exact destination capacities, sizes
@@ -267,14 +286,12 @@ func (plan *exchangePlan) alloc(d, out *Dist) {
 	withAnnots := d.hasAnnots()
 	width := d.partsWidth()
 	plan.totals = make([]int, plan.p)
-	plan.bases = make([][]int32, len(plan.spans))
-	for w := range plan.spans {
-		base := getInt32Zero(plan.p)
-		for t, n := range plan.counts[w] {
-			base[t] = int32(plan.totals[t])
+	for _, ts := range plan.tasks {
+		ts.bases = Resize(ts.bases, plan.p)
+		for t, n := range ts.counts {
+			ts.bases[t] = int32(plan.totals[t])
 			plan.totals[t] += int(n)
 		}
-		plan.bases[w] = base
 	}
 	for t, n := range plan.totals {
 		if n > 0 {
@@ -284,21 +301,19 @@ func (plan *exchangePlan) alloc(d, out *Dist) {
 }
 
 // scatter fans the items out into out's pre-sized buffer windows. Task w
-// writes the half-open offset ranges [bases[w][t], bases[w][t]+counts[w][t])
-// — disjoint across tasks by construction — moving runs of same-destination
-// items as contiguous block copies of the value buffer.
+// writes the half-open offset ranges [bases[t], bases[t]+counts[t]) of its
+// scratch — disjoint across tasks by construction — advancing bases as its
+// cursor, and moves runs of same-destination items as contiguous block
+// copies of the value buffer.
 //
 //lint:alloc-ceiling
 func (plan *exchangePlan) scatter(d, out *Dist, rt router) {
 	runtime.Fork(len(plan.spans), func(w int) {
-		cursor := getInt32Zero(plan.p)
-		copy(cursor, plan.bases[w])
 		if rt.hashPos != nil {
-			plan.hashScatter(d, out, rt, w, cursor)
+			plan.hashScatter(d, out, rt, w)
 		} else {
-			plan.genericScatter(d, out, w, cursor)
+			plan.genericScatter(d, out, w)
 		}
-		putInt32(cursor)
 	})
 }
 
@@ -307,16 +322,17 @@ func (plan *exchangePlan) scatter(d, out *Dist, rt router) {
 // when P > 256) and the row moves as one contiguous value copy.
 //
 //lint:alloc-ceiling
-func (plan *exchangePlan) hashScatter(d, out *Dist, rt router, w int, cursor []int32) {
+func (plan *exchangePlan) hashScatter(d, out *Dist, rt router, w int) {
 	p := plan.p
-	sp := plan.spans[w]
-	hd, hi0 := plan.hdests[w], 0
-	sp.each(d.Parts, func(_ int, cols *Columns, lo, hi int) {
+	ts := plan.tasks[w]
+	cursor, bytes := ts.bases, p <= 256
+	hd, hi0 := ts.hdests, 0
+	plan.spans[w].each(d.Parts, func(_ int, cols *Columns, lo, hi int) {
 		vw := cols.width
 		for i := lo; i < hi; i++ {
 			row := cols.values[i*vw : i*vw+vw]
 			var t int
-			if hd != nil {
+			if bytes {
 				t = int(hd[hi0])
 				hi0++
 			} else {
@@ -337,12 +353,12 @@ func (plan *exchangePlan) hashScatter(d, out *Dist, rt router, w int, cursor []i
 // of same-destination items as per-column block copies.
 //
 //lint:alloc-ceiling
-func (plan *exchangePlan) genericScatter(d, out *Dist, w int, cursor []int32) {
-	sp := plan.spans[w]
-	flat, fan := plan.dests[w], plan.fans[w]
+func (plan *exchangePlan) genericScatter(d, out *Dist, w int) {
+	ts := plan.tasks[w]
+	cursor, flat, fan := ts.bases, ts.dests, ts.fans
 	di, fi := 0, 0
-	sp.each(d.Parts, func(_ int, cols *Columns, lo, hi int) {
-		if fan == nil {
+	plan.spans[w].each(d.Parts, func(_ int, cols *Columns, lo, hi int) {
+		if len(fan) == 0 {
 			// Uniform fan-out 1: flat[k] is row (lo+k)'s destination.
 			// Runs of equal destinations become block copies.
 			i := lo
@@ -376,22 +392,10 @@ func (plan *exchangePlan) genericScatter(d, out *Dist, w int, cursor []int32) {
 // release returns the plan's pooled scratch. The plan must not be used
 // afterwards.
 func (plan *exchangePlan) release() {
-	for w := range plan.spans {
-		if plan.dests != nil {
-			putInt32(plan.dests[w])
-		}
-		if plan.hdests != nil && plan.hdests[w] != nil {
-			putByte(plan.hdests[w])
-		}
-		if plan.fans != nil && plan.fans[w] != nil {
-			putInt32(plan.fans[w])
-		}
-		putInt32(plan.counts[w])
-		if plan.bases != nil {
-			putInt32(plan.bases[w])
-		}
+	for _, ts := range plan.tasks {
+		taskScratchPool.Put(ts)
 	}
-	plan.dests, plan.hdests, plan.fans, plan.counts, plan.bases = nil, nil, nil, nil, nil
+	plan.tasks = nil
 }
 
 // route ships items to destination servers and charges one round through

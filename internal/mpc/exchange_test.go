@@ -202,27 +202,28 @@ func TestExchangePlanBatchCounts(t *testing.T) {
 							}
 						}
 					})
-					if !reflect.DeepEqual(plan.counts[w], want) {
-						t.Fatalf("tasks=%d task %d: batch counts %v, want %v", tasks, w, plan.counts[w], want)
+					ts := plan.tasks[w]
+					if !reflect.DeepEqual(ts.counts, want) {
+						t.Fatalf("tasks=%d task %d: batch counts %v, want %v", tasks, w, ts.counts, want)
 					}
-					if len(plan.dests[w]) != deliveries {
-						t.Fatalf("tasks=%d task %d: %d recorded dests, want %d", tasks, w, len(plan.dests[w]), deliveries)
+					if len(ts.dests) != deliveries {
+						t.Fatalf("tasks=%d task %d: %d recorded dests, want %d", tasks, w, len(ts.dests), deliveries)
 					}
-					if plan.fans[w] == nil {
+					if len(ts.fans) == 0 {
 						if deliveries != items {
 							t.Fatalf("tasks=%d task %d: fan column elided but %d deliveries for %d items",
 								tasks, w, deliveries, items)
 						}
 					} else {
 						var fanSum int32
-						for _, f := range plan.fans[w] {
+						for _, f := range ts.fans {
 							fanSum += f
 						}
 						if int(fanSum) != deliveries {
 							t.Fatalf("tasks=%d task %d: fan-out sum %d, want %d", tasks, w, fanSum, deliveries)
 						}
 					}
-					if uniform[name] && plan.fans[w] != nil {
+					if uniform[name] && len(ts.fans) != 0 {
 						t.Fatalf("tasks=%d task %d: %s should elide the fan column", tasks, w, name)
 					}
 				}

@@ -13,8 +13,9 @@ import (
 // widths, key skews, annotation presence), every routing shape, and
 // arbitrary task counts must produce value-identical parts and
 // byte-identical per-round charge tables. For the hash shape the flat fast
-// path (router.hashPos) additionally runs against the same reference, and
-// every output is pushed through the flat↔per-row conversions in both
+// path (router.hashPos) additionally runs against the same reference.
+// Every arm runs again on dirty task scratch (dirtyTaskScratch), and the
+// output is pushed through the flat↔per-row conversions in both
 // directions. Run continuously by `make fuzz-smoke` (part of ci).
 func FuzzExchangeParity(f *testing.F) {
 	// Seed corpus from the adversarial-skew cases of the parity tests:
@@ -78,32 +79,33 @@ func FuzzExchangeParity(f *testing.F) {
 		refOut := serialRouteRef(ref, ref.Schema, dest)
 		refTable := roundTable(ref.C)
 
-		got := build()
-		gotOut := got.routeTasks(got.Schema, manyRouter(dest), nTasks)
-		gotTable := roundTable(got.C)
-
-		if !partsEqual(refOut, gotOut) {
-			t.Fatalf("parts differ from serial reference (n=%d w=%d p=%d tasks=%d shape=%s)",
-				nn, w, pp, nTasks, name)
+		// route runs one arm against the reference: same parts, same
+		// charges. The hash shape also has the flat fast path — key
+		// positions and salt in the router instead of a closure,
+		// destinations hashed straight off the flat buffer.
+		route := func(arm string, rt router) *Dist {
+			got := build()
+			gotOut := got.routeTasks(got.Schema, rt, nTasks)
+			if !partsEqual(refOut, gotOut) {
+				t.Fatalf("%s: parts differ from serial reference (n=%d w=%d p=%d tasks=%d shape=%s)",
+					arm, nn, w, pp, nTasks, name)
+			}
+			if gotTable := roundTable(got.C); !reflect.DeepEqual(refTable, gotTable) {
+				t.Fatalf("%s: charge tables differ:\nref %v\ngot %v", arm, refTable, gotTable)
+			}
+			return gotOut
 		}
-		if !reflect.DeepEqual(refTable, gotTable) {
-			t.Fatalf("charge tables differ:\nref %v\ngot %v", refTable, gotTable)
-		}
-
-		// The hash shape also has the flat fast path — key positions and
-		// salt in the router instead of a closure, destinations hashed
-		// straight off the flat buffer. Same parts, same charges.
+		gotOut := route("closure router", manyRouter(dest))
 		if name == "hash" {
-			fast := build()
-			fastOut := fast.routeTasks(fast.Schema, router{hashPos: hashPosFor(w), hashSalt: 7}, nTasks)
-			fastTable := roundTable(fast.C)
-			if !partsEqual(refOut, fastOut) {
-				t.Fatalf("hash fast path parts differ from serial reference (n=%d w=%d p=%d tasks=%d)",
-					nn, w, pp, nTasks)
-			}
-			if !reflect.DeepEqual(refTable, fastTable) {
-				t.Fatalf("hash fast path charge tables differ:\nref %v\ngot %v", refTable, fastTable)
-			}
+			route("hash fast path", router{hashPos: hashPosFor(w), hashSalt: 7})
+		}
+		// The same arms on dirty scratch: every task vector the plans draw
+		// holds sentinels over its whole capacity, with stale lengths.
+		dirtyTaskScratch(nTasks, 2*nn+pp)
+		route("closure router on dirty scratch", manyRouter(dest))
+		if name == "hash" {
+			dirtyTaskScratch(nTasks, 2*nn+pp)
+			route("hash fast path on dirty scratch", router{hashPos: hashPosFor(w), hashSalt: 7})
 		}
 
 		// Conversion roundtrip, flat → per-row → flat: rebuilding every
@@ -177,11 +179,12 @@ func FuzzRowIndexParity(f *testing.F) {
 
 		// Dirty the pool: whatever the build takes from it held other data.
 		for _, size := range []int{8, 2 * nn, 4 * nn, 8 * nn} {
-			s := getInt32Cap(size)[:size]
-			for i := range s {
-				s[i] = int32(-7 - i)
+			a := indexArraysPool.Get()
+			a.slots, a.next = Resize(a.slots, size), Resize(a.next, size)
+			for i := range a.slots {
+				a.slots[i], a.next[i] = int32(-7-i), int32(-11-i)
 			}
-			putInt32(s)
+			indexArraysPool.Put(a)
 		}
 
 		var cols Columns
@@ -247,4 +250,26 @@ func FuzzRowIndexParity(f *testing.F) {
 			check(key)
 		}
 	})
+}
+
+// dirtyTaskScratch takes k exchange task scratches from the pool at once,
+// fills every vector to length n with sentinels — counts and offsets far
+// out of range, destinations past every server, fan-outs of 3 — and
+// returns them, so the next plans draw scratch whose every read-before-
+// write would corrupt the output or panic.
+func dirtyTaskScratch(k, n int) {
+	if k == 0 {
+		return
+	}
+	ts := taskScratchPool.Get()
+	defer taskScratchPool.Put(ts)
+	ts.counts, ts.bases = Resize(ts.counts, n), Resize(ts.bases, n)
+	ts.dests, ts.fans = Resize(ts.dests, n), Resize(ts.fans, n)
+	ts.route, ts.hdests = Resize(ts.route, n), Resize(ts.hdests, n)
+	for i := 0; i < n; i++ {
+		ts.counts[i], ts.bases[i] = math.MaxInt32/2, -1<<20
+		ts.dests[i], ts.fans[i] = math.MaxInt32, 3
+		ts.route[i], ts.hdests[i] = -1, 0xff
+	}
+	dirtyTaskScratch(k-1, n)
 }

@@ -21,7 +21,7 @@ import (
 // iterating a group visits its rows exactly as the map-of-slices joins this
 // replaces did.
 //
-// Both arrays come from the exchange's int32 pool; Release returns them. A
+// Both arrays come from one pooled indexArrays; Release returns it. A
 // built index is read-only and safe for concurrent lookups.
 type RowIndex struct {
 	cols   *Columns
@@ -29,7 +29,13 @@ type RowIndex struct {
 	slots  []int32 // slot → first row of its group + 1; 0 = empty
 	next   []int32 // row → next row with the same key + 1 (0 ends the chain), | displaced
 	groups int     // distinct keys
+	arrays *indexArrays
 }
+
+// indexArrays holds a RowIndex's two arrays, pooled as one pointer.
+type indexArrays struct{ slots, next []int32 }
+
+var indexArraysPool Pool[indexArrays]
 
 // displaced is the sign bit of a next entry: set on a row when an earlier
 // row with the same key took its place as the head of the group, so the
@@ -68,7 +74,11 @@ func IndexRows(cols *Columns, pos []int) RowIndex {
 	for size < 2*n {
 		size <<= 1
 	}
-	ix := RowIndex{cols: cols, pos: pos, slots: getInt32Zero(size), next: getInt32Cap(n)[:n]}
+	ix := RowIndex{cols: cols, pos: pos, arrays: indexArraysPool.Get()}
+	a := ix.arrays
+	a.slots, a.next = Resize(a.slots, size), Resize(a.next, n)
+	clear(a.slots)
+	ix.slots, ix.next = a.slots, a.next
 	// Rows are inserted last to first, each becoming the head of its
 	// group, so every chain ends up in ascending (insertion) order.
 	for i := n - 1; i >= 0; i-- {
@@ -127,7 +137,6 @@ func (ix *RowIndex) Next(i int) int { return int(ix.next[i]&^displaced) - 1 }
 
 // Release recycles the index's arrays; the index must not be used after.
 func (ix *RowIndex) Release() {
-	putInt32(ix.slots)
-	putInt32(ix.next)
-	ix.slots, ix.next = nil, nil
+	indexArraysPool.Put(ix.arrays)
+	ix.slots, ix.next, ix.arrays = nil, nil, nil
 }

@@ -3,6 +3,8 @@ package mpc
 import (
 	"fmt"
 	"math"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"repro/internal/relation"
@@ -167,18 +169,49 @@ func BenchmarkRowIndex(b *testing.B) {
 // benchSink keeps the probes' results alive.
 var benchSink int
 
-// TestInt32LogRecycles: a log comes out of the pool empty with at least
-// the asked capacity, whether it is fresh, recycled smaller than asked, or
-// recycled holding entries from its last owner.
-func TestInt32LogRecycles(t *testing.T) {
+// TestPoolRecyclesInPlace: a slice drawn from a Pool and resized has the
+// asked length whether it is fresh, recycled smaller than asked, or
+// recycled holding entries from its last owner; its owner grows it in
+// place behind the pointer it puts back.
+func TestPoolRecyclesInPlace(t *testing.T) {
+	var pool Pool[[]int32]
 	for _, n := range []int{0, 5, 64, 3} {
-		log := GetInt32Log(n)
-		if len(log.S) != 0 || cap(log.S) < n {
-			t.Fatalf("GetInt32Log(%d): len %d cap %d", n, len(log.S), cap(log.S))
+		s := pool.Get()
+		if *s = Resize(*s, n); len(*s) != n {
+			t.Fatalf("Resize to %d: len %d cap %d", n, len(*s), cap(*s))
 		}
 		for i := 0; i < 2*n+1; i++ {
-			log.S = append(log.S, int32(i))
+			*s = append(*s, int32(i))
 		}
-		log.Release()
+		pool.Put(s)
 	}
+}
+
+// TestRowIndexRoundTripAllocatesNothing: once the pool is warm, building
+// and releasing an index takes its arrays from the pool and gives them
+// back without one allocation — the pool boxes nothing on Put.
+func TestRowIndexRoundTripAllocatesNothing(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector's sync.Pool drops buffers at random: the count would measure the detector")
+	}
+	var cols Columns
+	for i := 0; i < 1000; i++ {
+		cols.Append(relation.Tuple{relation.Value(i % 97), relation.Value(i)}, 1)
+	}
+	pos := []int{0}
+	roundTrip := func() {
+		ix := IndexRows(&cols, pos)
+		benchSink = ix.Groups()
+		ix.Release()
+	}
+	roundTrip() // warm the pool
+	if got := testing.AllocsPerRun(100, roundTrip); got != 0 {
+		t.Fatalf("IndexRows + Release on a warm pool allocates %.0f per call, want 0", got)
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	bi, _ := debug.ReadBuildInfo()
+	return bi != nil && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
 }

@@ -130,10 +130,9 @@ func raceEnabled() bool {
 // each output part reserved once for the x records of its chunk — and per
 // call, never per row: the count is the same at 2 048 and 65 536 rows per
 // side. An output part grown by doubling allocates log n times, which
-// breaks the equality before any ceiling is reached. Measured 60 at p = 16
-// (the two index arrays' pool round-trips are most of it). The collector
-// is off while counting: a collection empties the pools, and the refill
-// would be counted as the data's.
+// breaks the equality before any ceiling is reached. Measured 28 at p = 16.
+// The collector is off while counting: a collection empties the pools, and
+// the refill would be counted as the data's.
 func TestSemiJoinAllocCeiling(t *testing.T) {
 	const p, perPart = 16, 8
 	if raceEnabled() {

@@ -1,8 +1,6 @@
 package primitives
 
 import (
-	"sync"
-
 	"repro/internal/mpc"
 	"repro/internal/relation"
 )
@@ -149,23 +147,21 @@ func (rc *recCols) reset() {
 	rc.annots = rc.annots[:0]
 }
 
-var recColsPool sync.Pool
+var recColsPool mpc.Pool[recCols]
 
 // getRecCols returns an empty record set with room for capacity rows.
 func getRecCols(capacity int) *recCols {
-	if v := recColsPool.Get(); v != nil {
-		rc := v.(*recCols)
-		if cap(rc.tags) >= capacity {
-			return rc
-		}
+	rc := recColsPool.Get()
+	if cap(rc.tags) < capacity {
 		// Too small for this call site: grow once, keep the grown set.
+		*rc = recCols{
+			keys:   make([]relation.Value, 0, capacity),
+			tags:   make([]uint8, 0, capacity),
+			tuples: make([]relation.Tuple, 0, capacity),
+			annots: make([]int64, 0, capacity),
+		}
 	}
-	return &recCols{
-		keys:   make([]relation.Value, 0, capacity),
-		tags:   make([]uint8, 0, capacity),
-		tuples: make([]relation.Tuple, 0, capacity),
-		annots: make([]int64, 0, capacity),
-	}
+	return rc
 }
 
 // putRecCols recycles rc. Callers must have copied out every tuple header
@@ -180,7 +176,7 @@ func putRecCols(rc *recCols) {
 // single pointer so a steady-state sort performs one pool round-trip and
 // zero boxing allocations. The keys and annots permute targets are dead
 // while the rank sort runs and serve it as its two key vectors (the
-// multi-search, which permutes nothing, uses them only so). ensureSlice
+// multi-search, which permutes nothing, uses them only so). mpc.Resize
 // grows the vectors in place; contents are UNSPECIFIED until written
 // (consumers initialize before reading).
 // Pointer-bearing columns are cleared on put, like the record sets, so the
@@ -193,22 +189,9 @@ type sortScratch struct {
 	annots []int64
 }
 
-// ensureSlice grows s to length n, reusing its capacity when possible.
-func ensureSlice[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
+var sortScratchPool mpc.Pool[sortScratch]
 
-var sortScratchPool sync.Pool
-
-func getSortScratch() *sortScratch {
-	if v := sortScratchPool.Get(); v != nil {
-		return v.(*sortScratch)
-	}
-	return &sortScratch{}
-}
+func getSortScratch() *sortScratch { return sortScratchPool.Get() }
 
 func putSortScratch(sc *sortScratch) {
 	// The permute swap leaves the pre-sort tuple column here; clear it so

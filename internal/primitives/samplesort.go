@@ -78,7 +78,7 @@ func sampleSortCols(rc *recCols) {
 //lint:alloc-ceiling
 func rankSort(rc *recCols, sc *sortScratch) []int32 {
 	n := rc.len()
-	sc.ranks = ensureSlice(sc.ranks, 2*n)
+	sc.ranks = mpc.Resize(sc.ranks, 2*n)
 	order, spare := sc.ranks[:n], sc.ranks[n:]
 	if slices.IsSorted(rc.tags) {
 		for i := range order {
@@ -106,10 +106,10 @@ func rankSort(rc *recCols, sc *sortScratch) []int32 {
 func permuteCols(rc *recCols, sc *sortScratch, order []int32) {
 	n := len(order)
 	kw := rc.kw
-	ks := ensureSlice(sc.keys, n*kw)
-	ts := ensureSlice(sc.tags, n)
-	tp := ensureSlice(sc.tuples, n)
-	as := ensureSlice(sc.annots, n)
+	ks := mpc.Resize(sc.keys, n*kw)
+	ts := mpc.Resize(sc.tags, n)
+	tp := mpc.Resize(sc.tuples, n)
+	as := mpc.Resize(sc.annots, n)
 	for j, i := range order {
 		ts[j] = rc.tags[i]
 		tp[j] = rc.tuples[i]
@@ -149,7 +149,7 @@ const radixBelow = 24
 //lint:alloc-ceiling
 func stableSortIdx(rc *recCols, sc *sortScratch, src, dst []int32) []int32 {
 	n := len(src)
-	sc.keys, sc.annots = ensureSlice(sc.keys, n), ensureSlice(sc.annots, n)
+	sc.keys, sc.annots = mpc.Resize(sc.keys, n), mpc.Resize(sc.annots, n)
 	for w := rc.kw - 1; w >= 0; w-- {
 		diff, low := gatherWord(sc.keys, rc.keys, rc.kw, w, src)
 		src, dst = radixWord(sc.keys, sc.annots, src, dst, diff, low)

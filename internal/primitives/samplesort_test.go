@@ -196,9 +196,9 @@ func fillRecCols(rc *recCols, recs []rec) {
 func dirtyPools(rows, kw int) {
 	const junk = -0x5eed
 	rc, sc := getRecCols(rows), getSortScratch()
-	sc.ranks = ensureSlice(sc.ranks, 2*rows)
-	sc.keys, sc.tags = ensureSlice(sc.keys, rows*kw), ensureSlice(sc.tags, rows)
-	sc.tuples, sc.annots = ensureSlice(sc.tuples, rows), ensureSlice(sc.annots, rows)
+	sc.ranks = mpc.Resize(sc.ranks, 2*rows)
+	sc.keys, sc.tags = mpc.Resize(sc.keys, rows*kw), mpc.Resize(sc.tags, rows)
+	sc.tuples, sc.annots = mpc.Resize(sc.tuples, rows), mpc.Resize(sc.annots, rows)
 	fillCap(sc.ranks, -1)
 	fillCap(rc.keys, junk)
 	fillCap(sc.keys, junk)

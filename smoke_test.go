@@ -130,11 +130,10 @@ func TestCLIsRejectStrayArguments(t *testing.T) {
 // one paragraph (DESIGN.md, "The parallel experiment runtime"); a new entry
 // here is a reviewed decision.
 var concurrencyAllowed = map[string]bool{
-	"internal/runtime/fork.go":       true, // the one scheduler: goroutines, WaitGroup, token bucket
-	"internal/mpc/columns.go":        true, // sync.Pool for exchange scratch
-	"internal/primitives/reccols.go": true, // sync.Pool for record columns and sort scratch
-	"internal/harness/oracle.go":     true, // sync.Map memoizing oracle counts across forked cells
-	"internal/engine/registry.go":    true, // RWMutex around the algorithm registry
+	"internal/runtime/fork.go":    true, // the one scheduler: goroutines, WaitGroup, token bucket
+	"internal/mpc/columns.go":     true, // mpc.Pool, the one sync.Pool, behind every recycled buffer
+	"internal/harness/oracle.go":  true, // sync.Map memoizing oracle counts across forked cells
+	"internal/engine/registry.go": true, // RWMutex around the algorithm registry
 }
 
 // TestConcurrencyStaysWhereItIs parses every non-test Go file under
