@@ -6,7 +6,6 @@ import (
 	"reflect"
 	stdruntime "runtime"
 	"runtime/debug"
-	"slices"
 	"strings"
 	"testing"
 
@@ -354,16 +353,15 @@ func TestMaterializedResultHoldsOneCopy(t *testing.T) {
 	}
 
 	// Heap held by res: the reading with res alive minus the reading after
-	// dropping it. Two collections before the first reading empty the
-	// data plane's sync.Pools (primary, then victim), so nothing but res
-	// goes away in between.
+	// dropping it, each taken after a collection. The data plane's pools
+	// are live in both readings (no collection empties them), so nothing
+	// but res goes away in between.
 	heap := func() uint64 {
 		var m stdruntime.MemStats
 		stdruntime.ReadMemStats(&m)
 		return m.HeapAlloc
 	}
 	out, width := res.OUT, len(res.Table.Schema)
-	stdruntime.GC()
 	stdruntime.GC()
 	with := heap()
 	stdruntime.KeepAlive(res)
@@ -383,17 +381,18 @@ func TestMaterializedResultHoldsOneCopy(t *testing.T) {
 // TestAcyclicAssemblesOutputOnce pins what the acyclic algorithm allocates
 // on the doubled instance (OUT = 262 144 rows of width 4, 8 MB): its 2^k
 // sub-join results are gathered onto the output schema by one Concat, so
-// the output is copied once. Measured 46.1–47.6 MB at width 2 on cold pools
-// with the collector off; the ceiling is that plus 10 %. Projecting every
-// sub-result, folding them pairwise and projecting the union again — 3.5
-// copies of the output — reads 71–72 MB the same way.
+// the output is copied once. Measured 28.34 MB at width 2 on a warm run
+// with the collector off; the ceiling is that plus 10 %, so a second copy
+// of the output (+8 MB) fails it. Projecting every sub-result, folding them
+// pairwise and projecting the union again — 3.5 copies of the output — read
+// 71–72 MB on cold pools, which also counted the pools' fill.
 func TestAcyclicAssemblesOutputOnce(t *testing.T) {
-	const ceilingMB = 47.6 * 1.1
+	const ceilingMB = 28.34 * 1.1
 	in, err := gen.Build("doubled", mpc.NewRng(2019), 8192, 131072)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, mb := coldAllocMB(t, "acyclic", in)
+	res, mb := warmAllocMB(t, "acyclic", in)
 	if res.OUT != 262144 {
 		t.Fatalf("OUT = %d, want the doubled instance's 262 144", res.OUT)
 	}
@@ -408,16 +407,17 @@ func TestAcyclicAssemblesOutputOnce(t *testing.T) {
 // its inputs against the degree table and routes them by the broadcast
 // heavy directory, so no input row is copied with its key's degrees
 // appended, grown row by row, or carried through the exchange in two extra
-// columns. Measured 8.37 MB at width 2 on cold pools with the collector
-// off; the ceiling is that plus 10 %. Widening every row by a Lookup
-// multi-search and routing the widened rows reads 12.30 MB the same way.
+// columns. Measured 5.92–5.95 MB at width 2 on a warm run with the
+// collector off; the ceiling is that plus 10 %. Widening every row by a
+// Lookup multi-search and routing the widened rows read 12.30 MB on cold
+// pools, which also counted the pools' fill.
 func TestBinaryJoinRoutesByDirectory(t *testing.T) {
-	const ceilingMB = 8.37 * 1.1
+	const ceilingMB = 5.95 * 1.1
 	in, err := gen.Build("random", mpc.NewRng(2019), 8192, 131072)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, mb := coldAllocMB(t, "yannakakis", in)
+	res, mb := warmAllocMB(t, "yannakakis", in)
 	if res.OUT < 8192 {
 		t.Fatalf("OUT = %d — the instance no longer exercises an output-dominated join", res.OUT)
 	}
@@ -427,24 +427,24 @@ func TestBinaryJoinRoutesByDirectory(t *testing.T) {
 	}
 }
 
-// coldAllocMB runs the named algorithm on in (p = 16, width 2) and returns
-// its result and the MB it allocated. Cold pools and no collection while
-// counting: two collections empty the data plane's sync.Pools (primary,
-// then victim), and with the collector off none is emptied mid-run, so
-// every scratch buffer is allocated exactly once whatever ran before.
-func coldAllocMB(t *testing.T, algo string, in *core.Instance) (engine.Result, float64) {
+// warmAllocMB runs the named algorithm on in (p = 16, width 2) twice and
+// returns the second run's result and the MB it allocated. The first run
+// fills the data plane's pools, which no collection empties, so the second
+// draws every scratch value from them; with the collector off while it
+// counts, what it allocates is its own parts and result, whatever ran
+// before.
+func warmAllocMB(t *testing.T, algo string, in *core.Instance) (engine.Result, float64) {
 	t.Helper()
-	if bi, _ := debug.ReadBuildInfo(); bi != nil && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
-		t.Skip("the race detector's sync.Pool drops buffers at random: the bytes would measure the detector")
-	}
 	prev := runtime.SetParallelism(2)
 	defer runtime.SetParallelism(prev)
-	stdruntime.GC()
-	stdruntime.GC()
+	job := engine.Job{In: in, P: 16, Seed: 2019}
+	if _, err := engine.RunNamed(algo, job); err != nil {
+		t.Fatal(err)
+	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after stdruntime.MemStats
 	stdruntime.ReadMemStats(&before)
-	res, err := engine.RunNamed(algo, engine.Job{In: in, P: 16, Seed: 2019})
+	res, err := engine.RunNamed(algo, job)
 	stdruntime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

@@ -303,26 +303,43 @@ func (c *Columns) view() Columns {
 	return v
 }
 
-// Pool is the data plane's one recycling idiom: a typed sync.Pool that
-// hands out *T — a fresh new(T) when it is empty — and takes *T back. A
-// pointer rides in the pool's interface without a heap box, so neither
-// side allocates, and a slice grows in place behind its pointer: the owner
-// resizes it (see Resize) and the pool keeps whatever capacity it reached.
+// Pool is the data plane's one recycling idiom: a typed free list that
+// hands out *T — a fresh new(T) when it is empty — and takes *T back. The
+// list is last in, first out, so a Get returns the value put most recently.
+// It keeps every value put: it never holds more than the most values that
+// were out of it at once, and those were all live together then. Unlike a
+// sync.Pool, a collection never empties it, so each pooled value is
+// allocated once per process, not once per collection. A slice grows in
+// place behind its pointer: the owner resizes it (see Resize) and the pool
+// keeps whatever capacity it reached.
 // Contents are unspecified on Get; every owner writes before it reads.
 // Pooling is memory reuse only: rows, loads, rounds and charges never
 // depend on what a pooled value held before.
-type Pool[T any] struct{ pool sync.Pool }
+type Pool[T any] struct {
+	mu   sync.Mutex
+	free []*T
+}
 
-// Get returns a pooled *T, or new(T) when the pool has none.
+// Get returns the value put most recently, or new(T) when the pool has none.
 func (p *Pool[T]) Get() *T {
-	if v, _ := p.pool.Get().(*T); v != nil {
-		return v
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.free)
+	if n == 0 {
+		return new(T)
 	}
-	return new(T)
+	v := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
+	return v
 }
 
 // Put returns v to the pool; the caller must not use it after.
-func (p *Pool[T]) Put(v *T) { p.pool.Put(v) }
+func (p *Pool[T]) Put(v *T) {
+	p.mu.Lock()
+	p.free = append(p.free, v)
+	p.mu.Unlock()
+}
 
 // Resize returns s with length n, reusing its capacity when it suffices
 // and allocating exactly n otherwise. The contents are unspecified.

@@ -2,7 +2,9 @@ package mpc
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
+	stdruntime "runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -256,6 +258,46 @@ func TestExchangeSkewedSourceStillFansOut(t *testing.T) {
 		runtime.SetParallelism(prev)
 		if !partsEqual(refOut, got) {
 			t.Fatalf("width %d: parts differ", width)
+		}
+	}
+}
+
+// TestExchangeScratchSurvivesWideRuns: at width 16 each exchange holds 16
+// taskScratch values out at once, and exchanges in cells forked beside it
+// hold more. The pool keeps every value put, so once it has served the
+// most a round holds at once, a round of forked exchanges draws all its
+// scratch from it — collections in between or not — and makes none fresh.
+func TestExchangeScratchSurvivesWideRuns(t *testing.T) {
+	const width, cells, p, n = 16, 2, 16, 4096
+	prev := runtime.SetParallelism(width)
+	defer runtime.SetParallelism(prev)
+	ds := make([]*Dist, cells)
+	for i := range ds {
+		ds[i] = exchangeTestDist(NewCluster(p), n, uint64(i))
+	}
+	rt := router{hashPos: []int{0}, hashSalt: 7}
+	// Warm: one exchange holding as many values as the forked cells can.
+	ds[0].routeTasks(ds[0].Schema, rt, width*cells)
+	idle := func() map[*taskScratch]bool {
+		taskScratchPool.mu.Lock()
+		defer taskScratchPool.mu.Unlock()
+		set := map[*taskScratch]bool{}
+		for _, v := range taskScratchPool.free {
+			set[v] = true
+		}
+		return set
+	}
+	before := idle()
+	if len(before) < width*cells {
+		t.Fatalf("after an exchange of %d tasks the pool keeps %d taskScratch values", width*cells, len(before))
+	}
+	for round := 0; round < 3; round++ {
+		stdruntime.GC()
+		stdruntime.GC()
+		runtime.Fork(cells, func(i int) { ds[i].routeTasks(ds[i].Schema, rt, width) })
+		if after := idle(); !maps.Equal(before, after) {
+			t.Fatalf("round %d: the pool holds %d taskScratch values, not the %d it held warm: a value was made fresh or dropped",
+				round, len(after), len(before))
 		}
 	}
 }

@@ -3,8 +3,7 @@ package mpc
 import (
 	"fmt"
 	"math"
-	"runtime/debug"
-	"slices"
+	stdruntime "runtime"
 	"testing"
 
 	"repro/internal/relation"
@@ -187,31 +186,61 @@ func TestPoolRecyclesInPlace(t *testing.T) {
 	}
 }
 
-// TestRowIndexRoundTripAllocatesNothing: once the pool is warm, building
-// and releasing an index takes its arrays from the pool and gives them
-// back without one allocation — the pool boxes nothing on Put.
-func TestRowIndexRoundTripAllocatesNothing(t *testing.T) {
-	if raceEnabled() {
-		t.Skip("the race detector's sync.Pool drops buffers at random: the count would measure the detector")
+// TestPoolOutlivesCollections: the free list is an ordinary live slice,
+// so collections leave its values where they were — the next Get returns
+// the pointer put last.
+func TestPoolOutlivesCollections(t *testing.T) {
+	var pool Pool[[]int32]
+	first, last := pool.Get(), pool.Get()
+	pool.Put(first)
+	pool.Put(last)
+	stdruntime.GC()
+	stdruntime.GC()
+	gotLast, gotFirst := pool.Get(), pool.Get()
+	pool.Put(gotFirst)
+	pool.Put(gotLast)
+	if gotLast != last || gotFirst != first {
+		t.Fatalf("after two collections Get returned %p then %p, want %p (put last) then %p", gotLast, gotFirst, last, first)
 	}
+}
+
+// rowIndexRoundTrip builds and releases an index over 1 000 rows.
+func rowIndexRoundTrip() func() {
 	var cols Columns
 	for i := 0; i < 1000; i++ {
 		cols.Append(relation.Tuple{relation.Value(i % 97), relation.Value(i)}, 1)
 	}
 	pos := []int{0}
-	roundTrip := func() {
+	return func() {
 		ix := IndexRows(&cols, pos)
 		benchSink = ix.Groups()
 		ix.Release()
 	}
+}
+
+// TestRowIndexRoundTripAllocatesNothing: once the pool is warm, building
+// and releasing an index takes its arrays from the pool and gives them
+// back without one allocation — the pool boxes nothing on Put.
+func TestRowIndexRoundTripAllocatesNothing(t *testing.T) {
+	roundTrip := rowIndexRoundTrip()
 	roundTrip() // warm the pool
 	if got := testing.AllocsPerRun(100, roundTrip); got != 0 {
 		t.Fatalf("IndexRows + Release on a warm pool allocates %.0f per call, want 0", got)
 	}
 }
 
-// raceEnabled reports whether the test binary was built with -race.
-func raceEnabled() bool {
-	bi, _ := debug.ReadBuildInfo()
-	return bi != nil && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
+// TestRowIndexPoolSurvivesCollections: two collections before every round
+// trip leave the pool's arrays in place, so a round trip still allocates
+// nothing — a pool the collector empties would rebuild them each time.
+func TestRowIndexPoolSurvivesCollections(t *testing.T) {
+	roundTrip := rowIndexRoundTrip()
+	roundTrip() // warm the pool
+	collected := func() {
+		stdruntime.GC()
+		stdruntime.GC()
+		roundTrip()
+	}
+	if got := testing.AllocsPerRun(20, collected); got != 0 {
+		t.Fatalf("IndexRows + Release after two collections allocates %.0f per call, want 0", got)
+	}
 }

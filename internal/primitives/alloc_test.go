@@ -3,8 +3,6 @@ package primitives
 import (
 	"math/rand"
 	goruntime "runtime"
-	"runtime/debug"
-	"slices"
 	"testing"
 
 	"repro/internal/mpc"
@@ -20,16 +18,11 @@ import (
 // stay under 1.5 times the output's own two values and annotation per row,
 // so a part grown by doubling fails twice over: its allocations grow with
 // the data, and its copies and slack overshoot the bytes. Measured 45 at
-// p = 16. The collector is off while counting, as in
-// TestSemiJoinAllocCeiling.
+// p = 16.
 func TestLookupAllocCeiling(t *testing.T) {
 	const p, perPart = 16, 8
-	if raceEnabled() {
-		t.Skip("the race detector's sync.Pool drops buffers at random: the count would measure the detector")
-	}
 	prev := runtime.SetParallelism(1)
 	defer runtime.SetParallelism(prev)
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	key := []relation.Attr{1}
 	counts := map[int]uint64{}
 	for _, n := range []int{16384, 131072} {
@@ -69,14 +62,9 @@ func TestLookupAllocCeiling(t *testing.T) {
 // or key vector. The count is the same at 8 192 and 131 072 records, under
 // a ceiling, and the bytes stay under one per record at the larger size,
 // so a vector regrown on every call fails the test even though its count
-// does not grow. Measured 0 allocations and 0 bytes per run. The collector
-// is off while counting, as in TestSemiJoinAllocCeiling.
+// does not grow. Measured 0 allocations and 0 bytes per run.
 func TestSampleSortAllocCeiling(t *testing.T) {
 	const ceiling = 64
-	if raceEnabled() {
-		t.Skip("the race detector's sync.Pool drops buffers at random: the count would measure the detector")
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	counts := map[int]uint64{}
 	for _, n := range []int{8192, 131072} {
 		base := benchRecs(n, true, 7)
@@ -120,27 +108,15 @@ func steadyAllocs(f func()) (count, bytes uint64) {
 	return (after.Mallocs - before.Mallocs) / runs, (after.TotalAlloc - before.TotalAlloc) / runs
 }
 
-// raceEnabled reports whether the test binary was built with -race.
-func raceEnabled() bool {
-	bi, _ := debug.ReadBuildInfo()
-	return bi != nil && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
-}
-
 // TestSemiJoinAllocCeiling: a steady-state semi-join allocates per part —
 // each output part reserved once for the x records of its chunk — and per
 // call, never per row: the count is the same at 2 048 and 65 536 rows per
 // side. An output part grown by doubling allocates log n times, which
 // breaks the equality before any ceiling is reached. Measured 28 at p = 16.
-// The collector is off while counting: a collection empties the pools, and
-// the refill would be counted as the data's.
 func TestSemiJoinAllocCeiling(t *testing.T) {
 	const p, perPart = 16, 8
-	if raceEnabled() {
-		t.Skip("the race detector's sync.Pool drops buffers at random: the count would measure the detector")
-	}
 	prev := runtime.SetParallelism(1)
 	defer runtime.SetParallelism(prev)
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	key := []relation.Attr{1}
 	counts := map[int]float64{}
 	for _, n := range []int{2048, 65536} {
