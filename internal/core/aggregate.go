@@ -213,7 +213,7 @@ func Aggregate(c *mpc.Cluster, in *Instance, y hypergraph.AttrSet, seed uint64) 
 		frontInst := &Instance{Q: fq, Rels: materialize(frontiers), Ring: in.Ring}
 		sub := mpc.NewCluster(c.P)
 		out := RHier(sub, frontInst, seed^0x5A)
-		c.MergeSequential(sub.Snapshot())
+		c.Merge(sub)
 		out.C = c
 		return out
 	}

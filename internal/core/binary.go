@@ -113,7 +113,7 @@ func binaryJoin(a, b *mpc.Dist, outSchema relation.Schema, ring relation.Semirin
 		return da > l0 || db > l0 || da*db > perServer
 	})
 	defer dir.idx.Release()
-	chargeDirectory(c, len(dir.cubes))
+	c.ChargeDirectory(len(dir.cubes))
 
 	// Tuples whose key is missing from jd are dropped here (jd has one row
 	// per key, so the semi-join is one multi-search) unless there are none.

@@ -14,8 +14,8 @@ import (
 // (da, db) by a Lookup multi-search, the router reads heavy or light off
 // those two columns, and the widened rows travel through the exchange. The
 // body is the production one before routing moved to the directory,
-// verbatim but for the shared degreeTable, newDirectory and chargeDirectory
-// it now builds its directory with; its grid loops stay hand-written.
+// verbatim but for the shared degreeTable and newDirectory it now builds its
+// directory with; its grid loops stay hand-written.
 
 // The reference always runs both degree lookups. A side whose every row has
 // a partner on the other side loses nothing to its lookup, and binaryJoin
@@ -133,7 +133,7 @@ func binaryJoinRef(a, b *mpc.Dist, outSchema relation.Schema, ring relation.Semi
 	}
 	dir := newDirectory(jd, len(shared), l0, func(d relation.Tuple) bool { return heavy(int64(d[0]), int64(d[1])) })
 	defer dir.idx.Release()
-	chargeDirectory(c, len(dir.cubes))
+	c.ChargeDirectory(len(dir.cubes))
 
 	// Attach (da, db) to every tuple (multi-search); tuples whose key is
 	// missing from the directory side cannot join and are dropped here.

@@ -212,19 +212,3 @@ func newDirectory(jd *mpc.Dist, kw int, l int64, heavy func(degs relation.Tuple)
 	dir.idx = mpc.IndexRows(&dir.rows, identityPos(kw))
 	return dir
 }
-
-// chargeDirectory charges gathering n directory entries to the coordinator
-// and broadcasting them to every server.
-//
-//lint:load const trust callers pass O(p) directory entries, set by degree thresholds, not by the data
-func chargeDirectory(c *mpc.Cluster, n int) {
-	if n == 0 {
-		return
-	}
-	c.Charge(0, n)
-	loads := make([]int, c.P)
-	for i := range loads {
-		loads[i] = n
-	}
-	c.ChargeRound(loads)
-}

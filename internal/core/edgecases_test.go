@@ -160,18 +160,6 @@ func TestInstanceSchemaMismatchPanics(t *testing.T) {
 	NewInstance(q, r1, r2)
 }
 
-func TestSubInstance(t *testing.T) {
-	rng := rand.New(rand.NewSource(81))
-	in := randInstance(rng, hypergraph.Line3(), 10, 3)
-	sub := in.SubInstance([]int{0, 1})
-	if len(sub.Rels) != 2 || len(sub.Q.Edges) != 2 {
-		t.Fatalf("SubInstance shape wrong")
-	}
-	if sub.Rels[0] != in.Rels[0] {
-		t.Error("SubInstance should share relations")
-	}
-}
-
 func TestInstanceClone(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))
 	in := randInstance(rng, hypergraph.Line2(), 10, 3)

@@ -76,14 +76,3 @@ func (in *Instance) Clone() *Instance {
 	}
 	return &Instance{Q: hypergraph.New(in.Q.Edges...), Rels: rels, Ring: in.Ring}
 }
-
-// SubInstance restricts the instance to the given edge indices.
-func (in *Instance) SubInstance(edges []int) *Instance {
-	var es []hypergraph.AttrSet
-	var rels []*relation.Relation
-	for _, e := range edges {
-		es = append(es, in.Q.Edges[e])
-		rels = append(rels, in.Rels[e])
-	}
-	return &Instance{Q: hypergraph.New(es...), Rels: rels, Ring: in.Ring}
-}

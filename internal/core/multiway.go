@@ -62,7 +62,7 @@ func MultiwayKeyedJoin(key relation.Schema, dists []*mpc.Dist, ring relation.Sem
 		return slices.ContainsFunc(d, func(v relation.Value) bool { return int64(v) > l0 })
 	})
 	defer dir.idx.Release()
-	chargeDirectory(c, len(dir.cubes))
+	c.ChargeDirectory(len(dir.cubes))
 
 	// The joinable keys as one flat part indexed by key value, so a routed
 	// tuple is checked without building a key string.

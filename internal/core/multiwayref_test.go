@@ -17,7 +17,7 @@ import (
 // key, a cube table aligned with it (size 0 for light keys), and its own
 // cell enumerator. The body is the production one before the rewrite,
 // verbatim but for the Ref suffix on its helpers and the gridded count it
-// also returns; clampDims and chargeDirectory are shared.
+// also returns; clampDims is shared.
 
 // MultiwayKeyedJoinRef is MultiwayKeyedJoin on the retained body; gridded
 // is the number of keys it gave a cube, so a test can tell the cubes were
@@ -60,7 +60,7 @@ func multiwayKeyedJoinRef(key relation.Schema, dists []*mpc.Dist, ring relation.
 	}
 	l0 := chooseLoadRef(stats, inSize, c.P)
 	cubes, gridded := buildCubeRef(stats, l0, c.P)
-	chargeDirectory(c, gridded)
+	c.ChargeDirectory(gridded)
 
 	// The joinable keys as one flat, value-indexed part: row r is stats[r]'s
 	// key, so a routed tuple finds its cube without building a key string.

@@ -73,7 +73,7 @@ func RHier(c *mpc.Cluster, in *Instance, seed uint64) *mpc.Dist {
 
 	// L is Thm 3's bound, computed from the reduced instance's
 	// folded relations (2^m linear-load counting passes, charged below).
-	chargeLinear(c, in.IN())
+	c.ChargeSpread(in.IN())
 	plan.fold()
 	l := int64(in.IN()/c.P) + lInstance(plan.active, c.P)
 	if l < 1 {
@@ -101,7 +101,7 @@ func BinHC(c *mpc.Cluster, in *Instance, seed uint64, removeDangling bool) *mpc.
 		dists = FullReduce(in, dists)
 	}
 	plan := newHierNode(materialize(dists), nil, in.Ring, degreeSizer)
-	chargeLinear(c, in.IN())
+	c.ChargeSpread(in.IN())
 	// BinHC picks the smallest load target whose share allocation fits in
 	// O(p) servers — computable from the degree statistics alone.
 	lo, hi := int64(in.IN()/c.P)+1, int64(in.IN())+1
@@ -377,26 +377,17 @@ func (n *hierNode) run(sub *mpc.Cluster, l int64) *mpc.Dist {
 	return n.case1(sub, l)
 }
 
-// heavyOut is one heavy group's recursion: its server count, charges and
-// result.
-type heavyOut struct {
-	pa    int
-	stats mpc.Stats
-	res   *mpc.Dist
-}
-
-// runGroup recurses on group i with its p_a servers.
-func (n *hierNode) runGroup(i int, l int64) heavyOut {
-	pa := n.serversFor(i, l)
-	child := mpc.NewCluster(pa)
-	chargeInput(child, int(n.groups[i].in))
-	res := n.child(i).run(child, l)
-	return heavyOut{pa: pa, stats: child.Snapshot(), res: res}
+// runGroup recurses on group i with its p_a servers. The result lives on
+// the group's own sub-cluster, whose ledger holds the recursion's charges.
+func (n *hierNode) runGroup(i int, l int64) *mpc.Dist {
+	child := mpc.NewCluster(n.serversFor(i, l))
+	child.ChargeInput(int(n.groups[i].in))
+	return n.child(i).run(child, l)
 }
 
 // case1 handles a single tree rooted at attribute x: one group per x-value.
 func (n *hierNode) case1(sub *mpc.Cluster, l int64) *mpc.Dist {
-	chargeLinear(sub, totalSize(n.active))
+	sub.ChargeSpread(totalSize(n.active))
 	out := mpc.NewDist(sub, unionSchema(n.active))
 
 	// Pack light groups greedily to capacity l (parallel-packing), in value
@@ -435,22 +426,22 @@ func (n *hierNode) case1(sub *mpc.Cluster, l int64) *mpc.Dist {
 	// recursions share no mutable state and run as forked tasks. Results
 	// and statistics are merged in group order afterwards, which keeps the
 	// output byte-identical to the serial loop for every worker count.
-	outs := make([]heavyOut, len(heavies))
+	outs := make([]*mpc.Dist, len(heavies))
 	runtime.Fork(len(heavies), func(i int) { outs[i] = n.runGroup(heavies[i], l) })
-	stats := make([]mpc.Stats, 0, len(outs))
+	subs := make([]*mpc.Cluster, len(outs))
 	offset := 0
-	for _, h := range outs {
-		stats = append(stats, h.stats)
-		for s := 0; s < h.res.C.P; s++ {
+	for g, h := range outs {
+		subs[g] = h.C
+		for s := 0; s < h.C.P; s++ {
 			dst := (offset + s) % sub.P
-			part := &h.res.Parts[s]
+			part := &h.Parts[s]
 			for i := 0; i < part.Len(); i++ {
-				out.Parts[dst].Append(padTo(part.Tuple(i), h.res.Schema, out.Schema), part.Annot(i))
+				out.Parts[dst].Append(padTo(part.Tuple(i), h.Schema, out.Schema), part.Annot(i))
 			}
 		}
-		offset += h.pa
+		offset += h.C.P
 	}
-	sub.MergeParallel(stats)
+	sub.Merge(subs...)
 	return out
 }
 
@@ -494,26 +485,25 @@ func (n *hierNode) joinLight(out *mpc.Dist, packs []int, l int64) {
 // on a p1 × … × pk grid with per-server cross products.
 func (n *hierNode) case2(sub *mpc.Cluster, l int64) *mpc.Dist {
 	k := len(n.groups)
-	chargeLinear(sub, totalSize(n.active))
+	sub.ChargeSpread(totalSize(n.active))
 
 	// The grid's dimensions compute independently per component (each on
 	// its own sub-cluster), so they run as parallel tasks, merged in
 	// component order.
 	dims := make([]int, k)
 	results := make([]*mpc.Dist, k)
-	stats := make([]mpc.Stats, k)
+	grid := make([]*mpc.Cluster, k)
 	runtime.Fork(k, func(i int) {
 		if n.groups[i].in <= l {
 			dims[i] = 1
 		} else {
 			dims[i] = n.serversFor(i, l)
 		}
-		child := mpc.NewCluster(dims[i])
-		chargeInput(child, int(n.groups[i].in))
-		results[i] = n.child(i).run(child, l)
-		stats[i] = child.Snapshot()
+		grid[i] = mpc.NewCluster(dims[i])
+		grid[i].ChargeInput(int(n.groups[i].in))
+		results[i] = n.child(i).run(grid[i], l)
 	})
-	sub.MergeGrid(stats)
+	sub.MergeGrid(grid...)
 
 	// Every grid cell (c1,…,ck) emits slice_1(c1) × … × slice_k(ck);
 	// distinct cells cover disjoint result combinations, so mapping cells

@@ -19,26 +19,6 @@ func materialize(dists []*mpc.Dist) []*relation.Relation {
 	return rels
 }
 
-// chargeLinear charges one linear-load statistics round: n tuples spread
-// over the cluster (degree counting, sum-by-key passes and the like).
-//
-//lint:load perP
-func chargeLinear(c *mpc.Cluster, n int) {
-	loads := make([]int, c.P)
-	per := n / c.P
-	rem := n % c.P
-	for s := range loads {
-		loads[s] = per
-		if s < rem {
-			loads[s]++
-		}
-	}
-	c.ChargeRound(loads)
-}
-
-// chargeInput charges a sub-problem's arrival at a fresh sub-cluster.
-func chargeInput(c *mpc.Cluster, n int) { c.ChargeInput(n) }
-
 // totalSize sums relation sizes.
 func totalSize(rels []*relation.Relation) int {
 	n := 0
@@ -198,7 +178,7 @@ func foldInto(host, small *relation.Relation, keyAttrs []relation.Attr, ring rel
 }
 
 // toDistInPlace spreads a relation's tuples round-robin over the cluster
-// without charging: they are already resident (charged by chargeInput).
+// without charging: they are already resident (charged by ChargeInput).
 func toDistInPlace(c *mpc.Cluster, r *relation.Relation, ring relation.Semiring) *mpc.Dist {
 	d := mpc.NewDist(c, r.Schema)
 	for i, t := range r.Tuples {

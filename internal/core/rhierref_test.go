@@ -55,7 +55,7 @@ func RHierRef(c *mpc.Cluster, in *Instance, seed uint64) *mpc.Dist {
 	// L is Thm 3's bound, computed from the reduced instance
 	// (2^m linear-load counting passes, charged below).
 	red := &Instance{Q: in.Q, Rels: rels, Ring: in.Ring}
-	chargeLinear(c, in.IN())
+	c.ChargeSpread(in.IN())
 	l := int64(in.IN()/c.P) + LInstance(red, c.P)
 	if l < 1 {
 		l = 1
@@ -82,7 +82,7 @@ func BinHCRef(c *mpc.Cluster, in *Instance, seed uint64, removeDangling bool) *m
 		dists = FullReduce(in, dists)
 	}
 	rels := materialize(dists)
-	chargeLinear(c, in.IN())
+	c.ChargeSpread(in.IN())
 	// BinHC picks the smallest load target whose share allocation fits in
 	// O(p) servers — computable from the degree statistics alone.
 	lo, hi := int64(in.IN()/c.P)+1, int64(in.IN())+1
@@ -140,7 +140,7 @@ func hierCase1Ref(sub *mpc.Cluster, active []*relation.Relation, fixed hypergrap
 
 	x := forest.Attrs[forest.Roots[0]]
 	groups := groupByValue(active, x)
-	chargeLinear(sub, totalSize(active))
+	sub.ChargeSpread(totalSize(active))
 
 	out := mpc.NewDist(sub, unionSchema(active))
 
@@ -193,34 +193,27 @@ func hierCase1Ref(sub *mpc.Cluster, active []*relation.Relation, fixed hypergrap
 	// recursions share no mutable state and run as forked tasks. Results
 	// and statistics are merged in group order afterwards, which keeps the
 	// output byte-identical to the serial loop for every worker count.
-	type heavyOut struct {
-		pa    int
-		stats mpc.Stats
-		res   *mpc.Dist
-	}
-	outs := make([]heavyOut, len(heavies))
+	outs := make([]*mpc.Dist, len(heavies))
 	runtime.Fork(len(heavies), func(i int) {
 		g := heavies[i]
-		pa := serversForRef(g, newFixed, l, size)
-		child := mpc.NewCluster(pa)
-		chargeInput(child, totalSize(g))
-		res := hierRecRef(child, g, newFixed, l, ring, size)
-		outs[i] = heavyOut{pa: pa, stats: child.Snapshot(), res: res}
+		child := mpc.NewCluster(serversForRef(g, newFixed, l, size))
+		child.ChargeInput(totalSize(g))
+		outs[i] = hierRecRef(child, g, newFixed, l, ring, size)
 	})
-	stats := make([]mpc.Stats, 0, len(outs))
+	subs := make([]*mpc.Cluster, len(outs))
 	offset := 0
-	for _, h := range outs {
-		stats = append(stats, h.stats)
-		for s := 0; s < h.res.C.P; s++ {
+	for g, h := range outs {
+		subs[g] = h.C
+		for s := 0; s < h.C.P; s++ {
 			dst := (offset + s) % sub.P
-			part := &h.res.Parts[s]
+			part := &h.Parts[s]
 			for i := 0; i < part.Len(); i++ {
-				out.Parts[dst].Append(padTo(part.Tuple(i), h.res.Schema, out.Schema), part.Annot(i))
+				out.Parts[dst].Append(padTo(part.Tuple(i), h.Schema, out.Schema), part.Annot(i))
 			}
 		}
-		offset += h.pa
+		offset += h.C.P
 	}
-	sub.MergeParallel(stats)
+	sub.Merge(subs...)
 	return out
 }
 
@@ -231,14 +224,14 @@ func hierCase2Ref(sub *mpc.Cluster, active []*relation.Relation, fixed hypergrap
 
 	comps := componentsByRoot(active, fixed, forest)
 	k := len(comps)
-	chargeLinear(sub, totalSize(active))
+	sub.ChargeSpread(totalSize(active))
 
 	// The grid's dimensions compute independently per component (each on
 	// its own sub-cluster), so they run as parallel tasks, merged in
 	// component order.
 	dims := make([]int, k)
 	slices := make([]*mpc.Dist, k)
-	stats := make([]mpc.Stats, k)
+	grid := make([]*mpc.Cluster, k)
 	runtime.Fork(k, func(i int) {
 		comp := comps[i]
 		ini := int64(totalSize(comp))
@@ -247,12 +240,11 @@ func hierCase2Ref(sub *mpc.Cluster, active []*relation.Relation, fixed hypergrap
 		} else {
 			dims[i] = serversForRef(comp, fixed, l, size)
 		}
-		child := mpc.NewCluster(dims[i])
-		chargeInput(child, totalSize(comp))
-		slices[i] = hierRecRef(child, comp, fixed, l, ring, size)
-		stats[i] = child.Snapshot()
+		grid[i] = mpc.NewCluster(dims[i])
+		grid[i].ChargeInput(totalSize(comp))
+		slices[i] = hierRecRef(grid[i], comp, fixed, l, ring, size)
 	})
-	sub.MergeGrid(stats)
+	sub.MergeGrid(grid...)
 
 	// Every grid cell (c1,…,ck) emits slice_1(c1) × … × slice_k(ck);
 	// distinct cells cover disjoint result combinations, so mapping cells

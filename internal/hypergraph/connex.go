@@ -1,7 +1,5 @@
 package hypergraph
 
-import "repro/internal/relation"
-
 // Section 6: join-aggregate queries. A query Q with output attributes y is
 // free-connex iff Q is acyclic and Q⁺ = (V, E ∪ {y}) is acyclic (the
 // standard characterization of Bagan, Durand and Grandjean, equivalent to
@@ -124,20 +122,4 @@ func rerooted(t *JoinTree, r int) *JoinTree {
 		nt.RemovalOrder = append(nt.RemovalOrder, order[i])
 	}
 	return nt
-}
-
-// TopAttrNode returns, for each attribute, the highest node of the subtree
-// of tree nodes containing it (TOP_T(x) in the paper's Algorithm 1). edges
-// must be the node schemas indexed like the tree.
-func TopAttrNode(tree *JoinTree, edges []AttrSet) map[relation.Attr]int {
-	top := make(map[relation.Attr]int)
-	depth := func(u int) int { return tree.Depth(u) }
-	for u, e := range edges {
-		for _, a := range e {
-			if cur, ok := top[a]; !ok || depth(u) < depth(cur) {
-				top[a] = u
-			}
-		}
-	}
-	return top
 }

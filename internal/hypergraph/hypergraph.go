@@ -142,21 +142,6 @@ type JoinTree struct {
 	RemovalOrder []int
 }
 
-// PostOrder returns the node indices of the subtree rooted at r in
-// post-order (children before parents).
-func (t *JoinTree) PostOrder(r int) []int {
-	var out []int
-	var walk func(u int)
-	walk = func(u int) {
-		for _, c := range t.Children[u] {
-			walk(c)
-		}
-		out = append(out, u)
-	}
-	walk(r)
-	return out
-}
-
 // Depth returns the number of edges on the path from node u to the root.
 func (t *JoinTree) Depth(u int) int {
 	d := 0

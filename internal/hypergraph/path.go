@@ -39,17 +39,3 @@ func (h *Hypergraph) MinimalPath3() ([4]relation.Attr, bool) {
 	}
 	return [4]relation.Attr{}, false
 }
-
-// PathEdges returns, for a minimal path (x1,x2,x3,x4), indices of edges
-// e1 ⊇ {x1,x2}, e2 ⊇ {x2,x3}, e3 ⊇ {x3,x4} (the first found of each).
-func (h *Hypergraph) PathEdges(p [4]relation.Attr) [3]int {
-	find := func(a, b relation.Attr) int {
-		for i, e := range h.Edges {
-			if e.Has(a) && e.Has(b) {
-				return i
-			}
-		}
-		return -1
-	}
-	return [3]int{find(p[0], p[1]), find(p[1], p[2]), find(p[2], p[3])}
-}

@@ -26,7 +26,8 @@ import (
 // because a statically-empty sub-query has no communication to charge.
 //
 // Rule 2 — charges are not skipped behind non-emptiness guards. A call to
-// Charge/ChargeRound/ChargeInput/chargeCoordinatorExchange nested under a
+// one of the Cluster's synthetic charges (Charge, ChargeRound, ChargeInput,
+// ChargeSpread, ChargeCoordinator, ChargeDirectory) nested under a
 // positivity test (`if n > 0 { c.ChargeRound(...) }`) silently deletes a
 // round exactly when the input is empty, so the round count stops being a
 // function of the query's logical structure. Charge unconditionally, or
@@ -55,13 +56,13 @@ var commFuncs = map[string]bool{
 	// sort-and-chop plus the explicit charges
 	"sortAndChop": true, "chopBounds": true,
 	"Charge": true, "ChargeRound": true, "ChargeInput": true,
-	"chargeCoordinatorExchange": true,
+	"ChargeSpread": true, "ChargeCoordinator": true, "ChargeDirectory": true,
 }
 
 // chargeOnlyFuncs are the explicit synthetic charges rule 2 guards.
 var chargeOnlyFuncs = map[string]bool{
 	"Charge": true, "ChargeRound": true, "ChargeInput": true,
-	"chargeCoordinatorExchange": true,
+	"ChargeSpread": true, "ChargeCoordinator": true, "ChargeDirectory": true,
 }
 
 func runCharging(pass *analysis.Pass) (interface{}, error) {

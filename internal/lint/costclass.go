@@ -399,9 +399,9 @@ func (c *classifier) nodeClass(fs *funcScope, n ast.Node) costClass {
 }
 
 // spawnClass handles go/defer: a spawned closure's charges land on a child
-// cluster (runtime.Fork's contract, returning through the Merge* facts) or
-// outside this round structure, so a FuncLit operand is skipped; a named
-// callee is charged normally (a deferred charge still runs in this
+// cluster (runtime.Fork's contract, returning through the Merge/MergeGrid
+// facts) or outside this round structure, so a FuncLit operand is skipped;
+// a named callee is charged normally (a deferred charge still runs in this
 // function's dynamic extent).
 func (c *classifier) spawnClass(fs *funcScope, call *ast.CallExpr) costClass {
 	class := costClass(0)

@@ -53,14 +53,22 @@ var orderSinkMethods = map[string]bool{
 	"WriteString":   true,
 }
 
-// chargeMethods are the cluster-charging entry points: calling one inside
-// a map range makes the round structure depend on iteration order.
+// chargeMethods are the cluster ledger's entry points: its writers
+// (receive, newRound, bookExchange), the synthetic charges and the merges.
+// Calling one inside a map range makes the round structure depend on
+// iteration order.
 var chargeMethods = map[string]bool{
-	"Charge":      true,
-	"ChargeRound": true,
-	"ChargeInput": true,
-	"Receive":     true,
-	"newRound":    true,
+	"receive":           true,
+	"newRound":          true,
+	"bookExchange":      true,
+	"Charge":            true,
+	"ChargeRound":       true,
+	"ChargeInput":       true,
+	"ChargeSpread":      true,
+	"ChargeCoordinator": true,
+	"ChargeDirectory":   true,
+	"Merge":             true,
+	"MergeGrid":         true,
 }
 
 func runDeterminism(pass *analysis.Pass) (interface{}, error) {

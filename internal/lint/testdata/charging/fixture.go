@@ -9,6 +9,7 @@ type cluster struct{}
 
 func (c *cluster) Charge(s, n int)           {}
 func (c *cluster) ChargeRound(loads []int64) {}
+func (c *cluster) ChargeSpread(total int)    {}
 
 type dist struct{ c *cluster }
 
@@ -30,6 +31,14 @@ func UnchargedEarlyOut(d *dist, parts int) int {
 func GuardedCharge(c *cluster, n int) {
 	if n > 0 {
 		c.ChargeRound(nil) // want `ChargeRound is skipped when the input is empty`
+	}
+}
+
+// GuardedSpread is GuardedCharge through the spread charge: an empty input
+// loses its statistics round.
+func GuardedSpread(c *cluster, n int) {
+	if n > 0 {
+		c.ChargeSpread(n) // want `ChargeSpread is skipped when the input is empty`
 	}
 }
 

@@ -18,7 +18,12 @@ func (e *emitter) Drain() []string { return e.rows }
 
 type cluster struct{}
 
-func (c *cluster) ChargeRound(loads []int64) {}
+func (c *cluster) ChargeRound(loads []int64)  {}
+func (c *cluster) receive(r, s, n int)        {}
+func (c *cluster) bookExchange(totals []int)  {}
+func (c *cluster) ChargeCoordinator()         {}
+func (c *cluster) Merge(subs ...*cluster)     {}
+func (c *cluster) MergeGrid(dims ...*cluster) {}
 
 func mapOrderLeaks(m map[string]int, e *emitter, c *cluster) []string {
 	var out []string
@@ -29,6 +34,18 @@ func mapOrderLeaks(m map[string]int, e *emitter, c *cluster) []string {
 		_ = v
 	}
 	return out
+}
+
+// ledgerWritesInMapRange reaches the ledger through its writers, a
+// synthetic charge and the merges: each books rounds in iteration order.
+func ledgerWritesInMapRange(m map[int]int, c *cluster, subs []*cluster) {
+	for s, n := range m {
+		c.receive(0, s, n)       // want `round charge inside a range over a map: receive`
+		c.bookExchange([]int{n}) // want `round charge inside a range over a map: bookExchange`
+		c.ChargeCoordinator()    // want `round charge inside a range over a map: ChargeCoordinator`
+		c.Merge(subs[s])         // want `round charge inside a range over a map: Merge`
+		c.MergeGrid(subs[s])     // want `round charge inside a range over a map: MergeGrid`
+	}
 }
 
 func wallClockAndGlobalRand() int {

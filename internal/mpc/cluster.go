@@ -9,11 +9,16 @@
 // emitting join results is free (the paper's zero-cost emit()).
 //
 // Recursive algorithms (Sections 3.2 and 5.1) run sub-computations on
-// sub-clusters and merge their statistics back: sequential phases append
-// rounds; parallel sibling groups on disjoint servers take per-round maxima;
-// the Cartesian-grid arrangement of Section 3.2 Case 2 adds per-dimension
-// maxima (exact, because the grid contains a server at the argmax coordinate
-// of every dimension).
+// sub-clusters and merge them back by one rule: the merged ledger gains one
+// round per sub-ledger round (the input round only when some sub-cluster
+// received input), and each round's load combines the sub-clusters' round
+// maxima. Sub-clusters on disjoint server groups combine by the maximum (a
+// single sub-cluster is a sequential phase); the Cartesian grid of Section
+// 3.2 Case 2 combines by the sum, exact because the grid contains a server
+// at the argmax coordinate of every dimension. Every synthetic charge —
+// communication whose routing is fully determined, so it is booked without
+// being materialized — is a Cluster method too, so this file is the whole
+// ledger.
 package mpc
 
 import "fmt"
@@ -121,15 +126,13 @@ func (c *Cluster) TotalComm() int {
 	return sum
 }
 
-// Stats summarizes a (sub-)computation for composition.
+// Stats summarizes a computation's ledger: what tests compare for
+// equality between a computation and its reference.
 type Stats struct {
 	P         int
 	RoundMaxs []int // per-round maximum per-server load, excluding input
 	InputMax  int   // round-0 maximum
-	// Exchange carries the sub-computation's batched-exchange counters
-	// (its own plus anything already merged into it), folded into the
-	// parent by the Merge* calls.
-	Exchange ExchangeStats
+	Exchange  ExchangeStats
 }
 
 // Snapshot extracts the cluster's statistics.
@@ -141,73 +144,18 @@ func (c *Cluster) Snapshot() Stats {
 	return s
 }
 
-// addExchange folds a merged sub-computation's exchange counters into c's.
-func (c *Cluster) addExchange(e ExchangeStats) {
-	c.exchange.Exchanges += e.Exchanges
-	c.exchange.Tuples += e.Tuples
-	c.exchange.ActiveDests += e.ActiveDests
-}
-
-// MergeSequential appends a sub-computation's rounds after the current ones:
-// the sub-computation ran on (a subset of) this cluster's servers, after
-// everything recorded so far. Per-round maxima are preserved exactly.
+// Merge books sub-computations that ran simultaneously on disjoint server
+// groups, after everything recorded so far: each merged round carries the
+// largest round maximum any sub-cluster reached in it. A single sub-cluster
+// is a sequential phase, its round maxima appended verbatim.
 //
-//lint:rounds const trust appends one round per sub-computation round, a count set by the query's recursion structure
-//lint:load linear trust replays the sub-computation's round maxima verbatim; the sub-run's own declarations bound them
-func (c *Cluster) MergeSequential(sub Stats) {
-	// The sub-computation's input round was a real exchange from this
-	// cluster's perspective (data had to reach the sub-cluster's servers),
-	// so it is appended as a communication round when non-zero.
-	if sub.InputMax > 0 {
-		r := c.newRound()
-		c.receive(r, 0, sub.InputMax)
-	}
-	for _, m := range sub.RoundMaxs {
-		r := c.newRound()
-		c.receive(r, 0, m)
-	}
-	c.addExchange(sub.Exchange)
+//lint:rounds const trust appends max sub-cluster rounds, a count set by the query's recursion structure
+//lint:load linear trust replays max sub-cluster round maxima; the sub-runs' own declarations bound them
+func (c *Cluster) Merge(subs ...*Cluster) {
+	c.merge(subs, func(acc, m int) int { return max(acc, m) })
 }
 
-// MergeParallel merges sibling sub-computations that ran simultaneously on
-// disjoint server groups: round r's maximum is the max over the siblings'
-// round-r maxima. Input rounds are likewise merged in parallel.
-//
-//lint:rounds const trust appends max sibling rounds, a count set by the query's recursion structure
-//lint:load linear trust replays max sibling round maxima; the sub-runs' own declarations bound them
-func (c *Cluster) MergeParallel(subs []Stats) {
-	if len(subs) == 0 {
-		return
-	}
-	maxRounds, maxInput := 0, 0
-	for _, s := range subs {
-		if len(s.RoundMaxs) > maxRounds {
-			maxRounds = len(s.RoundMaxs)
-		}
-		if s.InputMax > maxInput {
-			maxInput = s.InputMax
-		}
-	}
-	if maxInput > 0 {
-		r := c.newRound()
-		c.receive(r, 0, maxInput)
-	}
-	for i := 0; i < maxRounds; i++ {
-		r := c.newRound()
-		m := 0
-		for _, s := range subs {
-			if i < len(s.RoundMaxs) && s.RoundMaxs[i] > m {
-				m = s.RoundMaxs[i]
-			}
-		}
-		c.receive(r, 0, m)
-	}
-	for _, s := range subs {
-		c.addExchange(s.Exchange)
-	}
-}
-
-// MergeGrid merges the per-dimension computations of a Cartesian-grid
+// MergeGrid books the per-dimension computations of a Cartesian-grid
 // arrangement (Section 3.2 Case 2): every grid server participates in one
 // group per dimension, so its load in a round is the SUM over dimensions of
 // the load it receives from each group. The per-round maximum over the grid
@@ -216,33 +164,34 @@ func (c *Cluster) MergeParallel(subs []Stats) {
 //
 //lint:rounds const trust appends max per-dimension rounds, a count set by the query's recursion structure
 //lint:load linear trust replays summed per-dimension round maxima; the sub-runs' own declarations bound them
-func (c *Cluster) MergeGrid(dims []Stats) {
-	if len(dims) == 0 {
-		return
+func (c *Cluster) MergeGrid(dims ...*Cluster) {
+	c.merge(dims, func(acc, m int) int { return acc + m })
+}
+
+// merge is the one composition rule: it appends one round per round of the
+// longest sub-ledger, whose load on server 0 combines the round maxima of
+// the sub-clusters that reached that round, and folds in their exchange
+// counters. A sub-computation's input round was a real exchange from c's
+// perspective (data had to reach the sub-cluster's servers), so it is
+// appended as a communication round when some sub-cluster received input.
+func (c *Cluster) merge(subs []*Cluster, combine func(acc, m int) int) {
+	rounds := 0
+	for _, sub := range subs {
+		rounds = max(rounds, len(sub.rounds))
+		c.exchange.Exchanges += sub.exchange.Exchanges
+		c.exchange.Tuples += sub.exchange.Tuples
+		c.exchange.ActiveDests += sub.exchange.ActiveDests
 	}
-	maxRounds, sumInput := 0, 0
-	for _, s := range dims {
-		if len(s.RoundMaxs) > maxRounds {
-			maxRounds = len(s.RoundMaxs)
-		}
-		sumInput += s.InputMax
-	}
-	if sumInput > 0 {
-		r := c.newRound()
-		c.receive(r, 0, sumInput)
-	}
-	for i := 0; i < maxRounds; i++ {
-		r := c.newRound()
-		sum := 0
-		for _, s := range dims {
-			if i < len(s.RoundMaxs) {
-				sum += s.RoundMaxs[i]
+	for r := range rounds {
+		m := 0
+		for _, sub := range subs {
+			if r < len(sub.rounds) {
+				m = combine(m, sub.RoundMax(r))
 			}
 		}
-		c.receive(r, 0, sum)
-	}
-	for _, s := range dims {
-		c.addExchange(s.Exchange)
+		if r > 0 || m > 0 {
+			c.receive(c.newRound(), 0, m)
+		}
 	}
 }
 
@@ -292,4 +241,55 @@ func (c *Cluster) ChargeRound(loads []int) {
 	for s, n := range loads {
 		c.receive(r, s, n)
 	}
+}
+
+// ChargeSpread records total tuples spread evenly over the servers in one
+// fresh round: a linear-load statistics pass (degree counting, sum-by-key
+// passes and the like).
+//
+//lint:load perP
+//lint:rounds const
+func (c *Cluster) ChargeSpread(total int) {
+	loads := make([]int, c.P)
+	per := total / c.P
+	rem := total % c.P
+	for s := range loads {
+		loads[s] = per
+		if s < rem {
+			loads[s]++
+		}
+	}
+	c.ChargeRound(loads)
+}
+
+// ChargeCoordinator records the standard boundary-information exchange:
+// every server sends O(1) values to the coordinator (load p at server 0),
+// which replies with O(1) values to each server (load 1 each).
+//
+//lint:load const
+//lint:rounds const
+func (c *Cluster) ChargeCoordinator() {
+	c.Charge(0, c.P)
+	ones := make([]int, c.P)
+	for i := range ones {
+		ones[i] = 1
+	}
+	c.ChargeRound(ones)
+}
+
+// ChargeDirectory records gathering n directory entries to the coordinator
+// and broadcasting them to every server. An empty directory books nothing.
+//
+//lint:load const trust callers pass O(p) directory entries, set by degree thresholds, not by the data
+//lint:rounds const
+func (c *Cluster) ChargeDirectory(n int) {
+	if n == 0 {
+		return
+	}
+	c.Charge(0, n)
+	loads := make([]int, c.P)
+	for i := range loads {
+		loads[i] = n
+	}
+	c.ChargeRound(loads)
 }

@@ -331,23 +331,23 @@ func TestExchangeStatsDeterministic(t *testing.T) {
 }
 
 // TestExchangeStatsFoldFromSubClusters: Snapshot carries a sub-cluster's
-// exchange counters and every Merge* folds them into the parent, so
+// exchange counters and both merges fold them into the parent, so
 // recursive algorithms do not drop the routing their sub-computations did.
 func TestExchangeStatsFoldFromSubClusters(t *testing.T) {
 	const n = 8192
-	mkChild := func() Stats {
+	mkChild := func() *Cluster {
 		child := NewCluster(4)
 		exchangeTestDist(child, n, 9).ShuffleByKey([]int{0}, 1)
-		return child.Snapshot()
+		return child
 	}
-	if mkChild().Exchange.Tuples != n {
+	if mkChild().Snapshot().Exchange.Tuples != n {
 		t.Fatalf("Snapshot dropped the child's exchange stats")
 	}
 
 	parent := NewCluster(8)
-	parent.MergeParallel([]Stats{mkChild(), mkChild()})
-	parent.MergeGrid([]Stats{mkChild()})
-	parent.MergeSequential(mkChild())
+	parent.Merge(mkChild(), mkChild())
+	parent.MergeGrid(mkChild())
+	parent.Merge(mkChild())
 	got := parent.Exchange()
 	if got.Exchanges != 4 || got.Tuples != 4*n {
 		t.Fatalf("folded stats %+v, want 4 exchanges / %d tuples", got, 4*n)

@@ -2,6 +2,7 @@ package mpc
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -205,7 +206,7 @@ func TestMergeSequential(t *testing.T) {
 	sub.input(0, 10)
 	r := sub.newRound()
 	sub.receive(r, 1, 7)
-	c.MergeSequential(sub.Snapshot())
+	c.Merge(sub)
 	if c.MaxLoad() != 10 {
 		t.Errorf("MaxLoad = %d, want 10", c.MaxLoad())
 	}
@@ -214,31 +215,82 @@ func TestMergeSequential(t *testing.T) {
 	}
 }
 
-func TestMergeParallel(t *testing.T) {
-	c := NewCluster(4)
-	mk := func(load int) Stats {
-		s := NewCluster(2)
-		r := s.newRound()
-		s.receive(r, 0, load)
-		return s.Snapshot()
+// mkSub returns a 2-server sub-cluster with input on server 1 and one
+// exchange round per load, each delivering its load to server 0.
+func mkSub(input int, loads ...int) *Cluster {
+	s := NewCluster(2)
+	s.input(1, input)
+	for _, n := range loads {
+		s.newRound()
+		s.bookExchange([]int{n, 0})
 	}
-	c.MergeParallel([]Stats{mk(5), mk(9), mk(3)})
-	if c.MaxLoad() != 9 {
-		t.Errorf("parallel merge MaxLoad = %d, want 9", c.MaxLoad())
+	return s
+}
+
+// TestMergeParallel pins the one merge rule on unequal sub-ledgers: the
+// input round appears only when some sub-cluster received input, a shorter
+// sub-ledger adds nothing past its last round, disjoint groups take the
+// per-round maximum where the grid takes the sum, merged rounds follow the
+// ones already booked, and every sub-cluster's exchange counters fold in.
+func TestMergeParallel(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		merge func(c *Cluster, subs ...*Cluster)
+		subs  []*Cluster
+		want  []int // merged round maxima, after the parent's own round
+	}{
+		{"max, no input", (*Cluster).Merge, []*Cluster{mkSub(0, 5, 2), mkSub(0, 3)}, []int{5, 2}},
+		{"sum, no input", (*Cluster).MergeGrid, []*Cluster{mkSub(0, 5, 2), mkSub(0, 3)}, []int{8, 2}},
+		{"max, one input", (*Cluster).Merge, []*Cluster{mkSub(0, 5, 2), mkSub(4, 1)}, []int{4, 5, 2}},
+		{"sum, one input", (*Cluster).MergeGrid, []*Cluster{mkSub(0, 5, 2), mkSub(4, 1)}, []int{4, 6, 2}},
+		{"max of three", (*Cluster).Merge, []*Cluster{mkSub(0, 5), mkSub(0, 9), mkSub(0, 3)}, []int{9}},
+		{"no sub-clusters", (*Cluster).MergeGrid, nil, nil},
+	} {
+		c := NewCluster(4)
+		c.Charge(3, 1)
+		var ex ExchangeStats
+		for _, s := range tc.subs {
+			ex.Exchanges += s.exchange.Exchanges
+			ex.Tuples += s.exchange.Tuples
+			ex.ActiveDests += s.exchange.ActiveDests
+		}
+		tc.merge(c, tc.subs...)
+		want := append([]int{1}, tc.want...)
+		comm := 0
+		for _, m := range want {
+			comm += m
+		}
+		if got := c.Snapshot().RoundMaxs; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: round maxima %v, want %v", tc.name, got, want)
+		}
+		if c.Rounds() != len(want) || c.TotalComm() != comm {
+			t.Errorf("%s: %d rounds / %d tuples, want %d / %d", tc.name, c.Rounds(), c.TotalComm(), len(want), comm)
+		}
+		if c.Exchange() != ex {
+			t.Errorf("%s: exchange %+v, want %+v", tc.name, c.Exchange(), ex)
+		}
 	}
 }
 
 func TestMergeGridSums(t *testing.T) {
 	c := NewCluster(4)
-	mk := func(load int) Stats {
-		s := NewCluster(2)
-		r := s.newRound()
-		s.receive(r, 0, load)
-		return s.Snapshot()
-	}
-	c.MergeGrid([]Stats{mk(5), mk(9)})
+	c.MergeGrid(mkSub(0, 5), mkSub(0, 9))
 	if c.MaxLoad() != 14 {
 		t.Errorf("grid merge MaxLoad = %d, want 14", c.MaxLoad())
+	}
+}
+
+// TestChargeDirectory: gathering and broadcasting n entries is two rounds
+// with load n on every server, and an empty directory books nothing.
+func TestChargeDirectory(t *testing.T) {
+	c := NewCluster(3)
+	c.ChargeDirectory(0)
+	if c.Rounds() != 0 {
+		t.Fatalf("empty directory booked %d rounds", c.Rounds())
+	}
+	c.ChargeDirectory(5)
+	if got := c.Snapshot().RoundMaxs; !reflect.DeepEqual(got, []int{5, 5}) || c.TotalComm() != 5+3*5 {
+		t.Errorf("directory of 5: round maxima %v, comm %d", got, c.TotalComm())
 	}
 }
 

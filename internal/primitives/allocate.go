@@ -14,12 +14,13 @@ func (r Range) Width() int { return r.Hi - r.Lo }
 // directory with one item per subproblem, annotated with the number of
 // servers p(j) it needs, it assigns disjoint ranges [p1(j), p2(j)) with
 // max_j p2(j) ≤ Σ_j p(j). Every server learns the full directory, which has
-// O(#subproblems) entries — the callers guarantee #subproblems = O(p).
+// O(#subproblems) entries — the callers guarantee #subproblems = O(p). An
+// empty directory charges nothing.
 //
 // The ranges come back in directory order (server-major, rows in part
 // order): range j belongs to the j-th subproblem tuple.
 //
-//lint:load const trust callers guarantee O(p) subproblems, so the broadcast directory has O(p) entries
+//lint:load const
 //lint:rounds const
 func AllocateServers(dir *mpc.Dist) []Range {
 	n := dir.Size()
@@ -48,13 +49,6 @@ func AllocateServers(dir *mpc.Dist) []Range {
 	if distinct != n {
 		panic("primitives: AllocateServers duplicate subproblem key")
 	}
-	// Gather directory to the coordinator, then broadcast: every server
-	// receives the whole directory.
-	dir.C.Charge(0, n)
-	loads := make([]int, dir.C.P)
-	for i := range loads {
-		loads[i] = n
-	}
-	dir.C.ChargeRound(loads)
+	dir.C.ChargeDirectory(n)
 	return out
 }

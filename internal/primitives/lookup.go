@@ -133,7 +133,7 @@ func multiSearch(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation
 			}
 		}
 	}
-	chargeCoordinatorExchange(x.C)
+	x.C.ChargeCoordinator()
 
 	runtime.Fork(x.C.P, func(s int) {
 		window := order[bounds[s]:bounds[s+1]]
@@ -220,7 +220,7 @@ func DistinctByKey(d *mpc.Dist, keyAttrs []relation.Attr) *mpc.Dist {
 	// chunk ends with the same key (boundary info via coordinator). Equal
 	// keys are adjacent after the sort, so the previously kept row index is
 	// all the boundary state needed.
-	chargeCoordinatorExchange(d.C)
+	d.C.ChargeCoordinator()
 	out := mpc.NewDist(d.C, schema)
 	prev := -1
 	for s := 0; s < d.C.P; s++ {

@@ -57,7 +57,7 @@ func MultiNumbering(d *mpc.Dist, keyAttrs []relation.Attr, numberAttr relation.A
 		}
 		runRow = last
 	}
-	chargeCoordinatorExchange(d.C)
+	d.C.ChargeCoordinator()
 
 	out := mpc.NewDist(d.C, outSchema)
 	for s := 0; s < d.C.P; s++ {

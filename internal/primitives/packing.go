@@ -56,7 +56,7 @@ func ParallelPacking(d *mpc.Dist, capacity int64) (*mpc.Dist, int) {
 	}
 
 	// Prefix sums over g_i (full group counts) via the coordinator.
-	chargeCoordinatorExchange(d.C)
+	d.C.ChargeCoordinator()
 	next := 0
 	out := mpc.NewDist(d.C, d.Schema)
 	assign := func(s int, g group, id int) {
@@ -74,7 +74,7 @@ func ParallelPacking(d *mpc.Dist, capacity int64) (*mpc.Dist, int) {
 	// Coordinator packs the ≤ p partial groups (each < capacity/2) greedily;
 	// closing only when the next unit would overflow keeps every closed
 	// group ≥ capacity/2.
-	chargeCoordinatorExchange(d.C)
+	d.C.ChargeCoordinator()
 	var curSum int64
 	curID := -1
 	for s, g := range partialPerServer {

@@ -82,15 +82,11 @@ func TestCountByKeyIgnoresAnnotations(t *testing.T) {
 	}
 }
 
-func TestTotalSum(t *testing.T) {
-	c, d := buildDist(4, 100, 10, 2)
-	if got := TotalSum(d, relation.CountRing); got != 100 {
-		t.Errorf("TotalSum = %d, want 100", got)
+func TestTotalCount(t *testing.T) {
+	_, d := buildDist(4, 100, 10, 2)
+	if got := TotalCount(d); got != 100 {
+		t.Errorf("TotalCount = %d, want 100", got)
 	}
-	if TotalCount(d) != 100 {
-		t.Error("TotalCount wrong")
-	}
-	_ = c
 }
 
 func TestLookupExactMatch(t *testing.T) {
@@ -380,6 +376,15 @@ func TestAllocateServers(t *testing.T) {
 	}
 	if total != 10 {
 		t.Errorf("total width = %d, want 10", total)
+	}
+	if c.Rounds() != 2 || c.TotalComm() != 3+4*3 {
+		t.Errorf("directory charged %d rounds / %d tuples, want 2 / 15", c.Rounds(), c.TotalComm())
+	}
+
+	// An empty directory allocates nothing and charges nothing.
+	empty := mpc.NewCluster(4)
+	if ranges := AllocateServers(mpc.NewDist(empty, dir.Schema)); len(ranges) != 0 || empty.Rounds() != 0 {
+		t.Errorf("empty directory: ranges %v, %d rounds", ranges, empty.Rounds())
 	}
 }
 

@@ -154,7 +154,7 @@ func distinctByKeyRef(d *mpc.Dist, keyAttrs []relation.Attr) *mpc.Dist {
 		}
 	}
 	bounds := sortAndChop(d.C, rc)
-	chargeCoordinatorExchange(d.C)
+	d.C.ChargeCoordinator()
 	out := mpc.NewDist(d.C, schema)
 	prev := -1
 	for s := 0; s < d.C.P; s++ {
@@ -212,7 +212,7 @@ func lookupRef(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.A
 			}
 		}
 	}
-	chargeCoordinatorExchange(x.C)
+	x.C.ChargeCoordinator()
 
 	out := mpc.NewDist(x.C, outSchema)
 	for s := 0; s < x.C.P; s++ {

@@ -61,18 +61,3 @@ func chopBounds(c *mpc.Cluster, n int) []int {
 	c.ChargeRound(loads)
 	return bounds
 }
-
-// chargeCoordinatorExchange charges the standard boundary-information
-// exchange: every server sends O(1) values to the coordinator (load p at
-// server 0), which replies with O(1) values to each server (load 1 each).
-//
-//lint:load const
-//lint:rounds const
-func chargeCoordinatorExchange(c *mpc.Cluster) {
-	c.Charge(0, c.P)
-	ones := make([]int, c.P)
-	for i := range ones {
-		ones[i] = 1
-	}
-	c.ChargeRound(ones)
-}

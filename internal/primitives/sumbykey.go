@@ -68,31 +68,14 @@ func localCombine(d *mpc.Dist, pos []int, schema relation.Schema, ring relation.
 	return out
 }
 
-// TotalSum combines all annotations into a single value via ring.Add,
-// charging the coordinator tree: each server one partial (load p at the
-// coordinator), then a broadcast of the single total (load 1 per server).
-// Every server then "knows" the value; the caller gets it directly.
-//
-//lint:load const
-//lint:rounds const
-func TotalSum(d *mpc.Dist, ring relation.Semiring) int64 {
-	total := ring.Zero
-	for s := range d.Parts {
-		part := &d.Parts[s]
-		for i := 0; i < part.Len(); i++ {
-			total = ring.Add(total, part.Annot(i))
-		}
-	}
-	chargeCoordinatorExchange(d.C)
-	return total
-}
-
-// TotalCount returns the number of items, charged like TotalSum.
+// TotalCount returns the number of items, charging the coordinator tree:
+// each server one partial count (load p at the coordinator), then a
+// broadcast of the total (load 1 per server).
 //
 //lint:load const
 //lint:rounds const
 func TotalCount(d *mpc.Dist) int64 {
 	n := int64(d.Size())
-	chargeCoordinatorExchange(d.C)
+	d.C.ChargeCoordinator()
 	return n
 }
