@@ -73,11 +73,36 @@ func main() {
 		panic(err)
 	}
 	best := relation.MaxPlusRing.Zero
+	got := map[[2]relation.Value]int64{}
 	for _, it := range maxRes.Dist.All() {
-		if it.A > best {
-			best = it.A
-		}
+		got[[2]relation.Value{it.T[0], it.T[1]}] = it.A
+		best = relation.MaxPlusRing.Add(best, it.A)
 	}
 	fmt.Printf("\nMAX-score per group via (max,+) semiring: %d groups, best score %d, load %d\n",
 		maxRes.Dist.Size(), best, maxRes.Load)
+
+	// The naive oracle under the same ring: the max over each group's join
+	// results. customer and orders carry no scores, so they add the ring's
+	// One (0) to every result, not 1.
+	oracleIn := *inMax
+	oracleIn.Ring = relation.MaxPlusRing
+	full := core.Naive(&oracleIn)
+	pos := full.Schema.Positions(y.Schema())
+	want := map[[2]relation.Value]int64{}
+	for i, t := range full.Tuples {
+		k := [2]relation.Value{t[pos[0]], t[pos[1]]}
+		if a, ok := want[k]; ok {
+			want[k] = relation.MaxPlusRing.Add(a, full.Annot(i))
+		} else {
+			want[k] = full.Annot(i)
+		}
+	}
+	if len(got) != len(want) {
+		panic(fmt.Sprintf("MAX aggregate has %d groups, the oracle %d", len(got), len(want)))
+	}
+	for k, w := range want {
+		if got[k] != w {
+			panic(fmt.Sprintf("MAX aggregate of group %v is %d, the oracle says %d", k, got[k], w))
+		}
+	}
 }

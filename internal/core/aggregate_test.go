@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/hypergraph"
@@ -251,5 +252,45 @@ func TestAbsorbKeepsTheHostsOwnRelation(t *testing.T) {
 	}
 	if n := CountOutput(mpc.NewCluster(2), in, 1); n != 2 {
 		t.Errorf("CountOutput = %d, want 2", n)
+	}
+}
+
+// TestMaxPlusReadsUnannotatedAsOne: under max-plus, whose One is 0, an
+// unannotated relation contributes One per tuple, not the value 1. Naive
+// and Aggregate answer the same on line-3 with R1 and R2 unannotated as
+// with R1 and R2 annotated with One explicitly, and Aggregate agrees with
+// the oracle on both.
+func TestMaxPlusReadsUnannotatedAsOne(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	bare := randInstance(rng, hypergraph.Line3(), 40, 6)
+	bare.Ring = relation.MaxPlusRing
+	r3 := bare.Rels[2]
+	r3.Annots = make([]int64, r3.Size())
+	for i := range r3.Annots {
+		r3.Annots[i] = int64(i % 7)
+	}
+	explicit := bare.Clone()
+	for _, r := range explicit.Rels[:2] {
+		r.Annots = make([]int64, r.Size())
+		for i := range r.Annots {
+			r.Annots[i] = relation.MaxPlusRing.One
+		}
+	}
+	nb, ne := Naive(bare), Naive(explicit)
+	if nb.Size() == 0 || !reflect.DeepEqual(nb.Tuples, ne.Tuples) || !reflect.DeepEqual(nb.Annots, ne.Annots) {
+		t.Fatalf("Naive differs between unannotated and One-annotated input (%d rows)", nb.Size())
+	}
+	y := hypergraph.NewAttrSet(2, 3)
+	want := naiveAggregate(explicit, y)
+	for name, in := range map[string]*Instance{"unannotated": bare, "explicit": explicit} {
+		got := Aggregate(mpc.NewCluster(4), in, y, 1)
+		if got.Size() != len(want) {
+			t.Fatalf("%s: %d groups, want %d", name, got.Size(), len(want))
+		}
+		for _, it := range got.All() {
+			if k := relation.KeyAt(it.T, []int{0, 1}); it.A != want[k] {
+				t.Errorf("%s: group %v = %d, want %d", name, it.T, it.A, want[k])
+			}
+		}
 	}
 }

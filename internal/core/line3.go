@@ -111,20 +111,9 @@ func line3Attrs(in *Instance) (relation.Attr, relation.Attr) {
 }
 
 // splitByDegree attaches deg's annotation (0 when missing) per key and
-// partitions d into (heavy, light) by threshold tau. One lookup round; the
-// split itself is local.
+// partitions d into (heavy, light) by threshold tau: one multi-search
+// writing both sides, the split itself local.
 func splitByDegree(d *mpc.Dist, keyAttrs []relation.Attr, deg *mpc.Dist, tau int64) (heavy, light *mpc.Dist) {
-	heavy = primitives.Lookup(d, keyAttrs, deg, keyAttrs, d.Schema,
-		func(out *mpc.Columns, it mpc.Item, r primitives.LookupResult) {
-			if r.Found && r.DAnnot > tau {
-				out.Append(it.T, it.A)
-			}
-		})
-	light = primitives.Lookup(d, keyAttrs, deg, keyAttrs, d.Schema,
-		func(out *mpc.Columns, it mpc.Item, r primitives.LookupResult) {
-			if !r.Found || r.DAnnot <= tau {
-				out.Append(it.T, it.A)
-			}
-		})
-	return heavy, light
+	return primitives.SplitLookup(d, keyAttrs, deg, keyAttrs,
+		func(r primitives.LookupResult) bool { return r.Found && r.DAnnot > tau })
 }

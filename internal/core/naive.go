@@ -43,10 +43,11 @@ func NaiveCount(in *Instance) int64 {
 // stays on the calling goroutine.
 const naiveJoinSerialBelow = 1 << 12
 
-// naiveJoin hash-joins a and b on their shared attributes. The build side
-// is indexed once; the probe side is cut into contiguous chunks joined in
-// parallel and concatenated in chunk order, so the result is identical to
-// the serial probe for every worker count.
+// naiveJoin hash-joins a and b on their shared attributes; an unannotated
+// b contributes the ring's One per tuple (a always carries its column).
+// The build side is indexed once; the probe side is cut into contiguous
+// chunks joined in parallel and concatenated in chunk order, so the result
+// is identical to the serial probe for every worker count.
 func naiveJoin(a, b *relation.Relation, ring relation.Semiring) *relation.Relation {
 	shared := a.Schema.Intersect(b.Schema)
 	aPos := a.Schema.Positions(shared)
@@ -93,7 +94,11 @@ func naiveJoin(a, b *relation.Relation, ring relation.Semiring) *relation.Relati
 					nt = append(nt, bt[p])
 				}
 				po.tuples = append(po.tuples, nt)
-				po.annots = append(po.annots, ring.Mul(a.Annot(i), b.Annot(j)))
+				bAnnot := ring.One
+				if b.Annots != nil {
+					bAnnot = b.Annots[j]
+				}
+				po.annots = append(po.annots, ring.Mul(a.Annot(i), bAnnot))
 			}
 		}
 		outs[w] = po

@@ -9,13 +9,19 @@ import (
 )
 
 // LoadInstance distributes every relation of the instance over the cluster
-// (the model's initial state, charged as round 0).
+// (the model's initial state, charged as round 0). An unannotated relation
+// is annotated with the ring's One: the data plane reads a missing column
+// as the value 1, so a ring whose One is not 1 gets its One filled in.
 //
 //lint:load perP
 func LoadInstance(c *mpc.Cluster, in *Instance) []*mpc.Dist {
 	dists := make([]*mpc.Dist, len(in.Rels))
 	for i, r := range in.Rels {
 		dists[i] = mpc.FromRelation(c, r)
+		if r.Annots == nil && in.Ring.One != 1 {
+			one := in.Ring.One
+			dists[i] = dists[i].MapAnnots(func(int64) int64 { return one })
+		}
 	}
 	return dists
 }

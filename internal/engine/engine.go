@@ -131,7 +131,8 @@ type Result struct {
 	// Table is the result as one relation over the output schema when
 	// Job.Materialize asked for it (nil otherwise), part-major. Read-only:
 	// its tuples are windows into Dist's buffers, not copies. Annots is nil
-	// when every annotation is 1; read it through Annot(i).
+	// when every annotation is 1 and the ring's One is 1; read it through
+	// Annot(i).
 	Table *relation.Relation
 }
 
@@ -256,7 +257,13 @@ func execute(a Algorithm, job Job) (res Result, err error) {
 		Dist:        dist,
 	}
 	if job.Materialize {
-		res.Table = out.Rel()
+		// A nil annotation column reads as 1, which is One only when the
+		// ring's One is 1.
+		if job.In.Ring.One == 1 {
+			res.Table = out.Rel()
+		} else {
+			res.Table = out.ToRelation("out")
+		}
 	}
 	core.EmitDist(out, out.Schema, job.Emitter)
 	want, check := job.Want, job.CheckWant
@@ -291,11 +298,7 @@ func execute(a Algorithm, job Job) (res Result, err error) {
 func foldAnnots(d *mpc.Dist, ring relation.Semiring) int64 {
 	sums := make([]int64, len(d.Parts))
 	runtime.Fork(len(d.Parts), func(s int) {
-		part, sum := &d.Parts[s], ring.Zero
-		for i := 0; i < part.Len(); i++ {
-			sum = ring.Add(sum, part.Annot(i))
-		}
-		sums[s] = sum
+		sums[s] = d.Parts[s].SumAnnots(ring)
 	})
 	total := ring.Zero
 	for _, sum := range sums {

@@ -547,3 +547,32 @@ func checkResultIsTheDist(t *testing.T, a engine.Algorithm, in *core.Instance, w
 		}
 	}
 }
+
+// TestMaxPlusTableCarriesOne: under a ring whose One is not 1, an
+// unannotated input contributes One, so a full join of three unannotated
+// relations under max-plus annotates every row One + One + One = 0, and
+// Result.Table carries the column rather than leaving a nil one that reads
+// as 1.
+func TestMaxPlusTableCarriesOne(t *testing.T) {
+	in, err := gen.Build("random", mpc.NewRng(5), 512, 2048)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := engine.RunNamed("yannakakis", engine.Job{
+		In: in, P: 8, Seed: 5, Materialize: true, Ring: &relation.MaxPlusRing,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Table.Size() == 0 || res.Table.Annots == nil {
+		t.Fatalf("table of %d rows, annotation column materialized = %v", res.Table.Size(), res.Table.Annots != nil)
+	}
+	for i := range res.Table.Tuples {
+		if a := res.Table.Annot(i); a != relation.MaxPlusRing.One {
+			t.Fatalf("row %d annotated %d, want One = %d", i, a, relation.MaxPlusRing.One)
+		}
+	}
+	if res.Annot != relation.MaxPlusRing.One {
+		t.Errorf("Result.Annot = %d, want One = %d", res.Annot, relation.MaxPlusRing.One)
+	}
+}

@@ -21,13 +21,16 @@ import (
 // explicitly (rows, not len(values)/width) so width-0 tuples — scalar
 // aggregates — still count rows.
 //
-// The annotation column is lazy: annots == nil means every annotation is 1
-// (the multiplicative identity of every semiring in the repository). Plain
-// joins — the common case — therefore carry no annotation storage through
-// any number of exchanges. The invariant is maintained by every mutator:
-// appending a non-identity annotation materializes the column, and bulk
-// copies from a materialized source materialize the destination before any
-// concurrent scatter begins (see exchangePlan.alloc). Because neither the
+// The annotation column is lazy: annots == nil means every annotation is
+// the value 1. That is the One of the count and Boolean rings, not of every
+// ring: under max-plus, whose One is 0, an unannotated input is converted
+// at the boundary (core.LoadInstance fills One), so the data plane never
+// reads a lazy column as a ring's One. Plain joins — the common case —
+// therefore carry no annotation storage through any number of exchanges.
+// The invariant is maintained by every mutator: appending an annotation
+// other than 1 materializes the column, and bulk copies from a
+// materialized source materialize the destination before any concurrent
+// scatter begins (see exchangePlan.alloc). Because neither the
 // representation of "all ones" nor the buffer capacity is unique, compare
 // Columns with Equal, which compares values, never representations.
 type Columns struct {
@@ -62,6 +65,29 @@ func (c *Columns) Annot(i int) int64 {
 		return 1
 	}
 	return c.annots[i]
+}
+
+// SumAnnots is the ring.Add fold of the annotations from ring.Zero, in row
+// order. A lazy column holds rows copies of 1, folded by double-and-add in
+// O(log rows) additions: Add is associative and commutative, so the value
+// is the row-order fold's.
+func (c *Columns) SumAnnots(ring relation.Semiring) int64 {
+	sum := ring.Zero
+	if c.annots == nil {
+		for k, pow := c.rows, int64(1); k > 0; k >>= 1 {
+			if k&1 != 0 {
+				sum = ring.Add(sum, pow)
+			}
+			if k > 1 {
+				pow = ring.Add(pow, pow)
+			}
+		}
+		return sum
+	}
+	for _, a := range c.annots[:c.rows] {
+		sum = ring.Add(sum, a)
+	}
+	return sum
 }
 
 // Item assembles row i as an Item (for callbacks that take items).

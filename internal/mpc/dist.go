@@ -69,8 +69,8 @@ func roundRobinParts(c *Cluster, n, w int, withAnnots bool) []Columns {
 // FromRelation distributes r round-robin over the cluster, charging the
 // initial placement to round 0 (the model's starting state: IN/p each).
 // The placement is flat: each server's value buffer is filled with one
-// strided pass over the relation, and the annotation column exists only
-// when the relation is annotated.
+// strided pass over the relation, one task per server, and the annotation
+// column exists only when the relation is annotated.
 //
 //lint:load perP trust round-robin placement puts exactly ceil(n/p) tuples on each server
 func FromRelation(c *Cluster, r *relation.Relation) *Dist {
@@ -82,17 +82,20 @@ func FromRelation(c *Cluster, r *relation.Relation) *Dist {
 	}
 	withAnnots := r.Annots != nil
 	d.Parts = roundRobinParts(c, n, w, withAnnots)
-	for s := 0; s < c.P && s < n; s++ {
+	runtime.Fork(min(c.P, n), func(s int) {
 		part := &d.Parts[s]
 		for j := 0; j < part.rows; j++ {
-			copy(part.values[j*w:(j+1)*w], r.Tuples[s+j*c.P])
+			row, t := part.values[j*w:j*w+w], r.Tuples[s+j*c.P][:w]
+			for k := range row {
+				row[k] = t[k]
+			}
 		}
 		if withAnnots {
 			for j := range part.annots {
 				part.annots[j] = r.Annots[s+j*c.P]
 			}
 		}
-	}
+	})
 	return d
 }
 
@@ -125,31 +128,42 @@ func (d *Dist) ToRelation(name string) *relation.Relation {
 }
 
 // Rel is the collection as the relation "out", for results: Annots stays
-// nil (every annotation 1, as Relation.Annot reads it) unless some part
-// materialized an annotation column. Read-only, like ToRelation's.
+// nil (every annotation the value 1, as Relation.Annot reads it) unless
+// some part materialized an annotation column. Read-only, like
+// ToRelation's. Under a ring whose One is not 1 a nil column would read
+// as 1, not as One, so such callers take ToRelation.
 func (d *Dist) Rel() *relation.Relation {
 	return d.relation("out", d.hasAnnots())
 }
 
 // relation is the one parts → relation conversion: part-major, row order
 // kept inside each part. The tuples are windows into the parts' flat
-// buffers, not copies.
+// buffers, not copies. Tuples (and Annots) are allocated once at full
+// length, and each part fills its own window of them in its own task.
 func (d *Dist) relation(name string, withAnnots bool) *relation.Relation {
 	r := relation.New(name, d.Schema)
-	n := d.Size()
-	r.Tuples = make([]relation.Tuple, 0, n)
-	if withAnnots {
-		r.Annots = make([]int64, 0, n)
-	}
+	offs := make([]int, len(d.Parts)+1)
 	for s := range d.Parts {
+		offs[s+1] = offs[s] + d.Parts[s].Len()
+	}
+	n := offs[len(d.Parts)]
+	r.Tuples = make([]relation.Tuple, n)
+	if withAnnots {
+		r.Annots = make([]int64, n)
+	}
+	runtime.Fork(len(d.Parts), func(s int) {
 		part := &d.Parts[s]
-		for i := 0; i < part.Len(); i++ {
-			r.Tuples = append(r.Tuples, part.Tuple(i))
-			if withAnnots {
-				r.Annots = append(r.Annots, part.Annot(i))
+		tuples := r.Tuples[offs[s]:offs[s+1]]
+		for i := range tuples {
+			tuples[i] = part.Tuple(i)
+		}
+		if withAnnots {
+			annots := r.Annots[offs[s]:offs[s+1]]
+			for i := range annots {
+				annots[i] = part.Annot(i)
 			}
 		}
-	}
+	})
 	return r
 }
 

@@ -32,7 +32,24 @@ type LookupResult struct {
 //lint:rounds const
 func Lookup(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.Attr,
 	outSchema relation.Schema, emit func(out *mpc.Columns, it mpc.Item, r LookupResult)) *mpc.Dist {
-	return multiSearch(x, xKey, d, dKey, outSchema, true, emit)
+	out := mpc.NewDist(x.C, outSchema)
+	multiSearch(x, xKey, d, dKey, true, emit, out, nil, nil)
+	return out
+}
+
+// SplitLookup is Lookup for a two-way partition: every x item lands whole,
+// annotation kept, in yes when pick(its lookup result) holds and in no
+// otherwise. One multi-search serves both outputs, so part s of yes and of
+// no are the two filters of the same sorted chunk — the parts two Lookups
+// with complementary emits would build, at the rounds and load of one.
+//
+//lint:load perP
+//lint:rounds const
+func SplitLookup(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.Attr,
+	pick func(r LookupResult) bool) (yes, no *mpc.Dist) {
+	yes, no = mpc.NewDist(x.C, x.Schema), mpc.NewDist(x.C, x.Schema)
+	multiSearch(x, xKey, d, dKey, true, keepAll, yes, no, pick)
+	return yes, no
 }
 
 // SemiJoin returns the items of x whose key projection matches at least one
@@ -44,7 +61,9 @@ func Lookup(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.Attr
 //lint:load perP
 //lint:rounds const
 func SemiJoin(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.Attr) *mpc.Dist {
-	return multiSearch(x, xKey, d, dKey, x.Schema, false, keepFound)
+	out := mpc.NewDist(x.C, x.Schema)
+	multiSearch(x, xKey, d, dKey, false, keepFound, out, nil, nil)
+	return out
 }
 
 // AntiJoin returns the items of x with no matching key in d; rounds and
@@ -53,10 +72,13 @@ func SemiJoin(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.At
 //lint:load perP
 //lint:rounds const
 func AntiJoin(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.Attr) *mpc.Dist {
-	return multiSearch(x, xKey, d, dKey, x.Schema, false, keepMissing)
+	out := mpc.NewDist(x.C, x.Schema)
+	multiSearch(x, xKey, d, dKey, false, keepMissing, out, nil, nil)
+	return out
 }
 
-// keepFound and keepMissing are the semi- and anti-join's emits.
+// keepFound and keepMissing are the semi- and anti-join's emits, keepAll
+// the split's.
 func keepFound(out *mpc.Columns, it mpc.Item, r LookupResult) {
 	if r.Found {
 		out.Append(it.T, it.A)
@@ -69,11 +91,17 @@ func keepMissing(out *mpc.Columns, it mpc.Item, r LookupResult) {
 	}
 }
 
+func keepAll(out *mpc.Columns, it mpc.Item, _ LookupResult) {
+	out.Append(it.T, it.A)
+}
+
 // multiSearch is the paper's multi-search, the one scan under Lookup,
-// SemiJoin and AntiJoin: every x item learns whether d holds its key, and
-// emit appends what it becomes to its server's part of the outSchema
-// result. d records sort before x records of the same key, so "found" is
-// "the nearest preceding d record has my key". A directory (Lookup) must
+// SplitLookup, SemiJoin and AntiJoin: every x item learns whether d holds
+// its key, and emit appends what it becomes to its server's part of the
+// caller's empty out (the caller allocates it: results the forked scan
+// captured would be moved to the heap, two allocations a call). d records
+// sort before x records of the same key, so "found" is "the nearest
+// preceding d record has my key". A directory (Lookup) must
 // be distinct and is staged whole, so that the scan sees a key held twice
 // on one server. Otherwise d may hold duplicates (the semi-join): each
 // server stages only the d rows that open a key group locally (the
@@ -89,17 +117,18 @@ func keepMissing(out *mpc.Columns, it mpc.Item, r LookupResult) {
 // for one row each, so a part that emit fills with at most a row per item
 // never grows by doubling. Equal-key d records are adjacent in the scan,
 // or the first of a chunk meets its twin as the carry, so the scan doubles
-// as the directory's duplicate check.
+// as the directory's duplicate check. With a pick (SplitLookup) there is a
+// second output of out's schema, alt: emit writes to part s of out when
+// pick holds and of alt otherwise. Without a pick, alt is nil.
 //
 //lint:load perP
 //lint:rounds const
-func multiSearch(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.Attr,
-	outSchema relation.Schema, directory bool, emit func(out *mpc.Columns, it mpc.Item, r LookupResult)) *mpc.Dist {
-	out := mpc.NewDist(x.C, outSchema)
+func multiSearch(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.Attr, directory bool,
+	emit func(out *mpc.Columns, it mpc.Item, r LookupResult), out, alt *mpc.Dist, pick func(r LookupResult) bool) {
 	// An empty probe side is empty output and pays no rounds; only a
 	// directory is staged, to check it for duplicate keys.
 	if x.Size() == 0 && !directory {
-		return out
+		return
 	}
 	xPos, dPos := x.Positions(xKey), d.Positions(dKey)
 
@@ -112,7 +141,7 @@ func multiSearch(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation
 	if x.Size() == 0 {
 		verifyDistinctDirectory(rc)
 		putRecCols(rc)
-		return out
+		return
 	}
 	rc.appendDist(x, xPos, 1)
 
@@ -141,8 +170,14 @@ func multiSearch(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation
 		for _, i := range window {
 			xs += int(rc.tags[i])
 		}
+		w := len(out.Schema)
 		part := &out.Parts[s]
-		part.Reserve(len(outSchema), xs)
+		part.Reserve(w, xs)
+		var altPart *mpc.Columns
+		if alt != nil {
+			altPart = &alt.Parts[s]
+			altPart.Reserve(w, xs)
+		}
 		cur := carry[s]
 		for _, i := range window {
 			if rc.tags[i] == 0 {
@@ -156,12 +191,15 @@ func multiSearch(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation
 			if cur >= 0 && rc.keyEq(int(cur), int(i)) {
 				r = LookupResult{Found: true, DTuple: rc.tuples[cur], DAnnot: rc.annots[cur]}
 			}
-			emit(part, rc.item(int(i)), r)
+			dst := part
+			if pick != nil && !pick(r) {
+				dst = altPart
+			}
+			emit(dst, rc.item(int(i)), r)
 		}
 	})
 	putSortScratch(sc)
 	putRecCols(rc)
-	return out
 }
 
 // verifyDistinctDirectory panics when the staged directory records carry a

@@ -3,6 +3,7 @@ package primitives
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -421,4 +422,114 @@ func TestSortAndChopBalance(t *testing.T) {
 		}
 	}
 	putRecCols(rc)
+}
+
+// TestSumByKeyMatchesAcrossWidths: the local combiner runs one task per
+// part, so SumByKey's parts and charges are identical at widths 1, 2 and
+// 8 — lazy and materialized annotations, the record pools dirtied and
+// the index pool left holding a stale index before every run.
+func TestSumByKeyMatchesAcrossWidths(t *testing.T) {
+	for _, annotated := range []bool{false, true} {
+		var ref *mpc.Dist
+		var refStats mpc.Stats
+		for _, width := range []int{1, 2, 8} {
+			prev := runtime.SetParallelism(width)
+			c, d := buildDist(8, 2000, 97, 5)
+			if annotated {
+				d = d.MapAnnots(func(a int64) int64 { return a + 2 })
+			}
+			dirtyPools(d.Size(), 1)
+			_, noise := buildDist(1, 3000, 11, 9)
+			ix := mpc.IndexRows(&noise.Parts[0], []int{1})
+			ix.Release()
+			got := SumByKey(d, []relation.Attr{1}, relation.CountRing, 13)
+			runtime.SetParallelism(prev)
+			if ref == nil {
+				ref, refStats = got, c.Snapshot()
+			}
+			for s := range got.Parts {
+				if !got.Parts[s].Equal(&ref.Parts[s]) {
+					t.Fatalf("annotated=%v width %d: part %d differs from width 1's", annotated, width, s)
+				}
+			}
+			if !reflect.DeepEqual(c.Snapshot(), refStats) {
+				t.Fatalf("annotated=%v width %d: charges differ from width 1's", annotated, width)
+			}
+		}
+	}
+}
+
+// TestSplitLookupPartitionsOneSearch: SplitLookup's two outputs are, part
+// for part, the two Lookups with complementary emits, charged as one
+// multi-search; and merging them back by the pick walks the single
+// keep-everything Lookup row for row, in order, so heavy ∪ light is the
+// input. Widths 1, 2 and 8, pools dirtied, keys missing from the
+// directory included.
+func TestSplitLookupPartitionsOneSearch(t *testing.T) {
+	key := []relation.Attr{1}
+	const tau = 12
+	pick := func(r LookupResult) bool { return r.Found && r.DAnnot > tau }
+	for _, width := range []int{1, 2, 8} {
+		prev := runtime.SetParallelism(width)
+		_, x := buildDist(8, 1500, 120, 7)
+		// The directory: degrees of the keys of the first 1000 rows only,
+		// so some x keys miss it.
+		_, part := buildDist(8, 1000, 120, 7)
+		deg := CountByKey(part, key, 3)
+
+		dirtyPools(x.Size()+deg.Size(), 1)
+		one := mpc.NewCluster(8)
+		all := Lookup(x.MoveTo(one), key, deg, key, x.Schema, keepAll)
+		dirtyPools(x.Size()+deg.Size(), 1)
+		two := mpc.NewCluster(8)
+		xs := x.MoveTo(two)
+		heavy := Lookup(xs, key, deg, key, x.Schema, func(out *mpc.Columns, it mpc.Item, r LookupResult) {
+			if pick(r) {
+				out.Append(it.T, it.A)
+			}
+		})
+		light := Lookup(xs, key, deg, key, x.Schema, func(out *mpc.Columns, it mpc.Item, r LookupResult) {
+			if !pick(r) {
+				out.Append(it.T, it.A)
+			}
+		})
+		dirtyPools(x.Size()+deg.Size(), 1)
+		split := mpc.NewCluster(8)
+		yes, no := SplitLookup(x.MoveTo(split), key, deg, key, pick)
+		runtime.SetParallelism(prev)
+
+		if !reflect.DeepEqual(split.Snapshot(), one.Snapshot()) {
+			t.Fatalf("width %d: SplitLookup charged %+v, one Lookup %+v", width, split.Snapshot(), one.Snapshot())
+		}
+		if all.Size() != x.Size() {
+			t.Fatalf("width %d: the keep-everything Lookup holds %d rows of %d", width, all.Size(), x.Size())
+		}
+		if yes.Size() == 0 || no.Size() == 0 {
+			t.Fatalf("width %d: a side is empty (%d heavy, %d light): the case splits nothing", width, yes.Size(), no.Size())
+		}
+		degOf := map[relation.Value]int64{}
+		for _, it := range deg.All() {
+			degOf[it.T[0]] = it.A
+		}
+		for s := range all.Parts {
+			if !yes.Parts[s].Equal(&heavy.Parts[s]) || !no.Parts[s].Equal(&light.Parts[s]) {
+				t.Fatalf("width %d: part %d differs from the two Lookups'", width, s)
+			}
+			src, y, n := &all.Parts[s], 0, 0
+			for i := 0; i < src.Len(); i++ {
+				d, found := degOf[src.Tuple(i)[0]]
+				side, j := &no.Parts[s], &n
+				if pick(LookupResult{Found: found, DAnnot: d}) {
+					side, j = &yes.Parts[s], &y
+				}
+				if *j >= side.Len() || !reflect.DeepEqual(side.Tuple(*j), src.Tuple(i)) || side.Annot(*j) != src.Annot(i) {
+					t.Fatalf("width %d: part %d row %d is not the next row of its side", width, s, i)
+				}
+				*j++
+			}
+			if y != yes.Parts[s].Len() || n != no.Parts[s].Len() {
+				t.Fatalf("width %d: part %d: the sides hold rows the input does not", width, s)
+			}
+		}
+	}
 }

@@ -3,6 +3,7 @@ package primitives
 import (
 	"repro/internal/mpc"
 	"repro/internal/relation"
+	"repro/internal/runtime"
 )
 
 // SumByKey aggregates annotations by key: it returns one item per distinct
@@ -38,18 +39,20 @@ func CountByKey(d *mpc.Dist, keyAttrs []relation.Attr, salt uint64) *mpc.Dist {
 // the order the keys first occur in the part. Keys are never built: the
 // part is indexed by value (mpc.IndexRows), every row that opens a group
 // folds its group's chain with ring.Add in row order, and the combined rows
-// are written in place into one exactly-sized part.
+// are written in place into one exactly-sized part. Servers combine
+// concurrently, one task per part, each writing only its own output part.
 //
 //lint:alloc-ceiling
 func localCombine(d *mpc.Dist, pos []int, schema relation.Schema, ring relation.Semiring) *mpc.Dist {
 	out := mpc.NewDist(d.C, schema)
-	for s := range d.Parts {
+	runtime.Fork(len(d.Parts), func(s int) {
 		part := &d.Parts[s]
 		if part.Len() == 0 {
-			continue
+			return
 		}
 		ix := mpc.IndexRows(part, pos)
-		out.Parts[s].Reserve(len(pos), ix.Groups())
+		dst := &out.Parts[s]
+		dst.Reserve(len(pos), ix.Groups())
 		for i := 0; i < part.Len(); i++ {
 			if !ix.Opens(i) {
 				continue
@@ -58,13 +61,13 @@ func localCombine(d *mpc.Dist, pos []int, schema relation.Schema, ring relation.
 			for r := i; r >= 0; r = ix.Next(r) {
 				sum = ring.Add(sum, part.Annot(r))
 			}
-			t, row := part.Tuple(i), out.Parts[s].AppendRow(sum)
+			t, row := part.Tuple(i), dst.AppendRow(sum)
 			for j, p := range pos {
 				row[j] = t[p]
 			}
 		}
 		ix.Release()
-	}
+	})
 	return out
 }
 

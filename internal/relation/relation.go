@@ -193,8 +193,9 @@ func (r *Relation) AddAnnotated(annot int64, vals ...Value) {
 // Size returns the number of tuples.
 func (r *Relation) Size() int { return len(r.Tuples) }
 
-// Annot returns the annotation of tuple i, defaulting to the multiplicative
-// identity 1 when the relation is unannotated.
+// Annot returns the annotation of tuple i, defaulting to 1 when the
+// relation is unannotated — the One of the count and Boolean rings, but not
+// of max-plus, whose callers read a missing column as the ring's One.
 func (r *Relation) Annot(i int) int64 {
 	if r.Annots == nil {
 		return 1

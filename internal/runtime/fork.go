@@ -77,6 +77,10 @@ func acquireToken(width int) bool {
 // results into per-task slots. A panicking task stops further claims and
 // the first panic is re-raised on the caller once every in-flight task has
 // drained, with the failing task's index and stack attached.
+//
+// A Fork that spawns allocates one fork state, shared by the caller and
+// its helpers, plus what the go statements cost; the inline path allocates
+// nothing of its own.
 func Fork(n int, fn func(task int)) {
 	if n <= 0 {
 		return
@@ -95,46 +99,62 @@ func Fork(n int, fn func(task int)) {
 		}
 		return
 	}
-	var (
-		next    atomic.Int64
-		stop    atomic.Bool
-		wg      sync.WaitGroup
-		panicMu sync.Mutex
-		panicV  any
-	)
-	worker := func() {
-		for !stop.Load() {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						stop.Store(true)
-						panicMu.Lock()
-						if panicV == nil {
-							panicV = fmt.Sprintf("runtime: forked task %d panicked: %v\n%s",
-								i, r, debug.Stack())
-						}
-						panicMu.Unlock()
-					}
-				}()
-				fn(i)
-			}()
-		}
-	}
-	wg.Add(spawned)
+	f := &fork{n: n, fn: fn}
+	f.wg.Add(spawned)
 	for g := 0; g < spawned; g++ {
-		go func() {
-			defer wg.Done()
-			defer forkTokens.Add(-1)
-			worker()
-		}()
+		go f.helper()
 	}
-	worker()
-	wg.Wait()
-	if panicV != nil {
-		panic(panicV)
+	f.work()
+	f.wg.Wait()
+	if f.panicV != nil {
+		panic(f.panicV)
 	}
+}
+
+// fork is the state one spawning Fork shares between its caller and its
+// helpers: the task counter, the stop flag, the helpers' WaitGroup and the
+// first panic.
+type fork struct {
+	next    atomic.Int64
+	stop    atomic.Bool
+	wg      sync.WaitGroup
+	panicMu sync.Mutex
+	panicV  any
+	n       int
+	fn      func(task int)
+}
+
+// work claims and runs tasks until none is left or one has panicked.
+func (f *fork) work() {
+	for !f.stop.Load() {
+		i := int(f.next.Add(1)) - 1
+		if i >= f.n {
+			return
+		}
+		f.run(i)
+	}
+}
+
+// run runs task i, recording its panic (the first one wins) and stopping
+// further claims.
+func (f *fork) run(i int) {
+	defer func() {
+		if r := recover(); r != nil {
+			f.stop.Store(true)
+			f.panicMu.Lock()
+			if f.panicV == nil {
+				f.panicV = fmt.Sprintf("runtime: forked task %d panicked: %v\n%s",
+					i, r, debug.Stack())
+			}
+			f.panicMu.Unlock()
+		}
+	}()
+	f.fn(i)
+}
+
+// helper is one spawned worker: it works, then hands its token back.
+func (f *fork) helper() {
+	defer f.wg.Done()
+	defer forkTokens.Add(-1)
+	f.work()
 }

@@ -104,3 +104,23 @@ func TestForkNestedStaysWithinWidth(t *testing.T) {
 		t.Errorf("nested forks leaked %d tokens", got)
 	}
 }
+
+// TestForkAllocations: a spawning Fork allocates its one shared state and
+// what its go statement costs; the inline path allocates nothing beyond
+// the caller's closure.
+func TestForkAllocations(t *testing.T) {
+	for _, c := range []struct {
+		width int
+		limit float64
+	}{{1, 1}, {2, 3}} {
+		prev := SetParallelism(c.width)
+		var sink atomic.Int64
+		got := testing.AllocsPerRun(200, func() {
+			Fork(4, func(i int) { sink.Add(int64(i)) })
+		})
+		SetParallelism(prev)
+		if got > c.limit {
+			t.Errorf("width %d: Fork allocates %.1f times per call, want ≤ %.0f", c.width, got, c.limit)
+		}
+	}
+}
