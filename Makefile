@@ -200,8 +200,8 @@ bench-e2e-smoke:
 
 # bench-pairs runs N alternating pairs of the BENCHMARK.json benchmark,
 # commit REF against the working tree, and prints the per-pair verdicts and,
-# per workload and metric, the medians, ratio median, pairs won, the
-# parent's quartiles and a gain/loss/unresolved verdict, a loss read against
+# per workload and metric, the medians, ratio median, pairs won, both
+# sides' quartiles and a gain/loss/unresolved verdict, a loss read against
 # the metric's BENCHMARK.json bound (scripts/bench-pairs.sh). It is the
 # repository's one performance record, and a gate: it exits 1 when any row
 # reads "loss (past bound)". A full pair is two ≈ 95 s runs; WORKLOADS=a,b

@@ -131,8 +131,7 @@ type Result struct {
 	// Table is the result as one relation over the output schema when
 	// Job.Materialize asked for it (nil otherwise), part-major. Read-only:
 	// its tuples are windows into Dist's buffers, not copies. Annots is nil
-	// when every annotation is 1 and the ring's One is 1; read it through
-	// Annot(i).
+	// when every annotation is 1; read it through Annot(i).
 	Table *relation.Relation
 }
 
@@ -257,13 +256,7 @@ func execute(a Algorithm, job Job) (res Result, err error) {
 		Dist:        dist,
 	}
 	if job.Materialize {
-		// A nil annotation column reads as 1, which is One only when the
-		// ring's One is 1.
-		if job.In.Ring.One == 1 {
-			res.Table = out.Rel()
-		} else {
-			res.Table = out.ToRelation("out")
-		}
+		res.Table = out.Rel()
 	}
 	core.EmitDist(out, out.Schema, job.Emitter)
 	want, check := job.Want, job.CheckWant

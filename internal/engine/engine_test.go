@@ -550,9 +550,9 @@ func checkResultIsTheDist(t *testing.T, a engine.Algorithm, in *core.Instance, w
 
 // TestMaxPlusTableCarriesOne: under a ring whose One is not 1, an
 // unannotated input contributes One, so a full join of three unannotated
-// relations under max-plus annotates every row One + One + One = 0, and
-// Result.Table carries the column rather than leaving a nil one that reads
-// as 1.
+// relations under max-plus annotates every row One + One + One = 0. The
+// input's filled-in column travels through the join, so Result.Table
+// reads it as it is, not as a nil column that reads 1.
 func TestMaxPlusTableCarriesOne(t *testing.T) {
 	in, err := gen.Build("random", mpc.NewRng(5), 512, 2048)
 	if err != nil {

@@ -128,10 +128,8 @@ func (d *Dist) ToRelation(name string) *relation.Relation {
 }
 
 // Rel is the collection as the relation "out", for results: Annots stays
-// nil (every annotation the value 1, as Relation.Annot reads it) unless
-// some part materialized an annotation column. Read-only, like
-// ToRelation's. Under a ring whose One is not 1 a nil column would read
-// as 1, not as One, so such callers take ToRelation.
+// nil (every annotation 1, as Relation.Annot reads it) unless some part
+// materialized an annotation column. Read-only, like ToRelation's.
 func (d *Dist) Rel() *relation.Relation {
 	return d.relation("out", d.hasAnnots())
 }

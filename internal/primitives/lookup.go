@@ -33,7 +33,7 @@ type LookupResult struct {
 func Lookup(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.Attr,
 	outSchema relation.Schema, emit func(out *mpc.Columns, it mpc.Item, r LookupResult)) *mpc.Dist {
 	out := mpc.NewDist(x.C, outSchema)
-	multiSearch(x, xKey, d, dKey, true, emit, out, nil, nil)
+	multiSearch(x, xKey, d, dKey, true, emit, out, split{})
 	return out
 }
 
@@ -48,7 +48,7 @@ func Lookup(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.Attr
 func SplitLookup(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.Attr,
 	pick func(r LookupResult) bool) (yes, no *mpc.Dist) {
 	yes, no = mpc.NewDist(x.C, x.Schema), mpc.NewDist(x.C, x.Schema)
-	multiSearch(x, xKey, d, dKey, true, keepAll, yes, no, pick)
+	multiSearch(x, xKey, d, dKey, true, nil, yes, split{alt: no, pick: pick})
 	return yes, no
 }
 
@@ -62,7 +62,7 @@ func SplitLookup(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation
 //lint:rounds const
 func SemiJoin(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.Attr) *mpc.Dist {
 	out := mpc.NewDist(x.C, x.Schema)
-	multiSearch(x, xKey, d, dKey, false, keepFound, out, nil, nil)
+	multiSearch(x, xKey, d, dKey, false, keepFound, out, split{})
 	return out
 }
 
@@ -73,12 +73,11 @@ func SemiJoin(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.At
 //lint:rounds const
 func AntiJoin(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.Attr) *mpc.Dist {
 	out := mpc.NewDist(x.C, x.Schema)
-	multiSearch(x, xKey, d, dKey, false, keepMissing, out, nil, nil)
+	multiSearch(x, xKey, d, dKey, false, keepMissing, out, split{})
 	return out
 }
 
-// keepFound and keepMissing are the semi- and anti-join's emits, keepAll
-// the split's.
+// keepFound and keepMissing are the semi- and anti-join's emits.
 func keepFound(out *mpc.Columns, it mpc.Item, r LookupResult) {
 	if r.Found {
 		out.Append(it.T, it.A)
@@ -91,8 +90,12 @@ func keepMissing(out *mpc.Columns, it mpc.Item, r LookupResult) {
 	}
 }
 
-func keepAll(out *mpc.Columns, it mpc.Item, _ LookupResult) {
-	out.Append(it.T, it.A)
+// split is a two-way multi-search's second output: every x item lands
+// whole in out when pick(its lookup result) holds and in alt otherwise.
+// The zero split leaves the rows to emit.
+type split struct {
+	alt  *mpc.Dist
+	pick func(r LookupResult) bool
 }
 
 // multiSearch is the paper's multi-search, the one scan under Lookup,
@@ -117,14 +120,13 @@ func keepAll(out *mpc.Columns, it mpc.Item, _ LookupResult) {
 // for one row each, so a part that emit fills with at most a row per item
 // never grows by doubling. Equal-key d records are adjacent in the scan,
 // or the first of a chunk meets its twin as the carry, so the scan doubles
-// as the directory's duplicate check. With a pick (SplitLookup) there is a
-// second output of out's schema, alt: emit writes to part s of out when
-// pick holds and of alt otherwise. Without a pick, alt is nil.
+// as the directory's duplicate check. A split (SplitLookup) takes emit's
+// place: it appends each x item whole to part s of out or of its alt.
 //
 //lint:load perP
 //lint:rounds const
 func multiSearch(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.Attr, directory bool,
-	emit func(out *mpc.Columns, it mpc.Item, r LookupResult), out, alt *mpc.Dist, pick func(r LookupResult) bool) {
+	emit func(out *mpc.Columns, it mpc.Item, r LookupResult), out *mpc.Dist, sp split) {
 	// An empty probe side is empty output and pays no rounds; only a
 	// directory is staged, to check it for duplicate keys.
 	if x.Size() == 0 && !directory {
@@ -174,8 +176,8 @@ func multiSearch(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation
 		part := &out.Parts[s]
 		part.Reserve(w, xs)
 		var altPart *mpc.Columns
-		if alt != nil {
-			altPart = &alt.Parts[s]
+		if sp.alt != nil {
+			altPart = &sp.alt.Parts[s]
 			altPart.Reserve(w, xs)
 		}
 		cur := carry[s]
@@ -191,11 +193,14 @@ func multiSearch(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation
 			if cur >= 0 && rc.keyEq(int(cur), int(i)) {
 				r = LookupResult{Found: true, DTuple: rc.tuples[cur], DAnnot: rc.annots[cur]}
 			}
-			dst := part
-			if pick != nil && !pick(r) {
-				dst = altPart
+			switch it := rc.item(int(i)); {
+			case sp.pick == nil:
+				emit(part, it, r)
+			case sp.pick(r):
+				part.Append(it.T, it.A)
+			default:
+				altPart.Append(it.T, it.A)
 			}
-			emit(dst, rc.item(int(i)), r)
 		}
 	})
 	putSortScratch(sc)

@@ -479,7 +479,9 @@ func TestSplitLookupPartitionsOneSearch(t *testing.T) {
 
 		dirtyPools(x.Size()+deg.Size(), 1)
 		one := mpc.NewCluster(8)
-		all := Lookup(x.MoveTo(one), key, deg, key, x.Schema, keepAll)
+		all := Lookup(x.MoveTo(one), key, deg, key, x.Schema, func(out *mpc.Columns, it mpc.Item, _ LookupResult) {
+			out.Append(it.T, it.A)
+		})
 		dirtyPools(x.Size()+deg.Size(), 1)
 		two := mpc.NewCluster(8)
 		xs := x.MoveTo(two)

@@ -15,7 +15,7 @@
 # Printed: `bench/run.sh --compare parent_i change_i` per pair, then per
 # (workload, end-to-end metric of BENCHMARK.json) both sides' medians, the
 # median of the per-pair ratios change/parent, the pairs the change won
-# (ties count for neither side), the parent's quartiles and a verdict:
+# (ties count for neither side), both sides' quartiles and a verdict:
 #   gain        the change won at least 9 in 10 pairs, and the medians
 #               differ in its favour by more than the parent's quartile
 #               distance (its own run-to-run spread);
@@ -109,8 +109,8 @@ $2 in exact && $NF ~ /^(better|worse|same)$/ {
 	}
 }
 END {
-	printf "%-16s %-18s %12s %12s %8s %6s %12s %12s %s\n", "workload", "metric", "parent_med", "change_med",
-		"ratio", "won", "parent_q1", "parent_q3", "verdict"
+	printf "%-16s %-18s %12s %12s %8s %6s %12s %12s %12s %12s %s\n", "workload", "metric", "parent_med", "change_med",
+		"ratio", "won", "parent_q1", "parent_q3", "change_q1", "change_q3", "verdict"
 	for (q = 1; q <= nk; q++) {
 		k = keys[q]; split(k, wm, SUBSEP); m = cnt[k]; won = 0; lost = 0; nr = 0
 		lower = better[wm[2]] == "lower"
@@ -130,8 +130,8 @@ END {
 		# median of the parent by at most the bound, a fraction of the latter.
 		if (10 * lost >= 9 * m && -gap > q3 - q1)
 			verdict = -gap <= bound[wm[2]] * (pm < 0 ? -pm : pm) ? "loss (in bound)" : "loss (past bound)"
-		printf "%-16s %-18s %12.6g %12.6g %8s %3d/%-2d %12.6g %12.6g %s\n", wm[1], wm[2], pm, cm,
-			ratio, won, m, q1, q3, verdict
+		printf "%-16s %-18s %12.6g %12.6g %8s %3d/%-2d %12.6g %12.6g %12.6g %12.6g %s\n", wm[1], wm[2], pm, cm,
+			ratio, won, m, q1, q3, quantile(c2, m, 0.25), quantile(c2, m, 0.75), verdict
 		if (verdict == "loss (past bound)") past++
 	}
 	for (e = 1; e <= ne; e++) {
