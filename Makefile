@@ -121,7 +121,8 @@ cover:
 	done
 
 # fuzz-smoke runs each native fuzz target for FUZZTIME: the exchange, the
-# sample sort, the local join kernel, the row index under it, the
+# sample sort, the local join kernel (one join, and its multi-join arm:
+# several joins driven into one part), the row index under it, the
 # word-keyed aggregation side and the one-sort semi-join must stay
 # value-identical to their retained references on randomized inputs,
 # widths, and pool states, the reducer-free count must equal the naive

@@ -47,25 +47,26 @@ func AcyclicJoin(c *mpc.Cluster, in *Instance, seed uint64) *mpc.Dist {
 	if out == 0 {
 		return mpc.NewDist(c, outSchema)
 	}
-	return mpc.Concat(outSchema, acyclicRec(c, in.Q.Edges, dists, in.Ring, out, seed, 0)...)
+	return joinInto(c, outSchema, in.Ring, acyclicRec(c, in.Q.Edges, dists, in.Ring, out, seed, 0)...)
 }
 
 // acyclicRec computes the (already fully reduced) join of edges/dists as
-// pieces, sub-join results left where they were computed whose union is the
-// join (a recursion contributes its own pieces); the caller gathers them
-// with one Concat. out is the output size of the ORIGINAL query
+// pieces, sub-joins routed where they will be computed whose union is the
+// join (a recursion contributes its own pieces); the caller runs their
+// local kernels into one result with one joinInto, so no piece is built
+// apart and copied. out is the output size of the ORIGINAL query
 // (intermediate bounds only need an upper bound).
 //
 //lint:rounds const trust self-recursion bounded by the query's join-tree depth; each level charges a fixed round schedule
 //lint:load frac trust Thm 7 (stats.Thm7): every level's intermediates stay within the bound per server
 func acyclicRec(c *mpc.Cluster, edges []hypergraph.AttrSet, dists []*mpc.Dist,
-	ring relation.Semiring, out int64, seed uint64, depth int) []*mpc.Dist {
+	ring relation.Semiring, out int64, seed uint64, depth int) []pendingJoin {
 
 	if len(dists) == 1 {
-		return []*mpc.Dist{dists[0]}
+		return []pendingJoin{copyJoin(dists[0])}
 	}
 	if len(dists) == 2 {
-		return []*mpc.Dist{BinaryJoin(dists[0], dists[1], ring, seed^0x11, nil)}
+		return []pendingJoin{binaryJoin(dists[0], dists[1], seed^0x11)}
 	}
 	q := hypergraph.New(edges...)
 	tree, ok := q.GYO()
@@ -129,7 +130,7 @@ func acyclicRec(c *mpc.Cluster, edges []hypergraph.AttrSet, dists []*mpc.Dist,
 		}
 	}
 
-	var pieces []*mpc.Dist
+	var pieces []pendingJoin
 
 	// Enumerate the 2^k heavy/light patterns.
 	for mask := 0; mask < 1<<k; mask++ {
@@ -165,7 +166,7 @@ func acyclicRec(c *mpc.Cluster, edges []hypergraph.AttrSet, dists []*mpc.Dist,
 				subEdges = append(subEdges, edges[e])
 			}
 			rPrime := subJoin(subEdges, sub, ring, pseed^0x2)
-			pieces = append(pieces, BinaryJoin(heavyC[h], rPrime, ring, pseed^0x3, nil))
+			pieces = append(pieces, binaryJoin(heavyC[h], rPrime, pseed^0x3))
 			continue
 		}
 
@@ -196,8 +197,7 @@ func acyclicRec(c *mpc.Cluster, edges []hypergraph.AttrSet, dists []*mpc.Dist,
 			}
 			if ok && rp0.Size() > 0 {
 				// (3.1.3) keyed multiway join on e0's full tuple.
-				pieces = append(pieces,
-					MultiwayKeyedJoin(edges[e0].Schema(), parts, ring, pseed^0x30))
+				pieces = append(pieces, multiwayKeyedJoin(edges[e0].Schema(), parts, pseed^0x30))
 			}
 		}
 
@@ -209,12 +209,12 @@ func acyclicRec(c *mpc.Cluster, edges []hypergraph.AttrSet, dists []*mpc.Dist,
 				sub = append(sub, lightC[i])
 				subEdges = append(subEdges, edges[children[i]])
 			}
-			rl := subJoin(subEdges, sub, ring, pseed^0x40)
-			if rl.Size() == 0 {
+			if len(eBar) == 0 {
+				pieces = append(pieces, subJoinPending(subEdges, sub, ring, pseed^0x40))
 				continue
 			}
-			if len(eBar) == 0 {
-				pieces = append(pieces, rl)
+			rl := subJoin(subEdges, sub, ring, pseed^0x40)
+			if rl.Size() == 0 {
 				continue
 			}
 			// (3.2.2) contract the subtree into one node and recurse.
@@ -262,14 +262,13 @@ func subJoin(edges []hypergraph.AttrSet, dists []*mpc.Dist, ring relation.Semiri
 	if len(dists) == 1 {
 		return dists[0]
 	}
+	return joinInto(dists[0].C, nil, ring, subJoinPending(edges, dists, ring, seed))
+}
+
+// subJoinPending is subJoin with its last local join pending.
+func subJoinPending(edges []hypergraph.AttrSet, dists []*mpc.Dist, ring relation.Semiring, seed uint64) pendingJoin {
 	q := hypergraph.New(edges...)
-	red := FullReduce(&Instance{Q: q}, dists)
-	order := DefaultJoinOrder(q)
-	acc := red[order[0]]
-	for i := 1; i < len(order); i++ {
-		acc = BinaryJoin(acc, red[order[i]], ring, seed+uint64(31*i), nil)
-	}
-	return acc
+	return foldJoin(FullReduce(&Instance{Q: q}, dists), DefaultJoinOrder(q), ring, seed, 31)
 }
 
 // splitE0ByProduct partitions R(e0) by whether the product of its light-

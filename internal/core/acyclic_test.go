@@ -22,7 +22,7 @@ func TestMultiwayKeyedJoinMatchesNaive(t *testing.T) {
 		in := randInstance(rng, q, 25, 5)
 		c := mpc.NewCluster(1 + rng.Intn(8))
 		dists := LoadInstance(c, in)
-		res := MultiwayKeyedJoin(relation.NewSchema(1), dists, in.Ring, uint64(trial))
+		res := MultiwayKeyedJoin(relation.NewSchema(1), dists, nil, in.Ring, uint64(trial))
 		relEqual(t, res.ToRelation("got"), Naive(in))
 	}
 }
@@ -43,7 +43,7 @@ func TestMultiwayKeyedJoinCartesian(t *testing.T) {
 	p := 8
 	c := mpc.NewCluster(p)
 	dists := LoadInstance(c, in)
-	res := MultiwayKeyedJoin(relation.Schema{}, dists, in.Ring, 3)
+	res := MultiwayKeyedJoin(relation.Schema{}, dists, nil, in.Ring, 3)
 	want := sizes[0] * sizes[1] * sizes[2]
 	if res.Size() != want {
 		t.Fatalf("product size = %d, want %d", res.Size(), want)
@@ -87,7 +87,7 @@ func TestMultiwayKeyedJoinSkewedKey(t *testing.T) {
 	in := NewInstance(q, mk(2), mk(3), mk(4))
 	c := mpc.NewCluster(p)
 	dists := LoadInstance(c, in)
-	res := MultiwayKeyedJoin(relation.NewSchema(1), dists, in.Ring, 1)
+	res := MultiwayKeyedJoin(relation.NewSchema(1), dists, nil, in.Ring, 1)
 	if res.Size() != n*n*n {
 		t.Fatalf("size = %d, want %d", res.Size(), n*n*n)
 	}
@@ -106,7 +106,7 @@ func TestMultiwayKeyedJoinAnnotations(t *testing.T) {
 	in := NewInstance(q, r1, r2)
 	c := mpc.NewCluster(2)
 	dists := LoadInstance(c, in)
-	res := MultiwayKeyedJoin(relation.NewSchema(1), dists, in.Ring, 1)
+	res := MultiwayKeyedJoin(relation.NewSchema(1), dists, nil, in.Ring, 1)
 	if len(res.All()) != 1 || res.All()[0].A != 15 {
 		t.Errorf("annotated multiway = %v", res.All())
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 // The retained assembly of AcyclicJoin's output, kept as the reference the
-// one-Concat assembly is pinned against: every level projects each of its
+// one-result assembly is pinned against: every level projects each of its
 // sub-join results onto the union of its attributes and folds them with a
 // pairwise concatenation, and the top level projects the union once more
 // onto the output schema. The algorithm around it is the production one,
@@ -22,7 +22,9 @@ import (
 // AcyclicJoinRef is AcyclicJoin with the retained assembly. It is exported
 // for the external test package, which builds the instances through gen.
 func AcyclicJoinRef(c *mpc.Cluster, in *Instance, seed uint64) *mpc.Dist {
-	return acyclicJoinRef(c, in, seed, MultiwayKeyedJoin)
+	return acyclicJoinRef(c, in, seed, func(key relation.Schema, dists []*mpc.Dist, ring relation.Semiring, seed uint64) *mpc.Dist {
+		return MultiwayKeyedJoin(key, dists, nil, ring, seed)
+	})
 }
 
 // AcyclicJoinMultiwayRef is AcyclicJoinRef with the step (3.1.3) joins of

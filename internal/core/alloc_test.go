@@ -14,9 +14,11 @@ import (
 // head log, the table's row headers — and NEVER per row. The old path cost
 // four allocations per result row (tuple, key strings, projected tuple,
 // buffer doublings); here an 8× larger join must fit under the same fixed
-// per-part budget. Two shapes: a one-stage keyed join, whose head log holds
-// one entry per probe row, and Triangle's two stages, whose log outgrows
-// the probe rows ⌈tau/s⌉ + 1-fold.
+// per-part budget. Three shapes: a one-stage keyed join, whose head log
+// holds one entry per probe row; Triangle's two stages, whose log outgrows
+// the probe rows ⌈tau/s⌉ + 1-fold; and three keyed joins driven into one
+// part, as joinInto runs a union's pieces, counted into one log and
+// reserved once.
 func TestLocalJoinEmitAllocCeiling(t *testing.T) {
 	const p, perPart = 8, 30 // allocations allowed per part, whatever the row count
 	prev := runtime.SetParallelism(1)
@@ -33,20 +35,30 @@ func TestLocalJoinEmitAllocCeiling(t *testing.T) {
 		side := rows / 6
 		return triangleShare(rng, 6, side, 1, float64(rows)/float64(side*side))
 	}
+	one := func(shape func(*mpc.Rng, int) []joinStage) func(*mpc.Rng, int) []partJoin {
+		return func(rng *mpc.Rng, rows int) []partJoin { return []partJoin{{stages: shape(rng, rows), width: 3}} }
+	}
+	joins := func(rng *mpc.Rng, rows int) []partJoin {
+		var js []partJoin
+		for k := 0; k < 3; k++ {
+			js = append(js, partJoin{stages: chain(rng, rows/2), width: 3})
+		}
+		return js
+	}
 	for _, shape := range []struct {
-		name   string
-		stages func(*mpc.Rng, int) []joinStage
-	}{{"chain", chain}, {"triangle", triangle}} {
+		name  string
+		joins func(*mpc.Rng, int) []partJoin
+	}{{"chain", one(chain)}, {"triangle", one(triangle)}, {"3 joins", joins}} {
 		for _, rows := range []int{500, 4000} {
 			rng := mpc.NewRng(uint64(rows))
-			parts := make([][]joinStage, p)
+			parts := make([][]partJoin, p)
 			for s := range parts {
-				parts[s] = shape.stages(rng, rows)
+				parts[s] = shape.joins(rng, rows)
 			}
 			if shape.name == "triangle" {
 				// The head log holds one R3 lookup per R1 row and one R2
 				// lookup per matching (R1, R3) pair.
-				bc, ab := parts[0][0].part, parts[0][1].part
+				bc, ab := parts[0][0].stages[0].part, parts[0][0].stages[1].part
 				deg := map[relation.Value]int{}
 				for i := 0; i < ab.Len(); i++ {
 					deg[ab.Tuple(i)[1]]++
@@ -65,7 +77,7 @@ func TestLocalJoinEmitAllocCeiling(t *testing.T) {
 			run := func() {
 				res := mpc.NewDist(c, out)
 				for s := 0; s < p; s++ {
-					indexJoin(&res.Parts[s], len(out), parts[s], nil, relation.CountRing)
+					indexJoins(&res.Parts[s], len(out), parts[s], relation.CountRing)
 				}
 				results = res.Rel().Size()
 			}

@@ -6,7 +6,6 @@ import (
 	"repro/internal/mpc"
 	"repro/internal/primitives"
 	"repro/internal/relation"
-	"repro/internal/runtime"
 )
 
 // BinaryJoin computes a ⋈ b with the output-optimal load of [8,18]
@@ -29,7 +28,7 @@ import (
 //lint:load frac
 //lint:rounds const
 func BinaryJoin(a, b *mpc.Dist, ring relation.Semiring, seed uint64, em mpc.Emitter) *mpc.Dist {
-	res := binaryJoin(a, b, a.Schema.Union(b.Schema), ring, seed)
+	res := joinInto(a.C, nil, ring, binaryJoin(a, b, seed))
 	EmitDist(res, res.Schema, em)
 	return res
 }
@@ -55,10 +54,11 @@ func EmitDist(d *mpc.Dist, schema relation.Schema, em mpc.Emitter) {
 	}
 }
 
-// binaryJoin is BinaryJoin with the result rows laid out as outSchema, any
-// order of the two schemas' union: the local join writes each row where it
-// will live, so a caller that knows the final layout (Yannakakis' last
-// step) returns parts that need no projection.
+// binaryJoin is BinaryJoin up to its local join: it returns the routed
+// join over a's columns followed by b's new ones, and the caller runs its
+// kernel (joinInto) into whatever layout it needs, so a result that is one
+// piece of a larger one (line3's, acyclic's) or must be laid out as the
+// output schema (Yannakakis' last step) is written once, where it lives.
 //
 // A tuple whose key has no partner cannot join; a side's semi-join against
 // the degree table (3 rounds) drops such tuples before routing. The table
@@ -74,8 +74,9 @@ func EmitDist(d *mpc.Dist, schema relation.Schema, em mpc.Emitter) {
 //
 //lint:load frac trust [8,18] (stats.BinaryJoin): degree-threshold grids cap each server at the bound
 //lint:rounds const
-func binaryJoin(a, b *mpc.Dist, outSchema relation.Schema, ring relation.Semiring, seed uint64) *mpc.Dist {
+func binaryJoin(a, b *mpc.Dist, seed uint64) pendingJoin {
 	c := a.C
+	outSchema := a.Schema.Union(b.Schema)
 	shared := a.Schema.Intersect(b.Schema)
 
 	// Per-key degrees on both sides, co-located by key and merged.
@@ -100,7 +101,7 @@ func binaryJoin(a, b *mpc.Dist, outSchema relation.Schema, ring relation.Semirin
 	primitives.TotalCount(jd) // charges the coordinator aggregation
 
 	if out == 0 {
-		return mpc.NewDist(c, outSchema)
+		return pendingJoin{schema: outSchema}
 	}
 	inSize := int64(a.Size() + b.Size())
 	l0 := inSize/int64(c.P) + int64(math.Ceil(math.Sqrt(float64(out)/float64(c.P))))
@@ -152,18 +153,10 @@ func binaryJoin(a, b *mpc.Dist, outSchema relation.Schema, ring relation.Semirin
 	ra := routeSide(ax, aPosKey, 0, seed^0x20)
 	rb := routeSide(bx, bPosKey, 1, seed^0x21)
 
-	// Local join per server (indexJoin, probing a's rows against b's);
-	// results are born where they are produced. Servers join in parallel —
-	// each writes only its own part.
-	res := mpc.NewDist(c, outSchema)
+	// The local join probes a's rows against b's.
 	bExtra := []relation.Attr(b.Schema.Minus(a.Schema))
-	stages := []joinStage{
-		{src: identityPos(len(a.Schema)), dst: outSchema.Positions(a.Schema)},
+	return pendingJoin{schema: outSchema, inputs: []*mpc.Dist{ra, rb}, stages: []joinStage{
+		{src: identityPos(len(a.Schema)), dst: identityPos(len(a.Schema))},
 		{keyPos: bPosKey, keyOut: outSchema.Positions(shared), src: rb.Positions(bExtra), dst: outSchema.Positions(bExtra)},
-	}
-	inputs := []*mpc.Dist{ra, rb}
-	runtime.Fork(c.P, func(s int) {
-		indexJoin(&res.Parts[s], len(outSchema), stagesAt(stages, inputs, s), nil, ring)
-	})
-	return res
+	}}
 }

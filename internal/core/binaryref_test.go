@@ -200,3 +200,13 @@ func attachDegrees(d *mpc.Dist, shared relation.Schema, jd *mpc.Dist) *mpc.Dist 
 			}
 		})
 }
+
+// stagesAt returns a copy of stages in which stage i reads server s's part
+// of ds[i] — the per-server binding the retained references lay out.
+func stagesAt(stages []joinStage, ds []*mpc.Dist, s int) []joinStage {
+	local := append([]joinStage(nil), stages...)
+	for i := range local {
+		local[i].part = &ds[i].Parts[s]
+	}
+	return local
+}

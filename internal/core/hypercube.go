@@ -15,7 +15,8 @@ import (
 //
 // up to polylog factors, because the per-relation grid dimensions adapt to
 // the relation sizes. Implemented as the keyed multiway join with an empty
-// key, whose allocator chooses exactly those dimensions.
+// key, whose allocator chooses exactly those dimensions; its local join
+// writes the rows in the output schema's layout.
 //
 //lint:load frac trust eq. (1): per-relation grid dimensions adapt to the sizes, attaining L_cartesian up to polylog factors
 //lint:rounds const
@@ -24,7 +25,7 @@ func HyperCubeProduct(c *mpc.Cluster, in *Instance, seed uint64) *mpc.Dist {
 		panic("core: HyperCubeProduct needs pairwise disjoint relations")
 	}
 	dists := LoadInstance(c, in)
-	return MultiwayKeyedJoin(relation.Schema{}, dists, in.Ring, seed)
+	return MultiwayKeyedJoin(relation.Schema{}, dists, in.OutputSchema(), in.Ring, seed)
 }
 
 // IsProductQuery reports whether q is a Cartesian product (pairwise

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"cmp"
+	"fmt"
 	"slices"
 
 	"repro/internal/mpc"
 	"repro/internal/relation"
+	"repro/internal/runtime"
 )
 
 // joinStage is one level of the per-server index nested-loop join: the rows
@@ -19,63 +22,70 @@ type joinStage struct {
 	src, dst []int
 }
 
-// indexJoin is the one per-server join kernel behind BinaryJoin,
-// MultiwayKeyedJoin, Triangle, Line3WorstCase and the r-hierarchical grid:
-// it appends to out, rows of the given width, every combination of one
-// row per stage in which each row matches the ones before it. The probe
-// stage's rows are visited in source order (or in the given order), and
-// each later stage's matches in their part's insertion order, innermost
-// stage fastest — the order of the nested map-of-slices loops this kernel
-// replaces. Annotations multiply left to right through ring.
+// partJoin is one join of a server's part: its stages, the order its probe
+// rows are visited in (nil: source order), and the width of the row its
+// stages bind, whose first columns are the output row.
+type partJoin struct {
+	stages []joinStage
+	order  []int32
+	width  int
+}
+
+// indexJoins is the one per-server join kernel, behind joinInto and the
+// r-hierarchical joins: it appends to out, rows of the given width (the
+// head of each bound row, copied straight), every combination of one row
+// per stage in which each row matches the ones before it, join after join.
+// A join's probe rows are visited in source order (or in its order), each
+// later stage's matches in insertion order, innermost stage fastest — the
+// order of the nested map-of-slices loops this kernel replaces.
+// Annotations multiply left to right through ring.
 //
-// The kernel counts, reserves out exactly once, then fills: result rows are
-// written in place into out's flat buffer and the stages are indexed by
-// mpc.RowIndex, so a call allocates per stage, never per row. Each stage
-// index is probed once per binding: the count pass logs every chain head it
-// looks up, in visiting order, and the fill pass — which visits the same
-// bindings in the same order — replays the log instead of hashing the keys
-// again.
+// The kernel counts every join, reserves out exactly once, then fills in
+// place; the stages are indexed by mpc.RowIndex, so a call allocates per
+// stage, never per row. Each index is probed once per binding: the count
+// pass logs every chain head it looks up, in visiting order, in one log
+// for all the joins, and the fill pass, visiting the same bindings in the
+// same order, replays it instead of hashing the keys again.
 //
 //lint:alloc-ceiling
-func indexJoin(out *mpc.Columns, width int, stages []joinStage, order []int32, ring relation.Semiring) {
-	for k := range stages {
-		if stages[k].part.Len() == 0 {
-			return
+func indexJoins(out *mpc.Columns, width int, joins []partJoin, ring relation.Semiring) {
+	// Every probe row looks up its join's first later stage once: the log
+	// holds at least one head per probe row.
+	probes, later, bind := 0, 0, 0
+	for _, jn := range joins {
+		if !slices.ContainsFunc(jn.stages, emptyStage) {
+			probes += jn.stages[0].part.Len()
 		}
+		later += len(jn.stages) - 1
+		bind = max(bind, jn.width)
 	}
-	// Every probe row looks up the first stage once: the log holds at least
-	// one head per probe row, and exactly that with one stage.
+	if probes == 0 {
+		return
+	}
 	log := headLogPool.Get()
-	j := indexJoiner{
-		out:    out,
-		probe:  stages[0],
-		stages: stages[1:],
-		idx:    make([]mpc.RowIndex, len(stages)-1),
-		heads:  mpc.Resize(*log, stages[0].part.Len())[:0],
-		bind:   make(relation.Tuple, width),
-		ring:   ring,
-	}
-	for k, st := range j.stages {
-		j.idx[k] = mpc.IndexRows(st.part, st.keyPos)
-	}
-	j.run(order)
+	j := indexJoiner{out: out, heads: mpc.Resize(*log, probes)[:0], bind: make(relation.Tuple, bind), ring: ring}
+	idx := make([]mpc.RowIndex, later)
+	j.pass(joins, idx)
 	if j.n > 0 {
 		out.Reserve(width, j.n)
 		j.fill = true
-		j.run(order)
+		j.pass(joins, idx)
 	}
-	for k := range j.idx {
-		j.idx[k].Release()
+	for k := range idx {
+		idx[k].Release()
 	}
 	*log = j.heads // the pool keeps the capacity the log grew to
 	headLogPool.Put(log)
 }
 
-// headLogPool recycles indexJoin's head logs.
+// emptyStage reports whether st has no rows, so its join matches nothing.
+func emptyStage(st joinStage) bool { return st.part.Len() == 0 }
+
+// headLogPool recycles indexJoins' head logs.
 var headLogPool mpc.Pool[[]int32]
 
-// indexJoiner is indexJoin's state: the stage indexes, the head log, the
-// output row being bound, and which of the two passes is running.
+// indexJoiner is indexJoins' state: the join running and its stage
+// indexes, the head log, the bound row, and which pass is running.
 type indexJoiner struct {
 	out    *mpc.Columns
 	probe  joinStage
@@ -87,6 +97,24 @@ type indexJoiner struct {
 	ring   relation.Semiring
 	fill   bool
 	n      int // result rows, counted by the first pass
+}
+
+// pass runs every join that can match, in order, each over the next
+// window of idx; the count pass builds the indexes the fill pass reuses.
+//
+//lint:alloc-ceiling
+func (j *indexJoiner) pass(joins []partJoin, idx []mpc.RowIndex) {
+	for _, jn := range joins {
+		j.probe, j.stages, j.idx = jn.stages[0], jn.stages[1:], idx[:len(jn.stages)-1]
+		idx = idx[len(j.idx):]
+		if slices.ContainsFunc(jn.stages, emptyStage) {
+			continue
+		}
+		for k := 0; k < len(j.stages) && !j.fill; k++ {
+			j.idx[k] = mpc.IndexRows(j.stages[k].part, j.stages[k].keyPos)
+		}
+		j.run(jn.order)
+	}
 }
 
 // run makes one pass over the probe rows.
@@ -155,14 +183,107 @@ func (j *indexJoiner) extend(k int, annot int64) {
 	}
 }
 
-// stagesAt returns a copy of stages in which stage i reads server s's part
-// of ds[i] — the per-server binding of a stage list laid out once.
-func stagesAt(stages []joinStage, ds []*mpc.Dist, s int) []joinStage {
-	local := append([]joinStage(nil), stages...)
-	for i := range local {
-		local[i].part = &ds[i].Parts[s]
+// pendingJoin is a routed join whose local kernel has not run yet: server
+// s joins the s-th parts of inputs through stages, which bind schema's
+// columns, visiting its probe rows stably sorted by the columns keyIn
+// (none: in source order). A join without inputs has no rows.
+type pendingJoin struct {
+	schema relation.Schema
+	inputs []*mpc.Dist
+	stages []joinStage
+	keyIn  []int
+}
+
+// copyJoin is d as a one-stage join: every row of d, in order.
+func copyJoin(d *mpc.Dist) pendingJoin {
+	all := identityPos(len(d.Schema))
+	return pendingJoin{schema: d.Schema, inputs: []*mpc.Dist{d}, stages: []joinStage{{src: all, dst: all}}}
+}
+
+// joinInto runs the local kernels of joins into one result laid out as
+// layout (nil: the first join's schema), every column of which each join
+// must bind: part s holds join 1's rows of server s, then join 2's, … —
+// mpc.Concat's source-major order — counted together and reserved once
+// (indexJoins), so every result row is written once, where it lives. A
+// join binds layout's columns first and those layout drops (acyclic's
+// dummy attributes) last, so a result row is the bound row's head. Servers
+// run in parallel, each writing only its own part. Local work only: no
+// round, no load.
+//
+//lint:alloc-ceiling
+func joinInto(c *mpc.Cluster, layout relation.Schema, ring relation.Semiring, joins ...pendingJoin) *mpc.Dist {
+	if layout == nil {
+		layout = joins[0].schema
 	}
-	return local
+	var laid []pendingJoin
+	nst := 0
+	for _, j := range joins {
+		if j.inputs != nil {
+			laid = append(laid, j.boundAs(layout))
+			nst += len(j.stages)
+		}
+	}
+	res := mpc.NewDist(c, layout)
+	// Every server's joins and stages, allocated once for all servers.
+	local, stages := make([]partJoin, c.P*len(laid)), make([]joinStage, c.P*nst)
+	runtime.Fork(c.P, func(s int) {
+		mine, st := local[s*len(laid):(s+1)*len(laid)], stages[s*nst:]
+		for i, j := range laid {
+			for k, stage := range j.stages {
+				stage.part = &j.inputs[k].Parts[s]
+				st[k] = stage
+			}
+			mine[i] = partJoin{st[:len(j.stages):len(j.stages)], keyOrder(st[0].part, j.keyIn), len(j.schema)}
+			st = st[len(j.stages):]
+		}
+		indexJoins(&res.Parts[s], len(layout), mine, ring)
+	})
+	return res
+}
+
+// boundAs is j binding layout's columns first, then the rest of its own.
+func (j pendingJoin) boundAs(layout relation.Schema) pendingJoin {
+	bound := append(slices.Clone(layout), j.schema.Minus(layout)...)
+	if bound.Equal(j.schema) {
+		return j
+	} else if len(bound) != len(j.schema) {
+		panic(fmt.Sprintf("core: a join over %v does not bind all of %v", j.schema, layout))
+	}
+	to := bound.Positions(j.schema) // j's column i is bound's to[i]
+	remap := func(pos []int) (out []int) {
+		for _, p := range pos {
+			out = append(out, to[p])
+		}
+		return out
+	}
+	laid := pendingJoin{bound, j.inputs, slices.Clone(j.stages), j.keyIn}
+	for k := range laid.stages {
+		st := &laid.stages[k]
+		st.keyOut, st.dst = remap(st.keyOut), remap(st.dst)
+	}
+	return laid
+}
+
+// keyOrder returns part's rows stably sorted by the columns keyIn, or nil
+// (source order) when there are none.
+func keyOrder(part *mpc.Columns, keyIn []int) []int32 {
+	if len(keyIn) == 0 {
+		return nil
+	}
+	order := make([]int32, part.Len())
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int {
+		ta, tb := part.Tuple(int(a)), part.Tuple(int(b))
+		for _, p := range keyIn {
+			if d := cmp.Compare(ta[p], tb[p]); d != 0 {
+				return d
+			}
+		}
+		return 0
+	})
+	return order
 }
 
 // identityPos returns the positions 0 … n−1.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/mpc"
@@ -50,6 +51,11 @@ func refIndexJoin(out *mpc.Columns, width int, stages []joinStage, order []int32
 		}
 		extend(0, t, probe.part.Annot(r))
 	}
+}
+
+// indexJoin is indexJoins with one join whose bound row is the output row.
+func indexJoin(out *mpc.Columns, width int, stages []joinStage, order []int32, ring relation.Semiring) {
+	indexJoins(out, width, []partJoin{{stages, order, width}}, ring)
 }
 
 // fuzzPart builds n rows of the given width over a small domain (so keys
@@ -156,7 +162,10 @@ func pick(rng *mpc.Rng, n, k int) []int { return rng.Perm(n)[:k] }
 // match nothing (the kernel never runs its fill pass), explicit probe
 // orders, two semirings, and head logs dirtied with sentinels before every
 // call — and demands equal output columns in the same row order, also when
-// appending to a part that already holds rows.
+// appending to a part that already holds rows. Its multi-join arm cuts the
+// probe rows into 2–3 joins over the same later stages and drives them into
+// one part (indexJoins), which must equal the reference run over the
+// chunks in turn.
 //
 // flags: bit 0 the max-plus ring, bit 1 a materialized probe, bit 2 a
 // probe order, bits 3–6 materialized stages, bit 7 dirty head logs.
@@ -255,6 +264,39 @@ func FuzzLocalJoinParity(f *testing.F) {
 			if miss >= 0 && want.Len() != before {
 				t.Fatalf("pass %d: stage %d shares no key with the rest, yet the reference joined %d rows", pass, miss+1, want.Len()-before)
 			}
+		}
+
+		// The multi-join arm: the probe rows, in visiting order, cut into
+		// 2–3 chunks (any of them possibly empty), each the probe of its own
+		// join over the same later stages, all driven into one part on
+		// dirtied head logs, must give the reference's rows over the chunks,
+		// concatenated, row for row.
+		chunks := make([]mpc.Columns, 2+rng.Intn(2))
+		cuts := []int{0, rng.Intn(probe.part.Len() + 1), rng.Intn(probe.part.Len() + 1), probe.part.Len()}[:len(chunks)+1]
+		cuts[len(chunks)] = probe.part.Len()
+		slices.Sort(cuts)
+		joins := make([]partJoin, len(chunks))
+		var multi, ref mpc.Columns
+		for c := range chunks {
+			for i := cuts[c]; i < cuts[c+1]; i++ {
+				r := i
+				if order != nil {
+					r = int(order[i])
+				}
+				chunks[c].Append(probe.part.Tuple(r), probe.part.Annot(r))
+			}
+			joins[c] = partJoin{stages: slices.Clone(stages), width: bound}
+			joins[c].stages[0].part = &chunks[c]
+			refIndexJoin(&ref, bound, joins[c].stages, nil, ring)
+		}
+		dirtyHeadLogs(1<<12, 3)
+		indexJoins(&multi, bound, joins, ring)
+		if !multi.Equal(&ref) {
+			t.Fatalf("%d joins into one part: kernel output (%d rows) differs from the reference's concatenation (%d rows)",
+				len(joins), multi.Len(), ref.Len())
+		}
+		if ref.Len() != want.Len()/2 {
+			t.Fatalf("the chunks' reference joined %d rows, the whole probe %d", ref.Len(), want.Len()/2)
 		}
 	})
 }

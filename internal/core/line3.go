@@ -25,8 +25,9 @@ import (
 // subroutine keeps every step within the target load. This is the paper's
 // key observation that join ORDER has asymptotic consequences in MPC
 // (Section 4.1) and that decomposing by degree always yields a good order
-// for each part. The result is Q1 ∪ Q2 gathered by one mpc.Concat onto the
-// output schema: each result row is copied once, on its own server.
+// for each part. The result is Q1 ∪ Q2: the two last joins' local kernels
+// write into one result laid out as the output schema (joinInto), so each
+// result row is written once, on its own server, and never copied.
 //
 //lint:load frac
 //lint:rounds const
@@ -70,12 +71,12 @@ func Line3WithTau(c *mpc.Cluster, in *Instance, tauOverride int64, seed uint64) 
 
 	// Step (2): two sub-joins with opposite orders.
 	t23 := BinaryJoin(r2H, r3, in.Ring, seed^0x400, nil)
-	q1 := BinaryJoin(r1H, t23, in.Ring, seed^0x401, nil)
+	q1 := binaryJoin(r1H, t23, seed^0x401)
 
 	t12 := BinaryJoin(r1L, r2L, in.Ring, seed^0x402, nil)
-	q2 := BinaryJoin(t12, r3, in.Ring, seed^0x403, nil)
+	q2 := binaryJoin(t12, r3, seed^0x403)
 
-	return mpc.Concat(outSchema, q1, q2)
+	return joinInto(c, outSchema, in.Ring, q1, q2)
 }
 
 // IsLine3Query reports whether q has the line-3 chain shape

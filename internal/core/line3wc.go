@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/mpc"
 	"repro/internal/relation"
-	"repro/internal/runtime"
 )
 
 // Line3WorstCase is the worst-case optimal one-round algorithm for the
@@ -56,22 +55,14 @@ func Line3WorstCase(c *mpc.Cluster, in *Instance, seed uint64) *mpc.Dist {
 	})
 	g3 := r3.ReplicateAppend(func(it mpc.Item, dst []int) []int { return grid.appendServers(dst, hc(it.T, p3c)) })
 
-	// Per-server joins (indexJoin) run in parallel — server sv writes only
-	// res.Parts[sv] — and emission runs afterwards in server order: each
-	// R2(B,C) row probes R1 by B, then R3 by C.
+	// Per-server joins: each R2(B,C) row probes R1 by B, then R3 by C.
 	outSchema := in.OutputSchema()
-	res := mpc.NewDist(c, outSchema)
 	aAttrs := []relation.Attr(r1.Schema.Minus(relation.NewSchema(b)))
 	dAttrs := []relation.Attr(r3.Schema.Minus(relation.NewSchema(cAttr)))
 	bOut, cOut := outSchema.Positions([]relation.Attr{b}), outSchema.Positions([]relation.Attr{cAttr})
-	stages := []joinStage{
+	return joinInto(c, outSchema, in.Ring, pendingJoin{schema: outSchema, inputs: []*mpc.Dist{g2, g1, g3}, stages: []joinStage{
 		{src: []int{p2b[0], p2c[0]}, dst: []int{bOut[0], cOut[0]}},
 		{keyPos: p1b, keyOut: bOut, src: g1.Positions(aAttrs), dst: outSchema.Positions(aAttrs)},
 		{keyPos: p3c, keyOut: cOut, src: g3.Positions(dAttrs), dst: outSchema.Positions(dAttrs)},
-	}
-	inputs := []*mpc.Dist{g2, g1, g3}
-	runtime.Fork(c.P, func(sv int) {
-		indexJoin(&res.Parts[sv], len(outSchema), stagesAt(stages, inputs, sv), nil, in.Ring)
-	})
-	return res
+	}})
 }

@@ -1,13 +1,11 @@
 package core
 
 import (
-	"cmp"
 	"slices"
 
 	"repro/internal/mpc"
 	"repro/internal/primitives"
 	"repro/internal/relation"
-	"repro/internal/runtime"
 )
 
 // MultiwayKeyedJoin joins m relations that all contain the key attributes
@@ -23,9 +21,18 @@ import (
 // (|Q(R,S)|/p)^{1/|S|}. Each such key gets a ⌈d_1/L⌉ × … × ⌈d_m/L⌉
 // hypercube of servers; light keys are hashed.
 //
+// The result is laid out as layout, which must hold exactly the relations'
+// attributes (nil: the union of their schemas, in order).
+//
 //lint:load frac trust the per-key hypercubes target the instance-optimal L of bound (2); light keys stay at IN/p
 //lint:rounds const
-func MultiwayKeyedJoin(key relation.Schema, dists []*mpc.Dist, ring relation.Semiring, seed uint64) *mpc.Dist {
+func MultiwayKeyedJoin(key relation.Schema, dists []*mpc.Dist, layout relation.Schema, ring relation.Semiring, seed uint64) *mpc.Dist {
+	return joinInto(dists[0].C, layout, ring, multiwayKeyedJoin(key, dists, seed))
+}
+
+// multiwayKeyedJoin is MultiwayKeyedJoin up to its local join, which the
+// caller runs (joinInto); a lone relation is a one-stage copy of itself.
+func multiwayKeyedJoin(key relation.Schema, dists []*mpc.Dist, seed uint64) pendingJoin {
 	if len(dists) == 0 {
 		panic("core: MultiwayKeyedJoin of nothing")
 	}
@@ -40,7 +47,7 @@ func MultiwayKeyedJoin(key relation.Schema, dists []*mpc.Dist, ring relation.Sem
 		outSchema = outSchema.Union(d.Schema)
 	}
 	if m == 1 {
-		return dists[0]
+		return copyJoin(dists[0])
 	}
 	keyAttrs := []relation.Attr(key)
 
@@ -103,13 +110,10 @@ func MultiwayKeyedJoin(key relation.Schema, dists []*mpc.Dist, ring relation.Sem
 		})
 	}
 
-	// Local per-key cross products (indexJoin): relation 0's rows, visited
-	// in key order, probe the other relations by key. Servers run in
-	// parallel — server s writes only res.Parts[s] — and emission runs
-	// afterwards in server order, the exact serial sequence.
-	res := mpc.NewDist(c, outSchema)
+	// Local per-key cross products: relation 0's rows, visited in key order
+	// (with an empty key, as HyperCube, source order is key order already),
+	// probe the other relations by key.
 	keyOut := outSchema.Positions(keyAttrs)
-	keyIn := routed[0].Positions(keyAttrs)
 	all0 := identityPos(len(routed[0].Schema))
 	stages := make([]joinStage, m)
 	stages[0] = joinStage{src: all0, dst: all0}
@@ -118,27 +122,7 @@ func MultiwayKeyedJoin(key relation.Schema, dists []*mpc.Dist, ring relation.Sem
 		stages[i+1] = joinStage{keyPos: d.Positions(keyAttrs), keyOut: keyOut,
 			src: d.Positions(extras), dst: outSchema.Positions(extras)}
 	}
-	runtime.Fork(c.P, func(s int) {
-		// With an empty key (HyperCube) source order is key order already.
-		var order []int32
-		if probe := &routed[0].Parts[s]; len(keyIn) > 0 {
-			order = make([]int32, probe.Len())
-			for i := range order {
-				order[i] = int32(i)
-			}
-			slices.SortStableFunc(order, func(a, b int32) int {
-				ta, tb := probe.Tuple(int(a)), probe.Tuple(int(b))
-				for _, p := range keyIn {
-					if d := cmp.Compare(ta[p], tb[p]); d != 0 {
-						return d
-					}
-				}
-				return 0
-			})
-		}
-		indexJoin(&res.Parts[s], len(outSchema), stagesAt(stages, routed, s), order, ring)
-	})
-	return res
+	return pendingJoin{schema: outSchema, inputs: routed, stages: stages, keyIn: routed[0].Positions(keyAttrs)}
 }
 
 // chooseLoad binary-searches the smallest per-relation load target L ≥ IN/p

@@ -45,7 +45,7 @@ func TestMultiwayKeyedJoinMatchesReference(t *testing.T) {
 		}
 		jobs = append(jobs, job{name: name, uses: cubes,
 			run: func(c *mpc.Cluster) *mpc.Dist {
-				return core.MultiwayKeyedJoin(key, load(c), relation.CountRing, 11)
+				return core.MultiwayKeyedJoin(key, load(c), nil, relation.CountRing, 11)
 			},
 			ref: func(c *mpc.Cluster) (*mpc.Dist, int) {
 				return core.MultiwayKeyedJoinRef(key, load(c), relation.CountRing, 11)

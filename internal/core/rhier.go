@@ -526,35 +526,24 @@ func (n *hierNode) case2(sub *mpc.Cluster, l int64) *mpc.Dist {
 	if total < classes {
 		classes = total
 	}
-	// Keyless stages, one per slice: indexJoin then enumerates exactly the
-	// cell's cross product, last slice fastest.
+	// Keyless stages, one per slice: indexJoins then enumerates exactly
+	// each cell's cross product, last slice fastest, cell after cell.
 	width := len(out.Schema)
 	stages := make([]joinStage, k)
 	for i, sl := range results {
 		stages[i] = joinStage{src: identityPos(len(sl.Schema)), dst: out.Schema.Positions([]relation.Attr(sl.Schema))}
 	}
 	runtime.Fork(classes, func(r int) {
-		cell := append([]joinStage(nil), stages...)
-		// bind points cell at grid cell id's slices and returns the size of
-		// their cross product.
-		bind := func(id int) int {
-			size := 1
-			for i := k - 1; i >= 0; i-- {
-				cell[i].part = &results[i].Parts[id%dims[i]]
-				size *= cell[i].part.Len()
-				id /= dims[i]
+		var cells []partJoin
+		for id := r; id < total; id += sub.P {
+			cell := slices.Clone(stages)
+			for i, at := k-1, id; i >= 0; i-- {
+				cell[i].part = &results[i].Parts[at%dims[i]]
+				at /= dims[i]
 			}
-			return size
+			cells = append(cells, partJoin{cell, nil, width})
 		}
-		rows := 0
-		for id := r; id < total; id += sub.P {
-			rows += bind(id)
-		}
-		out.Parts[r].Reserve(width, rows)
-		for id := r; id < total; id += sub.P {
-			bind(id)
-			indexJoin(&out.Parts[r], width, cell, nil, n.ring)
-		}
+		indexJoins(&out.Parts[r], width, cells, n.ring)
 	})
 	return out
 }

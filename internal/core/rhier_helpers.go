@@ -202,7 +202,7 @@ func localJoin(out *mpc.Columns, schema relation.Schema, rels []*relation.Relati
 			src: r.Schema.Positions(extra), dst: schema.Positions(extra)}
 		bound = bound.Union(r.Schema)
 	}
-	indexJoin(out, len(schema), stages, nil, ring)
+	indexJoins(out, len(schema), []partJoin{{stages, nil, len(schema)}}, ring)
 }
 
 // componentsByRoot partitions the active relations by the attribute-forest

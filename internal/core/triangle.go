@@ -6,7 +6,6 @@ import (
 	"repro/internal/hypergraph"
 	"repro/internal/mpc"
 	"repro/internal/relation"
-	"repro/internal/runtime"
 )
 
 // Triangle computes the triangle join R1(B,C) ⋈ R2(A,C) ⋈ R3(A,B) with the
@@ -67,25 +66,18 @@ func Triangle(c *mpc.Cluster, in *Instance, seed uint64) *mpc.Dist {
 		}
 	}
 
-	// Per-server probes (indexJoin) run in parallel — server sv writes only
-	// res.Parts[sv] — and emission runs afterwards in server order. Each
-	// R1(B,C) row probes R3(A,B) by B, and each such pair probes R2(A,C) by
-	// (A,C): every matching R2 row yields a result, so duplicate rows keep
-	// their multiplicity (bag semantics, as in core.Naive).
+	// Per-server probes: each R1(B,C) row probes R3(A,B) by B, and each
+	// such pair probes R2(A,C) by (A,C): every matching R2 row yields a
+	// result, so duplicate rows keep their multiplicity (bag semantics, as
+	// in core.Naive).
 	outSchema := in.OutputSchema()
-	res := mpc.NewDist(c, outSchema)
 	outA, outB, outC := outSchema.Pos(a), outSchema.Pos(b), outSchema.Pos(cc)
-	stages := []joinStage{
+	return joinInto(c, outSchema, in.Ring, pendingJoin{schema: outSchema, inputs: []*mpc.Dist{dBC, dAB, dAC}, stages: []joinStage{
 		{src: dBC.Positions([]relation.Attr{b, cc}), dst: []int{outB, outC}},
 		{keyPos: dAB.Positions([]relation.Attr{b}), keyOut: []int{outB},
 			src: dAB.Positions([]relation.Attr{a}), dst: []int{outA}},
 		{keyPos: dAC.Positions([]relation.Attr{a, cc}), keyOut: []int{outA, outC}},
-	}
-	inputs := []*mpc.Dist{dBC, dAB, dAC}
-	runtime.Fork(c.P, func(sv int) {
-		indexJoin(&res.Parts[sv], len(outSchema), stagesAt(stages, inputs, sv), nil, in.Ring)
-	})
-	return res
+	}})
 }
 
 // IsTriangleQuery reports whether q is the Section 7 triangle shape: three

@@ -6,6 +6,7 @@ import (
 	"repro/internal/hypergraph"
 	"repro/internal/mpc"
 	"repro/internal/primitives"
+	"repro/internal/relation"
 )
 
 // LoadInstance distributes every relation of the instance over the cluster
@@ -107,13 +108,19 @@ func Yannakakis(c *mpc.Cluster, in *Instance, order []int, seed uint64) *mpc.Dis
 	dists = FullReduce(in, dists)
 	// The last join writes its rows in the output schema's order, so the
 	// result needs no projection.
-	acc := dists[order[0]]
-	for i := 1; i < len(order); i++ {
-		layout := acc.Schema.Union(dists[order[i]].Schema)
-		if i == len(order)-1 {
-			layout = in.OutputSchema()
-		}
-		acc = binaryJoin(acc, dists[order[i]], layout, in.Ring, seed+uint64(7*i))
+	return joinInto(c, in.OutputSchema(), in.Ring, foldJoin(dists, order, in.Ring, seed, 7))
+}
+
+// foldJoin folds dists with binary joins along order, join i salted with
+// seed + step·i, and returns the last join with its local kernel pending
+// (a lone relation is a one-stage copy of itself).
+func foldJoin(dists []*mpc.Dist, order []int, ring relation.Semiring, seed, step uint64) pendingJoin {
+	acc, last := dists[order[0]], len(order)-1
+	if last == 0 {
+		return copyJoin(acc)
 	}
-	return acc
+	for i := 1; i < last; i++ {
+		acc = joinInto(acc.C, nil, ring, binaryJoin(acc, dists[order[i]], seed+step*uint64(i)))
+	}
+	return binaryJoin(acc, dists[order[last]], seed+step*uint64(last))
 }

@@ -237,8 +237,9 @@ func execute(a Algorithm, job Job) (res Result, err error) {
 		return Result{Algorithm: a.name, Candidates: cands}, fmt.Errorf("engine: %s: %w", a.name, err)
 	}
 	// The result is what the algorithm returned, in the emitted layout (a
-	// no-op for every full join but hypercube's): count it, fold it, table
-	// it, and only then let the caller's observer watch it go by.
+	// no-op for every full join, each of which writes its rows in the
+	// output schema's layout): count it, fold it, table it, and only then
+	// let the caller's observer watch it go by.
 	out := dist.Project(emitSchema(a, job))
 	res = Result{
 		Algorithm:   a.name,

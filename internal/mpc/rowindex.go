@@ -136,7 +136,11 @@ func (ix *RowIndex) First(t relation.Tuple, pos []int) int {
 func (ix *RowIndex) Next(i int) int { return int(ix.next[i]&^displaced) - 1 }
 
 // Release recycles the index's arrays; the index must not be used after.
+// Releasing the zero RowIndex, one never built, does nothing.
 func (ix *RowIndex) Release() {
+	if ix.arrays == nil {
+		return
+	}
 	indexArraysPool.Put(ix.arrays)
 	ix.slots, ix.next, ix.arrays = nil, nil, nil
 }

@@ -53,8 +53,10 @@ func Parallelism() int {
 var forkTokens atomic.Int64
 
 // acquireToken reserves one extra worker if the process-wide budget allows.
-// The budget is width−1: the calling goroutine is always the width-th
-// worker, so a width of 1 never spawns.
+// The budget is width−1, width being Parallelism(), not a call's task
+// count: the calling goroutine is always the width-th worker, so a width
+// of 1 never spawns, and a small fork nested in another still draws on
+// whatever of the budget is free.
 func acquireToken(width int) bool {
 	limit := int64(width - 1)
 	for {
@@ -86,11 +88,8 @@ func Fork(n int, fn func(task int)) {
 		return
 	}
 	width := Parallelism()
-	if width > n {
-		width = n
-	}
 	spawned := 0
-	for spawned < width-1 && acquireToken(width) {
+	for spawned < min(width, n)-1 && acquireToken(width) {
 		spawned++
 	}
 	if spawned == 0 {

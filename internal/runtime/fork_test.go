@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForkRunsEveryTaskOnce(t *testing.T) {
@@ -100,6 +101,46 @@ func TestForkNestedStaysWithinWidth(t *testing.T) {
 			Fork(3, leaf)
 		})
 	})
+	if got := forkTokens.Load(); got != 0 {
+		t.Errorf("nested forks leaked %d tokens", got)
+	}
+}
+
+// TestForkNestedUsesFreeBudget: a small fork nested in another small fork
+// draws on the whole free budget, not on its own task count. At width 8,
+// Fork(2) inside Fork(2) has 3 of 7 tokens to take: both outer tasks run at
+// once, and each runs its two inner tasks at once, so 4 leaves overlap.
+// Each leaf waits (up to a deadline) for the others to arrive, so the
+// count reads the overlap the budget allows, not the scheduler's luck.
+func TestForkNestedUsesFreeBudget(t *testing.T) {
+	prev := SetParallelism(8)
+	defer SetParallelism(prev)
+	var outer, leaves, maxOuter, maxLeaves atomic.Int64
+	raise := func(m *atomic.Int64, n int64) {
+		for cur := m.Load(); n > cur && !m.CompareAndSwap(cur, n); cur = m.Load() {
+		}
+	}
+	wait := func(c *atomic.Int64, n int64) {
+		for deadline := time.Now().Add(5 * time.Second); c.Load() < n && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	Fork(2, func(int) {
+		raise(&maxOuter, outer.Add(1))
+		Fork(2, func(int) {
+			raise(&maxLeaves, leaves.Add(1))
+			wait(&maxLeaves, 4)
+			leaves.Add(-1)
+		})
+		wait(&maxOuter, 2)
+		outer.Add(-1)
+	})
+	if got := maxOuter.Load(); got != 2 {
+		t.Errorf("%d outer tasks ran at once, want 2", got)
+	}
+	if got := maxLeaves.Load(); got != 4 {
+		t.Errorf("%d nested tasks ran at once at width 8, want 4: the inner forks ran inline with most of the budget free", got)
+	}
 	if got := forkTokens.Load(); got != 0 {
 		t.Errorf("nested forks leaked %d tokens", got)
 	}
