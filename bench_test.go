@@ -196,7 +196,7 @@ func BenchmarkFig3_JoinOrder(b *testing.B) {
 		})
 		b.Run(name+"/line3", func(b *testing.B) {
 			measure(b, in, s.P, func(c *mpc.Cluster) *mpc.Dist {
-				return core.Line3(c, in, s.Seed)
+				return core.Line3WithTau(c, in, 0, s.Seed)
 			})
 		})
 		b.Run(name+"/acyclic", func(b *testing.B) {
@@ -216,7 +216,7 @@ func BenchmarkFig4_Line3Sweep(b *testing.B) {
 		in := gen.Line3Random(rng, s.IN, s.IN*f)
 		b.Run(fmt.Sprintf("outfactor=%d/line3", f), func(b *testing.B) {
 			measure(b, in, s.P, func(c *mpc.Cluster) *mpc.Dist {
-				return core.Line3(c, in, s.Seed)
+				return core.Line3WithTau(c, in, 0, s.Seed)
 			})
 		})
 		b.Run(fmt.Sprintf("outfactor=%d/yannakakis", f), func(b *testing.B) {
@@ -323,7 +323,7 @@ func BenchmarkTable1_Acyclic(b *testing.B) {
 	})
 	b.Run("line3", func(b *testing.B) {
 		measure(b, in, s.P, func(c *mpc.Cluster) *mpc.Dist {
-			return core.Line3(c, in, s.Seed)
+			return core.Line3WithTau(c, in, 0, s.Seed)
 		})
 	})
 	b.Run("acyclic", func(b *testing.B) {
@@ -411,7 +411,7 @@ func BenchmarkE5_InstanceOptimalityGap(b *testing.B) {
 	rng := mpc.NewRng(s.Seed)
 	in := gen.Line3Random(rng, s.IN, s.P*s.IN)
 	measure(b, in, s.P, func(c *mpc.Cluster) *mpc.Dist {
-		return core.Line3(c, in, s.Seed)
+		return core.Line3WithTau(c, in, 0, s.Seed)
 	})
 }
 

@@ -101,7 +101,7 @@ func TestLine3AssemblyMatchesReference(t *testing.T) {
 		in   *core.Instance
 	}{{"catalog line-3", catalog}, {"random", random}, {"hard", hard}, {"hub", hub}}
 	noise := gen.ForQuery(mpc.NewRng(7), hypergraph.Line3(), 512, 5)
-	dirty := func() { core.Line3(mpc.NewCluster(16), noise, 7) }
+	dirty := func() { core.Line3WithTau(mpc.NewCluster(16), noise, 0, 7) }
 
 	union := false // some job has rows on both sides of Q1 ∪ Q2
 	for _, width := range []int{1, 2, 8} {
@@ -112,7 +112,7 @@ func TestLine3AssemblyMatchesReference(t *testing.T) {
 			want, pieces := core.Line3Ref(ref, j.in, 2019)
 			union = union || pieces == 2
 			dirty()
-			got := core.Line3(cur, j.in, 2019)
+			got := core.Line3WithTau(cur, j.in, 0, 2019)
 			if !got.Schema.Equal(want.Schema) || len(got.Parts) != len(want.Parts) {
 				t.Fatalf("width %d, %s: result over %v on %d parts, reference over %v on %d",
 					width, j.name, got.Schema, len(got.Parts), want.Schema, len(want.Parts))

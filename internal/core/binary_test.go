@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/hypergraph"
@@ -15,17 +14,7 @@ import (
 // after projecting both onto the canonical sorted schema.
 func relEqual(t *testing.T, got, want *relation.Relation) {
 	t.Helper()
-	canon := func(r *relation.Relation) []string {
-		attrs := []relation.Attr(relation.Schema(r.Schema).Sorted())
-		p := r.Project(attrs)
-		keys := make([]string, p.Size())
-		for i, tu := range p.Tuples {
-			keys[i] = relation.EncodeTuple(tu) + relation.EncodeValues(relation.Value(p.Annot(i)))
-		}
-		sort.Strings(keys)
-		return keys
-	}
-	g, w := canon(got), canon(want)
+	g, w := canonical(got), canonical(want)
 	if len(g) != len(w) {
 		t.Fatalf("result size %d, want %d", len(g), len(w))
 	}

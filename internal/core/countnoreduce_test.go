@@ -256,7 +256,7 @@ func TestCountRoundsDropByTheReducer(t *testing.T) {
 		splits  int // degree splits, each one multi-search instead of two
 	}{
 		{"count", func(c *mpc.Cluster) { core.CountOutput(c, in, seed) }, ref, 0, 0},
-		{"line3", func(c *mpc.Cluster) { core.Line3(c, in, seed) }, 86, line3Skips(in), 2},
+		{"line3", func(c *mpc.Cluster) { core.Line3WithTau(c, in, 0, seed) }, 86, line3Skips(in), 2},
 		{"acyclic", func(c *mpc.Cluster) { core.AcyclicJoin(c, in, seed) }, 90, acyclicSkips(t, in), 1},
 	}
 	for _, cs := range cases {

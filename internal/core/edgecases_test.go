@@ -44,7 +44,7 @@ func TestAllAlgorithmsOnEmptyInput(t *testing.T) {
 		if q.IsRHierarchical() {
 			n += RHier(mpc.NewCluster(4), in, 1).Size() + BinHC(mpc.NewCluster(4), in, 1, false).Size()
 		} else {
-			n += Line3(mpc.NewCluster(4), in, 1).Size()
+			n += Line3WithTau(mpc.NewCluster(4), in, 0, 1).Size()
 		}
 		if n != 0 {
 			t.Errorf("%v: emitted %d results from empty input", q, n)
@@ -84,7 +84,7 @@ func TestAlgorithmsOnSingleServer(t *testing.T) {
 	want := NaiveCount(in)
 	for _, f := range []func(c *mpc.Cluster) *mpc.Dist{
 		func(c *mpc.Cluster) *mpc.Dist { return Yannakakis(c, in, nil, 1) },
-		func(c *mpc.Cluster) *mpc.Dist { return Line3(c, in, 1) },
+		func(c *mpc.Cluster) *mpc.Dist { return Line3WithTau(c, in, 0, 1) },
 		func(c *mpc.Cluster) *mpc.Dist { return AcyclicJoin(c, in, 1) },
 		func(c *mpc.Cluster) *mpc.Dist { return Line3WorstCase(c, in, 1) },
 	} {
@@ -108,7 +108,7 @@ func TestDanglingOnlyRelation(t *testing.T) {
 	in := NewInstance(hypergraph.Line3(), r1, r2, r3)
 	for _, f := range []func(c *mpc.Cluster) *mpc.Dist{
 		func(c *mpc.Cluster) *mpc.Dist { return Yannakakis(c, in, nil, 1) },
-		func(c *mpc.Cluster) *mpc.Dist { return Line3(c, in, 1) },
+		func(c *mpc.Cluster) *mpc.Dist { return Line3WithTau(c, in, 0, 1) },
 		func(c *mpc.Cluster) *mpc.Dist { return AcyclicJoin(c, in, 1) },
 	} {
 		if n := f(mpc.NewCluster(4)).Size(); n != 0 {

@@ -151,8 +151,22 @@ func triangleShare(rng *mpc.Rng, tau, side, s int, prob float64) []joinStage {
 	}
 }
 
+// perm returns a random permutation of [0, n): Fisher–Yates over
+// rng.Intn, the draws the fuzz corpora replay.
+func perm(rng *mpc.Rng, n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	for i := n - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		p[i], p[j] = p[j], p[i]
+	}
+	return p
+}
+
 // pick returns k distinct values of [0, n) in random order.
-func pick(rng *mpc.Rng, n, k int) []int { return rng.Perm(n)[:k] }
+func pick(rng *mpc.Rng, n, k int) []int { return perm(rng, n)[:k] }
 
 // FuzzLocalJoinParity drives the kernel and the map-of-items reference
 // over random shapes — tuple widths, key widths (zero included) and key
@@ -219,7 +233,7 @@ func FuzzLocalJoinParity(f *testing.F) {
 		probe := joinStage{part: dupRows(rng, fuzzPart(rng, sizes[0], wp, d, flags&2 != 0)), src: pick(rng, wp, wp), dst: pick(rng, wp, wp)}
 		var order []int32
 		if flags&4 != 0 {
-			for _, r := range rng.Perm(probe.part.Len()) {
+			for _, r := range perm(rng, probe.part.Len()) {
 				order = append(order, int32(r))
 			}
 		}

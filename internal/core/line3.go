@@ -9,8 +9,9 @@ import (
 	"repro/internal/relation"
 )
 
-// Line3 is the paper's Section 4.2 output-optimal algorithm for the line-3
-// join R1(A,B) ⋈ R2(B,C) ⋈ R3(C,D), with the load of Thm 7 (stats.Thm7).
+// Line3WithTau is the paper's Section 4.2 output-optimal algorithm for the
+// line-3 join R1(A,B) ⋈ R2(B,C) ⋈ R3(C,D), with the load of Thm 7
+// (stats.Thm7).
 //
 // After removing dangling tuples it computes OUT (Cor. 4's fold, which runs
 // no reducer of its own: dangling tuples only add Zero to a y = ∅ fold, so
@@ -29,15 +30,8 @@ import (
 // write into one result laid out as the output schema (joinInto), so each
 // result row is written once, on its own server, and never copied.
 //
-//lint:load frac
-//lint:rounds const
-func Line3(c *mpc.Cluster, in *Instance, seed uint64) *mpc.Dist {
-	return Line3WithTau(c, in, 0, seed)
-}
-
-// Line3WithTau runs the Section 4.2 algorithm with an explicit degree
-// threshold τ (tau ≤ 0 selects the paper's balanced τ = √(OUT/IN)). The τ
-// ablation sweeps this to show the balance point of equations (4) and (5).
+// tauOverride > 0 replaces the balanced threshold with an explicit τ: the τ
+// ablation sweeps it to show the balance point of equations (4) and (5).
 //
 //lint:load frac
 //lint:rounds const
@@ -80,8 +74,8 @@ func Line3WithTau(c *mpc.Cluster, in *Instance, tauOverride int64, seed uint64) 
 }
 
 // IsLine3Query reports whether q has the line-3 chain shape
-// R1(A,B) ⋈ R2(B,C) ⋈ R3(C,D) that Line3 handles: the one canonical shape
-// check, shared with the engine's dispatch.
+// R1(A,B) ⋈ R2(B,C) ⋈ R3(C,D) that Line3WithTau handles: the one canonical
+// shape check, shared with the engine's dispatch.
 func IsLine3Query(q *hypergraph.Hypergraph) bool {
 	_, _, ok := line3Shape(q)
 	return ok

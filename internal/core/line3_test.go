@@ -15,7 +15,7 @@ func TestLine3MatchesNaive(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		in := randInstance(rng, hypergraph.Line3(), 25+rng.Intn(30), 5)
 		c := mpc.NewCluster(1 + rng.Intn(8))
-		relEqual(t, collected(in, Line3(c, in, uint64(trial))), Naive(in))
+		relEqual(t, collected(in, Line3WithTau(c, in, 0, uint64(trial))), Naive(in))
 	}
 }
 
@@ -42,7 +42,7 @@ func TestLine3SkewedInstances(t *testing.T) {
 	}
 	in := NewInstance(hypergraph.Line3(), r1.Dedup(), r2.Dedup(), r3.Dedup())
 	c := mpc.NewCluster(5)
-	relEqual(t, collected(in, Line3(c, in, 7)), Naive(in))
+	relEqual(t, collected(in, Line3WithTau(c, in, 0, 7)), Naive(in))
 }
 
 func TestLine3EmptyOutput(t *testing.T) {
@@ -54,7 +54,7 @@ func TestLine3EmptyOutput(t *testing.T) {
 	r3.Add(3, 3)
 	in := NewInstance(hypergraph.Line3(), r1, r2, r3)
 	c := mpc.NewCluster(4)
-	res := Line3(c, in, 1)
+	res := Line3WithTau(c, in, 0, 1)
 	if res.Size() != 0 {
 		t.Errorf("empty join produced %d tuples", res.Size())
 	}
@@ -68,7 +68,7 @@ func TestLine3RejectsWrongShape(t *testing.T) {
 			t.Fatal("Line3 on star query did not panic")
 		}
 	}()
-	Line3(c, in, 1)
+	Line3WithTau(c, in, 0, 1)
 }
 
 // yannakakisHard builds the Figure 3 one-sided hard instance: A×B complete
@@ -118,7 +118,7 @@ func TestLine3BeatsYannakakisOnHardInstance(t *testing.T) {
 	}
 
 	cNew := mpc.NewCluster(p)
-	emNew := counted(in, Line3(cNew, in, 1))
+	emNew := counted(in, Line3WithTau(cNew, in, 0, 1))
 	if emNew.N != want {
 		t.Fatalf("Line3 wrong count %d, want %d", emNew.N, want)
 	}
@@ -180,7 +180,7 @@ func TestLine3DoubledHardInstanceNoGoodOrder(t *testing.T) {
 		}
 	}
 	c := mpc.NewCluster(p)
-	em := counted(in, Line3(c, in, 1))
+	em := counted(in, Line3WithTau(c, in, 0, 1))
 	if em.N != want {
 		t.Fatalf("Line3 wrong count on doubled instance")
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -13,22 +14,15 @@ import (
 
 // canonical renders a result relation as a sorted multiset fingerprint.
 func canonical(r *relation.Relation) []string {
-	attrs := []relation.Attr(relation.Schema(r.Schema).Sorted())
+	attrs := slices.Clone([]relation.Attr(r.Schema))
+	slices.Sort(attrs)
 	p := r.Project(attrs)
 	keys := make([]string, p.Size())
 	for i, tu := range p.Tuples {
 		keys[i] = relation.EncodeTuple(tu) + relation.EncodeValues(relation.Value(p.Annot(i)))
 	}
-	sortStrings(keys)
+	slices.Sort(keys)
 	return keys
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 func sameResults(a, b []string) bool {
@@ -71,7 +65,7 @@ func TestPropertyAllAlgorithmsAgree(t *testing.T) {
 			return BinHC(c, in, 1, false)
 		}},
 		{"line3", IsLine3Query, func(c *mpc.Cluster, in *Instance) *mpc.Dist {
-			return Line3(c, in, 1)
+			return Line3WithTau(c, in, 0, 1)
 		}},
 		{"line3wc", IsLine3Query, func(c *mpc.Cluster, in *Instance) *mpc.Dist {
 			return Line3WorstCase(c, in, 1)
@@ -194,7 +188,7 @@ func TestPropertyEmitterConsistency(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		in := randInstance(rng, hypergraph.Line3(), 25, 5)
 		c := mpc.NewCluster(5)
-		res := Line3(c, in, uint64(seed))
+		res := Line3WithTau(c, in, 0, uint64(seed))
 		return sameResults(
 			canonical(res.Project(in.OutputSchema()).ToRelation("res")),
 			canonical(collected(in, res)))

@@ -189,7 +189,9 @@ func randomHierarchical(rng *mpc.Rng, n, k int) *hypergraph.Hypergraph {
 // multiset is r's rows projected onto the sorted schema, annotation
 // included, as a sorted list.
 func multiset(r *relation.Relation) []string {
-	p := r.Project([]relation.Attr(r.Schema.Sorted()))
+	attrs := slices.Clone([]relation.Attr(r.Schema))
+	slices.Sort(attrs)
+	p := r.Project(attrs)
 	rows := make([]string, p.Size())
 	for i, t := range p.Tuples {
 		rows[i] = relation.EncodeTuple(t) + relation.EncodeValues(relation.Value(p.Annot(i)))

@@ -89,7 +89,7 @@ func directRun(t *testing.T, name string, in *core.Instance, p int, seed uint64)
 	case "acyclic":
 		res = core.AcyclicJoin(c, in, seed)
 	case "line3":
-		res = core.Line3(c, in, seed)
+		res = core.Line3WithTau(c, in, 0, seed)
 	case "line3wc":
 		res = core.Line3WorstCase(c, in, seed)
 	case "rhier":

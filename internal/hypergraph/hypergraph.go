@@ -1,7 +1,6 @@
 package hypergraph
 
 import (
-	"fmt"
 	"strings"
 
 	"repro/internal/relation"
@@ -226,32 +225,4 @@ func (h *Hypergraph) GYO() (*JoinTree, bool) {
 func (h *Hypergraph) IsAcyclic() bool {
 	_, ok := h.GYO()
 	return ok
-}
-
-// validateTree panics unless t is a structurally valid join tree for h;
-// used by tests and debug builds.
-func (h *Hypergraph) validateTree(t *JoinTree) {
-	for _, a := range h.Attrs() {
-		// Nodes containing a must form a connected subtree.
-		nodes := h.EdgesWith(a)
-		if len(nodes) <= 1 {
-			continue
-		}
-		in := make(map[int]bool, len(nodes))
-		for _, u := range nodes {
-			in[u] = true
-		}
-		// Climb from each node towards the root, counting distinct
-		// "top" nodes: a connected subtree has exactly one node whose
-		// parent is outside the set.
-		tops := 0
-		for _, u := range nodes {
-			if t.Parent[u] < 0 || !in[t.Parent[u]] {
-				tops++
-			}
-		}
-		if tops != 1 {
-			panic(fmt.Sprintf("hypergraph: join tree violates connectivity for attr %d", a))
-		}
-	}
 }

@@ -1,6 +1,7 @@
 package hypergraph
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -481,5 +482,33 @@ func TestEmptyHypergraph(t *testing.T) {
 	}
 	if len(h.Attrs()) != 0 {
 		t.Error("empty hypergraph has attrs")
+	}
+}
+
+// validateTree panics unless t is a structurally valid join tree for h:
+// every attribute's edges form a connected subtree.
+func (h *Hypergraph) validateTree(t *JoinTree) {
+	for _, a := range h.Attrs() {
+		// Nodes containing a must form a connected subtree.
+		nodes := h.EdgesWith(a)
+		if len(nodes) <= 1 {
+			continue
+		}
+		in := make(map[int]bool, len(nodes))
+		for _, u := range nodes {
+			in[u] = true
+		}
+		// Climb from each node towards the root, counting distinct
+		// "top" nodes: a connected subtree has exactly one node whose
+		// parent is outside the set.
+		tops := 0
+		for _, u := range nodes {
+			if t.Parent[u] < 0 || !in[t.Parent[u]] {
+				tops++
+			}
+		}
+		if tops != 1 {
+			panic(fmt.Sprintf("hypergraph: join tree violates connectivity for attr %d", a))
+		}
 	}
 }

@@ -17,10 +17,10 @@ import (
 //
 // Rule 1 — exported primitives charge on every return path. An exported
 // function in a scoped package that performs any communication (a routed
-// exchange — ShuffleByKey, ReplicateAppend, GatherTo, MoveTo, … — a sorted
-// chop, or an explicit Charge) must perform one on EVERY path from entry
-// to return. A return reachable without any communicating call means some
-// input reaches the caller uncharged. The one blessed exception is the
+// exchange — ShuffleByKey, ReplicateAppend, … — a sorted chop, or an
+// explicit Charge) must perform one on EVERY path from entry to return. A
+// return reachable without any communicating call means some input
+// reaches the caller uncharged. The one blessed exception is the
 // trivially-empty early-out: a return dominated by an emptiness guard
 // (`if x.Size() == 0`, `if len(xs) == 0`) may skip the rounds entirely,
 // because a statically-empty sub-query has no communication to charge.
@@ -52,7 +52,7 @@ var commFuncs = map[string]bool{
 	// routed exchanges on mpc.Dist
 	"route": true, "routeTasks": true,
 	"ShuffleByKey": true, "ShuffleByAttrs": true,
-	"ReplicateBy": true, "ReplicateAppend": true, "Broadcast": true, "GatherTo": true, "MoveTo": true,
+	"ReplicateBy": true, "ReplicateAppend": true,
 	// sort-and-chop plus the explicit charges
 	"sortAndChop": true, "chopBounds": true,
 	"Charge": true, "ChargeRound": true, "ChargeInput": true,

@@ -41,7 +41,7 @@ func TestColumnsEqualContract(t *testing.T) {
 	rows := []relation.Tuple{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}
 
 	// Append-grown, lazy annotations, deliberately oversized capacity.
-	grown := MakeColumns(3, 64)
+	grown := Columns{width: 3, values: make([]relation.Value, 0, 64*3)}
 	for _, r := range rows {
 		grown.Append(r, 1)
 	}
@@ -75,13 +75,13 @@ func TestColumnsEqualContract(t *testing.T) {
 	}
 
 	// Empty parts compare equal whatever widths they have adopted.
-	e2, e5 := MakeColumns(2, 4), MakeColumns(5, 0)
+	e2, e5 := Columns{width: 2, values: make([]relation.Value, 0, 4*2)}, Columns{width: 5}
 	if !e2.Equal(&e5) {
 		t.Fatal("empty parts must compare equal regardless of width")
 	}
 
 	// Value, annotation, and width differences each break equality.
-	valDiff := MakeColumns(3, 3)
+	var valDiff Columns
 	for _, r := range rows {
 		valDiff.Append(r, 1)
 	}

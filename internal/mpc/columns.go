@@ -40,12 +40,6 @@ type Columns struct {
 	annots []int64 // nil ⇒ every annotation is 1
 }
 
-// MakeColumns returns an empty column set of the given tuple width with
-// room for capacity rows.
-func MakeColumns(width, capacity int) Columns {
-	return Columns{width: width, values: make([]relation.Value, 0, capacity*width)}
-}
-
 // Len returns the number of rows.
 func (c *Columns) Len() int { return c.rows }
 

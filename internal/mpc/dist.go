@@ -52,25 +52,12 @@ func (d *Dist) partsWidth() int {
 	return len(d.Schema)
 }
 
-// roundRobinParts pre-sizes parts for n width-w items spread round-robin
-// over c and charges round 0 per server — the shared batched-placement plan
-// of FromRelation and MoveTo: one exact-size allocation per column per
-// server, no per-tuple charging and no intermediate Item structs.
-func roundRobinParts(c *Cluster, n, w int, withAnnots bool) []Columns {
-	parts := make([]Columns, c.P)
-	for s := 0; s < c.P && s < n; s++ {
-		cnt := (n - s + c.P - 1) / c.P
-		parts[s].resize(w, cnt, withAnnots)
-		c.input(s, cnt)
-	}
-	return parts
-}
-
 // FromRelation distributes r round-robin over the cluster, charging the
 // initial placement to round 0 (the model's starting state: IN/p each).
-// The placement is flat: each server's value buffer is filled with one
-// strided pass over the relation, one task per server, and the annotation
-// column exists only when the relation is annotated.
+// The placement is flat: one exact-size allocation per column per server,
+// each server's value buffer filled with one strided pass over the
+// relation, one task per server, and the annotation column exists only
+// when the relation is annotated.
 //
 //lint:load perP trust round-robin placement puts exactly ceil(n/p) tuples on each server
 func FromRelation(c *Cluster, r *relation.Relation) *Dist {
@@ -81,7 +68,11 @@ func FromRelation(c *Cluster, r *relation.Relation) *Dist {
 		w = len(r.Tuples[0])
 	}
 	withAnnots := r.Annots != nil
-	d.Parts = roundRobinParts(c, n, w, withAnnots)
+	for s := 0; s < c.P && s < n; s++ {
+		cnt := (n - s + c.P - 1) / c.P
+		d.Parts[s].resize(w, cnt, withAnnots)
+		c.input(s, cnt)
+	}
 	runtime.Fork(min(c.P, n), func(s int) {
 		part := &d.Parts[s]
 		for j := 0; j < part.rows; j++ {
@@ -108,7 +99,7 @@ func (d *Dist) Size() int {
 	return n
 }
 
-// All returns every item (server order). Used by tests.
+// All returns every item (server order).
 func (d *Dist) All() []Item {
 	out := make([]Item, 0, d.Size())
 	for s := range d.Parts {
@@ -212,49 +203,6 @@ func (d *Dist) ReplicateBy(f func(it Item) []int) *Dist {
 	return d.ReplicateAppend(func(it Item, dst []int) []int { return append(dst, f(it)...) })
 }
 
-// Broadcast copies every item to all servers: one round, load = Size() per
-// server. Only used for provably small collections (boundaries, statistics).
-//
-//lint:load linear trust every server receives the whole collection; callers broadcast only provably small ones
-//lint:rounds const
-func (d *Dist) Broadcast() *Dist {
-	all := make([]int, d.C.P)
-	for i := range all {
-		all[i] = i
-	}
-	return d.route(d.Schema, router{many: func(_ int, _ Item, dst []int) []int { return append(dst, all...) }})
-}
-
-// GatherTo ships everything to a single server.
-//
-//lint:load linear trust one server receives the whole collection by design
-//lint:rounds const
-func (d *Dist) GatherTo(s int) *Dist {
-	return d.route(d.Schema, router{many: func(_ int, _ Item, dst []int) []int { return append(dst, s) }})
-}
-
-// MapLocal rewrites every item locally (no communication, no new round).
-// f returns the replacement items for one input item; it must be safe for
-// concurrent calls — parts are transformed in parallel, one task per part.
-func (d *Dist) MapLocal(schema relation.Schema, f func(s int, it Item) []Item) *Dist {
-	out := &Dist{C: d.C, Schema: schema, Parts: make([]Columns, d.C.P)}
-	runtime.Fork(len(d.Parts), func(s int) {
-		part := &d.Parts[s]
-		n := part.Len()
-		if n == 0 {
-			return
-		}
-		var res Columns
-		for i := 0; i < n; i++ {
-			for _, it := range f(s, part.Item(i)) {
-				res.AppendItem(it)
-			}
-		}
-		out.Parts[s] = res
-	})
-	return out
-}
-
 // MapAnnots returns d with row i annotated f(Annot(i)), or 1 when f is nil;
 // local, free. The result is a view: every part shares d's value buffer
 // (parts are written only while they are built) and only the annotation
@@ -296,13 +244,13 @@ func (d *Dist) FilterLocal(pred func(it Item) bool) *Dist {
 	out := &Dist{C: d.C, Schema: d.Schema, Parts: make([]Columns, d.C.P)}
 	runtime.Fork(len(d.Parts), func(s int) {
 		part := &d.Parts[s]
-		var res Columns
+		res := &out.Parts[s]
+		res.Reserve(part.Width(), part.Len())
 		for i := 0; i < part.Len(); i++ {
 			if it := part.Item(i); pred(it) {
 				res.AppendItem(it)
 			}
 		}
-		out.Parts[s] = res
 	})
 	return out
 }
@@ -352,30 +300,5 @@ func Concat(schema relation.Schema, ds ...*Dist) *Dist {
 			part.AppendProjected(&d.Parts[s], pos[i])
 		}
 	})
-	return out
-}
-
-// MoveTo re-registers the collection on another cluster, charging the new
-// cluster's round 0 with the items as its initial input. Used when handing
-// a sub-problem to a sub-cluster; items are spread round-robin through the
-// same batched flat placement as FromRelation.
-//
-//lint:load perP trust round-robin placement puts exactly ceil(n/p) tuples on each sub-cluster server
-func (d *Dist) MoveTo(sub *Cluster) *Dist {
-	withAnnots := d.hasAnnots()
-	w := d.partsWidth()
-	out := &Dist{C: sub, Schema: d.Schema, Parts: roundRobinParts(sub, d.Size(), w, withAnnots)}
-	i := 0
-	for s := range d.Parts {
-		part := &d.Parts[s]
-		for j := 0; j < part.Len(); j++ {
-			dst := &out.Parts[i%sub.P]
-			copy(dst.values[(i/sub.P)*w:(i/sub.P+1)*w], part.values[j*w:(j+1)*w])
-			if withAnnots {
-				dst.annots[i/sub.P] = part.Annot(j)
-			}
-			i++
-		}
-	}
 	return out
 }

@@ -243,7 +243,7 @@ func TestExchangeSkewedSourceStillFansOut(t *testing.T) {
 	dest := destFns(p)["hash"]
 
 	ref := NewCluster(p)
-	refGathered := exchangeTestDist(ref, n, 31).GatherTo(5)
+	refGathered := gatherTo(exchangeTestDist(ref, n, 31), 5)
 	refOut := serialRouteRef(refGathered, refGathered.Schema, dest)
 
 	plan := newExchangePlan(refGathered, manyRouter(dest), 4)
@@ -254,7 +254,7 @@ func TestExchangeSkewedSourceStillFansOut(t *testing.T) {
 	for _, width := range []int{1, 4} {
 		prev := runtime.SetParallelism(width)
 		c := NewCluster(p)
-		got := exchangeTestDist(c, n, 31).GatherTo(5).route(refGathered.Schema, manyRouter(dest))
+		got := gatherTo(exchangeTestDist(c, n, 31), 5).route(refGathered.Schema, manyRouter(dest))
 		runtime.SetParallelism(prev)
 		if !partsEqual(refOut, got) {
 			t.Fatalf("width %d: parts differ", width)
@@ -312,7 +312,7 @@ func TestExchangeStatsDeterministic(t *testing.T) {
 		c := NewCluster(p)
 		d := exchangeTestDist(c, n, 5)
 		d = d.ShuffleByKey([]int{0}, 99)
-		d.Broadcast()
+		broadcast(d)
 		runtime.SetParallelism(prev)
 
 		st := c.Exchange()

@@ -70,7 +70,7 @@ func FuzzExchangeParity(f *testing.F) {
 			d := FromRelation(c, r)
 			if gathered {
 				// Fully skewed source: every item in one part.
-				d = d.GatherTo(int(seed % uint64(pp)))
+				d = gatherTo(d, int(seed%uint64(pp)))
 			}
 			return d
 		}

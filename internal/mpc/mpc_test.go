@@ -86,7 +86,7 @@ func TestShuffleSkewConcentrates(t *testing.T) {
 func TestBroadcastLoad(t *testing.T) {
 	c := NewCluster(5)
 	d := FromRelation(c, mkRel(10))
-	b := d.Broadcast()
+	b := broadcast(d)
 	if b.Size() != 50 {
 		t.Errorf("broadcast size = %d, want 50", b.Size())
 	}
@@ -98,7 +98,7 @@ func TestBroadcastLoad(t *testing.T) {
 func TestGatherTo(t *testing.T) {
 	c := NewCluster(4)
 	d := FromRelation(c, mkRel(40))
-	g := d.GatherTo(2)
+	g := gatherTo(d, 2)
 	if g.Parts[2].Len() != 40 {
 		t.Errorf("gather target has %d", g.Parts[2].Len())
 	}
@@ -133,15 +133,10 @@ func TestMapFilterLocalFree(t *testing.T) {
 	c := NewCluster(4)
 	d := FromRelation(c, mkRel(20))
 	before := c.Rounds()
-	m := d.MapLocal(d.Schema, func(s int, it Item) []Item {
-		if it.T[0]%2 == 0 {
-			return []Item{it}
-		}
-		return nil
-	})
-	f := d.FilterLocal(func(it Item) bool { return it.T[0]%2 == 0 })
-	if m.Size() != f.Size() || m.Size() != 10 {
-		t.Errorf("sizes: map=%d filter=%d want 10", m.Size(), f.Size())
+	m := d.MapAnnots(func(a int64) int64 { return 2 * a })
+	f := m.FilterLocal(func(it Item) bool { return it.T[0]%2 == 0 })
+	if m.Size() != 20 || f.Size() != 10 || f.Parts[0].Annot(0) != 2 {
+		t.Errorf("map size %d, filter size %d, annotation %d; want 20, 10, 2", m.Size(), f.Size(), f.Parts[0].Annot(0))
 	}
 	if c.Rounds() != before {
 		t.Errorf("local ops charged rounds: %d -> %d", before, c.Rounds())
@@ -184,19 +179,6 @@ func TestConcatAcrossClustersPanics(t *testing.T) {
 			}()
 			Concat(two.Schema, tc.ds...)
 		}()
-	}
-}
-
-func TestMoveToChargesSubInput(t *testing.T) {
-	c := NewCluster(8)
-	d := FromRelation(c, mkRel(64))
-	sub := NewCluster(2)
-	m := d.MoveTo(sub)
-	if m.Size() != 64 {
-		t.Fatalf("MoveTo lost tuples")
-	}
-	if sub.MaxLoad() != 32 {
-		t.Errorf("sub input load = %d, want 32", sub.MaxLoad())
 	}
 }
 
@@ -330,18 +312,6 @@ func TestRngIntnRange(t *testing.T) {
 	}
 }
 
-func TestRngPerm(t *testing.T) {
-	r := NewRng(9)
-	p := r.Perm(20)
-	seen := make([]bool, 20)
-	for _, v := range p {
-		if v < 0 || v >= 20 || seen[v] {
-			t.Fatalf("bad permutation %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 // TestHashTupleAtMatchesHash64 pins the bit-identity ShuffleByKey's
 // routing depends on: hashing tuple values directly must equal hashing
 // the encoded key string, for random tuples, projections and salts.
@@ -421,6 +391,34 @@ func TestHashTupleAtWithMatchesWidenedRow(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Hash64 mixes a byte string and a salt into 64 bits: FNV-1a over the
+// bytes, then the splitmix finalizer. It is the byte-at-a-time
+// specification of HashTupleAt over relation.KeyAt's encoding, the routing
+// the golden tables pin.
+func Hash64(key string, salt uint64) uint64 {
+	h := uint64(14695981039346656037) ^ (salt * 0x9e3779b97f4a7c15)
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= 1099511628211
+	}
+	return hashFinalize(h)
+}
+
+// broadcast routes every item of d to every server.
+func broadcast(d *Dist) *Dist {
+	return d.ReplicateAppend(func(_ Item, dst []int) []int {
+		for s := 0; s < d.C.P; s++ {
+			dst = append(dst, s)
+		}
+		return dst
+	})
+}
+
+// gatherTo routes every item of d to server s: the fully skewed collection.
+func gatherTo(d *Dist, s int) *Dist {
+	return d.ReplicateAppend(func(_ Item, dst []int) []int { return append(dst, s) })
 }
 
 func TestHash64SaltMatters(t *testing.T) {

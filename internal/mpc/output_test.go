@@ -99,8 +99,8 @@ func TestReserveAppendRowMatchesAppend(t *testing.T) {
 }
 
 // TestProjectMatchesMapLocal: the columnar projection equals the per-item
-// MapLocal projection it replaces, keeps unannotated parts lazy, and is the
-// identity on the collection's own schema.
+// projection it replaced (a local map over the rows), keeps unannotated
+// parts lazy, and is the identity on the collection's own schema.
 func TestProjectMatchesMapLocal(t *testing.T) {
 	c := NewCluster(4)
 	schema := relation.NewSchema(1, 2, 3)
@@ -112,12 +112,16 @@ func TestProjectMatchesMapLocal(t *testing.T) {
 		for s := range d.Parts {
 			d.Parts[s] = randomColumns(rng, 10*s, 3, 20, annotated) // part 0 stays empty
 		}
-		want := d.MapLocal(target, func(_ int, it Item) []Item {
-			return []Item{{T: relation.Tuple{it.T[pos[0]], it.T[pos[1]]}, A: it.A}}
-		})
+		want := NewDist(c, target)
+		for s := range d.Parts {
+			for i := 0; i < d.Parts[s].Len(); i++ {
+				it := d.Parts[s].Item(i)
+				want.Parts[s].Append(relation.Tuple{it.T[pos[0]], it.T[pos[1]]}, it.A)
+			}
+		}
 		got := d.Project(target)
 		if !got.Schema.Equal(target) || !partsEqual(got, want) {
-			t.Fatalf("annotated=%v: Project differs from the MapLocal projection", annotated)
+			t.Fatalf("annotated=%v: Project differs from the per-item projection", annotated)
 		}
 		if got.hasAnnots() != annotated {
 			t.Fatalf("annotated=%v: projected annotation column materialized = %v", annotated, got.hasAnnots())

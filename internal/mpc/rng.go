@@ -31,19 +31,6 @@ func (r *Rng) Float64() float64 {
 	return float64(r.Next()>>11) / (1 << 53)
 }
 
-// Perm returns a random permutation of [0, n).
-func (r *Rng) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // ChildSeed derives an independent stream seed for a task from a root seed.
 // Child streams depend only on (seed, task) — never on shared RNG state —
 // so a task produces the same instance whether the experiment matrix runs
@@ -60,23 +47,13 @@ func NewChildRng(seed uint64, task int) *Rng {
 	return NewRng(ChildSeed(seed, task))
 }
 
-// Hash64 mixes a byte string and a salt into 64 bits (FNV-1a core with a
-// splitmix finalizer). Used for key routing; deterministic across runs.
-func Hash64(key string, salt uint64) uint64 {
-	h := uint64(14695981039346656037) ^ (salt * 0x9e3779b97f4a7c15)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return hashFinalize(h)
-}
-
-// HashTupleAt hashes the projection of t onto pos, producing exactly
-// Hash64(relation.KeyAt(t, pos), salt) without materializing the key
-// string: it feeds the same 8 big-endian bytes per value straight into the
-// FNV core, with the byte loop fully unrolled (fnvValue) so the hot
-// shuffles hash flat buffer rows with no per-byte loop control and no
-// allocation per item.
+// HashTupleAt hashes the projection of t onto pos for key routing: an
+// FNV-1a core with a splitmix finalizer, deterministic across runs. It
+// equals the byte-string hash of relation.KeyAt(t, pos) (the tests'
+// reference, Hash64) without materializing the key string: it feeds the
+// same 8 big-endian bytes per value straight into the FNV core, with the
+// byte loop fully unrolled (fnvValue) so the hot shuffles hash flat buffer
+// rows with no per-byte loop control and no allocation per item.
 //
 //lint:alloc-ceiling
 func HashTupleAt(t relation.Tuple, pos []int, salt uint64) uint64 {
@@ -101,8 +78,9 @@ func HashTupleAtWith(t relation.Tuple, pos []int, salt uint64, u, v relation.Val
 }
 
 // fnvValue folds one order-encoded value into the running FNV-1a state as
-// 8 big-endian bytes — the unrolled body of Hash64's byte loop, kept
-// bit-identical to it (the golden tables pin the routing this produces).
+// 8 big-endian bytes — the unrolled body of the FNV byte loop, kept
+// bit-identical to the tests' reference Hash64 (the golden tables pin the
+// routing this produces).
 func fnvValue(h, v uint64) uint64 {
 	const prime = 1099511628211
 	h ^= v >> 56

@@ -479,12 +479,12 @@ func TestSplitLookupPartitionsOneSearch(t *testing.T) {
 
 		dirtyPools(x.Size()+deg.Size(), 1)
 		one := mpc.NewCluster(8)
-		all := Lookup(x.MoveTo(one), key, deg, key, x.Schema, func(out *mpc.Columns, it mpc.Item, _ LookupResult) {
+		all := Lookup(mpc.FromRelation(one, x.Rel()), key, deg, key, x.Schema, func(out *mpc.Columns, it mpc.Item, _ LookupResult) {
 			out.Append(it.T, it.A)
 		})
 		dirtyPools(x.Size()+deg.Size(), 1)
 		two := mpc.NewCluster(8)
-		xs := x.MoveTo(two)
+		xs := mpc.FromRelation(two, x.Rel())
 		heavy := Lookup(xs, key, deg, key, x.Schema, func(out *mpc.Columns, it mpc.Item, r LookupResult) {
 			if pick(r) {
 				out.Append(it.T, it.A)
@@ -497,7 +497,7 @@ func TestSplitLookupPartitionsOneSearch(t *testing.T) {
 		})
 		dirtyPools(x.Size()+deg.Size(), 1)
 		split := mpc.NewCluster(8)
-		yes, no := SplitLookup(x.MoveTo(split), key, deg, key, pick)
+		yes, no := SplitLookup(mpc.FromRelation(split, x.Rel()), key, deg, key, pick)
 		runtime.SetParallelism(prev)
 
 		if !reflect.DeepEqual(split.Snapshot(), one.Snapshot()) {

@@ -29,14 +29,6 @@ func mkRec(key int, tag uint8, i int) rec {
 	}
 }
 
-// mkRecKW builds a record with a kw-value key derived from key and a tuple
-// whose arity varies with i: the primitives mix directory and probe tuples
-// of different arities in one record set, with only the key width fixed.
-// kw=0 makes every key the empty window (the degenerate width where flat
-// key indexing breaks first); the payload still carries i so chunk equality
-// proves stability.
-func mkRecKW(kw, key int, tag uint8, i int) rec { return mkRecShaped(0, kw, key, tag, i) }
-
 // keyShapes counts the key shapes of shapedKey.
 const keyShapes = 5
 
@@ -68,7 +60,12 @@ func shapedKey(shape, kw, key int) []relation.Value {
 	return kv
 }
 
-// mkRecShaped is mkRecKW over shapedKey.
+// mkRecShaped builds a record with a kw-value key, drawn from key by
+// shapedKey, and a tuple whose arity varies with i: the primitives mix
+// directory and probe tuples of different arities in one record set, with
+// only the key width fixed. kw=0 makes every key the empty window (the
+// degenerate width where flat key indexing breaks first); the payload
+// still carries i so chunk equality proves stability.
 func mkRecShaped(shape, kw, key int, tag uint8, i int) rec {
 	t := make(relation.Tuple, 1+i%3)
 	for j := range t {

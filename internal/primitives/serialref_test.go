@@ -118,11 +118,14 @@ func sumByKeyRef(d *mpc.Dist, keyAttrs []relation.Attr, ring relation.Semiring, 
 }
 
 // countByKeyRef is CountByKey as it was: a copy of d with every annotation
-// rewritten to 1 through a per-row MapLocal closure, then summed.
+// rewritten to 1, row by row, then summed.
 func countByKeyRef(d *mpc.Dist, keyAttrs []relation.Attr, salt uint64) *mpc.Dist {
-	ones := d.MapLocal(d.Schema, func(_ int, it mpc.Item) []mpc.Item {
-		return []mpc.Item{{T: it.T, A: 1}}
-	})
+	ones := mpc.NewDist(d.C, d.Schema)
+	for s := range d.Parts {
+		for i := 0; i < d.Parts[s].Len(); i++ {
+			ones.Parts[s].Append(d.Parts[s].Tuple(i), 1)
+		}
+	}
 	return sumByKeyRef(ones, keyAttrs, relation.CountRing, salt)
 }
 

@@ -28,16 +28,3 @@ func KeyAt(t Tuple, pos []int) string {
 	}
 	return string(buf)
 }
-
-// DecodeKey decodes a key back into values. It panics on malformed input:
-// keys only ever come from the encoders above.
-func DecodeKey(k string) []Value {
-	if len(k)%8 != 0 {
-		panic("relation: malformed key")
-	}
-	vals := make([]Value, len(k)/8)
-	for i := range vals {
-		vals[i] = Value(binary.BigEndian.Uint64([]byte(k[8*i:8*i+8])) ^ (1 << 63))
-	}
-	return vals
-}

@@ -9,7 +9,6 @@ package relation
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -124,15 +123,6 @@ func (s Schema) Equal(t Schema) bool {
 		}
 	}
 	return true
-}
-
-// Sorted returns a copy of s with attributes in increasing order. Canonical
-// ordering makes schema-keyed maps and result comparison deterministic.
-func (s Schema) Sorted() Schema {
-	c := make(Schema, len(s))
-	copy(c, s)
-	sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
-	return c
 }
 
 // String renders the schema as "(x1,x2,...)" using attribute ids.

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -28,9 +29,6 @@ func TestSchemaBasics(t *testing.T) {
 	m := s.Minus(NewSchema(3))
 	if !m.Equal(NewSchema(1, 5)) {
 		t.Errorf("Minus = %v", m)
-	}
-	if !NewSchema(3, 1, 5).Sorted().Equal(NewSchema(1, 3, 5)) {
-		t.Errorf("Sorted failed")
 	}
 }
 
@@ -114,7 +112,7 @@ func TestKeyRoundTrip(t *testing.T) {
 		for i, v := range vals {
 			vs[i] = Value(v)
 		}
-		got := DecodeKey(EncodeValues(vs...))
+		got := decodeKey(EncodeValues(vs...))
 		if len(got) != len(vs) {
 			return false
 		}
@@ -156,13 +154,13 @@ func TestKeyAtMatchesEncodeValues(t *testing.T) {
 	}
 }
 
-func TestDecodeMalformedKeyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("DecodeKey on malformed input did not panic")
-		}
-	}()
-	DecodeKey("abc")
+// decodeKey is EncodeValues' inverse: the round trip's decoder.
+func decodeKey(k string) []Value {
+	vals := make([]Value, len(k)/8)
+	for i := range vals {
+		vals[i] = Value(binary.BigEndian.Uint64([]byte(k[8*i:8*i+8])) ^ (1 << 63))
+	}
+	return vals
 }
 
 func semiringLaws(t *testing.T, s Semiring) {

@@ -48,7 +48,7 @@ func TestSmokeBenchWiring(t *testing.T) {
 	in := gen.YannakakisHard(s.IN, 8*s.IN)
 	res := testing.Benchmark(func(b *testing.B) {
 		measure(b, in, s.P, func(c *mpc.Cluster) *mpc.Dist {
-			return core.Line3(c, in, s.Seed)
+			return core.Line3WithTau(c, in, 0, s.Seed)
 		})
 	})
 	if res.Extra["load"] <= 0 {
