@@ -125,13 +125,14 @@ cover:
 # several joins driven into one part), the row index under it, the
 # word-keyed aggregation side and the one-sort semi-join must stay
 # value-identical to their retained references on randomized inputs,
-# widths, and pool states, the reducer-free count must equal the naive
-# oracle and the reduce-then-fold reference on random join trees, and the
-# binary join must equal the naive oracle on dangling, partnered, bag and
-# Cartesian pairs, charging the always-semi-joining reference's rounds less
-# 3 per side it routes without its semi-join, and rhier and both binhc
-# variants must equal the naive oracle and the regrouping reference on
-# random r-hierarchical queries.
+# widths, and pool states, the naive oracle's count must equal the rows
+# its materializing join builds and the reducer-free count must equal the
+# naive oracle and the reduce-then-fold reference on random join trees,
+# and the binary join must equal the naive oracle on dangling, partnered,
+# bag and Cartesian pairs, charging the always-semi-joining reference's
+# rounds less 3 per side it routes without its semi-join, and rhier and
+# both binhc variants must equal the naive oracle and the regrouping
+# reference on random r-hierarchical queries.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzExchangeParity$$' -fuzztime $(FUZZTIME) ./internal/mpc
 	$(GO) test -run '^$$' -fuzz '^FuzzRowIndexParity$$' -fuzztime $(FUZZTIME) ./internal/mpc
@@ -139,6 +140,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLocalJoinParity$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzSumByKeyParity$$' -fuzztime $(FUZZTIME) ./internal/primitives
 	$(GO) test -run '^$$' -fuzz '^FuzzSemiJoinParity$$' -fuzztime $(FUZZTIME) ./internal/primitives
+	$(GO) test -run '^$$' -fuzz '^FuzzNaiveCountAgainstNaive$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzCountAgainstOracle$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryJoinAgainstNaive$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzRHierAgainstNaive$$' -fuzztime $(FUZZTIME) ./internal/core

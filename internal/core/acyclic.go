@@ -8,6 +8,7 @@ import (
 	"repro/internal/mpc"
 	"repro/internal/primitives"
 	"repro/internal/relation"
+	"repro/internal/runtime"
 )
 
 // AcyclicJoin is the paper's Section 5.1 output-optimal algorithm for an
@@ -293,9 +294,29 @@ func splitE0ByProduct(r0 *mpc.Dist, si [][]relation.Attr, lightC []*mpc.Dist, ta
 				}
 			})
 	}
-	isHeavy := func(it mpc.Item) bool { return int64(it.T[prodPos]) >= tau }
-	heavy = cur.FilterLocal(isHeavy).Project(r0.Schema)
-	light = cur.FilterLocal(func(it mpc.Item) bool { return !isHeavy(it) }).Project(r0.Schema)
+	// One local pass per part writes each row, stripped of the product
+	// (cur is r0's columns then the product), into heavy or light in row
+	// order, both reserved exactly.
+	isHeavy := func(t relation.Tuple) bool { return int64(t[prodPos]) >= tau }
+	heavy, light = mpc.NewDist(cur.C, r0.Schema), mpc.NewDist(cur.C, r0.Schema)
+	runtime.Fork(len(cur.Parts), func(s int) {
+		part := &cur.Parts[s]
+		nHeavy := 0
+		for i := 0; i < part.Len(); i++ {
+			if isHeavy(part.Tuple(i)) {
+				nHeavy++
+			}
+		}
+		heavy.Parts[s].Reserve(prodPos, nHeavy)
+		light.Parts[s].Reserve(prodPos, part.Len()-nHeavy)
+		for i := 0; i < part.Len(); i++ {
+			t, dst := part.Tuple(i), &light.Parts[s]
+			if isHeavy(t) {
+				dst = &heavy.Parts[s]
+			}
+			copy(dst.AppendRow(part.Annot(i)), t[:prodPos])
+		}
+	})
 	return heavy, light
 }
 

@@ -34,11 +34,6 @@ func Naive(in *Instance) *relation.Relation {
 	return out
 }
 
-// NaiveCount returns |Q(R)| via Naive (small instances only).
-func NaiveCount(in *Instance) int64 {
-	return int64(Naive(in).Size())
-}
-
 // naiveJoinSerialBelow is the probe-side size under which the hash join
 // stays on the calling goroutine.
 const naiveJoinSerialBelow = 1 << 12

@@ -129,7 +129,7 @@ func Auto(q *hypergraph.Hypergraph) (Algorithm, error) {
 // the stats bound table the algorithm is priced by, evaluated at
 // (IN, outEst, p) — and returns the argmin together with the full ranked
 // scorecard. outEst < 0 asks for EstimateOut's statistics-only estimate;
-// the harness passes the memoized naive-count oracle instead. Dispatch is
+// the harness passes the naive-count oracle's OUT instead. Dispatch is
 // deterministic: the predictions are pure functions of (IN, outEst, p),
 // ties fall to the declared round class and then the Figure 1 preference
 // order, and no data-plane width or worker count is consulted.

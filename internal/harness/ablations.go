@@ -27,7 +27,7 @@ func E2RHierClosedForm(s Scale) *Table {
 	s.addRows(t, len(hubs), func(task int) [][]any {
 		hub := hubs[task]
 		in := gen.TallFlatSkewed(hub, s.IN/4)
-		out := oracleCount(in)
+		out := core.NaiveCount(in)
 		l := run("rhier", s.job(in, out)).Load
 		b := stats.Thm4.Eval(stats.Vars{IN: in.IN(), OUT: out, P: s.P})
 		return [][]any{{hub, in.IN(), out, stats.KStar(in.IN(), out), l, b, stats.Ratio(l, b)}}
@@ -63,7 +63,7 @@ func E3AcyclicVsYannakakis(s Scale) *Table {
 			rng := mpc.NewChildRng(s.Seed, task)
 			in = gen.LineKUniform(rng, 4, s.IN/4, max(s.IN/16, 2))
 		}
-		want := oracleCount(in)
+		want := core.NaiveCount(in)
 		yjob := s.job(in, want)
 		yjob.Order = order
 		ly := run("yannakakis", yjob).Load
@@ -118,7 +118,7 @@ func E4Aggregate(s Scale) *Table {
 			agg := run("aggregate", engine.Job{In: in, P: s.P, Seed: s.Seed, GroupBy: y})
 			return [][]any{{int64(agg.Dist.Size()), agg.Load}}
 		}
-		fullOut := oracleCount(in)
+		fullOut := core.NaiveCount(in)
 		lFull := run("acyclic", s.job(in, fullOut)).Load
 		return [][]any{{fullOut, lFull}}
 	})
@@ -136,7 +136,7 @@ func E4Aggregate(s Scale) *Table {
 func AblationTau(s Scale) *Table {
 	rng := mpc.NewChildRng(s.Seed, 0)
 	in := gen.Line3Random(rng, s.IN, 16*s.IN)
-	want := oracleCount(in)
+	want := core.NaiveCount(in)
 	tauStar := max(1, primitives.IsqrtInt(int(want)/max(in.IN(), 1)))
 	t := &Table{
 		Title: "Ablation — line-3 heavy/light threshold τ (eqs. 4–5 balance)",
@@ -190,7 +190,7 @@ func AblationGrid(s Scale) *Table {
 		r2.Add(0, relation.Value(i))
 	}
 	in := core.NewInstance(q, r0, r1, r2)
-	want := oracleCount(in)
+	want := core.NaiveCount(in)
 	red := core.NaiveSemiJoinReduce(in)
 	li := core.LInstance(red, p)
 	t := &Table{

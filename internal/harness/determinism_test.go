@@ -27,9 +27,7 @@ func renderAll(w int) string {
 // indices), same loads, same rounds, same result counts, same row order.
 // Run under -race (the Makefile ci target does) this also proves the
 // forked cells, the batched exchange, and the parallel inner loops are
-// data-race free. The memoized oracle is exercised hard here: the three
-// renders rebuild the same instances, so renders two and three hit the
-// cache.
+// data-race free.
 func TestDeterminismAcrossWorkers(t *testing.T) {
 	serial := renderAll(1)
 	parallel := renderAll(8)

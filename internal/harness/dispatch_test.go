@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/hypergraph"
@@ -26,7 +27,7 @@ func renderDispatch(t *testing.T, width int) string {
 	var b strings.Builder
 	for i, e := range hypergraph.Catalog() {
 		in := gen.ForQuery(mpc.NewChildRng(s.Seed, i), e.Q, fig1N, fig1Dom)
-		res, err := engine.AutoRun(s.job(in, oracleCount(in)))
+		res, err := engine.AutoRun(s.job(in, core.NaiveCount(in)))
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name, err)
 		}
@@ -46,7 +47,7 @@ func renderDispatch(t *testing.T, width int) string {
 		// be byte-identical to classification-order dispatch: the scorecard
 		// is bookkeeping, never a behavioural input.
 		if res.Algorithm == engine.Route(e.Q) {
-			direct, err := engine.RunNamed(res.Algorithm, s.job(in, oracleCount(in)))
+			direct, err := engine.RunNamed(res.Algorithm, s.job(in, core.NaiveCount(in)))
 			if err != nil {
 				t.Fatalf("%s: direct %s: %v", e.Name, res.Algorithm, err)
 			}

@@ -135,7 +135,7 @@ func Fig1Classification(s Scale) *Table {
 	s.addRows(t, len(cat), func(task int) [][]any {
 		e := cat[task]
 		in := gen.ForQuery(mpc.NewChildRng(s.Seed, task), e.Q, fig1N, fig1Dom)
-		res, err := engine.AutoRun(s.job(in, oracleCount(in)))
+		res, err := engine.AutoRun(s.job(in, core.NaiveCount(in)))
 		if err != nil {
 			panic(fmt.Sprintf("harness: fig1 %s: %v", e.Name, err))
 		}
@@ -194,7 +194,7 @@ func Fig3JoinOrder(s Scale) *Table {
 		if err != nil {
 			panic(err)
 		}
-		want := oracleCount(in)
+		want := core.NaiveCount(in)
 		inSize := in.IN()
 		rows := make([][]any, 0, len(algos))
 		for _, a := range algos {
@@ -234,7 +234,7 @@ func Fig4Line3Sweep(s Scale) *Table {
 		if err != nil {
 			panic(err)
 		}
-		want := oracleCount(in)
+		want := core.NaiveCount(in)
 		inSize := in.IN()
 		ly := run("yannakakis", s.job(in, want)).Load
 		l3 := run("line3", s.job(in, want)).Load
@@ -294,7 +294,7 @@ func Fig6TriangleSweep(s Scale) *Table {
 		if err != nil {
 			panic(err)
 		}
-		want := oracleCount(in)
+		want := core.NaiveCount(in)
 		inSize := in.IN()
 		lt := run("triangle", s.job(in, want)).Load
 		lb := stats.Thm11.Eval(stats.Vars{IN: inSize, OUT: want, P: s.P})
@@ -303,7 +303,7 @@ func Fig6TriangleSweep(s Scale) *Table {
 		if err != nil {
 			panic(err)
 		}
-		l3want := oracleCount(l3in)
+		l3want := core.NaiveCount(l3in)
 		l3 := run("line3", s.job(l3in, l3want)).Load
 		return [][]any{{fmt.Sprintf("%d", f), inSize, want, lt, lb, stats.Ratio(lt, lb), l3,
 			fmt.Sprintf("%.1fx", float64(lt)/float64(max(l3, 1)))}}
@@ -360,7 +360,7 @@ func Table1Loads(s Scale) *Table {
 		if err != nil {
 			panic(err)
 		}
-		out := oracleCount(in)
+		out := core.NaiveCount(in)
 		v := stats.Vars{IN: in.IN(), OUT: out, P: s.P}
 		if sec.runs[0].bound == stats.Thm3 {
 			v.LInstance = core.LInstance(core.NaiveSemiJoinReduce(in), s.P)
@@ -400,7 +400,7 @@ func E5InstanceGap(s Scale) *Table {
 		if err != nil {
 			panic(err)
 		}
-		want := oracleCount(in)
+		want := core.NaiveCount(in)
 		red := core.NaiveSemiJoinReduce(in)
 		li := core.LInstance(red, p)
 		job := engine.Job{In: in, P: p, Seed: s.Seed, Want: want, CheckWant: true}

@@ -11,8 +11,9 @@ import (
 
 // loadCensus type-checks, through the contracts loader, the non-test code
 // of every package under internal/, cmd/ and examples/, and returns the
-// packages with every function and method they declare.
-func loadCensus(t *testing.T) ([]*modulePkg, map[*types.Func]*ast.FuncDecl) {
+// packages with every package-level name they declare — function, method,
+// variable, constant or type — mapped to its declaration.
+func loadCensus(t *testing.T) ([]*modulePkg, map[types.Object]ast.Node) {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("typechecks the module and the standard library from source")
@@ -29,7 +30,12 @@ func loadCensus(t *testing.T) ([]*modulePkg, map[*types.Func]*ast.FuncDecl) {
 		t.Fatal(err)
 	}
 	var pkgs []*modulePkg
-	decls := map[*types.Func]*ast.FuncDecl{}
+	decls := map[types.Object]ast.Node{}
+	declare := func(mp *modulePkg, id *ast.Ident, d ast.Node) {
+		if id.Name != "_" {
+			decls[mp.info.Defs[id]] = d
+		}
+	}
 	for _, path := range strings.Fields(string(paths)) {
 		mp, err := ld.load(path)
 		if err != nil {
@@ -38,8 +44,20 @@ func loadCensus(t *testing.T) ([]*modulePkg, map[*types.Func]*ast.FuncDecl) {
 		pkgs = append(pkgs, mp)
 		for _, f := range mp.files {
 			for _, d := range f.Decls {
-				if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name != "_" {
-					decls[mp.info.Defs[fd.Name].(*types.Func)] = fd
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					declare(mp, d.Name, d)
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch spec := spec.(type) {
+						case *ast.ValueSpec:
+							for _, id := range spec.Names {
+								declare(mp, id, spec)
+							}
+						case *ast.TypeSpec:
+							declare(mp, spec.Name, spec)
+						}
+					}
 				}
 			}
 		}
@@ -101,8 +119,8 @@ const (
 	crossTest   = "other packages' tests build on it, so it cannot move into a _test.go file"
 )
 
-// callerlessAllowed is every function under internal/ that may stand
-// without a production caller, named pkg.Func or pkg.Type.Method, each
+// callerlessAllowed is every package-level name under internal/ that may
+// stand without a production use, named pkg.Name or pkg.Type.Method, each
 // with the reason it stays. The list only shrinks:
 // TestEveryDeclarationHasACaller pins its length, and an entry that gains
 // a caller, or goes, must leave it.
@@ -127,39 +145,47 @@ var callerlessAllowed = map[string]string{
 	"gen.Zipf":                   crossTest,
 	"gen.WithDangling":           crossTest,
 	"gen.CartesianSizes":         crossTest,
+	"relation.BoolRing":          crossTest,
 }
 
-// TestEveryDeclarationHasACaller is the caller census: every function and
-// method declared in the non-test code under internal/ is referenced by
-// non-test code of internal/, cmd/ or examples/ outside its own body,
-// satisfies an interface, runs as init, or is on callerlessAllowed. Code
-// that only tests call belongs in the tests.
+// TestEveryDeclarationHasACaller is the caller census: every function,
+// method, variable, constant and type declared at package level in the
+// non-test code under internal/ is referenced by non-test code of
+// internal/, cmd/ or examples/ outside its own declaration, satisfies an
+// interface, runs as init, or is on callerlessAllowed. Code that only
+// tests use belongs in the tests.
 func TestEveryDeclarationHasACaller(t *testing.T) {
 	pkgs, decls := loadCensus(t)
-	const allowed = 20
+	const allowed = 21
 	if len(callerlessAllowed) != allowed {
 		t.Errorf("callerlessAllowed has %d entries, want %d: the list only shrinks (lower the pin when an entry goes)", len(callerlessAllowed), allowed)
 	}
-	called := map[*types.Func]bool{}
+	used := map[types.Object]bool{}
 	for _, mp := range pkgs {
 		for id, obj := range mp.info.Uses {
 			if fn, ok := obj.(*types.Func); ok {
-				fn = fn.Origin()
-				if fd := decls[fn]; fd == nil || id.Pos() < fd.Pos() || id.Pos() >= fd.End() {
-					called[fn] = true
-				}
+				obj = fn.Origin()
+			}
+			if d := decls[obj]; d == nil || id.Pos() < d.Pos() || id.Pos() >= d.End() {
+				used[obj] = true
 			}
 		}
 	}
 	orphan := map[string]bool{}
-	for fn := range decls {
-		if called[fn] || !strings.HasPrefix(fn.Pkg().Path(), "repro/internal/") || fn.Name() == "init" || satisfiesInterface(pkgs, fn) {
+	for obj := range decls {
+		if used[obj] || !strings.HasPrefix(obj.Pkg().Path(), "repro/internal/") || obj.Name() == "init" {
 			continue
 		}
-		name := fn.Pkg().Name() + "." + releaseName(fn)
+		name := obj.Pkg().Name() + "." + obj.Name()
+		if fn, ok := obj.(*types.Func); ok {
+			if satisfiesInterface(pkgs, fn) {
+				continue
+			}
+			name = fn.Pkg().Name() + "." + releaseName(fn)
+		}
 		orphan[name] = true
 		if _, ok := callerlessAllowed[name]; !ok {
-			t.Errorf("%s has no caller outside tests: delete it, or move it into the package's _test.go files", name)
+			t.Errorf("%s has no use outside tests: delete it, or move it into the package's _test.go files", name)
 		}
 	}
 	for name, reason := range callerlessAllowed {
@@ -180,9 +206,11 @@ func TestEveryDeclarationHasACaller(t *testing.T) {
 func TestLintNameTablesResolve(t *testing.T) {
 	pkgs, decls := loadCensus(t)
 	declared := map[string]bool{}
-	for fn := range decls {
-		declared[fn.Name()] = true
-		declared[releaseName(fn)] = true
+	for obj := range decls {
+		if fn, ok := obj.(*types.Func); ok {
+			declared[fn.Name()] = true
+			declared[releaseName(fn)] = true
+		}
 	}
 	methods := map[string]bool{} // of every type in a reached package, standard library included
 	reached(pkgs, func(p *types.Package) {

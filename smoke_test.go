@@ -132,7 +132,6 @@ func TestCLIsRejectStrayArguments(t *testing.T) {
 var concurrencyAllowed = map[string]bool{
 	"internal/runtime/fork.go":    true, // the one scheduler: goroutines, WaitGroup, token bucket
 	"internal/mpc/columns.go":     true, // mpc.Pool's mutex, behind every recycled buffer
-	"internal/harness/oracle.go":  true, // sync.Map memoizing oracle counts across forked cells
 	"internal/engine/registry.go": true, // RWMutex around the algorithm registry
 }
 
