@@ -273,21 +273,29 @@ func subJoinPending(edges []hypergraph.AttrSet, dists []*mpc.Dist, ring relation
 }
 
 // splitE0ByProduct partitions R(e0) by whether the product of its light-
-// child degrees reaches τ. The degrees are attached by k lookups into a
-// synthetic product column, then stripped.
+// child degrees reaches τ. The degrees are multiplied into a synthetic
+// product column by k lookups, then stripped: the first lookup reads r0
+// itself and writes each row widened by the column, so r0 is never copied
+// just to make room for it.
 func splitE0ByProduct(r0 *mpc.Dist, si [][]relation.Attr, lightC []*mpc.Dist, tau int64, seed uint64) (heavy, light *mpc.Dist) {
 	const prodAttr = relation.Attr(-150)
-	cur := addColumn(r0, prodAttr, 1)
-	prodPos := len(cur.Schema) - 1
+	schema := append(append(relation.Schema{}, r0.Schema...), prodAttr)
+	prodPos := len(r0.Schema)
+	cur := r0
 	for i, lc := range lightC {
 		deg := primitives.CountByKey(lc, si[i], seed^uint64(0x60+i))
-		cur = primitives.Lookup(cur, si[i], deg, si[i], cur.Schema,
+		first := i == 0
+		cur = primitives.Lookup(cur, si[i], deg, si[i], schema,
 			func(out *mpc.Columns, it mpc.Item, r primitives.LookupResult) {
 				t := out.AppendRow(it.A)
 				copy(t, it.T)
+				prod := relation.Value(1)
+				if !first {
+					prod = t[prodPos]
+				}
 				if !r.Found {
 					t[prodPos] = 0
-				} else if v := t[prodPos] * relation.Value(r.DAnnot); v > tauClamp {
+				} else if v := prod * relation.Value(r.DAnnot); v > tauClamp {
 					t[prodPos] = tauClamp // saturate: only the ≥ τ test matters
 				} else {
 					t[prodPos] = v

@@ -40,36 +40,53 @@ type partJoin struct {
 // order of the nested map-of-slices loops this kernel replaces.
 // Annotations multiply left to right through ring.
 //
-// The kernel counts every join, reserves out exactly once, then fills in
-// place; the stages are indexed by mpc.RowIndex, so a call allocates per
-// stage, never per row. Each index is probed once per binding: the count
-// pass logs every chain head it looks up, in visiting order, in one log
-// for all the joins, and the fill pass, visiting the same bindings in the
-// same order, replays it instead of hashing the keys again.
+// The kernel runs two loops over the same bindings. The count loop indexes
+// the stages (mpc.RowIndex), probes each index once per binding, logs every
+// chain head it looks up, in visiting order, in one log for all the joins,
+// and counts the result rows. out grows once by that count, and the fill
+// loop, visiting the same bindings in the same order, replays the log
+// instead of hashing the keys again. A call allocates per stage, never per
+// row.
+//
+// A plain call — every stage's annotation column lazy, and ring.Mul(1, 1)
+// = 1, as in the count and Boolean rings — has every product 1: the fill
+// multiplies nothing and writes each row straight into the window
+// mpc.Columns.Extend reserved, annotated 1, so a lazy output column stays
+// lazy. Any other call multiplies through ring and appends each row with
+// its product (AppendRow), which materializes the output column at the
+// first product ≠ 1.
 //
 //lint:alloc-ceiling
 func indexJoins(out *mpc.Columns, width int, joins []partJoin, ring relation.Semiring) {
 	// Every probe row looks up its join's first later stage once: the log
 	// holds at least one head per probe row.
 	probes, later, bind := 0, 0, 0
+	plain := ring.Mul(1, 1) == 1
 	for _, jn := range joins {
 		if !slices.ContainsFunc(jn.stages, emptyStage) {
 			probes += jn.stages[0].part.Len()
 		}
 		later += len(jn.stages) - 1
 		bind = max(bind, jn.width)
+		for _, st := range jn.stages {
+			plain = plain && !st.part.Annotated()
+		}
 	}
 	if probes == 0 {
 		return
 	}
 	log := headLogPool.Get()
-	j := indexJoiner{out: out, heads: mpc.Resize(*log, probes)[:0], bind: make(relation.Tuple, bind), ring: ring}
+	j := indexJoiner{heads: mpc.Resize(*log, probes)[:0], bind: make(relation.Tuple, bind), ring: ring, plain: plain, width: width}
 	idx := make([]mpc.RowIndex, later)
-	j.pass(joins, idx)
+	j.pass(joins, idx, false)
 	if j.n > 0 {
-		out.Reserve(width, j.n)
-		j.fill = true
-		j.pass(joins, idx)
+		if plain {
+			j.vals = out.Extend(width, j.n)
+		} else {
+			out.Reserve(width, j.n)
+			j.out = out
+		}
+		j.pass(joins, idx, true)
 	}
 	for k := range idx {
 		idx[k].Release()
@@ -85,102 +102,137 @@ func emptyStage(st joinStage) bool { return st.part.Len() == 0 }
 var headLogPool mpc.Pool[[]int32]
 
 // indexJoiner is indexJoins' state: the join running and its stage
-// indexes, the head log, the bound row, and which pass is running.
+// indexes, the head log, the bound row, the ring, and where the fill loop
+// writes.
 type indexJoiner struct {
-	out    *mpc.Columns
 	probe  joinStage
 	stages []joinStage // the stages after the probe
 	idx    []mpc.RowIndex
-	heads  []int32 // every First the count pass made, in visiting order (−1 for none)
-	next   int     // the fill pass's read position in heads
+	heads  []int32 // every First the count loop made, in visiting order (−1 for none)
+	next   int     // the fill loop's read position in heads
 	bind   relation.Tuple
 	ring   relation.Semiring
-	fill   bool
-	n      int // result rows, counted by the first pass
+	plain  bool             // every product is 1: nothing is multiplied
+	n      int              // result rows, counted by the count loop
+	width  int              // the output row width: each bound row's head is written
+	vals   []relation.Value // plain: the window Extend reserved …
+	cur    int              // … and the fill loop's write position in it
+	out    *mpc.Columns     // otherwise: the part appended to
 }
 
-// pass runs every join that can match, in order, each over the next
-// window of idx; the count pass builds the indexes the fill pass reuses.
+// pass runs the count loop (or the fill loop) of every join that can
+// match, in order, each over the next window of idx; the count loop builds
+// the indexes the fill loop reuses.
 //
 //lint:alloc-ceiling
-func (j *indexJoiner) pass(joins []partJoin, idx []mpc.RowIndex) {
+func (j *indexJoiner) pass(joins []partJoin, idx []mpc.RowIndex, fill bool) {
 	for _, jn := range joins {
 		j.probe, j.stages, j.idx = jn.stages[0], jn.stages[1:], idx[:len(jn.stages)-1]
 		idx = idx[len(j.idx):]
 		if slices.ContainsFunc(jn.stages, emptyStage) {
 			continue
 		}
-		for k := 0; k < len(j.stages) && !j.fill; k++ {
+		probe := j.probe.part
+		if len(j.stages) == 0 && !fill {
+			j.n += probe.Len() // a copy: every probe row is a result row
+			continue
+		}
+		for k := 0; k < len(j.stages) && !fill; k++ {
 			j.idx[k] = mpc.IndexRows(j.stages[k].part, j.stages[k].keyPos)
 		}
-		j.run(jn.order)
+		for i := 0; i < probe.Len(); i++ {
+			r := i
+			if jn.order != nil {
+				r = int(jn.order[i])
+			}
+			j.bindRow(&j.probe, r)
+			switch {
+			case !fill:
+				j.count(0)
+			case len(j.stages) > 0:
+				j.fill(0, probe.Annot(r))
+			case j.plain:
+				copy(j.vals[j.cur:j.cur+j.width], j.bind)
+				j.cur += j.width
+			default:
+				copy(j.out.AppendRow(probe.Annot(r)), j.bind)
+			}
+		}
 	}
 }
 
-// run makes one pass over the probe rows.
-//
-//lint:alloc-ceiling
-func (j *indexJoiner) run(order []int32) {
-	probe := j.probe.part
-	for i := 0; i < probe.Len(); i++ {
-		r := i
-		if order != nil {
-			r = int(order[i])
-		}
-		row := probe.Tuple(r)
-		for c, p := range j.probe.src {
-			j.bind[j.probe.dst[c]] = row[p]
-		}
-		j.extend(0, probe.Annot(r))
+// bindRow writes row r of st's part into the bound row.
+func (j *indexJoiner) bindRow(st *joinStage, r int) {
+	row := st.part.Tuple(r)
+	for c, p := range st.src {
+		j.bind[st.dst[c]] = row[p]
 	}
 }
 
-// extend binds stages k… against the current output row and counts or
-// writes each completed row. Local work only: no round, no load.
+// count counts the result rows that extend the bound row through stages
+// k…, logging the chain head it looks up at every binding. The innermost
+// stage needs only its chain's length. Local work only: no round, no load.
 //
 //lint:alloc-ceiling
 //lint:load zero
 //lint:rounds zero
-func (j *indexJoiner) extend(k int, annot int64) {
-	if k == len(j.stages) {
-		if j.fill {
-			copy(j.out.AppendRow(annot), j.bind)
-		} else {
+func (j *indexJoiner) count(k int) {
+	st, ix := &j.stages[k], &j.idx[k]
+	r := ix.First(j.bind, st.keyOut)
+	if len(j.heads) == cap(j.heads) {
+		// Double: append grows a long slice by a quarter at a time.
+		j.heads = slices.Grow(j.heads, len(j.heads))
+	}
+	j.heads = append(j.heads, int32(r))
+	if k == len(j.stages)-1 {
+		for ; r >= 0; r = ix.Next(r) {
 			j.n++
 		}
 		return
 	}
-	st := &j.stages[k]
-	var r int
-	if j.fill {
-		r = int(j.heads[j.next])
-		j.next++
-	} else {
-		r = j.idx[k].First(j.bind, st.keyOut)
-		if len(j.heads) == cap(j.heads) {
-			// Double: append grows a long slice by a quarter at a time.
-			j.heads = slices.Grow(j.heads, len(j.heads))
-		}
-		j.heads = append(j.heads, int32(r))
-		if k == len(j.stages)-1 {
-			// Counting needs only the length of the innermost chain.
-			for ; r >= 0; r = j.idx[k].Next(r) {
-				j.n++
+	for ; r >= 0; r = ix.Next(r) {
+		j.bindRow(st, r)
+		j.count(k + 1)
+	}
+}
+
+// fill writes the result rows that extend the bound row through stages
+// k…, in the count loop's order, replaying its head log; annot is the
+// bound rows' product (unused when plain). The innermost stage writes its
+// rows in one flat loop. Local work only: no round, no load.
+//
+//lint:alloc-ceiling
+//lint:load zero
+//lint:rounds zero
+func (j *indexJoiner) fill(k int, annot int64) {
+	st, ix := &j.stages[k], &j.idx[k]
+	r := int(j.heads[j.next])
+	j.next++
+	if k < len(j.stages)-1 {
+		for ; r >= 0; r = ix.Next(r) {
+			j.bindRow(st, r)
+			a := annot
+			if !j.plain {
+				a = j.ring.Mul(annot, st.part.Annot(r))
 			}
-			return
+			j.fill(k+1, a)
 		}
+		return
 	}
-	for ; r >= 0; r = j.idx[k].Next(r) {
-		row := st.part.Tuple(r)
-		for c, p := range st.src {
-			j.bind[st.dst[c]] = row[p]
+	if !j.plain {
+		for ; r >= 0; r = ix.Next(r) {
+			j.bindRow(st, r)
+			copy(j.out.AppendRow(j.ring.Mul(annot, st.part.Annot(r))), j.bind)
 		}
-		a := annot
-		if j.fill {
-			a = j.ring.Mul(annot, st.part.Annot(r))
-		}
-		j.extend(k+1, a)
+		return
 	}
+	vals, cur, w := j.vals, j.cur, j.width
+	for ; r >= 0; r = ix.Next(r) {
+		j.bindRow(st, r)
+		copy(vals[cur:cur+w], j.bind)
+		cur += w
+	}
+	j.cur = cur
 }
 
 // pendingJoin is a routed join whose local kernel has not run yet: server

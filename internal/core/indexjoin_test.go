@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/mpc"
 	"repro/internal/relation"
+	"repro/internal/runtime"
 )
 
 // refIndexJoin is the map-of-items local join the kernel replaced, kept as
@@ -179,11 +180,17 @@ func pick(rng *mpc.Rng, n, k int) []int { return perm(rng, n)[:k] }
 // appending to a part that already holds rows. Its multi-join arm cuts the
 // probe rows into 2–3 joins over the same later stages and drives them into
 // one part (indexJoins), which must equal the reference run over the
-// chunks in turn.
+// chunks in turn. Its ring arm runs the same join on three servers at once
+// (runtime.Fork at widths 1, 2 and 8, head logs dirtied), each into its
+// own part — empty, or pre-filled with lazy or materialized annotations —
+// and demands every part equal the reference's over the same pre-fill and
+// materialize its annotation column exactly when the reference's does,
+// which Equal alone does not see.
 //
 // flags: bit 0 the max-plus ring, bit 1 a materialized probe, bit 2 a
 // probe order, bits 3–6 materialized stages, bit 7 dirty head logs.
-// shape: 1 + shape%4 stages; bit 2 shifts one stage out of the domain.
+// shape: 1 + shape%4 stages; bit 2 shifts one stage out of the domain;
+// bit 3 pre-fills the ring arm's parts, bit 4 with annotations ≠ 1.
 func FuzzLocalJoinParity(f *testing.F) {
 	f.Add(uint64(1), uint16(40), uint16(40), uint8(3), uint8(0), uint8(0))
 	f.Add(uint64(2), uint16(0), uint16(25), uint8(2), uint8(1), uint8(1))
@@ -195,6 +202,11 @@ func FuzzLocalJoinParity(f *testing.F) {
 	f.Add(uint64(8), uint16(50), uint16(90), uint8(3), uint8(0x80), uint8(7))
 	f.Add(uint64(9), uint16(120), uint16(40), uint8(1), uint8(0xc1), uint8(6))
 	f.Add(uint64(11), uint16(30), uint16(90), uint8(8), uint8(0x80), uint8(3))
+	f.Add(uint64(12), uint16(60), uint16(60), uint8(3), uint8(0x80), uint8(0x09))
+	f.Add(uint64(13), uint16(60), uint16(60), uint8(3), uint8(0x81), uint8(0x18))
+	f.Add(uint64(14), uint16(70), uint16(50), uint8(4), uint8(0x88), uint8(0x19))
+	f.Add(uint64(15), uint16(40), uint16(80), uint8(2), uint8(0x82), uint8(0x12))
+	f.Add(uint64(16), uint16(60), uint16(60), uint8(3), uint8(0x80), uint8(0x19))
 	f.Fuzz(func(t *testing.T, seed uint64, nProbe, nBuild uint16, dom, flags, shape uint8) {
 		rng := mpc.NewRng(seed)
 		d := int(dom)%12 + 1
@@ -312,6 +324,44 @@ func FuzzLocalJoinParity(f *testing.F) {
 		if ref.Len() != want.Len()/2 {
 			t.Fatalf("the chunks' reference joined %d rows, the whole probe %d", ref.Len(), want.Len()/2)
 		}
+
+		// The ring arm.
+		const servers = 3
+		var fill mpc.Columns
+		if shape&8 != 0 {
+			fill.Reserve(bound, 5)
+			for i := 0; i < 5; i++ {
+				a := int64(1)
+				if shape&16 != 0 {
+					a = int64(3 + i)
+				}
+				row := fill.AppendRow(a)
+				for c := range row {
+					row[c] = relation.Value(rng.Intn(d))
+				}
+			}
+		}
+		for _, w := range []int{1, 2, 8} {
+			outs := make([]mpc.Columns, servers)
+			for s := range outs {
+				outs[s].AppendColumns(&fill)
+			}
+			dirtyHeadLogs(1<<12, 3)
+			prev := runtime.SetParallelism(w)
+			runtime.Fork(servers, func(s int) { indexJoin(&outs[s], bound, stages, order, ring) })
+			runtime.SetParallelism(prev)
+			var ref mpc.Columns
+			ref.AppendColumns(&fill)
+			refIndexJoin(&ref, bound, stages, order, ring)
+			for s := range outs {
+				if !outs[s].Equal(&ref) {
+					t.Fatalf("width %d, server %d: kernel output (%d rows) differs from the reference (%d rows)", w, s, outs[s].Len(), ref.Len())
+				}
+				if outs[s].Annotated() != ref.Annotated() {
+					t.Fatalf("width %d, server %d: annotation column materialized = %v, the reference's %v", w, s, outs[s].Annotated(), ref.Annotated())
+				}
+			}
+		}
 	})
 }
 
@@ -329,6 +379,129 @@ func BenchmarkLocalJoin_Triangle(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var out mpc.Columns
 		indexJoin(&out, 3, stages, nil, relation.CountRing)
+		rows = out.Len()
+	}
+	b.ReportMetric(float64(rows), "results/op")
+}
+
+// TestLocalJoinAnnotationColumn pins the representation of the kernel's
+// output annotation column, which Columns.Equal does not see: a plain join
+// (every stage lazy, ring.Mul(1, 1) = 1) leaves it lazy; a join whose
+// products are not all 1 — under max-plus, or with an annotated stage —
+// materializes it, as AppendRow does at the first product ≠ 1; and a plain
+// join appending to a part whose column is already materialized writes a 1
+// for every row it adds, over the stale capacity behind the column.
+func TestLocalJoinAnnotationColumn(t *testing.T) {
+	rng := mpc.NewRng(5)
+	lazy := func(n int) *mpc.Columns { return fuzzPart(rng, n, 2, 5, false) }
+	twos := func(n int) *mpc.Columns {
+		var c mpc.Columns
+		src := lazy(n)
+		for i := 0; i < src.Len(); i++ {
+			c.Append(src.Tuple(i), 2)
+		}
+		return &c
+	}
+	chain := func(probe, build *mpc.Columns) []joinStage {
+		return []joinStage{
+			{part: probe, src: []int{0, 1}, dst: []int{0, 1}},
+			{part: build, keyPos: []int{0}, keyOut: []int{1}, src: []int{1}, dst: []int{2}},
+		}
+	}
+	join := func(out *mpc.Columns, stages []joinStage, ring relation.Semiring) {
+		t.Helper()
+		var want mpc.Columns
+		want.AppendColumns(out) // out's rows so far, annotations included
+		indexJoin(out, 3, stages, nil, ring)
+		refIndexJoin(&want, 3, stages, nil, ring)
+		if !out.Equal(&want) {
+			t.Fatalf("kernel output (%d rows) differs from the reference (%d rows)", out.Len(), want.Len())
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		stages []joinStage
+		ring   relation.Semiring
+		want   bool
+	}{
+		{"plain count", chain(lazy(60), lazy(60)), relation.CountRing, false},
+		{"plain Boolean", chain(lazy(60), lazy(60)), relation.BoolRing, false},
+		{"max-plus", chain(lazy(60), lazy(60)), relation.MaxPlusRing, true},
+		{"annotated stage", chain(lazy(60), twos(60)), relation.CountRing, true},
+		{"annotated probe", chain(twos(60), lazy(60)), relation.CountRing, true},
+	} {
+		var out mpc.Columns
+		join(&out, c.stages, c.ring)
+		if out.Len() == 0 {
+			t.Fatalf("%s: the join is empty", c.name)
+		}
+		if out.Annotated() != c.want {
+			t.Errorf("%s: annotation column materialized = %v, want %v", c.name, out.Annotated(), c.want)
+		}
+	}
+
+	// An annotated join materializes the part, then a plain one appends.
+	var out mpc.Columns
+	join(&out, chain(lazy(60), twos(60)), relation.CountRing)
+	before := out.Len()
+	join(&out, chain(lazy(60), lazy(60)), relation.CountRing)
+	if !out.Annotated() || out.Len() == before {
+		t.Fatalf("plain join after an annotated one: %d → %d rows, materialized = %v", before, out.Len(), out.Annotated())
+	}
+	for i := before; i < out.Len(); i++ {
+		if a := out.Annot(i); a != 1 {
+			t.Fatalf("plain row %d of a materialized part carries annotation %d, want 1", i, a)
+		}
+	}
+}
+
+// BenchmarkLocalJoin_Chain times the kernel on one server's share of
+// line3_out's last join (IN = 32 768, OUT = 524 288, p = 64): every B-value
+// is heavy there, so that join is R1^H(A, B) ⋈ (R2^H ⋈ R3)(B, C, D), the
+// probe keyless and the one later stage keyed on the one word B, adding C
+// and D. A server holds about 24 B-values, each with 6 R1 rows (τ = 6) and
+// 36–59 (C, D) rows — about 140 and 1 100 rows, and 7 000 results.
+func BenchmarkLocalJoin_Chain(b *testing.B) {
+	rng := mpc.NewRng(2019)
+	var ab, bcd mpc.Columns
+	for k := 0; k < 24; k++ {
+		key := relation.Value(64 * k)
+		for i := 0; i < 6; i++ {
+			ab.Append(relation.Tuple{relation.Value(rng.Intn(1 << 20)), key}, 1)
+		}
+		for i := 36 + rng.Intn(24); i > 0; i-- {
+			bcd.Append(relation.Tuple{key, relation.Value(rng.Intn(1 << 20)), relation.Value(rng.Intn(1 << 20))}, 1)
+		}
+	}
+	benchLocalJoin(b, 4, []joinStage{
+		{part: &ab, src: []int{0, 1}, dst: []int{0, 1}},
+		{part: &bcd, keyPos: []int{0}, keyOut: []int{1}, src: []int{1, 2}, dst: []int{2, 3}},
+	})
+}
+
+// BenchmarkLocalJoin_Product times the kernel on catalog_small's keyless
+// three-way product (job 8, the Cartesian product k = 3 over a domain of
+// 48): three stages of 48 one-column rows and no key, OUT = 48³ = 110 592.
+func BenchmarkLocalJoin_Product(b *testing.B) {
+	var rels [3]mpc.Columns
+	stages := make([]joinStage, len(rels))
+	for k := range rels {
+		for v := 0; v < 48; v++ {
+			rels[k].Append(relation.Tuple{relation.Value(v)}, 1)
+		}
+		stages[k] = joinStage{part: &rels[k], src: []int{0}, dst: []int{k}}
+	}
+	benchLocalJoin(b, 3, stages)
+}
+
+// benchLocalJoin times one plain kernel call into a fresh part per op.
+func benchLocalJoin(b *testing.B, width int, stages []joinStage) {
+	rows := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var out mpc.Columns
+		indexJoin(&out, width, stages, nil, relation.CountRing)
 		rows = out.Len()
 	}
 	b.ReportMetric(float64(rows), "results/op")

@@ -35,9 +35,6 @@ type Spec struct {
 	// count marks algorithms that emit one scalar row annotated |Q(R)|:
 	// verification reads that count off Result.Annot instead of OUT.
 	count bool
-	// oracle marks the verification oracle itself: CheckOracle against it
-	// would just run the same sequential join twice.
-	oracle bool
 	// classes are the Figure 1 classes whose dispatch candidates include
 	// the algorithm (none: only ever run by name); applies reports whether
 	// its guarantee covers the query — shape and class checks, never data.
@@ -140,7 +137,7 @@ func init() {
 		},
 	})
 	Register(&Spec{
-		name: "naive", bound: stats.Oracle, load: "linear", rounds: "zero", fullJoin: true, oracle: true,
+		name: "naive", bound: stats.Oracle, load: "linear", rounds: "zero", fullJoin: true,
 		classes: []hypergraph.Class{hypergraph.Cyclic}, applies: anyQuery,
 		run: func(job Job) (*mpc.Dist, error) {
 			// The oracle's rows, uncharged, as server 0's part.

@@ -166,6 +166,43 @@ func TestEveryRegisteredAlgorithmOnItsHome(t *testing.T) {
 	}
 }
 
+// TestNaiveIsCheckedByTheCount runs the naive algorithm, which builds the
+// sequential join, on every catalog query with CheckOracle: it is verified
+// by core.NaiveCount like every other full join, not trusted as the oracle.
+// The second run pins that the count really runs: its emitter empties a
+// relation after naive has joined, so the count reads 0 against naive's
+// OUT and the check must fail.
+func TestNaiveIsCheckedByTheCount(t *testing.T) {
+	const p, seed = 4, uint64(11)
+	for i, e := range hypergraph.Catalog() {
+		in := gen.ForQuery(mpc.NewChildRng(seed, i), e.Q, 48, 5)
+		res, err := engine.RunNamed("naive", engine.Job{In: in, P: p, Seed: seed, CheckOracle: true})
+		if err != nil {
+			t.Errorf("%s: %v", e.Name, err)
+			continue
+		}
+		if !res.Verified {
+			t.Errorf("%s: CheckOracle did not verify naive", e.Name)
+		}
+		if res.OUT == 0 {
+			continue
+		}
+		emptied := emptyAfterJoin{in: in}
+		_, err = engine.RunNamed("naive", engine.Job{In: in, P: p, Seed: seed, CheckOracle: true, Emitter: &emptied})
+		if !errors.Is(err, engine.ErrVerify) {
+			t.Errorf("%s: naive on an instance emptied after the join: err = %v, want ErrVerify", e.Name, err)
+		}
+	}
+}
+
+// emptyAfterJoin is an emitter that replaces the instance's first
+// relation by an empty one at the first row it sees.
+type emptyAfterJoin struct{ in *core.Instance }
+
+func (e *emptyAfterJoin) Emit(int, relation.Tuple, int64) {
+	e.in.Rels[0] = relation.New(e.in.Rels[0].Name, e.in.Rels[0].Schema)
+}
+
 // TestScalarAlgorithms covers count and aggregate, whose emissions are not
 // the full join: the oracle checks count's scalar and leaves aggregate be.
 func TestScalarAlgorithms(t *testing.T) {

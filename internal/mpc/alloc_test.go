@@ -52,7 +52,7 @@ func TestColumnsEqualContract(t *testing.T) {
 	for i, r := range rows {
 		sized.setRow(i, r, 1)
 	}
-	if grown.hasAnnots() || !sized.hasAnnots() {
+	if grown.Annotated() || !sized.Annotated() {
 		t.Fatal("test premise broken: representations do not differ")
 	}
 	if !grown.Equal(&sized) || !sized.Equal(&grown) {
@@ -114,7 +114,7 @@ func TestExchangeAnnotColumnElided(t *testing.T) {
 	c := NewCluster(8)
 	plain := FromRelation(c, mkRel(500)).ShuffleByKey([]int{0}, 3)
 	for s := range plain.Parts {
-		if plain.Parts[s].hasAnnots() {
+		if plain.Parts[s].Annotated() {
 			t.Fatalf("server %d materialized an annotation column for an unannotated input", s)
 		}
 	}

@@ -173,6 +173,27 @@ func (c *Columns) AppendRow(a int64) relation.Tuple {
 	return relation.Tuple(c.values[lo : lo+c.width : lo+c.width])
 }
 
+// Extend adds n rows of the given width, annotated 1, and returns their
+// values — n·width of them, row after row — for the caller to write: the
+// window is where the rows live, and no row passes through a tuple or an
+// AppendRow call. Room is made as by Reserve; a lazy annotation column
+// stays lazy, a materialized one gets n 1s. The window's contents are
+// unspecified until the caller writes them.
+//
+//lint:alloc-ceiling
+func (c *Columns) Extend(width, n int) []relation.Value {
+	c.Reserve(width, n)
+	lo, hi := len(c.values), len(c.values)+n*width
+	c.values = c.values[:hi]
+	c.rows += n
+	if c.annots != nil {
+		for range n {
+			c.annots = append(c.annots, 1)
+		}
+	}
+	return c.values[lo:hi:hi]
+}
+
 // AppendProjected bulk-appends every row of src projected onto the columns
 // pos (nil keeps every column): one exact reservation, then one gather per
 // row, the annotation column moved as a block and kept lazy when src's is.
@@ -306,8 +327,9 @@ func (c *Columns) Equal(o *Columns) bool {
 	return true
 }
 
-// hasAnnots reports whether the annotation column is materialized.
-func (c *Columns) hasAnnots() bool { return c.annots != nil }
+// Annotated reports whether the annotation column is materialized; false
+// means every annotation is 1.
+func (c *Columns) Annotated() bool { return c.annots != nil }
 
 // view returns a second header over c's buffers, capacity-clamped to c's
 // rows. Parts are written only while they are built, so the two may be

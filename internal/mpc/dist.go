@@ -33,7 +33,7 @@ func NewDist(c *Cluster, schema relation.Schema) *Dist {
 // column — the exchange's one-shot decision for its output layout.
 func (d *Dist) hasAnnots() bool {
 	for s := range d.Parts {
-		if d.Parts[s].hasAnnots() {
+		if d.Parts[s].Annotated() {
 			return true
 		}
 	}

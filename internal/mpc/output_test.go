@@ -50,8 +50,8 @@ func TestReserveAppendRowMatchesAppend(t *testing.T) {
 		if &got.values[0] != values || cap(got.values) != 300 {
 			t.Fatalf("annotated=%v: value buffer reallocated or over-reserved (cap %d)", annotated, cap(got.values))
 		}
-		if got.hasAnnots() != annotated {
-			t.Fatalf("annotated=%v: annotation column materialized = %v", annotated, got.hasAnnots())
+		if got.Annotated() != annotated {
+			t.Fatalf("annotated=%v: annotation column materialized = %v", annotated, got.Annotated())
 		}
 		if annotated && cap(got.annots) != 100 {
 			t.Fatalf("annotation column not covered by the reservation: cap %d", cap(got.annots))
@@ -200,8 +200,8 @@ func TestConcatContract(t *testing.T) {
 		if cap(part.values) != part.Len()*2 {
 			t.Fatalf("part %d: capacity %d for %d rows of width 2", s, cap(part.values), part.Len())
 		}
-		if part.hasAnnots() != (s == 1) {
-			t.Fatalf("part %d: annotation column materialized = %v", s, part.hasAnnots())
+		if part.Annotated() != (s == 1) {
+			t.Fatalf("part %d: annotation column materialized = %v", s, part.Annotated())
 		}
 	}
 
@@ -423,7 +423,7 @@ func TestMapAnnotsIsAView(t *testing.T) {
 		if &ones.Parts[0].values[0] != &src.values[0] || &doubled.Parts[0].values[0] != &src.values[0] {
 			t.Fatalf("annotated=%v: MapAnnots copied the value buffer", annotated)
 		}
-		if ones.Parts[0].hasAnnots() || d.MapAnnots(func(int64) int64 { return 1 }).Parts[0].hasAnnots() {
+		if ones.Parts[0].Annotated() || d.MapAnnots(func(int64) int64 { return 1 }).Parts[0].Annotated() {
 			t.Fatalf("annotated=%v: the all-ones view materialized an annotation column", annotated)
 		}
 		for i := 0; i < src.Len(); i++ {

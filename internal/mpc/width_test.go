@@ -90,8 +90,8 @@ func TestPerServerPassesMatchAcrossWidths(t *testing.T) {
 					c := NewCluster(7)
 					d := FromRelation(c, r)
 					for s := range d.Parts {
-						if d.Parts[s].hasAnnots() != (annotated && d.Parts[s].Len() > 0) {
-							t.Fatalf("part %d: annotation column materialized = %v", s, d.Parts[s].hasAnnots())
+						if d.Parts[s].Annotated() != (annotated && d.Parts[s].Len() > 0) {
+							t.Fatalf("part %d: annotation column materialized = %v", s, d.Parts[s].Annotated())
 						}
 						for j := 0; j < d.Parts[s].Len(); j++ {
 							i := s + j*c.P
