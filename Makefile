@@ -6,11 +6,14 @@ GO ?= go
 # reference: Exchange/Route (columnar plan/scatter vs tuple-at-a-time),
 # SampleSort/SerialSortRef (rank-vector sort vs coordinator sort), the
 # columnar FromRelation placement, plus Lookup end-to-end over the pooled
-# record columns, the cost-based dispatch overhead (AutoCost) and the
-# per-server local join kernel in its three shapes: one server's triangle
-# share (two keyed stages), one server's share of line3's last join (one
-# stage keyed on one word) and catalog_small's keyless three-way product.
-BENCH ?= BenchmarkExchange|BenchmarkRoute|BenchmarkFromRelation|BenchmarkSampleSort|BenchmarkSerialSortRef|BenchmarkLookup|BenchmarkMicro_SemiJoin|BenchmarkEngine_AutoCost|BenchmarkLocalJoin_Triangle|BenchmarkLocalJoin_Chain|BenchmarkLocalJoin_Product
+# record columns, the semi-join on a d that holds each of its keys 32
+# times per server (SemiJoin_Duplicates: the worst case for the combiner,
+# which drops the duplicates after the sort), the cost-based dispatch
+# overhead (AutoCost) and the per-server local join kernel in its three
+# shapes: one server's triangle share (two keyed stages), one server's
+# share of line3's last join (one stage keyed on one word) and
+# catalog_small's keyless three-way product.
+BENCH ?= BenchmarkExchange|BenchmarkRoute|BenchmarkFromRelation|BenchmarkSampleSort|BenchmarkSerialSortRef|BenchmarkLookup|BenchmarkSemiJoin_Duplicates|BenchmarkMicro_SemiJoin|BenchmarkEngine_AutoCost|BenchmarkLocalJoin_Triangle|BenchmarkLocalJoin_Chain|BenchmarkLocalJoin_Product
 COUNT ?= 6
 
 # Coverage floors (percent of statements). The columnar store and the

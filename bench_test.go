@@ -472,9 +472,12 @@ func BenchmarkMicro_FullReduce(b *testing.B) {
 
 // BenchmarkMicro_SemiJoin drives the semi-join end-to-end from the top
 // layer: one multi-search (internal/primitives/lookup.go) over a serial
-// radix rank sort of both sides' records, with d's duplicates dropped by
-// the local combiner, not a separate pass. The sort is counted on its own
-// in internal/primitives (BenchmarkSampleSort vs BenchmarkSerialSortRef).
+// radix rank sort of both sides' records. d is staged whole; its
+// duplicates are dropped after the rank sort, in one pass over the sorted
+// order that keeps each (server, key)'s first record (recCols.openers),
+// before the chunks are cut. The sort is counted on its own in
+// internal/primitives (BenchmarkSampleSort vs BenchmarkSerialSortRef), the
+// combiner's worst case there too (BenchmarkSemiJoin_Duplicates).
 func BenchmarkMicro_SemiJoin(b *testing.B) {
 	s := benchScale()
 	rng := mpc.NewRng(s.Seed)

@@ -226,6 +226,32 @@ func (c *Columns) AppendProjected(src *Columns, pos []int) {
 	c.appendAnnots(src)
 }
 
+// Gather writes every row's values at the columns pos into dst, row after
+// row: rows·len(pos) values, one strided read of the flat buffer, with no
+// tuple window built per row. The multi-search stages its record keys
+// with it.
+//
+//lint:alloc-ceiling
+func (c *Columns) Gather(dst []relation.Value, pos []int) {
+	w, kw := c.width, len(pos)
+	dst = dst[:c.rows*kw]
+	switch kw {
+	case 0:
+	case 1:
+		p := pos[0]
+		for i := range dst {
+			dst[i] = c.values[i*w+p]
+		}
+	default:
+		for i := 0; i < c.rows; i++ {
+			row := c.values[i*w : i*w+w]
+			for j, p := range pos {
+				dst[i*kw+j] = row[p]
+			}
+		}
+	}
+}
+
 // appendAnnots extends a materialized annotation column with src's
 // annotations (1s when src's column is lazy); a lazy column stays lazy.
 func (c *Columns) appendAnnots(src *Columns) {

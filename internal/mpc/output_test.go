@@ -132,6 +132,33 @@ func TestProjectMatchesMapLocal(t *testing.T) {
 	}
 }
 
+// TestGatherMatchesTupleProjection: Gather writes each row's projection
+// onto pos, row after row, exactly as reading Tuple(i)[p] would — for the
+// empty projection, one column and several in a non-identity order — and
+// touches nothing past rows·len(pos) in its destination.
+func TestGatherMatchesTupleProjection(t *testing.T) {
+	const junk = -0x5eed
+	cols := randomColumns(NewRng(4), 37, 3, 50, false)
+	for _, pos := range [][]int{nil, {1}, {2, 0}, {0, 1, 2}} {
+		n := cols.Len() * len(pos)
+		dst := make([]relation.Value, n+2)
+		for i := range dst {
+			dst[i] = junk
+		}
+		cols.Gather(dst, pos)
+		for i := 0; i < cols.Len(); i++ {
+			for j, p := range pos {
+				if got, want := dst[i*len(pos)+j], cols.Tuple(i)[p]; got != want {
+					t.Fatalf("pos %v: row %d column %d gathered %d, want %d", pos, i, j, got, want)
+				}
+			}
+		}
+		if dst[n] != junk || dst[n+1] != junk {
+			t.Fatalf("pos %v: Gather wrote past its %d values", pos, n)
+		}
+	}
+}
+
 // TestConcatReservesOnce: a union of sources already in the target's layout
 // keeps every row in source-major order and fills each part from one exact
 // reservation.

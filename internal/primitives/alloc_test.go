@@ -69,11 +69,12 @@ func TestSampleSortAllocCeiling(t *testing.T) {
 	for _, n := range []int{8192, 131072} {
 		base := benchRecs(n, true, 7)
 		sortOnce := func() {
-			rc := getRecCols(n)
+			rc, sc := getRecCols(n), getSortScratch()
 			for _, r := range base {
-				rc.append(r.key, r.tag, r.it.T, r.it.A)
+				rc.append(r.key, r.tag)
 			}
-			sampleSortCols(rc)
+			sampleSortCols(rc, sc)
+			putSortScratch(sc)
 			putRecCols(rc)
 		}
 		var bytes uint64

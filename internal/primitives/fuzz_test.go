@@ -65,16 +65,16 @@ func FuzzSampleSortParity(f *testing.F) {
 			dirtyPools(len(recs), kwidth)
 		}
 		c := mpc.NewCluster(pp)
-		rc := getRecCols(len(recs))
+		rc, sc := getRecCols(len(recs)), getSortScratch()
 		fillRecCols(rc, recs)
 		prevW := runtime.SetParallelism(b)
-		sampleSortCols(rc)
+		sampleSortCols(rc, sc)
 		runtime.SetParallelism(prevW)
-		bounds := chopBounds(c, rc.len())
+		bounds := chopBounds(c, rc.len(), sc)
 		gotStats := c.Snapshot()
 
 		for s := 0; s < pp; s++ {
-			if !reflect.DeepEqual(refChunks[s], colsChunk(rc, bounds, s)) {
+			if !reflect.DeepEqual(refChunks[s], colsChunk(rc, recs, bounds, s)) {
 				t.Fatalf("chunk %d differs (n=%d keys=%d shape=%d kw=%d b=%d p=%d dirty=%v)",
 					s, nn, kk, shape, kwidth, b, pp, dirty)
 			}
@@ -82,6 +82,7 @@ func FuzzSampleSortParity(f *testing.F) {
 		if !reflect.DeepEqual(refStats, gotStats) {
 			t.Fatalf("charges differ:\nref %+v\ngot %+v", refStats, gotStats)
 		}
+		putSortScratch(sc)
 		putRecCols(rc)
 	})
 }
@@ -221,6 +222,12 @@ func FuzzSemiJoinParity(f *testing.F) {
 	f.Add(int64(7), uint16(3), uint16(2), uint16(2), uint8(2), uint8(1), true, true)           // tiny parts
 	f.Add(int64(8), uint16(1000), uint16(900), uint16(600), uint8(1), uint8(15), false, false) // a thousand records a side
 	f.Add(int64(9), uint16(40), uint16(40), uint16(5), uint8(1), uint8(0), true, false)        // one server
+	// Every d key repeats on every server (at least 29, 37 and 5 times
+	// per server and key at these seeds), so the combiner on the sorted
+	// order drops most of d: one-, two- and three-word keys.
+	f.Add(int64(13), uint16(300), uint16(1000), uint16(3), uint8(1), uint8(3), true, true)
+	f.Add(int64(11), uint16(200), uint16(900), uint16(1), uint8(2), uint8(6), false, true)
+	f.Add(int64(12), uint16(500), uint16(1000), uint16(7), uint8(3), uint8(1), true, false)
 
 	f.Fuzz(func(t *testing.T, seed int64, nx, nd, keys uint16, kw, p uint8, annotated, dirty bool) {
 		maxX, maxD := int(nx)%1024, int(nd)%1024

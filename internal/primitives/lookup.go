@@ -33,7 +33,7 @@ type LookupResult struct {
 func Lookup(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.Attr,
 	outSchema relation.Schema, emit func(out *mpc.Columns, it mpc.Item, r LookupResult)) *mpc.Dist {
 	out := mpc.NewDist(x.C, outSchema)
-	multiSearch(x, xKey, d, dKey, true, emit, out, split{})
+	multiSearch(x, xKey, d, dKey, out, search{emit: emit})
 	return out
 }
 
@@ -48,7 +48,7 @@ func Lookup(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.Attr
 func SplitLookup(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.Attr,
 	pick func(r LookupResult) bool) (yes, no *mpc.Dist) {
 	yes, no = mpc.NewDist(x.C, x.Schema), mpc.NewDist(x.C, x.Schema)
-	multiSearch(x, xKey, d, dKey, true, nil, yes, split{alt: no, pick: pick})
+	multiSearch(x, xKey, d, dKey, yes, search{pick: pick, alt: no})
 	return yes, no
 }
 
@@ -62,7 +62,7 @@ func SplitLookup(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation
 //lint:rounds const
 func SemiJoin(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.Attr) *mpc.Dist {
 	out := mpc.NewDist(x.C, x.Schema)
-	multiSearch(x, xKey, d, dKey, false, keepFound, out, split{})
+	multiSearch(x, xKey, d, dKey, out, search{keep: true})
 	return out
 }
 
@@ -73,60 +73,55 @@ func SemiJoin(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.At
 //lint:rounds const
 func AntiJoin(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.Attr) *mpc.Dist {
 	out := mpc.NewDist(x.C, x.Schema)
-	multiSearch(x, xKey, d, dKey, false, keepMissing, out, split{})
+	multiSearch(x, xKey, d, dKey, out, search{keep: false})
 	return out
 }
 
-// keepFound and keepMissing are the semi- and anti-join's emits.
-func keepFound(out *mpc.Columns, it mpc.Item, r LookupResult) {
-	if r.Found {
-		out.Append(it.T, it.A)
-	}
-}
-
-func keepMissing(out *mpc.Columns, it mpc.Item, r LookupResult) {
-	if !r.Found {
-		out.Append(it.T, it.A)
-	}
-}
-
-// split is a two-way multi-search's second output: every x item lands
-// whole in out when pick(its lookup result) holds and in alt otherwise.
-// The zero split leaves the rows to emit.
-type split struct {
-	alt  *mpc.Dist
+// search is what a multi-search does with each x item once it knows
+// whether d holds the item's key. At most one of emit and pick is set:
+// emit (Lookup) appends what the item becomes; pick (SplitLookup) sends
+// the item whole to out when pick holds and to alt otherwise. With
+// neither, the search is a semi-join (keep) or an anti-join (!keep): the
+// item lands whole in out when its found equals keep.
+type search struct {
+	emit func(out *mpc.Columns, it mpc.Item, r LookupResult)
 	pick func(r LookupResult) bool
+	alt  *mpc.Dist
+	keep bool
 }
 
 // multiSearch is the paper's multi-search, the one scan under Lookup,
 // SplitLookup, SemiJoin and AntiJoin: every x item learns whether d holds
-// its key, and emit appends what it becomes to its server's part of the
+// its key, and sr decides what it becomes in its server's part of the
 // caller's empty out (the caller allocates it: results the forked scan
 // captured would be moved to the heap, two allocations a call). d records
 // sort before x records of the same key, so "found" is "the nearest
-// preceding d record has my key". A directory (Lookup) must
-// be distinct and is staged whole, so that the scan sees a key held twice
-// on one server. Otherwise d may hold duplicates (the semi-join): each
-// server stages only the d rows that open a key group locally (the
-// uncharged combiner), and r carries the first record of the key's run.
-// Next to all of x, the one record set is rank-sorted once and cut into p
-// chunks, and no column is permuted: a chunk is a window of the rank
-// vector, scanned as i := order[j]. What crosses a chunk boundary is one
-// record, the d record opening the run the previous chunk ends in; each
-// chunk end finds it by binary search (d records lead their run), the pass
-// over the p chunk ends is the coordinator exchange, and the chunks are
-// scanned concurrently, task s appending only to its own output part. Task
-// s first counts the x records of its window and reserves its part once
-// for one row each, so a part that emit fills with at most a row per item
-// never grows by doubling. Equal-key d records are adjacent in the scan,
-// or the first of a chunk meets its twin as the carry, so the scan doubles
-// as the directory's duplicate check. A split (SplitLookup) takes emit's
-// place: it appends each x item whole to part s of out or of its alt.
+// preceding d record has my key". d is staged whole, x after it, into one
+// record set that names rows instead of copying them, which is rank-sorted
+// once; nothing is permuted. A directory (Lookup, SplitLookup) must be
+// distinct, and the scan sees a key held twice on one server. Otherwise d
+// may hold duplicates (the semi-join), and the uncharged local combiner
+// runs on the sorted order: of each (server, key) group of d only the
+// opening record stays in the rank vector (recCols.openers), so the sort
+// round carries at most one d record per (server, key). The vector is cut
+// into p chunks; a chunk is a window of it, scanned as i := order[j].
+// What crosses a chunk boundary is one record, the d record opening the
+// run the previous chunk ends in: the coordinator exchange, charged before
+// the scan, hands it over, and each chunk's task finds it by binary search
+// (d records lead their run). The chunks are scanned concurrently, task s
+// appending only to its own output part, which it first reserves once for
+// one row per x record of its window, so a part that the scan fills with
+// at most a row per item never grows by doubling. Equal-key d records are
+// adjacent in the scan, or the first of a chunk meets its twin as the
+// carry, so the scan doubles as the directory's duplicate check. Only the
+// rows the scan hands on are read from their parts: a semi-join copies
+// each kept x row straight from its part, a lookup decodes the x item and
+// its d match for emit or pick.
 //
 //lint:load perP
 //lint:rounds const
-func multiSearch(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.Attr, directory bool,
-	emit func(out *mpc.Columns, it mpc.Item, r LookupResult), out *mpc.Dist, sp split) {
+func multiSearch(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.Attr, out *mpc.Dist, sr search) {
+	directory := sr.emit != nil || sr.pick != nil
 	// An empty probe side is empty output and pays no rounds; only a
 	// directory is staged, to check it for duplicate keys.
 	if x.Size() == 0 && !directory {
@@ -135,11 +130,7 @@ func multiSearch(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation
 	xPos, dPos := x.Positions(xKey), d.Positions(dKey)
 
 	rc := getRecCols(x.Size() + d.Size())
-	if directory {
-		rc.appendDist(d, dPos, 0)
-	} else {
-		rc.appendOpeners(d, dPos)
-	}
+	rc.appendDist(d, dPos, 0)
 	if x.Size() == 0 {
 		verifyDistinctDirectory(rc)
 		putRecCols(rc)
@@ -149,25 +140,15 @@ func multiSearch(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation
 
 	sc := getSortScratch()
 	order := rankSort(rc, sc)
-	bounds := chopBounds(x.C, len(order))
-
-	// carry[s] = the d record opening the run that the record before chunk
-	// s belongs to, −1 when that run has none (or nothing precedes s).
-	carry := make([]int32, x.C.P)
-	for s := range carry {
-		carry[s] = -1
-		if lo := bounds[s]; lo > 0 && lo < len(order) {
-			end := order[lo-1]
-			run := order[sort.Search(lo, func(j int) bool { return !rc.keyLess(int(order[j]), int(end)) })]
-			if rc.tags[run] == 0 {
-				carry[s] = run
-			}
-		}
+	if !directory {
+		order = rc.openers(order)
 	}
+	bounds := chopBounds(x.C, len(order), sc)
 	x.C.ChargeCoordinator()
 
 	runtime.Fork(x.C.P, func(s int) {
-		window := order[bounds[s]:bounds[s+1]]
+		lo := bounds[s]
+		window := order[lo:bounds[s+1]]
 		xs := 0
 		for _, i := range window {
 			xs += int(rc.tags[i])
@@ -176,11 +157,21 @@ func multiSearch(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation
 		part := &out.Parts[s]
 		part.Reserve(w, xs)
 		var altPart *mpc.Columns
-		if sp.alt != nil {
-			altPart = &sp.alt.Parts[s]
+		if sr.alt != nil {
+			altPart = &sr.alt.Parts[s]
 			altPart.Reserve(w, xs)
 		}
-		cur := carry[s]
+		// cur = the d record opening the run that the record before the
+		// window belongs to, −1 when that run has none (or nothing
+		// precedes the window).
+		cur := int32(-1)
+		if lo > 0 && len(window) > 0 {
+			end := order[lo-1]
+			run := order[sort.Search(lo, func(j int) bool { return !rc.keyLess(int(order[j]), int(end)) })]
+			if rc.tags[run] == 0 {
+				cur = run
+			}
+		}
 		for _, i := range window {
 			if rc.tags[i] == 0 {
 				if directory && cur >= 0 && rc.keyEq(int(cur), int(i)) {
@@ -189,14 +180,23 @@ func multiSearch(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation
 				cur = i
 				continue
 			}
+			found := cur >= 0 && rc.keyEq(int(cur), int(i))
+			if !directory {
+				if found == sr.keep {
+					src, r := rc.row(int(i))
+					part.Append(src.Tuple(r), src.Annot(r))
+				}
+				continue
+			}
 			r := LookupResult{}
-			if cur >= 0 && rc.keyEq(int(cur), int(i)) {
-				r = LookupResult{Found: true, DTuple: rc.tuples[cur], DAnnot: rc.annots[cur]}
+			if found {
+				dp, dr := rc.row(int(cur))
+				r = LookupResult{Found: true, DTuple: dp.Tuple(dr), DAnnot: dp.Annot(dr)}
 			}
 			switch it := rc.item(int(i)); {
-			case sp.pick == nil:
-				emit(part, it, r)
-			case sp.pick(r):
+			case sr.pick == nil:
+				sr.emit(part, it, r)
+			case sr.pick(r):
 				part.Append(it.T, it.A)
 			default:
 				altPart.Append(it.T, it.A)
@@ -212,7 +212,9 @@ func multiSearch(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation
 // detects duplicates as adjacent d records for free — so it makes them
 // adjacent the same way: the sort alone is local and charges nothing.
 func verifyDistinctDirectory(rc *recCols) {
-	sampleSortCols(rc)
+	sc := getSortScratch()
+	sampleSortCols(rc, sc)
+	putSortScratch(sc)
 	for i := 1; i < rc.len(); i++ {
 		if rc.keyEq(i-1, i) {
 			panic(fmt.Sprintf("primitives: Lookup directory has duplicate key %v", rc.key(i)))
@@ -253,28 +255,33 @@ func DistinctByKey(d *mpc.Dist, keyAttrs []relation.Attr) *mpc.Dist {
 	if d.Size() == 0 {
 		return mpc.NewDist(d.C, schema)
 	}
-	// Local dedup first (combiner): at most one record per (server, key).
-	// A record's key column entry is the kept projection itself, so nothing
-	// is built per key.
+	// Local dedup first (the uncharged combiner, on the sorted order): at
+	// most one record per (server, key) reaches the sort round. A record's
+	// key column entry is the kept projection itself, so nothing is built
+	// per key.
 	rc := getRecCols(d.Size())
-	rc.appendOpeners(d, pos)
-	bounds := sortAndChop(d.C, rc)
+	rc.appendDist(d, pos, 0)
+	sc := getSortScratch()
+	order := rc.openers(rankSort(rc, sc))
+	bounds := chopBounds(d.C, len(order), sc)
 	// Cross-chunk dedup: each server drops its first run if the previous
 	// chunk ends with the same key (boundary info via coordinator). Equal
-	// keys are adjacent after the sort, so the previously kept row index is
+	// keys are adjacent after the sort, so the previously kept record is
 	// all the boundary state needed.
 	d.C.ChargeCoordinator()
 	out := mpc.NewDist(d.C, schema)
 	prev := -1
 	for s := 0; s < d.C.P; s++ {
-		for i := bounds[s]; i < bounds[s+1]; i++ {
-			if prev >= 0 && rc.keyEq(prev, i) {
+		for _, i := range order[bounds[s]:bounds[s+1]] {
+			if prev >= 0 && rc.keyEq(prev, int(i)) {
 				continue
 			}
-			out.Parts[s].Append(rc.key(i), rc.annots[i])
-			prev = i
+			src, r := rc.row(int(i))
+			out.Parts[s].Append(rc.key(int(i)), src.Annot(r))
+			prev = int(i)
 		}
 	}
+	putSortScratch(sc)
 	putRecCols(rc)
 	return out
 }

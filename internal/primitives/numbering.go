@@ -26,7 +26,8 @@ func MultiNumbering(d *mpc.Dist, keyAttrs []relation.Attr, numberAttr relation.A
 
 	rc := getRecCols(d.Size())
 	rc.appendDist(d, pos, 0)
-	bounds := sortAndChop(d.C, rc)
+	sc := getSortScratch()
+	bounds := sortAndChop(d.C, rc, sc)
 
 	// offsets[s] = number of items with the same key as chunk s's first
 	// record that appear in earlier chunks. Computed by the coordinator from
@@ -70,13 +71,15 @@ func MultiNumbering(d *mpc.Dist, keyAttrs []relation.Attr, numberAttr relation.A
 				curRow, n = i, 0
 			}
 			n++
-			src := rc.tuples[i]
+			part, r := rc.row(i)
+			src := part.Tuple(r)
 			t := make(relation.Tuple, len(src)+1)
 			copy(t, src)
 			t[len(src)] = relation.Value(n)
-			out.Parts[s].Append(t, rc.annots[i])
+			out.Parts[s].Append(t, part.Annot(r))
 		}
 	}
+	putSortScratch(sc)
 	putRecCols(rc)
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -22,6 +23,13 @@ func buildDist(p, n, keys int, seed int64) (*mpc.Cluster, *mpc.Dist) {
 	}
 	c := mpc.NewCluster(p)
 	return c, mpc.FromRelation(c, r)
+}
+
+// keepFound is a Lookup emit that keeps the x items its directory holds.
+func keepFound(out *mpc.Columns, it mpc.Item, r LookupResult) {
+	if r.Found {
+		out.Append(it.T, it.A)
+	}
 }
 
 func TestSumByKeyMatchesNaive(t *testing.T) {
@@ -195,6 +203,124 @@ func TestSemiJoinAndAntiJoin(t *testing.T) {
 	}
 	if semi.Size()+anti.Size() != dx.Size() {
 		t.Error("semi + anti must partition x")
+	}
+}
+
+// TestSemiJoinCombinerKeepsFirstPerPart pins the local combiner the
+// semi-join runs on the sorted order (recCols.openers) against the per-part
+// hash index it replaced (mpc.RowIndex.Opens). d holds keys repeated inside
+// one part (5 and 3 on part 0, 7 on part 2), on adjacent parts (5 on parts
+// 0 and 1, 7 on parts 1 and 2) and on parts whose records land in
+// different chunks (x's twenty 5s spread key 5's run over a chunk
+// boundary). The compacted rank vector must hold exactly each part's first
+// row of each key, in staging order, next to all of x, in the stable
+// (key, tag) order of those records; and the semi- and anti-join of d must
+// equal those of the index's openers alone, part for part, with the same
+// cluster snapshot, at widths 1, 2 and 8 on dirtied pools.
+func TestSemiJoinCombinerKeepsFirstPerPart(t *testing.T) {
+	const p = 4
+	dKeys := [p][]relation.Value{{5, 5, 3, 5, 3, 8}, {5, 7, 5, 7}, {7, 7, 7, 9}, {5, 5, 9}}
+	xKeys := []relation.Value{1, 3, 4, 6, 7, 8, 9}
+	for range 20 {
+		xKeys = append(xKeys, 5)
+	}
+	key, pos := []relation.Attr{1}, []int{0}
+	// build returns x, d and the rows of d its per-part index opens.
+	build := func(c *mpc.Cluster) (x, d, opened *mpc.Dist) {
+		x = mpc.NewDist(c, relation.NewSchema(1, 2))
+		d, opened = mpc.NewDist(c, relation.NewSchema(1, 3)), mpc.NewDist(c, relation.NewSchema(1, 3))
+		for i, k := range xKeys {
+			x.Parts[i%p].Append(relation.Tuple{k, relation.Value(i)}, int64(1+i%3))
+		}
+		for s, ks := range dKeys {
+			for i, k := range ks {
+				d.Parts[s].Append(relation.Tuple{k, relation.Value(10*s + i)}, 1)
+			}
+			ix := mpc.IndexRows(&d.Parts[s], pos)
+			for i := range ks {
+				if ix.Opens(i) {
+					opened.Parts[s].Append(d.Parts[s].Tuple(i), 1)
+				}
+			}
+			ix.Release()
+		}
+		return x, d, opened
+	}
+
+	// The records: the compacted vector against the stable sort of the
+	// index's openers (as refs, in staging order) and all of x.
+	type record struct {
+		key relation.Value
+		tag uint8
+		ref uint64
+	}
+	c := mpc.NewCluster(p)
+	x, d, _ := build(c)
+	var want []record
+	for s := range d.Parts {
+		ix := mpc.IndexRows(&d.Parts[s], pos)
+		for i := 0; i < d.Parts[s].Len(); i++ {
+			if ix.Opens(i) {
+				want = append(want, record{d.Parts[s].Tuple(i)[0], 0, uint64(s)<<32 | uint64(i)})
+			}
+		}
+		ix.Release()
+	}
+	for s := range x.Parts {
+		for i := 0; i < x.Parts[s].Len(); i++ {
+			want = append(want, record{x.Parts[s].Tuple(i)[0], 1, uint64(s)<<32 | uint64(i)})
+		}
+	}
+	sort.SliceStable(want, func(i, j int) bool {
+		return want[i].key < want[j].key || want[i].key == want[j].key && want[i].tag < want[j].tag
+	})
+	rc, sc := getRecCols(x.Size()+d.Size()), getSortScratch()
+	rc.appendDist(d, pos, 0)
+	rc.appendDist(x, pos, 1)
+	order := rc.openers(rankSort(rc, sc))
+	got := make([]record, len(order))
+	for j, i := range order {
+		got[j] = record{rc.key(int(i))[0], rc.tags[i], rc.refs[i]}
+	}
+	bounds := chopBounds(c, len(order), sc)
+	straddles := false
+	for s := 1; s < p; s++ {
+		if b := bounds[s]; b > 0 && b < len(order) && rc.keyEq(int(order[b-1]), int(order[b])) && rc.key(int(order[b]))[0] == 5 {
+			straddles = true
+		}
+	}
+	putSortScratch(sc)
+	putRecCols(rc)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("the compacted rank vector is not the index's openers and x in (key, tag) order:\ngot  %v\nwant %v", got, want)
+	}
+	if !straddles {
+		t.Fatal("key 5's run no longer straddles a chunk boundary: the case lost its boundary")
+	}
+
+	// The outputs and charges: d against the index's openers alone.
+	ops := []struct {
+		name string
+		op   func(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.Attr) *mpc.Dist
+	}{{"SemiJoin", SemiJoin}, {"AntiJoin", AntiJoin}}
+	for _, b := range []int{1, 2, 8} {
+		prev := runtime.SetParallelism(b)
+		for _, op := range ops {
+			c1, c2 := mpc.NewCluster(p), mpc.NewCluster(p)
+			x1, d1, _ := build(c1)
+			x2, _, opened := build(c2)
+			dirtyPools(x1.Size()+d1.Size(), 1)
+			have, ref := op.op(x1, key, d1, key), op.op(x2, key, opened, key)
+			for s := range ref.Parts {
+				if !have.Parts[s].Equal(&ref.Parts[s]) {
+					t.Fatalf("width %d: %s part %d differs from the one over the index's openers", b, op.name, s)
+				}
+			}
+			if !reflect.DeepEqual(c1.Snapshot(), c2.Snapshot()) {
+				t.Fatalf("width %d: %s charged %+v, over the index's openers %+v", b, op.name, c1.Snapshot(), c2.Snapshot())
+			}
+		}
+		runtime.SetParallelism(prev)
 	}
 }
 
@@ -405,11 +531,11 @@ func TestAllocateServersDuplicatePanics(t *testing.T) {
 
 func TestSortAndChopBalance(t *testing.T) {
 	c := mpc.NewCluster(8)
-	rc := getRecCols(1000)
+	rc, sc := getRecCols(1000), getSortScratch()
 	for i := 0; i < 1000; i++ {
-		rc.append(relation.EncodeValues(relation.Value(i%3)), 0, nil, 1)
+		rc.append(relation.EncodeValues(relation.Value(i%3)), 0)
 	}
-	bounds := sortAndChop(c, rc)
+	bounds := sortAndChop(c, rc, sc)
 	for s := 0; s < c.P; s++ {
 		if bounds[s+1]-bounds[s] > 125+1 {
 			t.Errorf("chunk %d has %d records", s, bounds[s+1]-bounds[s])
@@ -421,6 +547,7 @@ func TestSortAndChopBalance(t *testing.T) {
 			t.Fatal("records not globally sorted")
 		}
 	}
+	putSortScratch(sc)
 	putRecCols(rc)
 }
 

@@ -1,6 +1,8 @@
 package primitives
 
 import (
+	"slices"
+
 	"repro/internal/mpc"
 	"repro/internal/relation"
 )
@@ -8,7 +10,7 @@ import (
 // The columnar record pool, flat-key edition. Every skew-sensitive
 // primitive (the multi-search under Lookup and the semi-join, DistinctByKey,
 // MultiNumbering) collects its records into a pooled struct-of-arrays set
-// (parallel key/tag/tuple/annot columns). Keys are fixed width per call — a
+// (parallel key/tag/ref columns). Keys are fixed width per call — a
 // projection onto a fixed position list — so the key column is one flat
 // []relation.Value buffer: row i's key is keys[i*kw : (i+1)*kw], compared
 // with a word-wise value loop. This drops the byte-string interning layer
@@ -17,21 +19,27 @@ import (
 // encoded-string order because the encoding (8 big-endian bytes of
 // uint64(v)^(1<<63) per value) was order-preserving by construction.
 //
+// A record does not copy its row: it names it. Its ref is part<<32 | row
+// in the Dist its tag was staged from (src[tag]), and the row's tuple and
+// annotation are read from there only when a scan writes them. Staging
+// therefore copies only what the sort reads — the key words and the tag —
+// plus one counter word, and every column is pointer-free.
+//
 // Pooling is strictly a memory-reuse layer: every buffer is fully
 // initialized before it is read, so results, cluster charges and table
 // bytes do not depend on what a pooled buffer held before — the parity
 // tests run against pools seeded with garbage-filled buffers.
 
 // recCols is the columnar record set: a flat fixed-width key buffer plus
-// parallel tag/tuple/annot columns, sorted together by (key, tag) via an
-// index permutation. kw is the key width in values; it is adopted from the
-// first appended record and every later record must match.
+// parallel tag and ref columns, sorted together by (key, tag) via an index
+// permutation. kw is the key width in values; it is adopted from the first
+// staged record and every later record must match.
 type recCols struct {
-	kw     int
-	keys   []relation.Value
-	tags   []uint8
-	tuples []relation.Tuple
-	annots []int64
+	kw   int
+	keys []relation.Value
+	tags []uint8
+	refs []uint64     // part<<32 | row of the record's row in src[tag]
+	src  [2]*mpc.Dist // the Dist each tag was staged from
 }
 
 func (rc *recCols) len() int { return len(rc.tags) }
@@ -48,48 +56,66 @@ func (rc *recCols) adoptKeyWidth(kw int) {
 	}
 }
 
-// appendKeyed adds one record whose key is t's projection onto pos.
-func (rc *recCols) appendKeyed(t relation.Tuple, pos []int, tag uint8, a int64) {
-	rc.adoptKeyWidth(len(pos))
-	for _, p := range pos {
-		rc.keys = append(rc.keys, t[p])
-	}
-	rc.tags = append(rc.tags, tag)
-	rc.tuples = append(rc.tuples, t)
-	rc.annots = append(rc.annots, a)
-}
-
-// appendDist adds every row of d, keyed by its projection onto pos.
+// appendDist stages every row of d under tag, keyed by its projection onto
+// pos: the columns grow once to their final length, and each part fills
+// its window with one strided key gather, one tag fill and a row counter.
 func (rc *recCols) appendDist(d *mpc.Dist, pos []int, tag uint8) {
+	rc.adoptKeyWidth(len(pos))
+	rc.src[tag] = d
+	kw, n, m := rc.kw, rc.len(), d.Size()
+	rc.keys = slices.Grow(rc.keys, m*kw)[:(n+m)*kw]
+	rc.tags = slices.Grow(rc.tags, m)[:n+m]
+	rc.refs = slices.Grow(rc.refs, m)[:n+m]
 	for s := range d.Parts {
 		part := &d.Parts[s]
-		for i := 0; i < part.Len(); i++ {
-			rc.appendKeyed(part.Tuple(i), pos, tag, part.Annot(i))
+		rows := part.Len()
+		part.Gather(rc.keys[n*kw:(n+rows)*kw], pos)
+		tags, refs := rc.tags[n:n+rows], rc.refs[n:n+rows]
+		for i := range tags {
+			tags[i] = tag
 		}
+		base := uint64(s) << 32
+		for i := range refs {
+			refs[i] = base | uint64(i)
+		}
+		n += rows
 	}
 }
 
-// appendOpeners is the local combiner, uncharged: of every part of d it
-// adds only the rows that open a key group there — at most one record per
-// (server, key), in first-occurrence order.
-func (rc *recCols) appendOpeners(d *mpc.Dist, pos []int) {
-	for s := range d.Parts {
-		part := &d.Parts[s]
-		if part.Len() == 0 {
+// row returns the part and row number record i names.
+func (rc *recCols) row(i int) (*mpc.Columns, int) {
+	ref := rc.refs[i]
+	return &rc.src[rc.tags[i]].Parts[ref>>32], int(uint32(ref))
+}
+
+// item reads record i's row for callbacks that take items.
+func (rc *recCols) item(i int) mpc.Item {
+	part, r := rc.row(i)
+	return part.Item(r)
+}
+
+// openers compacts a rank vector sorted by (key, tag), in place, to what a
+// local combiner would have staged: every record of a tag other than 0,
+// and of the tag-0 records only the first of each (part, key) group.
+// Equal-key tag-0 records sort next to each other in staging order, part
+// by part, so a tag-0 record opens its group exactly when the record
+// before it is no tag-0 record of the same part and key. The compacted
+// vector is the stable (key, tag) sort of those records alone, so the
+// chunks cut from it are the combiner's.
+//
+//lint:alloc-ceiling
+func (rc *recCols) openers(order []int32) []int32 {
+	kept := order[:0]
+	prev := int32(-1)
+	for _, i := range order {
+		if rc.tags[i] == 0 && prev >= 0 && rc.tags[prev] == 0 && rc.refs[prev]>>32 == rc.refs[i]>>32 && rc.keyEq(int(prev), int(i)) {
 			continue
 		}
-		ix := mpc.IndexRows(part, pos)
-		for i := 0; i < part.Len(); i++ {
-			if ix.Opens(i) {
-				rc.appendKeyed(part.Tuple(i), pos, 0, part.Annot(i))
-			}
-		}
-		ix.Release()
+		kept = append(kept, i)
+		prev = i
 	}
+	return kept
 }
-
-// item assembles row i for callbacks that take items.
-func (rc *recCols) item(i int) mpc.Item { return mpc.Item{T: rc.tuples[i], A: rc.annots[i]} }
 
 // key returns row i's key window in the flat buffer.
 func (rc *recCols) key(i int) []relation.Value {
@@ -136,17 +162,6 @@ func (rc *recCols) less(i, j int32) bool {
 	return rc.tags[i] < rc.tags[j]
 }
 
-// reset truncates the columns, clearing the pointer-bearing tuple column
-// so pooled capacity does not retain tuples (the key column carries plain
-// values — stale contents are unreachable and pointer-free).
-func (rc *recCols) reset() {
-	clear(rc.tuples[:cap(rc.tuples)])
-	rc.keys = rc.keys[:0]
-	rc.tags = rc.tags[:0]
-	rc.tuples = rc.tuples[:0]
-	rc.annots = rc.annots[:0]
-}
-
 var recColsPool mpc.Pool[recCols]
 
 // getRecCols returns an empty record set with room for capacity rows.
@@ -155,48 +170,41 @@ func getRecCols(capacity int) *recCols {
 	if cap(rc.tags) < capacity {
 		// Too small for this call site: grow once, keep the grown set.
 		*rc = recCols{
-			keys:   make([]relation.Value, 0, capacity),
-			tags:   make([]uint8, 0, capacity),
-			tuples: make([]relation.Tuple, 0, capacity),
-			annots: make([]int64, 0, capacity),
+			keys: make([]relation.Value, 0, capacity),
+			tags: make([]uint8, 0, capacity),
+			refs: make([]uint64, 0, capacity),
 		}
 	}
 	return rc
 }
 
-// putRecCols recycles rc. Callers must have copied out every tuple header
-// and annotation they keep (the output Dist does).
+// putRecCols recycles rc. The columns are pointer-free and only truncated;
+// the two source pointers are dropped, so the pool retains no dataset.
 func putRecCols(rc *recCols) {
-	rc.reset()
+	rc.keys, rc.tags, rc.refs = rc.keys[:0], rc.tags[:0], rc.refs[:0]
+	rc.src = [2]*mpc.Dist{}
 	recColsPool.Put(rc)
 }
 
 // sortScratch is the sample sort's whole working set — the rank vector and
-// its radix twin, and one permute target per record column — pooled as a
-// single pointer so a steady-state sort performs one pool round-trip and
-// zero boxing allocations. The keys and annots permute targets are dead
-// while the rank sort runs and serve it as its two key vectors (the
-// multi-search, which permutes nothing, uses them only so). mpc.Resize
-// grows the vectors in place; contents are UNSPECIFIED until written
-// (consumers initialize before reading).
-// Pointer-bearing columns are cleared on put, like the record sets, so the
-// pool never retains a past dataset.
+// its radix twin, one permute target per record column, and chopBounds'
+// bounds and loads — pooled as a single pointer so a steady-state sort
+// performs one pool round-trip and zero boxing allocations. The keys and
+// refs permute targets are dead while the rank sort runs and serve it as
+// its two key vectors (the multi-search, which permutes nothing, uses them
+// only so). mpc.Resize grows the vectors in place; contents are
+// UNSPECIFIED until written (consumers initialize before reading). Every
+// vector is pointer-free, so a put clears nothing.
 type sortScratch struct {
 	ranks  []int32 // the rank vector, then its radix twin: one allocation
 	keys   []relation.Value
 	tags   []uint8
-	tuples []relation.Tuple
-	annots []int64
+	refs   []uint64
+	bounds []int // chopBounds' p+1 bounds, then its p loads
 }
 
 var sortScratchPool mpc.Pool[sortScratch]
 
 func getSortScratch() *sortScratch { return sortScratchPool.Get() }
 
-func putSortScratch(sc *sortScratch) {
-	// The permute swap leaves the pre-sort tuple column here; clear it so
-	// the pool never retains a past dataset's tuples (the key column is
-	// pointer-free and needs no clearing).
-	clear(sc.tuples[:cap(sc.tuples)])
-	sortScratchPool.Put(sc)
-}
+func putSortScratch(sc *sortScratch) { sortScratchPool.Put(sc) }

@@ -16,11 +16,11 @@ import (
 // sorted order into p equal chunks. sortAndChop charges exactly that, one
 // round through chopBounds, and computes the order with a serial stable
 // radix sort that never moves a record: rankSort sorts an int32 rank vector
-// (indices into the record columns). Callers that scan rows in order
-// (sampleSortCols: DistinctByKey, MultiNumbering) then permute the
-// key/tag/tuple/annot columns exactly once; the multi-search under every
-// lookup and semi-join scans the rank vector and skips even that. Every
-// scratch vector comes from the sort scratch pool.
+// (indices into the record columns). MultiNumbering, which scans rows in
+// order, then permutes the key/tag/ref columns exactly once
+// (sampleSortCols); the multi-search under every lookup and semi-join, and
+// DistinctByKey, scan the rank vector and skip even that. Every scratch
+// vector comes from the sort scratch pool.
 //
 // The radix sort is least significant digit first:
 //
@@ -49,26 +49,24 @@ import (
 // sortAndChop globally sorts the record columns by (key, tag) and
 // distributes them into p equal chunks, charging each server its chunk size
 // in one round (the paper's one-round sample sort with linear load). Chunk
-// s is rows [bounds[s], bounds[s+1]) of rc.
+// s is rows [bounds[s], bounds[s+1]) of rc; the bounds live in sc.
 //
 //lint:load perP
 //lint:rounds const
-func sortAndChop(c *mpc.Cluster, rc *recCols) []int {
-	sampleSortCols(rc)
-	return chopBounds(c, rc.len())
+func sortAndChop(c *mpc.Cluster, rc *recCols, sc *sortScratch) []int {
+	sampleSortCols(rc, sc)
+	return chopBounds(c, rc.len(), sc)
 }
 
 // sampleSortCols stable-sorts the record columns by (key, tag): the rank
-// sort, then one permute per column. All scratch is one pooled sortScratch.
+// sort, then one permute per column, all through the pooled sc.
 //
 //lint:alloc-ceiling
-func sampleSortCols(rc *recCols) {
+func sampleSortCols(rc *recCols, sc *sortScratch) {
 	if rc.len() < 2 {
 		return
 	}
-	sc := getSortScratch()
 	permuteCols(rc, sc, rankSort(rc, sc))
-	putSortScratch(sc)
 }
 
 // rankSort returns the stable (key, tag) sort of rc as a rank vector —
@@ -100,7 +98,9 @@ func rankSort(rc *recCols, sc *sortScratch) []int32 {
 
 // permuteCols applies the sorted rank vector to every column in one pass
 // per column, through the scratch's permute columns, which are swapped in
-// (the record set's old columns become the next sort's scratch).
+// (the record set's old columns become the next sort's scratch). A record
+// moves as its key words, its tag and its ref: the row stays where it was
+// staged.
 //
 //lint:alloc-ceiling
 func permuteCols(rc *recCols, sc *sortScratch, order []int32) {
@@ -108,12 +108,10 @@ func permuteCols(rc *recCols, sc *sortScratch, order []int32) {
 	kw := rc.kw
 	ks := mpc.Resize(sc.keys, n*kw)
 	ts := mpc.Resize(sc.tags, n)
-	tp := mpc.Resize(sc.tuples, n)
-	as := mpc.Resize(sc.annots, n)
+	rs := mpc.Resize(sc.refs, n)
 	for j, i := range order {
 		ts[j] = rc.tags[i]
-		tp[j] = rc.tuples[i]
-		as[j] = rc.annots[i]
+		rs[j] = rc.refs[i]
 	}
 	switch kw {
 	case 0:
@@ -128,8 +126,7 @@ func permuteCols(rc *recCols, sc *sortScratch, order []int32) {
 	}
 	sc.keys, rc.keys = rc.keys[:0], ks
 	sc.tags, rc.tags = rc.tags[:0], ts
-	sc.tuples, rc.tuples = rc.tuples[:0], tp
-	sc.annots, rc.annots = rc.annots[:0], as
+	sc.refs, rc.refs = rc.refs[:0], rs
 }
 
 // radixBelow is the record count under which the rank sort is a plain
@@ -140,8 +137,8 @@ const radixBelow = 24
 // it points at, through dst (len(dst) = len(src)), with a key-carrying LSD
 // radix sort: the key words last to first, each gathered once in rank order
 // (gatherWord) and sorted by its varying bytes (radixWord). The two key
-// vectors are the permute columns keys and annots, dead until the permute;
-// their types differ but share int64 underneath. Ties keep src's order, so
+// vectors are the permute columns keys and refs, dead until the permute;
+// their types differ but share 64 bits underneath. Ties keep src's order, so
 // a src stable by tag gives the stable (key, tag) sort. It ends in src or
 // in dst depending on the pass count; the returned slice is whichever
 // holds it.
@@ -149,10 +146,10 @@ const radixBelow = 24
 //lint:alloc-ceiling
 func stableSortIdx(rc *recCols, sc *sortScratch, src, dst []int32) []int32 {
 	n := len(src)
-	sc.keys, sc.annots = mpc.Resize(sc.keys, n), mpc.Resize(sc.annots, n)
+	sc.keys, sc.refs = mpc.Resize(sc.keys, n), mpc.Resize(sc.refs, n)
 	for w := rc.kw - 1; w >= 0; w-- {
 		diff, low := gatherWord(sc.keys, rc.keys, rc.kw, w, src)
-		src, dst = radixWord(sc.keys, sc.annots, src, dst, diff, low)
+		src, dst = radixWord(sc.keys, sc.refs, src, dst, diff, low)
 	}
 	return src
 }
@@ -185,7 +182,7 @@ func gatherWord(kv, keys []relation.Value, kw, w int, order []int32) (diff uint6
 // pair as it ends, sorted vector first.
 //
 //lint:alloc-ceiling
-func radixWord(kv []relation.Value, kb []int64, src, dst []int32, diff uint64, count [256]int32) ([]int32, []int32) {
+func radixWord(kv []relation.Value, kb []uint64, src, dst []int32, diff uint64, count [256]int32) ([]int32, []int32) {
 	if diff == 0 {
 		return src, dst
 	}
@@ -241,7 +238,7 @@ func offsets(count [256]int32) [256]int32 {
 // returns the counts of the byte at next.
 //
 //lint:alloc-ceiling
-func scatterPairs[S, D ~int64](sk []S, si []int32, dk []D, di []int32, shift, next uint, count [256]int32) (nextCount [256]int32) {
+func scatterPairs[S, D ~int64 | ~uint64](sk []S, si []int32, dk []D, di []int32, shift, next uint, count [256]int32) (nextCount [256]int32) {
 	off := offsets(count)
 	si = si[:len(sk)]
 	for j, k := range sk {
@@ -256,7 +253,7 @@ func scatterPairs[S, D ~int64](sk []S, si []int32, dk []D, di []int32, shift, ne
 // scatterRows is scatterPairs without the key words or the next count.
 //
 //lint:alloc-ceiling
-func scatterRows[K ~int64](sk []K, si, di []int32, shift uint, count [256]int32) {
+func scatterRows[K ~int64 | ~uint64](sk []K, si, di []int32, shift uint, count [256]int32) {
 	off := offsets(count)
 	si = si[:len(sk)]
 	for j, k := range sk {

@@ -61,11 +61,12 @@ func BenchmarkSampleSort(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/n=%d", shape.name, n), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					rc := getRecCols(n)
+					rc, sc := getRecCols(n), getSortScratch()
 					for _, r := range base {
-						rc.append(r.key, r.tag, r.it.T, r.it.A)
+						rc.append(r.key, r.tag)
 					}
-					sortAndChop(c, rc)
+					sortAndChop(c, rc, sc)
+					putSortScratch(sc)
 					putRecCols(rc)
 				}
 			})
@@ -107,6 +108,45 @@ func BenchmarkLookup(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				AttachAnnot(dx, []relation.Attr{1}, dd, []relation.Attr{1}, relation.CountRing, true)
+			}
+		})
+	}
+}
+
+// BenchmarkSemiJoin_Duplicates is the semi-join's worst case for a local
+// combiner that runs on the sorted order: every key d holds on a server it
+// holds exactly 32 times there, so the rank sort takes 32 d records for each one
+// the chunks keep (a hash index per part, the combiner it replaced, staged
+// only the one). x draws uniform keys from twice d's key range, so half
+// its rows are kept.
+func BenchmarkSemiJoin_Duplicates(b *testing.B) {
+	const dup = 32
+	for _, n := range []int{1 << 14, 1 << 17} {
+		c := mpc.NewCluster(benchSortP)
+		rng := rand.New(rand.NewSource(5))
+		keys := n / 16
+		x := mpc.NewDist(c, relation.NewSchema(1, 2))
+		for i := 0; i < n; i++ {
+			x.Parts[i%benchSortP].Append(relation.Tuple{relation.Value(rng.Intn(2 * keys)), relation.Value(i)}, 1)
+		}
+		d := mpc.NewDist(c, relation.NewSchema(1))
+		for s := range d.Parts {
+			rows := make([]relation.Value, 0, n/benchSortP)
+			for _, k := range rng.Perm(keys)[:n/benchSortP/dup] {
+				for range dup {
+					rows = append(rows, relation.Value(k))
+				}
+			}
+			rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+			for _, k := range rows {
+				d.Parts[s].Append(relation.Tuple{k}, 1)
+			}
+		}
+		key := []relation.Attr{1}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				SemiJoin(x, key, d, key)
 			}
 		})
 	}

@@ -177,7 +177,7 @@ func tagBlocks(n int, descending bool) func() []rec {
 // owner, which is exactly what repolint's poollifecycle analyzer flags.
 func fillRecCols(rc *recCols, recs []rec) {
 	for _, r := range recs {
-		rc.append(r.key, r.tag, r.it.T, r.it.A)
+		rc.append(r.key, r.tag)
 	}
 }
 
@@ -185,26 +185,29 @@ func fillRecCols(rc *recCols, recs []rec) {
 // it takes a record set and a sort scratch from their pools, sizes them for
 // rows records of key width kw, fills every column to capacity with
 // sentinels (−1 in the rank vectors, so a read before a write panics
-// instead of seeing a quiet zero) and puts them back. The scratch's keys
-// and annots columns are the radix sort's two key vectors too, so a key
-// word read before it is gathered sorts as junk. Pooling is memory reuse
-// only, so the run that follows must produce the same bytes as one on
-// fresh memory. (The puts clear the tuple columns, as in production.)
+// instead of seeing a quiet zero; refs naming part 0x5eed, so a row read
+// through a ref never staged panics) and points both sources at a junk
+// Dist, then puts them back. The scratch's keys and refs columns are the
+// radix sort's two key vectors too, so a key word read before it is
+// gathered sorts as junk. Pooling is memory reuse only, so the run that
+// follows must produce the same bytes as one on fresh memory.
 func dirtyPools(rows, kw int) {
 	const junk = -0x5eed
 	rc, sc := getRecCols(rows), getSortScratch()
 	sc.ranks = mpc.Resize(sc.ranks, 2*rows)
 	sc.keys, sc.tags = mpc.Resize(sc.keys, rows*kw), mpc.Resize(sc.tags, rows)
-	sc.tuples, sc.annots = mpc.Resize(sc.tuples, rows), mpc.Resize(sc.annots, rows)
+	sc.refs = mpc.Resize(sc.refs, rows)
 	fillCap(sc.ranks, -1)
 	fillCap(rc.keys, junk)
 	fillCap(sc.keys, junk)
 	fillCap(rc.tags, 0xAA)
 	fillCap(sc.tags, 0xAA)
-	fillCap(rc.tuples, relation.Tuple{junk})
-	fillCap(sc.tuples, relation.Tuple{junk})
-	fillCap(rc.annots, junk)
-	fillCap(sc.annots, junk)
+	fillCap(rc.refs, 0x5eed<<32|0x5eed)
+	fillCap(sc.refs, 0x5eed<<32|0x5eed)
+	fillCap(sc.bounds, -1)
+	junkDist := mpc.NewDist(mpc.NewCluster(1), relation.NewSchema(1))
+	junkDist.Parts[0].Append(relation.Tuple{junk}, junk)
+	rc.src = [2]*mpc.Dist{junkDist, junkDist}
 	putRecCols(rc)
 	putSortScratch(sc)
 }
@@ -217,16 +220,17 @@ func fillCap[T any](s []T, v T) {
 	}
 }
 
-// colsChunk extracts chunk s of a sorted columnar set as []rec for
-// comparison against the serial reference's chunks, re-encoding the flat
-// key windows into the reference's key strings.
-func colsChunk(rc *recCols, bounds []int, s int) []rec {
+// colsChunk extracts chunk s of a columnar set that fillRecCols staged
+// from recs and that was then sorted, as []rec for comparison against the
+// serial reference's chunks: the flat key windows re-encoded into the
+// reference's key strings, each item read back through its record's ref.
+func colsChunk(rc *recCols, recs []rec, bounds []int, s int) []rec {
 	if bounds[s] == bounds[s+1] {
 		return nil
 	}
 	out := make([]rec, 0, bounds[s+1]-bounds[s])
 	for i := bounds[s]; i < bounds[s+1]; i++ {
-		out = append(out, rec{key: relation.EncodeValues(rc.key(i)...), tag: rc.tags[i], it: rc.item(i)})
+		out = append(out, rec{key: relation.EncodeValues(rc.key(i)...), tag: rc.tags[i], it: recs[rc.refs[i]].it})
 	}
 	return out
 }
@@ -253,13 +257,13 @@ func TestSampleSortParityWithSerialRef(t *testing.T) {
 					if dirty && len(recs) > 0 {
 						dirtyPools(len(recs), len(recs[0].key)/8)
 					}
-					rc := getRecCols(len(recs))
+					rc, sc := getRecCols(len(recs)), getSortScratch()
 					fillRecCols(rc, recs)
-					bounds := sortAndChop(c, rc)
+					bounds := sortAndChop(c, rc, sc)
 					gotStats := c.Snapshot()
 
 					for s := 0; s < p; s++ {
-						if !reflect.DeepEqual(refChunks[s], colsChunk(rc, bounds, s)) {
+						if !reflect.DeepEqual(refChunks[s], colsChunk(rc, recs, bounds, s)) {
 							t.Fatalf("dirty=%v width %d: chunk %d differs: ref %d recs, got %d recs",
 								dirty, width, s, len(refChunks[s]), bounds[s+1]-bounds[s])
 						}
@@ -268,6 +272,7 @@ func TestSampleSortParityWithSerialRef(t *testing.T) {
 						t.Fatalf("dirty=%v width %d: charges differ:\nref %+v\ngot %+v",
 							dirty, width, refStats, gotStats)
 					}
+					putSortScratch(sc)
 					putRecCols(rc)
 					runtime.SetParallelism(prev)
 				}
@@ -302,14 +307,15 @@ func TestSampleSortPropertyRandomShapes(t *testing.T) {
 		want := append([]rec(nil), recs...)
 		sort.SliceStable(want, func(i, j int) bool { return recLess(want[i], want[j]) })
 
-		rc := getRecCols(len(recs))
+		rc, sc := getRecCols(len(recs)), getSortScratch()
 		fillRecCols(rc, recs)
-		sampleSortCols(rc)
+		sampleSortCols(rc, sc)
 
 		got := make([]rec, rc.len())
 		for i := range got {
-			got[i] = rec{key: relation.EncodeValues(rc.key(i)...), tag: rc.tags[i], it: rc.item(i)}
+			got[i] = rec{key: relation.EncodeValues(rc.key(i)...), tag: rc.tags[i], it: recs[rc.refs[i]].it}
 		}
+		putSortScratch(sc)
 		putRecCols(rc)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d (n=%d keys=%d shape=%d kw=%d tags=%d staged=%v): the rank sort is not the stable sort",
@@ -329,7 +335,7 @@ func TestSampleSplittersAreSortedAndDistinct(t *testing.T) {
 		rc := getRecCols(n)
 		for i := 0; i < n; i++ {
 			r := mkRec(rng.Intn(keys), uint8(rng.Intn(2)), i)
-			rc.append(r.key, r.tag, r.it.T, r.it.A)
+			rc.append(r.key, r.tag)
 		}
 		sc := getSortScratch()
 		order := rankSort(rc, sc)
@@ -445,13 +451,14 @@ func TestSampleSortWidthSweepDeterminism(t *testing.T) {
 			if dirty {
 				dirtyPools(len(recs), 1)
 			}
-			rc := getRecCols(len(recs))
+			rc, sc := getRecCols(len(recs)), getSortScratch()
 			fillRecCols(rc, recs)
-			bounds := sortAndChop(c, rc)
+			bounds := sortAndChop(c, rc, sc)
 			got := make([][]rec, p)
 			for s := 0; s < p; s++ {
-				got[s] = colsChunk(rc, bounds, s)
+				got[s] = colsChunk(rc, recs, bounds, s)
 			}
+			putSortScratch(sc)
 			putRecCols(rc)
 			runtime.SetParallelism(prev)
 			if ref == nil {

@@ -7,6 +7,8 @@ package primitives
 // were before keys became windows into flat parts); the serial lookup that
 // the forked multi-search scan replaced; and the two-sort semi-join (a
 // distinct directory, then that lookup) that the one-sort scan replaced.
+// The references sort []rec, whose records carry their items: none of
+// them stages into the columnar set, whose records name rows instead.
 // Test-only: the parity, fuzz and benchmark tests compare the production
 // paths against them.
 
@@ -40,13 +42,15 @@ func recLess(a, b rec) bool {
 
 // chop is chopBounds over a []rec slice, returning chunk windows.
 func chop(c *mpc.Cluster, recs []rec) [][]rec {
-	bounds := chopBounds(c, len(recs))
+	sc := getSortScratch()
+	bounds := chopBounds(c, len(recs), sc)
 	chunks := make([][]rec, c.P)
 	for s := 0; s < c.P; s++ {
 		if bounds[s] < bounds[s+1] {
 			chunks[s] = recs[bounds[s]:bounds[s+1]]
 		}
 	}
+	putSortScratch(sc)
 	return chunks
 }
 
@@ -62,9 +66,12 @@ func serialSortAndChopRef(c *mpc.Cluster, recs []rec) [][]rec {
 // append adds one record from an encoded key string — the bridge that
 // stages records from the array-of-structs rec view into the columns. The
 // key decodes (relation.EncodeValues' inverse, in place: the allocation
-// ceiling tests stage through here) to exactly the value window appendKeyed
-// would have written.
-func (rc *recCols) append(key string, tag uint8, t relation.Tuple, a int64) {
+// ceiling tests stage through here) to exactly the value window appendDist
+// would have gathered. The record names no source row: its ref is its
+// index in the caller's []rec, which keeps the item, so a sorted set is
+// read back as recs[ref] (see colsChunk) and a ref the permute moved
+// wrongly shows as a wrong payload.
+func (rc *recCols) append(key string, tag uint8) {
 	if len(key)%8 != 0 {
 		panic("primitives: malformed record key")
 	}
@@ -72,9 +79,8 @@ func (rc *recCols) append(key string, tag uint8, t relation.Tuple, a int64) {
 	for i := 0; i < len(key); i += 8 {
 		rc.keys = append(rc.keys, relation.Value(binary.BigEndian.Uint64([]byte(key[i:i+8]))^(1<<63)))
 	}
+	rc.refs = append(rc.refs, uint64(len(rc.tags)))
 	rc.tags = append(rc.tags, tag)
-	rc.tuples = append(rc.tuples, t)
-	rc.annots = append(rc.annots, a)
 }
 
 // localCombineRef is the string-keyed combiner localCombine replaced, kept
@@ -131,14 +137,15 @@ func countByKeyRef(d *mpc.Dist, keyAttrs []relation.Attr, salt uint64) *mpc.Dist
 
 // distinctByKeyRef is DistinctByKey with the string-keyed local dedup it
 // had: a seen-map over the encoded key per part and one projected tuple
-// per locally-distinct key, staged as a self-keyed record.
+// per locally-distinct key, sorted as self-keyed records by the serial
+// reference sort.
 func distinctByKeyRef(d *mpc.Dist, keyAttrs []relation.Attr) *mpc.Dist {
 	pos := d.Positions(keyAttrs)
 	schema := relation.NewSchema(keyAttrs...)
 	if d.Size() == 0 {
 		return mpc.NewDist(d.C, schema)
 	}
-	rc := getRecCols(d.Size())
+	var recs []rec
 	for s := range d.Parts {
 		part := &d.Parts[s]
 		seen := make(map[string]bool)
@@ -153,31 +160,53 @@ func distinctByKeyRef(d *mpc.Dist, keyAttrs []relation.Attr) *mpc.Dist {
 			for j, p := range pos {
 				proj[j] = t[p]
 			}
-			rc.append(k, 0, proj, part.Annot(i))
+			recs = append(recs, rec{key: k, it: mpc.Item{T: proj, A: part.Annot(i)}})
 		}
 	}
-	bounds := sortAndChop(d.C, rc)
+	chunks := serialSortAndChopRef(d.C, recs)
 	d.C.ChargeCoordinator()
 	out := mpc.NewDist(d.C, schema)
-	prev := -1
-	for s := 0; s < d.C.P; s++ {
-		for i := bounds[s]; i < bounds[s+1]; i++ {
-			if prev >= 0 && rc.keyEq(prev, i) {
+	prev := ""
+	for s, chunk := range chunks {
+		for j, r := range chunk {
+			if (s > 0 || j > 0) && r.key == prev {
 				continue
 			}
-			out.Parts[s].Append(rc.tuples[i], rc.annots[i])
-			prev = i
+			out.Parts[s].AppendItem(r.it)
+			prev = r.key
 		}
 	}
-	putRecCols(rc)
 	return out
 }
 
+// stageRefs appends one record per row of d, keyed by its projection onto
+// pos, carrying the row itself.
+func stageRefs(recs []rec, d *mpc.Dist, pos []int, tag uint8) []rec {
+	for s := range d.Parts {
+		for i := 0; i < d.Parts[s].Len(); i++ {
+			it := d.Parts[s].Item(i)
+			recs = append(recs, rec{key: relation.KeyAt(it.T, pos), tag: tag, it: it})
+		}
+	}
+	return recs
+}
+
+// duplicateKeyRef panics with the directory's duplicate-key message for
+// the record r of a d row keyed at pos.
+func duplicateKeyRef(r rec, pos []int) {
+	key := make([]relation.Value, len(pos))
+	for j, p := range pos {
+		key[j] = r.it.T[p]
+	}
+	panic(fmt.Sprintf("primitives: Lookup directory has duplicate key %v", key))
+}
+
 // lookupRef is Lookup as it was before it ran on the forked multi-search
-// scan, kept verbatim: a permuting sort of x and d together, a serial scan
-// carrying the last d record across chunk boundaries (which doubles as the
-// duplicate-directory check), then a serial output loop that copies each
-// kept item before combine is called again.
+// scan, on the array-of-structs records: a permuting sort of x and d
+// together, a serial scan carrying the last d record across chunk
+// boundaries (which doubles as the duplicate-directory check), then a
+// serial output loop that copies each kept item before combine is called
+// again.
 func lookupRef(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.Attr,
 	outSchema relation.Schema,
 	combine func(it mpc.Item, r LookupResult) (mpc.Item, bool)) *mpc.Dist {
@@ -185,69 +214,72 @@ func lookupRef(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.A
 	xPos := x.Positions(xKey)
 	dPos := d.Positions(dKey)
 
-	rc := getRecCols(x.Size() + d.Size())
-	rc.appendDist(d, dPos, 0)
+	recs := stageRefs(nil, d, dPos, 0)
 	// An empty probe side has an empty result; a trivially-empty sub-query
 	// must not pay the sort and coordinator rounds. The duplicate-key check
 	// runs before the early-out, so a malformed directory still panics.
 	if x.Size() == 0 {
-		verifyDistinctDirectory(rc)
-		putRecCols(rc)
+		sort.SliceStable(recs, func(i, j int) bool { return recLess(recs[i], recs[j]) })
+		for i := 1; i < len(recs); i++ {
+			if recs[i].key == recs[i-1].key {
+				duplicateKeyRef(recs[i], dPos)
+			}
+		}
 		return mpc.NewDist(x.C, outSchema)
 	}
-	rc.appendDist(x, xPos, 1)
+	recs = stageRefs(recs, x, xPos, 1)
 
-	bounds := sortAndChop(x.C, rc)
+	chunks := serialSortAndChopRef(x.C, recs)
 
-	// Boundary propagation: carry[s] = the row of the latest d record at or
-	// before the start of chunk s (−1: none). One coordinator exchange.
-	// Equal-key d records are adjacent here — the duplicate-directory check.
-	carry := make([]int, x.C.P)
-	last := -1
-	for s := 0; s < x.C.P; s++ {
+	// Boundary propagation: carry[s] = the latest d record at or before the
+	// start of chunk s (nil: none). One coordinator exchange. Equal-key d
+	// records are adjacent here — the duplicate-directory check.
+	carry := make([]*rec, x.C.P)
+	var last *rec
+	for s, chunk := range chunks {
 		carry[s] = last
-		for i := bounds[s]; i < bounds[s+1]; i++ {
-			if rc.tags[i] == 0 {
-				if last >= 0 && rc.keyEq(last, i) {
-					panic(fmt.Sprintf("primitives: Lookup directory has duplicate key %v", rc.key(i)))
+		for i := range chunk {
+			if chunk[i].tag == 0 {
+				if last != nil && last.key == chunk[i].key {
+					duplicateKeyRef(chunk[i], dPos)
 				}
-				last = i
+				last = &chunk[i]
 			}
 		}
 	}
 	x.C.ChargeCoordinator()
 
 	out := mpc.NewDist(x.C, outSchema)
-	for s := 0; s < x.C.P; s++ {
+	for s, chunk := range chunks {
 		cur := carry[s]
-		for i := bounds[s]; i < bounds[s+1]; i++ {
-			if rc.tags[i] == 0 {
-				cur = i
+		for i := range chunk {
+			if chunk[i].tag == 0 {
+				cur = &chunk[i]
 				continue
 			}
 			res := LookupResult{}
-			if cur >= 0 && rc.keyEq(cur, i) {
-				res = LookupResult{Found: true, DTuple: rc.tuples[cur], DAnnot: rc.annots[cur]}
+			if cur != nil && cur.key == chunk[i].key {
+				res = LookupResult{Found: true, DTuple: cur.it.T, DAnnot: cur.it.A}
 			}
-			if it, keep := combine(rc.item(i), res); keep {
+			if it, keep := combine(chunk[i].it, res); keep {
 				out.Parts[s].AppendItem(it)
 			}
 		}
 	}
-	putRecCols(rc)
 	return out
 }
 
-// semiJoinRef is SemiJoin as it was before the one-sort multi-search, kept
-// verbatim: d reduced to a globally distinct directory (one sort, one
-// coordinator exchange), then a lookup of x against it (another of each).
+// semiJoinRef is SemiJoin as it was before the one-sort multi-search: d
+// reduced to a globally distinct directory (one sort, one coordinator
+// exchange), then a lookup of x against it (another of each) — both the
+// serial references.
 func semiJoinRef(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation.Attr) *mpc.Dist {
 	// An empty probe side is empty output; don't pay for sorting the
 	// directory either.
 	if x.Size() == 0 {
 		return mpc.NewDist(x.C, x.Schema)
 	}
-	dir := DistinctByKey(d, dKey)
+	dir := distinctByKeyRef(d, dKey)
 	return lookupRef(x, xKey, dir, dKey, x.Schema,
 		func(it mpc.Item, r LookupResult) (mpc.Item, bool) {
 			return it, r.Found
@@ -259,7 +291,7 @@ func antiJoinRef(x *mpc.Dist, xKey []relation.Attr, d *mpc.Dist, dKey []relation
 	if x.Size() == 0 {
 		return mpc.NewDist(x.C, x.Schema)
 	}
-	dir := DistinctByKey(d, dKey)
+	dir := distinctByKeyRef(d, dKey)
 	return lookupRef(x, xKey, dir, dKey, x.Schema,
 		func(it mpc.Item, r LookupResult) (mpc.Item, bool) {
 			return it, !r.Found

@@ -25,13 +25,15 @@ import (
 
 // chopBounds distributes n globally sorted records into p equal chunks —
 // index windows, no copying — charging each server its chunk size in one
-// round. Chunk s is rows [bounds[s], bounds[s+1]). Shared by the parallel
-// sample sort and the tests' serial reference, so both paths charge
-// identically.
+// round. Chunk s is rows [bounds[s], bounds[s+1]). The bounds and the
+// loads the round is charged from are windows of sc.bounds, so a call
+// allocates neither (ChargeRound copies the loads into the round); the
+// bounds are valid until sc is put back. Shared by the parallel sample
+// sort and the tests' serial reference, so both paths charge identically.
 //
 //lint:load perP trust ceil-division chunking puts at most ceil(n/p) records on each server
 //lint:rounds const
-func chopBounds(c *mpc.Cluster, n int) []int {
+func chopBounds(c *mpc.Cluster, n int, sc *sortScratch) []int {
 	p := c.P
 	chunk := (n + p - 1) / p
 	if chunk == 0 {
@@ -43,8 +45,8 @@ func chopBounds(c *mpc.Cluster, n int) []int {
 		// overload the last server.
 		panic(fmt.Sprintf("primitives: chop record %d past server %d (n=%d, chunk=%d)", n-1, p-1, n, chunk))
 	}
-	bounds := make([]int, p+1)
-	loads := make([]int, p)
+	sc.bounds = mpc.Resize(sc.bounds, 2*p+1)
+	bounds, loads := sc.bounds[:p+1], sc.bounds[p+1:]
 	for s := 0; s < p; s++ {
 		lo := s * chunk
 		if lo > n {
